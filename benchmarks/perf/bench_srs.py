@@ -82,8 +82,8 @@ def run_srs_benchmark(num_workers: int = SRS_WORKERS, num_elements: int = SRS_EL
             cluster = SimulatedCluster(num_workers)
             residuals = ResidualManager(num_workers, num_elements)
             start = time.perf_counter()
-            spar_reduce_scatter(cluster, teams, gradients, layout, k_block,
-                                residuals, wire_format=wire_format)
+            spar_reduce_scatter(cluster, teams, residuals.apply(gradients), layout,
+                                k_block, residuals, wire_format=wire_format)
             best = min(best, time.perf_counter() - start)
             stats = cluster.stats
         results[wire_format] = {

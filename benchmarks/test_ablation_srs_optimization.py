@@ -57,8 +57,8 @@ def _run_variant(sparsify_all: bool):
         gradients = {w: np.random.default_rng(100 * iteration + w).normal(size=NUM_ELEMENTS)
                      for w in range(NUM_WORKERS)}
         start = time.perf_counter()
-        output = spar_reduce_scatter(cluster, teams, gradients, layout, k_block, residuals,
-                                     sparsify_all=sparsify_all)
+        output = spar_reduce_scatter(cluster, teams, residuals.apply(gradients), layout,
+                                     k_block, residuals, sparsify_all=sparsify_all)
         elapsed = min(elapsed, time.perf_counter() - start)
         events += residuals.procedure_events
         final_nnz.append(sum(block.nnz for block in output.reduced_blocks.values()))

@@ -22,6 +22,7 @@ from ..core.base import GradientSynchronizer
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualManager, ResidualPolicy
 from ..core.schedules import KSchedule, coerce_schedule
+from ..sparse.topk import top_k_indices
 from ..sparse.vector import SparseGradient
 
 __all__ = ["SparseBaseline", "power_of_two_split", "is_power_of_two"]
@@ -119,17 +120,13 @@ class SparseBaseline(GradientSynchronizer):
     def local_select(self, gradients: Dict[int, np.ndarray]) -> Dict[int, SparseGradient]:
         """Residual-corrected local top-k selection for every worker.
 
-        The dropped values are collected as local residuals.  Returns the
-        per-worker sparse selection in global coordinates.
+        The picks are taken out of the residual store, which keeps the
+        rest as the local residual.  Returns the per-worker sparse selection
+        in global coordinates.
         """
         corrected = self.residuals.apply(gradients)
-        selected: Dict[int, SparseGradient] = {}
-        for rank, dense in corrected.items():
-            sparse, residual = SparseGradient.top_k_of_dense(dense, self.k,
-                                                             length=self.num_elements)
-            self.residuals.collect_local(rank, residual)
-            selected[rank] = sparse
-        return selected
+        return {rank: self.residuals.take(rank, top_k_indices(dense, self.k))
+                for rank, dense in corrected.items()}
 
     def finalize_residuals(self, final: SparseGradient) -> None:
         """Resolve deferred (PRES) procedure discards against the final

@@ -89,15 +89,10 @@ class DenseAllReduceSynchronizer(GradientSynchronizer):
             context.selected = self.residuals.apply(context.gradients)
 
     def stage_compress(self, context: StepContext) -> None:
-        if self.stack is None or not self.stack.transforms_wire:
+        if self.residuals is None:
             context.wire = context.selected
-            return
-        wire = {}
-        for rank, corrected in context.selected.items():
-            quantized, error = self.stack.compress_dense(rank, corrected)
-            self.residuals.collect_local(rank, error)
-            wire[rank] = quantized
-        context.wire = wire
+        else:
+            self._compress_dense(context)
 
     def stage_exchange(self, context: StepContext) -> None:
         context.exchanged = allreduce_dense(self.cluster, context.wire)

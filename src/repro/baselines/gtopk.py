@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..comm.transport import Message, Transport
+from ..core.base import shared_dense_gradients
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualPolicy
 from ..core.schedules import KSchedule
@@ -85,8 +86,7 @@ class GTopkSynchronizer(SparseBaseline):
         current = context.exchanged
         context.global_sparse = current
         context.reference = current[0]
-        context.global_gradients = {rank: sparse.to_dense()
-                                    for rank, sparse in current.items()}
+        context.global_gradients = shared_dense_gradients(current)
         context.info = {"k": self.k, "final_nnz": context.reference.nnz}
 
     def stage_residual_update(self, context: StepContext) -> None:

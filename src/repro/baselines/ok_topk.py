@@ -34,10 +34,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..comm.transport import Message, Transport
+from ..core.base import shared_dense_gradients
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualPolicy
 from ..core.schedules import KSchedule
-from ..sparse.topk import kth_largest_magnitude
+from ..sparse.topk import kth_largest_magnitude, top_k_indices
 from ..sparse.vector import SparseGradient
 from .base import SparseBaseline
 
@@ -94,8 +95,7 @@ class OkTopkSynchronizer(SparseBaseline):
                          for rank, pieces in context.exchanged.items()}
         context.global_sparse = global_sparse
         context.reference = global_sparse[0]
-        context.global_gradients = {rank: sparse.to_dense()
-                                    for rank, sparse in global_sparse.items()}
+        context.global_gradients = shared_dense_gradients(global_sparse)
         if context.scratch.get("trivial"):
             context.info = {"k": self.k, "final_nnz": context.reference.nnz}
             return
@@ -119,19 +119,12 @@ class OkTopkSynchronizer(SparseBaseline):
             if threshold <= 0.0:
                 # First iteration: bootstrap from the exact k-th magnitude.
                 threshold = kth_largest_magnitude(dense, self.k)
-            mask = np.abs(dense) >= threshold
-            count = int(mask.sum())
-            if count == 0:
+            indices = np.flatnonzero(np.abs(dense) >= threshold)
+            if indices.shape[0] == 0:
                 # Degenerate threshold (e.g. all-zero gradient); fall back to
                 # the single largest entry so progress is never lost.
-                sparse, residual = SparseGradient.top_k_of_dense(dense, 1,
-                                                                 length=self.num_elements)
-            else:
-                indices = np.flatnonzero(mask)
-                sparse = SparseGradient(indices, dense[indices], self.num_elements)
-                residual = dense.copy()
-                residual[indices] = 0.0
-            self.residuals.collect_local(rank, residual)
+                indices = top_k_indices(dense, 1)
+            sparse = self.residuals.take(rank, indices)
             selected[rank] = sparse
             self.last_selected[rank] = sparse.nnz
             # Multiplicative calibration towards k selections next iteration.

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..comm.transport import Message, Transport
+from ..core.base import shared_dense_gradients
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualPolicy
 from ..core.schedules import KSchedule
@@ -63,8 +64,7 @@ class TopkDSASynchronizer(SparseBaseline):
                          for rank, pieces in context.exchanged.items()}
         context.global_sparse = global_sparse
         context.reference = global_sparse[0]
-        context.global_gradients = {rank: sparse.to_dense()
-                                    for rank, sparse in global_sparse.items()}
+        context.global_gradients = shared_dense_gradients(global_sparse)
         context.info = {"k": self.k, "final_nnz": context.reference.nnz}
 
     def stage_residual_update(self, context: StepContext) -> None:

@@ -37,7 +37,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compression.quantization import QuantizedCompressor
     from ..compression.stack import CompressorStack
 
-__all__ = ["SyncResult", "GradientSynchronizer", "resolve_k"]
+__all__ = ["SyncResult", "GradientSynchronizer", "resolve_k",
+           "shared_dense_gradients"]
+
+
+def shared_dense_gradients(global_sparse: Dict[int, Any]) -> Dict[int, np.ndarray]:
+    """Densify per-worker sparse results without materialising ``P`` copies
+    of one gradient.
+
+    The first worker's result is densified once, marked read-only, and the
+    same array is handed to every worker whose indices and values equal it
+    (an O(k) check per worker, so :attr:`SyncResult.is_consistent` still
+    means something); a worker that differs gets its own array.
+    """
+    reference = next(iter(global_sparse.values()))
+    shared = reference.to_dense()
+    shared.flags.writeable = False
+    dense = {}
+    for rank, sparse in global_sparse.items():
+        if sparse is reference or (
+                np.array_equal(sparse.indices, reference.indices)
+                and np.array_equal(sparse.values, reference.values)):
+            dense[rank] = shared
+        else:
+            dense[rank] = sparse.to_dense()
+            dense[rank].flags.writeable = False
+    return dense
 
 
 @dataclass
@@ -45,6 +70,7 @@ class SyncResult:
     """Outcome of one gradient synchronisation."""
 
     #: Per-worker dense global gradient (sum over all workers' contributions).
+    #: Sparse methods hand every agreeing worker the *same* read-only array.
     global_gradients: Dict[int, np.ndarray]
     #: Communication accounting for this synchronisation only.
     stats: CommStats
@@ -60,7 +86,8 @@ class SyncResult:
         ranks = sorted(self.global_gradients)
         reference = self.global_gradients[ranks[0]]
         return all(
-            np.allclose(self.global_gradients[rank], reference, rtol=1e-9, atol=1e-12)
+            self.global_gradients[rank] is reference
+            or np.allclose(self.global_gradients[rank], reference, rtol=1e-9, atol=1e-12)
             for rank in ranks[1:]
         )
 
@@ -227,6 +254,19 @@ class GradientSynchronizer(ABC):
             self.schedule.observe(self.iteration, context.k, result)
         self.iteration += 1
         return result
+
+    def _compress_dense(self, context: StepContext) -> None:
+        """``compress`` stage of a dense step: everything is sent, so each
+        store hands its corrected buffer to the collective and keeps only
+        the quantisation error of the send (nothing without a quantiser)."""
+        quantizes = self.stack is not None and self.stack.transforms_wire
+        context.wire = {}
+        for rank, corrected in context.selected.items():
+            error = None
+            if quantizes:
+                corrected, error = self.stack.compress_dense(rank, corrected)
+            self.residuals.release(rank, error)
+            context.wire[rank] = corrected
 
     def _absorb_lost(self, context: StepContext) -> None:
         """Fold messages the cluster declared lost into the residual path."""

@@ -215,10 +215,17 @@ class BucketedSynchronizer(GradientSynchronizer):
             outcome = session.step({rank: grad[lo:hi] for rank, grad in arrays.items()})
             results.append(outcome)
         stats = CommStats.merged(self.num_workers, (outcome.stats for outcome in results))
-        global_gradients = {
-            rank: np.concatenate([outcome.global_gradients[rank] for outcome in results])
-            for rank in arrays
-        }
+        # Sparse buckets hand every agreeing rank the same array, so ranks
+        # with identical parts share one read-only concatenation too.
+        assembled: Dict[Tuple[int, ...], np.ndarray] = {}
+        global_gradients = {}
+        for rank in arrays:
+            parts = [outcome.global_gradients[rank] for outcome in results]
+            key = tuple(id(part) for part in parts)
+            if key not in assembled:
+                flat = assembled[key] = np.concatenate(parts)
+                flat.flags.writeable = False
+            global_gradients[rank] = assembled[key]
         info = {
             "buckets": self.num_buckets,
             "bucket_names": list(self.bucket_names),

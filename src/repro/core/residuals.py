@@ -131,14 +131,17 @@ class ResidualStore:
         self.scatter_count += 1
 
     def peek(self) -> np.ndarray:
-        """Current residual (read-only view semantics: copy)."""
+        """A copy of the current residual.  A copy, not a view: the buffer
+        is corrected and selected from in place, so a view would change
+        under a caller that snapshots state across a step."""
         return self._data.copy()
 
-    def drain(self) -> np.ndarray:
-        """Return the accumulated residual and reset the store."""
-        data = self._data
-        self._data = np.zeros_like(data)
-        return data
+    def take(self, indices: np.ndarray) -> np.ndarray:
+        """Remove the entries at ``indices`` (unique) and return their
+        values; what stays behind is the residual of that selection."""
+        values = self._data[indices]
+        self._data[indices] = 0.0
+        return values
 
     def norm(self) -> float:
         """L2 norm of the stored residual (``float``)."""
@@ -160,12 +163,23 @@ class ResidualManager:
     The manager owns one :class:`ResidualStore` per worker.  A
     synchronisation round uses it in three phases:
 
-    1. :meth:`apply` adds the stored residuals to the new local gradients
-       (and empties the stores),
-    2. :meth:`collect_local` / :meth:`collect_procedure` are called whenever
-       a sparsification discards values,
+    1. :meth:`apply` adds the new local gradients *into* the stores and
+       returns the stores' own buffers as the corrected vectors,
+    2. a selection removes its picks from the store with :meth:`take` —
+       what is left in the buffer *is* the local residual, nothing is copied
+       out and added back (a dense path sends everything: :meth:`release`) —
+       and :meth:`collect_procedure` / :meth:`collect_local_sparse` are
+       called whenever a later sparsification or a quantiser discards values,
     3. :meth:`finalize` resolves deferred (PARTIAL-policy) discards once the
        final global gradient's index set is known.
+
+    Ownership: the corrected vectors alias live state.  Between
+    :meth:`apply` and the selection they hold ``gradient + residual``;
+    afterwards the same arrays hold the residual and change with every
+    collected discard.  Callers read them, select through :meth:`take`, and
+    never write them; the gradient arrays passed to :meth:`apply` are never
+    written.  A slot that was not selected keeps its sum bit for bit,
+    the sign of a ``-0.0`` included.
 
     **Deferred accumulation** (``deferred=True``): instead of scattering
     every sparse discard into the dense store at collection time — one
@@ -302,35 +316,56 @@ class ResidualManager:
                 buffered.clear()
 
     def apply(self, gradients: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-        """Return the error-corrected gradient per worker and reset the stores.
+        """Error-correct in place: add each gradient into its worker's store
+        and return the stores' buffers (see the class notes on ownership).
 
-        Without momentum correction this is ``gradient + residual``.  With
-        ``momentum > 0`` the per-worker velocity is advanced first
-        (``u = m * u + gradient``) and the correction becomes
-        ``u + residual`` — the DGC recursion ``v_t = v_{t-1} + u_t`` with the
-        residual store playing the role of the unsent accumulator ``v``.
-        A flush point: buffered discards are folded in before draining.
+        Without momentum correction the buffer becomes ``residual +
+        gradient``.  With ``momentum > 0`` the per-worker velocity is
+        advanced first (``u = m * u + gradient``) and added instead — the
+        DGC recursion ``v_t = v_{t-1} + u_t`` with the residual store
+        playing the role of the unsent accumulator ``v``.  A flush point:
+        buffered discards are folded in first.
         """
         self.flush()
         corrected = {}
         for worker, gradient in gradients.items():
-            residual = self._stores[worker].drain()
+            data = self._stores[worker]._data
             gradient = np.asarray(gradient, dtype=np.float64)
             if self._velocity is not None:
                 velocity = self._velocity[worker]
                 velocity *= self.momentum
                 velocity += gradient
-                corrected[worker] = velocity + residual
+                data += velocity
             else:
-                corrected[worker] = gradient + residual
+                data += gradient
+            corrected[worker] = data
         return corrected
+
+    def take(self, worker: int, indices: np.ndarray) -> SparseGradient:
+        """Select ``indices`` (sorted, unique, global coordinates) out of
+        the worker's corrected vector: returns them as a sparse gradient
+        and zeroes those slots, leaving the local residual in the store."""
+        return SparseGradient.from_sorted_unique(
+            indices, self._stores[worker].take(indices), self.num_elements)
+
+    def release(self, worker: int, error: Optional[np.ndarray] = None) -> np.ndarray:
+        """Dense paths send the whole corrected vector: hand the store's
+        buffer to the caller and keep only ``error`` (the quantisation
+        error of the send, adopted without a copy; nothing when ``None``)."""
+        store = self._stores[worker]
+        sent = store._data
+        if error is None or self.policy is ResidualPolicy.NONE:
+            error = np.zeros_like(sent)
+        store._data = error
+        return sent
 
     # ------------------------------------------------------------------
     # collection hooks
     # ------------------------------------------------------------------
     def collect_local(self, worker: int, residual_block: np.ndarray, offset: int = 0) -> None:
-        """Collect a *local* residual: a dense block with the transmitted
-        entries already zeroed, produced before any communication."""
+        """Accumulate a dense *local* residual block at ``offset``.  The
+        in-tree selections leave theirs in place (:meth:`take`); this is the
+        entry point for a residual computed outside the store."""
         if self.policy is ResidualPolicy.NONE:
             return
         self._stores[worker].add_dense(residual_block, offset)
@@ -421,6 +456,10 @@ class ResidualManager:
                         end_procedure, pending.share)
         self._pending.clear()
         self.flush()
+        if self.policy is ResidualPolicy.NONE:
+            # Nothing is fed back: drop what the selection left in place.
+            for store in self._stores.values():
+                store._data.fill(0.0)
         if self._velocity is not None and final is not None and final.size:
             for velocity in self._velocity.values():
                 velocity[final] = 0.0
@@ -484,7 +523,7 @@ class ResidualManager:
         self.flush()
         total = np.zeros(self.num_elements, dtype=np.float64)
         for store in self._stores.values():
-            total += store.peek()
+            total += store._data
         return total
 
     def residual_norms(self) -> Dict[int, float]:

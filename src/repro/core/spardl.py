@@ -38,8 +38,9 @@ from ..comm.transport import Transport
 from ..comm.collectives import allgather_bruck_grouped, allreduce_dense
 from ..compression.stack import CompressorStack
 from ..sparse.blocks import BlockLayout
+from ..sparse.topk import WarmTopK
 from ..sparse.vector import SparseGradient
-from .base import GradientSynchronizer
+from .base import GradientSynchronizer, shared_dense_gradients
 from .config import SAGMode, SparDLConfig
 from .pipeline import StepContext
 from .residuals import ResidualManager
@@ -99,6 +100,9 @@ class SparDLSynchronizer(GradientSynchronizer):
         self.adopt_stack(CompressorStack.from_config(
             cluster.num_workers, momentum=config.momentum,
             num_bits=config.num_bits, sparsify=True))
+        #: Per-(rank, block) cuts of the last step's block top-k, reused by
+        #: SRS phase 1 to select exactly from a few candidates.
+        self.selector = WarmTopK()
         #: Crossover density at which the dense fallback engages.
         self.dense_crossover = config.resolve_dense_crossover()
         self.set_sparsity(self.schedule.resolve(0, num_elements))
@@ -160,6 +164,7 @@ class SparDLSynchronizer(GradientSynchronizer):
         self.team_size = num_workers // num_teams
         self.teams = make_teams(num_workers, num_teams)
         self.layout = BlockLayout(self.num_elements, self.team_size)
+        self.selector.cuts.clear()
         if self.stack is not None:
             self.adopt_stack(CompressorStack.from_config(
                 num_workers, momentum=self.config.momentum,
@@ -177,31 +182,27 @@ class SparDLSynchronizer(GradientSynchronizer):
     def stage_compress(self, context: StepContext) -> None:
         """Wire encoding of the step, driven by the compressor stack.
 
-        Without a wire-transforming stage this is the identity.  With
-        ``config.num_bits`` set, the dense-fallback path folds every
-        worker's corrected gradient through the stack here (one draw per
-        worker, exact error into that worker's residual store); on the
-        sparse path the selection is interleaved with the SRS transmissions,
+        On the sparse path this is the identity.  The dense-fallback path
+        sends everything, so every store releases its corrected buffer to
+        the collective here — folded through the stack first when
+        ``config.num_bits`` is set (one draw per worker, the exact error
+        stays in that worker's residual store); on the sparse path the selection is interleaved with the SRS transmissions,
         so the stack is applied inside :meth:`stage_exchange` instead —
         right after each block-wise top-k, i.e. the moment a value first
         reaches the wire.  Declarative stages (momentum correction) act
         through the residual manager and leave the wire untouched.
         """
-        if (self.stack is None or not self.stack.transforms_wire
-                or not self.uses_dense_fallback):
+        if self.uses_dense_fallback:
+            self._compress_dense(context)
+        else:
             context.wire = context.selected
-            return
-        wire = {}
-        for rank, corrected in context.selected.items():
-            quantized, error = self.stack.compress_dense(rank, corrected)
-            self.residuals.collect_local(rank, error)
-            wire[rank] = quantized
-        context.wire = wire
 
     def stage_select(self, context: StepContext) -> None:
-        """Residual add (SRS phase 1).  SparDL's block-wise top-k selection
-        is interleaved with the SRS transmissions, so the selection proper
-        lives inside :meth:`stage_exchange`."""
+        """Residual add (SRS phase 1), in place: ``context.selected`` holds
+        the residual stores' own buffers, which stage hooks may read but
+        must not write.  SparDL's block-wise top-k selection is interleaved
+        with the SRS transmissions, so the selection proper lives inside
+        :meth:`stage_exchange`."""
         context.selected = self.residuals.apply(context.gradients)
 
     def stage_exchange(self, context: StepContext) -> None:
@@ -223,6 +224,7 @@ class SparDLSynchronizer(GradientSynchronizer):
             wire_format=self.config.wire_format,
             compressor=(self.stack if self.stack is not None
                         and self.stack.transforms_wire else None),
+            selector=self.selector,
         )
         sag_out = self._run_sag(srs_out.reduced_blocks)
         context.scratch["srs"] = srs_out
@@ -251,7 +253,7 @@ class SparDLSynchronizer(GradientSynchronizer):
         reference = final[next(iter(final))]
         context.global_sparse = final
         context.reference = reference
-        context.global_gradients = {rank: sparse.to_dense() for rank, sparse in final.items()}
+        context.global_gradients = shared_dense_gradients(final)
         srs_out = context.scratch["srs"]
         sag_out = context.scratch["sag"]
         info = {

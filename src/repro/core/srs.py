@@ -8,9 +8,12 @@ without extra transmissions).
 
 The algorithm:
 
-1. every worker adds its stored residual, partitions the dense gradient into
-   ``m`` blocks (``m`` = team size) and selects the top ``k_block`` entries
-   of each block (locally dropped values become *local residuals*);
+1. every worker's gradient is added into its residual store (the caller's
+   :meth:`~repro.core.residuals.ResidualManager.apply`), the corrected
+   vector is partitioned into ``m`` blocks (``m`` = team size) and the top
+   ``k_block`` entries of each block are *taken out of the store* — what
+   stays behind is the local residual, so phase 1 makes one ``abs`` pass
+   and one compare pass over a worker's ``n`` values and copies nothing;
 2. blocks are grouped into bags (:mod:`repro.core.partition`);
 3. for ``l = ceil(log2 m)`` steps, bags are forwarded to the worker at
    distance ``2^(l-i)`` and received blocks are merge-summed into the
@@ -48,6 +51,7 @@ import numpy as np
 from ..comm.transport import Message, Transport
 from ..comm.packed import PackedBags
 from ..sparse.blocks import BlockLayout
+from ..sparse.topk import WarmTopK
 from ..sparse.vector import SparseGradient
 from .partition import BagPlan, plan_bags, transmission_distances
 from .residuals import ResidualManager
@@ -89,6 +93,7 @@ def spar_reduce_scatter(
     sparsify_all: bool = False,
     wire_format: str = "packed",
     compressor: Optional["CompressorStack"] = None,
+    selector: Optional[WarmTopK] = None,
 ) -> SRSOutput:
     """Run SRS concurrently inside every team.
 
@@ -98,12 +103,16 @@ def spar_reduce_scatter(
         Disjoint lists of global worker ranks; all teams must have the same
         size ``m`` and ``layout.num_blocks`` must equal ``m``.
     gradients:
-        Per-worker dense gradients (residuals already applied by the caller).
+        What ``residuals.apply(...)`` returned: per worker, the store's own
+        buffer holding gradient + residual.  Read here, never written; the
+        block selections go through ``residuals.take``, which leaves the
+        local residual in that same buffer.
     k_block:
         Non-zeros kept per block after every sparsification (the paper's
         ``k/P``, or ``L = dk/P`` when teams are used).
     residuals:
-        Residual manager receiving local and in-procedure discards.
+        Residual manager the selections are taken from and that receives
+        the in-procedure discards.
     sparsify_all:
         When True, re-sparsify every held block after each summation instead
         of only the blocks about to be sent (paper's pre-optimisation
@@ -125,6 +134,10 @@ def spar_reduce_scatter(
         Later transmission steps forward merge-sums of the compressed blocks
         unchanged; the synchroniser's installed pricer bills them at the
         compressed accounting.
+    selector:
+        The synchroniser's :class:`~repro.sparse.topk.WarmTopK`, keyed by
+        ``(rank, block)``: it reuses each block's cut of the previous step
+        to run the exact top-k on a few candidates.  ``None`` selects cold.
     """
     team_size = _validate_teams(cluster, teams, layout)
     if k_block <= 0:
@@ -136,17 +149,18 @@ def spar_reduce_scatter(
     # ------------------------------------------------------------------
     # 1. partitioning + local sparsification
     # ------------------------------------------------------------------
+    if selector is None:
+        selector = WarmTopK()
     held: Dict[int, Dict[int, SparseGradient]] = {}
     plans: Dict[int, BagPlan] = {}
     for team in teams:
         for position, rank in enumerate(team):
-            dense = np.asarray(gradients[rank], dtype=np.float64)
+            magnitude = selector.magnitudes(gradients[rank])
             blocks: Dict[int, SparseGradient] = {}
             for block, lo, hi in layout.iter_blocks():
-                selected, residual_block, offset = layout.sparse_block_from_dense(
-                    dense, block, k_block
-                )
-                residuals.collect_local(rank, residual_block, offset)
+                picked = selector.select((rank, block), magnitude[lo:hi], k_block)
+                picked += lo
+                selected = residuals.take(rank, picked)
                 if compressor is not None:
                     selected, quantization_error = compressor.compress_sparse(
                         rank, selected)

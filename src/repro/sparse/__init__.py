@@ -20,7 +20,13 @@ exported for the perf-regression harness under ``benchmarks/perf/``.
 """
 
 from .blocks import BlockLayout, block_bounds
-from .topk import kth_largest_magnitude, threshold_indices, top_k_indices, top_k_mask
+from .topk import (
+    WarmTopK,
+    kth_largest_magnitude,
+    threshold_indices,
+    top_k_indices,
+    top_k_mask,
+)
 from .vector import (
     SparseGradient,
     compiled_kernels_available,
@@ -33,6 +39,7 @@ __all__ = [
     "compiled_kernels_available",
     "BlockLayout",
     "block_bounds",
+    "WarmTopK",
     "top_k_indices",
     "top_k_mask",
     "threshold_indices",

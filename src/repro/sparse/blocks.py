@@ -75,20 +75,6 @@ class BlockLayout:
         lo, hi = self.bound(block)
         return dense[lo:hi]
 
-    def sparse_block_from_dense(self, dense: np.ndarray, block: int,
-                                k: int) -> Tuple[SparseGradient, np.ndarray, int]:
-        """Top-k selection within ``block`` of a dense vector.
-
-        Returns ``(selected, residual_block, lo)`` where ``selected`` is in
-        global coordinates, ``residual_block`` is the dense block with the
-        selected entries removed and ``lo`` is the block's start offset.
-        """
-        lo, hi = self.bound(block)
-        selected, residual = SparseGradient.top_k_of_dense(
-            dense[lo:hi], k, offset=lo, length=self.length
-        )
-        return selected, residual, lo
-
     def restrict(self, sparse: SparseGradient, block: int) -> SparseGradient:
         lo, hi = self.bound(block)
         return sparse.restrict(lo, hi)

@@ -13,10 +13,12 @@ repeated runs (and different workers holding identical data) agree exactly.
 
 from __future__ import annotations
 
+from typing import Dict, Hashable, Tuple
 
 import numpy as np
 
 __all__ = [
+    "WarmTopK",
     "top_k_indices",
     "top_k_mask",
     "threshold_indices",
@@ -36,24 +38,76 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     slots are filled by the lowest-indexed entries exactly at the cut — which
     is bit-for-bit the selection a stable descending argsort would make.
     """
-    values = np.asarray(values)
-    n = values.shape[0]
+    return _top_k_of_magnitude(np.abs(np.asarray(values)), k)
+
+
+def _partition_cut(magnitude: np.ndarray, k: int) -> Tuple[np.ndarray, float]:
+    """``(magnitude, cut)`` for ``0 < k <= n``: the k-th largest magnitude,
+    with NaN ranked below every magnitude as a stable argsort ranks it.
+
+    ``np.partition`` sorts NaN *last*, so a NaN anywhere shows up in the
+    O(k) tail; only then is it mapped to -inf (unreachable by ``|x|``) and
+    the cut redone on the returned, remapped magnitudes."""
+    n = magnitude.shape[0]
+    part = np.partition(magnitude, n - k)
+    if np.isnan(part[n - k:]).any():
+        magnitude = np.where(np.isnan(magnitude), -np.inf, magnitude)
+        part = np.partition(magnitude, n - k)
+    return magnitude, part[n - k]
+
+
+def _top_k_of_magnitude(magnitude: np.ndarray, k: int) -> np.ndarray:
+    """:func:`top_k_indices` on precomputed magnitudes ``|x|``."""
+    n = magnitude.shape[0]
     if k <= 0 or n == 0:
         return np.empty(0, dtype=np.int64)
     if k >= n:
         return np.arange(n, dtype=np.int64)
-    magnitude = np.abs(values)
-    if np.isnan(magnitude).any():
-        # A stable argsort ranks NaN below every magnitude; np.partition
-        # ranks it above.  Map NaN to -inf (unreachable by |x|) so the
-        # partition cut and the tie pass reproduce the argsort selection.
-        magnitude = np.where(np.isnan(magnitude), -np.inf, magnitude)
-    cut = np.partition(magnitude, n - k)[n - k]
-    strict = np.flatnonzero(magnitude > cut)
-    need = k - strict.shape[0]
-    ties = np.flatnonzero(magnitude == cut)[:need]
-    selected = np.sort(np.concatenate([strict, ties]))
-    return selected.astype(np.int64, copy=False)
+    magnitude, cut = _partition_cut(magnitude, k)
+    reached = np.flatnonzero(magnitude >= cut)
+    if reached.shape[0] > k:
+        # Surplus entries exactly at the cut: the lowest-indexed ones win.
+        strict = magnitude[reached] > cut
+        need = k - int(np.count_nonzero(strict))
+        reached = np.sort(np.concatenate([reached[strict], reached[~strict][:need]]))
+    return reached.astype(np.int64, copy=False)
+
+
+class WarmTopK:
+    """Exact top-k for selections repeated on slowly changing vectors.
+
+    Per ``key`` it remembers the smallest magnitude kept last time.  If at
+    least ``k`` entries still reach that cut, every top-k entry is among
+    them (the true cut can only be higher), so the partition runs on those
+    few candidates instead of the whole vector; candidates stay in index
+    order, so ties still break towards the lower index, and NaN never
+    passes ``>=``.  Otherwise — no cut yet, or a stale-high one — the full
+    partition runs.  Either way the result equals :func:`top_k_indices`
+    index for index; a stale-low cut only admits more candidates.
+    """
+
+    def __init__(self) -> None:
+        #: ``key -> `` smallest magnitude kept by the last selection.
+        self.cuts: Dict[Hashable, float] = {}
+        self._scratch = np.empty(0, dtype=np.float64)
+
+    def magnitudes(self, values: np.ndarray) -> np.ndarray:
+        """``|values|`` in a scratch buffer reused by the next call."""
+        if self._scratch.shape[0] < values.shape[0]:
+            self._scratch = np.empty(values.shape[0], dtype=np.float64)
+        return np.abs(values, out=self._scratch[:values.shape[0]])
+
+    def select(self, key: Hashable, magnitude: np.ndarray, k: int) -> np.ndarray:
+        """Sorted indices of the ``k`` largest entries of ``magnitude``."""
+        cut = self.cuts.get(key)
+        candidates = None if cut is None else np.flatnonzero(magnitude >= cut)
+        if candidates is not None and candidates.shape[0] >= k:
+            picked = candidates[_top_k_of_magnitude(magnitude[candidates], k)]
+        else:
+            picked = _top_k_of_magnitude(magnitude, k)
+        if picked.shape[0]:
+            self.cuts[key] = magnitude[picked].min()
+        return picked
 
 
 def top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
@@ -68,15 +122,14 @@ def kth_largest_magnitude(values: np.ndarray, k: int) -> float:
     threshold).  Returns 0.0 when ``k <= 0`` or the vector is empty — a
     threshold of 0.0 keeps everything, the only sensible answer when there
     is no k-th entry to cut at.  When ``0 < n <= k`` the smallest magnitude
-    is returned (the threshold that keeps all ``n`` entries)."""
+    is returned (the threshold that keeps all ``n`` entries).  NaN ranks
+    below every magnitude, exactly as in :func:`top_k_indices`: when the
+    k-th entry would be a NaN the threshold is ``-inf``."""
     values = np.asarray(values)
     n = values.shape[0]
     if n == 0 or k <= 0:
         return 0.0
-    if k >= n:
-        return float(np.min(np.abs(values)))
-    magnitude = np.abs(values)
-    return float(np.partition(magnitude, n - k)[n - k])
+    return float(_partition_cut(np.abs(values), min(k, n))[1])
 
 
 def threshold_indices(values: np.ndarray, threshold: float) -> np.ndarray:

@@ -310,22 +310,6 @@ class SparseGradient:
         values = dense[indices]
         return cls(indices + offset, values, length)
 
-    @classmethod
-    def top_k_of_dense(cls, dense: np.ndarray, k: int, offset: int = 0,
-                       length: Optional[int] = None) -> Tuple["SparseGradient", np.ndarray]:
-        """Top-k selection on a dense block.
-
-        Returns ``(selected, residual_dense)`` where ``residual_dense`` is
-        the dense block with the selected entries zeroed (the local residual
-        of error feedback).
-        """
-        dense = np.asarray(dense, dtype=np.float64)
-        picked = top_k_indices(dense, k)
-        selected = cls.from_dense(dense, picked, offset=offset, length=length)
-        residual = dense.copy()
-        residual[picked] = 0.0
-        return selected, residual
-
     # ------------------------------------------------------------------
     # basic properties
     # ------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.core.config import SparDLConfig
 from repro.core.residuals import ResidualManager
 from repro.core.spardl import SparDLSynchronizer
 from repro.nn.models import build_mlp
+from repro.sparse.topk import top_k_indices
 from repro.sparse.vector import SparseGradient
 
 from tests.helpers import random_gradients
@@ -133,7 +134,7 @@ class TestPayloadErrorContract:
                                             sparsify=True)
         rng = np.random.default_rng(7)
         dense = rng.normal(size=40)
-        sparse, _ = SparseGradient.top_k_of_dense(dense, 10, length=40)
+        sparse = SparseGradient.from_dense(dense, top_k_indices(dense, 10))
         payload, error = stack.compress_sparse(1, sparse)
         np.testing.assert_array_equal(payload.to_dense() + error.to_dense(),
                                       sparse.to_dense())

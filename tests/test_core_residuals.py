@@ -32,12 +32,19 @@ class TestResidualStore:
         store.add_sparse(sparse, share=0.5)
         np.testing.assert_allclose(store.peek(), [0, 1, 0, 2])
 
-    def test_drain_resets(self):
+    def test_take_returns_values_and_zeroes_slots(self):
+        store = ResidualStore(4)
+        store.add_dense(np.array([1.0, -2.0, 3.0, 4.0]))
+        taken = store.take(np.array([1, 3]))
+        np.testing.assert_array_equal(taken, [-2.0, 4.0])
+        np.testing.assert_array_equal(store.peek(), [1, 0, 3, 0])
+
+    def test_peek_is_a_copy(self):
         store = ResidualStore(3)
         store.add_dense(np.ones(3))
-        drained = store.drain()
-        np.testing.assert_allclose(drained, [1, 1, 1])
-        np.testing.assert_allclose(store.peek(), [0, 0, 0])
+        snapshot = store.peek()
+        store.take(np.array([0]))
+        np.testing.assert_array_equal(snapshot, [1, 1, 1])
 
     def test_accumulates_across_adds(self):
         store = ResidualStore(2)
@@ -56,15 +63,49 @@ class TestResidualStore:
 
 
 class TestResidualManagerApply:
-    def test_apply_adds_and_clears(self):
+    def test_apply_adds_in_place_and_take_leaves_the_residual(self):
         manager = ResidualManager(2, 3, ResidualPolicy.GLOBAL)
         manager.collect_local(0, np.array([1.0, 0.0, 0.0]))
-        corrected = manager.apply({0: np.zeros(3), 1: np.ones(3)})
-        np.testing.assert_allclose(corrected[0], [1, 0, 0])
-        np.testing.assert_allclose(corrected[1], [1, 1, 1])
-        # second apply returns the raw gradient: stores were drained
+        gradients = {0: np.array([0.0, 2.0, -3.0]), 1: np.ones(3)}
+        kept = {rank: grad.copy() for rank, grad in gradients.items()}
+        corrected = manager.apply(gradients)
+        np.testing.assert_array_equal(corrected[0], [1, 2, -3])
+        np.testing.assert_array_equal(corrected[1], [1, 1, 1])
+        # the store holds g + r (apply does not drain) ...
+        np.testing.assert_array_equal(manager.store(0).peek(), [1, 2, -3])
+        # ... the caller's arrays are untouched ...
+        for rank in gradients:
+            np.testing.assert_array_equal(gradients[rank], kept[rank])
+        # ... and a selection takes its picks out, leaving the local residual
+        selected = manager.take(0, np.array([1, 2]))
+        np.testing.assert_array_equal(selected.indices, [1, 2])
+        np.testing.assert_array_equal(selected.values, [2, -3])
+        assert selected.length == 3
+        np.testing.assert_array_equal(manager.store(0).peek(), [1, 0, 0])
+        # the next apply corrects with exactly that residual
         corrected = manager.apply({0: np.zeros(3), 1: np.zeros(3)})
-        np.testing.assert_allclose(corrected[0], [0, 0, 0])
+        np.testing.assert_array_equal(corrected[0], [1, 0, 0])
+
+    def test_release_hands_out_the_buffer_and_keeps_only_the_error(self):
+        manager = ResidualManager(1, 3, ResidualPolicy.GLOBAL)
+        corrected = manager.apply({0: np.array([1.0, 2.0, 3.0])})
+        sent = manager.release(0)
+        assert sent is corrected[0]
+        np.testing.assert_array_equal(sent, [1, 2, 3])
+        np.testing.assert_array_equal(manager.total_residual(), np.zeros(3))
+        manager.apply({0: np.ones(3)})
+        manager.release(0, np.array([0.5, 0.0, -0.5]))
+        np.testing.assert_array_equal(manager.total_residual(), [0.5, 0, -0.5])
+
+    def test_none_policy_keeps_nothing_of_a_selection(self):
+        manager = ResidualManager(1, 3, ResidualPolicy.NONE)
+        manager.apply({0: np.array([1.0, 2.0, 3.0])})
+        manager.take(0, np.array([2]))
+        manager.finalize(np.array([2]))
+        np.testing.assert_array_equal(manager.total_residual(), np.zeros(3))
+        manager.apply({0: np.ones(3)})
+        manager.release(0, np.full(3, 0.25))
+        np.testing.assert_array_equal(manager.total_residual(), np.zeros(3))
 
 
 class TestResidualManagerPolicies:

@@ -23,7 +23,8 @@ def run_srs(num_workers, num_elements, k_block, *, num_teams=1, sparsify_all=Fal
     layout = BlockLayout(num_elements, num_workers // num_teams)
     residuals = ResidualManager(num_workers, num_elements, policy)
     gradients = random_gradients(num_workers, num_elements, seed=seed)
-    output = spar_reduce_scatter(cluster, teams, gradients, layout, k_block, residuals,
+    output = spar_reduce_scatter(cluster, teams, residuals.apply(gradients), layout,
+                                 k_block, residuals,
                                  sparsify_all=sparsify_all, wire_format=wire_format)
     return cluster, output, residuals, gradients
 
@@ -90,7 +91,8 @@ class TestSRSCorrectness:
         layout = BlockLayout(num_elements, num_workers)
         residuals = ResidualManager(num_workers, num_elements, ResidualPolicy.GLOBAL)
         gradients = random_gradients(num_workers, num_elements, seed=3)
-        output = spar_reduce_scatter(cluster, teams, gradients, layout, 10, residuals)
+        output = spar_reduce_scatter(cluster, teams, residuals.apply(gradients), layout,
+                                     10, residuals)
         total = sum(gradients.values())
         for rank in range(num_workers):
             lo, hi = layout.bound(rank)

@@ -46,10 +46,15 @@ class TestVelocitySemantics:
         corrected = manager.apply({0: g1})
         np.testing.assert_array_equal(corrected[0], g1)
         np.testing.assert_array_equal(manager.velocity(0), g1)
+        # Correction is in place: the store accumulates velocity (DGC's
+        # v_t = v_{t-1} + u_t) until a selection takes entries out.
+        manager.take(0, np.array([1]))
         g2 = np.array([0.0, 1.0, 1.0, 2.0])
         corrected = manager.apply({0: g2})
         np.testing.assert_array_equal(manager.velocity(0), 0.5 * g1 + g2)
-        np.testing.assert_array_equal(corrected[0], 0.5 * g1 + g2)
+        unsent = np.array([1.0, 0.0, -1.0, 0.0])
+        np.testing.assert_array_equal(corrected[0], unsent + 0.5 * g1 + g2)
+        np.testing.assert_array_equal(g1, [1.0, 2.0, -1.0, 0.0])
 
     def test_finalize_masks_velocity_at_final_indices_only(self):
         manager = ResidualManager(2, 5, momentum=0.9)

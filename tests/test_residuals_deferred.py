@@ -114,12 +114,19 @@ class TestDeferredManagerSemantics:
         manager.collect_procedure(0, self._sparse([2], [5.0]))
         assert manager.store(0).peek()[2] == 5.0
 
-    def test_apply_flushes_then_drains(self):
+    def test_apply_flushes_then_corrects_in_place(self):
         manager = ResidualManager(1, 8, ResidualPolicy.GLOBAL, deferred=True)
         manager.collect_procedure(0, self._sparse([0], [1.5]))
-        corrected = manager.apply({0: np.zeros(8)})
+        gradient = np.arange(8.0)
+        corrected = manager.apply({0: gradient})
         assert corrected[0][0] == 1.5
-        np.testing.assert_allclose(manager.total_residual(), np.zeros(8))
+        # the buffered discard was folded in before the add, and the store
+        # now holds the corrected vector itself until a selection takes it
+        np.testing.assert_array_equal(manager.total_residual(),
+                                      [1.5, 1, 2, 3, 4, 5, 6, 7])
+        manager.take(0, np.arange(8))
+        np.testing.assert_array_equal(manager.total_residual(), np.zeros(8))
+        np.testing.assert_array_equal(gradient, np.arange(8.0))
 
     def test_fold_matches_sequential_scatters_with_dense_base(self):
         """The fold replays eager's addition chain over a dense base."""

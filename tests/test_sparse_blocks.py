@@ -56,14 +56,6 @@ class TestBlockLayout:
         dense = np.arange(6, dtype=float)
         np.testing.assert_array_equal(layout.slice_dense(dense, 1), [2.0, 3.0])
 
-    def test_sparse_block_from_dense_topk(self):
-        layout = BlockLayout(8, 2)
-        dense = np.array([1.0, -9.0, 2.0, 0.5, 7.0, 0.1, -8.0, 0.2])
-        selected, residual, lo = layout.sparse_block_from_dense(dense, 1, 2)
-        assert lo == 4
-        assert set(selected.indices.tolist()) == {4, 6}
-        assert residual[0] == 0.0  # positions 4 and 6 zeroed in the block-local residual
-
     def test_restrict(self):
         layout = BlockLayout(8, 4)
         sparse = SparseGradient(np.array([0, 3, 6]), np.array([1.0, 2.0, 3.0]), 8)

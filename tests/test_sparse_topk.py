@@ -2,15 +2,35 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.sparse.topk import (
+    WarmTopK,
     kth_largest_magnitude,
     threshold_indices,
     top_k_indices,
     top_k_mask,
 )
+
+# The stable-argsort seed idiom, shared with the perf harness.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "perf"))
+
+from naive_reference import naive_top_k_indices  # noqa: E402
+
+#: NaN, infinities, signed zeros, heavy ties and a denormal-scale value: every
+#: case the partition cut and the tie pass have to rank like a stable argsort.
+ADVERSARIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 1e-300]
+adversarial_vectors = hnp.arrays(
+    dtype=np.float64, shape=st.integers(min_value=1, max_value=120),
+    elements=st.one_of(st.sampled_from(ADVERSARIAL),
+                       st.floats(min_value=-1e3, max_value=1e3)))
 
 
 class TestTopKIndices:
@@ -65,6 +85,86 @@ class TestTopKIndices:
         np.testing.assert_array_equal(top_k_indices(many_nan, 4), [0, 1, 2, 3])
 
 
+    @given(values=adversarial_vectors, k=st.integers(min_value=-2, max_value=130))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort_on_adversarial_values(self, values, k):
+        np.testing.assert_array_equal(top_k_indices(values, k),
+                                      naive_top_k_indices(values, k))
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(9), np.full(9, -3.0), np.full(9, np.nan), np.full(9, np.inf),
+        np.array([np.inf, -np.inf, np.nan, 1.0, np.nan, np.inf]),
+    ], ids=["all-zero", "all-ties", "all-nan", "all-inf", "mixed"])
+    def test_degenerate_vectors_at_every_k(self, values):
+        for k in range(-1, values.shape[0] + 3):
+            np.testing.assert_array_equal(top_k_indices(values, k),
+                                          naive_top_k_indices(values, k))
+
+
+class TestWarmTopK:
+    """The warm path is an optimisation of the exact selection, never a
+    different selector: whatever cut it remembers (or is handed), its result
+    equals the cold ``top_k_indices`` index for index."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sequences_match_cold_selection(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=80))
+        steps = data.draw(st.integers(min_value=1, max_value=6))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        rng = np.random.default_rng(seed)
+        warm = WarmTopK()
+        for _ in range(steps):
+            kind = data.draw(st.sampled_from(
+                ["heavy", "ties", "zeros", "shrink", "grow", "special"]))
+            if kind == "ties":
+                values = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=n)
+            elif kind == "zeros":
+                values = np.zeros(n)
+            elif kind == "special":
+                values = rng.choice(ADVERSARIAL, size=n)
+            else:
+                scale = {"heavy": 1.0, "shrink": 1e-3, "grow": 1e3}[kind]
+                values = scale * rng.standard_normal(n) ** 3
+            k = data.draw(st.integers(min_value=0, max_value=n + 2))
+            forced = data.draw(st.sampled_from(["keep", "high", "low", "nan", "drop"]))
+            if forced == "high":
+                warm.cuts["block"] = np.inf
+            elif forced == "low":
+                warm.cuts["block"] = 0.0
+            elif forced == "nan":
+                warm.cuts["block"] = np.nan
+            elif forced == "drop":
+                warm.cuts.clear()
+            picked = warm.select("block", warm.magnitudes(values), k)
+            np.testing.assert_array_equal(picked, top_k_indices(values, k))
+            assert picked.dtype == np.int64
+
+    def test_warm_hit_runs_on_candidates_only(self, monkeypatch):
+        from repro.sparse import topk as topk_module
+        sizes = []
+        inner = topk_module._top_k_of_magnitude
+        monkeypatch.setattr(topk_module, "_top_k_of_magnitude",
+                            lambda magnitude, k: sizes.append(magnitude.shape[0])
+                            or inner(magnitude, k))
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal(4096) ** 3
+        warm = WarmTopK()
+        warm.select("b", warm.magnitudes(base), 40)
+        grown = 1.05 * base + 1e-3 * rng.standard_normal(4096)
+        np.testing.assert_array_equal(warm.select("b", warm.magnitudes(grown), 40),
+                                      top_k_indices(grown, 40))
+        assert sizes[0] == 4096          # cold: the full partition
+        assert 40 <= sizes[1] < 400      # warm: a few candidates
+
+    def test_keys_are_independent(self):
+        warm = WarmTopK()
+        big, small = np.array([9.0, 8.0, 7.0]), np.array([0.3, 0.2, 0.1])
+        warm.select("big", big, 1)
+        np.testing.assert_array_equal(warm.select("small", small, 1), [0])
+        assert warm.cuts == {"big": 9.0, "small": 0.3}
+
+
 class TestTopKMask:
     def test_mask_marks_exactly_k(self):
         values = np.random.default_rng(1).normal(size=50)
@@ -108,6 +208,26 @@ class TestKthLargestMagnitude:
         k = 31
         cut = kth_largest_magnitude(values, k)
         assert (np.abs(values) >= cut).sum() >= k
+
+
+    @given(values=adversarial_vectors, k=st.integers(min_value=1, max_value=130))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_selection_it_calibrates(self, values, k):
+        """The threshold is the magnitude of the last entry the stable
+        argsort selects, with NaN ranked below everything (-inf) — so it
+        never disagrees with ``top_k_indices`` about NaN."""
+        magnitude = np.abs(values)
+        ranked = np.where(np.isnan(magnitude), -np.inf, magnitude)
+        order = np.argsort(-magnitude, kind="stable")
+        expected = ranked[order[min(k, values.shape[0]) - 1]]
+        assert kth_largest_magnitude(values, k) == expected
+
+    def test_nan_does_not_count_among_the_k_largest(self):
+        values = np.array([np.nan, 5.0, 4.0, np.nan, 3.0])
+        assert kth_largest_magnitude(values, 2) == 4.0
+        assert kth_largest_magnitude(values, 3) == 3.0
+        assert kth_largest_magnitude(values, 4) == -np.inf
+        assert kth_largest_magnitude(values, 9) == -np.inf
 
 
 class TestThresholdIndices:

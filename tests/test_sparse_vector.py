@@ -49,13 +49,6 @@ class TestConstruction:
         sparse = SparseGradient(np.array([3, 1]), np.array([1.0, 2.0]), length=5)
         assert list(sparse.indices) == [1, 3]
 
-    def test_top_k_of_dense_returns_residual(self):
-        dense = np.array([1.0, -5.0, 0.5, 3.0])
-        sparse, residual = SparseGradient.top_k_of_dense(dense, 2)
-        assert set(sparse.indices.tolist()) == {1, 3}
-        assert residual[1] == 0.0 and residual[3] == 0.0
-        assert residual[0] == 1.0 and residual[2] == 0.5
-
     def test_comm_size_is_two_per_entry(self):
         sparse = SparseGradient(np.array([0, 2]), np.array([1.0, 2.0]), length=4)
         assert sparse.comm_size == 4.0

@@ -42,6 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..sparse.topk import WarmTopK
 from ..sparse.vector import SparseGradient, merge_many_coo
 
 __all__ = ["ResidualPolicy", "ResidualStore", "ResidualManager"]
@@ -315,7 +316,9 @@ class ResidualManager:
                 self._stores[rank].fold_sparse_batch(buffered)
                 buffered.clear()
 
-    def apply(self, gradients: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+    def apply(self, gradients: Dict[int, np.ndarray],
+              selector: Optional[WarmTopK] = None,
+              bounds: Optional[np.ndarray] = None) -> Dict[int, np.ndarray]:
         """Error-correct in place: add each gradient into its worker's store
         and return the stores' buffers (see the class notes on ownership).
 
@@ -325,19 +328,29 @@ class ResidualManager:
         DGC recursion ``v_t = v_{t-1} + u_t`` with the residual store
         playing the role of the unsent accumulator ``v``.  A flush point:
         buffered discards are folded in first.
+
+        A caller that will select block-wise through a
+        :class:`~repro.sparse.topk.WarmTopK` passes it with the blocks'
+        ``bounds`` (:attr:`~repro.sparse.blocks.BlockLayout.edges`): where
+        the kernels are compiled the add then runs as one fused sweep that
+        also hands the selector each block's candidates, keyed ``(worker,
+        block)``.  The NumPy statements below are the reference it is
+        bit-identical to.
         """
         self.flush()
         corrected = {}
         for worker, gradient in gradients.items():
             data = self._stores[worker]._data
             gradient = np.asarray(gradient, dtype=np.float64)
-            if self._velocity is not None:
-                velocity = self._velocity[worker]
-                velocity *= self.momentum
-                velocity += gradient
-                data += velocity
-            else:
-                data += gradient
+            velocity = None if self._velocity is None else self._velocity[worker]
+            if selector is None or not selector.fused_accumulate(
+                    worker, bounds, data, gradient, velocity, self.momentum):
+                if velocity is None:
+                    data += gradient
+                else:
+                    velocity *= self.momentum
+                    velocity += gradient
+                    data += velocity
             corrected[worker] = data
         return corrected
 

@@ -164,7 +164,7 @@ class SparDLSynchronizer(GradientSynchronizer):
         self.team_size = num_workers // num_teams
         self.teams = make_teams(num_workers, num_teams)
         self.layout = BlockLayout(self.num_elements, self.team_size)
-        self.selector.cuts.clear()
+        self.selector.clear()
         if self.stack is not None:
             self.adopt_stack(CompressorStack.from_config(
                 num_workers, momentum=self.config.momentum,
@@ -202,8 +202,14 @@ class SparDLSynchronizer(GradientSynchronizer):
         the residual stores' own buffers, which stage hooks may read but
         must not write.  SparDL's block-wise top-k selection is interleaved
         with the SRS transmissions, so the selection proper lives inside
-        :meth:`stage_exchange`."""
-        context.selected = self.residuals.apply(context.gradients)
+        :meth:`stage_exchange`; on a sparse step the add goes through
+        :attr:`selector`, which (compiled kernels) collects every block's
+        candidates in the same sweep."""
+        if self.uses_dense_fallback:
+            context.selected = self.residuals.apply(context.gradients)
+        else:
+            context.selected = self.residuals.apply(
+                context.gradients, self.selector, self.layout.edges)
 
     def stage_exchange(self, context: StepContext) -> None:
         """SRS inside every team, then Spar-All-Gather across teams — or the
@@ -226,6 +232,9 @@ class SparDLSynchronizer(GradientSynchronizer):
                         and self.stack.transforms_wire else None),
             selector=self.selector,
         )
+        tracer = self.cluster.tracer
+        if tracer is not None:
+            self.selector.publish(tracer.metrics)
         sag_out = self._run_sag(srs_out.reduced_blocks)
         context.scratch["srs"] = srs_out
         context.scratch["sag"] = sag_out

@@ -12,8 +12,15 @@ The algorithm:
    :meth:`~repro.core.residuals.ResidualManager.apply`), the corrected
    vector is partitioned into ``m`` blocks (``m`` = team size) and the top
    ``k_block`` entries of each block are *taken out of the store* — what
-   stays behind is the local residual, so phase 1 makes one ``abs`` pass
-   and one compare pass over a worker's ``n`` values and copies nothing;
+   stays behind is the local residual and nothing is copied.  When the
+   caller applied through the synchroniser's
+   :class:`~repro.sparse.topk.WarmTopK` (compiled kernels), that one sweep
+   over a worker's ``n`` values also found each block's candidates, and
+   phase 1 reads only those (``abs`` + partition on a few ``k_block``
+   values per block); otherwise the selector compares each block against
+   its remembered cut here, and a block without a usable cut runs the full
+   partition.  The selection is ``top_k_indices`` index for index on
+   every path;
 2. blocks are grouped into bags (:mod:`repro.core.partition`);
 3. for ``l = ceil(log2 m)`` steps, bags are forwarded to the worker at
    distance ``2^(l-i)`` and received blocks are merge-summed into the
@@ -137,7 +144,9 @@ def spar_reduce_scatter(
     selector:
         The synchroniser's :class:`~repro.sparse.topk.WarmTopK`, keyed by
         ``(rank, block)``: it reuses each block's cut of the previous step
-        to run the exact top-k on a few candidates.  ``None`` selects cold.
+        to run the exact top-k on a few candidates — those
+        ``residuals.apply(gradients, selector, layout.edges)`` left with
+        it, or the ones it finds itself.  ``None`` selects cold.
     """
     team_size = _validate_teams(cluster, teams, layout)
     if k_block <= 0:
@@ -155,10 +164,10 @@ def spar_reduce_scatter(
     plans: Dict[int, BagPlan] = {}
     for team in teams:
         for position, rank in enumerate(team):
-            magnitude = selector.magnitudes(gradients[rank])
+            corrected = gradients[rank]
             blocks: Dict[int, SparseGradient] = {}
             for block, lo, hi in layout.iter_blocks():
-                picked = selector.select((rank, block), magnitude[lo:hi], k_block)
+                picked = selector.select((rank, block), corrected[lo:hi], k_block)
                 picked += lo
                 selected = residuals.take(rank, picked)
                 if compressor is not None:

@@ -1,16 +1,25 @@
-/* Two-pointer / k-way merge-add kernels for sorted COO gradient streams.
+/* Two-pointer / k-way merge-add kernels for sorted COO gradient streams, and
+ * the fused error-feedback accumulate + candidate scan (end of file).
  *
- * Compiled on demand by repro.sparse.ckernels (cc -O3 -shared -fPIC); the
- * package falls back to vectorized NumPy kernels when no compiler is
- * available, so this file is an accelerator, not a dependency.
+ * Compiled on demand by repro.sparse.ckernels (cc -O3 -ffp-contract=off
+ * -shared -fPIC); the package falls back to vectorized NumPy kernels when no
+ * compiler is available, so this file is an accelerator, not a dependency.
  *
  * Bit-exactness contract: duplicate indices are accumulated strictly
  * left-to-right in stream order starting from +0.0, which reproduces the
  * seed implementation (np.add.at over a stream-ordered concatenation)
- * bit-for-bit.
+ * bit-for-bit.  accumulate_scan_f64 rounds every product and every sum on
+ * its own, like the NumPy statements it replaces; -ffp-contract=off keeps
+ * the compiler from fusing them into an FMA, which rounds once.
  */
 
+#include <math.h>
 #include <stdint.h>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define X86_VARIANTS 1
+#endif
 
 #define MAX_STREAMS 256
 
@@ -174,4 +183,198 @@ int64_t merge_many_tournament_i64_f64(
         o++;
     }
     return o;
+}
+
+/* ------------------------------------------------------------------------
+ * Fused error-feedback accumulate + candidate scan.
+ *
+ * One sweep over a worker's n values does the residual add
+ *     store[i] += addend[i]                           (velocity == NULL)
+ *     velocity[i] = momentum * velocity[i] + addend[i];
+ *     store[i] += velocity[i]                         (momentum correction)
+ * and, per block, writes the block-local indices whose new |store[i]|
+ * reaches that block's cut, in index order.  NaN never reaches a cut and a
+ * NaN cut is reached by nothing, as with NumPy's `>=`.
+ *
+ * A block that more than cap entries reach is reported as overflowed
+ * (count -1) and only its add goes on, so candidate storage is bounded by
+ * what the caller expects, not by n.  Every variant may write up to
+ * SCAN_PAD entries past cap before it notices.
+ * ------------------------------------------------------------------------ */
+
+#define SCAN_PAD 8
+
+static void accumulate_plain(double *s, const double *g, double *v, double m,
+                             int64_t len)
+{
+    int64_t i;
+    if (v) {
+        for (i = 0; i < len; i++) {
+            double u = m * v[i];
+            u = u + g[i];
+            v[i] = u;
+            s[i] = s[i] + u;
+        }
+    } else {
+        for (i = 0; i < len; i++)
+            s[i] = s[i] + g[i];
+    }
+}
+
+/* Elements [i, len) of one block, continuing at `count` candidates; also the
+ * whole-block kernel where no SIMD variant applies.  Returns the new count,
+ * or -1 on overflow. */
+static int64_t scan_scalar(double *s, const double *g, double *v, double m,
+                           int64_t i, int64_t len, double cut, int64_t cap,
+                           int64_t *out, int64_t count)
+{
+    for (; i < len && count <= cap; i++) {
+        double u = g[i], x;
+        if (v) {
+            u = m * v[i];
+            u = u + g[i];
+            v[i] = u;
+        }
+        x = s[i] + u;
+        s[i] = x;
+        out[count] = i;
+        count += fabs(x) >= cut;
+    }
+    if (count <= cap)
+        return count;
+    accumulate_plain(s + i, g + i, v ? v + i : 0, m, len - i);
+    return -1;
+}
+
+static int64_t scan_block_scalar(double *s, const double *g, double *v, double m,
+                                 int64_t len, double cut, int64_t cap, int64_t *out)
+{
+    return scan_scalar(s, g, v, m, 0, len, cut, cap, out, 0);
+}
+
+#ifdef X86_VARIANTS
+/* The sweep keeps up with a plain add only when compare and compaction are
+ * branch-free: a SIMD compare yields a lane mask, the lanes' indices are
+ * compressed to the front of a vector by the mask and stored whole at
+ * out[count], and count advances by the mask's population — which lanes
+ * pass is as good as random, so a branch on the mask mispredicts. */
+#define SCAN_BLOCK_SIMD(NAME, TARGET, LANES, VEC, SET1, LOADU, STOREU, ADD, MUL, MASK, EMIT) \
+    __attribute__((target(TARGET)))                                          \
+    static int64_t NAME(double *s, const double *g, double *v, double m,    \
+                        int64_t len, double cut, int64_t cap, int64_t *out)  \
+    {                                                                        \
+        const VEC vcut = SET1(cut), vm = SET1(m);                            \
+        int64_t i = 0, count = 0;                                            \
+        for (; i + LANES <= len && count <= cap; i += LANES) {               \
+            VEC u = LOADU(g + i), x;                                         \
+            unsigned mask;                                                   \
+            if (v) {                                                         \
+                u = ADD(MUL(vm, LOADU(v + i)), u);                           \
+                STOREU(v + i, u);                                            \
+            }                                                                \
+            x = ADD(LOADU(s + i), u);                                        \
+            STOREU(s + i, x);                                                \
+            mask = MASK(x, vcut);                                            \
+            EMIT(out + count, mask, i);                                      \
+            count += __builtin_popcount(mask);                               \
+        }                                                                    \
+        return scan_scalar(s, g, v, m, i, len, cut, cap, out, count);        \
+    }
+
+/* COMPRESS4[mask]: the 32-bit lane permutation that moves the 64-bit lanes
+ * set in `mask` to the front, in order. */
+static const int32_t COMPRESS4[16][8] __attribute__((aligned(32))) = {
+    {0, 0, 0, 0, 0, 0, 0, 0}, {0, 1, 0, 0, 0, 0, 0, 0},
+    {2, 3, 0, 0, 0, 0, 0, 0}, {0, 1, 2, 3, 0, 0, 0, 0},
+    {4, 5, 0, 0, 0, 0, 0, 0}, {0, 1, 4, 5, 0, 0, 0, 0},
+    {2, 3, 4, 5, 0, 0, 0, 0}, {0, 1, 2, 3, 4, 5, 0, 0},
+    {6, 7, 0, 0, 0, 0, 0, 0}, {0, 1, 6, 7, 0, 0, 0, 0},
+    {2, 3, 6, 7, 0, 0, 0, 0}, {0, 1, 2, 3, 6, 7, 0, 0},
+    {4, 5, 6, 7, 0, 0, 0, 0}, {0, 1, 4, 5, 6, 7, 0, 0},
+    {2, 3, 4, 5, 6, 7, 0, 0}, {0, 1, 2, 3, 4, 5, 6, 7},
+};
+
+#define MASK_AVX2(x, vcut) ((unsigned)_mm256_movemask_pd(_mm256_cmp_pd(      \
+    _mm256_andnot_pd(_mm256_set1_pd(-0.0), x), vcut, _CMP_GE_OQ)))
+#define EMIT_AVX2(dst, mask, i) _mm256_storeu_si256((__m256i *)(dst),        \
+    _mm256_permutevar8x32_epi32(                                             \
+        _mm256_add_epi64(_mm256_set1_epi64x(i), _mm256_setr_epi64x(0, 1, 2, 3)), \
+        _mm256_load_si256((const __m256i *)COMPRESS4[mask])))
+#define MASK_AVX512(x, vcut) ((unsigned)_mm512_cmp_pd_mask(                  \
+    _mm512_castsi512_pd(_mm512_and_epi64(_mm512_castpd_si512(x),             \
+        _mm512_set1_epi64(INT64_MAX))), vcut, _CMP_GE_OQ))
+#define EMIT_AVX512(dst, mask, i) _mm512_storeu_si512((dst),                 \
+    _mm512_maskz_compress_epi64((__mmask8)(mask),                            \
+        _mm512_add_epi64(_mm512_set1_epi64(i),                               \
+                         _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7))))
+
+SCAN_BLOCK_SIMD(scan_block_avx2, "avx2,popcnt", 4, __m256d, _mm256_set1_pd,
+                _mm256_loadu_pd, _mm256_storeu_pd, _mm256_add_pd,
+                _mm256_mul_pd, MASK_AVX2, EMIT_AVX2)
+SCAN_BLOCK_SIMD(scan_block_avx512, "avx512f,popcnt", 8, __m512d, _mm512_set1_pd,
+                _mm512_loadu_pd, _mm512_storeu_pd, _mm512_add_pd,
+                _mm512_mul_pd, MASK_AVX512, EMIT_AVX512)
+#endif
+
+typedef int64_t (*scan_block_fn)(double *, const double *, double *, double,
+                                 int64_t, double, int64_t, int64_t *);
+
+/* Lanes of the widest variant this CPU runs: 8 (AVX-512F), 4 (AVX2) or 1. */
+int64_t accumulate_scan_lanes(void)
+{
+#ifdef X86_VARIANTS
+    if (__builtin_cpu_supports("popcnt")) {
+        if (__builtin_cpu_supports("avx512f"))
+            return 8;
+        if (__builtin_cpu_supports("avx2"))
+            return 4;
+    }
+#endif
+    return 1;
+}
+
+/* The variant processing `lanes` values at a time (0: the widest), or NULL
+ * when this CPU does not run it. */
+static scan_block_fn scan_block_variant(int64_t lanes)
+{
+    int64_t widest = accumulate_scan_lanes();
+    if (lanes == 0)
+        lanes = widest;
+#ifdef X86_VARIANTS
+    if (lanes == 8 && widest >= 8)
+        return scan_block_avx512;
+    if (lanes == 4 && widest >= 4)
+        return scan_block_avx2;
+#endif
+    return lanes == 1 ? scan_block_scalar : 0;
+}
+
+/* bounds holds num_blocks + 1 ascending edges from 0 to the vectors' length.
+ * Block b writes its candidates at out[(caps[0] + SCAN_PAD) + ... +
+ * (caps[b-1] + SCAN_PAD)] and their number (or -1) to counts[b]; a block
+ * whose cut is NaN is only added.  lanes picks the variant (0: the widest
+ * available); returns -1, having done nothing, when this CPU does not run
+ * it. */
+int64_t accumulate_scan_f64(
+    double *store, const double *addend, double *velocity, double momentum,
+    int64_t num_blocks, const int64_t *bounds, const double *cuts,
+    const int64_t *caps, int64_t *out, int64_t *counts, int64_t lanes)
+{
+    scan_block_fn scan_block = scan_block_variant(lanes);
+    int64_t b;
+    if (!scan_block)
+        return -1;
+    for (b = 0; b < num_blocks; b++) {
+        int64_t lo = bounds[b], len = bounds[b + 1] - lo;
+        double *v = velocity ? velocity + lo : 0;
+        if (cuts[b] != cuts[b]) {
+            accumulate_plain(store + lo, addend + lo, v, momentum, len);
+            counts[b] = 0;
+        } else {
+            counts[b] = scan_block(store + lo, addend + lo, v, momentum, len,
+                                   cuts[b], caps[b], out);
+        }
+        out += caps[b] + SCAN_PAD;
+    }
+    return 0;
 }

@@ -49,11 +49,21 @@ class BlockLayout:
             raise ValueError("num_blocks must be positive")
         if self.length < 0:
             raise ValueError("length must be non-negative")
-        object.__setattr__(self, "_bounds", tuple(block_bounds(self.length, self.num_blocks)))
+        bounds = tuple(block_bounds(self.length, self.num_blocks))
+        object.__setattr__(self, "_bounds", bounds)
+        edges = np.array([0] + [hi for _, hi in bounds], dtype=np.int64)
+        edges.flags.writeable = False
+        object.__setattr__(self, "_edges", edges)
 
     @property
     def bounds(self) -> Tuple[Tuple[int, int], ...]:
         return self._bounds  # type: ignore[attr-defined]
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The ``num_blocks + 1`` block boundaries as one read-only
+        ``int64`` array (block ``b`` is ``edges[b]:edges[b + 1]``)."""
+        return self._edges  # type: ignore[attr-defined]
 
     def bound(self, block: int) -> Tuple[int, int]:
         return self.bounds[block]

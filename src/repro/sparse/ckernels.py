@@ -1,11 +1,13 @@
-"""Loader for the optional compiled merge kernels.
+"""Loader for the optional compiled kernels.
 
-``_merge_kernels.c`` is compiled once per machine into a content-addressed
-shared object under the system temp directory (so repeated runs and test
-invocations reuse it) and bound through :mod:`ctypes`.  Everything is
-best-effort: no compiler, no write permission, or any compile/load failure
-simply yields ``None`` and the callers keep using the vectorized NumPy
-kernels.  No build step, no new dependency.
+``_merge_kernels.c`` (the COO merges and the fused accumulate + candidate
+scan) is compiled once per machine into a shared object in a private
+per-user cache, addressed by source, compiler and flags (so repeated runs
+and test invocations reuse it and a flag change never loads a stale
+object), and bound through :mod:`ctypes`.  Everything is best-effort: no
+compiler, no write permission, or any compile/load failure simply yields
+``None`` and the callers keep using the vectorized NumPy kernels.  No build
+step, no new dependency.
 """
 
 from __future__ import annotations
@@ -16,73 +18,81 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["load_merge_kernels", "CMergeKernels"]
+__all__ = ["get_kernels", "load_merge_kernels", "CMergeKernels"]
 
 #: Must match MAX_STREAMS in _merge_kernels.c.
 MAX_STREAMS = 256
+#: Must match SCAN_PAD in _merge_kernels.c.
+SCAN_PAD = 8
+#: Variants of the fused accumulate + scan kernel, by values per instruction.
+SIMD_LANES = {"scalar": 1, "avx2": 4, "avx512f": 8}
 
 _SOURCE = Path(__file__).with_name("_merge_kernels.c")
 
-_I64_P = ctypes.POINTER(ctypes.c_int64)
-_F64_P = ctypes.POINTER(ctypes.c_double)
+#: ``-ffp-contract=off``: ``m * v + g`` must round twice, like NumPy's
+#: ``v *= m; v += g`` — also where the target has FMA (aarch64, or a ``CC``
+#: that implies ``-march=native``).
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+_PTR = ctypes.c_void_p
+_I64 = ctypes.c_int64
+
+
+def _contiguous(array: np.ndarray) -> np.ndarray:
+    """``array`` itself when the kernels can read it through a raw pointer."""
+    return array if array.flags.c_contiguous else np.ascontiguousarray(array)
 
 
 class CMergeKernels:
-    """ctypes bindings over the compiled merge kernels."""
+    """ctypes bindings over the compiled kernels.  Pointer parameters are
+    declared ``c_void_p`` and fed ``array.ctypes.data``: an integer goes
+    through without the per-argument ``ctypes.cast`` of a typed pointer."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._merge_add = lib.merge_add_i64_f64
-        self._merge_add.restype = ctypes.c_int64
-        self._merge_add.argtypes = [
-            ctypes.c_int64, _I64_P, _F64_P,
-            ctypes.c_int64, _I64_P, _F64_P,
-            _I64_P, _F64_P,
-        ]
-        merge_many_argtypes = [
-            ctypes.c_int64,
-            ctypes.POINTER(ctypes.c_void_p),
-            ctypes.POINTER(ctypes.c_void_p),
-            _I64_P,
-            _I64_P, _F64_P,
-        ]
+        self._merge_add.restype = _I64
+        self._merge_add.argtypes = [_I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]
+        merge_many_argtypes = [_I64, _PTR, _PTR, _PTR, _PTR, _PTR]
         #: Reference O(total * streams) head-scan kernel, kept callable for
         #: the perf-regression benchmark (bench_merge_tree.py).
         self._merge_many_headscan = lib.merge_many_i64_f64
-        self._merge_many_headscan.restype = ctypes.c_int64
+        self._merge_many_headscan.restype = _I64
         self._merge_many_headscan.argtypes = merge_many_argtypes
         #: Production O(total * log streams) tournament-tree kernel.
         self._merge_many_tournament = lib.merge_many_tournament_i64_f64
-        self._merge_many_tournament.restype = ctypes.c_int64
+        self._merge_many_tournament.restype = _I64
         self._merge_many_tournament.argtypes = merge_many_argtypes
-
-    @staticmethod
-    def _i64(array: np.ndarray):
-        return array.ctypes.data_as(_I64_P)
-
-    @staticmethod
-    def _f64(array: np.ndarray):
-        return array.ctypes.data_as(_F64_P)
+        self._accumulate_scan = lib.accumulate_scan_f64
+        self._accumulate_scan.restype = _I64
+        self._accumulate_scan.argtypes = [
+            _PTR, _PTR, _PTR, ctypes.c_double,
+            _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64,
+        ]
+        lib.accumulate_scan_lanes.restype = _I64
+        lib.accumulate_scan_lanes.argtypes = []
+        widest = lib.accumulate_scan_lanes()
+        #: Variant :meth:`accumulate_scan` runs on this machine (the widest
+        #: the CPU supports): ``"avx512f"``, ``"avx2"`` or ``"scalar"``.
+        self.simd: str = next(name for name, lanes in SIMD_LANES.items()
+                              if lanes == widest)
 
     def merge_add(self, a_indices: np.ndarray, a_values: np.ndarray,
                   b_indices: np.ndarray, b_values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # The kernel reads raw data pointers; a strided view (legal input at
-        # the SparseGradient API boundary) must be compacted first.  This is
-        # a no-op for the contiguous arrays the internal kernels produce.
-        a_indices = np.ascontiguousarray(a_indices)
-        a_values = np.ascontiguousarray(a_values)
-        b_indices = np.ascontiguousarray(b_indices)
-        b_values = np.ascontiguousarray(b_values)
+        # the SparseGradient API boundary) must be compacted first.
+        a_indices, a_values = _contiguous(a_indices), _contiguous(a_values)
+        b_indices, b_values = _contiguous(b_indices), _contiguous(b_values)
         na, nb = a_indices.shape[0], b_indices.shape[0]
         out_indices = np.empty(na + nb, dtype=np.int64)
         out_values = np.empty(na + nb, dtype=np.float64)
         count = self._merge_add(
-            na, self._i64(a_indices), self._f64(a_values),
-            nb, self._i64(b_indices), self._f64(b_values),
-            self._i64(out_indices), self._f64(out_values),
+            na, a_indices.ctypes.data, a_values.ctypes.data,
+            nb, b_indices.ctypes.data, b_values.ctypes.data,
+            out_indices.ctypes.data, out_values.ctypes.data,
         )
         return out_indices[:count], out_values[:count]
 
@@ -102,29 +112,83 @@ class CMergeKernels:
         k = len(index_streams)
         if k > MAX_STREAMS:
             return None
-        index_streams = [np.ascontiguousarray(stream) for stream in index_streams]
-        value_streams = [np.ascontiguousarray(stream) for stream in value_streams]
-        total = sum(stream.shape[0] for stream in index_streams)
-        out_indices = np.empty(total, dtype=np.int64)
-        out_values = np.empty(total, dtype=np.float64)
-        index_ptrs = (ctypes.c_void_p * k)(*[stream.ctypes.data for stream in index_streams])
-        value_ptrs = (ctypes.c_void_p * k)(*[stream.ctypes.data for stream in value_streams])
+        index_streams = [_contiguous(stream) for stream in index_streams]
+        value_streams = [_contiguous(stream) for stream in value_streams]
         lengths = np.fromiter((stream.shape[0] for stream in index_streams),
                               dtype=np.int64, count=k)
+        total = int(lengths.sum())
+        out_indices = np.empty(total, dtype=np.int64)
+        out_values = np.empty(total, dtype=np.float64)
+        index_ptrs = np.fromiter((stream.ctypes.data for stream in index_streams),
+                                 dtype=np.uintp, count=k)
+        value_ptrs = np.fromiter((stream.ctypes.data for stream in value_streams),
+                                 dtype=np.uintp, count=k)
         count = kernel(
-            k,
-            ctypes.cast(index_ptrs, ctypes.POINTER(ctypes.c_void_p)),
-            ctypes.cast(value_ptrs, ctypes.POINTER(ctypes.c_void_p)),
-            self._i64(lengths),
-            self._i64(out_indices), self._f64(out_values),
+            k, index_ptrs.ctypes.data, value_ptrs.ctypes.data,
+            lengths.ctypes.data, out_indices.ctypes.data, out_values.ctypes.data,
         )
         if count < 0:  # pragma: no cover - guarded by the k check above
             return None
         return out_indices[:count], out_values[:count]
 
+    def accumulate_scan(
+        self, store: np.ndarray, addend: np.ndarray,
+        velocity: Optional[np.ndarray], momentum: float,
+        bounds: np.ndarray, cuts: np.ndarray, caps: np.ndarray,
+        simd: Optional[str] = None,
+    ) -> List[Optional[np.ndarray]]:
+        """Error-feedback add and candidate scan in one sweep.
 
-def _cache_path(source: str) -> Optional[Path]:
-    """Content-addressed ``.so`` path in a private per-user cache directory.
+        In place, ``store += addend`` — or, with ``velocity``, ``velocity =
+        momentum * velocity + addend; store += velocity``.  ``store`` and
+        ``velocity`` are contiguous writable ``float64`` vectors; ``addend``
+        is read only and copied first when it is not contiguous ``float64``.
+
+        ``bounds`` (``int64``) holds the ascending edges ``0 .. len(store)``
+        of the blocks; ``cuts`` (``float64``) and ``caps`` (``int64``) hold
+        one entry per block.  The sweep collects per block the sorted
+        block-local indices whose new ``|store|`` reaches the block's cut
+        and returns them as one array per block — ``None`` for a block that
+        more than ``caps[block]`` entries reached (its candidates were
+        dropped, not its add).  A NaN cut is reached by nothing.  ``simd``
+        names a variant other than :attr:`simd` to run (the tests compare
+        them all); one this CPU lacks raises ``ValueError``.
+        """
+        n = store.shape[0]
+        addend = _contiguous(np.asarray(addend, dtype=np.float64))
+        operands = [store, addend] if velocity is None else [store, addend, velocity]
+        if any(a.dtype != np.float64 or a.shape != (n,) for a in operands):
+            raise ValueError("accumulate_scan needs float64 vectors of one length")
+        if not all(a.flags.c_contiguous and a.flags.writeable
+                   for a in operands if a is not addend):
+            raise ValueError("store and velocity must be contiguous and writable")
+        blocks = bounds.shape[0] - 1
+        if (bounds.dtype != np.int64 or cuts.dtype != np.float64
+                or caps.dtype != np.int64 or blocks < 1
+                or cuts.shape != (blocks,) or caps.shape != (blocks,)
+                or bounds[0] != 0 or bounds[-1] != n
+                or (np.diff(bounds) < 0).any() or (caps < 0).any()):
+            raise ValueError("bounds must rise from 0 to len(store); cuts and "
+                             "non-negative caps hold one entry per block")
+        bounds, cuts, caps = _contiguous(bounds), _contiguous(cuts), _contiguous(caps)
+        offsets = np.concatenate(([0], np.cumsum(caps + SCAN_PAD)))
+        out = np.empty(int(offsets[-1]), dtype=np.int64)
+        counts = np.empty(blocks, dtype=np.int64)
+        status = self._accumulate_scan(
+            store.ctypes.data, addend.ctypes.data,
+            None if velocity is None else velocity.ctypes.data, momentum,
+            blocks, bounds.ctypes.data, cuts.ctypes.data, caps.ctypes.data,
+            out.ctypes.data, counts.ctypes.data,
+            0 if simd is None else SIMD_LANES[simd])
+        if status:
+            raise ValueError(f"this CPU does not run the {simd} variant")
+        return [None if count < 0 else out[offset:offset + count]
+                for offset, count in zip(offsets.tolist(), counts.tolist())]
+
+
+def _cache_path(source: str, compiler: str) -> Optional[Path]:
+    """``.so`` path in a private per-user cache directory, addressed by the
+    source, the compiler and the flags it is built with.
 
     A world-writable location (e.g. the shared temp dir) would let another
     local user pre-plant a malicious library at the predictable path, so the
@@ -132,7 +196,8 @@ def _cache_path(source: str) -> Optional[Path]:
     Returns ``None`` when no such directory can be prepared (the caller then
     compiles into a throwaway directory instead of caching).
     """
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    recipe = "\0".join((compiler, *_FLAGS, source))
+    digest = hashlib.sha256(recipe.encode()).hexdigest()[:16]
     base = os.environ.get("XDG_CACHE_HOME") or (Path.home() / ".cache")
     cache_dir = Path(base) / "repro-merge-kernels"
     try:
@@ -151,15 +216,16 @@ def _load(path: Path) -> Optional[CMergeKernels]:
 
 
 def load_merge_kernels() -> Optional[CMergeKernels]:
-    """Compile (once per user and source version) and load the C merge
-    kernels; ``None`` on any failure."""
+    """Compile (once per user, source version, compiler and flags) and load
+    the C kernels; ``None`` on any failure."""
     if os.environ.get("REPRO_DISABLE_CKERNELS"):
         return None
     try:
         source = _SOURCE.read_text()
     except OSError:
         return None
-    cached = _cache_path(source)
+    compiler = os.environ.get("CC", "cc")
+    cached = _cache_path(source, compiler)
     if cached is not None and cached.exists():
         try:
             if cached.stat().st_uid != os.getuid():
@@ -167,14 +233,13 @@ def load_merge_kernels() -> Optional[CMergeKernels]:
         except (OSError, AttributeError):  # no getuid on some platforms
             return None
         return _load(cached)
-    compiler = os.environ.get("CC", "cc")
     try:
         with tempfile.TemporaryDirectory(
             dir=cached.parent if cached is not None else None
         ) as tmp:
             tmp_so = Path(tmp) / "merge_kernels.so"
             subprocess.run(
-                [compiler, "-O3", "-shared", "-fPIC", "-o", str(tmp_so), str(_SOURCE)],
+                [compiler, *_FLAGS, "-o", str(tmp_so), str(_SOURCE)],
                 check=True, capture_output=True, timeout=120,
             )
             if cached is not None:
@@ -185,3 +250,19 @@ def load_merge_kernels() -> Optional[CMergeKernels]:
             return _load(tmp_so)
     except (OSError, subprocess.SubprocessError):
         return None
+
+
+#: The kernels of this process, probed on first use so that importing the
+#: package never blocks on a ``cc`` subprocess.  ``None`` means the NumPy
+#: fallback kernels; the sentinel means "not probed yet".
+_UNPROBED = object()
+_KERNELS = _UNPROBED
+
+
+def get_kernels() -> Optional[CMergeKernels]:
+    """The compiled kernels, loaded once per process (``None`` when
+    unavailable or disabled through ``REPRO_DISABLE_CKERNELS``)."""
+    global _KERNELS
+    if _KERNELS is _UNPROBED:
+        _KERNELS = load_merge_kernels()
+    return _KERNELS

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ckernels import load_merge_kernels
+from .ckernels import get_kernels as _get_c_kernels
 from .topk import threshold_indices, top_k_indices
 
 try:  # compiled CSR segment-sum kernels; optional, gated at import time
@@ -38,22 +38,9 @@ except ImportError:  # pragma: no cover - exercised via monkeypatched tests
     _csr_tools = None
     _HAVE_CSR_TOOLS = False
 
-#: Compiled single-pass merge kernels, loaded lazily on first use so that
-#: importing the package never blocks on a ``cc`` subprocess.  ``None`` means
-#: the NumPy fallback kernels; the unset sentinel means "not probed yet".
-_C_KERNELS_UNSET = object()
-_C_KERNELS = _C_KERNELS_UNSET
-
-
-def _get_c_kernels():
-    global _C_KERNELS
-    if _C_KERNELS is _C_KERNELS_UNSET:
-        _C_KERNELS = load_merge_kernels()
-    return _C_KERNELS
-
 
 def compiled_kernels_available() -> bool:
-    """Whether the compiled C merge kernels are active in this process.
+    """Whether the compiled C kernels are active in this process.
 
     Probes (and caches) the lazy loader, honouring ``REPRO_DISABLE_CKERNELS``.
     Process-backed transports use this to verify that spawned workers run

@@ -14,8 +14,14 @@ Three contracts introduced together (see ``docs/architecture.md`` §1–§2):
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +31,9 @@ from repro.comm.cluster import SimulatedCluster
 from repro.comm.faults import FaultPlan, MembershipEvent
 from repro.core.config import SparDLConfig
 from repro.core.pipeline import SyncSession, SyncStage
+from repro.core.schedules import KSchedule
 from repro.core.spardl import SparDLSynchronizer
+from repro.sparse import compiled_kernels_available
 from repro.sparse import topk as topk_module
 
 NUM_ELEMENTS = 1200
@@ -61,6 +69,73 @@ def assert_same_state(warm, cold, warm_result, cold_result):
 
 
 # ---------------------------------------------------------------------------
+# one scenario that visits every way a step can treat the selector's state
+# ---------------------------------------------------------------------------
+class _DenseAt(KSchedule):
+    """The wrapped schedule, except ``k = n`` (a dense-fallback step: the
+    gradient is added, nothing is selected) at one iteration."""
+
+    def __init__(self, inner, iteration):
+        self.inner, self.iteration = inner, iteration
+
+    def resolve(self, iteration, num_elements):
+        if iteration == self.iteration:
+            return num_elements
+        return self.inner.resolve(iteration, num_elements)
+
+    def observe(self, iteration, k_used, result):
+        self.inner.observe(iteration, k_used, result)
+
+    def spec(self):
+        return self.inner.spec()
+
+
+#: teams x bits x momentum x schedule
+MATRIX = list(itertools.product([1, 2], [None, 8], [0.0, 0.9],
+                                ["constant", "warmup:3"]))
+DENSE_STEP, CRASH_STEP, JOIN_STEP, SCENARIO_STEPS = 3, 2, 5, 8
+
+
+def scenario_session(num_teams, num_bits, momentum, schedule):
+    """P=6; a crash before step 2 (teams of 3 become one team of 5), a
+    dense-fallback step at 3, a join before step 5."""
+    cluster = SimulatedCluster(6)
+    cluster.install_fault_plan(FaultPlan(events=[
+        MembershipEvent(iteration=CRASH_STEP, kind="crash", worker=1),
+        MembershipEvent(iteration=JOIN_STEP, kind="join")]))
+    sync = SparDLSynchronizer(cluster, NUM_ELEMENTS, SparDLConfig(
+        density=0.03, num_teams=num_teams, num_bits=num_bits,
+        momentum=momentum or None, schedule=schedule))
+    sync.schedule = _DenseAt(sync.schedule, DENSE_STEP)
+    return SyncSession(sync)
+
+
+def scenario_digest(num_teams, num_bits, momentum, schedule):
+    """SHA-256 over every step's globals, stores, velocities and stats."""
+    session = scenario_session(num_teams, num_bits, momentum, schedule)
+    sync, digest = session.synchronizer, hashlib.sha256()
+    for step in range(SCENARIO_STEPS):
+        session.poll_membership()
+        result = session.step(drifting_gradients(session.num_workers,
+                                                 NUM_ELEMENTS, step))
+        for rank in range(session.num_workers):
+            digest.update(bits(result.gradient(rank)).tobytes())
+            digest.update(bits(sync.residuals.store(rank).peek()).tobytes())
+            if sync.residuals.momentum:
+                digest.update(bits(sync.residuals.velocity(rank)).tobytes())
+        stats = result.stats
+        digest.update(repr((stats.rounds, stats.total_volume, stats.total_messages,
+                            stats.max_received, result.info.get("final_nnz"),
+                            result.info.get("dense_fallback"))).encode())
+    return digest.hexdigest()
+
+
+def matrix_digests():
+    return {"compiled": compiled_kernels_available(),
+            "digests": {repr(case): scenario_digest(*case) for case in MATRIX}}
+
+
+# ---------------------------------------------------------------------------
 # warm selection == cold selection, at synchroniser level
 # ---------------------------------------------------------------------------
 class TestWarmSelectionIsExact:
@@ -79,34 +154,53 @@ class TestWarmSelectionIsExact:
         warm, cold = pair
         for step in range(6):
             gradients = drifting_gradients(num_workers, NUM_ELEMENTS, step)
-            cold.selector.cuts.clear()
+            cold.selector.clear()
             assert_same_state(warm, cold, warm.synchronize(gradients),
                               cold.synchronize(gradients))
         assert len(warm.selector.cuts) == num_workers * warm.team_size
 
-    def test_identical_across_a_crash_and_a_join(self):
-        events = [MembershipEvent(iteration=2, kind="crash", worker=1),
-                  MembershipEvent(iteration=4, kind="join")]
-        pair = []
-        for _ in range(2):
-            cluster = SimulatedCluster(6)
-            cluster.install_fault_plan(FaultPlan(events=list(events)))
-            pair.append(SyncSession(SparDLSynchronizer(
-                cluster, NUM_ELEMENTS, SparDLConfig(density=0.03, num_teams=2))))
-        warm, cold = pair
-        sizes = []
-        for step in range(6):
-            for session in pair:
+    @pytest.mark.parametrize("num_teams,num_bits,momentum,schedule", MATRIX)
+    def test_kept_cuts_equal_wiped_cuts_through_churn_and_a_dense_step(
+            self, num_teams, num_bits, momentum, schedule):
+        warm, cold = (scenario_session(num_teams, num_bits, momentum, schedule)
+                      for _ in range(2))
+        sizes, dense = [], []
+        for step in range(SCENARIO_STEPS):
+            for session in (warm, cold):
                 session.poll_membership()
             sizes.append(warm.num_workers)
-            if step in (2, 4):
+            if step in (CRASH_STEP, JOIN_STEP):
                 # the cuts describe the old partitioning: dropped with it
                 assert warm.synchronizer.selector.cuts == {}
             gradients = drifting_gradients(warm.num_workers, NUM_ELEMENTS, step)
-            cold.synchronizer.selector.cuts.clear()
+            cold.synchronizer.selector.clear()
+            warm_result = warm.step(gradients)
             assert_same_state(warm.synchronizer, cold.synchronizer,
-                              warm.step(gradients), cold.step(gradients))
-        assert sizes == [6, 6, 5, 5, 6, 6]
+                              warm_result, cold.step(gradients))
+            dense.append(bool(warm_result.info["dense_fallback"]))
+        assert sizes == [6, 6, 5, 5, 5, 6, 6, 6]
+        assert dense[DENSE_STEP] and not any(dense[DENSE_STEP + 1:])
+        selector = warm.synchronizer.selector
+        assert selector.hits > 0 and not cold.synchronizer.selector.hits
+
+    def test_compiled_kernels_equal_the_numpy_reference(self):
+        """The whole matrix again in a child process on the *other* kernel
+        leg (``REPRO_DISABLE_CKERNELS`` flipped): fused add + scan and
+        NumPy add + lazy compare must agree on every bit of every step."""
+        env = dict(os.environ)
+        if compiled_kernels_available():
+            env["REPRO_DISABLE_CKERNELS"] = "1"
+        else:
+            env.pop("REPRO_DISABLE_CKERNELS", None)
+        root = Path(__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+        child = subprocess.run([sys.executable, __file__], env=env, check=True,
+                               capture_output=True, text=True, timeout=300)
+        other = json.loads(child.stdout)
+        if other["compiled"] == compiled_kernels_available():
+            pytest.skip("no C compiler: both processes ran the NumPy kernels")
+        assert other["digests"] == matrix_digests()["digests"]
 
     def test_the_warm_path_is_actually_taken(self, monkeypatch):
         """Guards the tests above against passing vacuously: on slowly
@@ -115,8 +209,8 @@ class TestWarmSelectionIsExact:
         sizes = []
         inner = topk_module._top_k_of_magnitude
         monkeypatch.setattr(topk_module, "_top_k_of_magnitude",
-                            lambda magnitude, k: sizes.append(magnitude.shape[0])
-                            or inner(magnitude, k))
+                            lambda magnitude, *rest: sizes.append(magnitude.shape[0])
+                            or inner(magnitude, *rest))
         num_workers, n = 4, 1 << 14
         sync = SparDLSynchronizer(SimulatedCluster(num_workers), n,
                                   SparDLConfig(density=0.01))
@@ -137,7 +231,7 @@ class TestWarmSelectionIsExact:
             gradients = drifting_gradients(4, NUM_ELEMENTS, step)
             for sync in pair:
                 sync.set_sparsity(k)
-            cold.selector.cuts.clear()
+            cold.selector.clear()
             assert_same_state(warm, cold, warm.synchronize(gradients),
                               cold.synchronize(gradients))
 
@@ -331,3 +425,7 @@ class TestStepAllocatesOrderN:
                         model=model)
         peak, result = _step_peak_bytes(sync, self._pool())
         assert peak - result.gradient(0).nbytes < 2 * self.N * 8
+
+
+if __name__ == "__main__":  # the child of test_compiled_kernels_equal_the_numpy_reference
+    print(json.dumps(matrix_digests()))

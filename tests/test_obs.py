@@ -214,6 +214,37 @@ class TestPipelineTracing:
         assert not any(e.cat == "message" for e in sync.tracer.events)
         assert any(key.startswith("messages_total{") for key in snap)
 
+    def test_selection_health_gauges_sum_over_the_buckets(self):
+        """``select.warm_share`` / ``select.candidates_per_k`` are read off a
+        traced run: every bucket's selector publishes into the one registry,
+        and an untraced run has no registry to publish to."""
+        from repro.nn.models import build_mlp
+        model = build_mlp(40, [32], 8, seed=0)
+        n = sum(p.size for p in model.parameters())
+        rng = np.random.default_rng(0)
+        base = {rank: rng.standard_normal(n) ** 3 for rank in range(4)}
+        syncs = {}
+        for trace in ("steps", "off"):
+            sync = syncs[trace] = make(
+                f"spardl?density=0.05&buckets=layer&trace={trace}",
+                SimulatedCluster(4), model=model)
+            for step in range(4):
+                sync.synchronize({rank: (1.0 + 0.1 * step) * grad
+                                  for rank, grad in base.items()})
+        selectors = [s.synchronizer.selector for s in syncs["steps"].sessions]
+        hits = sum(s.hits for s in selectors)
+        misses = sum(s.misses for s in selectors)
+        assert hits and misses
+        snap = syncs["steps"].tracer.snapshot()
+        assert (snap["select.hits"], snap["select.misses"]) == (hits, misses)
+        assert snap["select.warm_share"] == hits / (hits + misses)
+        assert snap["select.candidates_per_k"] == (
+            sum(s.candidates for s in selectors) / sum(s.requested for s in selectors))
+        assert syncs["off"].tracer is None
+        untraced = [s.synchronizer.selector for s in syncs["off"].sessions]
+        assert [(s.hits, s.misses) for s in untraced] == [
+            (s.hits, s.misses) for s in selectors]
+
     def test_comm_level_message_instants_carry_wire_sizes(self):
         sync = make("spardl?density=0.02&trace=comm", SimulatedCluster(4),
                     num_elements=400)

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import pytest
 
+from repro.sparse import ckernels as ckernels_module
 from repro.sparse import vector as vector_module
 from repro.sparse.blocks import BlockLayout, block_bounds
 from repro.sparse.topk import kth_largest_magnitude, top_k_indices
@@ -45,7 +46,7 @@ tie_vectors = hnp.arrays(
 def force_kernel_path(monkeypatch: pytest.MonkeyPatch, path: str) -> None:
     """Pin the merge implementation: 'c', 'scipy' or 'numpy'."""
     if path != "c":
-        monkeypatch.setattr(vector_module, "_C_KERNELS", None)
+        monkeypatch.setattr(ckernels_module, "_KERNELS", None)
     elif vector_module._get_c_kernels() is None:
         pytest.skip("compiled merge kernels unavailable")
     if path == "numpy":

@@ -136,7 +136,7 @@ class TestWarmTopK:
                 warm.cuts["block"] = np.nan
             elif forced == "drop":
                 warm.cuts.clear()
-            picked = warm.select("block", warm.magnitudes(values), k)
+            picked = warm.select("block", values, k)
             np.testing.assert_array_equal(picked, top_k_indices(values, k))
             assert picked.dtype == np.int64
 
@@ -145,14 +145,14 @@ class TestWarmTopK:
         sizes = []
         inner = topk_module._top_k_of_magnitude
         monkeypatch.setattr(topk_module, "_top_k_of_magnitude",
-                            lambda magnitude, k: sizes.append(magnitude.shape[0])
-                            or inner(magnitude, k))
+                            lambda magnitude, *rest: sizes.append(magnitude.shape[0])
+                            or inner(magnitude, *rest))
         rng = np.random.default_rng(0)
         base = rng.standard_normal(4096) ** 3
         warm = WarmTopK()
-        warm.select("b", warm.magnitudes(base), 40)
+        warm.select("b", base, 40)
         grown = 1.05 * base + 1e-3 * rng.standard_normal(4096)
-        np.testing.assert_array_equal(warm.select("b", warm.magnitudes(grown), 40),
+        np.testing.assert_array_equal(warm.select("b", grown, 40),
                                       top_k_indices(grown, 40))
         assert sizes[0] == 4096          # cold: the full partition
         assert 40 <= sizes[1] < 400      # warm: a few candidates
@@ -163,6 +163,115 @@ class TestWarmTopK:
         warm.select("big", big, 1)
         np.testing.assert_array_equal(warm.select("small", small, 1), [0])
         assert warm.cuts == {"big": 9.0, "small": 0.3}
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fused_sequences_match_cold_selection(self, data):
+        """The same property with the add in the loop: candidates found
+        while the gradient is added (compiled kernels; the NumPy leg adds
+        here and compares inside ``select``) select what a cold top-k of the
+        summed vector selects — also after the picks are taken out, after a
+        cut is overwritten between the add and the selection, and when a
+        step adds but never selects."""
+        n = data.draw(st.integers(min_value=1, max_value=80))
+        edges = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=n),
+                                          max_size=3)))
+        bounds = np.array([0] + edges + [n], dtype=np.int64)
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        rng = np.random.default_rng(seed)
+        warm = WarmTopK()
+        store = np.zeros(n)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            kind = data.draw(st.sampled_from(["heavy", "ties", "tiny", "huge", "special"]))
+            if kind == "ties":
+                addend = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=n)
+            elif kind == "special":
+                addend = rng.choice(ADVERSARIAL, size=n)
+            else:
+                scale = {"heavy": 1.0, "tiny": 1e-3, "huge": 1e3}[kind]
+                addend = scale * rng.standard_normal(n) ** 3
+            with np.errstate(invalid="ignore"):  # inf - inf
+                expected = store + addend
+                if not warm.fused_accumulate("g", bounds, store, addend):
+                    store += addend
+            np.testing.assert_array_equal(store, expected)
+            if data.draw(st.booleans()):
+                continue  # e.g. a dense-fallback step: added, not selected
+            for block, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                forced = data.draw(st.sampled_from(["keep", "keep", "high", "low", "drop"]))
+                if forced == "high":
+                    warm.cuts[("g", block)] = np.inf
+                elif forced == "low":
+                    warm.cuts[("g", block)] = 0.0
+                elif forced == "drop":
+                    warm.cuts.pop(("g", block), None)
+                k = data.draw(st.integers(min_value=0, max_value=hi - lo + 1))
+                picked = warm.select(("g", block), store[lo:hi], k)
+                np.testing.assert_array_equal(picked, top_k_indices(store[lo:hi], k))
+                if data.draw(st.booleans()):
+                    store[lo:hi][picked] = 0.0
+
+    def test_a_key_that_never_misses_keeps_the_rank_k_cut(self):
+        """Growing magnitudes: last step's smallest kept entry keeps
+        admitting enough candidates, and a looser cut would only add work."""
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal(4096) ** 3
+        warm = WarmTopK()
+        for step in range(8):
+            values = (1.0 + 0.05 * step) * base + 1e-3 * rng.standard_normal(4096)
+            warm.select("b", values, 40)
+            assert warm.cuts["b"] == kth_largest_magnitude(values, 40)
+        assert (warm.hits, warm.misses) == (7, 1)
+        assert warm.candidates < 3 * warm.requested
+
+    def test_a_stale_high_cut_is_loosened_to_rank_2k_and_stops_missing(self):
+        """Shrinking magnitudes, the shape of a training run: every
+        selection takes the largest entries out and the new gradient is
+        small against what was taken, so the rank-k cut is stale-high one
+        step later.  After its first miss the key remembers the magnitude
+        at rank 2k and most later selections are served from candidates."""
+        rng = np.random.default_rng(6)
+        n, k, steps = 4096, 40, 30
+        tight_hits = 0
+        warm = WarmTopK()
+        residual = rng.standard_normal(n) ** 3
+        for step in range(steps):
+            residual += 0.2 * rng.standard_normal(n) ** 3
+            # what a selector that always remembers rank k would have found
+            if step and np.count_nonzero(np.abs(residual) >= tight) >= k:
+                tight_hits += 1
+            misses = warm.misses
+            picked = warm.select("b", residual, k)
+            np.testing.assert_array_equal(picked, top_k_indices(residual, k))
+            tight = kth_largest_magnitude(residual, k)
+            if step and warm.misses > misses:  # a miss (step 0 is cold, not a miss)
+                assert warm.cuts["b"] == kth_largest_magnitude(residual, 2 * k)
+            residual[picked] = 0.0
+        assert warm.hits + warm.misses == steps
+        assert warm.hits / steps >= 0.6
+        assert tight_hits / steps < 0.4
+        assert warm.candidates <= 2.5 * warm.requested
+
+    def test_publish_feeds_counters_and_gauges_summed_over_selectors(self):
+        from repro.obs import MetricsRegistry
+        registry = MetricsRegistry()
+        rng = np.random.default_rng(7)
+        selectors = [WarmTopK(), WarmTopK()]
+        for step in range(4):
+            for index, warm in enumerate(selectors):
+                warm.select("b", (1.0 + 0.1 * step) * rng.standard_normal(512) ** 3,
+                            8 * (index + 1))
+                warm.publish(registry)
+        snap = registry.snapshot()
+        hits = sum(warm.hits for warm in selectors)
+        misses = sum(warm.misses for warm in selectors)
+        assert (snap["select.hits"], snap["select.misses"]) == (hits, misses)
+        assert snap["select.warm_share"] == hits / (hits + misses)
+        assert snap["select.candidates_per_k"] == (
+            sum(warm.candidates for warm in selectors)
+            / sum(warm.requested for warm in selectors))
+        selectors[0].publish(registry)  # nothing new: nothing added twice
+        assert registry.snapshot() == snap
 
 
 class TestTopKMask:

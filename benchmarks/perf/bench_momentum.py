@@ -131,16 +131,19 @@ def _hybrid_gradients(num_elements: int, iteration: int):
 
 
 def run_hybrid(iterations: int, failures: list) -> dict:
-    """Drive the hybrid policy next to a pure-sparse reference and audit the
-    billed volume against the closed-form dense/sparse partition."""
-    base = (f"spardl?density={HYBRID_DENSITY:g}&buckets=layer"
+    """Drive the hybrid policy next to a pure-sparse reference per bucket and
+    audit the billed volume against the closed-form dense/sparse partition."""
+    flat = (f"spardl?density={HYBRID_DENSITY:g}"
             f"&momentum={HYBRID_MOMENTUM:g}&bits={HYBRID_BITS}")
-    spec = f"{base}&hybrid=dense<{HYBRID_THRESHOLD}"
+    spec = f"{flat}&buckets=layer&hybrid=dense<{HYBRID_THRESHOLD}"
     model = build_mlp(32, [32], 4, seed=0)
     num_elements = model.num_parameters()
     hybrid = make(spec, SimulatedCluster(HYBRID_WORKERS), model=model)
-    pure = make(base, SimulatedCluster(HYBRID_WORKERS),
-                model=build_mlp(32, [32], 4, seed=0))
+    # What every bucket costs run sparse on its own; an exchange group of
+    # the hybrid moves the volume of its buckets in the rounds of one.
+    pure = [make(flat, SimulatedCluster(HYBRID_WORKERS), num_elements=size)
+            for size in hybrid.bucket_sizes]
+    edges = np.concatenate(([0], np.cumsum(hybrid.bucket_sizes))).tolist()
 
     total_input = np.zeros(num_elements)
     total_global = np.zeros(num_elements)
@@ -154,23 +157,29 @@ def run_hybrid(iterations: int, failures: list) -> dict:
         total_input += sum(gradients.values())
         velocity_credit += HYBRID_MOMENTUM * _velocity(hybrid, num_elements)
         result = hybrid.synchronize(gradients)
-        reference = pure.synchronize({w: g.copy() for w, g in gradients.items()})
+        references = [sync.synchronize({w: g[lo:hi] for w, g in gradients.items()}).stats
+                      for sync, lo, hi in zip(pure, edges, edges[1:])]
         total_global += result.gradient(0)
         total_volume += result.stats.total_volume
         methods = result.info["bucket_methods"]
-        for index, (stats, pure_stats) in enumerate(
-                zip(result.info["bucket_stats"],
-                    reference.info["bucket_stats"])):
-            per_bucket_volume[index] += stats.total_volume
-            per_bucket_pure[index] += pure_stats.total_volume
-            if methods[index] != "Dense" and (
-                    stats.total_volume != pure_stats.total_volume
-                    or stats.rounds != pure_stats.rounds):
+        for index, reference in enumerate(references):
+            per_bucket_pure[index] += reference.total_volume
+        for group, stats in zip(result.info["groups"], result.info["bucket_stats"]):
+            # A dense bucket is a group of its own: the group's volume is
+            # the bucket's.  A sparse group's volume is split as billed pure.
+            pure_volume = sum(references[index].total_volume for index in group)
+            for index in group:
+                per_bucket_volume[index] += (
+                    stats.total_volume if len(group) == 1
+                    else references[index].total_volume)
+            if methods[group[0]] != "Dense" and (
+                    stats.total_volume != pure_volume
+                    or stats.rounds != max(references[index].rounds for index in group)):
+                names = [hybrid.bucket_names[index] for index in group]
                 failures.append(
-                    f"hybrid: sparse bucket {hybrid.bucket_names[index]!r} "
-                    f"diverged from the pure-sparse reference at iteration "
-                    f"{iteration} ({stats.total_volume} vs "
-                    f"{pure_stats.total_volume} elements)")
+                    f"hybrid: sparse group {names!r} diverged from the "
+                    f"pure-sparse reference at iteration {iteration} "
+                    f"({stats.total_volume} vs {pure_volume} elements)")
 
     dense_volume = 0.0
     expected_dense = 0.0
@@ -215,7 +224,7 @@ def run_hybrid(iterations: int, failures: list) -> dict:
 
     return {
         "spec": spec,
-        "pure_spec": base,
+        "pure_spec": flat,
         "num_workers": HYBRID_WORKERS,
         "iterations": iterations,
         "model_elements": num_elements,

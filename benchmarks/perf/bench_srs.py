@@ -4,11 +4,14 @@ Two experiments, emitted as the ``BENCH_PR2.json`` trajectory point that CI
 uploads alongside ``BENCH_PR1.json``:
 
 * **SRS message batching** — runs Spar-Reduce-Scatter at ``P = 64`` workers
-  with the batched :class:`~repro.comm.packed.PackedBags` wire format (one
-  message per worker and step) and with the unbatched per-block wiring (one
-  message per block and step), recording messages-per-step and wall time for
-  both.  The recorded element volumes are identical by construction; only
-  the Python-level message count and assembly cost differ.
+  over a gradient of 16 separately selected buckets, once as one exchange
+  (every bucket a set of segments of the block layout: one
+  :class:`~repro.comm.packed.PackedBags` message per worker and step, one
+  bag per segment) and once bucket by bucket (one SRS each — what
+  ``buckets=layer`` cost before buckets shared an exchange), recording
+  rounds, messages-per-step and wall time for both.  The reduced blocks and
+  the recorded element volumes are identical by construction; only rounds,
+  message count and per-call cost differ.
 * **Dense-fallback crossover** — sweeps the density ``k/n`` at a
   power-of-two worker count (where the dense All-Reduce is
   bandwidth-optimal) and reports the ratio of SparDL's simulated alpha-beta
@@ -22,9 +25,9 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/perf/bench_srs.py
 
-Exits non-zero when the batched format fails to cut messages-per-step (the
-deterministic gate; wall time is recorded but not gated — shared CI runners
-are too noisy).
+Exits non-zero when the shared exchange fails to cut rounds and messages or
+moves a different volume (the deterministic gate; wall time is recorded but
+not gated — shared CI runners are too noisy).
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ from repro.sparse.blocks import BlockLayout
 SRS_WORKERS = 64
 SRS_ELEMENTS = 100_000
 SRS_DENSITY = 0.01
+#: Buckets of the batching experiment: weight tensors of doubling size, each
+#: followed by a bias a hundredth of it.
+SRS_BUCKETS = 16
 
 #: Crossover sweep: power-of-two workers so the dense baseline is
 #: bandwidth-optimal (Rabenseifner), the regime with the tightest crossover.
@@ -65,39 +71,63 @@ def _gradients(num_workers: int, num_elements: int, seed: int = 0) -> Dict[int, 
 
 
 # ---------------------------------------------------------------------------
-# experiment 1: SRS wire-format batching
+# experiment 1: one SRS over all buckets vs one SRS per bucket
 # ---------------------------------------------------------------------------
+def _bucket_sizes(num_elements: int, num_buckets: int = SRS_BUCKETS) -> list:
+    weights = 2.0 ** np.arange(num_buckets // 2)
+    sizes = []
+    for share in weights / weights.sum():
+        weight = max(1, int(share * num_elements / 1.01))
+        sizes += [weight, max(1, weight // 100)]
+    sizes[-2] += num_elements - sum(sizes)
+    return sizes
+
+
 def run_srs_benchmark(num_workers: int = SRS_WORKERS, num_elements: int = SRS_ELEMENTS,
                       density: float = SRS_DENSITY, repeats: int = 3) -> Dict[str, dict]:
     gradients = _gradients(num_workers, num_elements)
     teams = make_teams(num_workers, 1)
-    layout = BlockLayout(num_elements, num_workers)
-    k_block = max(1, int(round(density * num_elements)) // num_workers)
+    sizes = _bucket_sizes(num_elements)
+    budgets = [max(1, int(round(density * size)) // num_workers) for size in sizes]
+    edges = np.concatenate(([0], np.cumsum(sizes))).tolist()
+
+    def shared(cluster):
+        residuals = ResidualManager(num_workers, num_elements)
+        layout = BlockLayout(num_elements, num_workers, tuple(sizes))
+        spar_reduce_scatter(cluster, teams, residuals.apply(gradients), layout,
+                            np.repeat(budgets, num_workers), residuals)
+
+    def per_bucket(cluster):
+        for lo, hi, budget in zip(edges, edges[1:], budgets):
+            residuals = ResidualManager(num_workers, hi - lo)
+            sliced = {rank: grad[lo:hi] for rank, grad in gradients.items()}
+            spar_reduce_scatter(cluster, teams, residuals.apply(sliced),
+                                BlockLayout(hi - lo, num_workers), budget, residuals)
 
     results: Dict[str, dict] = {}
-    for wire_format in ("per-block", "packed"):
+    for name, run in (("per-bucket", per_bucket), ("shared", shared)):
         best = float("inf")
         stats = None
         for _ in range(repeats):
             cluster = SimulatedCluster(num_workers)
-            residuals = ResidualManager(num_workers, num_elements)
             start = time.perf_counter()
-            spar_reduce_scatter(cluster, teams, residuals.apply(gradients), layout,
-                                k_block, residuals, wire_format=wire_format)
+            run(cluster)
             best = min(best, time.perf_counter() - start)
             stats = cluster.stats
-        results[wire_format] = {
+        results[name] = {
             "wall_s": best,
             "rounds": stats.rounds,
             "total_messages": stats.total_messages,
             "messages_per_step": stats.total_messages / stats.rounds,
-            "max_received_elements": stats.max_received,
+            "received_elements": sum(stats.received_per_worker),
         }
-    packed, legacy = results["packed"], results["per-block"]
+    one, many = results["shared"], results["per-bucket"]
     results["summary"] = {
-        "message_reduction": legacy["total_messages"] / packed["total_messages"],
-        "wall_speedup": legacy["wall_s"] / packed["wall_s"] if packed["wall_s"] else float("inf"),
-        "volume_identical": legacy["max_received_elements"] == packed["max_received_elements"],
+        "buckets": len(sizes),
+        "round_reduction": many["rounds"] / one["rounds"],
+        "message_reduction": many["total_messages"] / one["total_messages"],
+        "wall_speedup": many["wall_s"] / one["wall_s"] if one["wall_s"] else float("inf"),
+        "volume_identical": many["received_elements"] == one["received_elements"],
     }
     return results
 
@@ -165,7 +195,7 @@ def main(argv=None) -> int:
         "bench": "PR2 batched SRS wire format + dense-fallback crossover",
         "config": {
             "srs": {"num_workers": SRS_WORKERS, "num_elements": SRS_ELEMENTS,
-                    "density": SRS_DENSITY},
+                    "density": SRS_DENSITY, "buckets": SRS_BUCKETS},
             "crossover": {"num_workers": CROSSOVER_WORKERS,
                           "num_elements": CROSSOVER_ELEMENTS,
                           "densities": list(CROSSOVER_DENSITIES)},
@@ -176,10 +206,10 @@ def main(argv=None) -> int:
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
 
     summary = srs["summary"]
-    print(f"SRS @ P={SRS_WORKERS}: messages/step "
-          f"{srs['per-block']['messages_per_step']:.0f} -> "
-          f"{srs['packed']['messages_per_step']:.0f} "
-          f"({summary['message_reduction']:.1f}x fewer messages, "
+    print(f"SRS @ P={SRS_WORKERS}, {summary['buckets']} buckets: rounds "
+          f"{srs['per-bucket']['rounds']} -> {srs['shared']['rounds']}, messages "
+          f"{srs['per-bucket']['total_messages']} -> {srs['shared']['total_messages']} "
+          f"({summary['message_reduction']:.1f}x fewer, "
           f"wall {summary['wall_speedup']:.2f}x)")
     measured = crossover["measured_crossover_density"]
     print(f"dense/sparse crossover @ P={CROSSOVER_WORKERS} ({ETHERNET.name}): "
@@ -190,12 +220,14 @@ def main(argv=None) -> int:
 
     if not args.no_gate:
         failures = []
-        if srs["packed"]["messages_per_step"] != SRS_WORKERS:
-            failures.append("packed format must emit exactly one message per worker per step")
+        if srs["shared"]["messages_per_step"] != SRS_WORKERS:
+            failures.append("a shared exchange must emit exactly one message per worker per step")
+        if summary["round_reduction"] != summary["buckets"]:
+            failures.append("a shared exchange must cost the rounds of one SRS")
         if summary["message_reduction"] <= 1.0:
-            failures.append("batching must reduce the message count")
+            failures.append("sharing the exchange must reduce the message count")
         if not summary["volume_identical"]:
-            failures.append("batching must not change recorded volumes")
+            failures.append("sharing the exchange must not change recorded volumes")
         if failures:
             print("SRS BATCHING GATE FAILED: " + "; ".join(failures), file=sys.stderr)
             return 1

@@ -33,7 +33,6 @@ alias (case-insensitive, as in the paper's figures) and the keys are:
             transport — ``auto`` is MG-WFBP); non-flat specs need a
             ``model``, and ``auto`` planning reads the optional
             ``network=`` / ``compute_profile=`` arguments of :func:`make`
-``wire``    SparDL SRS wire format: ``packed`` (default) / ``per-block``
 ``deferred`` SparDL deferred residual accumulation: ``true`` / ``false``
 ``bits``    wire value quantization (all methods): bits per value in
             ``[1, 32]``; values are quantized QSGD-style with exact error
@@ -153,7 +152,7 @@ _SPEC_NAMES: Dict[str, str] = {
 
 #: Recognised spec keys, in canonical serialisation order.
 _SPEC_KEYS = ("k", "density", "teams", "sag", "residuals", "schedule",
-              "buckets", "wire", "deferred", "bits", "momentum", "hybrid",
+              "buckets", "deferred", "bits", "momentum", "hybrid",
               "backend", "trace")
 
 
@@ -253,7 +252,6 @@ class SyncSpec:
     residuals: str = "global"
     schedule: str = "constant"
     buckets: str = "flat"
-    wire: str = "packed"
     deferred: bool = False
     #: Wire quantization: ``None`` (full precision), an int in ``[1, 32]``,
     #: or a per-bucket override string like ``"8,emb:32"`` (see the grammar).
@@ -326,8 +324,6 @@ class SyncSpec:
             params.append(f"schedule={self.schedule}")
         if self.buckets != "flat":
             params.append(f"buckets={self.buckets}")
-        if self.wire != "packed":
-            params.append(f"wire={self.wire}")
         if self.deferred:
             params.append("deferred=true")
         if self.bits is not None:
@@ -450,7 +446,7 @@ def _build_flat(spec: SyncSpec, cluster: Transport,
             k=spec.k, density=spec.density, num_teams=spec.teams,
             sag_mode=SAGMode.coerce(spec.sag),
             residual_policy=ResidualPolicy.coerce(spec.residuals),
-            wire_format=spec.wire, deferred_residuals=spec.deferred,
+            deferred_residuals=spec.deferred,
             schedule=schedule, num_bits=spec.bits, momentum=spec.momentum,
             **spec.extras,
         )

@@ -99,6 +99,27 @@ class PackedBags:
         return cls(ids=ids, offsets=offsets, indices=indices, values=values,
                    length=length)
 
+    @classmethod
+    def pack_split(cls, pieces: Sequence[SparseGradient],
+                   splits: Sequence[np.ndarray],
+                   ids: Sequence[int]) -> "PackedBags":
+        """:meth:`pack` with every piece cut into several bags: piece ``i``
+        contributes the bags ``splits[i][j]:splits[i][j + 1]`` of its
+        entries (``splits[i]`` rises from 0 to its ``nnz``).
+
+        This is how a block spanning several separately selected tensors
+        travels: one bag per tensor's segment, so that whatever is accounted
+        per bag — a quantiser's scale — stays per segment, while
+        :meth:`span` hands the receiver the whole block back as one view.
+        """
+        packed = cls.pack(pieces)
+        offsets = np.concatenate(
+            [split[:-1] + base for split, base in zip(splits, packed.offsets)]
+            + [packed.offsets[-1:]])
+        offsets.flags.writeable = False
+        return cls(ids=tuple(ids), offsets=offsets, indices=packed.indices,
+                   values=packed.values, length=packed.length)
+
     def __post_init__(self) -> None:
         if self.offsets.shape[0] != len(self.ids) + 1:
             raise ValueError("offsets must have one more entry than ids")
@@ -133,6 +154,17 @@ class PackedBags:
         """Decode bag ``position`` as a zero-copy view of the packed buffers."""
         lo = int(self.offsets[position])
         hi = int(self.offsets[position + 1])
+        return SparseGradient.from_sorted_unique(
+            self.indices[lo:hi], self.values[lo:hi], self.length
+        )
+
+    def span(self, start: int = 0, stop: Optional[int] = None) -> SparseGradient:
+        """Bags ``start`` up to ``stop`` (default: the last) as one
+        zero-copy sparse gradient.  Only for bags that were cut from one
+        piece (:meth:`pack_split`): their indices rise across bag
+        boundaries too."""
+        lo = int(self.offsets[start])
+        hi = int(self.offsets[self.num_bags if stop is None else stop])
         return SparseGradient.from_sorted_unique(
             self.indices[lo:hi], self.values[lo:hi], self.length
         )

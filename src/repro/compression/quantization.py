@@ -42,7 +42,7 @@ the paper's accounting.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,14 +127,54 @@ class StochasticQuantizer:
         if scale == 0.0:
             return np.zeros_like(values), np.zeros_like(values)
         rng = rng or self._rng
+        quantized = self._round(values, scale, rng.random(values.shape))
+        return quantized, values - quantized
+
+    def _round(self, values: np.ndarray, scale: "float | np.ndarray",
+               uniform: np.ndarray) -> np.ndarray:
+        """``values`` (within ``+-scale``) rounded to a neighbouring level:
+        up where ``uniform`` falls below the distance to the lower one."""
         normalised = values / scale  # in [-1, 1]
         scaled = (normalised + 1.0) / 2.0 * self.num_levels  # in [0, levels]
         lower = np.floor(scaled)
         probability_up = scaled - lower
-        level = lower + (rng.random(values.shape) < probability_up)
+        level = lower + (uniform < probability_up)
         level = np.clip(level, 0, self.num_levels)
-        quantized = (level / self.num_levels * 2.0 - 1.0) * scale
-        return quantized, values - quantized
+        return (level / self.num_levels * 2.0 - 1.0) * scale
+
+    def quantize_segments_with_error(
+            self, values: np.ndarray, offsets: np.ndarray,
+            rngs: Sequence[np.random.Generator]) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`quantize_with_error` on every segment
+        ``values[offsets[s]:offsets[s + 1]]`` in one pass: each segment is a
+        message of its own, with its own scale.
+
+        The segments divide evenly among ``rngs``, in order, and a stream
+        yields what one call per segment would have drawn from it: nothing
+        for an empty or all-zero segment, so the stream is left where those
+        calls would leave it.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        counts = np.diff(offsets)
+        scales = np.zeros(counts.shape[0])
+        filled = counts > 0
+        if filled.any():
+            scales[filled] = np.maximum.reduceat(np.abs(values), offsets[:-1][filled])
+        live = scales != 0.0
+        drawn = np.where(live, counts, 0).reshape(len(rngs), -1).sum(axis=1)
+        uniform = np.concatenate([rng.random(count)
+                                  for rng, count in zip(rngs, drawn.tolist())])
+        scale = np.repeat(scales, counts)
+        if uniform.shape[0] == values.shape[0]:
+            quantized = self._round(values, scale, uniform)
+            return quantized, values - quantized
+        # Some segment is all zeros: like a message of its own, it is sent
+        # (and leaves an error of) +0.0 without a draw.
+        drawing = np.repeat(live, counts)
+        quantized, error = np.zeros_like(values), np.zeros_like(values)
+        quantized[drawing] = self._round(values[drawing], scale[drawing], uniform)
+        error[drawing] = values[drawing] - quantized[drawing]
+        return quantized, error
 
     def quantize(self, values: np.ndarray,
                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -190,27 +230,35 @@ class QuantizedCompressor:
       one element of control traffic, unquantized.
     """
 
-    def __init__(self, num_bits: int, num_workers: int, seed: int = 0) -> None:
+    def __init__(self, num_bits: int, num_workers: int, seed: int = 0,
+                 streams: int = 1) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
+        if streams <= 0:
+            raise ValueError("streams must be positive")
         self.quantizer = StochasticQuantizer(num_bits)
         self.num_bits = self.quantizer.num_bits
         self.num_workers = int(num_workers)
         self.seed = int(seed)
-        streams = np.random.SeedSequence(seed).spawn(self.num_workers)
-        self._rngs: Dict[int, np.random.Generator] = {
-            worker: np.random.default_rng(stream)
-            for worker, stream in enumerate(streams)
+        #: Per worker, one generator per separately selected tensor
+        #: (``streams`` of them, each started where a compressor serving
+        #: that tensor alone would start): a tensor's draws do not depend on
+        #: which other tensors share its exchange.
+        self._rngs: Dict[int, List[np.random.Generator]] = {
+            worker: [np.random.default_rng(stream) for _ in range(streams)]
+            for worker, stream in enumerate(
+                np.random.SeedSequence(seed).spawn(self.num_workers))
         }
 
     # ------------------------------------------------------------------
     # value transformation (error feedback)
     # ------------------------------------------------------------------
     def rng(self, worker: int) -> np.random.Generator:
-        """The independent random stream of ``worker``."""
-        return self._rngs[worker]
+        """The independent random stream of ``worker`` (its first tensor's)."""
+        return self._rngs[worker][0]
 
-    def compress_sparse(self, worker: int, sparse: SparseGradient
+    def compress_sparse(self, worker: int, sparse: SparseGradient,
+                        offsets: Optional[np.ndarray] = None
                         ) -> Tuple[SparseGradient, SparseGradient]:
         """Quantize a sparse selection; return ``(quantized, error)``.
 
@@ -218,11 +266,20 @@ class QuantizedCompressor:
         support), and ``quantized.values + error.values == sparse.values``
         exactly — the error is what the caller hands to
         ``ResidualManager.collect_local_sparse``.
+
+        ``offsets`` cuts the selection into segments that are quantized as
+        separate messages (own scale, own draws): entries
+        ``offsets[s]:offsets[s + 1]``, the segments dividing evenly among
+        the worker's streams.
         """
         if sparse.nnz == 0:
             return sparse, SparseGradient.empty(sparse.length)
-        quantized, error = self.quantizer.quantize_with_error(
-            sparse.values, rng=self._rngs[worker])
+        if offsets is None:
+            quantized, error = self.quantizer.quantize_with_error(
+                sparse.values, rng=self._rngs[worker][0])
+        else:
+            quantized, error = self.quantizer.quantize_segments_with_error(
+                sparse.values, offsets, self._rngs[worker])
         return (
             SparseGradient.from_sorted_unique(sparse.indices, quantized, sparse.length),
             SparseGradient.from_sorted_unique(sparse.indices, error, sparse.length),
@@ -231,7 +288,7 @@ class QuantizedCompressor:
     def compress_dense(self, worker: int, dense: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray]:
         """Quantize a dense gradient; return ``(quantized, error)``."""
-        return self.quantizer.quantize_with_error(dense, rng=self._rngs[worker])
+        return self.quantizer.quantize_with_error(dense, rng=self._rngs[worker][0])
 
     # ------------------------------------------------------------------
     # wire pricing

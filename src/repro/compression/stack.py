@@ -83,7 +83,8 @@ class CompressorStage(ABC):
     def bind_residuals(self, residuals: "ResidualManager") -> None:
         """Configure the residual manager this stack feeds (default no-op)."""
 
-    def compress_sparse(self, worker: int, sparse: SparseGradient
+    def compress_sparse(self, worker: int, sparse: SparseGradient,
+                        offsets: Optional[np.ndarray] = None
                         ) -> Tuple[SparseGradient, Optional[SparseGradient]]:
         return sparse, None
 
@@ -157,9 +158,10 @@ class QuantizeStage(CompressorStage):
     def num_bits(self) -> int:
         return self.compressor.num_bits
 
-    def compress_sparse(self, worker: int, sparse: SparseGradient
+    def compress_sparse(self, worker: int, sparse: SparseGradient,
+                        offsets: Optional[np.ndarray] = None
                         ) -> Tuple[SparseGradient, Optional[SparseGradient]]:
-        return self.compressor.compress_sparse(worker, sparse)
+        return self.compressor.compress_sparse(worker, sparse, offsets)
 
     def compress_dense(self, worker: int, dense: np.ndarray
                        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -209,13 +211,15 @@ class CompressorStack:
     @classmethod
     def from_config(cls, num_workers: int, *, momentum: Optional[float] = None,
                     num_bits: Optional[int] = None, sparsify: bool = False,
-                    seed: int = 0) -> Optional["CompressorStack"]:
+                    seed: int = 0, streams: int = 1) -> Optional["CompressorStack"]:
         """Build the stack a synchroniser's configuration implies.
 
         Returns ``None`` when neither momentum correction nor quantization
         is requested — a sparsify-only stack would change nothing, and the
         ``None`` keeps the synchronisers' pre-stack code paths (and their
-        bit-exact outputs) trivially intact.
+        bit-exact outputs) trivially intact.  ``streams`` is the number of
+        separately selected tensors the quantizer serves per worker (see
+        :class:`~repro.compression.quantization.QuantizedCompressor`).
         """
         if momentum is None and num_bits is None:
             return None
@@ -226,7 +230,8 @@ class CompressorStack:
             stages.append(TopKSparsifier())
         if num_bits is not None:
             stages.append(QuantizeStage(
-                QuantizedCompressor(num_bits, num_workers, seed=seed)))
+                QuantizedCompressor(num_bits, num_workers, seed=seed,
+                                    streams=streams)))
         return cls(stages)
 
     # ------------------------------------------------------------------
@@ -281,17 +286,20 @@ class CompressorStack:
     # ------------------------------------------------------------------
     # the (payload, error) contract
     # ------------------------------------------------------------------
-    def compress_sparse(self, worker: int, sparse: SparseGradient
+    def compress_sparse(self, worker: int, sparse: SparseGradient,
+                        offsets: Optional[np.ndarray] = None
                         ) -> Tuple[SparseGradient, SparseGradient]:
         """Fold a sparse payload through the wire-transforming stages.
 
         Returns ``(payload, error)`` with
         ``payload.values + error.values == sparse.values`` exactly; the
         error is an empty sparse gradient when no stage transforms the wire.
+        ``offsets`` cuts the payload into segments that reach the wire as
+        separate messages (entries ``offsets[s]:offsets[s + 1]``).
         """
         error: Optional[SparseGradient] = None
         for stage in self.stages:
-            sparse, stage_error = stage.compress_sparse(worker, sparse)
+            sparse, stage_error = stage.compress_sparse(worker, sparse, offsets)
             if stage_error is not None and stage_error.nnz:
                 error = (stage_error if error is None
                          else SparseGradient.merge_many([error, stage_error]))

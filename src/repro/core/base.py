@@ -199,9 +199,7 @@ class GradientSynchronizer(ABC):
         the stage boundaries.
         """
         if self.schedule is not None:
-            k = int(self.schedule.resolve(self.iteration, self.num_elements))
-            if k != getattr(self, "k", None):
-                self.set_sparsity(k)
+            self._resolve_sparsity()
         self._validate(gradients)
         self.cluster.reset_stats()
         context = StepContext(
@@ -254,6 +252,12 @@ class GradientSynchronizer(ABC):
             self.schedule.observe(self.iteration, context.k, result)
         self.iteration += 1
         return result
+
+    def _resolve_sparsity(self) -> None:
+        """Adopt the ``k`` the schedule resolves for this iteration."""
+        k = int(self.schedule.resolve(self.iteration, self.num_elements))
+        if k != getattr(self, "k", None):
+            self.set_sparsity(k)
 
     def _compress_dense(self, context: StepContext) -> None:
         """``compress`` stage of a dense step: everything is sent, so each
@@ -326,8 +330,12 @@ class GradientSynchronizer(ABC):
         base implementation resizes the cluster — sufficient for stateless
         methods like the dense baseline; methods with per-rank state
         (residual stores, team partitions) override and remap it first.
+        Synchronisers sharing a cluster (the groups of a
+        :class:`~repro.core.bucketed.BucketedSynchronizer`) each remap their
+        own state; the first one resizes it.
         """
-        self.cluster.resize(num_workers)
+        if self.cluster.num_workers != num_workers:
+            self.cluster.resize(num_workers)
 
     # ------------------------------------------------------------------
     # stage protocol (the SyncPipeline surface)

@@ -2,22 +2,33 @@
 
 The flat-vector synchronisers treat the model as one opaque gradient.
 Real systems shard it: SSFusion fuses per-layer sparse tensors into
-bucketed exchanges so selection, compression and communication happen at
-tensor granularity.  :class:`BucketedSynchronizer` brings that shape here:
-the flat gradient is sliced into contiguous buckets derived from the
-model's parameter shapes (one per layer, or greedily fused up to a size
-cap), and every bucket is driven by its own
-:class:`~repro.core.pipeline.SyncSession` — with its own synchroniser,
-sparsity schedule and residual state — while the aggregate still presents
-the plain :class:`~repro.core.base.GradientSynchronizer` interface, so the
-trainer and the benchmarks are oblivious.
+bucketed exchanges so selection and compression happen at tensor
+granularity while communication does not pay per tensor.
+:class:`BucketedSynchronizer` brings that shape here: the flat gradient is
+sliced into contiguous buckets derived from the model's parameter shapes
+(one per layer, or greedily fused up to a size cap), every bucket keeps its
+own selection — own ``k`` and schedule position, own residual and warm-cut
+state, own quantiser scale — and the aggregate still presents the plain
+:class:`~repro.core.base.GradientSynchronizer` interface, so the trainer and
+the benchmarks are oblivious.
 
-Communication accounting is honest about the simulator's execution model:
-buckets synchronise sequentially, so the aggregated
-:class:`~repro.comm.stats.CommStats` adds the buckets' rounds (the latency
-price of bucketing) as well as their volumes.  The end-to-end benchmark
-(``benchmarks/perf/bench_e2e_throughput.py``) measures exactly this
-trade-off against the flat pipeline.
+Selection granularity and exchange granularity are separate decisions.
+Consecutive buckets whose synchronisers are SparDL with equal
+configurations form one **exchange group**: a single
+:class:`~repro.core.spardl.SparDLSynchronizer` spanning their sizes, in
+which every bucket is a set of segments of the block layout, so the group
+pays the rounds of *one* SRS -> SAG -> All-Gather however many buckets it
+holds (results are those of per-bucket synchronisers, bit for bit; only
+rounds and messages differ).  A bucket stays a group of its own when it
+cannot share an exchange or was planned not to: a dense (``hybrid``) or
+baseline-method bucket, a different configuration (a per-bucket ``bits=``
+override), a feedback schedule that retunes ``k`` from the bucket's own
+result, or any bucket of a :class:`~repro.core.fusion.FusionPlan`
+(``buckets=auto``), whose exchanges the planner already priced one by one
+against the backward pass.  :attr:`BucketedSynchronizer.sessions` /
+:attr:`~BucketedSynchronizer.slices` are per group; groups synchronise one
+after the other, so the aggregated :class:`~repro.comm.stats.CommStats`
+adds the groups' rounds as well as their volumes.
 
 Note that bucketing changes *what is selected*: top-k runs per bucket, so
 small layers are guaranteed representation in the global gradient (the
@@ -38,6 +49,8 @@ from ..comm.transport import Transport
 from ..comm.stats import CommStats
 from .base import GradientSynchronizer, SyncResult
 from .pipeline import SyncSession
+from .schedules import KSchedule
+from .spardl import SparDLSynchronizer
 
 __all__ = ["BucketedSynchronizer", "layer_buckets", "fuse_buckets"]
 
@@ -106,8 +119,17 @@ def fuse_buckets(buckets: Sequence[Tuple[str, int]],
     return fused
 
 
+def _shares_exchange(left: GradientSynchronizer, right: GradientSynchronizer) -> bool:
+    """True when two neighbouring buckets' synchronisers can be one
+    :class:`SparDLSynchronizer` over both: same class, same configuration,
+    and a schedule that needs no feedback from the bucket's own result."""
+    return (type(left) is SparDLSynchronizer and type(right) is SparDLSynchronizer
+            and left.config == right.config
+            and type(left.schedule).observe is KSchedule.observe)
+
+
 class BucketedSynchronizer(GradientSynchronizer):
-    """Drives one :class:`SyncSession` per gradient bucket.
+    """Drives one :class:`SyncSession` per exchange group of buckets.
 
     Parameters
     ----------
@@ -118,22 +140,22 @@ class BucketedSynchronizer(GradientSynchronizer):
         full flat gradient.
     factory:
         ``factory(cluster, bucket_elements)`` building one bucket's
-        synchroniser.  Each bucket gets its own instance — and therefore
-        its own residual state and schedule position.  A factory accepting
-        a third positional argument is additionally handed the bucket's
-        *name* (``factory(cluster, bucket_elements, bucket_name)``), which
-        per-bucket policies key on: the hybrid dense/sparse switch picks
-        the method per bucket size, and per-bucket ``bits=`` overrides
-        match name patterns.
+        synchroniser — what that bucket would run on its own.  A factory
+        accepting a third positional argument is additionally handed the
+        bucket's *name* (``factory(cluster, bucket_elements,
+        bucket_name)``), which per-bucket policies key on: the hybrid
+        dense/sparse switch picks the method per bucket size, and
+        per-bucket ``bits=`` overrides match name patterns.  Neighbouring
+        buckets that come back as equally configured SparDL synchronisers
+        are replaced by one spanning them (see the module notes).
     bucket_names:
         Optional display names (defaults to ``bucket0..``).
     plan:
         Optional :class:`~repro.core.fusion.FusionPlan` this layout was
         derived from (set by ``api.make`` for ``buckets=auto`` specs).
-        Stored as :attr:`fusion_plan` purely for introspection — the
-        planner's predicted timeline and bucket counts surface in
-        benchmark reports; the synchroniser itself only consumes the
-        fused ``bucket_sizes``.
+        Stored as :attr:`fusion_plan` for introspection — the planner's
+        predicted timeline and bucket counts surface in benchmark reports —
+        and it keeps every planned bucket an exchange of its own.
     """
 
     name = "Bucketed"
@@ -154,37 +176,52 @@ class BucketedSynchronizer(GradientSynchronizer):
         if len(bucket_names) != len(sizes):
             raise ValueError("bucket_names must match bucket_sizes")
         self.bucket_names = list(bucket_names)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        #: ``(lo, hi)`` slice of every bucket in the flat gradient.
-        self.slices: List[Tuple[int, int]] = [
-            (int(offsets[i]), int(offsets[i + 1])) for i in range(len(sizes))
-        ]
-        #: One session per bucket, each wrapping its own synchroniser.
         if _factory_takes_name(factory):
-            self.sessions: List[SyncSession] = [
-                SyncSession(factory(cluster, size, name))
-                for size, name in zip(sizes, self.bucket_names)
-            ]
+            built = [factory(cluster, size, name)
+                     for size, name in zip(sizes, self.bucket_names)]
         else:
-            self.sessions = [
-                SyncSession(factory(cluster, size)) for size in sizes
-            ]
+            built = [factory(cluster, size) for size in sizes]
+        #: Method label of every bucket (what it would run on its own).
+        self.bucket_methods = [synchronizer.name for synchronizer in built]
+        #: Exchange groups: ``groups[g]`` lists the buckets of group ``g``.
+        self.groups: List[List[int]] = [[0]]
+        for index in range(1, len(built)):
+            if plan is None and _shares_exchange(built[index - 1], built[index]):
+                self.groups[-1].append(index)
+            else:
+                self.groups.append([index])
+        #: One session per exchange group, each wrapping its own synchroniser.
+        self.sessions: List[SyncSession] = [
+            SyncSession(built[group[0]] if len(group) == 1 else SparDLSynchronizer(
+                cluster, [sizes[index] for index in group], built[group[0]].config))
+            for group in self.groups]
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        #: ``(lo, hi)`` slice of every exchange group in the flat gradient.
+        self.slices: List[Tuple[int, int]] = [
+            (offsets[group[0]], offsets[group[-1] + 1]) for group in self.groups]
         #: The fusion plan behind this layout, when one was used.
         self.fusion_plan = plan
-        inner = self.sessions[0].synchronizer.name
-        self.name = f"Bucketed[{len(sizes)}]({inner})"
+        self.name = f"Bucketed[{len(sizes)}]({self.bucket_methods[0]})"
 
     # ------------------------------------------------------------------
     def enable_momentum_correction(self, factor: float) -> None:
-        """Trainer handoff: momentum correction is enabled on every bucket's
+        """Trainer handoff: momentum correction is enabled on every group's
         synchroniser (each owns its own residual manager and velocity)."""
         for session in self.sessions:
             session.synchronizer.enable_momentum_correction(factor)
 
+    def apply_membership(self, num_workers: int, mapping: Dict[int, int]) -> None:
+        """Every group remaps its own per-rank state (residual and velocity
+        hand-off, teams, segments, warm cuts, compressor streams) for the
+        new membership; the shared cluster is resized by the first and the
+        others find it at the new size."""
+        for session in self.sessions:
+            session.synchronizer.apply_membership(num_workers, mapping)
+
     # ------------------------------------------------------------------
     @property
     def num_buckets(self) -> int:
-        return len(self.sessions)
+        return len(self.bucket_sizes)
 
     @property
     def k(self) -> Optional[int]:
@@ -200,12 +237,12 @@ class BucketedSynchronizer(GradientSynchronizer):
         return int(sum(ks))
 
     def _step(self, gradients: Dict[int, np.ndarray], observer=None) -> SyncResult:
-        """One bucketed step: slice, drive every bucket's session, and
+        """One bucketed step: slice, drive every group's session, and
         re-assemble the flat global gradients with aggregated statistics.
 
-        Stage observers attach at the bucket level (each inner session runs
+        Stage observers attach at the group level (each inner session runs
         the full five-stage pipeline); ``observer`` is therefore ignored
-        here rather than fired with a context the buckets share.
+        here rather than fired with a context the groups share.
         """
         self._validate(gradients)
         arrays = {rank: np.asarray(grad, dtype=np.float64)
@@ -215,32 +252,42 @@ class BucketedSynchronizer(GradientSynchronizer):
             outcome = session.step({rank: grad[lo:hi] for rank, grad in arrays.items()})
             results.append(outcome)
         stats = CommStats.merged(self.num_workers, (outcome.stats for outcome in results))
-        # Sparse buckets hand every agreeing rank the same array, so ranks
-        # with identical parts share one read-only concatenation too.
-        assembled: Dict[Tuple[int, ...], np.ndarray] = {}
-        global_gradients = {}
-        for rank in arrays:
-            parts = [outcome.global_gradients[rank] for outcome in results]
-            key = tuple(id(part) for part in parts)
-            if key not in assembled:
-                flat = assembled[key] = np.concatenate(parts)
-                flat.flags.writeable = False
-            global_gradients[rank] = assembled[key]
+        if len(results) == 1:
+            # One group spans the whole gradient: its (shared, read-only)
+            # result is the result.
+            global_gradients = results[0].global_gradients
+        else:
+            # Sparse groups hand every agreeing rank the same array, so ranks
+            # with identical parts share one read-only concatenation too.
+            assembled: Dict[Tuple[int, ...], np.ndarray] = {}
+            global_gradients = {}
+            for rank in arrays:
+                parts = [outcome.global_gradients[rank] for outcome in results]
+                key = tuple(id(part) for part in parts)
+                if key not in assembled:
+                    flat = assembled[key] = np.concatenate(parts)
+                    flat.flags.writeable = False
+                global_gradients[rank] = assembled[key]
         info = {
             "buckets": self.num_buckets,
             "bucket_names": list(self.bucket_names),
             "bucket_sizes": list(self.bucket_sizes),
             # Per-bucket method labels: under the hybrid dense/sparse policy
             # (and per-bucket bits overrides) buckets run different methods,
-            # and the volume accounting is audited per bucket against them.
-            "bucket_methods": [session.synchronizer.name
-                               for session in self.sessions],
+            # and the volume accounting is audited per group against them.
+            "bucket_methods": list(self.bucket_methods),
             "k": self._total_or_none("k", results),
             "final_nnz": self._total_or_none("final_nnz", results),
+            # One entry per exchange group (a SparDL group lists its
+            # buckets' shares under ``bucket_k`` / ``bucket_final_nnz``).
             "per_bucket_info": [outcome.info for outcome in results],
-            # Per-bucket statistics, forward order: the overlap-aware
-            # iteration timing schedules these against the per-bucket
-            # backward slices instead of pricing the merged aggregate.
+            # Exchange groups in forward order — which buckets, how many
+            # elements, what traffic: the overlap-aware iteration timing
+            # schedules these against the backward slices (a group's
+            # exchange starts when its last member's slice ends) instead of
+            # pricing the merged aggregate.
+            "groups": [list(group) for group in self.groups],
+            "group_sizes": [hi - lo for lo, hi in self.slices],
             "bucket_stats": [outcome.stats for outcome in results],
         }
         result = SyncResult(global_gradients=global_gradients, stats=stats, info=info)
@@ -249,20 +296,20 @@ class BucketedSynchronizer(GradientSynchronizer):
 
     # ------------------------------------------------------------------
     # the abstract stage methods never run: _step overrides the flat driver
-    # (buckets each run their own five-stage pipeline).
+    # (groups each run their own five-stage pipeline).
     def stage_exchange(self, context) -> None:  # pragma: no cover
-        raise RuntimeError("BucketedSynchronizer drives per-bucket pipelines")
+        raise RuntimeError("BucketedSynchronizer drives per-group pipelines")
 
     def stage_combine(self, context) -> None:  # pragma: no cover
-        raise RuntimeError("BucketedSynchronizer drives per-bucket pipelines")
+        raise RuntimeError("BucketedSynchronizer drives per-group pipelines")
 
     # ------------------------------------------------------------------
     def total_residual(self) -> np.ndarray:
-        """Sum of every bucket's residual stores, assembled to full length.
+        """Sum of every group's residual stores, assembled to full length.
 
-        Buckets without residual state (e.g. dense buckets) contribute
+        Groups without residual state (e.g. dense buckets) contribute
         zeros, so ``global + total_residual() == exact dense sum`` holds
-        exactly when it holds per bucket (GRES conservation).
+        exactly when it holds per group (GRES conservation).
         """
         total = np.zeros(self.num_elements, dtype=np.float64)
         for (lo, hi), session in zip(self.slices, self.sessions):

@@ -2,9 +2,8 @@
 
 :class:`SparDLConfig` collects every knob the paper exposes: the sparsity
 (``k`` or a density ratio), the team count ``d``, the Spar-All-Gather variant
-and the residual collection policy — plus two implementation knobs: the SRS
-wire format (batched :class:`~repro.comm.packed.PackedBags` messages by
-default) and the dense-fallback crossover.  The configuration validates
+and the residual collection policy — plus one implementation knob, the
+dense-fallback crossover.  The configuration validates
 itself against a cluster size so misconfigurations (``d`` not dividing
 ``P``, R-SAG with a non-power-of-two ``d``, ...) fail loudly before any
 communication happens.
@@ -18,7 +17,6 @@ from typing import Optional
 
 from .residuals import ResidualPolicy
 from .schedules import KSchedule, coerce_schedule
-from .srs import WIRE_FORMATS
 
 __all__ = ["SAGMode", "SparDLConfig", "DEFAULT_DENSE_CROSSOVER"]
 
@@ -77,11 +75,6 @@ class SparDLConfig:
         Disable the paper's "Optimization for SRS": re-sparsify every held
         block after each summation instead of only the blocks about to be
         sent.  Only used by the ablation benchmark.
-    wire_format:
-        SRS wire format: ``"packed"`` (default, one batched
-        :class:`~repro.comm.packed.PackedBags` message per worker and step)
-        or ``"per-block"`` (unbatched; one message per block, kept for the
-        batching benchmark).
     dense_fallback:
         When True (default), synchronisations whose density ``k/n`` reaches
         :attr:`dense_fallback_ratio` bypass the sparse pipeline and run a
@@ -136,7 +129,6 @@ class SparDLConfig:
     sag_mode: SAGMode | str = SAGMode.AUTO
     residual_policy: ResidualPolicy | str = ResidualPolicy.GLOBAL
     sparsify_all_blocks: bool = False
-    wire_format: str = "packed"
     dense_fallback: bool = True
     dense_fallback_ratio: Optional[float] = None
     deferred_residuals: bool = False
@@ -161,10 +153,6 @@ class SparDLConfig:
             raise ValueError("density must be in (0, 1]")
         if self.num_teams <= 0:
             raise ValueError("num_teams must be positive")
-        if self.wire_format not in WIRE_FORMATS:
-            raise ValueError(
-                f"wire_format must be one of {WIRE_FORMATS}, got {self.wire_format!r}"
-            )
         if self.dense_fallback_ratio is not None and self.dense_fallback_ratio <= 0:
             raise ValueError("dense_fallback_ratio must be positive")
         if self.num_bits is not None and not 1 <= int(self.num_bits) <= 32:

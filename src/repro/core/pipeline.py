@@ -161,9 +161,6 @@ def _lost_sparse_parts(payload: Any) -> List[SparseGradient]:
         return payload.to_list()
     if isinstance(payload, SparseGradient):
         return [payload]
-    if (isinstance(payload, tuple) and len(payload) == 2
-            and isinstance(payload[1], SparseGradient)):
-        return [payload[1]]  # (block_id, sparse) — the per-block wire format
     raise TypeError(
         f"cannot fold lost payload of type {type(payload).__name__} into the "
         "residual path; lossy messages must carry sparse gradient mass")
@@ -252,7 +249,8 @@ class SyncSession:
         self.tracer = tracer if tracer is not None else getattr(
             synchronizer, "tracer", None)
         #: Label distinguishing this session's spans (set on the inner
-        #: sessions of a bucketed synchroniser: ``b0``, ``b1``, ...).
+        #: sessions of a bucketed synchroniser, one per exchange group:
+        #: ``g0``, ``g1``, ...).
         self.trace_label: Optional[str] = None
         #: Stage hooks that raised (errors are contained, counted, and
         #: warned about once — a misbehaving observer must not corrupt the

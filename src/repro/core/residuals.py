@@ -330,11 +330,11 @@ class ResidualManager:
         buffered discards are folded in first.
 
         A caller that will select block-wise through a
-        :class:`~repro.sparse.topk.WarmTopK` passes it with the blocks'
+        :class:`~repro.sparse.topk.WarmTopK` passes it with the segments'
         ``bounds`` (:attr:`~repro.sparse.blocks.BlockLayout.edges`): where
         the kernels are compiled the add then runs as one fused sweep that
-        also hands the selector each block's candidates, keyed ``(worker,
-        block)``.  The NumPy statements below are the reference it is
+        also hands the selector each segment's candidates, keyed ``(worker,
+        segment)``.  The NumPy statements below are the reference it is
         bit-identical to.
         """
         self.flush()
@@ -447,7 +447,10 @@ class ResidualManager:
                                     dtype=np.int64)
             # Uniquify once so every membership test below can use the fast
             # assume_unique path (pending indices are unique by invariant).
-            final = np.unique(final)
+            # A sparse gradient's own index array already is; seeing that
+            # costs one pass, sorting it again a hash or a sort.
+            if final.shape[0] > 1 and not (final[1:] > final[:-1]).all():
+                final = np.unique(final)
         if self.policy is ResidualPolicy.PARTIAL:
             for pending in self._pending:
                 if pending.sparse.nnz == 0:

@@ -21,11 +21,13 @@ Two variants are provided, exactly as in the paper:
   post-exchange non-zero count towards ``L``.
 
 Both variants ship sparse payloads in the batched
-:class:`~repro.comm.packed.PackedBags` wire format: R-SAG packs the
-exchanged block into a single-bag buffer pair (``comm_size`` derived from
-the packed arrays), and B-SAG's Bruck exchange packs each forwarded item
-list inside :func:`~repro.comm.collectives.allgather_bruck_grouped`.
-Receivers decode zero-copy views and merge them with the compiled kernels.
+:class:`~repro.comm.packed.PackedBags` wire format: a worker's block travels
+as one buffer pair with one bag per segment (one bag when the gradient is a
+single bucket; see :mod:`repro.core.srs` on blocks, segments and buckets),
+``comm_size`` derived from the packed arrays.  Receivers decode zero-copy
+views and merge them with the compiled kernels.  With a ``layout`` whose
+buckets have budgets of their own, ``keep`` (and B-SAG's ``h``) hold one
+entry per segment and every selection is a segmented top-k.
 
 Every ``collect_procedure`` call below goes through the
 :class:`~repro.core.residuals.ResidualManager` collection hooks, so when the
@@ -38,14 +40,17 @@ the iteration's flush point instead of being scattered step by step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from ..comm.transport import Message, Transport
 from ..comm.collectives import allgather_bruck_grouped
-from ..comm.packed import PackedBags
+from ..sparse.blocks import BlockLayout
 from ..sparse.vector import SparseGradient
 from .residuals import ResidualManager
+from .srs import pack_blocks, segment_budgets, sparsify_block
 
 __all__ = [
     "CompressionRatioController",
@@ -86,8 +91,12 @@ class SAGOutput:
     merged_nnz_max: int = 0
     #: Mean of the same quantity over workers.
     merged_nnz_mean: float = 0.0
-    #: The ``h`` used by B-SAG for this iteration (``None`` for R-SAG).
-    h_used: Optional[int] = None
+    #: The ``h`` used by B-SAG for this iteration (``None`` for R-SAG; one
+    #: per bucket when the buckets have their own).
+    h_used: Union[None, int, List[int]] = None
+    #: Per bucket, the busiest worker's merged non-zeros inside that bucket
+    #: (what each bucket's :class:`CompressionRatioController` steers by).
+    bucket_nnz_max: List[int] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +176,22 @@ class CompressionRatioController:
 # ---------------------------------------------------------------------------
 # R-SAG: recursive doubling between teams (d a power of two)
 # ---------------------------------------------------------------------------
+def _team_layout(teams: Sequence[Sequence[int]], blocks: Dict[int, SparseGradient],
+                 layout: Optional[BlockLayout]) -> BlockLayout:
+    """``layout``, or the one-bucket layout of a plain call."""
+    if layout is not None:
+        return layout
+    length = next(iter(blocks.values())).length
+    return BlockLayout(length, len(teams[0]))
+
+
 def r_sag(
     cluster: Transport,
     teams: Sequence[Sequence[int]],
     blocks: Dict[int, SparseGradient],
-    keep: int,
+    keep: Union[int, Sequence[int]],
     residuals: ResidualManager,
+    layout: Optional[BlockLayout] = None,
 ) -> SAGOutput:
     """Recursive-doubling Spar-All-Gather.
 
@@ -183,18 +202,21 @@ def r_sag(
     blocks:
         Per-worker reduced sparse block from SRS.
     keep:
-        Non-zeros to keep after each exchange (the paper's ``L = d*k/P``).
+        Non-zeros to keep after each exchange (the paper's ``L = d*k/P``);
+        one per segment of ``layout`` when its buckets differ.
     residuals:
         Receives half of every discarded value (both exchange partners drop
         the same values, so each keeps a half share).
+    layout:
+        The SRS block layout (default: one bucket, a block is one segment).
     """
     num_teams = len(teams)
     if num_teams < 1:
         raise ValueError("at least one team is required")
     if num_teams & (num_teams - 1):
         raise ValueError("R-SAG requires a power-of-two number of teams")
-    if keep <= 0:
-        raise ValueError("keep must be positive")
+    layout = _team_layout(teams, blocks, layout)
+    budgets = segment_budgets(layout, keep)
 
     current = {rank: blocks[rank] for team in teams for rank in team}
     if num_teams == 1:
@@ -211,12 +233,13 @@ def r_sag(
     for step in range(num_steps):
         distance = 1 << step
         messages: List[Message] = []
-        for group in groups:
+        for position, group in enumerate(groups):
             for team_index, rank in enumerate(group):
                 partner = group[team_index ^ distance]
-                messages.append(Message(src=rank, dst=partner,
-                                        payload=PackedBags.pack([current[rank]]),
-                                        tag=f"rsag-{step}"))
+                messages.append(Message(
+                    src=rank, dst=partner,
+                    payload=pack_blocks(layout, [position], [current[rank]]),
+                    tag=f"rsag-{step}"))
         inboxes = cluster.exchange(messages)
         # After step ``t`` the 2^(t+1) teams of a recursive-doubling cohort all
         # hold identical merged data and drop identical values, so each worker
@@ -224,15 +247,15 @@ def r_sag(
         # its d=2 setting; the general share keeps the conservation invariant
         # for larger d).
         share = 1.0 / float(2 << step)
-        for group in groups:
+        for position, group in enumerate(groups):
             for rank in group:
                 for message in inboxes.get(rank, []):
-                    current[rank] = current[rank].add(message.payload.bag(0))
+                    current[rank] = current[rank].add(message.payload.span())
                 merged_max = max(merged_max, current[rank].nnz)
                 merged_sum += current[rank].nnz
                 merged_count += 1
-                kept, dropped = current[rank].top_k(keep)
-                current[rank] = kept
+                current[rank], dropped = sparsify_block(
+                    layout, position, current[rank], budgets)
                 residuals.collect_procedure(rank, dropped, share=share)
 
     return SAGOutput(
@@ -250,9 +273,10 @@ def b_sag(
     cluster: Transport,
     teams: Sequence[Sequence[int]],
     blocks: Dict[int, SparseGradient],
-    keep: int,
-    h: int,
+    keep: Union[int, Sequence[int]],
+    h: Union[int, Sequence[int]],
     residuals: ResidualManager,
+    layout: Optional[BlockLayout] = None,
 ) -> SAGOutput:
     """Bruck-based Spar-All-Gather.
 
@@ -261,46 +285,52 @@ def b_sag(
     the exchange, which keeps every group member's result identical), the
     gathered blocks are merge-summed and finally re-sparsified to ``keep``
     non-zeros.  The discarded values of the final selection are identical on
-    every member of a group, so each collects a ``1/d`` share.
+    every member of a group, so each collects a ``1/d`` share.  ``keep`` and
+    ``h`` hold one entry per segment of ``layout`` when its buckets differ.
     """
     num_teams = len(teams)
     if num_teams < 1:
         raise ValueError("at least one team is required")
-    if keep <= 0:
-        raise ValueError("keep must be positive")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    layout = _team_layout(teams, blocks, layout)
+    budgets = segment_budgets(layout, keep)
+    pre_budgets = segment_budgets(layout, h)
+    h_used = h if np.ndim(h) == 0 else pre_budgets[::layout.num_blocks].tolist()
 
     current = {rank: blocks[rank] for team in teams for rank in team}
     if num_teams == 1:
         return SAGOutput(blocks=current, num_steps=0,
                          merged_nnz_max=max((b.nnz for b in current.values()), default=0),
-                         merged_nnz_mean=_mean_nnz(current), h_used=h)
+                         merged_nnz_mean=_mean_nnz(current), h_used=h_used)
 
     # Pre-exchange top-h selection.  The dropped values are unique to this
     # worker (different teams hold different team-reduced data), so the full
     # share is collected.
-    selected: Dict[int, SparseGradient] = {}
-    for rank, block in current.items():
-        kept, dropped = block.top_k(h)
-        selected[rank] = kept
-        residuals.collect_procedure(rank, dropped, share=1.0)
-
     groups = cross_team_groups(teams)
+    selected: Dict[int, object] = {}
+    for position, group in enumerate(groups):
+        for rank in group:
+            kept, dropped = sparsify_block(layout, position, current[rank],
+                                           pre_budgets)
+            selected[rank] = pack_blocks(layout, [position], [kept])
+            residuals.collect_procedure(rank, dropped, share=1.0)
+
     gathered = allgather_bruck_grouped(cluster, groups, selected)
 
     merged_max = 0
     merged_sum = 0.0
     merged_count = 0
+    bucket_max = np.zeros(layout.num_buckets, dtype=np.int64)
     result: Dict[int, SparseGradient] = {}
-    for group in groups:
+    for position, group in enumerate(groups):
         for rank in group:
-            merged = SparseGradient.merge_many(gathered[rank])
+            merged = SparseGradient.merge_many(
+                [packed.span() for packed in gathered[rank]])
             merged_max = max(merged_max, merged.nnz)
             merged_sum += merged.nnz
             merged_count += 1
-            kept, dropped = merged.top_k(keep)
-            result[rank] = kept
+            np.maximum(bucket_max, np.diff(
+                layout.segment_offsets(position, merged.indices)), out=bucket_max)
+            result[rank], dropped = sparsify_block(layout, position, merged, budgets)
             # Every member of the group discards the same values.
             residuals.collect_procedure(rank, dropped, share=1.0 / num_teams)
 
@@ -310,7 +340,8 @@ def b_sag(
         num_steps=num_steps,
         merged_nnz_max=merged_max,
         merged_nnz_mean=merged_sum / merged_count if merged_count else 0.0,
-        h_used=h,
+        h_used=h_used,
+        bucket_nnz_max=bucket_max.tolist(),
     )
 
 

@@ -17,11 +17,21 @@ Sparse payloads travel in the batched :class:`~repro.comm.packed.PackedBags`
 wire format throughout (SRS bags and the Bruck all-gathers alike), so every
 worker emits one message per communication step.
 
+The gradient may be one tensor or the concatenation of several *buckets*
+that are selected from separately — own ``k``, own warm cuts, own quantiser
+scale and draws, own B-SAG ``h`` — and still share the one exchange: every
+bucket is cut into ``P/d`` segments, SRS block ``j`` is segment ``j`` of
+every bucket (:class:`~repro.sparse.blocks.BlockLayout`), and everything
+per-bucket is an array over segments.  A step over ``B`` buckets costs the
+rounds of one, and its result equals ``B`` synchronisers run on the slices.
+
 When the configured density ``k/n`` reaches the dense-fallback crossover
 (:meth:`SparDLConfig.resolve_dense_crossover`), the sparse pipeline is
 skipped entirely in favour of a dense All-Reduce: past the crossover the COO
 encoding moves more elements than the dense bandwidth lower bound and pays
 the sparse bookkeeping on top, so falling back is strictly faster and exact.
+The decision is about the wire, so it is taken once for the whole exchange,
+from the buckets' aggregate ``k/n``.
 
 The synchroniser implements :class:`repro.core.base.GradientSynchronizer`, so
 the distributed trainer, the examples and the benchmarks can swap it with any
@@ -30,7 +40,7 @@ baseline method.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,7 +55,7 @@ from .config import SAGMode, SparDLConfig
 from .pipeline import StepContext
 from .residuals import ResidualManager
 from .sag import CompressionRatioController, SAGOutput, b_sag, r_sag
-from .srs import spar_reduce_scatter
+from .srs import pack_blocks, spar_reduce_scatter
 
 __all__ = ["SparDLSynchronizer", "make_teams"]
 
@@ -69,7 +79,10 @@ class SparDLSynchronizer(GradientSynchronizer):
         The :class:`~repro.comm.transport.Transport` to communicate
         on; its worker count must be divisible by ``config.num_teams``.
     num_elements:
-        Length of the dense gradient vector every worker contributes.
+        Length of the dense gradient vector every worker contributes — or
+        the sizes of the buckets it concatenates, when they are to be
+        selected from separately (the schedule resolves one ``k`` per
+        bucket, from that bucket's size) while sharing the exchange.
     config:
         A :class:`~repro.core.config.SparDLConfig`; validated against the
         cluster at construction (see ``docs/configuration.md``).
@@ -85,55 +98,94 @@ class SparDLSynchronizer(GradientSynchronizer):
 
     name = "SparDL"
 
-    def __init__(self, cluster: Transport, num_elements: int,
+    def __init__(self, cluster: Transport, num_elements: Union[int, Sequence[int]],
                  config: SparDLConfig) -> None:
-        super().__init__(cluster, num_elements, schedule=config.resolve_schedule())
+        sizes = ([int(num_elements)] if np.ndim(num_elements) == 0
+                 else [int(size) for size in num_elements])
+        if not sizes or min(sizes) <= 0:
+            raise ValueError("num_elements must be positive")
+        super().__init__(cluster, sum(sizes), schedule=config.resolve_schedule())
         config.validate_for_cluster(cluster.num_workers)
         self.config = config
-        self.num_teams = config.num_teams
-        self.team_size = cluster.num_workers // config.num_teams
-        self.teams = make_teams(cluster.num_workers, config.num_teams)
-        self.layout = BlockLayout(num_elements, self.team_size)
-        self.residuals = ResidualManager(cluster.num_workers, num_elements,
+        #: Sizes of the separately selected buckets the gradient concatenates.
+        self.bucket_sizes = sizes
+        self.residuals = ResidualManager(cluster.num_workers, self.num_elements,
                                          config.residual_policy,
                                          deferred=config.deferred_residuals)
-        self.adopt_stack(CompressorStack.from_config(
-            cluster.num_workers, momentum=config.momentum,
-            num_bits=config.num_bits, sparsify=True))
-        #: Per-(rank, block) cuts of the last step's block top-k, reused by
+        #: Per-(rank, segment) cuts of the last step's block top-k, reused by
         #: SRS phase 1 to select exactly from a few candidates.
         self.selector = WarmTopK()
         #: Crossover density at which the dense fallback engages.
         self.dense_crossover = config.resolve_dense_crossover()
-        self.set_sparsity(self.schedule.resolve(0, num_elements))
-        self._controller: Optional[CompressionRatioController] = None
-        if self.num_teams > 1 and config.effective_sag_mode() is SAGMode.BSAG:
-            self._controller = CompressionRatioController(
-                k=self.k, num_workers=cluster.num_workers, num_teams=self.num_teams
-            )
         #: Per-iteration history of the merged non-zero count observed by the
         #: SAG step (the series plotted in Fig. 7).
         self.merged_nnz_history: List[float] = []
         self.name = config.describe()
+        self._partition(config.num_teams,
+                        [self.schedule.resolve(0, size) for size in sizes])
+
+    def _partition(self, num_teams: int, ks: Sequence[int]) -> None:
+        """Teams, block layout, budgets and per-rank compressor and
+        controller state for the cluster's current size."""
+        num_workers = self.cluster.num_workers
+        self.num_teams = num_teams
+        self.team_size = num_workers // num_teams
+        self.teams = make_teams(num_workers, num_teams)
+        self.layout = BlockLayout(self.num_elements, self.team_size,
+                                  tuple(self.bucket_sizes))
+        self.adopt_stack(CompressorStack.from_config(
+            num_workers, momentum=self.config.momentum,
+            num_bits=self.config.num_bits, sparsify=True,
+            streams=len(self.bucket_sizes)))
+        self.set_sparsity(ks)
+        #: B-SAG compression-ratio controllers, one per bucket.
+        self._controllers: List[CompressionRatioController] = []
+        if num_teams > 1 and self.config.effective_sag_mode() is SAGMode.BSAG:
+            self._controllers = [
+                CompressionRatioController(k=k, num_workers=num_workers,
+                                           num_teams=num_teams)
+                for k in self.bucket_k]
 
     # ------------------------------------------------------------------
     @property
     def controller(self) -> Optional[CompressionRatioController]:
-        """The B-SAG compression-ratio controller (``None`` unless B-SAG)."""
-        return self._controller
+        """The B-SAG compression-ratio controller (``None`` unless B-SAG;
+        the first bucket's when there are several)."""
+        return self._controllers[0] if self._controllers else None
 
-    def set_sparsity(self, k: int) -> None:
-        """Adopt a per-step ``k`` (schedule resolution): recompute the
-        per-block budget and the dense-fallback decision."""
-        k = max(1, min(self.num_elements, int(k)))
-        self.k = k
-        #: Non-zeros kept per block: ``k/P`` when d=1, ``L = d*k/P`` in general.
-        #: Rounded up so that k = n degenerates to an exact dense All-Reduce
-        #: (a block is never forced below its own size by integer division).
-        self.k_block = max(1, -(-k * self.num_teams // self.cluster.num_workers))
+    def _resolve_sparsity(self) -> None:
+        """One ``k`` per bucket, each resolved from that bucket's size."""
+        ks = [int(self.schedule.resolve(self.iteration, size))
+              for size in self.bucket_sizes]
+        if ks != self.bucket_k:
+            self.set_sparsity(ks)
+
+    def set_sparsity(self, k: Union[int, Sequence[int]]) -> None:
+        """Adopt a per-step ``k`` (schedule resolution) — one per bucket, a
+        single number for a single bucket: recompute the per-segment budgets
+        and the dense-fallback decision."""
+        ks = [int(k)] if np.ndim(k) == 0 else [int(value) for value in k]
+        if len(ks) != len(self.bucket_sizes):
+            raise ValueError(
+                f"{len(self.bucket_sizes)} buckets need one k each, got {len(ks)}")
+        num_workers = self.cluster.num_workers
+        #: The buckets' current ``k``; :attr:`k` is their sum.
+        self.bucket_k = [max(1, min(size, value))
+                         for size, value in zip(self.bucket_sizes, ks)]
+        self.k = sum(self.bucket_k)
+        #: Non-zeros kept per segment of each bucket: ``k/P`` when d=1,
+        #: ``L = d*k/P`` in general.  Rounded up so that k = n degenerates to
+        #: an exact dense All-Reduce (a block is never forced below its own
+        #: size by integer division).
+        per_bucket = [max(1, -(-value * self.num_teams // num_workers))
+                      for value in self.bucket_k]
+        self.segment_k = np.repeat(np.array(per_bucket, dtype=np.int64),
+                                   self.team_size)
+        #: Non-zeros kept per block, over all of its segments.
+        self.k_block = sum(per_bucket)
         #: True when the current ``k`` bypasses the sparse pipeline.
         self.uses_dense_fallback = (self.config.dense_fallback
-                                    and k / self.num_elements >= self.dense_crossover)
+                                    and self.k / self.num_elements >= self.dense_crossover)
 
     # ------------------------------------------------------------------
     # elastic membership
@@ -143,8 +195,8 @@ class SparDLSynchronizer(GradientSynchronizer):
 
         The residual stores are handed off first (crashed ranks' stores are
         absorbed by their successors, so conservation holds across the
-        transition), then teams, block layout, per-block budget and the
-        B-SAG controller are rebuilt for the new ``P``.  The team count is
+        transition), then teams, block layout, per-segment budgets and the
+        B-SAG controllers are rebuilt for the new ``P``.  The team count is
         re-resolved as the largest divisor of the new ``P`` not exceeding
         the configured ``num_teams`` — Theorem 1 requires teams of equal
         size, and crashes rarely preserve divisibility.  A quantizing
@@ -160,21 +212,8 @@ class SparDLSynchronizer(GradientSynchronizer):
             if num_workers % candidate == 0:
                 num_teams = candidate
                 break
-        self.num_teams = num_teams
-        self.team_size = num_workers // num_teams
-        self.teams = make_teams(num_workers, num_teams)
-        self.layout = BlockLayout(self.num_elements, self.team_size)
         self.selector.clear()
-        if self.stack is not None:
-            self.adopt_stack(CompressorStack.from_config(
-                num_workers, momentum=self.config.momentum,
-                num_bits=self.config.num_bits, sparsify=True))
-        self.set_sparsity(self.k)
-        if self.num_teams > 1 and self.config.effective_sag_mode() is SAGMode.BSAG:
-            self._controller = CompressionRatioController(
-                k=self.k, num_workers=num_workers, num_teams=self.num_teams)
-        else:
-            self._controller = None
+        self._partition(num_teams, self.bucket_k)
 
     # ------------------------------------------------------------------
     # the staged pipeline
@@ -224,10 +263,9 @@ class SparDLSynchronizer(GradientSynchronizer):
             teams=self.teams,
             gradients=corrected,
             layout=self.layout,
-            k_block=self.k_block,
+            k_block=self.segment_k,
             residuals=self.residuals,
             sparsify_all=self.config.sparsify_all_blocks,
-            wire_format=self.config.wire_format,
             compressor=(self.stack if self.stack is not None
                         and self.stack.transforms_wire else None),
             selector=self.selector,
@@ -243,15 +281,20 @@ class SparDLSynchronizer(GradientSynchronizer):
     def stage_combine(self, context: StepContext) -> None:
         """Bruck All-Gather inside every team and merge into the per-worker
         global gradients."""
+        bucket_edges = self.layout.edges[::self.team_size]
         if context.scratch.get("dense_fallback"):
             reduced = context.exchanged
             reference = reduced[next(iter(reduced))]
             context.global_gradients = reduced
+            bucket_nnz = [int(np.count_nonzero(reference[lo:hi]))
+                          for lo, hi in zip(bucket_edges, bucket_edges[1:])]
             context.info = {
                 "k": self.k,
                 "k_block": self.k_block,
                 "num_teams": self.num_teams,
-                "final_nnz": int(np.count_nonzero(reference)),
+                "final_nnz": sum(bucket_nnz),
+                "bucket_k": list(self.bucket_k),
+                "bucket_final_nnz": bucket_nnz,
                 "srs_steps": 0,
                 "max_bag_nnz_per_step": [],
                 "dense_fallback": True,
@@ -270,6 +313,10 @@ class SparDLSynchronizer(GradientSynchronizer):
             "k_block": self.k_block,
             "num_teams": self.num_teams,
             "final_nnz": reference.nnz,
+            # Per bucket: every separately selected tensor's own share.
+            "bucket_k": list(self.bucket_k),
+            "bucket_final_nnz": np.diff(np.searchsorted(
+                reference.indices, bucket_edges)).tolist(),
             "srs_steps": srs_out.num_steps,
             "max_bag_nnz_per_step": srs_out.max_bag_nnz_per_step,
             "dense_fallback": False,
@@ -298,16 +345,16 @@ class SparDLSynchronizer(GradientSynchronizer):
         """Synchronise teams with R-SAG or B-SAG (no-op when ``d == 1``)."""
         if self.num_teams == 1:
             return None
-        mode = self.config.effective_sag_mode()
-        keep = self.k_block
-        if mode is SAGMode.RSAG:
-            output = r_sag(self.cluster, self.teams, blocks, keep, self.residuals)
+        if not self._controllers:
+            output = r_sag(self.cluster, self.teams, blocks, self.segment_k,
+                           self.residuals, self.layout)
         else:
-            controller = self._controller
-            assert controller is not None  # constructed in __init__ for BSAG
-            output = b_sag(self.cluster, self.teams, blocks, keep, controller.h,
-                           self.residuals)
-            controller.update(output.merged_nnz_max)
+            hs = [controller.h for controller in self._controllers]
+            output = b_sag(self.cluster, self.teams, blocks, self.segment_k,
+                           hs[0] if len(hs) == 1 else np.repeat(hs, self.team_size),
+                           self.residuals, self.layout)
+            for controller, merged in zip(self._controllers, output.bucket_nnz_max):
+                controller.update(merged)
         self.merged_nnz_history.append(float(output.merged_nnz_mean))
         return output
 
@@ -316,9 +363,8 @@ class SparDLSynchronizer(GradientSynchronizer):
         merge them into one sparse gradient per worker."""
         if self.team_size == 1:
             return dict(blocks)
-        gathered = allgather_bruck_grouped(self.cluster, self.teams, blocks)
-        merged: Dict[int, SparseGradient] = {}
-        for team in self.teams:
-            for rank in team:
-                merged[rank] = SparseGradient.merge_many(gathered[rank])
-        return merged
+        packed = {rank: pack_blocks(self.layout, [position], [blocks[rank]])
+                  for team in self.teams for position, rank in enumerate(team)}
+        gathered = allgather_bruck_grouped(self.cluster, self.teams, packed)
+        return {rank: SparseGradient.merge_many([item.span() for item in items])
+                for rank, items in gathered.items()}

@@ -11,47 +11,60 @@ The algorithm:
 1. every worker's gradient is added into its residual store (the caller's
    :meth:`~repro.core.residuals.ResidualManager.apply`), the corrected
    vector is partitioned into ``m`` blocks (``m`` = team size) and the top
-   ``k_block`` entries of each block are *taken out of the store* — what
-   stays behind is the local residual and nothing is copied.  When the
-   caller applied through the synchroniser's
-   :class:`~repro.sparse.topk.WarmTopK` (compiled kernels), that one sweep
-   over a worker's ``n`` values also found each block's candidates, and
-   phase 1 reads only those (``abs`` + partition on a few ``k_block``
-   values per block); otherwise the selector compares each block against
-   its remembered cut here, and a block without a usable cut runs the full
-   partition.  The selection is ``top_k_indices`` index for index on
+   entries of each block are *taken out of the store* — what stays behind
+   is the local residual and nothing is copied.  The whole vector is
+   selected from in one :meth:`~repro.sparse.topk.WarmTopK.select_segments`
+   call per worker: when the caller applied through the synchroniser's
+   selector (compiled kernels), that one sweep over a worker's ``n`` values
+   also found each segment's candidates and their magnitudes, and phase 1
+   ranks only those; otherwise the selector compares each segment against
+   its remembered cut here, and a segment without a usable cut runs the
+   full partition.  The selection is ``top_k_indices`` index for index on
    every path;
 2. blocks are grouped into bags (:mod:`repro.core.partition`);
 3. for ``l = ceil(log2 m)`` steps, bags are forwarded to the worker at
    distance ``2^(l-i)`` and received blocks are merge-summed into the
    receiver's held blocks;
-4. re-sparsification keeps every held block at ``k_block`` non-zeros — by
-   default only the blocks about to be sent next are re-sparsified (the
-   paper's "Optimization for SRS"); ``sparsify_all=True`` restores the
-   unoptimised behaviour for the ablation benchmark.
+4. re-sparsification keeps every held block at its budget — by default only
+   the blocks about to be sent next are re-sparsified (the paper's
+   "Optimization for SRS"); ``sparsify_all=True`` restores the unoptimised
+   behaviour for the ablation benchmark.
 
 Teams run SRS concurrently: all teams share communication rounds, exactly as
 the paper's ``P/d``-worker teams operate in parallel.
 
+Blocks, segments and buckets
+----------------------------
+The gradient may concatenate several *buckets* — tensors that are selected
+from separately, each with its own ``k`` — and still be reduced by one SRS:
+the :class:`~repro.sparse.blocks.BlockLayout` cuts every bucket into ``m``
+segments, block ``j`` is segment ``j`` of every bucket, and the budget
+``k_block`` is an array with one entry per segment.  What a worker holds
+for a block is one sorted COO across that block's segments, so a received
+block costs one ``merge_add`` however many buckets it spans, and a
+re-sparsification is one segmented top-k
+(:meth:`~repro.sparse.vector.SparseGradient.top_k_segments`).  One bucket is
+the plain case of the paper: a block is one segment, ``k_block`` one number.
+
 Wire format
 -----------
-By default every bag is shipped *batched*: the per-block COO arrays of one
-bag are concatenated into a single :class:`~repro.comm.packed.PackedBags`
-buffer pair, so each worker emits exactly **one message per transmission
-step** no matter how many blocks the bag holds.  Block ids ride as zero-cost
-header metadata and ``comm_size`` is derived from the packed arrays alone
-(two elements per non-zero, the paper's COO convention).  Receivers decode
-each block as a zero-copy slice view (``from_sorted_unique``) and merge it
-with the compiled ``merge_add`` kernel.  ``wire_format="per-block"`` keeps
-the unbatched wiring — one message per block per step — for the batching
-benchmark; both formats move identical bytes and produce bit-identical
-reduced blocks.
+Every bag is shipped *batched*: the COO arrays of its blocks are
+concatenated into a single :class:`~repro.comm.packed.PackedBags` buffer
+pair, so each worker emits exactly **one message per transmission step** no
+matter how many blocks the bag holds or buckets a block spans.  The message
+keeps one bag per *segment* (ids are segment numbers): whatever is accounted
+per bag — the scale a quantised message carries — stays per (bucket, block).
+Ids and offsets ride as zero-cost header metadata and ``comm_size`` is
+derived from the packed arrays alone (two elements per non-zero, the paper's
+COO convention).  Receivers decode each block as a zero-copy view
+(:meth:`~repro.comm.packed.PackedBags.span`) and merge it with the compiled
+``merge_add`` kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,11 +79,8 @@ from .residuals import ResidualManager
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compression.stack import CompressorStack
 
-__all__ = ["SRSOutput", "spar_reduce_scatter", "WIRE_FORMATS"]
-
-#: Supported SRS wire formats: batched (one PackedBags message per worker and
-#: step) and unbatched (one message per block per step).
-WIRE_FORMATS = ("packed", "per-block")
+__all__ = ["SRSOutput", "spar_reduce_scatter", "pack_blocks", "sparsify_block",
+           "segment_budgets"]
 
 
 @dataclass
@@ -86,8 +96,43 @@ class SRSOutput:
     layout: BlockLayout
     #: Number of transmission steps that were executed.
     num_steps: int = 0
-    #: Diagnostic: per-step maximum number of non-zeros in any sent bag.
+    #: Diagnostic: per-step maximum number of non-zeros in any sent block.
     max_bag_nnz_per_step: List[int] = field(default_factory=list)
+
+
+# ---------------------------------------------------------------------------
+# blocks that span segments: budgets, re-sparsification, packing
+# ---------------------------------------------------------------------------
+def segment_budgets(layout: BlockLayout, keep: Union[int, Sequence[int]]) -> np.ndarray:
+    """``keep`` as one positive ``int64`` budget per segment of ``layout``
+    (a single number serves every segment)."""
+    budgets = np.broadcast_to(np.asarray(keep, dtype=np.int64),
+                              (len(layout.bounds),))
+    if (budgets <= 0).any():
+        raise ValueError("the per-segment budget must be positive")
+    return budgets
+
+
+def sparsify_block(layout: BlockLayout, block: int, sparse: SparseGradient,
+                   budgets: np.ndarray) -> Tuple[SparseGradient, SparseGradient]:
+    """Re-sparsify ``sparse``, entries of block ``block``, to ``budgets[s]``
+    non-zeros in each of its segments; returns ``(kept, dropped)``."""
+    ks = budgets[block::layout.num_blocks]
+    if sparse.nnz <= ks.min():  # no segment can be over its budget
+        return sparse, SparseGradient.empty(sparse.length)
+    return sparse.top_k_segments(
+        layout.segment_offsets(block, sparse.indices), ks)
+
+
+def pack_blocks(layout: BlockLayout, blocks: Sequence[int],
+                pieces: Sequence[SparseGradient]) -> PackedBags:
+    """One message payload for ``pieces``, entries of the blocks ``blocks``:
+    one bag per segment, ids are the segment numbers."""
+    return PackedBags.pack_split(
+        pieces,
+        [layout.segment_offsets(block, piece.indices)
+         for block, piece in zip(blocks, pieces)],
+        [s for block in blocks for s in layout.block_segments(block)])
 
 
 def spar_reduce_scatter(
@@ -95,10 +140,9 @@ def spar_reduce_scatter(
     teams: Sequence[Sequence[int]],
     gradients: Dict[int, np.ndarray],
     layout: BlockLayout,
-    k_block: int,
+    k_block: Union[int, Sequence[int]],
     residuals: ResidualManager,
     sparsify_all: bool = False,
-    wire_format: str = "packed",
     compressor: Optional["CompressorStack"] = None,
     selector: Optional[WarmTopK] = None,
 ) -> SRSOutput:
@@ -112,11 +156,13 @@ def spar_reduce_scatter(
     gradients:
         What ``residuals.apply(...)`` returned: per worker, the store's own
         buffer holding gradient + residual.  Read here, never written; the
-        block selections go through ``residuals.take``, which leaves the
-        local residual in that same buffer.
+        selections go through ``residuals.take``, which leaves the local
+        residual in that same buffer.
     k_block:
-        Non-zeros kept per block after every sparsification (the paper's
-        ``k/P``, or ``L = dk/P`` when teams are used).
+        Non-zeros kept per segment after every sparsification (the paper's
+        ``k/P``, or ``L = dk/P`` when teams are used): one number, or one
+        per segment of ``layout`` when its buckets have budgets of their
+        own.
     residuals:
         Residual manager the selections are taken from and that receives
         the in-procedure discards.
@@ -124,58 +170,62 @@ def spar_reduce_scatter(
         When True, re-sparsify every held block after each summation instead
         of only the blocks about to be sent (paper's pre-optimisation
         behaviour).
-    wire_format:
-        ``"packed"`` (default) batches each bag into one
-        :class:`~repro.comm.packed.PackedBags` message per (worker, step);
-        ``"per-block"`` sends one message per block per step (the unbatched
-        wiring, kept for the batching benchmark).  Both move identical
-        element counts and produce bit-identical results.
     compressor:
         Optional wire-transforming
         :class:`~repro.compression.stack.CompressorStack` (or any object
         honouring its ``compress_sparse -> (payload, error)`` contract).
-        When given, every block is folded through it immediately after its
-        local top-k — the moment its values first reach the wire — using the
-        owning worker's independent random stream, and the exact
-        compression error of that draw is collected as a local residual.
-        Later transmission steps forward merge-sums of the compressed blocks
+        When given, a worker's selection is folded through it immediately
+        after its local top-k — the moment its values first reach the wire
+        — segment by segment (each is a message of its own: own scale, the
+        owning worker's draws for that bucket), and the exact compression
+        error of that draw is collected as a local residual.  Later
+        transmission steps forward merge-sums of the compressed blocks
         unchanged; the synchroniser's installed pricer bills them at the
         compressed accounting.
     selector:
         The synchroniser's :class:`~repro.sparse.topk.WarmTopK`, keyed by
-        ``(rank, block)``: it reuses each block's cut of the previous step
-        to run the exact top-k on a few candidates — those
+        ``(rank, segment)``: it reuses each segment's cut of the previous
+        step to run the exact top-k on a few candidates — those
         ``residuals.apply(gradients, selector, layout.edges)`` left with
         it, or the ones it finds itself.  ``None`` selects cold.
     """
     team_size = _validate_teams(cluster, teams, layout)
-    if k_block <= 0:
-        raise ValueError("k_block must be positive")
-    if wire_format not in WIRE_FORMATS:
-        raise ValueError(f"wire_format must be one of {WIRE_FORMATS}, got {wire_format!r}")
-    packed_wire = wire_format == "packed"
+    budgets = segment_budgets(layout, k_block)
 
     # ------------------------------------------------------------------
     # 1. partitioning + local sparsification
     # ------------------------------------------------------------------
     if selector is None:
         selector = WarmTopK()
+    # A selection takes min(budget, length) entries of every segment, so
+    # where each segment and each block sits in it is known beforehand.
+    taken = np.minimum(budgets, np.diff(layout.edges))
+    offsets = np.concatenate(([0], np.cumsum(taken)))
+    by_block = np.arange(taken.shape[0]).reshape(-1, team_size).T.ravel()
+    regrouped = np.concatenate(([0], np.cumsum(taken[by_block])))
+    block_edges = regrouped[::layout.num_buckets].tolist()
+    regroup = None  # the selection's entries, reordered block by block
+    if layout.num_buckets > 1:
+        regroup = (np.repeat(offsets[by_block] - regrouped[:-1], taken[by_block])
+                   + np.arange(offsets[-1]))
     held: Dict[int, Dict[int, SparseGradient]] = {}
     plans: Dict[int, BagPlan] = {}
     for team in teams:
         for position, rank in enumerate(team):
-            corrected = gradients[rank]
-            blocks: Dict[int, SparseGradient] = {}
-            for block, lo, hi in layout.iter_blocks():
-                picked = selector.select((rank, block), corrected[lo:hi], k_block)
-                picked += lo
-                selected = residuals.take(rank, picked)
-                if compressor is not None:
-                    selected, quantization_error = compressor.compress_sparse(
-                        rank, selected)
-                    residuals.collect_local_sparse(rank, quantization_error)
-                blocks[block] = selected
-            held[rank] = blocks
+            picked = selector.select_segments(rank, gradients[rank],
+                                              layout.edges, budgets)
+            selected = residuals.take(rank, picked)
+            if compressor is not None:
+                selected, quantization_error = compressor.compress_sparse(
+                    rank, selected, offsets)
+                residuals.collect_local_sparse(rank, quantization_error)
+            indices, values = selected.indices, selected.values
+            if regroup is not None:
+                indices, values = indices[regroup], values[regroup]
+            held[rank] = {
+                block: SparseGradient.from_sorted_unique(
+                    indices[lo:hi], values[lo:hi], selected.length)
+                for block, (lo, hi) in enumerate(zip(block_edges, block_edges[1:]))}
             plans[rank] = plan_bags(position, team_size)
 
     distances = transmission_distances(team_size)
@@ -190,65 +240,48 @@ def spar_reduce_scatter(
         step_max_nnz = 0
         for team in teams:
             for position, rank in enumerate(team):
-                plan = plans[rank]
-                bag_blocks = plan.bag_for_step(step_index)
-                pieces = []
-                for block in bag_blocks:
-                    sparse_block = held[rank].pop(block)
-                    pieces.append(sparse_block)
-                    step_max_nnz = max(step_max_nnz, sparse_block.nnz)
-                dst = team[(position + distance) % team_size]
-                if packed_wire:
-                    # One message per (worker, step): the whole bag travels as
-                    # one contiguous buffer pair.  Block ids are header
-                    # metadata; comm_size comes from the packed arrays alone.
-                    # SRS bags are ``lossy``: only the block owner's final
-                    # value degrades if one is lost (its mass returns to the
-                    # sender's residual store), and the downstream all-gather
-                    # keeps every worker consistent — so SRS can degrade
-                    # gracefully where the SAG/all-gather steps cannot.
-                    messages.append(Message(src=rank, dst=dst,
-                                             payload=PackedBags.pack(pieces, ids=bag_blocks),
-                                             tag=f"srs-{step_index}",
-                                             lossy=True))
-                else:
-                    # Unbatched wiring: one message per block.  Block ids are
-                    # still metadata, so each message bills the COO payload
-                    # only.
-                    for block, sparse_block in zip(bag_blocks, pieces):
-                        messages.append(Message(src=rank, dst=dst,
-                                                 payload=(block, sparse_block),
-                                                 size=sparse_block.comm_size,
-                                                 tag=f"srs-{step_index}",
-                                                 lossy=True))
+                bag_blocks = plans[rank].bag_for_step(step_index)
+                pieces = [held[rank].pop(block) for block in bag_blocks]
+                step_max_nnz = max(step_max_nnz, *(piece.nnz for piece in pieces))
+                # One message per (worker, step): the whole bag travels as
+                # one contiguous buffer pair.  SRS bags are ``lossy``: only
+                # the block owner's final value degrades if one is lost (its
+                # mass returns to the sender's residual store), and the
+                # downstream all-gather keeps every worker consistent — so
+                # SRS can degrade gracefully where the SAG/all-gather steps
+                # cannot.
+                messages.append(Message(
+                    src=rank, dst=team[(position + distance) % team_size],
+                    payload=pack_blocks(layout, bag_blocks, pieces),
+                    tag=f"srs-{step_index}", lossy=True))
         inboxes = cluster.exchange(messages)
         max_bag_nnz_per_step.append(step_max_nnz)
 
         for team in teams:
-            for position, rank in enumerate(team):
+            for rank in team:
+                blocks = held[rank]
                 for message in inboxes.get(rank, []):
-                    if isinstance(message.payload, PackedBags):
-                        received = message.payload.items()
-                    else:
-                        received = [message.payload]
-                    for block, sparse_block in received:
-                        if block not in held[rank]:
+                    payload = message.payload
+                    for first in range(0, payload.num_bags, layout.num_buckets):
+                        block = payload.ids[first] % team_size
+                        if block not in blocks:
                             raise RuntimeError(
                                 f"Theorem 1 violated: worker {rank} received block {block} "
                                 "it no longer holds"
                             )
-                        held[rank][block] = held[rank][block].add(sparse_block)
+                        blocks[block] = blocks[block].add(
+                            payload.span(first, first + layout.num_buckets))
 
                 plan = plans[rank]
                 if sparsify_all:
-                    targets: Tuple[int, ...] = tuple(held[rank])
+                    targets: Tuple[int, ...] = tuple(blocks)
                 elif step_index < num_steps:
                     targets = plan.bag_for_step(step_index + 1)
                 else:
                     targets = (plan.preserved,)
                 for block in targets:
-                    kept, dropped = held[rank][block].top_k(k_block)
-                    held[rank][block] = kept
+                    blocks[block], dropped = sparsify_block(
+                        layout, block, blocks[block], budgets)
                     residuals.collect_procedure(rank, dropped)
 
     # ------------------------------------------------------------------
@@ -257,19 +290,16 @@ def spar_reduce_scatter(
     reduced_blocks: Dict[int, SparseGradient] = {}
     owned_block: Dict[int, int] = {}
     for team in teams:
-        for position, rank in enumerate(team):
+        for rank in team:
             remaining = held[rank]
-            if set(remaining) != {plans[rank].preserved}:
+            block = plans[rank].preserved
+            if set(remaining) != {block}:
                 raise RuntimeError(
                     f"worker {rank} should hold exactly its preservation block after SRS, "
                     f"holds {sorted(remaining)}"
                 )
-            block = plans[rank].preserved
-            if team_size == 1:
-                # No transmission happened; enforce the target sparsity here.
-                kept, dropped = remaining[block].top_k(k_block)
-                remaining[block] = kept
-                residuals.collect_procedure(rank, dropped)
+            # With a team of one no transmission happened, and phase 1
+            # already left the block at its budget.
             reduced_blocks[rank] = remaining[block]
             owned_block[rank] = block
 

@@ -4,7 +4,7 @@ The synchronisers, transports and sessions never import ``repro.obs`` —
 they duck-type against whatever ``tracer`` object is attached to them, so
 the observability layer stays optional and acyclic.  This module holds
 the attach-side glue: installing one tracer across a synchroniser (and
-the inner per-bucket sessions of a :class:`BucketedSynchronizer`) plus
+the inner per-group sessions of a :class:`BucketedSynchronizer`) plus
 its transport, and replaying the simulated
 :class:`~repro.training.timing.IterationTiming` into synthetic spans on
 the :data:`~repro.obs.trace.SIM_PID` track, so modelled time renders
@@ -25,13 +25,14 @@ _SIM_TID_COMM = 1
 
 
 def attach_tracer(synchronizer: Any, tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Attach ``tracer`` to a synchroniser, its inner per-bucket sessions
-    (for :class:`~repro.core.bucketed.BucketedSynchronizer`), and its
-    cluster transport.  Passing ``None`` detaches.  Returns the tracer."""
+    """Attach ``tracer`` to a synchroniser, the inner sessions of its
+    exchange groups (for :class:`~repro.core.bucketed.BucketedSynchronizer`;
+    their spans are labelled ``g0``, ``g1``, ...), and its cluster
+    transport.  Passing ``None`` detaches.  Returns the tracer."""
     synchronizer.tracer = tracer
     for index, session in enumerate(getattr(synchronizer, "sessions", []) or []):
         session.tracer = tracer
-        session.trace_label = f"b{index}"
+        session.trace_label = f"g{index}"
     cluster = getattr(synchronizer, "cluster", None)
     if cluster is not None:
         cluster.install_tracer(tracer)

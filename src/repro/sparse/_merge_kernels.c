@@ -1,5 +1,6 @@
-/* Two-pointer / k-way merge-add kernels for sorted COO gradient streams, and
- * the fused error-feedback accumulate + candidate scan (end of file).
+/* Two-pointer / k-way merge-add kernels for sorted COO gradient streams, the
+ * fused error-feedback accumulate + candidate scan, and the segmented exact
+ * top-k (end of file).
  *
  * Compiled on demand by repro.sparse.ckernels (cc -O3 -ffp-contract=off
  * -shared -fPIC); the package falls back to vectorized NumPy kernels when no
@@ -192,9 +193,11 @@ int64_t merge_many_tournament_i64_f64(
  *     store[i] += addend[i]                           (velocity == NULL)
  *     velocity[i] = momentum * velocity[i] + addend[i];
  *     store[i] += velocity[i]                         (momentum correction)
- * and, per block, writes the block-local indices whose new |store[i]|
- * reaches that block's cut, in index order.  NaN never reaches a cut and a
- * NaN cut is reached by nothing, as with NumPy's `>=`.
+ * and, per block, writes the indices (into the whole vector) whose new
+ * |store[i]| reaches that block's cut, in index order, and those magnitudes
+ * beside them: the sweep has them in a register, the selection that follows
+ * would gather them again.  NaN never reaches a cut and a NaN cut is reached
+ * by nothing, as with NumPy's `>=`.
  *
  * A block that more than cap entries reach is reported as overflowed
  * (count -1) and only its add goes on, so candidate storage is bounded by
@@ -226,7 +229,7 @@ static void accumulate_plain(double *s, const double *g, double *v, double m,
  * or -1 on overflow. */
 static int64_t scan_scalar(double *s, const double *g, double *v, double m,
                            int64_t i, int64_t len, double cut, int64_t cap,
-                           int64_t *out, int64_t count)
+                           int64_t base, int64_t *out, double *mag, int64_t count)
 {
     for (; i < len && count <= cap; i++) {
         double u = g[i], x;
@@ -237,8 +240,10 @@ static int64_t scan_scalar(double *s, const double *g, double *v, double m,
         }
         x = s[i] + u;
         s[i] = x;
-        out[count] = i;
-        count += fabs(x) >= cut;
+        x = fabs(x);
+        out[count] = base + i;
+        mag[count] = x;
+        count += x >= cut;
     }
     if (count <= cap)
         return count;
@@ -247,9 +252,10 @@ static int64_t scan_scalar(double *s, const double *g, double *v, double m,
 }
 
 static int64_t scan_block_scalar(double *s, const double *g, double *v, double m,
-                                 int64_t len, double cut, int64_t cap, int64_t *out)
+                                 int64_t len, double cut, int64_t cap,
+                                 int64_t base, int64_t *out, double *mag)
 {
-    return scan_scalar(s, g, v, m, 0, len, cut, cap, out, 0);
+    return scan_scalar(s, g, v, m, 0, len, cut, cap, base, out, mag, 0);
 }
 
 #ifdef X86_VARIANTS
@@ -258,10 +264,11 @@ static int64_t scan_block_scalar(double *s, const double *g, double *v, double m
  * compressed to the front of a vector by the mask and stored whole at
  * out[count], and count advances by the mask's population — which lanes
  * pass is as good as random, so a branch on the mask mispredicts. */
-#define SCAN_BLOCK_SIMD(NAME, TARGET, LANES, VEC, SET1, LOADU, STOREU, ADD, MUL, MASK, EMIT) \
+#define SCAN_BLOCK_SIMD(NAME, TARGET, LANES, VEC, SET1, LOADU, STOREU, ADD, MUL, ABS, MASK, EMIT, EMIT_PD) \
     __attribute__((target(TARGET)))                                          \
     static int64_t NAME(double *s, const double *g, double *v, double m,    \
-                        int64_t len, double cut, int64_t cap, int64_t *out)  \
+                        int64_t len, double cut, int64_t cap,                \
+                        int64_t base, int64_t *out, double *mag)             \
     {                                                                        \
         const VEC vcut = SET1(cut), vm = SET1(m);                            \
         int64_t i = 0, count = 0;                                            \
@@ -274,11 +281,13 @@ static int64_t scan_block_scalar(double *s, const double *g, double *v, double m
             }                                                                \
             x = ADD(LOADU(s + i), u);                                        \
             STOREU(s + i, x);                                                \
+            x = ABS(x);                                                      \
             mask = MASK(x, vcut);                                            \
-            EMIT(out + count, mask, i);                                      \
+            EMIT(out + count, mask, base + i);                               \
+            EMIT_PD(mag + count, mask, x);                                   \
             count += __builtin_popcount(mask);                               \
         }                                                                    \
-        return scan_scalar(s, g, v, m, i, len, cut, cap, out, count);        \
+        return scan_scalar(s, g, v, m, i, len, cut, cap, base, out, mag, count); \
     }
 
 /* COMPRESS4[mask]: the 32-bit lane permutation that moves the 64-bit lanes
@@ -294,30 +303,37 @@ static const int32_t COMPRESS4[16][8] __attribute__((aligned(32))) = {
     {2, 3, 4, 5, 6, 7, 0, 0}, {0, 1, 2, 3, 4, 5, 6, 7},
 };
 
-#define MASK_AVX2(x, vcut) ((unsigned)_mm256_movemask_pd(_mm256_cmp_pd(      \
-    _mm256_andnot_pd(_mm256_set1_pd(-0.0), x), vcut, _CMP_GE_OQ)))
+#define ABS_AVX2(x) _mm256_andnot_pd(_mm256_set1_pd(-0.0), x)
+#define MASK_AVX2(x, vcut) ((unsigned)_mm256_movemask_pd(                    \
+    _mm256_cmp_pd(x, vcut, _CMP_GE_OQ)))
 #define EMIT_AVX2(dst, mask, i) _mm256_storeu_si256((__m256i *)(dst),        \
     _mm256_permutevar8x32_epi32(                                             \
         _mm256_add_epi64(_mm256_set1_epi64x(i), _mm256_setr_epi64x(0, 1, 2, 3)), \
         _mm256_load_si256((const __m256i *)COMPRESS4[mask])))
-#define MASK_AVX512(x, vcut) ((unsigned)_mm512_cmp_pd_mask(                  \
-    _mm512_castsi512_pd(_mm512_and_epi64(_mm512_castpd_si512(x),             \
-        _mm512_set1_epi64(INT64_MAX))), vcut, _CMP_GE_OQ))
+#define EMIT_PD_AVX2(dst, mask, x) _mm256_storeu_si256((__m256i *)(dst),     \
+    _mm256_permutevar8x32_epi32(_mm256_castpd_si256(x),                      \
+        _mm256_load_si256((const __m256i *)COMPRESS4[mask])))
+#define ABS_AVX512(x) _mm512_castsi512_pd(_mm512_and_epi64(                  \
+    _mm512_castpd_si512(x), _mm512_set1_epi64(INT64_MAX)))
+#define MASK_AVX512(x, vcut) ((unsigned)_mm512_cmp_pd_mask(x, vcut, _CMP_GE_OQ))
 #define EMIT_AVX512(dst, mask, i) _mm512_storeu_si512((dst),                 \
     _mm512_maskz_compress_epi64((__mmask8)(mask),                            \
         _mm512_add_epi64(_mm512_set1_epi64(i),                               \
                          _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7))))
+#define EMIT_PD_AVX512(dst, mask, x) _mm512_storeu_pd((dst),                 \
+    _mm512_maskz_compress_pd((__mmask8)(mask), x))
 
 SCAN_BLOCK_SIMD(scan_block_avx2, "avx2,popcnt", 4, __m256d, _mm256_set1_pd,
                 _mm256_loadu_pd, _mm256_storeu_pd, _mm256_add_pd,
-                _mm256_mul_pd, MASK_AVX2, EMIT_AVX2)
+                _mm256_mul_pd, ABS_AVX2, MASK_AVX2, EMIT_AVX2, EMIT_PD_AVX2)
 SCAN_BLOCK_SIMD(scan_block_avx512, "avx512f,popcnt", 8, __m512d, _mm512_set1_pd,
                 _mm512_loadu_pd, _mm512_storeu_pd, _mm512_add_pd,
-                _mm512_mul_pd, MASK_AVX512, EMIT_AVX512)
+                _mm512_mul_pd, ABS_AVX512, MASK_AVX512, EMIT_AVX512, EMIT_PD_AVX512)
 #endif
 
 typedef int64_t (*scan_block_fn)(double *, const double *, double *, double,
-                                 int64_t, double, int64_t, int64_t *);
+                                 int64_t, double, int64_t, int64_t,
+                                 int64_t *, double *);
 
 /* Lanes of the widest variant this CPU runs: 8 (AVX-512F), 4 (AVX2) or 1. */
 int64_t accumulate_scan_lanes(void)
@@ -350,15 +366,18 @@ static scan_block_fn scan_block_variant(int64_t lanes)
 }
 
 /* bounds holds num_blocks + 1 ascending edges from 0 to the vectors' length.
- * Block b writes its candidates at out[(caps[0] + SCAN_PAD) + ... +
- * (caps[b-1] + SCAN_PAD)] and their number (or -1) to counts[b]; a block
- * whose cut is NaN is only added.  lanes picks the variant (0: the widest
- * available); returns -1, having done nothing, when this CPU does not run
- * it. */
+ * The blocks' candidates are written back to back, in block order, to out
+ * (indices) and mag (magnitudes) — an overflowed block leaves nothing — and
+ * each block's number of them (or -1) to counts[b]; out and mag hold
+ * (caps[0] + SCAN_PAD) + ... + (caps[num_blocks-1] + SCAN_PAD) entries.  A
+ * block whose cut is NaN is only added.  lanes picks the variant (0: the
+ * widest available); returns -1, having done nothing, when this CPU does not
+ * run it. */
 int64_t accumulate_scan_f64(
     double *store, const double *addend, double *velocity, double momentum,
     int64_t num_blocks, const int64_t *bounds, const double *cuts,
-    const int64_t *caps, int64_t *out, int64_t *counts, int64_t lanes)
+    const int64_t *caps, int64_t *out, double *mag, int64_t *counts,
+    int64_t lanes)
 {
     scan_block_fn scan_block = scan_block_variant(lanes);
     int64_t b;
@@ -372,9 +391,159 @@ int64_t accumulate_scan_f64(
             counts[b] = 0;
         } else {
             counts[b] = scan_block(store + lo, addend + lo, v, momentum, len,
-                                   cuts[b], caps[b], out);
+                                   cuts[b], caps[b], lo, out, mag);
+            if (counts[b] > 0) {
+                out += counts[b];
+                mag += counts[b];
+            }
         }
-        out += caps[b] + SCAN_PAD;
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * Segmented exact top-k.
+ *
+ * magnitude holds non-negative values (or NaN) in num_segments consecutive
+ * segments, segment s at offsets[s]..offsets[s+1].  For every segment with
+ * ks[s] >= 0, keep[i] is set to 1 for the ks[s] largest entries — ties to
+ * the lower index, NaN ranked below every magnitude — which is the
+ * selection of a stable descending argsort.  Entries not kept are left as
+ * the caller initialised them (0), and a segment with ks[s] < 0 is left
+ * alone altogether.
+ *
+ * A segment that keeps some but not all of its entries also reports
+ * cuts[s], its reached[s]-th largest magnitude, where reached[s] is
+ * reaches[s] clipped to ks[s]..length (reaches == NULL: ks[s]); the others
+ * report NaN and 0.  scratch holds as many doubles as the longest such
+ * segment.
+ *
+ * A scalar quickselect: right for many short segments, where one call
+ * replaces a NumPy partition per segment; NumPy's vectorised partition
+ * overtakes it on long ones, which the caller keeps for itself.
+ * ------------------------------------------------------------------------ */
+
+/* Rearranges a[0..n) so that a[p] is its (p + 1)-th largest value, nothing
+ * before it is smaller and nothing after it larger; returns a[p].  No NaN.
+ *
+ * Quickselect on a median-of-three pivot with branch-free partition passes
+ * (every element is swapped to the boundary, which advances by the outcome
+ * of the comparison): which side an element falls on is as good as random,
+ * so a branch on it mispredicts every other time.  One pass moves the
+ * entries above the pivot to the front; only if the rank sought is not among
+ * them does a second pass gather the pivot's ties, so runs of equal values
+ * (zeros, a tie at the cut) cost one extra pass instead of one per value. */
+static double select_descending(double *a, int64_t n, int64_t p)
+{
+    int64_t lo = 0, hi = n, i, j;
+    while (hi - lo > 16) {
+        double x = a[lo], y = a[lo + (hi - lo) / 2], z = a[hi - 1], pivot;
+        int64_t above = lo, ties;
+        pivot = x > y ? (y > z ? y : (x > z ? z : x))
+                      : (x > z ? x : (y > z ? z : y));
+        for (i = lo; i < hi; i++) {
+            x = a[i];
+            a[i] = a[above];
+            a[above] = x;
+            above += x > pivot;
+        }
+        if (p < above) {
+            hi = above;
+            continue;
+        }
+        ties = above;
+        for (i = above; i < hi; i++) {
+            x = a[i];
+            a[i] = a[ties];
+            a[ties] = x;
+            ties += x == pivot;
+        }
+        if (p < ties)
+            return pivot;
+        lo = ties;
+    }
+    for (i = lo + 1; i < hi; i++) {
+        double t = a[i];
+        for (j = i; j > lo && a[j - 1] < t; j--)
+            a[j] = a[j - 1];
+        a[j] = t;
+    }
+    return a[p];
+}
+
+void segmented_top_k_f64(
+    int64_t num_segments, const int64_t *offsets, const int64_t *ks,
+    const int64_t *reaches, const double *magnitude, double *scratch,
+    uint8_t *keep, double *cuts, int64_t *reached)
+{
+    int64_t s, i;
+    for (s = 0; s < num_segments; s++) {
+        const double *m = magnitude + offsets[s];
+        uint8_t *out = keep + offsets[s];
+        int64_t n = offsets[s + 1] - offsets[s], k = ks[s], reach, need;
+        double cut;
+        if (k < 0)
+            continue;
+        cuts[s] = NAN;
+        reached[s] = 0;
+        if (k == 0 || n == 0)
+            continue;
+        if (k >= n) {
+            for (i = 0; i < n; i++)
+                out[i] = 1;
+            continue;
+        }
+        reach = reaches && reaches[s] > k ? reaches[s] : k;
+        if (reach > n)
+            reach = n;
+        for (i = 0; i < n; i++)
+            scratch[i] = m[i] == m[i] ? m[i] : -INFINITY;
+        cut = select_descending(scratch, n, k - 1);
+        cuts[s] = reach == k ? cut
+                             : select_descending(scratch + k, n - k, reach - k - 1);
+        reached[s] = reach;
+        need = k;
+        for (i = 0; i < n; i++)
+            need -= m[i] > cut;
+        /* everything above the cut, and the first `need` entries exactly at
+         * it (NaN counts as -inf there) */
+        for (i = 0; i < n; i++) {
+            int tie = (m[i] == cut) | ((cut == -INFINITY) & (m[i] != m[i]));
+            tie &= need > 0;
+            out[i] = (m[i] > cut) | tie;
+            need -= tie;
+        }
+    }
+}
+
+/* The same selection on a COO stream, split in the same call: segment s of
+ * (indices, values) keeps its ks[s] largest-magnitude entries (ks[s] >= 0);
+ * the kept entries of all segments go to (kept_indices, kept_values), the
+ * others to (rest_indices, rest_values), in order.  Every output holds room
+ * for all n = offsets[num_segments] entries; magnitude and scratch hold n
+ * doubles, keep n zeroed bytes, cuts and reached one entry per segment.
+ * Returns the number kept.  The split is branch-free — each entry is written
+ * to both sides and the side it belongs to advances — because which entries
+ * a top-k keeps is as good as random; NumPy's boolean gathers branch. */
+int64_t top_k_split_i64_f64(
+    int64_t num_segments, const int64_t *offsets, const int64_t *ks,
+    const int64_t *indices, const double *values,
+    double *magnitude, double *scratch, uint8_t *keep,
+    double *cuts, int64_t *reached,
+    int64_t *kept_indices, double *kept_values,
+    int64_t *rest_indices, double *rest_values)
+{
+    int64_t n = offsets[num_segments], kept = 0, rest = 0, i;
+    for (i = 0; i < n; i++)
+        magnitude[i] = fabs(values[i]);
+    segmented_top_k_f64(num_segments, offsets, ks, 0, magnitude, scratch,
+                        keep, cuts, reached);
+    for (i = 0; i < n; i++) {
+        int64_t k = keep[i];
+        kept_indices[kept] = rest_indices[rest] = indices[i];
+        kept_values[kept] = rest_values[rest] = values[i];
+        kept += k;
+        rest += 1 - k;
+    }
+    return kept;
 }

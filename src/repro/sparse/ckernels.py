@@ -1,7 +1,7 @@
 """Loader for the optional compiled kernels.
 
-``_merge_kernels.c`` (the COO merges and the fused accumulate + candidate
-scan) is compiled once per machine into a shared object in a private
+``_merge_kernels.c`` (the COO merges, the fused accumulate + candidate scan
+and the segmented top-k) is compiled once per machine into a shared object in a private
 per-user cache, addressed by source, compiler and flags (so repeated runs
 and test invocations reuse it and a flag change never loads a stale
 object), and bound through :mod:`ctypes`.  Everything is best-effort: no
@@ -18,7 +18,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,8 +70,14 @@ class CMergeKernels:
         self._accumulate_scan.restype = _I64
         self._accumulate_scan.argtypes = [
             _PTR, _PTR, _PTR, ctypes.c_double,
-            _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64,
+            _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64,
         ]
+        self._segmented_top_k = lib.segmented_top_k_f64
+        self._segmented_top_k.restype = None
+        self._segmented_top_k.argtypes = [_I64] + [_PTR] * 8
+        self._top_k_split = lib.top_k_split_i64_f64
+        self._top_k_split.restype = _I64
+        self._top_k_split.argtypes = [_I64] + [_PTR] * 13
         lib.accumulate_scan_lanes.restype = _I64
         lib.accumulate_scan_lanes.argtypes = []
         widest = lib.accumulate_scan_lanes()
@@ -136,7 +142,7 @@ class CMergeKernels:
         velocity: Optional[np.ndarray], momentum: float,
         bounds: np.ndarray, cuts: np.ndarray, caps: np.ndarray,
         simd: Optional[str] = None,
-    ) -> List[Optional[np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Error-feedback add and candidate scan in one sweep.
 
         In place, ``store += addend`` — or, with ``velocity``, ``velocity =
@@ -146,13 +152,15 @@ class CMergeKernels:
 
         ``bounds`` (``int64``) holds the ascending edges ``0 .. len(store)``
         of the blocks; ``cuts`` (``float64``) and ``caps`` (``int64``) hold
-        one entry per block.  The sweep collects per block the sorted
-        block-local indices whose new ``|store|`` reaches the block's cut
-        and returns them as one array per block — ``None`` for a block that
-        more than ``caps[block]`` entries reached (its candidates were
-        dropped, not its add).  A NaN cut is reached by nothing.  ``simd``
-        names a variant other than :attr:`simd` to run (the tests compare
-        them all); one this CPU lacks raises ``ValueError``.
+        one entry per block.  The sweep collects per block the indices (into
+        ``store``) whose new ``|store|`` reaches the block's cut, with those
+        magnitudes, and returns ``(counts, indices, magnitudes)``: the
+        blocks' candidates back to back in index order, ``counts[block]`` of
+        them per block — ``-1`` for a block that more than ``caps[block]``
+        entries reached (its candidates were dropped, not its add).  A NaN
+        cut is reached by nothing.  ``simd`` names a variant other than
+        :attr:`simd` to run (the tests compare them all); one this CPU lacks
+        raises ``ValueError``.
         """
         n = store.shape[0]
         addend = _contiguous(np.asarray(addend, dtype=np.float64))
@@ -171,19 +179,69 @@ class CMergeKernels:
             raise ValueError("bounds must rise from 0 to len(store); cuts and "
                              "non-negative caps hold one entry per block")
         bounds, cuts, caps = _contiguous(bounds), _contiguous(cuts), _contiguous(caps)
-        offsets = np.concatenate(([0], np.cumsum(caps + SCAN_PAD)))
-        out = np.empty(int(offsets[-1]), dtype=np.int64)
+        capacity = int(caps.sum()) + SCAN_PAD * blocks
+        indices = np.empty(capacity, dtype=np.int64)
+        magnitudes = np.empty(capacity, dtype=np.float64)
         counts = np.empty(blocks, dtype=np.int64)
         status = self._accumulate_scan(
             store.ctypes.data, addend.ctypes.data,
             None if velocity is None else velocity.ctypes.data, momentum,
             blocks, bounds.ctypes.data, cuts.ctypes.data, caps.ctypes.data,
-            out.ctypes.data, counts.ctypes.data,
+            indices.ctypes.data, magnitudes.ctypes.data, counts.ctypes.data,
             0 if simd is None else SIMD_LANES[simd])
         if status:
             raise ValueError(f"this CPU does not run the {simd} variant")
-        return [None if count < 0 else out[offset:offset + count]
-                for offset, count in zip(offsets.tolist(), counts.tolist())]
+        found = int(np.maximum(counts, 0).sum())
+        return counts, indices[:found], magnitudes[:found]
+
+    def segmented_top_k(self, magnitude: np.ndarray, offsets: np.ndarray,
+                        ks: np.ndarray, reaches: Optional[np.ndarray],
+                        keep: np.ndarray, cuts: np.ndarray,
+                        reached: np.ndarray) -> None:
+        """The scalar-quickselect leg of
+        :func:`repro.sparse.topk.segmented_top_k`, which owns the contract
+        and the arrays: ``magnitude`` (contiguous ``float64``) in segments
+        ``offsets`` (``int64``); for every segment with ``ks[s] >= 0`` the
+        kept entries are set in ``keep`` (``bool``, zero-initialised) and
+        ``cuts[s]`` / ``reached[s]`` are written.  Segments with a negative
+        ``ks[s]`` are not touched."""
+        lengths = np.diff(offsets)[ks >= 0]
+        scratch = np.empty(int(lengths.max(initial=0)), dtype=np.float64)
+        self._segmented_top_k(
+            ks.shape[0], offsets.ctypes.data, ks.ctypes.data,
+            None if reaches is None else reaches.ctypes.data,
+            magnitude.ctypes.data, scratch.ctypes.data,
+            keep.ctypes.data, cuts.ctypes.data, reached.ctypes.data)
+
+
+    def top_k_split(self, indices: np.ndarray, values: np.ndarray,
+                    offsets: np.ndarray, ks: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Segmented top-k of a COO stream and the split it decides, in one
+        call: entries ``offsets[s]:offsets[s + 1]`` keep their ``ks[s]``
+        largest magnitudes (the selection of
+        :func:`repro.sparse.topk.segmented_top_k` on ``abs(values)``).
+        Returns ``(kept indices, kept values, other indices, other
+        values)``, each in order."""
+        indices, values = _contiguous(indices), _contiguous(values)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        ks = np.maximum(ks, 0, dtype=np.int64)
+        n, segments = indices.shape[0], ks.shape[0]
+        work = np.empty((2, n), dtype=np.float64)
+        keep = np.zeros(n, dtype=np.uint8)
+        cuts = np.empty(segments, dtype=np.float64)
+        reached = np.empty(segments, dtype=np.int64)
+        out_indices = np.empty((2, n), dtype=np.int64)
+        out_values = np.empty((2, n), dtype=np.float64)
+        kept = self._top_k_split(
+            segments, offsets.ctypes.data, ks.ctypes.data,
+            indices.ctypes.data, values.ctypes.data,
+            work[0].ctypes.data, work[1].ctypes.data, keep.ctypes.data,
+            cuts.ctypes.data, reached.ctypes.data,
+            out_indices[0].ctypes.data, out_values[0].ctypes.data,
+            out_indices[1].ctypes.data, out_values[1].ctypes.data)
+        return (out_indices[0, :kept], out_values[0, :kept],
+                out_indices[1, :n - kept], out_values[1, :n - kept])
 
 
 def _cache_path(source: str, compiler: str) -> Optional[Path]:

@@ -21,6 +21,7 @@ from .ckernels import get_kernels
 
 __all__ = [
     "WarmTopK",
+    "segmented_top_k",
     "top_k_indices",
     "top_k_mask",
     "threshold_indices",
@@ -83,31 +84,97 @@ def _top_k_of_magnitude(magnitude: np.ndarray, k: int, reach: int = 0
     return reached.astype(np.int64, copy=False), remembered, reach
 
 
-class WarmTopK:
-    """Exact top-k for selections repeated on slowly changing vectors.
+#: Longest segment :func:`segmented_top_k` hands to the compiled kernel when
+#: one rank is sought.  One kernel call for many short segments saves a NumPy
+#: partition (~12 us of call overhead) apiece, but the kernel is a scalar
+#: quickselect and NumPy 2's one-point partition a vectorised one, which
+#: overtakes it on long segments (measured, keeping half: 64 x 40 entries 90
+#: vs 780 us, 16 x 1,024 entries 200 vs 350 us, 8 x 2,048 entries 140 vs 144
+#: us, 8 x 4,096 entries 380 vs 210 us).  A segment that also wants the
+#: magnitude at a second rank (``reach > k``) stays with the kernel at any
+#: length: NumPy's two-point partition is not vectorised (8 x 4,096 entries
+#: 340 vs 770 us, one of 131,072 entries 1.4 vs 2.6 ms).
+_BATCHED_SEGMENT = 2048
 
-    Per ``key`` it remembers a magnitude the last selection ranked (its
-    *cut*).  If at least ``k`` entries still reach that cut, every top-k
-    entry is among them (the true cut can only be higher), so the partition
-    runs on those few candidates instead of the whole vector; candidates
-    stay in index order, so ties still break towards the lower index, and
-    NaN never passes ``>=``.  Otherwise — no cut yet, or a stale-high one —
-    the full partition runs.  Either way the result equals
+
+def segmented_top_k(magnitude: np.ndarray, offsets: np.ndarray, ks: np.ndarray,
+                    reaches: Optional[np.ndarray] = None
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`top_k_indices` on every segment of one array, in one call.
+
+    ``magnitude`` holds precomputed magnitudes ``|x|``; segment ``s`` is
+    ``magnitude[offsets[s]:offsets[s + 1]]`` and keeps its ``ks[s]`` largest
+    entries (none for ``ks[s] <= 0``, all for ``ks[s]`` past its length),
+    ties to the lower index, NaN below every magnitude.  Returns ``(keep,
+    cuts, reached)``: the boolean mask of the kept entries, and per segment
+    what a warm selector remembers (see :func:`_top_k_of_magnitude`, with
+    ``reaches[s]`` as its ``reach``) — ``cuts[s]`` is NaN and ``reached[s]``
+    0 for a segment that kept nothing or everything.
+
+    Segments that are short or want two ranks go to the compiled kernel
+    together (see :data:`_BATCHED_SEGMENT`), the others (and all of them
+    without the kernels) to :func:`_top_k_of_magnitude` one by one; the
+    result is the same.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    segments = ks.shape[0]
+    keep = np.zeros(magnitude.shape[0], dtype=bool)
+    cuts = np.full(segments, np.nan)
+    reached = np.zeros(segments, dtype=np.int64)
+    wanted = ks > 0
+    kernels = get_kernels()
+    if kernels is not None:
+        batched = np.diff(offsets) <= _BATCHED_SEGMENT
+        if reaches is not None:
+            batched |= np.asarray(reaches) > ks
+        batched &= wanted
+        if batched.any():
+            kernels.segmented_top_k(
+                np.ascontiguousarray(magnitude, dtype=np.float64),
+                np.ascontiguousarray(offsets, dtype=np.int64),
+                np.where(batched, ks, -1),
+                None if reaches is None
+                else np.ascontiguousarray(reaches, dtype=np.int64),
+                keep, cuts, reached)
+        wanted &= ~batched
+    for segment in np.flatnonzero(wanted).tolist():
+        lo = offsets[segment]
+        local, cut, reach = _top_k_of_magnitude(
+            magnitude[lo:offsets[segment + 1]], int(ks[segment]),
+            0 if reaches is None else int(reaches[segment]))
+        keep[lo + local] = True
+        if cut is not None:
+            cuts[segment], reached[segment] = cut, reach
+    return keep, cuts, reached
+
+
+class WarmTopK:
+    """Exact block-wise top-k for selections repeated on slowly changing
+    vectors.
+
+    Per ``(group, segment)`` it remembers a magnitude the last selection
+    ranked (its *cut*).  If at least ``k`` entries still reach that cut,
+    every top-k entry is among them (the true cut can only be higher), so
+    the partition runs on those few candidates instead of the whole segment;
+    candidates stay in index order, so ties still break towards the lower
+    index, and NaN never passes ``>=``.  Otherwise — no cut yet, or a
+    stale-high one — the full partition runs.  Either way the result equals
     :func:`top_k_indices` index for index; a stale-low cut only admits more
     candidates.
 
-    **Where candidates come from.**  :meth:`select` finds them with one
-    compare over its vector — unless :meth:`fused_accumulate` already
-    found them while it added the step's gradient into that vector (the
-    compiled ``accumulate_scan`` kernel: one sweep instead of an add, an
-    ``abs``, a compare and a ``flatnonzero``).  The selector owns those
-    candidate lists from the add until the selection consumes them; keys of
-    a fused pass are ``(group, block)``.
+    **Where candidates come from.**  :meth:`select_segments` finds them with
+    one compare per segment — unless :meth:`fused_accumulate` already found
+    them, and their magnitudes, while it added the step's gradient into that
+    vector (the compiled ``accumulate_scan`` kernel: one sweep instead of an
+    add, an ``abs``, a compare, a ``flatnonzero`` and a gather).  The
+    selector owns those candidates from the add until the group's next
+    selection consumes them, and that selection ranks all of the group's
+    segments they serve in one :func:`segmented_top_k` call.
 
     **Which magnitude is remembered.**  The smallest one kept (rank ``k``)
-    while a key has never missed: on vectors that grow, that cut keeps
+    while a segment has never missed: on vectors that grow, that cut keeps
     admitting about ``2 k`` candidates and a looser one would only add
-    work.  A key whose cut was stale-high once — in a training run every
+    work.  A segment whose cut was stale-high once — in a training run every
     selection takes the largest entries out and the next gradient is small
     against them — remembers the magnitude at rank ``2 k`` from then on,
     read off the same partition call.
@@ -119,17 +186,20 @@ class WarmTopK:
     SCAN_SLACK = 8
 
     def __init__(self) -> None:
-        #: ``key -> `` magnitude remembered from the last selection.
-        self.cuts: Dict[Hashable, float] = {}
+        #: ``(group, segment) -> `` magnitude remembered from the last
+        #: selection.
+        self.cuts: Dict[Tuple[Hashable, int], float] = {}
         #: Selections served from candidates / by the full partition, and
         #: over the former the candidates looked at and the ``k`` asked for.
         self.hits = self.misses = self.candidates = self.requested = 0
-        #: ``key -> `` rank the remembered magnitude had in its vector.
-        self._reach: Dict[Hashable, int] = {}
-        #: Keys whose cut was stale-high at least once.
-        self._loose: Set[Hashable] = set()
-        #: ``key -> `` candidates a fused pass found, until selected from.
-        self._scanned: Dict[Hashable, np.ndarray] = {}
+        #: ``(group, segment) -> `` rank the remembered magnitude had.
+        self._reach: Dict[Tuple[Hashable, int], int] = {}
+        #: Segments whose cut was stale-high at least once.
+        self._loose: Set[Tuple[Hashable, int]] = set()
+        #: ``group -> (counts, indices, magnitudes)`` of a fused pass, until
+        #: selected from: the segments' candidates back to back,
+        #: ``counts[segment]`` of them (-1: that segment was not scanned).
+        self._scanned: Dict[Hashable, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._published = (0, 0, 0, 0)
 
     def clear(self) -> None:
@@ -146,59 +216,93 @@ class WarmTopK:
                          momentum: float = 0.0) -> bool:
         """Add ``addend`` into ``store`` (through ``velocity`` under momentum
         correction: ``velocity = momentum * velocity + addend; store +=
-        velocity``) with the compiled kernel and, in the same sweep, collect
-        the candidates of every block ``(group, b)`` of ``bounds`` that has
-        a cut.  Returns False, having done nothing, when there is nothing to
-        fuse — the kernels are not compiled, or no block has a cut yet: the
-        caller then adds with NumPy and :meth:`select` compares for itself,
-        bit-identical either way."""
+        velocity``) with the compiled kernel — one sweep where NumPy makes
+        up to three — and, in the same sweep, collect the candidates of
+        every segment ``(group, s)`` of ``bounds`` that has a cut.  Returns
+        False, having done nothing, when the kernels are not compiled: the
+        caller then adds with NumPy and :meth:`select_segments` compares for
+        itself, bit-identical either way."""
         kernels = get_kernels()
         if kernels is None:
             return False
-        keys = [(group, block) for block in range(bounds.shape[0] - 1)]
-        for key in keys:  # left by a step that added but never selected
-            self._scanned.pop(key, None)
-        cuts = [self.cuts.get(key, np.nan) for key in keys]
-        if all(cut != cut for cut in cuts):
-            return False
-        caps = [self.SCAN_SLACK * self._reach.get(key, 0) + 16 for key in keys]
-        found = kernels.accumulate_scan(
-            store, addend, velocity, momentum, bounds,
-            np.array(cuts, dtype=np.float64), np.array(caps, dtype=np.int64))
-        for key, candidates in zip(keys, found):
-            if candidates is None:
-                del self.cuts[key]
-            elif key in self.cuts:
-                self._scanned[key] = candidates
+        segments = range(bounds.shape[0] - 1)
+        cut_of, reach_of = self.cuts.get, self._reach.get
+        cuts = np.array([cut_of((group, s), np.nan) for s in segments])
+        known = cuts == cuts
+        caps = np.array([self.SCAN_SLACK * reach_of((group, s), 0) + 16
+                         for s in segments], dtype=np.int64)
+        counts, indices, magnitudes = kernels.accumulate_scan(
+            store, addend, velocity, momentum, bounds, cuts, caps)
+        for s in np.flatnonzero(known & (counts < 0)).tolist():
+            del self.cuts[(group, s)]  # more reached the cut than is worth keeping
+        counts[~known] = -1
+        # (replaces what a step that added but never selected left behind)
+        self._scanned[group] = (counts, indices, magnitudes)
         return True
 
-    def select(self, key: Hashable, values: np.ndarray, k: int) -> np.ndarray:
-        """Sorted indices of the ``k`` largest-magnitude entries of
-        ``values``."""
-        cut = self.cuts.get(key)
-        candidates = self._scanned.pop(key, None)
-        if cut is None:
-            candidates = None
-        elif candidates is None:
-            candidates = np.flatnonzero(np.abs(values) >= cut)
-        hit = candidates is not None and candidates.shape[0] >= k
-        if candidates is not None and not hit:
-            self._loose.add(key)  # the cut was stale-high
-        reach = 2 * k if key in self._loose else k
-        if hit:
-            self.hits += 1
-            self.candidates += candidates.shape[0]
-            self.requested += k
-            local, cut, reach = _top_k_of_magnitude(
-                np.abs(values[candidates]), k, reach)
-            picked = candidates[local]
-        else:
-            self.misses += 1
-            picked, cut, reach = _top_k_of_magnitude(np.abs(values), k, reach)
-        if cut is not None:
-            self.cuts[key] = cut
-            self._reach[key] = reach
-        return picked
+    def select_segments(self, group: Hashable, values: np.ndarray,
+                        bounds: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Sorted indices of the ``ks[s]`` largest-magnitude entries of
+        every segment ``values[bounds[s]:bounds[s + 1]]``, as one array:
+        ``top_k_indices`` per segment, shifted to the whole vector."""
+        counts, indices, magnitudes = self._scanned.pop(group, (None, None, None))
+        edges, ks = bounds.tolist(), np.asarray(ks, dtype=np.int64)
+        segments = ks.shape[0]
+        scanned = [-1] * segments if counts is None else counts.tolist()
+        #: k / reach of the segments served from the fused pass's candidates
+        #: (-1: not one of them), and every other segment's picks.
+        warm_ks = np.full(segments, -1, dtype=np.int64)
+        warm_reaches = np.zeros(segments, dtype=np.int64)
+        pieces: Dict[int, np.ndarray] = {}
+        for s, k in enumerate(ks.tolist()):
+            key = (group, s)
+            cut = self.cuts.get(key)
+            lo, hi = edges[s], edges[s + 1]
+            found = None  # candidates compared for here, not by a fused pass
+            if cut is None:
+                hit = False
+            elif scanned[s] >= 0:
+                hit = scanned[s] >= k
+            else:
+                found = np.flatnonzero(np.abs(values[lo:hi]) >= cut)
+                hit = found.shape[0] >= k
+            if cut is not None and not hit:
+                self._loose.add(key)  # the cut was stale-high
+            reach = 2 * k if key in self._loose else k
+            if hit:
+                self.hits += 1
+                self.requested += k
+                if found is None:  # ranked with the group's other such segments
+                    self.candidates += scanned[s]
+                    warm_ks[s], warm_reaches[s] = k, reach
+                    continue
+                self.candidates += found.shape[0]
+            else:
+                self.misses += 1
+            segment = values[lo:hi] if not hit else values[lo:hi][found]
+            local, cut, reach = _top_k_of_magnitude(np.abs(segment), k, reach)
+            pieces[s] = (found[local] if hit else local) + lo
+            if cut is not None:
+                self.cuts[key], self._reach[key] = cut, reach
+        if len(pieces) < segments:  # the segments the fused pass serves
+            held = np.maximum(counts, 0)
+            keep, cuts, reached = segmented_top_k(
+                magnitudes, np.concatenate(([0], np.cumsum(held))), warm_ks,
+                warm_reaches)
+            warm = indices[keep]
+            for s, (cut, reach) in enumerate(zip(cuts.tolist(), reached.tolist())):
+                if cut == cut:
+                    self.cuts[(group, s)], self._reach[(group, s)] = cut, reach
+            if not pieces:
+                return warm
+            taken = np.concatenate(([0], np.cumsum(
+                np.minimum(np.maximum(warm_ks, 0), held)))).tolist()
+            for s in range(segments):
+                if s not in pieces:
+                    pieces[s] = warm[taken[s]:taken[s + 1]]
+        if not segments:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate([pieces[s] for s in range(segments)])
 
     def publish(self, metrics: Any) -> None:
         """Add what was tallied since the last call to the counters

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .ckernels import get_kernels as _get_c_kernels
-from .topk import threshold_indices, top_k_indices
+from .topk import segmented_top_k, threshold_indices
 
 try:  # compiled CSR segment-sum kernels; optional, gated at import time
     from scipy.sparse import _sparsetools as _csr_tools
@@ -374,8 +374,27 @@ class SparseGradient:
             return self, SparseGradient.empty(self.length)
         if k <= 0:
             return SparseGradient.empty(self.length), self
-        picked_local = top_k_indices(self.values, k)
-        return self._split(picked_local)
+        return self.top_k_segments(np.array([0, self.nnz], dtype=np.int64),
+                                   np.array([k], dtype=np.int64))
+
+    def top_k_segments(self, offsets: np.ndarray, ks: np.ndarray
+                       ) -> Tuple["SparseGradient", "SparseGradient"]:
+        """:meth:`top_k` on every segment of the stored entries at once:
+        entries ``offsets[s]:offsets[s + 1]`` keep their ``ks[s]`` largest.
+        Returns ``(kept, dropped)`` over all segments.  With the compiled
+        kernels the selection and the split are one call; the NumPy path
+        (:func:`~repro.sparse.topk.segmented_top_k` and two boolean gathers
+        per side) is the reference it is index-for-index equal to."""
+        if (np.diff(offsets) <= ks).all():  # no segment is over its budget
+            return self, SparseGradient.empty(self.length)
+        kernels = _get_c_kernels()
+        if kernels is None:
+            keep, _, _ = segmented_top_k(np.abs(self.values), offsets, ks)
+            return self._split(keep)
+        kept_indices, kept_values, rest_indices, rest_values = kernels.top_k_split(
+            self.indices, self.values, offsets, ks)
+        return (SparseGradient.from_sorted_unique(kept_indices, kept_values, self.length),
+                SparseGradient.from_sorted_unique(rest_indices, rest_values, self.length))
 
     def threshold(self, tau: float) -> Tuple["SparseGradient", "SparseGradient"]:
         """Threshold pruning; return ``(kept, dropped)``."""
@@ -383,9 +402,12 @@ class SparseGradient:
         return self._split(picked_local)
 
     def _split(self, picked_local: np.ndarray) -> Tuple["SparseGradient", "SparseGradient"]:
-        """Split into (picked, rest) by sorted local positions."""
-        mask = np.zeros(self.nnz, dtype=bool)
-        mask[picked_local] = True
+        """Split into (picked, rest) by sorted local positions, or by the
+        boolean mask of the picked entries."""
+        mask = picked_local
+        if mask.dtype != bool:
+            mask = np.zeros(self.nnz, dtype=bool)
+            mask[picked_local] = True
         kept = SparseGradient.from_sorted_unique(
             self.indices[mask], self.values[mask], self.length
         )

@@ -404,12 +404,14 @@ def iteration_time(stats: CommStats,
 
     Without ``bucket_stats`` this is the historical non-overlapped model:
     ``total = compute + comm``, bit for bit.  With ``bucket_stats`` (the
-    per-bucket :class:`~repro.comm.stats.CommStats` of a bucketed
+    :class:`~repro.comm.stats.CommStats` of every exchange of a bucketed
     synchronisation, in forward/layer order, alongside the matching
-    ``bucket_sizes``) the communication is scheduled against the per-bucket
-    backward slices via :func:`overlap_timeline`: buckets exchange in
-    backward-completion order, each starting as soon as its backward slice
-    finishes and the channel frees up, and the hidden communication is
+    ``bucket_sizes`` — the elements each exchange covers: an exchange group
+    of several layers is one entry, ``info["group_sizes"]``) the
+    communication is scheduled against the matching backward slices via
+    :func:`overlap_timeline`: exchanges run in backward-completion order,
+    each starting as soon as the backward slice of everything it covers
+    has finished and the channel frees up, and the hidden communication is
     reported (and subtracted from :attr:`IterationTiming.total`).
     """
     scale = 1.0
@@ -443,6 +445,8 @@ def iteration_time(stats: CommStats,
     return IterationTiming(
         compute_time=compute,
         communication_time=total_comm,
-        hidden_comm_time=compute + total_comm - overlapped_total,
+        # One exchange hides nothing; the difference is then a rounding
+        # residue of either sign, not a (negative) time.
+        hidden_comm_time=max(0.0, compute + total_comm - overlapped_total),
         timeline=timeline,
     )

@@ -464,11 +464,12 @@ class DistributedTrainer:
         result = self.session.step(gradients)
         bucket_stats = bucket_sizes = None
         if self.config.overlap_comm:
-            # Bucketed synchronisers report per-bucket statistics; schedule
-            # them against the backward slices so communication overlaps.
+            # Bucketed synchronisers report the statistics of every exchange
+            # group; schedule them against the groups' backward slices so
+            # communication overlaps.
             bucket_stats = result.info.get("bucket_stats")
             if bucket_stats is not None:
-                bucket_sizes = result.info.get("bucket_sizes")
+                bucket_sizes = result.info.get("group_sizes")
         timing = iteration_time(result.stats, self.network, self.compute_profile,
                                 model_parameters=self.num_elements,
                                 bucket_stats=bucket_stats,

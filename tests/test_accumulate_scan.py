@@ -2,9 +2,10 @@
 
 ``accumulate_scan`` replaces ``store += addend`` (or the momentum form
 ``velocity *= m; velocity += addend; store += velocity``) followed by
-``flatnonzero(|store[block]| >= cut)`` per block.  It is an accelerator,
-so every variant the CPU runs must leave the same bits in the store and
-the velocity and report the same candidates, on every input NumPy accepts.
+``flatnonzero(|store[block]| >= cut)`` and a gather of those magnitudes per
+block.  It is an accelerator, so every variant the CPU runs must leave the
+same bits in the store and the velocity and report the same candidates, on
+every input NumPy accepts.
 """
 
 from __future__ import annotations
@@ -48,7 +49,24 @@ def reference(store, addend, velocity, momentum, bounds, cuts, caps):
     found = []
     for lo, hi, cut, cap in zip(bounds[:-1], bounds[1:], cuts, caps):
         reached = np.flatnonzero(np.abs(store[lo:hi]) >= cut)
-        found.append(None if reached.shape[0] > cap else reached)
+        found.append(None if reached.shape[0] > cap else reached + lo)
+    return found
+
+
+def per_block(scan):
+    """The kernel's ``(counts, indices, magnitudes)`` as one ``(indices,
+    magnitudes)`` pair per block (``None``: overflowed), checking that the
+    candidates really are back to back."""
+    counts, indices, magnitudes = scan
+    assert indices.dtype == np.int64 and magnitudes.dtype == np.float64
+    assert indices.shape == magnitudes.shape == (np.maximum(counts, 0).sum(),)
+    found, start = [], 0
+    for count in counts.tolist():
+        if count < 0:
+            found.append(None)
+        else:
+            found.append((indices[start:start + count], magnitudes[start:start + count]))
+            start += count
     return found
 
 
@@ -129,8 +147,9 @@ class TestAgainstNumPy:
                 velocity, "offset" if layout == "offset" else "plain")[1]
             backing, given_addend = placed(addend, layout)
             kept = backing.copy()
-            got = KERNELS.accumulate_scan(got_store, given_addend, got_velocity,
-                                          momentum, bounds, cuts, caps, simd=simd)
+            got = per_block(KERNELS.accumulate_scan(
+                got_store, given_addend, got_velocity, momentum, bounds, cuts,
+                caps, simd=simd))
             assert_same_bits(got_store, want_store)
             if velocity is not None:
                 assert_same_bits(got_velocity, want_velocity)
@@ -140,8 +159,8 @@ class TestAgainstNumPy:
                     assert mine is None, (simd, block)
                 else:
                     assert mine is not None, (simd, block)
-                    assert mine.dtype == np.int64
-                    np.testing.assert_array_equal(mine, theirs, err_msg=simd)
+                    np.testing.assert_array_equal(mine[0], theirs, err_msg=simd)
+                    assert_same_bits(mine[1], np.abs(want_store[theirs]))
             # the caller's gradient is read, never written
             assert backing.tobytes() == kept.tobytes()
 
@@ -156,12 +175,13 @@ class TestAgainstNumPy:
         caps = np.array([n, n], dtype=np.int64)
         want_store, want_velocity = store.copy(), velocity.copy()
         want = reference(want_store, addend, want_velocity, 0.9, bounds, cuts, caps)
-        got = KERNELS.accumulate_scan(store, addend, velocity, 0.9, bounds,
-                                      cuts, caps, simd=simd)
+        got = per_block(KERNELS.accumulate_scan(store, addend, velocity, 0.9,
+                                                bounds, cuts, caps, simd=simd))
         assert_same_bits(store, want_store)
         assert_same_bits(velocity, want_velocity)
         for mine, theirs in zip(got, want):
-            np.testing.assert_array_equal(mine, theirs)
+            np.testing.assert_array_equal(mine[0], theirs)
+            assert_same_bits(mine[1], np.abs(store[theirs]))
 
     @pytest.mark.parametrize("simd", variants())
     def test_an_overflowing_block_still_gets_its_add(self, simd):
@@ -170,12 +190,12 @@ class TestAgainstNumPy:
         store, addend = rng.standard_normal(n), rng.standard_normal(n)
         bounds = np.array([0, n // 2, n], dtype=np.int64)
         want = store + addend
-        got = KERNELS.accumulate_scan(store, addend, None, 0.0, bounds,
-                                      np.array([0.0, 3.0]),
-                                      np.array([5, 500], dtype=np.int64), simd=simd)
+        got = per_block(KERNELS.accumulate_scan(
+            store, addend, None, 0.0, bounds, np.array([0.0, 3.0]),
+            np.array([5, 500], dtype=np.int64), simd=simd))
         assert got[0] is None                       # everything reaches 0.0
         np.testing.assert_array_equal(
-            got[1], np.flatnonzero(np.abs(want[n // 2:]) >= 3.0))
+            got[1][0], n // 2 + np.flatnonzero(np.abs(want[n // 2:]) >= 3.0))
         assert_same_bits(store, want)
 
     def test_momentum_rounds_twice_like_numpy(self):

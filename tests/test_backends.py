@@ -38,14 +38,13 @@ from tests.helpers import random_gradients
 NUM_ELEMENTS = 300
 ITERATIONS = 3
 
-#: The equivalence matrix: SparDL variants (teams, quantized, deferred,
-#: per-block wire) and all five baselines.
+#: The equivalence matrix: SparDL variants (teams, quantized, deferred)
+#: and all five baselines.
 EQUIVALENCE_SPECS = [
     "spardl?density=0.02",
     "spardl?density=0.02&teams=2",
     "spardl?density=0.02&bits=8",
     "spardl?density=0.02&deferred=true",
-    "spardl?density=0.02&wire=per-block",
     "ok-topk?density=0.02",
     "topka?density=0.02",
     "topkdsa?density=0.02",

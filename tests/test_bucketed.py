@@ -107,10 +107,15 @@ class TestBucketedVersusFlat:
         bucketed = make("spardl?density=0.05&buckets=layer",
                         SimulatedCluster(NUM_WORKERS), model=model)
         result = bucketed.synchronize(_gradients(model.num_parameters()))
-        for info in result.info["per_bucket_info"]:
-            assert info["final_nnz"] >= 1
+        shares = [nnz for info in result.info["per_bucket_info"]
+                  for nnz in info["bucket_final_nnz"]]
+        assert len(shares) == bucketed.num_buckets
+        assert min(shares) >= 1
 
-    def test_stats_aggregate_per_bucket(self):
+    def test_stats_aggregate_per_exchange_group(self):
+        """Equally configured SparDL layers share one exchange: the step
+        costs the rounds of a flat step, and the statistics the overlap
+        model prices are those of the group."""
         model = _model()
         bucketed = make("spardl?density=0.05&buckets=layer",
                         SimulatedCluster(NUM_WORKERS), model=model)
@@ -119,7 +124,16 @@ class TestBucketedVersusFlat:
         assert result.stats.rounds == sum(s.cumulative_stats.rounds for s in sessions)
         assert result.stats.total_volume == pytest.approx(
             sum(s.cumulative_stats.total_volume for s in sessions))
-        assert result.info["buckets"] == len(sessions)
+        info = result.info
+        assert info["buckets"] == bucketed.num_buckets == len(info["bucket_methods"])
+        assert len(sessions) == len(info["groups"]) == 1
+        assert info["groups"] == [list(range(bucketed.num_buckets))]
+        assert info["group_sizes"] == [model.num_parameters()]
+        assert len(info["bucket_stats"]) == len(info["per_bucket_info"]) == 1
+        flat = make("spardl?density=0.05", SimulatedCluster(NUM_WORKERS),
+                    num_elements=model.num_parameters())
+        assert result.stats.rounds == flat.synchronize(
+            _gradients(model.num_parameters())).stats.rounds
 
     def test_size_fusion_reduces_bucket_count(self):
         model = _model()

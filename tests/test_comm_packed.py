@@ -109,3 +109,46 @@ class TestDecode:
         expected = SparseGradient.merge_many(bags)
         np.testing.assert_array_equal(merged.indices, expected.indices)
         np.testing.assert_array_equal(merged.values, expected.values)
+
+
+class TestSplitBags:
+    """A piece that spans several segments travels as one bag per segment
+    and comes back as one view."""
+
+    def test_pack_split_cuts_every_piece_into_its_bags(self):
+        first = sparse([1, 4, 40, 41, 90], [1.0, 2.0, 3.0, 4.0, 5.0])
+        second = sparse([7, 55], [6.0, 7.0])
+        packed = PackedBags.pack_split(
+            [first, second], [np.array([0, 2, 4, 5]), np.array([0, 1, 1, 2])],
+            ids=[2, 6, 10, 3, 7, 11])
+        assert packed.ids == (2, 6, 10, 3, 7, 11)
+        assert packed.offsets.tolist() == [0, 2, 4, 5, 6, 6, 7]
+        assert [bag.indices.tolist() for bag in packed.to_list()] == [
+            [1, 4], [40, 41], [90], [7], [], [55]]
+        # accounting: the packed arrays alone, whatever the bag boundaries
+        assert packed.comm_size == first.comm_size + second.comm_size
+        assert payload_size(packed) == packed.comm_size
+        assert not packed.offsets.flags.writeable
+
+    def test_span_returns_a_piece_as_one_zero_copy_view(self):
+        first = sparse([1, 4, 40, 41, 90], [1.0, 2.0, 3.0, 4.0, 5.0])
+        second = sparse([7, 55], [6.0, 7.0])
+        packed = PackedBags.pack_split(
+            [first, second], [np.array([0, 2, 4, 5]), np.array([0, 1, 1, 2])],
+            ids=range(6))
+        for piece, (start, stop) in ((first, (0, 3)), (second, (3, 6))):
+            view = packed.span(start, stop)
+            np.testing.assert_array_equal(view.indices, piece.indices)
+            np.testing.assert_array_equal(view.values, piece.values)
+            assert np.shares_memory(view.values, packed.values)
+        whole = PackedBags.pack_split([first], [np.array([0, 2, 5])], ids=[0, 1])
+        np.testing.assert_array_equal(whole.span().indices, first.indices)
+
+    def test_one_bag_per_piece_is_plain_pack(self):
+        bags = [sparse([1, 2], [1.0, 2.0]), sparse([5], [5.0])]
+        split = PackedBags.pack_split(bags, [np.array([0, 2]), np.array([0, 1])],
+                                      ids=[0, 1])
+        plain = PackedBags.pack(bags)
+        assert split.ids == plain.ids
+        np.testing.assert_array_equal(split.offsets, plain.offsets)
+        np.testing.assert_array_equal(split.indices, plain.indices)

@@ -290,16 +290,19 @@ class TestPerBucketBits:
 
     def test_mixed_bucket_pricer_composition(self):
         """Each bucket prices its own wire: ``out``-matching buckets carry a
-        32-bit compressor, the rest the 8-bit default, and the per-bucket
-        info reports the mix after a live step."""
+        32-bit compressor, the rest the 8-bit default — a different width
+        never shares an exchange group — and the per-group info reports the
+        mix after a live step."""
         model = build_mlp(8, [8], 2, seed=0)
         cluster = SimulatedCluster(4)
         spec = "spardl?density=0.2&buckets=layer&bits=8,out:32"
         sync = make(spec, cluster, model=model)
         assert describe(sync) == spec
         widths = {}
-        for name, session in zip(sync.bucket_names, sync.sessions):
-            widths[name] = session.synchronizer.compressor.num_bits
+        for group, session in zip(sync.groups, sync.sessions):
+            for index in group:
+                widths[sync.bucket_names[index]] = session.synchronizer.compressor.num_bits
+        assert list(widths) == sync.bucket_names
         for name, bits in widths.items():
             assert bits == (32 if "out" in name else 8), name
         assert sorted(set(widths.values())) == [8, 32]
@@ -308,8 +311,8 @@ class TestPerBucketBits:
         result = sync.synchronize(grads)
         reported = [info.get("quantized_bits")
                     for info in result.info["per_bucket_info"]]
-        expected = [32 if "out" in name else 8 for name in sync.bucket_names]
-        assert reported == expected
+        expected = [widths[sync.bucket_names[group[0]]] for group in sync.groups]
+        assert reported == expected and sorted(set(reported)) == [8, 32]
         # Conservation survives the mixed-precision composition.
         recon = result.gradient(0) + sync.total_residual()
         np.testing.assert_allclose(recon, sum(grads.values()), atol=1e-9)

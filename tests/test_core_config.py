@@ -81,13 +81,7 @@ class TestSparDLConfig:
         assert "SparDL" in SparDLConfig(k=5).describe()
 
 
-class TestWireAndFallbackKnobs:
-    def test_wire_format_validated(self):
-        assert SparDLConfig(k=10).wire_format == "packed"
-        assert SparDLConfig(k=10, wire_format="per-block").wire_format == "per-block"
-        with pytest.raises(ValueError):
-            SparDLConfig(k=10, wire_format="json")
-
+class TestFallbackKnobs:
     def test_dense_crossover_defaults_to_measured_constant(self):
         from repro.core.config import DEFAULT_DENSE_CROSSOVER
 

@@ -17,15 +17,15 @@ from tests.helpers import random_gradients
 
 
 def run_srs(num_workers, num_elements, k_block, *, num_teams=1, sparsify_all=False,
-            policy=ResidualPolicy.GLOBAL, seed=0, wire_format="packed"):
+            policy=ResidualPolicy.GLOBAL, seed=0, bucket_sizes=None, gradients=None):
     cluster = SimulatedCluster(num_workers)
     teams = make_teams(num_workers, num_teams)
-    layout = BlockLayout(num_elements, num_workers // num_teams)
+    layout = BlockLayout(num_elements, num_workers // num_teams, bucket_sizes)
     residuals = ResidualManager(num_workers, num_elements, policy)
-    gradients = random_gradients(num_workers, num_elements, seed=seed)
+    if gradients is None:
+        gradients = random_gradients(num_workers, num_elements, seed=seed)
     output = spar_reduce_scatter(cluster, teams, residuals.apply(gradients), layout,
-                                 k_block, residuals,
-                                 sparsify_all=sparsify_all, wire_format=wire_format)
+                                 k_block, residuals, sparsify_all=sparsify_all)
     return cluster, output, residuals, gradients
 
 
@@ -128,46 +128,73 @@ class TestSRSCorrectness:
 
 
 class TestSRSWireFormat:
-    """The batched (PackedBags) and per-block wire formats are equivalent."""
-
-    @pytest.mark.parametrize("num_workers", [2, 3, 5, 6, 8, 14])
-    def test_packed_and_per_block_are_bit_identical(self, num_workers):
-        _, packed, packed_res, _ = run_srs(num_workers, 300, 4, seed=11,
-                                           wire_format="packed")
-        _, legacy, legacy_res, _ = run_srs(num_workers, 300, 4, seed=11,
-                                           wire_format="per-block")
-        for rank in range(num_workers):
-            np.testing.assert_array_equal(packed.reduced_blocks[rank].indices,
-                                          legacy.reduced_blocks[rank].indices)
-            np.testing.assert_array_equal(packed.reduced_blocks[rank].values,
-                                          legacy.reduced_blocks[rank].values)
-        np.testing.assert_array_equal(packed_res.total_residual(),
-                                      legacy_res.total_residual())
+    """Every bag travels as one batched ``PackedBags`` message."""
 
     @pytest.mark.parametrize("num_workers", [2, 3, 5, 6, 8, 14])
     def test_packed_emits_one_message_per_worker_per_step(self, num_workers):
         cluster, output, _, _ = run_srs(num_workers, 300, 4)
         assert cluster.stats.total_messages == num_workers * output.num_steps
 
-    def test_per_block_emits_one_message_per_block(self):
-        # Over all of SRS each worker ships every non-preserved block exactly
-        # once: P * (m - 1) messages in the unbatched wiring.
-        num_workers = 8
-        cluster, _, _, _ = run_srs(num_workers, 300, 4, wire_format="per-block")
-        assert cluster.stats.total_messages == num_workers * (num_workers - 1)
 
-    @pytest.mark.parametrize("num_workers", [3, 8])
-    def test_both_formats_record_identical_volumes(self, num_workers):
-        packed_cluster, _, _, _ = run_srs(num_workers, 300, 4, seed=5)
-        legacy_cluster, _, _, _ = run_srs(num_workers, 300, 4, seed=5,
-                                          wire_format="per-block")
-        assert (packed_cluster.stats.received_per_worker
-                == legacy_cluster.stats.received_per_worker)
-        assert packed_cluster.stats.rounds == legacy_cluster.stats.rounds
+class TestSRSOverBuckets:
+    """One SRS over a gradient that concatenates separately selected
+    buckets: every bucket is a set of segments of the block layout, the
+    result is that of one SRS per bucket, the rounds are those of one."""
 
-    def test_rejects_unknown_wire_format(self):
-        with pytest.raises(ValueError):
-            run_srs(4, 100, 2, wire_format="json")
+    SIZES = (130, 1, 47, 2, 120)  # with tensors shorter than the team
+    BUDGETS = (3, 1, 2, 1, 4)     # per segment, bucket by bucket
+
+    @pytest.mark.parametrize("num_workers,num_teams", [(2, 1), (5, 1), (6, 2), (8, 2), (8, 1)])
+    @pytest.mark.parametrize("sparsify_all", [False, True])
+    def test_equals_one_srs_per_bucket(self, num_workers, num_teams, sparsify_all):
+        team_size = num_workers // num_teams
+        total = sum(self.SIZES)
+        gradients = random_gradients(num_workers, total, seed=13)
+        cluster, fused, fused_res, _ = run_srs(
+            num_workers, total, np.repeat(self.BUDGETS, team_size),
+            num_teams=num_teams, sparsify_all=sparsify_all,
+            bucket_sizes=self.SIZES, gradients=gradients)
+        residual = fused_res.total_residual()
+        lo = 0
+        for size, budget in zip(self.SIZES, self.BUDGETS):
+            single_cluster, single, single_res, _ = run_srs(
+                num_workers, size, budget, num_teams=num_teams,
+                sparsify_all=sparsify_all,
+                gradients={rank: grad[lo:lo + size] for rank, grad in gradients.items()})
+            assert cluster.stats.rounds == single_cluster.stats.rounds
+            for rank in range(num_workers):
+                part = fused.reduced_blocks[rank].restrict(lo, lo + size)
+                np.testing.assert_array_equal(part.indices - lo,
+                                              single.reduced_blocks[rank].indices)
+                np.testing.assert_array_equal(part.values,
+                                              single.reduced_blocks[rank].values)
+            np.testing.assert_array_equal(residual[lo:lo + size],
+                                          single_res.total_residual())
+            lo += size
+        assert cluster.stats.total_messages == num_workers * fused.num_steps
+
+    def test_a_message_keeps_one_bag_per_segment(self):
+        """Bag ids are segment numbers: block ``j`` of a team of 4 is the
+        segments ``j, j + 4, ...``, bucket after bucket."""
+        seen = []
+        cluster = SimulatedCluster(4)
+        inner = cluster.exchange
+        cluster.exchange = lambda messages: seen.extend(messages) or inner(messages)
+        layout = BlockLayout(300, 4, (200, 60, 40))
+        residuals = ResidualManager(4, 300)
+        gradients = random_gradients(4, 300, seed=2)
+        spar_reduce_scatter(cluster, [[0, 1, 2, 3]], residuals.apply(gradients),
+                            layout, 2, residuals)
+        first = next(m for m in seen if m.src == 0 and m.tag == "srs-1")
+        # worker 0 first sends its last bag: blocks 2 and 3
+        assert first.payload.ids == (2, 6, 10, 3, 7, 11)
+        for position, segment in enumerate(first.payload.ids):
+            lo, hi = layout.bound(segment)
+            bag = first.payload.bag(position)
+            assert bag.nnz <= 2
+            assert ((bag.indices >= lo) & (bag.indices < hi)).all()
+        block = first.payload.span(0, 3)  # block 2 again, as one sorted COO
+        assert (np.diff(block.indices) > 0).all()
 
 
 class TestSRSValidation:

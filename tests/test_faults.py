@@ -292,15 +292,17 @@ class TestRetryBilling:
 
 
 class TestGracefulDegradation:
-    @pytest.mark.parametrize("wire_format", ["packed", "per-block"])
+    @pytest.mark.parametrize("sizes", [NUM_ELEMENTS, [NUM_ELEMENTS - 90, 3, 87]],
+                             ids=["one-bucket", "three-buckets"])
     @pytest.mark.parametrize("deferred", [False, True])
-    def test_conservation_under_heavy_loss(self, wire_format, deferred):
+    def test_conservation_under_heavy_loss(self, sizes, deferred):
+        """A lost SRS bag — one bag per segment, several per block when the
+        gradient spans buckets — folds into the sender's residuals."""
         cluster = SimulatedCluster(8)
         cluster.install_fault_plan(FaultPlan(seed=3, drop_rate=0.6,
                                              retry=RetryPolicy(max_retries=0)))
-        sync = SparDLSynchronizer(cluster, NUM_ELEMENTS, SparDLConfig(
-            density=0.05, num_teams=2, wire_format=wire_format,
-            deferred_residuals=deferred))
+        sync = SparDLSynchronizer(cluster, sizes, SparDLConfig(
+            density=0.05, num_teams=2, deferred_residuals=deferred))
         lost_total = 0
         for iteration in range(3):
             grads = random_gradients(8, NUM_ELEMENTS, seed=100 * iteration)

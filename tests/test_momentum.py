@@ -244,27 +244,32 @@ class TestHybridPolicy:
 
     def test_dense_buckets_bill_closed_form_ring_volume(self):
         """Volume accounting gate: every dense bucket's billed volume is
-        exactly the ring All-Reduce ``2 * n * (P - 1)``, and the sparse
-        buckets' statistics match a pure-sparse run byte for byte."""
+        exactly the ring All-Reduce ``2 * n * (P - 1)``, and every sparse
+        exchange group's statistics match a pure-sparse synchroniser over
+        that group's buckets byte for byte."""
         P = 4
         hybrid, model = self._make(
             "spardl?density=0.2&buckets=layer&hybrid=dense<10", num_workers=P)
-        pure, _ = self._make("spardl?density=0.2&buckets=layer", num_workers=P)
         grads = random_gradients(P, model.num_parameters(), seed=41)
         result_h = hybrid.synchronize(grads)
-        result_p = pure.synchronize({w: g.copy() for w, g in grads.items()})
 
-        stats_h = result_h.info["bucket_stats"]
-        stats_p = result_p.info["bucket_stats"]
-        for name, size, method, bucket_stats, pure_stats in zip(
-                hybrid.bucket_names, hybrid.bucket_sizes,
-                result_h.info["bucket_methods"], stats_h, stats_p):
-            if method == "Dense":
-                assert bucket_stats.total_volume == pytest.approx(
-                    2 * size * (P - 1)), name
+        info = result_h.info
+        assert len(info["groups"]) == len(info["bucket_stats"]) == len(hybrid.slices)
+        for group, (lo, hi), group_stats in zip(info["groups"], hybrid.slices,
+                                                info["bucket_stats"]):
+            names = [hybrid.bucket_names[index] for index in group]
+            if info["bucket_methods"][group[0]] == "Dense":
+                assert len(group) == 1  # a dense bucket never shares an exchange
+                assert group_stats.total_volume == pytest.approx(
+                    2 * (hi - lo) * (P - 1)), names
             else:
-                assert bucket_stats.total_volume == pure_stats.total_volume
-                assert bucket_stats.rounds == pure_stats.rounds
+                pure = SparDLSynchronizer(
+                    SimulatedCluster(P), [hybrid.bucket_sizes[index] for index in group],
+                    SparDLConfig(density=0.2))
+                pure_stats = pure.synchronize(
+                    {w: g[lo:hi] for w, g in grads.items()}).stats
+                assert group_stats.total_volume == pure_stats.total_volume, names
+                assert group_stats.rounds == pure_stats.rounds, names
 
         # The hybrid result is still the exact conserved sum per bucket.
         recon = result_h.gradient(0) + hybrid.total_residual()

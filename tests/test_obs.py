@@ -258,16 +258,22 @@ class TestPipelineTracing:
     def test_bucketed_sessions_get_labelled_nested_spans(self, tmp_path):
         from repro.nn.models import build_mlp
         model = build_mlp(20, [16], 4, seed=0)
-        sync = make("spardl?density=0.05&buckets=layer&trace=steps",
+        # weight, bias (dense), weight, bias (dense): four exchange groups
+        sync = make("spardl?density=0.05&buckets=layer&hybrid=dense<50&trace=steps",
                     SimulatedCluster(4), model=model)
         session = SyncSession(sync)
         n = model.num_parameters()
         session.step(grads_for(sync.cluster, n))
         labels = {e.name for e in sync.tracer.events if e.cat == "iteration"}
-        # One outer step span plus one labelled span per bucket.
-        assert "step" in labels
-        for index in range(sync.num_buckets):
-            assert f"step:b{index}" in labels
+        # One outer step span plus one labelled span per exchange group.
+        assert len(sync.sessions) == sync.num_buckets == 4
+        assert labels == {"step"} | {f"step:g{index}" for index in range(4)}
+        # Layers that share an exchange share its spans.
+        fused = make("spardl?density=0.05&buckets=layer&trace=steps",
+                     SimulatedCluster(4), model=model)
+        SyncSession(fused).step(grads_for(fused.cluster, n))
+        assert {e.name for e in fused.tracer.events
+                if e.cat == "iteration"} == {"step", "step:g0"}
         # The whole timeline still nests properly.
         validate_chrome_trace(sync.tracer.export_chrome(tmp_path / "t.json"))
 
@@ -459,16 +465,22 @@ class TestTrainerTracing:
         assert trainer.tracer is trainer.synchronizer.tracer
         assert trainer.tracer.wants_comm
 
-    def test_overlap_replay_renders_hidden_and_exposed_comm(self):
-        trainer = _build_trainer("steps",
-                                 spec="spardl?density=0.05&buckets=layer",
-                                 overlap_comm=True)
+    @pytest.mark.parametrize("spec,hides", [
+        # layers sharing one exchange: it starts when the last backward
+        # slice ends, so nothing is hidden (and nothing negative either)
+        ("spardl?density=0.05&buckets=layer", False),
+        # dense layers exchange one by one behind the backward pass
+        ("dense?buckets=layer", True),
+    ])
+    def test_overlap_replay_renders_hidden_and_exposed_comm(self, spec, hides):
+        trainer = _build_trainer("steps", spec=spec, overlap_comm=True)
         history = trainer.train(1)
         sim = [e for e in trainer.tracer.events if e.pid == SIM_PID]
         assert sim, "the simulated timeline must be replayed onto SIM_PID"
         kinds = {e.args.get("kind") for e in sim if e.ph == "X"}
         assert "backward" in kinds
         hidden = sum(e.dur for e in sim if e.args.get("kind") == "hidden") / 1e6
+        assert (hidden > 0) == hides
         assert hidden == pytest.approx(history.total_hidden_comm_time, rel=1e-6)
         snap = trainer.tracer.snapshot()
         assert snap["sim_hidden_comm_s"] == pytest.approx(

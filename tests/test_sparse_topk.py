@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.sparse import topk as topk_module
 from repro.sparse.topk import (
     WarmTopK,
     kth_largest_magnitude,
+    segmented_top_k,
     threshold_indices,
     top_k_indices,
     top_k_mask,
@@ -101,6 +104,133 @@ class TestTopKIndices:
                                           naive_top_k_indices(values, k))
 
 
+def segment_bounds(draw, n, max_inner=5):
+    """Edges of up to ``max_inner + 1`` segments covering ``n`` entries;
+    repeated edges make empty segments."""
+    inner = sorted(draw(st.lists(st.integers(min_value=0, max_value=n),
+                                 max_size=max_inner)))
+    return np.array([0] + inner + [n], dtype=np.int64)
+
+
+def looped_top_k(values, bounds, ks):
+    """The reference a segmented selection must equal: ``top_k_indices``
+    segment by segment."""
+    pieces = [top_k_indices(values[lo:hi], int(k)) + lo
+              for lo, hi, k in zip(bounds[:-1], bounds[1:], ks)]
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+
+
+class TestSegmentedTopK:
+    """One call over many segments selects what ``top_k_indices`` selects on
+    each, whichever leg (compiled quickselect, NumPy partition) serves it."""
+
+    #: Every segment through the compiled kernel (where there is one), or
+    #: every segment through the per-segment NumPy path.
+    @pytest.mark.parametrize("limit", [10 ** 9, -1], ids=["batched", "looped"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_looping_top_k_indices(self, limit, data):
+        n = data.draw(st.integers(min_value=0, max_value=90))
+        bounds = segment_bounds(data.draw, n)
+        segments = bounds.shape[0] - 1
+        kind = data.draw(st.sampled_from(["heavy", "ties", "special", "zeros"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "ties":
+            values = rng.choice([-2.0, -1.0, 0.0, -0.0, 1.0, 2.0], size=n)
+        elif kind == "special":
+            values = rng.choice(ADVERSARIAL, size=n)
+        elif kind == "zeros":
+            values = np.zeros(n)
+        else:
+            values = rng.standard_normal(n) ** 3
+        # k = 0, negative, "keep all" and past-the-length all occur
+        ks = np.array(data.draw(st.lists(st.integers(min_value=-1, max_value=40),
+                                         min_size=segments, max_size=segments)),
+                      dtype=np.int64)
+        reaches = None
+        if data.draw(st.booleans()):
+            reaches = np.array(data.draw(st.lists(
+                st.integers(min_value=0, max_value=80),
+                min_size=segments, max_size=segments)), dtype=np.int64)
+        with mock.patch.object(topk_module, "_BATCHED_SEGMENT", limit):
+            keep, cuts, reached = segmented_top_k(np.abs(values), bounds, ks, reaches)
+        assert keep.dtype == bool and keep.shape == (n,)
+        np.testing.assert_array_equal(np.flatnonzero(keep),
+                                      looped_top_k(values, bounds, ks))
+        for s, (lo, hi, k) in enumerate(zip(bounds[:-1], bounds[1:], ks.tolist())):
+            if 0 < k < hi - lo:  # a cut exists: the magnitude at the reached rank
+                rank = min(max(k, 0 if reaches is None else int(reaches[s])), hi - lo)
+                assert reached[s] == rank
+                assert cuts[s] == kth_largest_magnitude(values[lo:hi], rank)
+            else:
+                assert np.isnan(cuts[s]) and reached[s] == 0
+
+    def test_long_segments_are_left_to_numpy(self, monkeypatch):
+        """The compiled kernel batches the short segments only; the long one
+        goes through the NumPy partition, with the same result."""
+        sizes = []
+        inner = topk_module._top_k_of_magnitude
+        monkeypatch.setattr(topk_module, "_top_k_of_magnitude",
+                            lambda magnitude, *rest: sizes.append(magnitude.shape[0])
+                            or inner(magnitude, *rest))
+        long = topk_module._BATCHED_SEGMENT + 1
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(40 + long + 40) ** 3
+        bounds = np.array([0, 40, 40 + long, 80 + long])
+        ks = np.array([7, 300, 7])
+        keep, _, _ = segmented_top_k(np.abs(values), bounds, ks)
+        partitioned = list(sizes)
+        np.testing.assert_array_equal(np.flatnonzero(keep),
+                                      looped_top_k(values, bounds, ks))
+        if topk_module.get_kernels() is not None:
+            assert partitioned == [long]
+
+
+class TestTopKSegmentsOfASparseGradient:
+    """``SparseGradient.top_k_segments``: the same selection fused with the
+    split it decides (one kernel call), and its NumPy reference."""
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kept_and_dropped_equal_the_looped_reference(self, compiled, data):
+        from repro.sparse import vector as vector_module
+        from repro.sparse.vector import SparseGradient
+        n = data.draw(st.integers(min_value=0, max_value=60))
+        bounds = segment_bounds(data.draw, n)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.choice(ADVERSARIAL + [0.5, -0.5, 3.0], size=n)
+        indices = np.sort(rng.choice(1000, size=n, replace=False)).astype(np.int64)
+        ks = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=30),
+                                         min_size=bounds.shape[0] - 1,
+                                         max_size=bounds.shape[0] - 1)), dtype=np.int64)
+        sparse = SparseGradient.from_sorted_unique(indices, values, 1000)
+        kernels = vector_module._get_c_kernels() if compiled else None
+        with mock.patch.object(vector_module, "_get_c_kernels", lambda: kernels):
+            kept, dropped = sparse.top_k_segments(bounds, ks)
+        picked = looped_top_k(values, bounds, ks)
+        rest = np.setdiff1d(np.arange(n), picked)
+        np.testing.assert_array_equal(kept.indices, indices[picked])
+        np.testing.assert_array_equal(dropped.indices, indices[rest])
+        np.testing.assert_array_equal(kept.values.view(np.uint64),
+                                      values[picked].view(np.uint64))
+        np.testing.assert_array_equal(dropped.values.view(np.uint64),
+                                      values[rest].view(np.uint64))
+        if n:
+            whole_kept, whole_dropped = sparse.top_k(int(ks[0]))
+            np.testing.assert_array_equal(
+                whole_kept.indices, indices[top_k_indices(values, int(ks[0]))])
+            assert whole_kept.nnz + whole_dropped.nnz == n
+
+
+def select_one(warm, key, values, k):
+    """The whole vector as the one segment of group ``key`` (its cut is
+    ``warm.cuts[(key, 0)]``)."""
+    return warm.select_segments(key, values,
+                                np.array([0, values.shape[0]], dtype=np.int64),
+                                np.array([k]))
+
+
 class TestWarmTopK:
     """The warm path is an optimisation of the exact selection, never a
     different selector: whatever cut it remembers (or is handed), its result
@@ -129,19 +259,18 @@ class TestWarmTopK:
             k = data.draw(st.integers(min_value=0, max_value=n + 2))
             forced = data.draw(st.sampled_from(["keep", "high", "low", "nan", "drop"]))
             if forced == "high":
-                warm.cuts["block"] = np.inf
+                warm.cuts[("block", 0)] = np.inf
             elif forced == "low":
-                warm.cuts["block"] = 0.0
+                warm.cuts[("block", 0)] = 0.0
             elif forced == "nan":
-                warm.cuts["block"] = np.nan
+                warm.cuts[("block", 0)] = np.nan
             elif forced == "drop":
                 warm.cuts.clear()
-            picked = warm.select("block", values, k)
+            picked = select_one(warm, "block", values, k)
             np.testing.assert_array_equal(picked, top_k_indices(values, k))
             assert picked.dtype == np.int64
 
     def test_warm_hit_runs_on_candidates_only(self, monkeypatch):
-        from repro.sparse import topk as topk_module
         sizes = []
         inner = topk_module._top_k_of_magnitude
         monkeypatch.setattr(topk_module, "_top_k_of_magnitude",
@@ -150,9 +279,9 @@ class TestWarmTopK:
         rng = np.random.default_rng(0)
         base = rng.standard_normal(4096) ** 3
         warm = WarmTopK()
-        warm.select("b", base, 40)
+        select_one(warm, "b", base, 40)
         grown = 1.05 * base + 1e-3 * rng.standard_normal(4096)
-        np.testing.assert_array_equal(warm.select("b", grown, 40),
+        np.testing.assert_array_equal(select_one(warm, "b", grown, 40),
                                       top_k_indices(grown, 40))
         assert sizes[0] == 4096          # cold: the full partition
         assert 40 <= sizes[1] < 400      # warm: a few candidates
@@ -160,23 +289,28 @@ class TestWarmTopK:
     def test_keys_are_independent(self):
         warm = WarmTopK()
         big, small = np.array([9.0, 8.0, 7.0]), np.array([0.3, 0.2, 0.1])
-        warm.select("big", big, 1)
-        np.testing.assert_array_equal(warm.select("small", small, 1), [0])
-        assert warm.cuts == {"big": 9.0, "small": 0.3}
+        select_one(warm, "big", big, 1)
+        np.testing.assert_array_equal(select_one(warm, "small", small, 1), [0])
+        assert warm.cuts == {("big", 0): 9.0, ("small", 0): 0.3}
+        # and so are the segments of one group
+        both = np.concatenate([big, small])
+        picked = warm.select_segments("g", both, np.array([0, 3, 6]), np.array([1, 2]))
+        np.testing.assert_array_equal(picked, [0, 3, 4])
+        assert (warm.cuts[("g", 0)], warm.cuts[("g", 1)]) == (9.0, 0.2)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_fused_sequences_match_cold_selection(self, data):
-        """The same property with the add in the loop: candidates found
-        while the gradient is added (compiled kernels; the NumPy leg adds
-        here and compares inside ``select``) select what a cold top-k of the
-        summed vector selects — also after the picks are taken out, after a
-        cut is overwritten between the add and the selection, and when a
-        step adds but never selects."""
+        """The same property with the add in the loop and several segments
+        per selection: candidates found while the gradient is added
+        (compiled kernels; the NumPy leg adds here and compares inside
+        ``select_segments``) select what a cold top-k of the summed vector
+        selects — also after the picks are taken out, after a cut is
+        overwritten between the add and the selection, and when a step adds
+        but never selects."""
         n = data.draw(st.integers(min_value=1, max_value=80))
-        edges = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=n),
-                                          max_size=3)))
-        bounds = np.array([0] + edges + [n], dtype=np.int64)
+        bounds = segment_bounds(data.draw, n, max_inner=3)
+        segments = bounds.shape[0] - 1
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
         rng = np.random.default_rng(seed)
         warm = WarmTopK()
@@ -197,19 +331,24 @@ class TestWarmTopK:
             np.testing.assert_array_equal(store, expected)
             if data.draw(st.booleans()):
                 continue  # e.g. a dense-fallback step: added, not selected
-            for block, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            ks = []
+            for segment, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
                 forced = data.draw(st.sampled_from(["keep", "keep", "high", "low", "drop"]))
                 if forced == "high":
-                    warm.cuts[("g", block)] = np.inf
+                    warm.cuts[("g", segment)] = np.inf
                 elif forced == "low":
-                    warm.cuts[("g", block)] = 0.0
+                    warm.cuts[("g", segment)] = 0.0
                 elif forced == "drop":
-                    warm.cuts.pop(("g", block), None)
-                k = data.draw(st.integers(min_value=0, max_value=hi - lo + 1))
-                picked = warm.select(("g", block), store[lo:hi], k)
-                np.testing.assert_array_equal(picked, top_k_indices(store[lo:hi], k))
-                if data.draw(st.booleans()):
-                    store[lo:hi][picked] = 0.0
+                    warm.cuts.pop(("g", segment), None)
+                ks.append(data.draw(st.integers(min_value=0, max_value=hi - lo + 1)))
+            picked = warm.select_segments("g", store, bounds, np.array(ks))
+            np.testing.assert_array_equal(picked, looped_top_k(store, bounds, ks))
+            assert picked.dtype == np.int64
+            taken = data.draw(st.lists(st.booleans(), min_size=segments,
+                                       max_size=segments))
+            for lo, hi, take in zip(bounds[:-1], bounds[1:], taken):
+                if take:
+                    store[picked[(picked >= lo) & (picked < hi)]] = 0.0
 
     def test_a_key_that_never_misses_keeps_the_rank_k_cut(self):
         """Growing magnitudes: last step's smallest kept entry keeps
@@ -219,8 +358,8 @@ class TestWarmTopK:
         warm = WarmTopK()
         for step in range(8):
             values = (1.0 + 0.05 * step) * base + 1e-3 * rng.standard_normal(4096)
-            warm.select("b", values, 40)
-            assert warm.cuts["b"] == kth_largest_magnitude(values, 40)
+            select_one(warm, "b", values, 40)
+            assert warm.cuts[("b", 0)] == kth_largest_magnitude(values, 40)
         assert (warm.hits, warm.misses) == (7, 1)
         assert warm.candidates < 3 * warm.requested
 
@@ -241,11 +380,11 @@ class TestWarmTopK:
             if step and np.count_nonzero(np.abs(residual) >= tight) >= k:
                 tight_hits += 1
             misses = warm.misses
-            picked = warm.select("b", residual, k)
+            picked = select_one(warm, "b", residual, k)
             np.testing.assert_array_equal(picked, top_k_indices(residual, k))
             tight = kth_largest_magnitude(residual, k)
             if step and warm.misses > misses:  # a miss (step 0 is cold, not a miss)
-                assert warm.cuts["b"] == kth_largest_magnitude(residual, 2 * k)
+                assert warm.cuts[("b", 0)] == kth_largest_magnitude(residual, 2 * k)
             residual[picked] = 0.0
         assert warm.hits + warm.misses == steps
         assert warm.hits / steps >= 0.6
@@ -259,8 +398,8 @@ class TestWarmTopK:
         selectors = [WarmTopK(), WarmTopK()]
         for step in range(4):
             for index, warm in enumerate(selectors):
-                warm.select("b", (1.0 + 0.1 * step) * rng.standard_normal(512) ** 3,
-                            8 * (index + 1))
+                select_one(warm, "b", (1.0 + 0.1 * step) * rng.standard_normal(512) ** 3,
+                           8 * (index + 1))
                 warm.publish(registry)
         snap = registry.snapshot()
         hits = sum(warm.hits for warm in selectors)

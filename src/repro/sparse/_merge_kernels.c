@@ -519,25 +519,37 @@ void segmented_top_k_f64(
 /* The same selection on a COO stream, split in the same call: segment s of
  * (indices, values) keeps its ks[s] largest-magnitude entries (ks[s] >= 0);
  * the kept entries of all segments go to (kept_indices, kept_values), the
- * others to (rest_indices, rest_values), in order.  Every output holds room
- * for all n = offsets[num_segments] entries; magnitude and scratch hold n
- * doubles, keep n zeroed bytes, cuts and reached one entry per segment.
- * Returns the number kept.  The split is branch-free — each entry is written
- * to both sides and the side it belongs to advances — because which entries
- * a top-k keeps is as good as random; NumPy's boolean gathers branch. */
+ * others to (rest_indices, rest_values), in order.  Returns the number kept.
+ *
+ * Outputs and scratch live in two caller-allocated buffers (one pointer each
+ * to marshal, which is what a call on a few hundred entries costs), with
+ * n = offsets[num_segments] and S = num_segments:
+ *     fwork, 4n + S + ceil(n / 8) doubles:
+ *         [0, n) magnitudes   [n, 2n) select scratch   [2n, 3n) kept_values
+ *         [3n, 4n) rest_values   [4n, 4n + S) cuts   then n keep bytes
+ *     iwork, 2n + S int64:
+ *         [0, n) kept_indices   [n, 2n) rest_indices   [2n, 2n + S) reached
+ *
+ * The split is branch-free — each entry is written to both sides and the
+ * side it belongs to advances — because which entries a top-k keeps is as
+ * good as random; NumPy's boolean gathers branch. */
 int64_t top_k_split_i64_f64(
     int64_t num_segments, const int64_t *offsets, const int64_t *ks,
     const int64_t *indices, const double *values,
-    double *magnitude, double *scratch, uint8_t *keep,
-    double *cuts, int64_t *reached,
-    int64_t *kept_indices, double *kept_values,
-    int64_t *rest_indices, double *rest_values)
+    double *fwork, int64_t *iwork)
 {
     int64_t n = offsets[num_segments], kept = 0, rest = 0, i;
-    for (i = 0; i < n; i++)
+    double *magnitude = fwork, *scratch = fwork + n;
+    double *kept_values = fwork + 2 * n, *rest_values = fwork + 3 * n;
+    double *cuts = fwork + 4 * n;
+    uint8_t *keep = (uint8_t *)(cuts + num_segments);
+    int64_t *kept_indices = iwork, *rest_indices = iwork + n;
+    for (i = 0; i < n; i++) {
         magnitude[i] = fabs(values[i]);
+        keep[i] = 0;
+    }
     segmented_top_k_f64(num_segments, offsets, ks, 0, magnitude, scratch,
-                        keep, cuts, reached);
+                        keep, cuts, iwork + 2 * n);
     for (i = 0; i < n; i++) {
         int64_t k = keep[i];
         kept_indices[kept] = rest_indices[rest] = indices[i];

@@ -77,7 +77,7 @@ class CMergeKernels:
         self._segmented_top_k.argtypes = [_I64] + [_PTR] * 8
         self._top_k_split = lib.top_k_split_i64_f64
         self._top_k_split.restype = _I64
-        self._top_k_split.argtypes = [_I64] + [_PTR] * 13
+        self._top_k_split.argtypes = [_I64] + [_PTR] * 6
         lib.accumulate_scan_lanes.restype = _I64
         lib.accumulate_scan_lanes.argtypes = []
         widest = lib.accumulate_scan_lanes()
@@ -227,21 +227,15 @@ class CMergeKernels:
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         ks = np.maximum(ks, 0, dtype=np.int64)
         n, segments = indices.shape[0], ks.shape[0]
-        work = np.empty((2, n), dtype=np.float64)
-        keep = np.zeros(n, dtype=np.uint8)
-        cuts = np.empty(segments, dtype=np.float64)
-        reached = np.empty(segments, dtype=np.int64)
-        out_indices = np.empty((2, n), dtype=np.int64)
-        out_values = np.empty((2, n), dtype=np.float64)
+        # Outputs and scratch, laid out as top_k_split_i64_f64 documents.
+        fwork = np.empty(4 * n + segments + (n + 7) // 8, dtype=np.float64)
+        iwork = np.empty(2 * n + segments, dtype=np.int64)
         kept = self._top_k_split(
             segments, offsets.ctypes.data, ks.ctypes.data,
             indices.ctypes.data, values.ctypes.data,
-            work[0].ctypes.data, work[1].ctypes.data, keep.ctypes.data,
-            cuts.ctypes.data, reached.ctypes.data,
-            out_indices[0].ctypes.data, out_values[0].ctypes.data,
-            out_indices[1].ctypes.data, out_values[1].ctypes.data)
-        return (out_indices[0, :kept], out_values[0, :kept],
-                out_indices[1, :n - kept], out_values[1, :n - kept])
+            fwork.ctypes.data, iwork.ctypes.data)
+        return (iwork[:kept], fwork[2 * n:2 * n + kept],
+                iwork[n:2 * n - kept], fwork[3 * n:4 * n - kept])
 
 
 def _cache_path(source: str, compiler: str) -> Optional[Path]:

@@ -374,19 +374,24 @@ class SparseGradient:
             return self, SparseGradient.empty(self.length)
         if k <= 0:
             return SparseGradient.empty(self.length), self
-        return self.top_k_segments(np.array([0, self.nnz], dtype=np.int64),
-                                   np.array([k], dtype=np.int64))
+        return self._top_k_split(np.array([0, self.nnz], dtype=np.int64),
+                                 np.array([k], dtype=np.int64))
 
     def top_k_segments(self, offsets: np.ndarray, ks: np.ndarray
                        ) -> Tuple["SparseGradient", "SparseGradient"]:
         """:meth:`top_k` on every segment of the stored entries at once:
         entries ``offsets[s]:offsets[s + 1]`` keep their ``ks[s]`` largest.
-        Returns ``(kept, dropped)`` over all segments.  With the compiled
-        kernels the selection and the split are one call; the NumPy path
-        (:func:`~repro.sparse.topk.segmented_top_k` and two boolean gathers
-        per side) is the reference it is index-for-index equal to."""
+        Returns ``(kept, dropped)`` over all segments."""
         if (np.diff(offsets) <= ks).all():  # no segment is over its budget
             return self, SparseGradient.empty(self.length)
+        return self._top_k_split(offsets, ks)
+
+    def _top_k_split(self, offsets: np.ndarray, ks: np.ndarray
+                     ) -> Tuple["SparseGradient", "SparseGradient"]:
+        """The segmented selection and the split it decides: one call with
+        the compiled kernels; the NumPy path
+        (:func:`~repro.sparse.topk.segmented_top_k` and two boolean gathers
+        per side) is the reference it is index-for-index equal to."""
         kernels = _get_c_kernels()
         if kernels is None:
             keep, _, _ = segmented_top_k(np.abs(self.values), offsets, ks)

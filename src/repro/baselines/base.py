@@ -22,7 +22,7 @@ from ..core.base import GradientSynchronizer
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualManager, ResidualPolicy
 from ..core.schedules import KSchedule, coerce_schedule
-from ..sparse.topk import top_k_indices
+from ..sparse.topk import WarmTopK
 from ..sparse.vector import SparseGradient
 
 __all__ = ["SparseBaseline", "power_of_two_split", "is_power_of_two"]
@@ -86,6 +86,10 @@ class SparseBaseline(GradientSynchronizer):
                          schedule=coerce_schedule(schedule, k=k, density=density))
         self.k = self.schedule.resolve(0, num_elements)
         self.residuals = ResidualManager(cluster.num_workers, num_elements, residual_policy)
+        #: Per-rank cut of the last step's local top-k (the whole vector is
+        #: one segment): the selector SparDL's phase 1 uses, so that the
+        #: methods' wall-clock compares at the same selection cost.
+        self.selector = WarmTopK()
         self.adopt_stack(CompressorStack.from_config(
             cluster.num_workers, momentum=momentum, num_bits=num_bits,
             sparsify=True))
@@ -120,12 +124,17 @@ class SparseBaseline(GradientSynchronizer):
     def local_select(self, gradients: Dict[int, np.ndarray]) -> Dict[int, SparseGradient]:
         """Residual-corrected local top-k selection for every worker.
 
-        The picks are taken out of the residual store, which keeps the
-        rest as the local residual.  Returns the per-worker sparse selection
-        in global coordinates.
+        Exactly ``top_k_indices`` of every corrected vector, found through
+        :attr:`selector` (fused add + candidate scan where the kernels are
+        compiled).  The picks are taken out of the residual store, which
+        keeps the rest as the local residual.  Returns the per-worker
+        sparse selection in global coordinates.
         """
-        corrected = self.residuals.apply(gradients)
-        return {rank: self.residuals.take(rank, top_k_indices(dense, self.k))
+        bounds = np.array([0, self.num_elements], dtype=np.int64)
+        ks = np.array([self.k], dtype=np.int64)
+        corrected = self.residuals.apply(gradients, self.selector, bounds, ks)
+        return {rank: self.residuals.take(rank, self.selector.select_segments(
+                    rank, dense, bounds, ks))
                 for rank, dense in corrected.items()}
 
     def finalize_residuals(self, final: SparseGradient) -> None:

@@ -318,7 +318,8 @@ class ResidualManager:
 
     def apply(self, gradients: Dict[int, np.ndarray],
               selector: Optional[WarmTopK] = None,
-              bounds: Optional[np.ndarray] = None) -> Dict[int, np.ndarray]:
+              bounds: Optional[np.ndarray] = None,
+              ks: Optional[np.ndarray] = None) -> Dict[int, np.ndarray]:
         """Error-correct in place: add each gradient into its worker's store
         and return the stores' buffers (see the class notes on ownership).
 
@@ -331,11 +332,12 @@ class ResidualManager:
 
         A caller that will select block-wise through a
         :class:`~repro.sparse.topk.WarmTopK` passes it with the segments'
-        ``bounds`` (:attr:`~repro.sparse.blocks.BlockLayout.edges`): where
-        the kernels are compiled the add then runs as one fused sweep that
-        also hands the selector each segment's candidates, keyed ``(worker,
-        segment)``.  The NumPy statements below are the reference it is
-        bit-identical to.
+        ``bounds`` (:attr:`~repro.sparse.blocks.BlockLayout.edges`) and the
+        ``ks`` it will keep of each: where the kernels are compiled the add
+        then runs as one fused sweep that also hands the selector each
+        segment's candidates, keyed ``(worker, segment)`` — against the
+        segment's cut, or one seeded in the sweep where it has none.  The
+        NumPy statements below are the reference it is bit-identical to.
         """
         self.flush()
         corrected = {}
@@ -344,7 +346,7 @@ class ResidualManager:
             gradient = np.asarray(gradient, dtype=np.float64)
             velocity = None if self._velocity is None else self._velocity[worker]
             if selector is None or not selector.fused_accumulate(
-                    worker, bounds, data, gradient, velocity, self.momentum):
+                    worker, bounds, ks, data, gradient, velocity, self.momentum):
                 if velocity is None:
                     data += gradient
                 else:

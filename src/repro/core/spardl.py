@@ -46,6 +46,7 @@ import numpy as np
 
 from ..comm.transport import Transport
 from ..comm.collectives import allgather_bruck_grouped, allreduce_dense
+from ..comm.packed import PackedBags
 from ..compression.stack import CompressorStack
 from ..sparse.blocks import BlockLayout
 from ..sparse.topk import WarmTopK
@@ -225,11 +226,12 @@ class SparDLSynchronizer(GradientSynchronizer):
         sends everything, so every store releases its corrected buffer to
         the collective here — folded through the stack first when
         ``config.num_bits`` is set (one draw per worker, the exact error
-        stays in that worker's residual store); on the sparse path the selection is interleaved with the SRS transmissions,
-        so the stack is applied inside :meth:`stage_exchange` instead —
-        right after each block-wise top-k, i.e. the moment a value first
-        reaches the wire.  Declarative stages (momentum correction) act
-        through the residual manager and leave the wire untouched.
+        stays in that worker's residual store); on the sparse path the
+        selection is interleaved with the SRS transmissions, so the stack is
+        applied inside :meth:`stage_exchange` instead — right after each
+        block-wise top-k, i.e. the moment a value first reaches the wire.
+        Declarative stages (momentum correction) act through the residual
+        manager and leave the wire untouched.
         """
         if self.uses_dense_fallback:
             self._compress_dense(context)
@@ -242,13 +244,14 @@ class SparDLSynchronizer(GradientSynchronizer):
         must not write.  SparDL's block-wise top-k selection is interleaved
         with the SRS transmissions, so the selection proper lives inside
         :meth:`stage_exchange`; on a sparse step the add goes through
-        :attr:`selector`, which (compiled kernels) collects every block's
-        candidates in the same sweep."""
+        :attr:`selector`, which (compiled kernels) collects every segment's
+        candidates in the same sweep and seeds the cuts it lacks."""
         if self.uses_dense_fallback:
             context.selected = self.residuals.apply(context.gradients)
         else:
             context.selected = self.residuals.apply(
-                context.gradients, self.selector, self.layout.edges)
+                context.gradients, self.selector, self.layout.edges,
+                self.segment_k)
 
     def stage_exchange(self, context: StepContext) -> None:
         """SRS inside every team, then Spar-All-Gather across teams — or the
@@ -359,12 +362,14 @@ class SparDLSynchronizer(GradientSynchronizer):
         return output
 
     def _intra_team_allgather(self, blocks: Dict[int, SparseGradient]) -> Dict[int, SparseGradient]:
-        """Bruck All-Gather of the per-position blocks inside every team and
-        merge them into one sparse gradient per worker."""
+        """Bruck All-Gather of the per-position blocks inside every team,
+        assembled into one sparse gradient per worker: the bags are the
+        layout's segments — disjoint index ranges, numbered in index order —
+        so putting them in that order is the whole merge."""
         if self.team_size == 1:
             return dict(blocks)
         packed = {rank: pack_blocks(self.layout, [position], [blocks[rank]])
                   for team in self.teams for position, rank in enumerate(team)}
         gathered = allgather_bruck_grouped(self.cluster, self.teams, packed)
-        return {rank: SparseGradient.merge_many([item.span() for item in items])
+        return {rank: PackedBags.concat_by_id(items)
                 for rank, items in gathered.items()}

@@ -18,9 +18,10 @@ The algorithm:
    selector (compiled kernels), that one sweep over a worker's ``n`` values
    also found each segment's candidates and their magnitudes, and phase 1
    ranks only those; otherwise the selector compares each segment against
-   its remembered cut here, and a segment without a usable cut runs the
-   full partition.  The selection is ``top_k_indices`` index for index on
-   every path;
+   its cut here.  A segment has a cut from its first selection on (seeded
+   from a sample, then remembered); only one whose cut admits too few
+   entries runs the full partition.  The selection is ``top_k_indices``
+   index for index on every path;
 2. blocks are grouped into bags (:mod:`repro.core.partition`);
 3. for ``l = ceil(log2 m)`` steps, bags are forwarded to the worker at
    distance ``2^(l-i)`` and received blocks are merge-summed into the
@@ -184,10 +185,11 @@ def spar_reduce_scatter(
         compressed accounting.
     selector:
         The synchroniser's :class:`~repro.sparse.topk.WarmTopK`, keyed by
-        ``(rank, segment)``: it reuses each segment's cut of the previous
-        step to run the exact top-k on a few candidates — those
-        ``residuals.apply(gradients, selector, layout.edges)`` left with
-        it, or the ones it finds itself.  ``None`` selects cold.
+        ``(rank, segment)``: it runs the exact top-k on the few candidates
+        that reach each segment's cut — remembered from the previous step,
+        or seeded from a sample — those ``residuals.apply(gradients,
+        selector, layout.edges, k_block)`` left with it, or the ones it
+        finds itself.  ``None`` uses a fresh one.
     """
     team_size = _validate_teams(cluster, teams, layout)
     budgets = segment_budgets(layout, k_block)

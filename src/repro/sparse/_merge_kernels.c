@@ -1,6 +1,6 @@
 /* Two-pointer / k-way merge-add kernels for sorted COO gradient streams, the
- * fused error-feedback accumulate + candidate scan, and the segmented exact
- * top-k (end of file).
+ * fused error-feedback accumulate + candidate scan (which also seeds the
+ * cuts it scans against), and the segmented exact top-k (end of file).
  *
  * Compiled on demand by repro.sparse.ckernels (cc -O3 -ffp-contract=off
  * -shared -fPIC); the package falls back to vectorized NumPy kernels when no
@@ -203,9 +203,61 @@ int64_t merge_many_tournament_i64_f64(
  * (count -1) and only its add goes on, so candidate storage is bounded by
  * what the caller expects, not by n.  Every variant may write up to
  * SCAN_PAD entries past cap before it notices.
+ *
+ * A block without a cut (NaN) can be given one first, from a sample of the
+ * magnitudes the sweep is about to produce (seed_cut below), so that a
+ * selector's first selection ranks a few candidates like every later one.
  * ------------------------------------------------------------------------ */
 
 #define SCAN_PAD 8
+
+static double select_descending(double *a, int64_t n, int64_t p);
+
+/* The sample a cut is seeded from: SEED_RUN contiguous entries at the start
+ * of each of `runs` equal parts of the block — runs, not single entries, so
+ * that a sample of one entry in SEED_SHARE touches one page in eight instead
+ * of all of them — with at least SEED_MIN_RUNS runs, and the whole block
+ * when that covers it.  Which entries are read depends on the block's
+ * length alone.  (repro.sparse.topk.seed_cut is the NumPy statement of
+ * this; the constants must match ckernels.py.) */
+#define SEED_RUN 64
+#define SEED_SHARE 64
+#define SEED_MIN_RUNS 16
+
+/* The rank-th largest of the sampled |s + g| (|s + (m * v + g)| under
+ * momentum; rounded like the sweep, nothing written), NaN ranked last and
+ * rank clipped to the sample; NaN when that magnitude is not positive — a
+ * cut everything reaches selects nothing.  sample holds the sampled
+ * entries. */
+static double seed_cut(const double *s, const double *g, const double *v,
+                       double m, int64_t len, int64_t rank, double *sample)
+{
+    int64_t runs = len / (SEED_RUN * SEED_SHARE), run = SEED_RUN;
+    int64_t count = 0, i, j;
+    double cut;
+    if (runs < SEED_MIN_RUNS)
+        runs = SEED_MIN_RUNS;
+    if (runs * SEED_RUN >= len) {
+        runs = 1;
+        run = len;
+    }
+    for (j = 0; j < runs; j++) {
+        int64_t lo = j * len / runs;
+        for (i = lo; i < lo + run; i++) {
+            double u = g[i], x;
+            if (v) {
+                u = m * v[i];
+                u = u + g[i];
+            }
+            x = fabs(s[i] + u);
+            sample[count++] = x == x ? x : -INFINITY;
+        }
+    }
+    if (count == 0)
+        return NAN;
+    cut = select_descending(sample, count, (rank < count ? rank : count) - 1);
+    return cut > 0 ? cut : NAN;
+}
 
 static void accumulate_plain(double *s, const double *g, double *v, double m,
                              int64_t len)
@@ -370,14 +422,17 @@ static scan_block_fn scan_block_variant(int64_t lanes)
  * (indices) and mag (magnitudes) — an overflowed block leaves nothing — and
  * each block's number of them (or -1) to counts[b]; out and mag hold
  * (caps[0] + SCAN_PAD) + ... + (caps[num_blocks-1] + SCAN_PAD) entries.  A
- * block whose cut is NaN is only added.  lanes picks the variant (0: the
- * widest available); returns -1, having done nothing, when this CPU does not
- * run it. */
+ * block whose cut is NaN is first given one where seed_ranks (NULL: nowhere)
+ * holds a positive rank for it — seed_cut of that rank, written back to
+ * cuts[b], through sample, which holds the largest such block's sampled
+ * entries — and is only added when it still has none.  lanes picks the
+ * variant (0: the widest available); returns -1, having done nothing, when
+ * this CPU does not run it. */
 int64_t accumulate_scan_f64(
     double *store, const double *addend, double *velocity, double momentum,
-    int64_t num_blocks, const int64_t *bounds, const double *cuts,
-    const int64_t *caps, int64_t *out, double *mag, int64_t *counts,
-    int64_t lanes)
+    int64_t num_blocks, const int64_t *bounds, double *cuts,
+    const int64_t *caps, const int64_t *seed_ranks, double *sample,
+    int64_t *out, double *mag, int64_t *counts, int64_t lanes)
 {
     scan_block_fn scan_block = scan_block_variant(lanes);
     int64_t b;
@@ -386,6 +441,9 @@ int64_t accumulate_scan_f64(
     for (b = 0; b < num_blocks; b++) {
         int64_t lo = bounds[b], len = bounds[b + 1] - lo;
         double *v = velocity ? velocity + lo : 0;
+        if (cuts[b] != cuts[b] && seed_ranks && seed_ranks[b] > 0)
+            cuts[b] = seed_cut(store + lo, addend + lo, v, momentum, len,
+                               seed_ranks[b], sample);
         if (cuts[b] != cuts[b]) {
             accumulate_plain(store + lo, addend + lo, v, momentum, len);
             counts[b] = 0;

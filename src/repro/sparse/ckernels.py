@@ -28,6 +28,13 @@ __all__ = ["get_kernels", "load_merge_kernels", "CMergeKernels"]
 MAX_STREAMS = 256
 #: Must match SCAN_PAD in _merge_kernels.c.
 SCAN_PAD = 8
+#: Must match SEED_RUN / SEED_SHARE / SEED_MIN_RUNS in _merge_kernels.c: a cut
+#: is seeded from runs of ``SEED_RUN`` contiguous entries, one entry in
+#: ``SEED_SHARE`` but at least ``SEED_MIN_RUNS`` runs (see
+#: :func:`repro.sparse.topk.seed_cut`).
+SEED_RUN = 64
+SEED_SHARE = 64
+SEED_MIN_RUNS = 16
 #: Variants of the fused accumulate + scan kernel, by values per instruction.
 SIMD_LANES = {"scalar": 1, "avx2": 4, "avx512f": 8}
 
@@ -70,7 +77,7 @@ class CMergeKernels:
         self._accumulate_scan.restype = _I64
         self._accumulate_scan.argtypes = [
             _PTR, _PTR, _PTR, ctypes.c_double,
-            _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64,
+            _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64,
         ]
         self._segmented_top_k = lib.segmented_top_k_f64
         self._segmented_top_k.restype = None
@@ -142,6 +149,7 @@ class CMergeKernels:
         velocity: Optional[np.ndarray], momentum: float,
         bounds: np.ndarray, cuts: np.ndarray, caps: np.ndarray,
         simd: Optional[str] = None,
+        seed_ranks: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Error-feedback add and candidate scan in one sweep.
 
@@ -158,9 +166,15 @@ class CMergeKernels:
         blocks' candidates back to back in index order, ``counts[block]`` of
         them per block — ``-1`` for a block that more than ``caps[block]``
         entries reached (its candidates were dropped, not its add).  A NaN
-        cut is reached by nothing.  ``simd`` names a variant other than
-        :attr:`simd` to run (the tests compare them all); one this CPU lacks
-        raises ``ValueError``.
+        cut is reached by nothing — unless ``seed_ranks`` (``int64``, one
+        per block) holds a positive rank for that block: the sweep then
+        first *seeds* the cut, the magnitude of that rank in a sample of
+        the values it is about to produce
+        (:func:`repro.sparse.topk.seed_cut` is the reference), writes it to
+        ``cuts[block]`` and scans against it; a sample whose magnitude at
+        that rank is not positive leaves the NaN.  ``simd`` names a variant
+        other than :attr:`simd` to run (the tests compare them all); one
+        this CPU lacks raises ``ValueError``.
         """
         n = store.shape[0]
         addend = _contiguous(np.asarray(addend, dtype=np.float64))
@@ -178,7 +192,19 @@ class CMergeKernels:
                 or (np.diff(bounds) < 0).any() or (caps < 0).any()):
             raise ValueError("bounds must rise from 0 to len(store); cuts and "
                              "non-negative caps hold one entry per block")
-        bounds, cuts, caps = _contiguous(bounds), _contiguous(cuts), _contiguous(caps)
+        bounds, caps = _contiguous(bounds), _contiguous(caps)
+        sample = None
+        if seed_ranks is None:
+            cuts = _contiguous(cuts)
+        else:
+            if (seed_ranks.dtype != np.int64 or seed_ranks.shape != (blocks,)
+                    or not (cuts.flags.c_contiguous and cuts.flags.writeable)):
+                raise ValueError("seeding needs one int64 rank per block and "
+                                 "contiguous writable cuts")
+            seed_ranks = _contiguous(seed_ranks)
+            longest = int(np.diff(bounds).max())
+            sample = np.empty(min(longest, max(longest // SEED_SHARE,
+                                               SEED_MIN_RUNS * SEED_RUN)))
         capacity = int(caps.sum()) + SCAN_PAD * blocks
         indices = np.empty(capacity, dtype=np.int64)
         magnitudes = np.empty(capacity, dtype=np.float64)
@@ -187,6 +213,8 @@ class CMergeKernels:
             store.ctypes.data, addend.ctypes.data,
             None if velocity is None else velocity.ctypes.data, momentum,
             blocks, bounds.ctypes.data, cuts.ctypes.data, caps.ctypes.data,
+            None if seed_ranks is None else seed_ranks.ctypes.data,
+            None if sample is None else sample.ctypes.data,
             indices.ctypes.data, magnitudes.ctypes.data, counts.ctypes.data,
             0 if simd is None else SIMD_LANES[simd])
         if status:

@@ -17,10 +17,12 @@ from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
 import numpy as np
 
-from .ckernels import get_kernels
+from .ckernels import SEED_MIN_RUNS, SEED_RUN, SEED_SHARE, get_kernels
 
 __all__ = [
     "WarmTopK",
+    "seed_cut",
+    "seed_ranks",
     "segmented_top_k",
     "top_k_indices",
     "top_k_mask",
@@ -148,50 +150,117 @@ def segmented_top_k(magnitude: np.ndarray, offsets: np.ndarray, ks: np.ndarray,
     return keep, cuts, reached
 
 
+#: Added to the rank a seeded cut is read at, against the sampling noise of
+#: small ranks: a sample expected to hold ``x`` of a segment's top ``k``
+#: holds ``2 x + SEED_SLACK`` or more of them — and the cut seeded from it
+#: admits fewer than ``k`` — about once in 10^5 segments of independent
+#: entries, at any ``x``.
+SEED_SLACK = 6
+
+
+def _seed_sample(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(runs, entries sampled)`` of segments of ``lengths`` entries:
+    ``SEED_RUN`` contiguous entries from the start of each of ``runs`` equal
+    parts — one entry in ``SEED_SHARE``, at least ``SEED_MIN_RUNS`` runs —
+    or the whole segment when the runs would cover it."""
+    runs = np.maximum(lengths // (SEED_RUN * SEED_SHARE), SEED_MIN_RUNS)
+    return runs, np.minimum(runs * SEED_RUN, lengths)
+
+
+def seed_ranks(lengths: np.ndarray, ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ranks, reach)`` of the cuts to seed for top-``ks[s]`` selections
+    on segments of ``lengths[s]`` entries: the rank :func:`seed_cut` reads
+    the segment's sample at — twice the sample's share of ``k`` plus
+    :data:`SEED_SLACK`, so that the cut admits about ``2 k`` entries — and
+    the number of entries of the whole segment expected to reach that cut.
+    Both are 0 where there is nothing to seed: a segment that keeps nothing
+    or everything."""
+    lengths, ks = np.asarray(lengths, dtype=np.int64), np.asarray(ks, dtype=np.int64)
+    sampled = _seed_sample(lengths)[1]
+    ranks = np.minimum(-(-2 * ks * sampled // np.maximum(lengths, 1)) + SEED_SLACK,
+                       sampled)
+    ranks = np.where((ks > 0) & (ks < lengths), ranks, 0)
+    return ranks, -(-ranks * lengths // np.maximum(sampled, 1))
+
+
+def seed_cut(values: np.ndarray, rank: int) -> Optional[float]:
+    """A cut for a segment that has none: the ``rank``-th largest magnitude
+    (clipped to the sample, NaN ranked last) in a fixed sample of
+    ``values``, the segment after the error-feedback add — runs of
+    contiguous entries spread evenly over it, the whole segment when it is
+    short; which entries depends on its length alone.  ``None`` for a
+    non-positive ``rank`` (see :func:`seed_ranks`) or magnitude: everything
+    would reach it.
+
+    Like any cut it only proposes candidates: a selection that finds fewer
+    than ``k`` of them runs the full partition.  This is the NumPy statement
+    of what the compiled ``accumulate_scan`` does inside its sweep, and
+    equal to it bit for bit."""
+    length = values.shape[0]
+    if rank <= 0 or not length:
+        return None
+    runs, sampled = _seed_sample(length)
+    if sampled < length:
+        starts = np.arange(runs) * length // runs
+        values = values[(starts[:, None] + np.arange(SEED_RUN)).ravel()]
+    cut = float(_partition_cut(np.abs(values), min(rank, int(sampled)))[1])
+    return cut if cut > 0 else None
+
+
 class WarmTopK:
     """Exact block-wise top-k for selections repeated on slowly changing
     vectors.
 
-    Per ``(group, segment)`` it remembers a magnitude the last selection
-    ranked (its *cut*).  If at least ``k`` entries still reach that cut,
-    every top-k entry is among them (the true cut can only be higher), so
-    the partition runs on those few candidates instead of the whole segment;
-    candidates stay in index order, so ties still break towards the lower
-    index, and NaN never passes ``>=``.  Otherwise — no cut yet, or a
-    stale-high one — the full partition runs.  Either way the result equals
-    :func:`top_k_indices` index for index; a stale-low cut only admits more
+    A selection on a ``(group, segment)`` runs against a magnitude, the
+    segment's *cut*.  If at least ``k`` entries reach the cut, every top-k
+    entry is among them (the true cut can only be higher), so the partition
+    runs on those few candidates instead of the whole segment; candidates
+    stay in index order, so ties still break towards the lower index, and
+    NaN never passes ``>=``.  Otherwise — the cut was too high, or there is
+    none — the full partition runs.  Either way the result equals
+    :func:`top_k_indices` index for index; a low cut only admits more
     candidates.
+
+    **Life of a cut.**  *Seeded*: a segment that holds no cut — the first
+    selection, after :meth:`clear`, after an overflow — gets one from a
+    small fixed sample of its values (:func:`seed_cut`), aimed at about
+    ``2 k`` candidates.  *Remembered*: every selection stores the magnitude
+    it ranked at ``k``, which the next one starts from: on vectors that
+    grow, that cut keeps admitting about ``2 k`` candidates and a looser
+    one would only add work.  *Loosened*: a segment whose remembered cut
+    was stale-high once — in a training run every selection takes the
+    largest entries out and the next gradient is small against them —
+    remembers the magnitude at rank ``2 k`` from then on, read off the same
+    partition call.  A seed that admits too few costs that selection the
+    full partition and nothing more.  A cut is never zero or negative:
+    everything would reach it.
 
     **Where candidates come from.**  :meth:`select_segments` finds them with
     one compare per segment — unless :meth:`fused_accumulate` already found
     them, and their magnitudes, while it added the step's gradient into that
     vector (the compiled ``accumulate_scan`` kernel: one sweep instead of an
-    add, an ``abs``, a compare, a ``flatnonzero`` and a gather).  The
-    selector owns those candidates from the add until the group's next
-    selection consumes them, and that selection ranks all of the group's
-    segments they serve in one :func:`segmented_top_k` call.
-
-    **Which magnitude is remembered.**  The smallest one kept (rank ``k``)
-    while a segment has never missed: on vectors that grow, that cut keeps
-    admitting about ``2 k`` candidates and a looser one would only add
-    work.  A segment whose cut was stale-high once — in a training run every
-    selection takes the largest entries out and the next gradient is small
-    against them — remembers the magnitude at rank ``2 k`` from then on,
-    read off the same partition call.
+    add, an ``abs``, a compare, a ``flatnonzero`` and a gather, and the
+    sweep seeds the cuts it lacks on its way).  The selector owns those
+    candidates from the add until the group's next selection consumes them,
+    and that selection ranks all of the group's segments they serve in one
+    :func:`segmented_top_k` call.
     """
 
     #: A fused pass records at most ``SCAN_SLACK`` times the entries a cut
-    #: admitted when it was stored (plus a constant for tiny ``k``); a block
-    #: that more reach forgets its cut and is selected cold.
+    #: admitted when it was stored (plus a constant for tiny ``k``), and
+    #: ``SEED_REACH`` times those a seeded cut is expected to admit; a block
+    #: that more reach forgets its cut and runs the full partition.
     SCAN_SLACK = 8
+    SEED_REACH = 3
 
     def __init__(self) -> None:
         #: ``(group, segment) -> `` magnitude remembered from the last
         #: selection.
         self.cuts: Dict[Tuple[Hashable, int], float] = {}
-        #: Selections served from candidates / by the full partition, and
-        #: over the former the candidates looked at and the ``k`` asked for.
-        self.hits = self.misses = self.candidates = self.requested = 0
+        #: Selections served from candidates / by the full partition; over
+        #: the former the candidates looked at and the ``k`` asked for; and
+        #: the selections (of either kind) whose cut was seeded.
+        self.hits = self.misses = self.candidates = self.requested = self.seeded = 0
         #: ``(group, segment) -> `` rank the remembered magnitude had.
         self._reach: Dict[Tuple[Hashable, int], int] = {}
         #: Segments whose cut was stale-high at least once.
@@ -200,7 +269,7 @@ class WarmTopK:
         #: selected from: the segments' candidates back to back,
         #: ``counts[segment]`` of them (-1: that segment was not scanned).
         self._scanned: Dict[Hashable, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._published = (0, 0, 0, 0)
+        self._published = (0, 0, 0, 0, 0)
 
     def clear(self) -> None:
         """Forget every cut (the keys describe a partitioning that is gone);
@@ -210,18 +279,31 @@ class WarmTopK:
         self._loose.clear()
         self._scanned.clear()
 
+    def _remember(self, key: Tuple[Hashable, int], cut: float, reach: int) -> None:
+        """Keep the magnitude a selection ranked at ``reach`` for the next
+        one — unless it is not positive (the segment has fewer non-zeros
+        than it keeps): every entry would reach that cut, so the segment
+        goes without."""
+        if cut > 0:
+            self.cuts[key], self._reach[key] = cut, reach
+        else:
+            self.cuts.pop(key, None)
+            self._reach.pop(key, None)
+
     def fused_accumulate(self, group: Hashable, bounds: np.ndarray,
-                         store: np.ndarray, addend: np.ndarray,
+                         ks: np.ndarray, store: np.ndarray, addend: np.ndarray,
                          velocity: Optional[np.ndarray] = None,
                          momentum: float = 0.0) -> bool:
         """Add ``addend`` into ``store`` (through ``velocity`` under momentum
         correction: ``velocity = momentum * velocity + addend; store +=
         velocity``) with the compiled kernel — one sweep where NumPy makes
         up to three — and, in the same sweep, collect the candidates of
-        every segment ``(group, s)`` of ``bounds`` that has a cut.  Returns
-        False, having done nothing, when the kernels are not compiled: the
-        caller then adds with NumPy and :meth:`select_segments` compares for
-        itself, bit-identical either way."""
+        every segment ``(group, s)`` of ``bounds`` for the top-``ks[s]``
+        selection that follows: against the segment's cut, or one the sweep
+        seeds where there is none.  Returns False, having done nothing, when
+        the kernels are not compiled: the caller then adds with NumPy and
+        :meth:`select_segments` seeds and compares for itself, bit-identical
+        either way."""
         kernels = get_kernels()
         if kernels is None:
             return False
@@ -231,11 +313,18 @@ class WarmTopK:
         known = cuts == cuts
         caps = np.array([self.SCAN_SLACK * reach_of((group, s), 0) + 16
                          for s in segments], dtype=np.int64)
+        ranks = None
+        if not known.all():
+            ranks, reach = seed_ranks(np.diff(bounds), ks)
+            caps = np.where(known, caps, self.SEED_REACH * reach + 16)
         counts, indices, magnitudes = kernels.accumulate_scan(
-            store, addend, velocity, momentum, bounds, cuts, caps)
+            store, addend, velocity, momentum, bounds, cuts, caps,
+            seed_ranks=ranks)
         for s in np.flatnonzero(known & (counts < 0)).tolist():
             del self.cuts[(group, s)]  # more reached the cut than is worth keeping
-        counts[~known] = -1
+        scanned = cuts == cuts  # against a remembered cut or a seeded one
+        self.seeded += int(np.count_nonzero(scanned & ~known))
+        counts[~scanned] = -1
         # (replaces what a step that added but never selected left behind)
         self._scanned[group] = (counts, indices, magnitudes)
         return True
@@ -257,16 +346,19 @@ class WarmTopK:
         for s, k in enumerate(ks.tolist()):
             key = (group, s)
             cut = self.cuts.get(key)
+            remembered = cut is not None
             lo, hi = edges[s], edges[s + 1]
             found = None  # candidates compared for here, not by a fused pass
-            if cut is None:
-                hit = False
-            elif scanned[s] >= 0:
+            if scanned[s] >= 0:
                 hit = scanned[s] >= k
             else:
-                found = np.flatnonzero(np.abs(values[lo:hi]) >= cut)
-                hit = found.shape[0] >= k
-            if cut is not None and not hit:
+                if cut is None and counts is None:  # no sweep to have seeded it
+                    cut = seed_cut(values[lo:hi], int(seed_ranks(hi - lo, k)[0]))
+                    self.seeded += cut is not None
+                if cut is not None:
+                    found = np.flatnonzero(np.abs(values[lo:hi]) >= cut)
+                hit = found is not None and found.shape[0] >= k
+            if remembered and not hit:
                 self._loose.add(key)  # the cut was stale-high
             reach = 2 * k if key in self._loose else k
             if hit:
@@ -283,7 +375,7 @@ class WarmTopK:
             local, cut, reach = _top_k_of_magnitude(np.abs(segment), k, reach)
             pieces[s] = (found[local] if hit else local) + lo
             if cut is not None:
-                self.cuts[key], self._reach[key] = cut, reach
+                self._remember(key, cut, reach)
         if len(pieces) < segments:  # the segments the fused pass serves
             held = np.maximum(counts, 0)
             keep, cuts, reached = segmented_top_k(
@@ -292,7 +384,7 @@ class WarmTopK:
             warm = indices[keep]
             for s, (cut, reach) in enumerate(zip(cuts.tolist(), reached.tolist())):
                 if cut == cut:
-                    self.cuts[(group, s)], self._reach[(group, s)] = cut, reach
+                    self._remember((group, s), cut, reach)
             if not pieces:
                 return warm
             taken = np.concatenate(([0], np.cumsum(
@@ -306,20 +398,23 @@ class WarmTopK:
 
     def publish(self, metrics: Any) -> None:
         """Add what was tallied since the last call to the counters
-        ``select.hits`` / ``misses`` / ``candidates`` / ``requested`` of a
-        :class:`~repro.obs.metrics.MetricsRegistry` and refresh its gauges
-        ``select.warm_share`` (selections served from candidates) and
-        ``select.candidates_per_k`` over their running totals — which sum
-        over every selector publishing into the registry."""
-        tallies = (self.hits, self.misses, self.candidates, self.requested)
+        ``select.hits`` / ``misses`` / ``candidates`` / ``requested`` /
+        ``seeded`` of a :class:`~repro.obs.metrics.MetricsRegistry` and
+        refresh its gauges ``select.warm_share`` (selections served from
+        candidates) and ``select.candidates_per_k`` over their running
+        totals — which sum over every selector publishing into the
+        registry."""
+        tallies = (self.hits, self.misses, self.candidates, self.requested,
+                   self.seeded)
         totals = []
-        for name, now, before in zip(("hits", "misses", "candidates", "requested"),
-                                     tallies, self._published):
+        for name, now, before in zip(
+                ("hits", "misses", "candidates", "requested", "seeded"),
+                tallies, self._published):
             counter = metrics.counter(f"select.{name}")
             counter.inc(now - before)
             totals.append(counter.value)
         self._published = tallies
-        hits, misses, candidates, requested = totals
+        hits, misses, candidates, requested, _ = totals
         if hits + misses:
             metrics.gauge("select.warm_share").set(hits / (hits + misses))
         if requested:

@@ -9,7 +9,49 @@ import numpy as np
 from repro.nn.module import Module
 from repro.nn.parameter import assign_flat_values, flatten_gradients, flatten_values
 
-__all__ = ["random_gradients", "numerical_gradient_check", "max_relative_error"]
+from repro.sparse.ckernels import SEED_MIN_RUNS, SEED_RUN, SEED_SHARE
+
+__all__ = ["random_gradients", "numerical_gradient_check", "max_relative_error",
+           "SEED_LENGTHS", "SEEDING_KINDS", "seeding_values"]
+
+#: Segment lengths around what a seeded cut's sample depends on: the run,
+#: the length up to which the whole segment is read, and the one past which
+#: the number of runs grows with the segment.
+SEED_LENGTHS = [0, 1, 2, SEED_RUN - 1, SEED_RUN, SEED_RUN + 1,
+                SEED_MIN_RUNS * SEED_RUN - 1, SEED_MIN_RUNS * SEED_RUN,
+                SEED_MIN_RUNS * SEED_RUN + 1, 1500, 4099,
+                (SEED_MIN_RUNS + 1) * SEED_RUN * SEED_SHARE - 1,
+                (SEED_MIN_RUNS + 1) * SEED_RUN * SEED_SHARE + 5]
+SEEDING_KINDS = ["heavy", "constant", "zero-heavy", "special", "sorted", "clustered"]
+
+
+def seeding_values(rng: np.random.Generator, kind: str, n: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """A ``(store, addend)`` pair of ``n`` entries for the tests of seeded
+    cuts, whose sum is heavy-tailed, constant (all ties), mostly zero, full
+    of NaN / inf / denormals, sorted by magnitude along the index, or large
+    only in one stretch of it (a sample of fixed positions is biased on the
+    last two: the selection must fall back, not go wrong)."""
+    if kind == "constant":
+        return np.full(n, 1.5), np.full(n, -0.25)
+    store, addend = rng.standard_normal(n) ** 3, rng.standard_normal(n)
+    if kind == "zero-heavy":
+        keep = rng.random(n) < 0.02
+        return np.where(keep, store, 0.0), np.where(keep, addend, -0.0)
+    if kind == "special":
+        special = rng.random(n) < 0.3
+        return np.where(special, rng.choice(_SPECIAL, size=n), store), addend
+    if kind == "sorted":
+        order = np.argsort(np.abs(store + addend))
+        return store[order], addend[order]
+    if kind == "clustered":
+        lo = int(rng.integers(0, n + 1))
+        store[lo:lo + max(n // 50, 1)] *= 1e3
+    return store, addend
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0, -2.0,
+            5e-324, 1e-310, 1e300]
 
 
 def random_gradients(num_workers: int, num_elements: int, seed: int = 0,

@@ -5,7 +5,9 @@
 ``flatnonzero(|store[block]| >= cut)`` and a gather of those magnitudes per
 block.  It is an accelerator, so every variant the CPU runs must leave the
 same bits in the store and the velocity and report the same candidates, on
-every input NumPy accepts.
+every input NumPy accepts.  A block without a cut may be *seeded* one inside
+the sweep; ``repro.sparse.topk.seed_cut`` on the summed values is the
+reference for that, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.helpers import SEED_LENGTHS, SEEDING_KINDS, seeding_values
 from repro.sparse import ckernels
 from repro.sparse.ckernels import SIMD_LANES, get_kernels
+from repro.sparse.topk import seed_cut
 
 KERNELS = get_kernels()
 needs_kernels = pytest.mark.skipif(KERNELS is None,
@@ -37,8 +41,9 @@ values = st.one_of(st.sampled_from(SPECIAL),
                    st.floats(min_value=-1e3, max_value=1e3, width=32))
 
 
-def reference(store, addend, velocity, momentum, bounds, cuts, caps):
-    """The NumPy statements the kernel stands in for."""
+def reference(store, addend, velocity, momentum, bounds, cuts, caps, seed_ranks=None):
+    """The NumPy statements the kernel stands in for; with ``seed_ranks``,
+    ``cuts`` is completed in place like the kernel's."""
     addend = np.asarray(addend, dtype=np.float64)
     if velocity is None:
         store += addend
@@ -47,8 +52,11 @@ def reference(store, addend, velocity, momentum, bounds, cuts, caps):
         velocity += addend
         store += velocity
     found = []
-    for lo, hi, cut, cap in zip(bounds[:-1], bounds[1:], cuts, caps):
-        reached = np.flatnonzero(np.abs(store[lo:hi]) >= cut)
+    for block, (lo, hi, cap) in enumerate(zip(bounds[:-1], bounds[1:], caps)):
+        if seed_ranks is not None and np.isnan(cuts[block]):
+            seeded = seed_cut(store[lo:hi], int(seed_ranks[block]))
+            cuts[block] = np.nan if seeded is None else seeded
+        reached = np.flatnonzero(np.abs(store[lo:hi]) >= cuts[block])
         found.append(None if reached.shape[0] > cap else reached + lo)
     return found
 
@@ -218,6 +226,76 @@ class TestAgainstNumPy:
                                         simd=simd)
                 assert_same_bits(got_velocity, want_velocity)
                 assert_same_bits(got_store, want_velocity)
+
+
+@needs_kernels
+class TestSeededCuts:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_the_seeded_cut_is_the_helpers_and_nothing_is_added_twice(self, data):
+        lengths = data.draw(st.lists(st.sampled_from(SEED_LENGTHS), min_size=1, max_size=3))
+        bounds = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        n, blocks = int(bounds[-1]), len(lengths)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        store, addend = seeding_values(rng, data.draw(st.sampled_from(SEEDING_KINDS)), n)
+        momentum = data.draw(st.sampled_from([None, 0.9]))
+        velocity = None if momentum is None else rng.standard_normal(n)
+        ranks = np.array([data.draw(st.one_of(
+            st.sampled_from([0, 1, 7, length, length + 3]),
+            st.integers(min_value=0, max_value=max(length // 20, 1))))
+            for length in lengths], dtype=np.int64)
+        # a remembered cut is left alone, whatever the rank says
+        cuts = np.array([data.draw(st.sampled_from([np.nan, np.nan, 1.0]))
+                         for _ in lengths])
+        caps = np.array([data.draw(st.sampled_from([0, 16, length]))
+                         for length in lengths], dtype=np.int64)
+        with np.errstate(all="ignore"):
+            want_store, want_cuts = store.copy(), cuts.copy()
+            want_velocity = None if velocity is None else velocity.copy()
+            want = reference(want_store, addend, want_velocity, momentum or 0.0,
+                             bounds, want_cuts, caps, ranks)
+        kept = addend.copy()
+        for simd in variants():
+            got_store, got_cuts = store.copy(), cuts.copy()
+            got_velocity = None if velocity is None else velocity.copy()
+            got = per_block(KERNELS.accumulate_scan(
+                got_store, addend, got_velocity, momentum or 0.0, bounds,
+                got_cuts, caps, simd=simd, seed_ranks=ranks))
+            assert_same_bits(got_cuts, want_cuts)
+            assert not (got_cuts <= 0).any()  # NaN or positive, never zero
+            assert_same_bits(got_store, want_store)
+            if velocity is not None:
+                assert_same_bits(got_velocity, want_velocity)
+            for block, (mine, theirs) in enumerate(zip(got, want)):
+                assert (mine is None) == (theirs is None), (simd, block)
+                if theirs is not None:
+                    np.testing.assert_array_equal(mine[0], theirs, err_msg=simd)
+                    assert_same_bits(mine[1], np.abs(want_store[theirs]))
+            assert addend.tobytes() == kept.tobytes()
+
+    def test_without_ranks_a_missing_cut_stays_missing(self):
+        store, cuts = np.zeros(256), np.array([np.nan])
+        counts, indices, _ = KERNELS.accumulate_scan(
+            store, np.arange(256.0), None, 0.0, np.array([0, 256], dtype=np.int64),
+            cuts, np.array([256], dtype=np.int64))
+        assert np.isnan(cuts[0]) and counts.tolist() == [0] and not indices.size
+
+    def test_ranks_must_match_the_blocks_and_cuts_be_writable(self):
+        bounds, caps = np.array([0, 4], dtype=np.int64), np.array([4], dtype=np.int64)
+        with pytest.raises(ValueError):
+            KERNELS.accumulate_scan(np.zeros(4), np.ones(4), None, 0.0, bounds,
+                                    np.array([np.nan]), caps,
+                                    seed_ranks=np.array([1, 1], dtype=np.int64))
+        with pytest.raises(ValueError):
+            KERNELS.accumulate_scan(np.zeros(4), np.ones(4), None, 0.0, bounds,
+                                    np.array([np.nan]), caps,
+                                    seed_ranks=np.array([1.0]))
+        frozen = np.array([np.nan])
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError):
+            KERNELS.accumulate_scan(np.zeros(4), np.ones(4), None, 0.0, bounds,
+                                    frozen, caps,
+                                    seed_ranks=np.array([1], dtype=np.int64))
 
 
 @needs_kernels

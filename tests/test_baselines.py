@@ -227,3 +227,43 @@ class TestOkTopk:
             assert sync.boundaries[0] == 0
             assert sync.boundaries[-1] == 400
             assert all(b1 < b2 for b1, b2 in zip(sync.boundaries, sync.boundaries[1:]))
+
+
+class TestLocalSelectionGoesThroughTheWarmSelector:
+    """TopkA, TopkDSA and gTopk select through the selector SparDL uses (a
+    cut per rank, the whole vector one segment, the fused add) — so that
+    wall-clock comparisons pay one selection cost — and still take exactly
+    ``top_k_indices`` of gradient + residual, step after step."""
+
+    @pytest.mark.parametrize("method", [TopkASynchronizer, TopkDSASynchronizer,
+                                        GTopkSynchronizer])
+    @pytest.mark.parametrize("options", [{}, {"num_bits": 8}, {"momentum": 0.9}],
+                             ids=["plain", "bits=8", "momentum=0.9"])
+    def test_six_steps_equal_the_cold_top_k(self, method, options, monkeypatch):
+        from repro.baselines.base import SparseBaseline
+        from repro.sparse.topk import top_k_indices
+
+        def cold_select(self, gradients):
+            corrected = self.residuals.apply(gradients)
+            return {rank: self.residuals.take(rank, top_k_indices(dense, self.k))
+                    for rank, dense in corrected.items()}
+
+        num_workers, n = 4, 6000
+        warm = method(SimulatedCluster(num_workers), n, density=0.02, **options)
+        cold = method(SimulatedCluster(num_workers), n, density=0.02, **options)
+        monkeypatch.setattr(cold, "local_select", cold_select.__get__(cold, SparseBaseline))
+        for step in range(6):
+            gradients = {rank: (1.0 + 0.05 * step) * grad ** 3 for rank, grad in
+                         random_gradients(num_workers, n, seed=9).items()}
+            ours, theirs = warm.synchronize(gradients), cold.synchronize(gradients)
+            assert ours.stats == theirs.stats
+            for rank in range(num_workers):
+                for mine, reference in [
+                        (ours.gradient(rank), theirs.gradient(rank)),
+                        (warm.residuals.store(rank).peek(),
+                         cold.residuals.store(rank).peek())]:
+                    np.testing.assert_array_equal(mine.view(np.uint64),
+                                                  reference.view(np.uint64))
+        selector = warm.selector
+        assert selector.hits + selector.misses == 6 * num_workers
+        assert selector.seeded == num_workers and selector.hits > 4 * num_workers

@@ -152,3 +152,76 @@ class TestSplitBags:
         assert split.ids == plain.ids
         np.testing.assert_array_equal(split.offsets, plain.offsets)
         np.testing.assert_array_equal(split.indices, plain.indices)
+
+
+class TestConcatById:
+    """Bags numbered like the index ranges they hold — the segments of a
+    block layout — are merged by putting them in id order: bit for bit what
+    ``merge_many`` over the payloads returns."""
+
+    @staticmethod
+    def bits(sparse_gradient):
+        return (sparse_gradient.indices.tolist(),
+                sparse_gradient.values.view(np.uint64).tolist(), sparse_gradient.length)
+
+    @staticmethod
+    def blocks(sync, rng, share):
+        """One random sparse block per rank: entries inside the segments of
+        the block at the rank's team position (each segment left empty with
+        probability ``1 - share``), ``-0.0``, exact zeros and NaN among the
+        values."""
+        layout, blocks = sync.layout, {}
+        for team in sync.teams:
+            for position, rank in enumerate(team):
+                indices = np.concatenate([
+                    np.sort(rng.choice(np.arange(lo, hi), replace=False, size=(
+                        int(rng.integers(0, hi - lo + 1)) if rng.random() < share else 0)))
+                    for lo, hi in (layout.bound(s) for s in layout.block_segments(position))])
+                values = rng.choice([-0.0, 0.0, 1.5, -2.0, 1e-300, np.nan],
+                                    size=indices.shape[0])
+                blocks[rank] = SparseGradient.from_sorted_unique(
+                    indices.astype(np.int64), values, layout.length)
+        return blocks
+
+    @pytest.mark.parametrize("sizes", [[240], [97, 5, 1, 60, 33]],
+                             ids=["one-bucket", "five-buckets"])
+    @pytest.mark.parametrize("workers,teams", [(4, 1), (8, 2), (8, 4), (6, 1),
+                                               (6, 2), (12, 4), (5, 1)])
+    @pytest.mark.parametrize("fill", ["full", "holes", "one-block", "none"])
+    def test_the_combine_equals_merge_many(self, sizes, workers, teams, fill):
+        from repro.comm.cluster import SimulatedCluster
+        from repro.core.config import SparDLConfig
+        from repro.core.spardl import SparDLSynchronizer
+        sync = SparDLSynchronizer(SimulatedCluster(workers), sizes,
+                                  SparDLConfig(density=0.1, num_teams=teams))
+        rng = np.random.default_rng(workers * 31 + teams)
+        blocks = self.blocks(sync, rng, {"holes": 0.6, "none": 0.0}.get(fill, 1.0))
+        if fill == "one-block":  # merge_many hands a lone non-empty piece through
+            only = int(rng.integers(0, sync.team_size))
+            blocks = {rank: block if rank % sync.team_size == only
+                      else SparseGradient.empty(block.length)
+                      for rank, block in blocks.items()}
+        final = sync._intra_team_allgather(blocks)
+        for team in sync.teams:
+            expected = SparseGradient.merge_many([blocks[rank] for rank in team])
+            for rank in team:
+                assert self.bits(final[rank]) == self.bits(expected)
+
+    def test_bags_come_out_in_id_order_whatever_order_they_arrive_in(self):
+        first = PackedBags.pack([sparse([40, 41], [1.0, -0.0]), sparse([2], [3.0])],
+                                ids=[2, 0])
+        second = PackedBags.pack([sparse([20], [5.0]), SparseGradient.empty(100)],
+                                 ids=[1, 3])
+        merged = PackedBags.concat_by_id([first, second])
+        np.testing.assert_array_equal(merged.indices, [2, 20, 40, 41])
+        assert self.bits(merged) == self.bits(SparseGradient.merge_many(
+            [sparse([2, 40, 41], [3.0, 1.0, -0.0]), sparse([20], [5.0])]))
+        assert not np.signbit(merged.values).any()  # 0.0 + -0.0, as a merge adds
+
+    def test_a_lone_payload_is_handed_through_as_a_view(self):
+        packed = PackedBags.pack([sparse([1, 2], [-0.0, 1.0])])
+        empty = PackedBags.pack([SparseGradient.empty(100)])
+        merged = PackedBags.concat_by_id([empty, packed, empty])
+        assert np.shares_memory(merged.values, packed.values)
+        assert np.signbit(merged.values[0])
+        assert PackedBags.concat_by_id([empty, empty]).nnz == 0

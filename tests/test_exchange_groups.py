@@ -148,10 +148,12 @@ class TestGroupedEqualsIndependent:
                 cuts[(rank, bucket * team + block)] = cut
         assert grouped.selector.cuts == cuts
         selector = grouped.selector
+        # (seeded cuts included: what is sampled depends on a segment's
+        # length and k, not on what shares its exchange)
         assert (selector.hits, selector.misses, selector.candidates,
-                selector.requested) == tuple(
+                selector.requested, selector.seeded) == tuple(
             sum(getattr(single.selector, name) for single in singles)
-            for name in ("hits", "misses", "candidates", "requested"))
+            for name in ("hits", "misses", "candidates", "requested", "seeded"))
         if grouped.controller is not None:  # B-SAG: one h per bucket
             assert [c.h for c in grouped._controllers] == [
                 single.controller.h for single in singles]

@@ -4,10 +4,10 @@ Three contracts introduced together (see ``docs/architecture.md`` §1–§2):
 
 * error feedback is applied *inside* the residual stores, a selection takes
   its picks out of them, and the caller's gradient arrays are never written;
-* SRS phase 1 reuses each block's previous cut to select from a few
-  candidates — an optimisation of the exact top-k, so a synchroniser whose
-  remembered cuts are wiped before every step must be bit-identical to one
-  that keeps them;
+* SRS phase 1 selects from the few candidates that reach each block's cut
+  (remembered from the previous step, or seeded from a sample) — an
+  optimisation of the exact top-k, so a synchroniser whose remembered cuts
+  are wiped before every step must be bit-identical to one that keeps them;
 * every rank that agrees gets the *same* read-only global gradient, and a
   step allocates O(n), not O(P*n).
 """
@@ -180,8 +180,11 @@ class TestWarmSelectionIsExact:
             dense.append(bool(warm_result.info["dense_fallback"]))
         assert sizes == [6, 6, 5, 5, 5, 6, 6, 6]
         assert dense[DENSE_STEP] and not any(dense[DENSE_STEP + 1:])
-        selector = warm.synchronizer.selector
-        assert selector.hits > 0 and not cold.synchronizer.selector.hits
+        # kept cuts are remembered from step to step and seeded only when
+        # the partitioning changed; wiped ones are seeded afresh every step
+        selector, wiped = warm.synchronizer.selector, cold.synchronizer.selector
+        assert selector.hits > selector.seeded > 0
+        assert wiped.seeded > selector.seeded and wiped.seeded >= wiped.hits > 0
 
     def test_compiled_kernels_equal_the_numpy_reference(self):
         """The whole matrix again in a child process on the *other* kernel
@@ -202,26 +205,39 @@ class TestWarmSelectionIsExact:
             pytest.skip("no C compiler: both processes ran the NumPy kernels")
         assert other["digests"] == matrix_digests()["digests"]
 
-    def test_the_warm_path_is_actually_taken(self, monkeypatch):
-        """Guards the tests above against passing vacuously: on slowly
-        drifting gradients most phase-1 selections after step 0 partition a
-        few candidates, not the whole block."""
+    @pytest.mark.parametrize("spec", ["", "&teams=2&bits=8&momentum=0.9"])
+    def test_no_step_partitions_a_whole_block(self, monkeypatch, spec):
+        """Guards the tests above against passing vacuously: on heavy-tailed
+        (cubed-normal) gradients phase-1 selections partition a few
+        candidates, not the whole block — also at step 0, whose cuts are
+        seeded, and at the steps after a crash and a join wiped them."""
         sizes = []
         inner = topk_module._top_k_of_magnitude
         monkeypatch.setattr(topk_module, "_top_k_of_magnitude",
                             lambda magnitude, *rest: sizes.append(magnitude.shape[0])
                             or inner(magnitude, *rest))
-        num_workers, n = 4, 1 << 14
-        sync = SparDLSynchronizer(SimulatedCluster(num_workers), n,
-                                  SparDLConfig(density=0.01))
-        block = n // num_workers
-        per_step = []
-        for step in range(4):
+        n = 1 << 14
+        sync = api.make(f"spardl?density=0.01{spec}&backend=sim:4", num_elements=n)
+        sync.cluster.install_fault_plan(FaultPlan(events=[
+            MembershipEvent(iteration=2, kind="crash", worker=1),
+            MembershipEvent(iteration=4, kind="join")]))
+        session = SyncSession(sync)
+        whole, seeded = [], []
+        for step in range(6):
+            session.poll_membership()
+            before = sync.selector.seeded
             del sizes[:]
-            sync.synchronize(drifting_gradients(num_workers, n, step))
-            per_step.append(sum(size == block for size in sizes))
-        assert per_step[0] == num_workers * num_workers  # cold by construction
-        assert all(count <= 4 for count in per_step[1:])
+            session.step(drifting_gradients(session.num_workers, n, step))
+            blocks = set(np.diff(sync.layout.edges).tolist())
+            whole.append(sum(size in blocks for size in sizes))
+            seeded.append(sync.selector.seeded - before)
+        assert whole[0] == whole[2] == whole[4] == 0
+        assert sum(whole) <= 4
+        # every (rank, segment) once per partitioning: teams of 4 or 2, then
+        # one team of 3 (no smaller team count divides it), then as before
+        segments = 4 * sync.team_size
+        assert seeded[0] == seeded[4] == segments and seeded[2] == 9
+        assert sum(seeded) - 2 * segments - 9 == sync.selector.misses - sum(whole) == 0
 
     def test_a_sparsity_change_only_costs_a_cold_step(self):
         pair = [SparDLSynchronizer(SimulatedCluster(4), NUM_ELEMENTS,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import sys
 from pathlib import Path
 from unittest import mock
@@ -13,14 +14,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.sparse import topk as topk_module
+from repro.sparse.ckernels import SEED_MIN_RUNS, SEED_RUN, SEED_SHARE, SIMD_LANES
 from repro.sparse.topk import (
     WarmTopK,
     kth_largest_magnitude,
+    seed_cut,
+    seed_ranks,
     segmented_top_k,
     threshold_indices,
     top_k_indices,
     top_k_mask,
 )
+
+from tests.helpers import SEED_LENGTHS, SEEDING_KINDS, seeding_values  # noqa: E402
 
 # The stable-argsort seed idiom, shared with the perf harness.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "perf"))
@@ -233,8 +239,8 @@ def select_one(warm, key, values, k):
 
 class TestWarmTopK:
     """The warm path is an optimisation of the exact selection, never a
-    different selector: whatever cut it remembers (or is handed), its result
-    equals the cold ``top_k_indices`` index for index."""
+    different selector: whatever cut it remembers, seeds or is handed, its
+    result equals the cold ``top_k_indices`` index for index."""
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -270,7 +276,7 @@ class TestWarmTopK:
             np.testing.assert_array_equal(picked, top_k_indices(values, k))
             assert picked.dtype == np.int64
 
-    def test_warm_hit_runs_on_candidates_only(self, monkeypatch):
+    def test_every_selection_runs_on_candidates_only(self, monkeypatch):
         sizes = []
         inner = topk_module._top_k_of_magnitude
         monkeypatch.setattr(topk_module, "_top_k_of_magnitude",
@@ -279,12 +285,14 @@ class TestWarmTopK:
         rng = np.random.default_rng(0)
         base = rng.standard_normal(4096) ** 3
         warm = WarmTopK()
-        select_one(warm, "b", base, 40)
+        first = select_one(warm, "b", base, 40)
         grown = 1.05 * base + 1e-3 * rng.standard_normal(4096)
         np.testing.assert_array_equal(select_one(warm, "b", grown, 40),
                                       top_k_indices(grown, 40))
-        assert sizes[0] == 4096          # cold: the full partition
-        assert 40 <= sizes[1] < 400      # warm: a few candidates
+        np.testing.assert_array_equal(first, top_k_indices(base, 40))
+        assert 40 <= sizes[0] < 400      # the first: against a seeded cut
+        assert 40 <= sizes[1] < 400      # the second: against the remembered one
+        assert (warm.hits, warm.misses, warm.seeded) == (2, 0, 1)
 
     def test_keys_are_independent(self):
         warm = WarmTopK()
@@ -315,6 +323,8 @@ class TestWarmTopK:
         rng = np.random.default_rng(seed)
         warm = WarmTopK()
         store = np.zeros(n)
+        budgets = st.lists(st.integers(min_value=0, max_value=n + 1),
+                           min_size=segments, max_size=segments)
         for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
             kind = data.draw(st.sampled_from(["heavy", "ties", "tiny", "huge", "special"]))
             if kind == "ties":
@@ -324,15 +334,15 @@ class TestWarmTopK:
             else:
                 scale = {"heavy": 1.0, "tiny": 1e-3, "huge": 1e3}[kind]
                 addend = scale * rng.standard_normal(n) ** 3
+            ks = np.array(data.draw(budgets))
             with np.errstate(invalid="ignore"):  # inf - inf
                 expected = store + addend
-                if not warm.fused_accumulate("g", bounds, store, addend):
+                if not warm.fused_accumulate("g", bounds, ks, store, addend):
                     store += addend
             np.testing.assert_array_equal(store, expected)
             if data.draw(st.booleans()):
                 continue  # e.g. a dense-fallback step: added, not selected
-            ks = []
-            for segment, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for segment in range(segments):
                 forced = data.draw(st.sampled_from(["keep", "keep", "high", "low", "drop"]))
                 if forced == "high":
                     warm.cuts[("g", segment)] = np.inf
@@ -340,8 +350,9 @@ class TestWarmTopK:
                     warm.cuts[("g", segment)] = 0.0
                 elif forced == "drop":
                     warm.cuts.pop(("g", segment), None)
-                ks.append(data.draw(st.integers(min_value=0, max_value=hi - lo + 1)))
-            picked = warm.select_segments("g", store, bounds, np.array(ks))
+            if data.draw(st.booleans()):  # budgets other than the add was told
+                ks = np.array(data.draw(budgets))
+            picked = warm.select_segments("g", store, bounds, ks)
             np.testing.assert_array_equal(picked, looped_top_k(store, bounds, ks))
             assert picked.dtype == np.int64
             taken = data.draw(st.lists(st.booleans(), min_size=segments,
@@ -360,7 +371,7 @@ class TestWarmTopK:
             values = (1.0 + 0.05 * step) * base + 1e-3 * rng.standard_normal(4096)
             select_one(warm, "b", values, 40)
             assert warm.cuts[("b", 0)] == kth_largest_magnitude(values, 40)
-        assert (warm.hits, warm.misses) == (7, 1)
+        assert (warm.hits, warm.misses, warm.seeded) == (8, 0, 1)
         assert warm.candidates < 3 * warm.requested
 
     def test_a_stale_high_cut_is_loosened_to_rank_2k_and_stops_missing(self):
@@ -383,7 +394,8 @@ class TestWarmTopK:
             picked = select_one(warm, "b", residual, k)
             np.testing.assert_array_equal(picked, top_k_indices(residual, k))
             tight = kth_largest_magnitude(residual, k)
-            if step and warm.misses > misses:  # a miss (step 0 is cold, not a miss)
+            if warm.misses > misses:  # a miss (step 0 seeds its cut: a hit)
+                assert step
                 assert warm.cuts[("b", 0)] == kth_largest_magnitude(residual, 2 * k)
             residual[picked] = 0.0
         assert warm.hits + warm.misses == steps
@@ -405,12 +417,167 @@ class TestWarmTopK:
         hits = sum(warm.hits for warm in selectors)
         misses = sum(warm.misses for warm in selectors)
         assert (snap["select.hits"], snap["select.misses"]) == (hits, misses)
+        assert snap["select.seeded"] == sum(warm.seeded for warm in selectors) == 2
         assert snap["select.warm_share"] == hits / (hits + misses)
         assert snap["select.candidates_per_k"] == (
             sum(warm.candidates for warm in selectors)
             / sum(warm.requested for warm in selectors))
         selectors[0].publish(registry)  # nothing new: nothing added twice
         assert registry.snapshot() == snap
+
+
+def selection_legs():
+    """Every way a selector can come by its candidates here: the NumPy
+    statements, and each variant of the fused sweep this CPU runs."""
+    kernels = topk_module.get_kernels()
+    legs = {"numpy": lambda: mock.patch.object(topk_module, "get_kernels", lambda: None)}
+    for name, lanes in SIMD_LANES.items():
+        if kernels is not None and lanes <= SIMD_LANES[kernels.simd]:
+            legs[name] = functools.partial(
+                mock.patch.object, kernels, "accumulate_scan",
+                functools.partial(kernels.accumulate_scan, simd=name))
+    return legs
+
+
+def add_and_select(warm, group, bounds, ks, store, addend, velocity=None, momentum=0.0):
+    """One step of a synchroniser's selection: the error-feedback add
+    (fused where the leg has kernels) and the segmented selection."""
+    if not warm.fused_accumulate(group, bounds, ks, store, addend, velocity, momentum):
+        if velocity is None:
+            store += addend
+        else:
+            velocity *= momentum
+            velocity += addend
+            store += velocity
+    return warm.select_segments(group, store, bounds, ks)
+
+
+class TestSeededSelection:
+    """A selector without a cut seeds one from a sample — inside the fused
+    sweep, or with ``seed_cut`` on the NumPy leg — and selects from the
+    candidates it admits.  The sample only ever proposes: the picks equal
+    ``top_k_indices`` on every input, and every leg seeds the same cut."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_top_k_indices_on_adversarial_segments(self, data):
+        lengths = data.draw(st.lists(st.sampled_from(SEED_LENGTHS), min_size=1, max_size=3))
+        bounds = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        n = int(bounds[-1])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        store, addend = seeding_values(rng, data.draw(st.sampled_from(SEEDING_KINDS)), n)
+        momentum = data.draw(st.sampled_from([0.0, 0.9]))
+        velocity = rng.standard_normal(n) if momentum else None
+        ks = np.array([data.draw(st.one_of(
+            st.sampled_from([0, 1, length - 1, length, length + 2]),
+            st.integers(min_value=1, max_value=max(length // 50, 1))))
+            for length in lengths], dtype=np.int64)
+        steps = data.draw(st.integers(min_value=1, max_value=2))
+        kept, cuts = addend.copy(), {}
+        for leg, patched in selection_legs().items():
+            warm, mine = WarmTopK(), store.copy()
+            mine_velocity = None if velocity is None else velocity.copy()
+            with patched(), np.errstate(all="ignore"):
+                for _ in range(steps):  # the second: remembered or seeded again
+                    picked = add_and_select(warm, "g", bounds, ks, mine, addend,
+                                            mine_velocity, momentum)
+                    np.testing.assert_array_equal(
+                        picked, looped_top_k(mine, bounds, ks), err_msg=leg)
+                    mine[picked] = 0.0
+            assert warm.hits + warm.misses == steps * len(lengths)
+            assert not any(cut <= 0 for cut in warm.cuts.values())
+            cuts[leg] = warm.cuts
+            assert addend.tobytes() == kept.tobytes()
+        assert all(leg_cuts == cuts["numpy"] for leg_cuts in cuts.values())
+
+    @pytest.mark.parametrize("leg", selection_legs())
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_a_first_selection_makes_no_full_partition(self, leg, momentum, monkeypatch):
+        """Heavy-tailed values (cubed normals), segments of every sampling
+        regime: the seeded cut admits between ``k`` and its cap."""
+        sizes = []
+        inner = topk_module._top_k_of_magnitude
+        monkeypatch.setattr(topk_module, "_top_k_of_magnitude",
+                            lambda magnitude, *rest: sizes.append(magnitude.shape[0])
+                            or inner(magnitude, *rest))
+        lengths = np.array([256, 1024, 3000, 20000, 80000, 131072])
+        bounds = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        ks = np.maximum(lengths // 100, 1)
+        rng = np.random.default_rng(19)
+        n = int(bounds[-1])
+        warm, store = WarmTopK(), np.zeros(n)
+        velocity = np.zeros(n) if momentum else None
+        with selection_legs()[leg]():
+            for step in range(2):
+                if step:
+                    warm.clear()  # what a membership change does
+                picked = add_and_select(warm, 0, bounds, ks, store,
+                                        rng.standard_normal(n) ** 3, velocity, momentum)
+                expected = looped_top_k(store, bounds, ks)  # (partitions in full)
+                del sizes[-len(lengths):]
+                np.testing.assert_array_equal(picked, expected)
+                store[picked] = 0.0
+        assert (warm.hits, warm.misses, warm.seeded) == (12, 0, 12)
+        assert not set(sizes) & set(lengths.tolist())
+        assert warm.candidates < 3.5 * warm.requested
+
+    def test_sample_positions_depend_on_the_length_alone(self):
+        """Runs of ``SEED_RUN`` entries from the start of equal parts: an
+        entry outside them cannot move the cut, one inside can."""
+        length = 2 * SEED_MIN_RUNS * SEED_RUN * SEED_SHARE
+        runs = length // (SEED_RUN * SEED_SHARE)
+        values = np.random.default_rng(2).standard_normal(length)
+        rank = int(seed_ranks(length, 300)[0])
+        assert rank == 2 * 300 // SEED_SHARE + 1 + topk_module.SEED_SLACK
+        cut = seed_cut(values, rank)
+        inside = np.zeros(length, dtype=bool)
+        for start in (np.arange(runs) * length // runs).tolist():
+            inside[start:start + SEED_RUN] = True
+        assert inside.sum() * SEED_SHARE == length
+        moved = values.copy()
+        moved[~inside] = 1e9
+        assert seed_cut(moved, rank) == cut
+        moved = values.copy()
+        moved[np.flatnonzero(inside)[:rank]] = 1e9
+        assert seed_cut(moved, rank) == 1e9
+        # a short segment is read whole
+        short = values[:SEED_MIN_RUNS * SEED_RUN]
+        assert seed_cut(short, 5) == kth_largest_magnitude(short, 5)
+
+    def test_nothing_to_seed(self):
+        ranks, reach = seed_ranks(np.array([100, 100, 100, 0]), np.array([0, 100, 250, 3]))
+        assert ranks.tolist() == reach.tolist() == [0, 0, 0, 0]
+        assert seed_cut(np.ones(8), 0) is None and seed_cut(np.empty(0), 3) is None
+        assert seed_cut(np.zeros(8), 3) is None            # not positive
+        assert seed_cut(np.array([np.nan, 2.0, 1.0]), 3) is None  # NaN ranks last
+        assert seed_cut(np.array([np.nan, 2.0, 1.0]), 9) is None  # (clipped)
+        assert seed_cut(np.array([np.nan, 2.0, 1.0]), 2) == 1.0
+
+    @pytest.mark.parametrize("leg", selection_legs())
+    def test_a_segment_with_fewer_nonzeros_than_k_never_holds_a_zero_cut(self, leg):
+        """Regression: the rank-``k`` magnitude of such a segment is 0.0, a
+        cut every entry reaches — remembered, it filled the fused pass's
+        candidate buffer every step, overflowed, was forgotten, and the
+        full partition stored it again (six steps: six misses)."""
+        n, k = 4096, 64
+        rng = np.random.default_rng(4)
+        bounds, ks = np.array([0, n], dtype=np.int64), np.array([k])
+        warm, store = WarmTopK(), np.zeros(n)
+        with selection_legs()[leg]():
+            for step in range(6):
+                addend = np.zeros(n)
+                addend[rng.choice(n, size=20, replace=False)] = rng.standard_normal(20)
+                picked = add_and_select(warm, "z", bounds, ks, store, addend)
+                np.testing.assert_array_equal(picked, top_k_indices(store, k))
+                assert ("z", 0) not in warm.cuts
+                assert not warm._scanned  # no candidates were collected and left
+                store[picked] = 0.0
+        assert (warm.hits, warm.seeded, warm.candidates) == (0, 0, 0)
+        # once it has enough non-zeros again, it seeds and hits like any other
+        picked = add_and_select(warm, "z", bounds, ks, store,
+                                rng.standard_normal(n) ** 3)
+        np.testing.assert_array_equal(picked, top_k_indices(store, k))
+        assert (warm.hits, warm.seeded) == (1, 1) and warm.cuts[("z", 0)] > 0
 
 
 class TestTopKMask:

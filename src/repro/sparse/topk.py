@@ -338,6 +338,8 @@ class WarmTopK:
         edges, ks = bounds.tolist(), np.asarray(ks, dtype=np.int64)
         segments = ks.shape[0]
         scanned = [-1] * segments if counts is None else counts.tolist()
+        #: Where to seed the cuts missing here: no sweep ran to have done it.
+        ranks = seed_ranks(np.diff(bounds), ks)[0].tolist() if counts is None else None
         #: k / reach of the segments served from the fused pass's candidates
         #: (-1: not one of them), and every other segment's picks.
         warm_ks = np.full(segments, -1, dtype=np.int64)
@@ -352,8 +354,8 @@ class WarmTopK:
             if scanned[s] >= 0:
                 hit = scanned[s] >= k
             else:
-                if cut is None and counts is None:  # no sweep to have seeded it
-                    cut = seed_cut(values[lo:hi], int(seed_ranks(hi - lo, k)[0]))
+                if cut is None and ranks is not None:
+                    cut = seed_cut(values[lo:hi], ranks[s])
                     self.seeded += cut is not None
                 if cut is not None:
                     found = np.flatnonzero(np.abs(values[lo:hi]) >= cut)

@@ -38,10 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import rank_pool
 from ..sparse.topk import WarmTopK
 from ..sparse.vector import SparseGradient, merge_many_coo
 
@@ -70,12 +72,14 @@ class ResidualStore:
     (one per :meth:`add_sparse` call, one per :meth:`fold_sparse_batch`
     call) so the deferred-accumulation benchmark can demonstrate the
     reduction from one scatter per (worker, step) to one per flush.
+    ``data`` is the zeroed ``float64`` vector to accumulate in, when the
+    owner holds one (a row of :class:`ResidualManager`'s slab).
     """
 
-    def __init__(self, num_elements: int) -> None:
+    def __init__(self, num_elements: int, data: Optional[np.ndarray] = None) -> None:
         if num_elements <= 0:
             raise ValueError("num_elements must be positive")
-        self._data = np.zeros(num_elements, dtype=np.float64)
+        self._data = np.zeros(num_elements) if data is None else data
         #: Number of sparse scatter operations applied to this store.
         self.scatter_count = 0
 
@@ -149,6 +153,25 @@ class ResidualStore:
         return float(np.linalg.norm(self._data))
 
 
+def _slab(num_workers: int, num_elements: int) -> np.ndarray:
+    """Per-rank vectors as the rows of one array — allocated zeroed, not
+    zero-filled: pages stay unmapped until a rank's first sweep, and one
+    large allocation takes them as huge pages (docs/architecture.md §1)."""
+    return np.zeros((num_workers, num_elements), dtype=np.float64)
+
+
+def _accumulate(data: np.ndarray, gradient: np.ndarray,
+                velocity: Optional[np.ndarray], momentum: float) -> None:
+    """One rank's error-feedback add in NumPy: what the fused sweep equals
+    bit for bit, and like it a rank-pool task (it touches its operands)."""
+    if velocity is None:
+        data += gradient
+    else:
+        velocity *= momentum
+        velocity += gradient
+        data += velocity
+
+
 @dataclass
 class _PendingDiscard:
     """A procedure discard whose fate depends on the final global indices."""
@@ -161,8 +184,9 @@ class _PendingDiscard:
 class ResidualManager:
     """Collects discarded gradients according to a :class:`ResidualPolicy`.
 
-    The manager owns one :class:`ResidualStore` per worker.  A
-    synchronisation round uses it in three phases:
+    The manager owns one :class:`ResidualStore` per worker — rows of one
+    slab, like the velocities, which :meth:`apply` sweeps side by side on
+    the :mod:`~repro.core.rank_pool`.  A round uses it in three phases:
 
     1. :meth:`apply` adds the new local gradients *into* the stores and
        returns the stores' own buffers as the corrected vectors,
@@ -234,9 +258,9 @@ class ResidualManager:
         self.num_workers = num_workers
         self.num_elements = num_elements
         self.deferred = bool(deferred)
-        self._stores: Dict[int, ResidualStore] = {
-            worker: ResidualStore(num_elements) for worker in range(num_workers)
-        }
+        self._stores = self._new_stores(num_workers)
+        #: Threads the last :meth:`apply` swept its ranks on (1: the caller's).
+        self.sweep_workers = 1
         self._pending: List[_PendingDiscard] = []
         #: Deferred mode: per-worker FIFO of (discard, share) awaiting a flush.
         self._buffered: Dict[int, List[Tuple[SparseGradient, float]]] = {
@@ -269,10 +293,8 @@ class ResidualManager:
                 f"{self.momentum}; cannot change it to {momentum}")
         self.momentum = momentum
         if momentum and self._velocity is None:
-            self._velocity = {
-                worker: np.zeros(self.num_elements, dtype=np.float64)
-                for worker in range(self.num_workers)
-            }
+            self._velocity = dict(enumerate(
+                _slab(self.num_workers, self.num_elements)))
 
     def velocity(self, worker: int) -> Optional[np.ndarray]:
         """The worker's momentum velocity ``u`` (copy), or ``None`` when
@@ -294,6 +316,10 @@ class ResidualManager:
         return total
 
     # ------------------------------------------------------------------
+    def _new_stores(self, num_workers: int) -> Dict[int, ResidualStore]:
+        return {worker: ResidualStore(self.num_elements, row) for worker, row
+                in enumerate(_slab(num_workers, self.num_elements))}
+
     def store(self, worker: int) -> ResidualStore:
         """The worker's :class:`ResidualStore`, flushed of any buffered
         discards so direct reads (``peek`` / ``norm``) are accurate."""
@@ -336,24 +362,32 @@ class ResidualManager:
         ``ks`` it will keep of each: where the kernels are compiled the add
         then runs as one fused sweep that also hands the selector each
         segment's candidates, keyed ``(worker, segment)`` — against the
-        segment's cut, or one seeded in the sweep where it has none.  The
-        NumPy statements below are the reference it is bit-identical to.
+        segment's cut, or one seeded in the sweep where it has none.
+        :func:`_accumulate` is the reference it is bit-identical to.
+
+        The ranks' adds, and only they, run side by side on the
+        :mod:`~repro.core.rank_pool`: every sweep is planned here first
+        (selector read, kernels probed, buffers allocated) and adopted here
+        afterwards, in rank order; a task touches its own rank's rows and
+        buffers and nothing else.  A task's exception is raised from here
+        once all of them have finished.
         """
         self.flush()
-        corrected = {}
+        corrected, tasks, adopts = {}, [], []
         for worker, gradient in gradients.items():
-            data = self._stores[worker]._data
-            gradient = np.asarray(gradient, dtype=np.float64)
-            velocity = None if self._velocity is None else self._velocity[worker]
-            if selector is None or not selector.fused_accumulate(
-                    worker, bounds, ks, data, gradient, velocity, self.momentum):
-                if velocity is None:
-                    data += gradient
-                else:
-                    velocity *= self.momentum
-                    velocity += gradient
-                    data += velocity
-            corrected[worker] = data
+            data = corrected[worker] = self._stores[worker]._data
+            operands = (data, np.asarray(gradient, dtype=np.float64),
+                        None if self._velocity is None else self._velocity[worker],
+                        self.momentum)
+            plan = None if selector is None else selector.plan_accumulate(
+                worker, bounds, ks, *operands)
+            sweep, adopt = plan or (partial(_accumulate, *operands), None)
+            tasks.append(sweep)
+            adopts.append(adopt)
+        scans, self.sweep_workers = rank_pool.run(tasks)
+        for adopt, scan in zip(adopts, scans):
+            if adopt is not None:
+                adopt(scan)
         return corrected
 
     def take(self, worker: int, indices: np.ndarray) -> SparseGradient:
@@ -503,15 +537,10 @@ class ResidualManager:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.flush()
-        new_stores: Dict[int, ResidualStore] = {
-            worker: ResidualStore(self.num_elements) for worker in range(num_workers)
-        }
+        new_stores = self._new_stores(num_workers)
         new_velocity: Optional[Dict[int, np.ndarray]] = None
         if self._velocity is not None:
-            new_velocity = {
-                worker: np.zeros(self.num_elements, dtype=np.float64)
-                for worker in range(num_workers)
-            }
+            new_velocity = dict(enumerate(_slab(num_workers, self.num_elements)))
         for old, store in self._stores.items():
             if old not in mapping:
                 raise ValueError(f"mapping does not cover old rank {old}")

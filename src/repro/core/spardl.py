@@ -276,6 +276,8 @@ class SparDLSynchronizer(GradientSynchronizer):
         tracer = self.cluster.tracer
         if tracer is not None:
             self.selector.publish(tracer.metrics)
+            tracer.metrics.gauge("residuals.sweep_workers").set(
+                self.residuals.sweep_workers)
         sag_out = self._run_sag(srs_out.reduced_blocks)
         context.scratch["srs"] = srs_out
         context.scratch["sag"] = sag_out

@@ -22,7 +22,8 @@
 #define X86_VARIANTS 1
 #endif
 
-#define MAX_STREAMS 256
+/* MAX_STREAMS, SCAN_PAD, SEED_RUN, SEED_SHARE and SEED_MIN_RUNS come as -D
+ * flags from ckernels.py, their one definition. */
 
 /* Merge-add two sorted-unique COO streams.  Writes at most na + nb entries
  * into out_indices / out_values; returns the number written. */
@@ -209,8 +210,6 @@ int64_t merge_many_tournament_i64_f64(
  * selector's first selection ranks a few candidates like every later one.
  * ------------------------------------------------------------------------ */
 
-#define SCAN_PAD 8
-
 static double select_descending(double *a, int64_t n, int64_t p);
 
 /* The sample a cut is seeded from: SEED_RUN contiguous entries at the start
@@ -219,10 +218,7 @@ static double select_descending(double *a, int64_t n, int64_t p);
  * of all of them — with at least SEED_MIN_RUNS runs, and the whole block
  * when that covers it.  Which entries are read depends on the block's
  * length alone.  (repro.sparse.topk.seed_cut is the NumPy statement of
- * this; the constants must match ckernels.py.) */
-#define SEED_RUN 64
-#define SEED_SHARE 64
-#define SEED_MIN_RUNS 16
+ * this.) */
 
 /* The rank-th largest of the sampled |s + g| (|s + (m * v + g)| under
  * momentum; rounded like the sweep, nothing written), NaN ranked last and

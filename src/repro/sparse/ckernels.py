@@ -18,18 +18,18 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["get_kernels", "load_merge_kernels", "CMergeKernels"]
 
-#: Must match MAX_STREAMS in _merge_kernels.c.
+#: Constants the C source takes from here (``_DEFINES``; it defines none of
+#: them itself).  Most streams one k-way merge takes (a power of two):
 MAX_STREAMS = 256
-#: Must match SCAN_PAD in _merge_kernels.c.
+#: Entries a block may write past its cap before the scan notices.
 SCAN_PAD = 8
-#: Must match SEED_RUN / SEED_SHARE / SEED_MIN_RUNS in _merge_kernels.c: a cut
-#: is seeded from runs of ``SEED_RUN`` contiguous entries, one entry in
+#: A cut is seeded from runs of ``SEED_RUN`` contiguous entries, one entry in
 #: ``SEED_SHARE`` but at least ``SEED_MIN_RUNS`` runs (see
 #: :func:`repro.sparse.topk.seed_cut`).
 SEED_RUN = 64
@@ -43,7 +43,9 @@ _SOURCE = Path(__file__).with_name("_merge_kernels.c")
 #: ``-ffp-contract=off``: ``m * v + g`` must round twice, like NumPy's
 #: ``v *= m; v += g`` — also where the target has FMA (aarch64, or a ``CC``
 #: that implies ``-march=native``).
-_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_DEFINES = tuple(f"-D{name}={globals()[name]}" for name in (
+    "MAX_STREAMS", "SCAN_PAD", "SEED_RUN", "SEED_SHARE", "SEED_MIN_RUNS"))
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", *_DEFINES)
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
@@ -144,14 +146,21 @@ class CMergeKernels:
             return None
         return out_indices[:count], out_values[:count]
 
-    def accumulate_scan(
+    def accumulate_scan(self, *args, **kwargs
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`scan_task`, run here and now."""
+        return self.scan_task(*args, **kwargs)()
+
+    def scan_task(
         self, store: np.ndarray, addend: np.ndarray,
         velocity: Optional[np.ndarray], momentum: float,
         bounds: np.ndarray, cuts: np.ndarray, caps: np.ndarray,
         simd: Optional[str] = None,
         seed_ranks: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Error-feedback add and candidate scan in one sweep.
+    ) -> Callable[[], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Error-feedback add and candidate scan in one sweep, as a call to
+        make later, on any thread: everything is checked and allocated here,
+        the call runs the kernel (GIL released) on these buffers alone.
 
         In place, ``store += addend`` — or, with ``velocity``, ``velocity =
         momentum * velocity + addend; store += velocity``.  ``store`` and
@@ -209,7 +218,7 @@ class CMergeKernels:
         indices = np.empty(capacity, dtype=np.int64)
         magnitudes = np.empty(capacity, dtype=np.float64)
         counts = np.empty(blocks, dtype=np.int64)
-        status = self._accumulate_scan(
+        arguments = (
             store.ctypes.data, addend.ctypes.data,
             None if velocity is None else velocity.ctypes.data, momentum,
             blocks, bounds.ctypes.data, cuts.ctypes.data, caps.ctypes.data,
@@ -217,10 +226,17 @@ class CMergeKernels:
             None if sample is None else sample.ctypes.data,
             indices.ctypes.data, magnitudes.ctypes.data, counts.ctypes.data,
             0 if simd is None else SIMD_LANES[simd])
-        if status:
-            raise ValueError(f"this CPU does not run the {simd} variant")
-        found = int(np.maximum(counts, 0).sum())
-        return counts, indices[:found], magnitudes[:found]
+
+        def sweep() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+            if self._accumulate_scan(*arguments):
+                raise ValueError(f"this CPU does not run the {simd} variant")
+            found = int(np.maximum(counts, 0).sum())
+            return counts, indices[:found], magnitudes[:found]
+
+        # What the raw pointers point at (some are copies made above) must
+        # live as long as the call can be made.
+        sweep.operands = store, addend, velocity, bounds, cuts, caps, seed_ranks, sample
+        return sweep
 
     def segmented_top_k(self, magnitude: np.ndarray, offsets: np.ndarray,
                         ks: np.ndarray, reaches: Optional[np.ndarray],

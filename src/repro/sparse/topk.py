@@ -13,7 +13,8 @@ repeated runs (and different workers holding identical data) agree exactly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Hashable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -207,6 +208,10 @@ def seed_cut(values: np.ndarray, rank: int) -> Optional[float]:
     return cut if cut > 0 else None
 
 
+#: ``(counts, indices, magnitudes)`` of one fused sweep.
+Scan = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 class WarmTopK:
     """Exact block-wise top-k for selections repeated on slowly changing
     vectors.
@@ -290,6 +295,46 @@ class WarmTopK:
             self.cuts.pop(key, None)
             self._reach.pop(key, None)
 
+    def plan_accumulate(
+            self, group: Hashable, bounds: np.ndarray, ks: np.ndarray,
+            store: np.ndarray, addend: np.ndarray,
+            velocity: Optional[np.ndarray] = None, momentum: float = 0.0,
+    ) -> Optional[Tuple[Callable[[], Scan], Callable[[Scan], None]]]:
+        """:meth:`fused_accumulate` in three parts: read the segments' cuts,
+        caps and seed ranks off the selector and prepare the sweep.  Returns
+        ``(sweep, adopt)`` — ``sweep()`` is the kernel call alone and may run
+        on another thread; ``adopt(sweep())``, on the caller's, makes every
+        write to the selector — or ``None`` without compiled kernels."""
+        kernels = get_kernels()
+        if kernels is None:
+            return None
+        segments = range(bounds.shape[0] - 1)
+        cut_of, reach_of = self.cuts.get, self._reach.get
+        cuts = np.array([cut_of((group, s), np.nan) for s in segments])
+        known = cuts == cuts
+        caps = np.array([self.SCAN_SLACK * reach_of((group, s), 0) + 16
+                         for s in segments], dtype=np.int64)
+        ranks = None
+        if not known.all():
+            ranks, reach = seed_ranks(np.diff(bounds), ks)
+            caps = np.where(known, caps, self.SEED_REACH * reach + 16)
+        sweep = kernels.scan_task(store, addend, velocity, momentum, bounds,
+                                  cuts, caps, seed_ranks=ranks)
+        return sweep, partial(self._adopt_scan, group, cuts, known)
+
+    def _adopt_scan(self, group: Hashable, cuts: np.ndarray, known: np.ndarray,
+                    scan: Scan) -> None:
+        """Take over a sweep's candidates: ``cuts`` as it left them (the
+        seeded ones written), ``known`` marking the remembered ones."""
+        counts, indices, magnitudes = scan
+        for s in np.flatnonzero(known & (counts < 0)).tolist():
+            del self.cuts[(group, s)]  # more reached the cut than is worth keeping
+        scanned = cuts == cuts  # against a remembered cut or a seeded one
+        self.seeded += int(np.count_nonzero(scanned & ~known))
+        counts[~scanned] = -1
+        # (replaces what a step that added but never selected left behind)
+        self._scanned[group] = (counts, indices, magnitudes)
+
     def fused_accumulate(self, group: Hashable, bounds: np.ndarray,
                          ks: np.ndarray, store: np.ndarray, addend: np.ndarray,
                          velocity: Optional[np.ndarray] = None,
@@ -304,30 +349,12 @@ class WarmTopK:
         the kernels are not compiled: the caller then adds with NumPy and
         :meth:`select_segments` seeds and compares for itself, bit-identical
         either way."""
-        kernels = get_kernels()
-        if kernels is None:
-            return False
-        segments = range(bounds.shape[0] - 1)
-        cut_of, reach_of = self.cuts.get, self._reach.get
-        cuts = np.array([cut_of((group, s), np.nan) for s in segments])
-        known = cuts == cuts
-        caps = np.array([self.SCAN_SLACK * reach_of((group, s), 0) + 16
-                         for s in segments], dtype=np.int64)
-        ranks = None
-        if not known.all():
-            ranks, reach = seed_ranks(np.diff(bounds), ks)
-            caps = np.where(known, caps, self.SEED_REACH * reach + 16)
-        counts, indices, magnitudes = kernels.accumulate_scan(
-            store, addend, velocity, momentum, bounds, cuts, caps,
-            seed_ranks=ranks)
-        for s in np.flatnonzero(known & (counts < 0)).tolist():
-            del self.cuts[(group, s)]  # more reached the cut than is worth keeping
-        scanned = cuts == cuts  # against a remembered cut or a seeded one
-        self.seeded += int(np.count_nonzero(scanned & ~known))
-        counts[~scanned] = -1
-        # (replaces what a step that added but never selected left behind)
-        self._scanned[group] = (counts, indices, magnitudes)
-        return True
+        plan = self.plan_accumulate(group, bounds, ks, store, addend,
+                                    velocity, momentum)
+        if plan is not None:
+            sweep, adopt = plan
+            adopt(sweep())
+        return plan is not None
 
     def select_segments(self, group: Hashable, values: np.ndarray,
                         bounds: np.ndarray, ks: np.ndarray) -> np.ndarray:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Tuple
+from unittest import mock
 
 import numpy as np
 
 from repro.nn.module import Module
 from repro.nn.parameter import assign_flat_values, flatten_gradients, flatten_values
 
-from repro.sparse.ckernels import SEED_MIN_RUNS, SEED_RUN, SEED_SHARE
+from repro.sparse import topk as topk_module
+from repro.sparse.ckernels import SEED_MIN_RUNS, SEED_RUN, SEED_SHARE, SIMD_LANES
 
 __all__ = ["random_gradients", "numerical_gradient_check", "max_relative_error",
-           "SEED_LENGTHS", "SEEDING_KINDS", "seeding_values"]
+           "SEED_LENGTHS", "SEEDING_KINDS", "seeding_values", "selection_legs"]
 
 #: Segment lengths around what a seeded cut's sample depends on: the run,
 #: the length up to which the whole segment is read, and the one past which
@@ -48,6 +51,20 @@ def seeding_values(rng: np.random.Generator, kind: str, n: int
         lo = int(rng.integers(0, n + 1))
         store[lo:lo + max(n // 50, 1)] *= 1e3
     return store, addend
+
+
+def selection_legs():
+    """Every way a selector can come by its candidates here, as ``{name:
+    context-manager factory}``: the NumPy statements, and each variant of
+    the fused sweep this CPU runs."""
+    kernels = topk_module.get_kernels()
+    legs = {"numpy": lambda: mock.patch.object(topk_module, "get_kernels", lambda: None)}
+    for name, lanes in SIMD_LANES.items():
+        if kernels is not None and lanes <= SIMD_LANES[kernels.simd]:
+            legs[name] = functools.partial(
+                mock.patch.object, kernels, "scan_task",
+                functools.partial(kernels.scan_task, simd=name))
+    return legs
 
 
 _SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0, -2.0,

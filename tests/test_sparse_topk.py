@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import sys
 from pathlib import Path
 from unittest import mock
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.sparse import topk as topk_module
-from repro.sparse.ckernels import SEED_MIN_RUNS, SEED_RUN, SEED_SHARE, SIMD_LANES
+from repro.sparse.ckernels import SEED_MIN_RUNS, SEED_RUN, SEED_SHARE
 from repro.sparse.topk import (
     WarmTopK,
     kth_largest_magnitude,
@@ -26,7 +25,8 @@ from repro.sparse.topk import (
     top_k_mask,
 )
 
-from tests.helpers import SEED_LENGTHS, SEEDING_KINDS, seeding_values  # noqa: E402
+from tests.helpers import (  # noqa: E402
+    SEED_LENGTHS, SEEDING_KINDS, seeding_values, selection_legs)
 
 # The stable-argsort seed idiom, shared with the perf harness.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "perf"))
@@ -424,19 +424,6 @@ class TestWarmTopK:
             / sum(warm.requested for warm in selectors))
         selectors[0].publish(registry)  # nothing new: nothing added twice
         assert registry.snapshot() == snap
-
-
-def selection_legs():
-    """Every way a selector can come by its candidates here: the NumPy
-    statements, and each variant of the fused sweep this CPU runs."""
-    kernels = topk_module.get_kernels()
-    legs = {"numpy": lambda: mock.patch.object(topk_module, "get_kernels", lambda: None)}
-    for name, lanes in SIMD_LANES.items():
-        if kernels is not None and lanes <= SIMD_LANES[kernels.simd]:
-            legs[name] = functools.partial(
-                mock.patch.object, kernels, "accumulate_scan",
-                functools.partial(kernels.accumulate_scan, simd=name))
-    return legs
 
 
 def add_and_select(warm, group, bounds, ks, store, addend, velocity=None, momentum=0.0):

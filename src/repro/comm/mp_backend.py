@@ -28,6 +28,36 @@ reference exactly.  The cross-backend equivalence gate in
 ``tests/test_backends.py`` asserts this end to end for SparDL and all five
 baselines.
 
+What crosses the pipes, what lives in shared memory
+----------------------------------------------------
+Pipes carry *commands*: every driver → worker message is one pickled tuple
+(``exchange`` with this rank's outgoing payloads, ``run`` with a function
+reference and its arguments, ``attach``, ``trace``, ``stop``) and every
+reply echoes the op with its result.  Sparse exchange payloads are
+``k/P``-sized and belong there.  Dense per-rank state does not:
+:meth:`MultiprocessCluster.shared_array` backs a named ``float64`` array
+with a temp file (``/dev/shm`` where it exists, the system temp dir
+otherwise) that the driver maps, every worker opens *by path* and maps on
+an ``attach`` command — which works under ``fork`` and ``spawn`` alike —
+and the driver unlinks as soon as the last worker has replied.  From then
+on the memory has no name: it cannot outlive the processes mapping it,
+however they end, and nothing registers with ``multiprocessing``'s resource
+tracker (a named ``shared_memory`` segment attached in a forked worker is
+unlinked under the driver when that worker exits).  The mappings are
+dropped in :meth:`~MultiprocessCluster.close` and
+:meth:`~MultiprocessCluster.resize`.  The trainer's offload mode keeps its
+``(P, n)`` gradient and update arrays there, so a training iteration moves
+a few hundred bytes through ``run`` commands.
+
+Ordering contract
+-----------------
+No lock guards a shared array; the command protocol is the ordering.  A
+worker reads and writes only between receiving a command and sending its
+reply; the driver only between the last reply of one call and the first
+command of the next.  A pipe write/read pair orders the memory accesses on
+either side of it, so whatever one side wrote before its message is what
+the other side reads after receiving it.
+
 What this backend does *not* model
 ----------------------------------
 Fault injection (message drops/delays, stragglers, membership events) and
@@ -37,12 +67,17 @@ Installing a fault plan here raises
 :class:`~repro.comm.transport.UnsupportedTransportFeature`.  Wire pricers
 *are* supported (pricing happens at admission, before transit).
 
-Deadlock containment
---------------------
-Every driver-side wait carries a hard timeout (default 120 s).  A worker
-that stops replying — a deadlocked exchange, a crashed process — fails the
-step with a :class:`RuntimeError` naming the worker instead of hanging the
-caller, and the whole cluster is torn down so CI jobs fail fast.
+Failure containment
+-------------------
+Every driver-side wait watches the reply pipe *and* every worker's process
+sentinel.  A worker that died — the one awaited, or a peer the awaited one
+is blocked on — fails the call within milliseconds with a
+:class:`RuntimeError` naming the dead rank and its exit code; a live worker
+that stops replying (a deadlocked exchange) fails it at the hard timeout
+(default 120 s).  Either way the remaining processes are killed and the
+cluster is closed, so nothing upstream hangs and CI jobs fail fast.  A
+worker *task* that raises is reported with its traceback and closes the
+cluster the orderly way.
 
 Kernel-path propagation
 -----------------------
@@ -57,14 +92,19 @@ NumPy kernels unnoticed.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import queue
+import tempfile
 import threading
 import time
 import traceback
 from multiprocessing.connection import Connection, wait as connection_wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..obs.trace import worker_pid
 from .transport import (
@@ -80,6 +120,68 @@ __all__ = ["MultiprocessCluster"]
 #: Environment variable controlling the compiled-kernel path; forwarded
 #: verbatim into every worker process.
 _CKERNELS_ENV = "REPRO_DISABLE_CKERNELS"
+
+#: Name prefix of the backing file of a shared array.  The file exists only
+#: from its creation until every worker has attached it.
+_SHARED_PREFIX = "repro-mp-"
+
+
+# ---------------------------------------------------------------------------
+# framing and mappings (driver and worker side)
+# ---------------------------------------------------------------------------
+def _send_frame(connection: Connection, message: tuple) -> int:
+    """``connection.send(message)`` — the same pickle, the same wire —
+    returning the number of bytes that crossed the pipe."""
+    frame = ForkingPickler.dumps(message)
+    connection.send_bytes(frame)
+    return len(frame)
+
+
+def _recv_frame(connection: Connection) -> Tuple[tuple, int]:
+    """``connection.recv()`` plus the size of the frame it arrived in."""
+    frame = connection.recv_bytes()
+    return ForkingPickler.loads(frame), len(frame)
+
+
+def _map_array(fd: int, shape: Tuple[int, ...]) -> np.ndarray:
+    """A ``float64`` array over a shared mapping of the open file ``fd``.
+    The array keeps the mapping alive; dropping the array unmaps it."""
+    return np.ndarray(shape, dtype=np.float64,
+                      buffer=mmap.mmap(fd, _mapping_bytes(shape)))
+
+
+def _mapping_bytes(shape: Tuple[int, ...]) -> int:
+    """Size of the mapping behind a shared array (never zero: an empty
+    file cannot be mapped)."""
+    return max(1, 8 * int(np.prod(shape)))
+
+
+def _create_backing_file(nbytes: int) -> Tuple[int, str]:
+    """Create and size the backing file of one shared array: in
+    ``/dev/shm`` (memory-backed) where the platform has it, in the system
+    temp dir otherwise or when ``/dev/shm`` is full.  Reserving the blocks
+    up front turns a full file system into an ``OSError`` here instead of a
+    ``SIGBUS`` at the first write."""
+    failure: OSError = FileNotFoundError("no directory to back a shared array")
+    for directory in ("/dev/shm", tempfile.gettempdir()):
+        if not os.path.isdir(directory):
+            continue
+        try:
+            fd, path = tempfile.mkstemp(prefix=_SHARED_PREFIX, dir=directory)
+        except OSError as error:
+            failure = error
+            continue
+        try:
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fd, 0, nbytes)
+            else:  # pragma: no cover - platforms without it
+                os.ftruncate(fd, nbytes)
+            return fd, path
+        except OSError as error:
+            failure = error
+            os.close(fd)
+            os.unlink(path)
+    raise failure
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +205,25 @@ def _worker_main(rank: int, seed: int, command: Connection,
         Executes ``fn(context, rank, *args)`` against this worker's
         persistent context (see
         :meth:`~repro.comm.transport.Transport.run_workers`).
+    ``("attach", key, path, shape)``
+        Maps the file at ``path`` and publishes it as
+        ``context["shared"][key]`` (see
+        :meth:`~repro.comm.transport.Transport.shared_array`).  The file is
+        opened by path, so it works under ``fork`` and ``spawn`` alike; the
+        driver unlinks it once every worker has replied.
     ``("trace", enabled)``
         Toggles worker-side span recording.  While enabled, every
         ``exchange`` and ``run`` is timed on the worker's own
-        ``perf_counter`` clock into a local buffer; the reply carries the
-        worker's current clock reading so the driver can shift the stream
-        onto the tracer's clock.
+        ``perf_counter`` clock into a local buffer (a ``run`` span also
+        carries the bytes of its request and reply frames); the reply
+        carries the worker's current clock reading so the driver can shift
+        the stream onto the tracer's clock.
     ``("trace_drain",)``
         Returns (and clears) the buffered span stream.
 
-    Any exception is reported back as ``("error", ...)`` with the full
-    traceback; the driver raises it and tears the cluster down.
+    A reply echoes the op of its request.  Any exception is reported back
+    as ``("error", ...)`` with the full traceback; the driver raises it and
+    tears the cluster down.
     """
     # Kernel-path propagation: align the environment BEFORE repro.sparse is
     # (re-)imported, so a spawn-started worker probes the same kernel path
@@ -139,13 +249,13 @@ def _worker_main(rank: int, seed: int, command: Connection,
     sender = threading.Thread(target=_sender, daemon=True)
     sender.start()
 
-    context = make_worker_context(rank, seed)
+    context = make_worker_context(rank, seed, {})
     tracing = False
     trace_events: List[Dict[str, Any]] = []
-    command.send(("ready", compiled_kernels_available(), os.getpid()))
+    _send_frame(command, ("ready", compiled_kernels_available(), os.getpid()))
     try:
         while True:
-            request = command.recv()
+            request, request_bytes = _recv_frame(command)
             op = request[0]
             try:
                 if op == "stop":
@@ -168,28 +278,39 @@ def _worker_main(rank: int, seed: int, command: Connection,
                              "ts": start, "dur": time.perf_counter() - start,
                              "args": {"sent": len(outgoing),
                                       "received": expect}})
-                    command.send(("exchanged", inbox))
+                    _send_frame(command, (op, inbox))
                 elif op == "run":
                     _, fn, args = request
                     start = time.perf_counter()
                     result = fn(context, rank, *args)
+                    elapsed = time.perf_counter() - start
+                    reply_bytes = _send_frame(command, (op, result))
                     if tracing:
                         trace_events.append(
                             {"name": f"run:{getattr(fn, '__name__', 'task')}",
                              "cat": "worker", "ph": "X", "ts": start,
-                             "dur": time.perf_counter() - start})
-                    command.send(("ran", result))
+                             "dur": elapsed,
+                             "args": {"args_bytes": request_bytes,
+                                      "reply_bytes": reply_bytes}})
+                elif op == "attach":
+                    _, key, path, shape = request
+                    fd = os.open(path, os.O_RDWR)
+                    try:
+                        context["shared"][key] = _map_array(fd, shape)
+                    finally:
+                        os.close(fd)
+                    _send_frame(command, (op,))
                 elif op == "trace":
                     tracing = bool(request[1])
                     trace_events = []
-                    command.send(("traced", time.perf_counter()))
+                    _send_frame(command, (op, time.perf_counter()))
                 elif op == "trace_drain":
-                    command.send(("trace_drained", trace_events))
+                    _send_frame(command, (op, trace_events))
                     trace_events = []
                 else:  # pragma: no cover - protocol violation
                     raise RuntimeError(f"unknown worker command {op!r}")
             except Exception:  # noqa: BLE001 - forwarded to the driver
-                command.send(("error", rank, traceback.format_exc()))
+                _send_frame(command, ("error", rank, traceback.format_exc()))
     except (EOFError, OSError):  # pragma: no cover - driver went away
         pass
     finally:
@@ -214,8 +335,9 @@ class MultiprocessCluster(Transport):
         elsewhere.  Both propagate the kernel path (see module docstring).
     timeout:
         Hard per-wait timeout in seconds for every driver-side receive; a
-        worker missing the deadline fails the step and tears the cluster
-        down instead of hanging the caller.
+        live worker missing the deadline fails the step and tears the
+        cluster down instead of hanging the caller.  (A *dead* worker is
+        noticed at once, through its process sentinel.)
     """
 
     spec_name = "mp"
@@ -286,8 +408,7 @@ class MultiprocessCluster(Transport):
         from ..sparse.vector import compiled_kernels_available
         parent_kernels = compiled_kernels_available()
         for rank in range(P):
-            reply = self._receive(rank, "ready")
-            worker_kernels = reply[1]
+            worker_kernels = self._receive(rank, "ready")[1]
             if worker_kernels != parent_kernels:
                 self.close()
                 raise RuntimeError(
@@ -299,34 +420,45 @@ class MultiprocessCluster(Transport):
                     "availability must agree between parent and workers")
 
     def close(self) -> None:
-        """Stop the worker processes and close every pipe (idempotent).
+        """Stop the worker processes, close every pipe and drop the shared
+        mappings (idempotent).
 
         With a tracer installed, the per-rank span streams are drained and
         merged into it first — this is where the workers' trace buffers
         become part of the single exported timeline.
         """
+        self._shutdown(graceful=True)
+
+    def _shutdown(self, graceful: bool) -> None:
+        """Tear the cluster down.  ``graceful`` asks every worker to stop
+        and waits for it; after a dead or stuck worker nobody can be asked
+        (a live peer may be blocked on the dead one), so the processes are
+        killed instead."""
         if self._closed:
             return
         if self._worker_tracing:
             # Flag off first: a failing drain receive ends up back in
             # close(), which must not recurse into another drain.
             self._worker_tracing = False
-            try:
-                self._drain_worker_traces()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
+            if graceful:
+                try:
+                    self._drain_worker_traces()
+                except Exception:  # pragma: no cover - best-effort teardown
+                    pass
         self._closed = True
-        for connection in self._commands:
-            try:
-                connection.send(("stop",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
+        if graceful:
+            for connection in self._commands:
+                try:
+                    _send_frame(connection, ("stop",))
+                except (OSError, ValueError):
+                    pass
+            for process in self._processes:
+                process.join(timeout=5.0)
+        for process in self._processes:
+            if process.is_alive():
+                process.kill()  # SIGKILL: a stopped process ignores SIGTERM
         for process in self._processes:
             process.join(timeout=5.0)
-        for process in self._processes:
-            if process.is_alive():  # pragma: no cover - unresponsive worker
-                process.terminate()
-                process.join(timeout=5.0)
         for connection in self._commands:
             try:
                 connection.close()
@@ -334,6 +466,10 @@ class MultiprocessCluster(Transport):
                 pass
         self._commands = []
         self._processes = []
+        # The backing files are long unlinked: dropping the arrays (here,
+        # and wherever a caller still holds one) is what frees the memory.
+        self._shared = {}
+        self._publish_shared_bytes()
 
     def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
         try:
@@ -347,7 +483,8 @@ class MultiprocessCluster(Transport):
         The processes are respawned for the new membership (per-rank
         contexts restart, exactly like the per-rank contexts of the
         simulated backend) and the statistics window resets to the new
-        worker count.
+        worker count.  Shared arrays do not survive: ask
+        :meth:`shared_array` again for the new membership.
         """
         self.close()
         super().resize(num_workers)
@@ -379,6 +516,7 @@ class MultiprocessCluster(Transport):
         if active is not None:
             self._set_worker_tracing(True)
             active.add_collector(self.collect_traces)
+            self._publish_shared_bytes()
         return previous
 
     def collect_traces(self) -> None:
@@ -390,10 +528,10 @@ class MultiprocessCluster(Transport):
     def _set_worker_tracing(self, enabled: bool) -> None:
         tracer = self._tracer
         self._trace_anchor = {}
-        for connection in self._commands:
-            connection.send(("trace", enabled))
         for rank in range(self._num_workers):
-            reply = self._receive(rank, "traced")
+            self._send(rank, ("trace", enabled))
+        for rank in range(self._num_workers):
+            reply = self._receive(rank, "trace")
             if enabled and tracer is not None:
                 self._trace_anchor[rank] = (tracer.now_us(), float(reply[1]))
         self._worker_tracing = enabled
@@ -416,13 +554,13 @@ class MultiprocessCluster(Transport):
             driver_us, worker_t = self._trace_anchor[rank]
             connection = self._commands[rank]
             try:
-                connection.send(("trace_drain",))
+                _send_frame(connection, ("trace_drain",))
                 if not connection.poll(deadline):
                     continue
-                reply = connection.recv()
-            except (OSError, EOFError, BrokenPipeError, ValueError):
+                reply, _ = _recv_frame(connection)
+            except (OSError, EOFError, ValueError):
                 continue
-            if not reply or reply[0] != "trace_drained":
+            if not reply or reply[0] != "trace_drain":
                 continue
             shifted = [dict(event,
                             ts=(event["ts"] - worker_t) * 1e6 + driver_us,
@@ -458,11 +596,11 @@ class MultiprocessCluster(Transport):
             expected[message.dst] = expected.get(message.dst, 0) + 1
         involved = sorted(set(outgoing) | set(expected))
         for rank in involved:
-            self._commands[rank].send(
-                ("exchange", outgoing.get(rank, []), expected.get(rank, 0)))
+            self._send(rank, ("exchange", outgoing.get(rank, []),
+                              expected.get(rank, 0)))
         transited: Dict[int, Any] = {}
         for rank in involved:
-            for seq, payload in self._receive(rank, "exchanged")[1]:
+            for seq, payload in self._receive(rank, "exchange")[1]:
                 transited[seq] = payload
         inboxes: Dict[int, List[Message]] = {}
         for seq, message in enumerate(admitted):
@@ -499,8 +637,40 @@ class MultiprocessCluster(Transport):
                        for rank in sorted(args_by_rank)]
         for rank, args in targets:
             self._check_rank(rank)
-            self._commands[rank].send(("run", fn, args))
-        return {rank: self._receive(rank, "ran")[1] for rank, _ in targets}
+            self._send(rank, ("run", fn, args))
+        return {rank: self._receive(rank, "run")[1] for rank, _ in targets}
+
+    # ------------------------------------------------------------------
+    # shared arrays
+    # ------------------------------------------------------------------
+    def shared_array(self, key: str, shape: Sequence[int]) -> np.ndarray:
+        """See :meth:`Transport.shared_array`; here the array is a mapping
+        every worker process has attached."""
+        array = super().shared_array(key, shape)
+        self._publish_shared_bytes()
+        return array
+
+    def _allocate_shared(self, key: str, shape: Tuple[int, ...]) -> np.ndarray:
+        """Map a fresh temp file in the driver and in every worker, then
+        unlink it: from here on the memory has no name that could outlive
+        the processes mapping it, whichever way they end."""
+        self._ensure_open()
+        fd, path = _create_backing_file(_mapping_bytes(shape))
+        try:
+            array = _map_array(fd, shape)
+            for rank in self.ranks:
+                self._send(rank, ("attach", key, path, shape))
+            for rank in self.ranks:
+                self._receive(rank, "attach")
+        finally:
+            os.close(fd)
+            os.unlink(path)
+        return array
+
+    def _publish_shared_bytes(self) -> None:
+        if self._tracer is not None:
+            self._tracer.metrics.gauge("mp.shared_bytes").set(
+                sum(array.nbytes for array in self._shared.values()))
 
     # ------------------------------------------------------------------
     # internals
@@ -511,32 +681,65 @@ class MultiprocessCluster(Transport):
                 "MultiprocessCluster is closed; its worker processes have "
                 "been stopped")
 
-    def _receive(self, rank: int, expected_op: str) -> tuple:
-        """One driver-side receive with deadlock containment: a worker that
-        misses the timeout (or died, or reported an error) fails the call
-        and tears the whole cluster down so nothing upstream hangs."""
-        connection = self._commands[rank]
+    def _send(self, rank: int, command: tuple) -> None:
+        """Ship one command to ``rank``; with a tracer installed its frame
+        size is added to the ``mp.pipe_bytes`` counter of the command's op."""
         try:
-            if not connection.poll(self._timeout):
-                self.close()
-                raise RuntimeError(
-                    f"worker {rank} did not reply within {self._timeout:.0f}s "
-                    "(suspected deadlock or dead worker); cluster terminated")
-            reply = connection.recv()
-        except (EOFError, OSError) as error:
-            self.close()
+            sent = _send_frame(self._commands[rank], command)
+        except OSError as error:  # broken pipe: nobody reads the other end
+            raise self._worker_died(rank) from error
+        if self._tracer is not None:
+            self._tracer.metrics.counter("mp.pipe_bytes", op=command[0]).inc(sent)
+
+    def _receive(self, rank: int, op: str) -> tuple:
+        """One driver-side receive of ``rank``'s reply to an ``op`` command.
+
+        Waits on the reply pipe *and* on every worker's process sentinel: a
+        worker that died — this one, or a peer this one is blocked on —
+        fails the call within milliseconds; a live worker that misses the
+        timeout, or reports an error, fails it too.  Every failure tears
+        the whole cluster down so nothing upstream hangs."""
+        connection = self._commands[rank]
+        sentinels = [process.sentinel for process in self._processes]
+        ready = connection_wait([connection, *sentinels], self._timeout)
+        if not ready:
+            self._shutdown(graceful=False)
             raise RuntimeError(
-                f"worker {rank} terminated unexpectedly: {error!r}") from error
+                f"worker {rank} did not reply within {self._timeout:.0f}s "
+                "(suspected deadlock); cluster terminated")
+        if connection not in ready:
+            raise self._worker_died(rank)
+        try:
+            reply, received = _recv_frame(connection)
+        except (EOFError, OSError) as error:
+            raise self._worker_died(rank) from error
+        if self._tracer is not None:
+            self._tracer.metrics.counter("mp.pipe_bytes", op=op).inc(received)
         if reply[0] == "error":
             self.close()
             raise RuntimeError(
                 f"worker {reply[1]} raised:\n{reply[2]}")
-        if reply[0] != expected_op:  # pragma: no cover - protocol violation
+        if reply[0] != op:  # pragma: no cover - protocol violation
             self.close()
             raise RuntimeError(
-                f"worker {rank} replied {reply[0]!r} to a {expected_op!r} "
-                "request")
+                f"worker {rank} replied {reply[0]!r} to a {op!r} request")
         return reply
+
+    def _worker_died(self, rank: int) -> RuntimeError:
+        """Tear the cluster down after a death notice and name the worker
+        that died (``rank``, whose pipe broke, if no sentinel fires)."""
+        sentinels = {process.sentinel: peer
+                     for peer, process in enumerate(self._processes)}
+        # Pipes break and sentinels fire a moment before the process can be
+        # reaped for its exit code.
+        fired = connection_wait(list(sentinels), 1.0)
+        dead = min(sentinels[sentinel] for sentinel in fired) if fired else rank
+        self._processes[dead].join(timeout=1.0)
+        exitcode = self._processes[dead].exitcode
+        self._shutdown(graceful=False)
+        return RuntimeError(
+            f"worker {dead} terminated unexpectedly (exit code {exitcode}); "
+            "cluster terminated")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "live"

@@ -37,6 +37,17 @@ them concurrently.  Tasks must therefore be rank-order independent: any
 randomness must come from the per-rank ``seed_sequence`` the context
 provides (one :class:`numpy.random.SeedSequence` spawn per rank, identical
 across backends), never from shared mutable state.
+
+Shared arrays
+-------------
+Bulk per-rank state (a trainer's dense gradients and updates) does not
+travel as task arguments or results: :meth:`Transport.shared_array` names a
+``float64`` array that the caller *and* every rank's task context
+(``context["shared"][key]``) address as the same memory — the one NumPy
+array in-process, a mapping attached by every worker process on
+process-backed transports.  The task protocol is the only synchronisation:
+a task writes between its call and its return, the caller between
+:meth:`~Transport.run_workers` calls.
 """
 
 from __future__ import annotations
@@ -217,6 +228,7 @@ class Transport(ABC):
         self._tracer: Optional[Any] = None
         self._seed = int(seed)
         self._worker_ctx: Dict[int, Dict[str, Any]] = {}
+        self._shared: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # basic properties
@@ -374,11 +386,12 @@ class Transport(ABC):
         rank's call (``None`` runs every rank with no extra arguments; a
         partial mapping runs only the listed ranks).  ``context`` is a
         per-rank ``dict`` that persists across calls — tasks park state
-        (model replicas, RNG streams) there; it always contains ``"rank"``
-        and ``"seed_sequence"`` (this rank's
+        (model replicas, RNG streams) there; it always contains ``"rank"``,
+        ``"seed_sequence"`` (this rank's
         :class:`numpy.random.SeedSequence` spawn, identical on every
         backend, so randomised tasks are rank-order independent by
-        construction).
+        construction) and ``"shared"`` (the arrays of
+        :meth:`shared_array`, by key).
 
         The base implementation executes tasks in-process, serially, in
         ascending rank order — the deterministic reference.  Backends with
@@ -404,8 +417,38 @@ class Transport(ABC):
         context = self._worker_ctx.get(rank)
         if context is None:
             context = self._worker_ctx[rank] = make_worker_context(
-                rank, self._seed)
+                rank, self._seed, self._shared)
         return context
+
+    # ------------------------------------------------------------------
+    # shared arrays
+    # ------------------------------------------------------------------
+    def shared_array(self, key: str, shape: Sequence[int]) -> np.ndarray:
+        """The zero-initialised ``float64`` array named ``key``, as the
+        caller and every rank's :meth:`run_workers` context
+        (``context["shared"][key]``) see it: one memory, no copies.
+
+        The first call creates the array; later calls with the same shape
+        return it (a different shape is an error).  Nothing but the task
+        protocol orders accesses: a task may read and write between its
+        call and its return, the caller between two :meth:`run_workers`
+        calls — never both at once.  Arrays live until :meth:`resize` or
+        :meth:`close`.
+        """
+        shape = tuple(int(extent) for extent in shape)
+        array = self._shared.get(key)
+        if array is None:
+            array = self._shared[key] = self._allocate_shared(key, shape)
+        elif array.shape != shape:
+            raise ValueError(
+                f"shared array {key!r} exists with shape {array.shape}, "
+                f"requested {shape}")
+        return array
+
+    def _allocate_shared(self, key: str, shape: Tuple[int, ...]) -> np.ndarray:
+        """Back one new shared array.  In-process ranks share the caller's
+        address space, so a plain array is already shared."""
+        return np.zeros(shape, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # elastic membership
@@ -416,13 +459,15 @@ class Transport(ABC):
         Ranks are contiguous ``0..num_workers-1`` after the call; the
         synchroniser applying the membership event remaps its own per-rank
         state (see :meth:`~repro.core.base.GradientSynchronizer.poll_membership`).
-        Statistics and per-rank contexts restart from the new membership.
+        Statistics, per-rank contexts and shared arrays restart from the
+        new membership.
         """
         if num_workers <= 0:
             raise ValueError("a cluster needs at least one worker")
         self._num_workers = int(num_workers)
         self._stats = CommStats(num_workers=self._num_workers)
         self._worker_ctx = {}
+        self._shared = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -473,7 +518,8 @@ class Transport(ABC):
         return f"{type(self).__name__}(num_workers={self._num_workers})"
 
 
-def make_worker_context(rank: int, seed: int) -> Dict[str, Any]:
+def make_worker_context(rank: int, seed: int,
+                        shared: Dict[str, np.ndarray]) -> Dict[str, Any]:
     """The initial per-rank context of :meth:`Transport.run_workers`.
 
     One function shared by every backend (the in-process reference builds
@@ -481,11 +527,13 @@ def make_worker_context(rank: int, seed: int) -> Dict[str, Any]:
     ``seed_sequence`` streams — ``SeedSequence(seed, spawn_key=(rank,))``,
     exactly what ``SeedSequence(seed).spawn(P)[rank]`` yields — are
     identical everywhere and results never depend on which backend ran the
-    task or in which order ranks executed.
+    task or in which order ranks executed.  ``shared`` is where the rank
+    finds the arrays of :meth:`Transport.shared_array`.
     """
     return {
         "rank": rank,
         "seed_sequence": np.random.SeedSequence(seed, spawn_key=(rank,)),
+        "shared": shared,
     }
 
 

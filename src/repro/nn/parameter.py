@@ -8,7 +8,7 @@ so the helpers for flattening and un-flattening live here as well.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -69,11 +69,13 @@ def flatten_values(parameters: Sequence[Parameter]) -> np.ndarray:
     return np.concatenate([p.data.reshape(-1) for p in parameters])
 
 
-def flatten_gradients(parameters: Sequence[Parameter]) -> np.ndarray:
-    """Concatenate all parameter gradients into one dense vector."""
+def flatten_gradients(parameters: Sequence[Parameter],
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Concatenate all parameter gradients into one dense vector (into
+    ``out`` when given, which must have exactly that many elements)."""
     if not parameters:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate([p.grad.reshape(-1) for p in parameters])
+        return np.zeros(0, dtype=np.float64) if out is None else out
+    return np.concatenate([p.grad.reshape(-1) for p in parameters], out=out)
 
 
 def _assign(parameters: Sequence[Parameter], flat: np.ndarray, attribute: str) -> None:

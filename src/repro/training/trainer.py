@@ -21,18 +21,37 @@ as :attr:`DistributedTrainer.session`.
 Compute modes
 -------------
 Where the per-worker forward/backward runs is a property of the transport,
-not of the algorithm.  In ``inline`` mode (the historical behaviour, and
-the default on the simulated backend) the trainer iterates the replicas in
-the calling process.  In ``offload`` mode (the default on transports whose
-workers run in parallel, e.g. the process-backed
+not of the algorithm.  In ``inline`` mode (the default on the simulated
+backend) the trainer iterates the replicas in the calling process.  In
+``offload`` mode (the default on transports whose workers run in parallel,
+e.g. the process-backed
 :class:`~repro.comm.mp_backend.MultiprocessCluster`) each replica, its
 optimizer and its data shard live on the transport's worker for that rank
 — shipped once via :meth:`~repro.comm.transport.Transport.run_workers` —
 and every iteration computes gradients and applies updates worker-side,
-concurrently.  Only the synchronisation itself runs in the parent, through
-the exact same staged pipeline, so the two modes produce bit-identical
-models: the per-worker batches are a pure function of ``(seed, epoch,
-worker)`` and the arithmetic is the same either way.
+concurrently.
+
+In offload mode no dense vector is ever an argument or a result of a
+worker task.  The trainer keeps two ``(P, n)`` arrays in the transport's
+shared memory (:meth:`~repro.comm.transport.Transport.shared_array`):
+
+* ``trainer.gradients`` — rank ``r``'s compute task flattens its gradient
+  into row ``r`` and returns only the loss; the driver synchronises
+  read-only views of the rows, so they reach the error-feedback sweep
+  without a copy.
+* ``trainer.updates`` — the driver writes ``global / P`` once per
+  *distinct* global-gradient array (one row when every rank was handed the
+  same array, which is the normal case) and tells each rank which row to
+  apply; the rank reads it through a read-only view.
+
+A task message is therefore a function reference, a row number and a few
+scalars.  The task protocol orders every access: workers touch the arrays
+only inside a task, the driver only between two ``run_workers`` calls.
+
+Only the synchronisation itself runs in the parent, through the exact same
+staged pipeline, so the two modes produce bit-identical models: the
+per-worker batches are a pure function of ``(seed, epoch, worker)`` and the
+arithmetic is the same either way.
 """
 
 from __future__ import annotations
@@ -47,7 +66,8 @@ from typing import Any, Callable, Dict, List, Optional, Union
 import numpy as np
 
 from ..comm.network import ETHERNET, NetworkProfile
-from ..comm.transport import Transport, UnsupportedTransportFeature
+from ..comm.transport import (Transport, UnsupportedTransportFeature,
+                              freeze_payload)
 from ..core.base import GradientSynchronizer
 from ..core.pipeline import SyncSession
 from ..obs import Tracer, TraceLevel, attach_tracer, replay_iteration_timing
@@ -161,6 +181,11 @@ def _accepted_kwargs(factory: Callable, candidates: Dict[str, Any]) -> Dict[str,
 # runs as ``fn(context, rank, *args)`` under Transport.run_workers against
 # the persistent per-rank context.
 
+#: Keys of the offload mode's shared arrays (see "Compute modes" above).
+_GRADIENTS = "trainer.gradients"
+_UPDATES = "trainer.updates"
+
+
 def _worker_install(context: Dict[str, Any], rank: int,
                     state: Dict[str, Any]) -> int:
     """Adopt this rank's training state (replica, optimizer, loss, shard).
@@ -186,9 +211,10 @@ def _worker_epoch_start(context: Dict[str, Any], rank: int, batch_size: int,
 
 
 def _worker_compute_gradient(context: Dict[str, Any], rank: int,
-                             device_seconds_per_sample: float):
-    """One local step: next batch, forward, backward; returns
-    ``(flat_gradient, loss)``."""
+                             device_seconds_per_sample: float) -> float:
+    """One local step: next batch, forward, backward.  The flat gradient
+    goes into this rank's row of the shared gradient array; only the loss
+    is returned."""
     state = context["trainer"]
     replica = state["replica"]
     inputs, targets = next(state["iterator"])
@@ -199,15 +225,18 @@ def _worker_compute_gradient(context: Dict[str, Any], rank: int,
     replica.backward(grad_output)
     if device_seconds_per_sample > 0.0:
         time.sleep(device_seconds_per_sample * inputs.shape[0])
-    return flatten_gradients(replica.parameters()), float(loss_value)
+    flatten_gradients(replica.parameters(),
+                      out=context["shared"][_GRADIENTS][rank])
+    return float(loss_value)
 
 
-def _worker_apply_update(context: Dict[str, Any], rank: int,
-                         averaged: np.ndarray, learning_rate: float) -> None:
-    """Apply the synchronised averaged gradient to this rank's replica."""
-    state = context["trainer"]
-    state["optimizer"].step(flat_gradient=np.asarray(averaged, dtype=np.float64),
-                            learning_rate=learning_rate)
+def _worker_apply_update(context: Dict[str, Any], rank: int, row: int,
+                         learning_rate: float) -> None:
+    """Apply row ``row`` of the shared update array — the synchronised
+    averaged gradient — to this rank's replica."""
+    averaged = freeze_payload(context["shared"][_UPDATES][row])
+    context["trainer"]["optimizer"].step(flat_gradient=averaged,
+                                         learning_rate=learning_rate)
 
 
 def _worker_fetch_params(context: Dict[str, Any], rank: int) -> np.ndarray:
@@ -334,7 +363,15 @@ class DistributedTrainer:
         """Ship every rank's replica, optimizer, loss and shard to its
         worker.  After this the parent-side ``replicas`` are construction
         artefacts only — the live models advance on the workers, and
-        :meth:`evaluate` / :attr:`global_model` fetch from there."""
+        :meth:`evaluate` / :attr:`global_model` fetch from there.  The
+        per-iteration dense traffic goes through two shared arrays."""
+        shape = (self.cluster.num_workers, self.num_elements)
+        #: What ``session.step`` is handed: read-only views of the rows the
+        #: workers flatten their gradients into.
+        self._gradient_rows = {
+            worker: freeze_payload(row) for worker, row in
+            enumerate(self.cluster.shared_array(_GRADIENTS, shape))}
+        self._updates = self.cluster.shared_array(_UPDATES, shape)
         shipped = self.cluster.run_workers(_worker_install, {
             worker: ({
                 "replica": self.replicas[worker],
@@ -444,9 +481,8 @@ class DistributedTrainer:
                     worker: (self.config.device_seconds_per_sample,)
                     for worker in range(self.cluster.num_workers)
                 })
-                for worker in sorted(computed):
-                    gradients[worker], loss_value = computed[worker]
-                    losses.append(loss_value)
+                gradients = self._gradient_rows
+                losses = [computed[worker] for worker in sorted(computed)]
             else:
                 device = self.config.device_seconds_per_sample
                 for worker, replica in enumerate(self.replicas):
@@ -480,17 +516,17 @@ class DistributedTrainer:
             # next to the measured wall-clock spans.
             replay_iteration_timing(self.tracer, timing, self._iteration)
 
-        num_workers = self.cluster.num_workers
         with self._span("apply_update", "compute", iteration=self._iteration):
             if self.compute_mode == "offload":
+                rows, _ = self._average(result, out=self._updates)
                 self.cluster.run_workers(_worker_apply_update, {
-                    worker: (result.gradient(worker) / num_workers, learning_rate)
-                    for worker in range(num_workers)
+                    worker: (row, learning_rate)
+                    for worker, row in enumerate(rows)
                 })
             else:
-                for worker, optimizer in enumerate(self.optimizers):
-                    averaged = result.gradient(worker) / num_workers
-                    optimizer.step(flat_gradient=averaged,
+                rows, averaged = self._average(result)
+                for optimizer, row in zip(self.optimizers, rows):
+                    optimizer.step(flat_gradient=averaged[row],
                                    learning_rate=learning_rate)
 
         if self.config.check_consistency:
@@ -517,6 +553,27 @@ class DistributedTrainer:
         self.history.add_iteration(record)
         self._iteration += 1
         return record
+
+    def _average(self, result, out: Optional[np.ndarray] = None
+                 ) -> tuple[List[int], List[np.ndarray]]:
+        """``global / P``, divided once per *distinct* global-gradient
+        array (sparse methods hand every agreeing rank the same one):
+        returns each worker's row number and the rows — read-only, and the
+        leading rows of ``out`` when it is given."""
+        num_workers = self.cluster.num_workers
+        row_of: Dict[int, int] = {}
+        averaged: List[np.ndarray] = []
+        rows: List[int] = []
+        for worker in range(num_workers):
+            gradient = result.gradient(worker)
+            row = row_of.get(id(gradient))
+            if row is None:
+                row = row_of[id(gradient)] = len(averaged)
+                averaged.append(freeze_payload(np.divide(
+                    gradient, num_workers,
+                    out=None if out is None else out[row])))
+            rows.append(row)
+        return rows, averaged
 
     # ------------------------------------------------------------------
     # evaluation

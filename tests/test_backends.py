@@ -10,7 +10,14 @@ timing anything.
 
 from __future__ import annotations
 
+import gc
+import glob
+import multiprocessing
 import os
+import signal
+import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +38,14 @@ from repro.comm.mp_backend import _CKERNELS_ENV
 from repro.data.synthetic import synthetic_image_classification
 from repro.data.datasets import train_test_split
 from repro.nn.models import build_mlp
-from repro.training.trainer import DistributedTrainer, TrainerConfig
+from repro.nn.optim import SGD
+from repro.training.trainer import (
+    DistributedTrainer,
+    TrainerConfig,
+    _worker_apply_update,
+    _worker_compute_gradient,
+    _worker_fetch_params,
+)
 
 from tests.helpers import random_gradients
 
@@ -253,6 +267,22 @@ def test_kernel_handshake_reports_worker_state():
 # ---------------------------------------------------------------------------
 # lifecycle and deadlock containment
 # ---------------------------------------------------------------------------
+def _leftover_files():
+    """Backing files of shared arrays still on disk (there must be none
+    once ``shared_array`` has returned, however the cluster ends)."""
+    return [path for directory in ("/dev/shm", tempfile.gettempdir())
+            for path in glob.glob(os.path.join(directory, "repro-mp-*"))]
+
+
+def _live_mappings():
+    """Shared-array mappings of this process, where the platform can tell."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            return [line for line in maps if "repro-mp-" in line]
+    except OSError:  # pragma: no cover - no procfs
+        return []
+
+
 def test_mp_close_is_idempotent_and_use_after_close_raises():
     mp = MultiprocessCluster(2)
     mp.close()
@@ -267,10 +297,13 @@ def _failing_task(context, rank):
 
 def test_worker_exception_propagates_and_tears_down():
     mp = MultiprocessCluster(2)
+    mp.shared_array("state", (2, 3))
     with pytest.raises(RuntimeError, match="boom on rank"):
         mp.run_workers(_failing_task)
     with pytest.raises(RuntimeError, match="closed"):
         mp.run_workers(_pid_task)
+    gc.collect()
+    assert _leftover_files() == [] and _live_mappings() == []
 
 
 def test_mp_resize_restarts_worker_pool():
@@ -281,6 +314,117 @@ def test_mp_resize_restarts_worker_pool():
         assert mp.num_workers == 3
         assert len(after) == 3
         assert set(before.values()).isdisjoint(after.values())
+
+
+START_METHODS = [method for method in ("fork", "spawn")
+                 if method in multiprocessing.get_all_start_methods()]
+
+
+def _assert_fails_fast(cluster, call, match):
+    """``call`` raises the dead-worker error within 2 s and leaves the
+    cluster closed with nothing of its shared memory behind."""
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=match):
+        call()
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(RuntimeError, match="closed"):
+        cluster.run_workers(_pid_task)
+    gc.collect()
+    assert _leftover_files() == [] and _live_mappings() == []
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_worker_killed_between_calls_fails_the_next_one_at_once(start_method):
+    mp = MultiprocessCluster(2, start_method=start_method)
+    mp.shared_array("state", (2, 5))
+    pids = mp.run_workers(_pid_task)
+    os.kill(pids[1], signal.SIGKILL)
+    _assert_fails_fast(mp, lambda: mp.run_workers(_pid_task),
+                       r"worker 1 terminated unexpectedly \(exit code -9\)")
+
+
+def test_worker_killed_mid_exchange_fails_the_round_at_once():
+    # Rank 0 waits for a message only rank 1 can send; rank 1 is frozen
+    # when the round starts and dies during it.  Rank 0 never sees an EOF
+    # (under fork it holds a copy of every pipe end), so only the process
+    # sentinel can tell.
+    mp = MultiprocessCluster(3)
+    mp.shared_array("state", (3, 5))
+    pids = mp.run_workers(_pid_task)
+    os.kill(pids[1], signal.SIGSTOP)
+    killer = threading.Timer(0.2, os.kill, (pids[1], signal.SIGKILL))
+    killer.start()
+    try:
+        _assert_fails_fast(
+            mp, lambda: mp.exchange([
+                Message(src=1, dst=0, payload=np.arange(4.0)),
+                Message(src=0, dst=2, payload=np.arange(4.0))]),
+            r"worker 1 terminated unexpectedly \(exit code -9\)")
+    finally:
+        killer.join(timeout=5.0)
+    assert not killer.is_alive()
+
+
+def test_stuck_worker_still_hits_the_deadline():
+    mp = MultiprocessCluster(2, timeout=0.3)
+    pids = mp.run_workers(_pid_task)
+    os.kill(pids[0], signal.SIGSTOP)
+    with pytest.raises(RuntimeError, match="worker 0 did not reply within"):
+        mp.run_workers(_pid_task)
+    with pytest.raises(RuntimeError, match="closed"):
+        mp.run_workers(_pid_task)
+
+
+# ---------------------------------------------------------------------------
+# shared arrays
+# ---------------------------------------------------------------------------
+def _mark_row_task(context, rank, key, value):
+    """Write ``value`` into this rank's row; report what the row held."""
+    array = context["shared"][key]
+    seen = float(array[rank, 0])
+    array[rank] = value
+    return seen
+
+
+@pytest.mark.parametrize("backend", ["sim", "mp"])
+def test_shared_array_is_one_memory_for_driver_and_ranks(backend):
+    with make_transport(backend, num_workers=2) as cluster:
+        array = cluster.shared_array("state", (2, 3))
+        assert array.dtype == np.float64 and not array.any()
+        assert cluster.shared_array("state", [2, 3]) is array
+        with pytest.raises(ValueError, match="exists with shape"):
+            cluster.shared_array("state", (2, 4))
+        array[1] = 7.0  # the driver writes between two run_workers calls ...
+        seen = cluster.run_workers(
+            _mark_row_task, {rank: ("state", 10.0 + rank) for rank in range(2)})
+        assert seen == {0: 0.0, 1: 7.0}  # ... the ranks read it, and the
+        assert array.tolist() == [[10.0] * 3, [11.0] * 3]  # driver their rows
+        assert cluster.shared_array("empty", (2, 0)).shape == (2, 0)
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_shared_arrays_across_resize_and_close(start_method):
+    mp = MultiprocessCluster(2, start_method=start_method)
+    before = mp.shared_array("state", (2, 3))
+    assert _leftover_files() == []  # unlinked as soon as all have attached
+    assert len(_live_mappings()) <= 1
+    mp.run_workers(_mark_row_task, {0: ("state", 1.0), 1: ("state", 2.0)})
+    mp.resize(3)
+    # The new membership starts without arrays; the old one is the
+    # caller's to drop (still readable, no longer anybody's row).
+    after = mp.shared_array("state", (3, 3))
+    assert after is not before and not after.any()
+    assert before.tolist() == [[1.0] * 3, [2.0] * 3]
+    mp.run_workers(_mark_row_task, {rank: ("state", 5.0) for rank in range(3)})
+    assert after.tolist() == [[5.0] * 3] * 3
+    mp.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        mp.shared_array("state", (3, 3))
+    with pytest.raises(RuntimeError, match="closed"):
+        mp.shared_array("other", (1,))
+    del before, after
+    gc.collect()
+    assert _leftover_files() == [] and _live_mappings() == []
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +503,7 @@ def test_describe_keeps_sim_specs_unchanged():
 # ---------------------------------------------------------------------------
 # trainer compute modes
 # ---------------------------------------------------------------------------
-def _trainer(cluster, **config_overrides):
+def _trainer(cluster, spec="spardl?density=0.1", hidden=8, **config_overrides):
     dataset = synthetic_image_classification(num_samples=48, num_classes=4,
                                              image_size=4, channels=1,
                                              seed=11)
@@ -369,13 +513,13 @@ def _trainer(cluster, **config_overrides):
         from repro.nn.layers import Flatten
         from repro.nn.module import Sequential
         return Sequential(Flatten(),
-                          *build_mlp(input_dim=16, hidden_dims=[8],
+                          *build_mlp(input_dim=16, hidden_dims=[hidden],
                                      num_outputs=4, seed=seed).layers)
 
     from repro.api import make_factory
     config = TrainerConfig(batch_size=8, learning_rate=0.05, seed=7,
                            **config_overrides)
-    return DistributedTrainer(cluster, make_factory("spardl?density=0.1"),
+    return DistributedTrainer(cluster, make_factory(spec),
                               model_factory, train, test, config=config)
 
 
@@ -384,30 +528,158 @@ def _final_params(trainer):
     return flatten_values(trainer.global_model.parameters())
 
 
-def test_trainer_offload_matches_inline_on_sim():
-    with SimulatedCluster(2) as sim:
-        inline = _trainer(sim, compute_mode="inline")
-        inline.train(num_epochs=2)
-    with SimulatedCluster(2) as sim:
-        offload = _trainer(sim, compute_mode="offload")
-        offload.train(num_epochs=2)
-    assert np.array_equal(_final_params(inline), _final_params(offload))
-    assert inline.compute_mode == "inline"
-    assert offload.compute_mode == "offload"
+def _spy_on_worker_tasks(cluster):
+    """Record ``(task name, args by rank, results by rank)`` of every
+    ``run_workers`` call."""
+    calls = []
+    inner = cluster.run_workers
+
+    def run_workers(fn, args_by_rank=None):
+        results = inner(fn, args_by_rank)
+        calls.append((fn.__name__, args_by_rank, results))
+        return results
+
+    cluster.run_workers = run_workers
+    return calls
 
 
-def test_trainer_on_mp_backend_matches_sim_bit_for_bit():
+#: Synchroniser spec + trainer config of the offload == inline matrix.
+OFFLOAD_CASES = {
+    "plain": ("spardl?density=0.1", {}),
+    "bits8": ("spardl?density=0.1&bits=8", {}),
+    "momentum-correction": ("spardl?density=0.1",
+                            {"momentum": 0.9, "momentum_correction": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFFLOAD_CASES))
+@pytest.mark.parametrize("backend", ["sim:2", "mp:2"])
+def test_trainer_offload_matches_inline_bit_for_bit(backend, case):
+    spec, config = OFFLOAD_CASES[case]
     with SimulatedCluster(2) as sim:
-        reference = _trainer(sim)
-        assert reference.compute_mode == "inline"  # auto on sim
-        history_sim = reference.train(num_epochs=2)
+        inline = _trainer(sim, spec, **config)
+        assert inline.compute_mode == "inline"  # auto on sim
+        history_inline = inline.train(num_epochs=2)
+    with make_transport(backend) as cluster:
+        offload = _trainer(cluster, spec, compute_mode="offload",
+                           check_consistency=True, **config)
+        assert offload.compute_mode == "offload"
+        calls = _spy_on_worker_tasks(cluster)
+        history_offload = offload.train(num_epochs=2)
+        offload_params = _final_params(offload)
+        # The dense vectors went through shared_array, not through tasks:
+        shape = (2, offload.num_elements)
+        assert cluster.shared_array("trainer.gradients", shape).any()
+        assert cluster.shared_array("trainer.updates", shape)[0].any()
+    for name, args_by_rank, results in calls:
+        if name == _worker_compute_gradient.__name__:
+            assert all(type(loss) is float for loss in results.values())
+        elif name == _worker_apply_update.__name__:
+            assert all(type(row) is int and type(rate) is float
+                       for row, rate in args_by_rank.values())
+    assert np.array_equal(_final_params(inline), offload_params)
+    assert ([record.loss for record in history_inline.iterations]
+            == [record.loss for record in history_offload.iterations])
+    assert (history_inline.epochs[-1].eval_loss
+            == history_offload.epochs[-1].eval_loss)
+
+
+def test_mp_trainer_defaults_to_offload():
     with MultiprocessCluster(2) as mp:
-        measured = _trainer(mp, check_consistency=True)
-        assert measured.compute_mode == "offload"  # auto on mp
-        history_mp = measured.train(num_epochs=2)
-        measured_params = _final_params(measured)
-    assert np.array_equal(_final_params(reference), measured_params)
-    losses_sim = [record.loss for record in history_sim.iterations]
-    losses_mp = [record.loss for record in history_mp.iterations]
-    assert losses_sim == losses_mp
-    assert history_sim.epochs[-1].eval_loss == history_mp.epochs[-1].eval_loss
+        assert _trainer(mp).compute_mode == "offload"  # auto on mp
+
+
+def _spy_on_applied_updates(monkeypatch):
+    """Record the ``flat_gradient`` of every ``SGD.step`` in this process."""
+    applied = []
+    inner = SGD.step
+    monkeypatch.setattr(SGD, "step", lambda self, flat_gradient=None, **kw: (
+        applied.append(flat_gradient) or inner(self, flat_gradient, **kw)))
+    return applied
+
+
+def test_offload_hands_out_readonly_views_of_the_shared_rows(monkeypatch):
+    with SimulatedCluster(2) as sim:
+        trainer = _trainer(sim, compute_mode="offload")
+        shared_gradients = sim.shared_array("trainer.gradients",
+                                            (2, trainer.num_elements))
+        shared_updates = sim.shared_array("trainer.updates",
+                                          (2, trainer.num_elements))
+        synchronised, applied = [], _spy_on_applied_updates(monkeypatch)
+        inner_step = trainer.session.step
+        trainer.session.step = lambda gradients: (
+            synchronised.append(dict(gradients)) or inner_step(gradients))
+        trainer.train_epoch(0, evaluate=False)
+    assert synchronised and len(applied) == 2 * len(synchronised)
+    for gradients in synchronised:
+        for rank, view in gradients.items():
+            assert np.shares_memory(view, shared_gradients[rank])  # zero-copy
+            _assert_all_readonly(view)
+    for view in applied:
+        assert np.shares_memory(view, shared_updates[0])  # averaged once
+        _assert_all_readonly(view)
+
+
+def test_inline_averages_once_and_hands_out_a_readonly_view(monkeypatch):
+    with SimulatedCluster(3) as sim:
+        trainer = _trainer(sim, compute_mode="inline")
+        applied = _spy_on_applied_updates(monkeypatch)
+        trainer.train_epoch(0, evaluate=False)
+    assert applied and len(applied) % 3 == 0
+    for first in range(0, len(applied), 3):  # one iteration's three replicas
+        for view in applied[first:first + 3]:
+            assert np.shares_memory(view, applied[first])
+            _assert_all_readonly(view)
+
+
+@pytest.mark.parametrize("backend", ["sim:2", "mp:2"])
+def test_ranks_holding_different_globals_each_apply_their_own_row(backend):
+    rate = 0.05
+    with make_transport(backend) as cluster:
+        trainer = _trainer(cluster, compute_mode="offload")
+        before = cluster.run_workers(_worker_fetch_params)
+        inner_step = trainer.session.step
+        forced = []
+
+        def step(gradients):
+            result = inner_step(gradients)
+            # Rank 1 holds its own array with its own values.
+            result.global_gradients[1] = 3.0 * result.global_gradients[0]
+            forced.append(dict(result.global_gradients))
+            return result
+
+        trainer.session.step = step
+        trainer.train_epoch(0, evaluate=False)
+        after = cluster.run_workers(_worker_fetch_params)
+    assert forced and all(np.count_nonzero(step[0]) for step in forced)
+    for rank in range(2):
+        expected = before[rank].copy()
+        for step in forced:
+            expected -= rate * (step[rank] / 2)
+        assert np.array_equal(after[rank], expected)
+    assert not np.array_equal(after[0], after[1])
+
+
+def test_traced_mp_iteration_keeps_dense_vectors_off_the_pipes():
+    # 10,756 parameters: one gradient is 86 KB, more than the budget of a
+    # whole iteration.
+    with MultiprocessCluster(2) as mp:
+        trainer = _trainer(mp, hidden=512, trace="steps")
+        assert 8 * trainer.num_elements > 64 * 1024
+        tracer = trainer.tracer
+        assert (tracer.snapshot()["mp.shared_bytes"]
+                == 2 * 2 * 8 * trainer.num_elements)
+        trainer.train_epoch(0, evaluate=False)
+        through_pipes = tracer.snapshot()["mp.pipe_bytes{op=run}"]
+        trainer.train_epoch(1, evaluate=False)
+        through_pipes = tracer.snapshot()["mp.pipe_bytes{op=run}"] - through_pipes
+        iterations = len(trainer.history.iterations) // 2
+        assert 0 < through_pipes / iterations < 64 * 1024
+        tracer.collect()
+        computes = [event for event in tracer.events
+                    if event.name == "run:_worker_compute_gradient"]
+        assert len(computes) == 2 * 2 * iterations
+        for event in computes:
+            assert 0 < event.args["args_bytes"] < 1024
+            assert 0 < event.args["reply_bytes"] < 1024
+    assert tracer.snapshot()["mp.shared_bytes"] == 0

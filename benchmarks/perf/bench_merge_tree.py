@@ -4,11 +4,10 @@ Two measurements, both emitted into one JSON trajectory point
 (``BENCH_PR3.json``) that CI uploads next to ``BENCH_PR1.json`` /
 ``BENCH_PR2.json``:
 
-* **Tournament-tree merge_many** — times the compiled tournament-tree kernel
-  against the O(total x streams) head-scan kernel it replaced, at stream
-  counts matching very wide gathers (P = 8 .. 256), and asserts the outputs
-  are bit-identical.  The NumPy fallback pair (bracket tree merge vs the
-  packed-key stable sort) is recorded alongside.
+* **merge_many** — the production k-way merge (the compiled tournament-tree
+  kernel, or the packed-key NumPy path without it) at stream counts
+  matching very wide gathers (P = 8 .. 256): asserts bit-identity with the
+  seed's sequential pairwise fold and records the time per merge.
 * **Deferred residual accumulation** — runs the full SparDL synchroniser
   with eager and deferred residual collection on identical gradients and
   records the per-worker sparse-scatter counts (the deferred mode performs
@@ -19,9 +18,8 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/perf/bench_merge_tree.py
 
-Exits non-zero if the tournament kernel fails to beat the head scan at
->= 64 streams or if the deferred path stops matching the eager path
-bit-for-bit, so it doubles as a CI perf gate.
+Exits non-zero if the merge stops matching the seed fold or the deferred
+path stops matching the eager path bit-for-bit, so it doubles as a CI gate.
 """
 
 from __future__ import annotations
@@ -42,24 +40,12 @@ from naive_reference import naive_merge_many  # noqa: E402
 from repro.comm.cluster import SimulatedCluster  # noqa: E402
 from repro.core.config import SparDLConfig  # noqa: E402
 from repro.core.spardl import SparDLSynchronizer  # noqa: E402
-from repro.sparse.vector import (  # noqa: E402
-    _get_c_kernels,
-    _segment_sum_sorted,
-    _stable_merge_sorted,
-    _tree_merge_sorted,
-    merge_many_coo,
-)
+from repro.sparse.vector import compiled_kernels_available, merge_many_coo  # noqa: E402
 
 #: Gradient length and per-stream selection for the merge benchmark.
 N = 1_000_000
 NNZ_PER_STREAM = 2_000
 STREAM_COUNTS = (8, 64, 128, 256)
-
-#: Minimum tournament-over-headscan speedup gated at wide fan-ins.  The
-#: kernel-level win is far larger (see BENCH_PR3.json); the floor is kept
-#: CI-noise-safe.
-GATE_MIN_SPEEDUP = 1.5
-GATE_STREAMS = 64
 
 #: Deferred-residual scenario: P = 16 workers in two teams of eight.
 RES_WORKERS = 16
@@ -89,81 +75,29 @@ def make_streams(rng: np.random.Generator, num_streams: int, n: int, nnz: int):
     return index_streams, value_streams
 
 
-def _numpy_tree(index_streams, value_streams):
-    indices, values = _tree_merge_sorted(index_streams, value_streams)
-    return _segment_sum_sorted(indices, values)
-
-
-def _numpy_packed_key(index_streams, value_streams):
-    indices, values = _stable_merge_sorted(index_streams, value_streams)
-    return _segment_sum_sorted(indices, values)
-
-
 def run_merge_benchmarks(repeats: int = 3, loops: int = 1,
                          seed: int = 0) -> Dict[str, dict]:
-    """Time tournament vs head-scan at every stream count; verify bits."""
-    kernels = _get_c_kernels()
+    """Time the production merge at every stream count; verify its bits
+    against the seed fold (sequential pairwise ``np.unique`` +
+    ``np.add.at`` merging)."""
     rng = np.random.default_rng(seed)
     results: Dict[str, dict] = {}
     for num_streams in STREAM_COUNTS:
         index_streams, value_streams = make_streams(
             rng, num_streams, N, NNZ_PER_STREAM)
-        # Bit-identity to the seed fold (sequential pairwise np.unique +
-        # np.add.at merging) — checked for the production dispatch AND the
-        # NumPy bracket reference, independent of compiler availability.
         seed_fold = naive_merge_many(index_streams, value_streams)
         production = merge_many_coo(index_streams, value_streams)
-        bracket = _numpy_tree(index_streams, value_streams)
-        seed_identical = all(
-            np.array_equal(seed_fold[0], candidate[0])
-            and np.array_equal(seed_fold[1].view(np.int64),
-                               candidate[1].view(np.int64))
-            for candidate in (production, bracket))
-        entry: Dict[str, object] = {
+        results[f"streams_{num_streams}"] = {
             "num_streams": num_streams,
             "total_entries": num_streams * NNZ_PER_STREAM,
-            "seed_fold_bit_identical": bool(seed_identical),
+            "seed_fold_bit_identical": bool(
+                np.array_equal(seed_fold[0], production[0])
+                and np.array_equal(seed_fold[1].view(np.int64),
+                                   production[1].view(np.int64))),
+            "merge_s": best_of(
+                lambda: merge_many_coo(index_streams, value_streams),
+                repeats, loops),
         }
-        if kernels is not None:
-            reference = kernels.merge_many(index_streams, value_streams,
-                                           impl="headscan")
-            tournament = kernels.merge_many(index_streams, value_streams,
-                                            impl="tournament")
-            bit_identical = (
-                np.array_equal(reference[0], tournament[0])
-                and np.array_equal(reference[1].view(np.int64),
-                                   tournament[1].view(np.int64)))
-            headscan_s = best_of(
-                lambda: kernels.merge_many(index_streams, value_streams,
-                                           impl="headscan"),
-                repeats, loops)
-            tournament_s = best_of(
-                lambda: kernels.merge_many(index_streams, value_streams,
-                                           impl="tournament"),
-                repeats, loops)
-            entry.update({
-                "bit_identical": bool(bit_identical),
-                "headscan_s": headscan_s,
-                "tournament_s": tournament_s,
-                "speedup": headscan_s / tournament_s if tournament_s else
-                float("inf"),
-            })
-        else:  # no compiler: record the NumPy pair only
-            entry.update({"bit_identical": None, "headscan_s": None,
-                          "tournament_s": None, "speedup": None})
-        packed_key_s = best_of(
-            lambda: _numpy_packed_key(index_streams, value_streams),
-            repeats, loops)
-        tree_s = best_of(
-            lambda: _numpy_tree(index_streams, value_streams),
-            repeats, loops)
-        entry.update({
-            "numpy_packed_key_s": packed_key_s,
-            "numpy_tree_s": tree_s,
-            "numpy_tree_speedup": packed_key_s / tree_s if tree_s else
-            float("inf"),
-        })
-        results[f"streams_{num_streams}"] = entry
     return results
 
 
@@ -223,28 +157,20 @@ def main(argv=None) -> int:
     residuals = run_residual_benchmarks()
 
     report = {
-        "bench": "PR3 tournament-tree k-way merge + deferred residuals",
+        "bench": "PR3 k-way merge + deferred residuals",
         "config": {"n": N, "nnz_per_stream": NNZ_PER_STREAM,
                    "stream_counts": list(STREAM_COUNTS),
+                   "compiled_kernels": compiled_kernels_available(),
                    "repeats": repeats, "loops": loops},
-        "gate": {"min_speedup": GATE_MIN_SPEEDUP,
-                 "gated_at_streams": GATE_STREAMS},
         "merge_many": merge,
         "deferred_residuals": residuals,
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"{'streams':>8}  {'headscan':>10}  {'tournament':>10}  "
-          f"{'speedup':>8}  {'numpy tree':>10}")
+    print(f"{'streams':>8}  {'merge':>10}  seed fold")
     for entry in merge.values():
-        headscan = entry["headscan_s"]
-        tournament = entry["tournament_s"]
-        speedup = entry["speedup"]
-        print(f"{entry['num_streams']:>8}  "
-              f"{'-' if headscan is None else f'{headscan * 1e3:8.2f}ms'}  "
-              f"{'-' if tournament is None else f'{tournament * 1e3:8.2f}ms'}  "
-              f"{'-' if speedup is None else f'{speedup:7.1f}x'}  "
-              f"{entry['numpy_tree_s'] * 1e3:8.2f}ms")
+        print(f"{entry['num_streams']:>8}  {entry['merge_s'] * 1e3:8.2f}ms  "
+              f"{'identical' if entry['seed_fold_bit_identical'] else 'DIFFERS'}")
     deferred = residuals["deferred"]
     eager = residuals["eager"]
     print(f"residual scatters/worker: eager {eager['max_scatters_per_worker']}"
@@ -254,20 +180,9 @@ def main(argv=None) -> int:
 
     if args.no_gate:
         return 0
-    failures = []
-    for entry in merge.values():
-        if entry["bit_identical"] is False:
-            failures.append(
-                f"streams={entry['num_streams']}: outputs not bit-identical")
-        if not entry["seed_fold_bit_identical"]:
-            failures.append(
-                f"streams={entry['num_streams']}: diverged from the seed fold")
-        if (entry["speedup"] is not None
-                and entry["num_streams"] >= GATE_STREAMS
-                and entry["speedup"] < GATE_MIN_SPEEDUP):
-            failures.append(
-                f"streams={entry['num_streams']}: tournament speedup "
-                f"{entry['speedup']:.2f}x < {GATE_MIN_SPEEDUP}x")
+    failures = [f"streams={entry['num_streams']}: diverged from the seed fold"
+                for entry in merge.values()
+                if not entry["seed_fold_bit_identical"]]
     if not residuals["total_residual_bit_identical"]:
         failures.append("deferred total_residual diverged from eager")
     if (residuals["deferred"]["max_scatters_per_worker"]

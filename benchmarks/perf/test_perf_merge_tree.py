@@ -1,12 +1,9 @@
-"""Perf-regression smoke gate for the tournament-tree k-way merge.
+"""Smoke gate for the k-way merge and deferred residual accumulation.
 
 Runs the PR 3 microbenchmark harness with quick timing settings and asserts
 
-* the compiled tournament kernel stays bit-identical to the head-scan
-  reference at every stream count,
-* it keeps a speedup margin at wide fan-ins (>= 64 streams) — looser than
-  the locally recorded numbers (3-6x in ``BENCH_PR3.json``) so the gate is
-  robust on noisy shared CI runners,
+* the production k-way merge stays bit-identical to the seed's sequential
+  pairwise fold at every stream count,
 * deferred residual accumulation performs exactly one scatter per worker
   per iteration while matching the eager path bit-for-bit.
 """
@@ -21,19 +18,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import pytest
 
 from bench_merge_tree import (
-    GATE_STREAMS,
     RES_ITERATIONS,
     run_merge_benchmarks,
     run_residual_benchmarks,
 )
 
-#: CI-safe floor; BENCH_PR3.json records ~3-6x at authoring time.
-SMOKE_MIN_SPEEDUP = 1.3
-
 
 @pytest.fixture(scope="module")
 def merge_results():
-    return run_merge_benchmarks(repeats=2, loops=1)
+    return run_merge_benchmarks(repeats=1, loops=1)
 
 
 @pytest.fixture(scope="module")
@@ -46,26 +39,6 @@ def test_bit_identical_to_seed_fold(merge_results):
         assert entry["seed_fold_bit_identical"], (
             f"merge diverged from the seed fold at "
             f"{entry['num_streams']} streams")
-
-
-def test_tournament_bit_identical_to_headscan(merge_results):
-    for entry in merge_results.values():
-        if entry["bit_identical"] is None:  # no C compiler available
-            pytest.skip("compiled kernels unavailable")
-        assert entry["bit_identical"], (
-            f"tournament kernel diverged at {entry['num_streams']} streams")
-
-
-def test_tournament_beats_headscan_at_wide_fanin(merge_results):
-    gated = [entry for entry in merge_results.values()
-             if entry["num_streams"] >= GATE_STREAMS]
-    assert gated, "benchmark must cover the gated stream counts"
-    for entry in gated:
-        if entry["speedup"] is None:
-            pytest.skip("compiled kernels unavailable")
-        assert entry["speedup"] >= SMOKE_MIN_SPEEDUP, (
-            f"tournament regressed at {entry['num_streams']} streams: "
-            f"{entry['speedup']:.2f}x < {SMOKE_MIN_SPEEDUP}x")
 
 
 def test_deferred_residuals_bit_identical(residual_results):

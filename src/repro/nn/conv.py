@@ -4,6 +4,9 @@ All image tensors use the ``(N, C, H, W)`` layout.  The convolution is
 implemented with the classic im2col / col2im transformation so the forward
 and backward passes are single matrix multiplications, which keeps the
 scaled-down VGG / ResNet cases trainable on CPU in the tests and benchmarks.
+The unfold and fold themselves run on the compiled kernels of
+:mod:`repro.sparse.ckernels` when they are built, bit for bit like the
+NumPy statements here.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..sparse.ckernels import get_kernels
 from .initializers import he_normal, zeros
 from .module import Module
 from .parameter import Parameter
@@ -19,17 +23,32 @@ from .parameter import Parameter
 __all__ = ["Conv2d", "MaxPool2d", "GlobalAvgPool2d", "BatchNorm2d", "im2col", "col2im"]
 
 
-def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - kernel) // stride + 1
+def _out_size(image_shape: Tuple[int, ...], kernel_h: int, kernel_w: int,
+              stride: int, padding: int) -> Tuple[int, int]:
+    """``(out_h, out_w)`` of a convolution over ``(N, C, H, W)`` images;
+    ``ValueError`` unless the kernel fits the padded image at least once."""
+    h, w = image_shape[2:]
+    if (stride < 1 or padding < 0
+            or h + 2 * padding < kernel_h or w + 2 * padding < kernel_w):
+        raise ValueError(
+            f"cannot convolve a {h}x{w} image with a {kernel_h}x{kernel_w} "
+            f"kernel at stride {stride}, padding {padding}")
+    return ((h + 2 * padding - kernel_h) // stride + 1,
+            (w + 2 * padding - kernel_w) // stride + 1)
 
 
 def im2col(images: np.ndarray, kernel_h: int, kernel_w: int,
            stride: int, padding: int) -> np.ndarray:
-    """Unfold image patches into a matrix of shape
-    ``(N * out_h * out_w, C * kernel_h * kernel_w)``."""
+    """Unfold image patches into a C-contiguous matrix of shape
+    ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
+
+    ``float64`` images go through the compiled gather, which reads any
+    strides; the NumPy statements below are its bit-for-bit reference."""
+    out_h, out_w = _out_size(images.shape, kernel_h, kernel_w, stride, padding)
+    kernels = get_kernels()
+    if kernels is not None and images.dtype == np.float64:
+        return kernels.im2col(images, kernel_h, kernel_w, stride, padding, out_h, out_w)
     n, c, h, w = images.shape
-    out_h = _out_size(h, kernel_h, stride, padding)
-    out_w = _out_size(w, kernel_w, stride, padding)
     padded = np.pad(images, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     columns = np.zeros((n, c, kernel_h, kernel_w, out_h, out_w), dtype=images.dtype)
     for y in range(kernel_h):
@@ -37,22 +56,29 @@ def im2col(images: np.ndarray, kernel_h: int, kernel_w: int,
         for x in range(kernel_w):
             x_max = x + stride * out_w
             columns[:, :, y, x, :, :] = padded[:, :, y:y_max:stride, x:x_max:stride]
-    return columns.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
+    return columns.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, c * kernel_h * kernel_w)
 
 
 def col2im(columns: np.ndarray, image_shape: Tuple[int, int, int, int],
            kernel_h: int, kernel_w: int, stride: int, padding: int) -> np.ndarray:
-    """Inverse of :func:`im2col` (overlapping patches are summed)."""
+    """Adjoint of :func:`im2col`: overlapping patches are summed, every
+    pixel from ``+0.0`` in ascending kernel offset — the order of the NumPy
+    statements below, which the compiled fold of ``float64`` columns keeps."""
     n, c, h, w = image_shape
-    out_h = _out_size(h, kernel_h, stride, padding)
-    out_w = _out_size(w, kernel_w, stride, padding)
-    columns = columns.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=columns.dtype)
-    for y in range(kernel_h):
-        y_max = y + stride * out_h
-        for x in range(kernel_w):
-            x_max = x + stride * out_w
-            padded[:, :, y:y_max:stride, x:x_max:stride] += columns[:, :, y, x, :, :]
+    out_h, out_w = _out_size(image_shape, kernel_h, kernel_w, stride, padding)
+    padded_shape = (n, c, h + 2 * padding, w + 2 * padding)
+    kernels = get_kernels()
+    if kernels is not None and columns.dtype == np.float64:
+        padded = kernels.col2im(columns, padded_shape, kernel_h, kernel_w, stride,
+                                out_h, out_w)
+    else:
+        columns = columns.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(0, 3, 4, 5, 1, 2)
+        padded = np.zeros(padded_shape, dtype=columns.dtype)
+        for y in range(kernel_h):
+            y_max = y + stride * out_h
+            for x in range(kernel_w):
+                x_max = x + stride * out_w
+                padded[:, :, y:y_max:stride, x:x_max:stride] += columns[:, :, y, x, :, :]
     if padding == 0:
         return padded
     return padded[:, :, padding:padding + h, padding:padding + w]
@@ -81,8 +107,8 @@ class Conv2d(Module):
         n, c, h, w = inputs.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {c}")
-        out_h = _out_size(h, self.kernel_size, self.stride, self.padding)
-        out_w = _out_size(w, self.kernel_size, self.stride, self.padding)
+        out_h, out_w = _out_size(inputs.shape, self.kernel_size, self.kernel_size,
+                                 self.stride, self.padding)
         columns = im2col(inputs, self.kernel_size, self.kernel_size, self.stride, self.padding)
         kernel = self.weight.data.reshape(self.out_channels, -1).T
         output = columns @ kernel
@@ -114,8 +140,8 @@ class MaxPool2d(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         n, c, h, w = inputs.shape
-        out_h = _out_size(h, self.kernel_size, self.stride, 0)
-        out_w = _out_size(w, self.kernel_size, self.stride, 0)
+        out_h, out_w = _out_size(inputs.shape, self.kernel_size, self.kernel_size,
+                                 self.stride, 0)
         columns = im2col(inputs.reshape(n * c, 1, h, w), self.kernel_size, self.kernel_size,
                          self.stride, 0)
         argmax = columns.argmax(axis=1)

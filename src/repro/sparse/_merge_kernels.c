@@ -1,6 +1,7 @@
 /* Two-pointer / k-way merge-add kernels for sorted COO gradient streams, the
  * fused error-feedback accumulate + candidate scan (which also seeds the
- * cuts it scans against), and the segmented exact top-k (end of file).
+ * cuts it scans against), the segmented exact top-k, and the convolution
+ * unfold / fold of repro.nn.conv (end of file).
  *
  * Compiled on demand by repro.sparse.ckernels (cc -O3 -ffp-contract=off
  * -shared -fPIC); the package falls back to vectorized NumPy kernels when no
@@ -63,62 +64,10 @@ int64_t merge_add_i64_f64(
 }
 
 /* K-way merge-add of sorted COO streams (duplicates allowed both across and
- * within a stream).  Equal indices are consumed stream by stream in stream
- * order, so the accumulation matches a sequential pairwise left fold.
- * Returns the number of entries written, or -1 if num_streams exceeds
- * MAX_STREAMS.
- *
- * This is the reference head-scan kernel: every output entry rescans all
- * stream heads, O(total * streams).  merge_many_tournament_i64_f64 below is
- * the production kernel; this one is kept callable for the perf-regression
- * benchmark that proves the tournament tree wins at wide fan-ins. */
-int64_t merge_many_i64_f64(
-    int64_t num_streams,
-    const int64_t **indices,
-    const double **values,
-    const int64_t *lengths,
-    int64_t *out_indices,
-    double *out_values)
-{
-    int64_t cursor[MAX_STREAMS];
-    int64_t s, o = 0;
-    if (num_streams > MAX_STREAMS)
-        return -1;
-    for (s = 0; s < num_streams; s++)
-        cursor[s] = 0;
-    for (;;) {
-        int64_t best = 0;
-        int found = 0;
-        for (s = 0; s < num_streams; s++) {
-            if (cursor[s] < lengths[s]) {
-                int64_t head = indices[s][cursor[s]];
-                if (!found || head < best) {
-                    best = head;
-                    found = 1;
-                }
-            }
-        }
-        if (!found)
-            break;
-        {
-            double acc = 0.0;
-            for (s = 0; s < num_streams; s++) {
-                while (cursor[s] < lengths[s] && indices[s][cursor[s]] == best) {
-                    acc += values[s][cursor[s]];
-                    cursor[s]++;
-                }
-            }
-            out_indices[o] = best;
-            out_values[o] = acc;
-            o++;
-        }
-    }
-    return o;
-}
-
-/* Tournament-tree k-way merge-add: same contract and bit-identical output as
- * merge_many_i64_f64, but O(total * log streams) instead of
- * O(total * streams).
+ * within a stream) in O(total * log streams).  Equal indices are consumed
+ * stream by stream in stream order, so the accumulation matches a sequential
+ * pairwise left fold.  Returns the number of entries written, or -1 if
+ * num_streams exceeds MAX_STREAMS.
  *
  * A complete winner tree over the (padded to a power of two) stream heads is
  * kept in an implicit array: leaves at win[width + s] hold stream ids, every
@@ -126,8 +75,8 @@ int64_t merge_many_i64_f64(
  * the left child.  Because the leaf layout is in stream order, the left
  * child always covers lower stream ids, so among equal head indices the
  * root is the *lowest* stream id — equal indices are therefore consumed in
- * stream order and the accumulation reproduces the head scan (and the seed's
- * sequential pairwise left fold) bit for bit.  Advancing a stream only
+ * stream order and the accumulation reproduces the seed's sequential
+ * pairwise left fold bit for bit.  Advancing a stream only
  * replays its leaf-to-root path.
  *
  * INT64_MAX marks an exhausted stream; it cannot collide with a real index
@@ -612,4 +561,67 @@ int64_t top_k_split_i64_f64(
         rest += 1 - k;
     }
     return kept;
+}
+
+/* ------------------------------------------------------------------------
+ * Convolution unfold / fold (repro.nn.conv.im2col / col2im).
+ *
+ * Entry ((b * oh + oy) * ow + ox, (ch * kh + y) * kw + x) of the
+ * C-contiguous (n * oh * ow, c * kh * kw) column matrix pairs with pixel
+ * (oy * stride + y - padding, ox * stride + x - padding) of plane (b, ch) of
+ * the image.  The caller has checked that oh and ow are positive.
+ * ------------------------------------------------------------------------ */
+
+/* Unfold: every column entry is its pixel, +0.0 where that falls into the
+ * padding.  A pure gather, so the matrix holds the image's bits.  The image
+ * is read through its element strides (sn, sc, sh, sw): the NCHW view of an
+ * NHWC buffer that a convolution hands on needs no copy. */
+void im2col_f64(const double *image, int64_t n, int64_t c, int64_t h, int64_t w,
+                int64_t sn, int64_t sc, int64_t sh, int64_t sw,
+                int64_t kh, int64_t kw, int64_t stride, int64_t padding,
+                int64_t oh, int64_t ow, double *columns)
+{
+    int64_t b, oy, ox, ch, y, x;
+    for (b = 0; b < n; b++)
+        for (oy = 0; oy < oh; oy++)
+            for (ox = 0; ox < ow; ox++) {
+                int64_t top = oy * stride - padding, left = ox * stride - padding;
+                for (ch = 0; ch < c; ch++) {
+                    const double *plane = image + b * sn + ch * sc;
+                    for (y = top; y < top + kh; y++) {
+                        if (y < 0 || y >= h) {
+                            for (x = 0; x < kw; x++)
+                                *columns++ = 0.0;
+                            continue;
+                        }
+                        for (x = left; x < left + kw; x++)
+                            *columns++ = x >= 0 && x < w ? plane[y * sh + x * sw] : 0.0;
+                    }
+                }
+            }
+}
+
+/* Fold, the adjoint: every pixel of the zero-initialised (n, c, ph, pw)
+ * padded image accumulates the column entries unfolding would have read
+ * from it, starting from its +0.0 in ascending kernel offset (y, x) — the
+ * order of the NumPy statement, which adds one offset's strided slice at a
+ * time — so every sum rounds alike.  Walking the rows backwards is that
+ * order: of two entries landing on one pixel, the one at the smaller offset
+ * comes from the larger output position. */
+void col2im_f64(const double *columns, int64_t n, int64_t c, int64_t ph, int64_t pw,
+                int64_t kh, int64_t kw, int64_t stride, int64_t oh, int64_t ow,
+                double *padded)
+{
+    int64_t b, oy, ox, ch, y, x, row = c * kh * kw;
+    const double *entry = columns + n * oh * ow * row;
+    for (b = n - 1; b >= 0; b--)
+        for (oy = oh - 1; oy >= 0; oy--)
+            for (ox = ow - 1; ox >= 0; ox--) {
+                double *plane = padded + (b * c * ph + oy * stride) * pw + ox * stride;
+                entry -= row;
+                for (ch = 0; ch < c; ch++, plane += ph * pw)
+                    for (y = 0; y < kh; y++)
+                        for (x = 0; x < kw; x++)
+                            plane[y * pw + x] += entry[(ch * kh + y) * kw + x];
+            }
 }

@@ -1,7 +1,8 @@
 """Loader for the optional compiled kernels.
 
-``_merge_kernels.c`` (the COO merges, the fused accumulate + candidate scan
-and the segmented top-k) is compiled once per machine into a shared object in a private
+``_merge_kernels.c`` (the COO merges, the fused accumulate + candidate scan,
+the segmented top-k and the convolution unfold / fold) is compiled once per
+machine into a shared object in a private
 per-user cache, addressed by source, compiler and flags (so repeated runs
 and test invocations reuse it and a flag change never loads a stale
 object), and bound through :mod:`ctypes`.  Everything is best-effort: no
@@ -65,16 +66,9 @@ class CMergeKernels:
         self._merge_add = lib.merge_add_i64_f64
         self._merge_add.restype = _I64
         self._merge_add.argtypes = [_I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]
-        merge_many_argtypes = [_I64, _PTR, _PTR, _PTR, _PTR, _PTR]
-        #: Reference O(total * streams) head-scan kernel, kept callable for
-        #: the perf-regression benchmark (bench_merge_tree.py).
-        self._merge_many_headscan = lib.merge_many_i64_f64
-        self._merge_many_headscan.restype = _I64
-        self._merge_many_headscan.argtypes = merge_many_argtypes
-        #: Production O(total * log streams) tournament-tree kernel.
-        self._merge_many_tournament = lib.merge_many_tournament_i64_f64
-        self._merge_many_tournament.restype = _I64
-        self._merge_many_tournament.argtypes = merge_many_argtypes
+        self._merge_many = lib.merge_many_tournament_i64_f64
+        self._merge_many.restype = _I64
+        self._merge_many.argtypes = [_I64, _PTR, _PTR, _PTR, _PTR, _PTR]
         self._accumulate_scan = lib.accumulate_scan_f64
         self._accumulate_scan.restype = _I64
         self._accumulate_scan.argtypes = [
@@ -87,6 +81,12 @@ class CMergeKernels:
         self._top_k_split = lib.top_k_split_i64_f64
         self._top_k_split.restype = _I64
         self._top_k_split.argtypes = [_I64] + [_PTR] * 6
+        self._im2col = lib.im2col_f64
+        self._im2col.restype = None
+        self._im2col.argtypes = [_PTR] + [_I64] * 14 + [_PTR]
+        self._col2im = lib.col2im_f64
+        self._col2im.restype = None
+        self._col2im.argtypes = [_PTR] + [_I64] * 9 + [_PTR]
         lib.accumulate_scan_lanes.restype = _I64
         lib.accumulate_scan_lanes.argtypes = []
         widest = lib.accumulate_scan_lanes()
@@ -112,18 +112,11 @@ class CMergeKernels:
         return out_indices[:count], out_values[:count]
 
     def merge_many(self, index_streams: Sequence[np.ndarray],
-                   value_streams: Sequence[np.ndarray],
-                   impl: str = "tournament") -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """K-way merge; returns ``None`` when the stream count exceeds the
-        compiled kernel's capacity (callers then fall back).
-
-        ``impl`` selects the kernel: ``"tournament"`` (default, the
-        O(total * log streams) winner tree) or ``"headscan"`` (the reference
-        O(total * streams) scan, kept for the perf-regression benchmark).
-        Both produce bit-identical output.
-        """
-        kernel = (self._merge_many_tournament if impl == "tournament"
-                  else self._merge_many_headscan)
+                   value_streams: Sequence[np.ndarray]
+                   ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """K-way merge (the O(total * log streams) winner tree); returns
+        ``None`` when the stream count exceeds the compiled kernel's
+        capacity (callers then fall back)."""
         k = len(index_streams)
         if k > MAX_STREAMS:
             return None
@@ -138,7 +131,7 @@ class CMergeKernels:
                                  dtype=np.uintp, count=k)
         value_ptrs = np.fromiter((stream.ctypes.data for stream in value_streams),
                                  dtype=np.uintp, count=k)
-        count = kernel(
+        count = self._merge_many(
             k, index_ptrs.ctypes.data, value_ptrs.ctypes.data,
             lengths.ctypes.data, out_indices.ctypes.data, out_values.ctypes.data,
         )
@@ -280,6 +273,40 @@ class CMergeKernels:
             fwork.ctypes.data, iwork.ctypes.data)
         return (iwork[:kept], fwork[2 * n:2 * n + kept],
                 iwork[n:2 * n - kept], fwork[3 * n:4 * n - kept])
+
+    def im2col(self, images: np.ndarray, kernel_h: int, kernel_w: int,
+               stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:
+        """:func:`repro.nn.conv.im2col` of an image of any strides, read as
+        ``float64``, into a new C-contiguous matrix; ``out_h`` / ``out_w``
+        are the (positive) output sizes the caller checked.  Every read is
+        bounds-checked against the image."""
+        images = np.asarray(images, dtype=np.float64)
+        if any(step % 8 for step in images.strides):
+            images = np.ascontiguousarray(images)
+        n, c, h, w = images.shape
+        columns = np.empty((n * out_h * out_w, c * kernel_h * kernel_w))
+        self._im2col(images.ctypes.data, n, c, h, w,
+                     *(step // 8 for step in images.strides),
+                     kernel_h, kernel_w, stride, padding, out_h, out_w,
+                     columns.ctypes.data)
+        return columns
+
+    def col2im(self, columns: np.ndarray, padded_shape: Tuple[int, int, int, int],
+               kernel_h: int, kernel_w: int, stride: int,
+               out_h: int, out_w: int) -> np.ndarray:
+        """The fold of :func:`repro.nn.conv.col2im` before cropping: the new
+        zero-initialised ``padded_shape`` image every column entry (read as
+        ``float64``) is added into, in the NumPy statement's order."""
+        n, c, padded_h, padded_w = padded_shape
+        if not (0 < out_h and (out_h - 1) * stride + kernel_h <= padded_h
+                and 0 < out_w and (out_w - 1) * stride + kernel_w <= padded_w):
+            raise ValueError("the output positions must fit the padded image")
+        columns = _contiguous(np.asarray(columns, dtype=np.float64).reshape(
+            n * out_h * out_w, c * kernel_h * kernel_w))
+        padded = np.zeros(padded_shape)
+        self._col2im(columns.ctypes.data, n, c, padded_h, padded_w,
+                     kernel_h, kernel_w, stride, out_h, out_w, padded.ctypes.data)
+        return padded
 
 
 def _cache_path(source: str, compiler: str) -> Optional[Path]:

@@ -38,7 +38,8 @@ shared memory (:meth:`~repro.comm.transport.Transport.shared_array`):
 * ``trainer.gradients`` — rank ``r``'s compute task flattens its gradient
   into row ``r`` and returns only the loss; the driver synchronises
   read-only views of the rows, so they reach the error-feedback sweep
-  without a copy.
+  without a copy.  Inline mode flattens into the same rows and hands
+  ``session.step`` the same views.
 * ``trainer.updates`` — the driver writes ``global / P`` once per
   *distinct* global-gradient array (one row when every rank was handed the
   same array, which is the normal case) and tells each rank which row to
@@ -75,7 +76,8 @@ from ..data.datasets import DataLoader, Dataset, TaskType, shard_dataset
 from ..nn.losses import CrossEntropyLoss, Loss, MSELoss, accuracy
 from ..nn.module import Module
 from ..nn.optim import SGD, ConstantLRSchedule, StepLRSchedule
-from ..nn.parameter import flatten_gradients, flatten_values
+from ..nn.parameter import (Parameter, flatten_gradients, flatten_values,
+                            parameter_count)
 from .metrics import EpochRecord, IterationRecord, TrainingHistory
 from .timing import ComputeProfile, iteration_time
 
@@ -188,7 +190,8 @@ _UPDATES = "trainer.updates"
 
 def _worker_install(context: Dict[str, Any], rank: int,
                     state: Dict[str, Any]) -> int:
-    """Adopt this rank's training state (replica, optimizer, loss, shard).
+    """Adopt this rank's training state (replica, optimizer, loss, shard)
+    and look up the replica's parameter list once.
 
     One deepcopy makes the in-process reference backend behave exactly like
     a process boundary: the worker's replica and optimizer never alias the
@@ -197,8 +200,9 @@ def _worker_install(context: Dict[str, Any], rank: int,
     cheap).  The optimizer's parameter references survive either copy
     because replica and optimizer travel in one object graph.
     """
-    context["trainer"] = copy.deepcopy(state)
-    return int(context["trainer"]["replica"].num_parameters())
+    state = context["trainer"] = copy.deepcopy(state)
+    state["parameters"] = state["replica"].parameters()
+    return parameter_count(state["parameters"])
 
 
 def _worker_epoch_start(context: Dict[str, Any], rank: int, batch_size: int,
@@ -210,24 +214,33 @@ def _worker_epoch_start(context: Dict[str, Any], rank: int, batch_size: int,
     return len(loader)
 
 
-def _worker_compute_gradient(context: Dict[str, Any], rank: int,
-                             device_seconds_per_sample: float) -> float:
-    """One local step: next batch, forward, backward.  The flat gradient
-    goes into this rank's row of the shared gradient array; only the loss
-    is returned."""
-    state = context["trainer"]
-    replica = state["replica"]
-    inputs, targets = next(state["iterator"])
+def _local_step(replica: Module, parameters: List[Parameter], loss: Loss,
+                batch: tuple, device_seconds_per_sample: float,
+                out: np.ndarray) -> float:
+    """One local step of either compute mode: forward and backward on
+    ``batch``; the flat gradient of ``parameters`` (the replica's, looked
+    up once) goes into ``out`` and the loss is returned."""
+    inputs, targets = batch
     replica.train()
-    replica.zero_grad()
+    for parameter in parameters:
+        parameter.zero_grad()
     outputs = replica.forward(inputs)
-    loss_value, grad_output = state["loss"](outputs, targets)
+    loss_value, grad_output = loss(outputs, targets)
     replica.backward(grad_output)
     if device_seconds_per_sample > 0.0:
         time.sleep(device_seconds_per_sample * inputs.shape[0])
-    flatten_gradients(replica.parameters(),
-                      out=context["shared"][_GRADIENTS][rank])
+    flatten_gradients(parameters, out=out)
     return float(loss_value)
+
+
+def _worker_compute_gradient(context: Dict[str, Any], rank: int,
+                             device_seconds_per_sample: float) -> float:
+    """One local step on this rank's next batch, into this rank's row of
+    the shared gradient array; only the loss is returned."""
+    state = context["trainer"]
+    return _local_step(state["replica"], state["parameters"], state["loss"],
+                       next(state["iterator"]), device_seconds_per_sample,
+                       context["shared"][_GRADIENTS][rank])
 
 
 def _worker_apply_update(context: Dict[str, Any], rank: int, row: int,
@@ -280,7 +293,9 @@ class DistributedTrainer:
         # Identical replicas: the same seed is passed to every factory call.
         self.replicas: List[Module] = [model_factory(self.config.seed)
                                        for _ in range(num_workers)]
-        self.num_elements = self.replicas[0].num_parameters()
+        #: Each replica's parameter list, looked up once.
+        self._parameters = [replica.parameters() for replica in self.replicas]
+        self.num_elements = parameter_count(self._parameters[0])
         self.compute_profile = compute_profile or ComputeProfile(
             compute_time_per_update=0.0, paper_parameters=self.num_elements
         )
@@ -326,18 +341,18 @@ class DistributedTrainer:
         #: Staged-pipeline driver: cumulative CommStats and k history across
         #: the whole training run.
         self.session = SyncSession(synchronizer)
-        reference = flatten_values(self.replicas[0].parameters())
-        for replica in self.replicas[1:]:
-            if not np.array_equal(flatten_values(replica.parameters()), reference):
+        reference = flatten_values(self._parameters[0])
+        for parameters in self._parameters[1:]:
+            if not np.array_equal(flatten_values(parameters), reference):
                 raise RuntimeError("model_factory must produce identical replicas for a fixed seed")
 
         self._schedule = self.config.schedule()
         optimizer_momentum = (0.0 if self.config.momentum_correction
                               else self.config.momentum)
         self.optimizers: List[SGD] = [
-            SGD(replica.parameters(), learning_rate=self.config.learning_rate,
+            SGD(parameters, learning_rate=self.config.learning_rate,
                 momentum=optimizer_momentum, weight_decay=self.config.weight_decay)
-            for replica in self.replicas
+            for parameters in self._parameters
         ]
         self.shards = [shard_dataset(train_dataset, num_workers, worker)
                        for worker in range(num_workers)]
@@ -356,6 +371,12 @@ class DistributedTrainer:
                 "use compute_mode='inline'")
         #: Resolved compute mode ("inline" or "offload").
         self.compute_mode = mode
+        self._gradients = cluster.shared_array(
+            _GRADIENTS, (num_workers, self.num_elements))
+        #: What ``session.step`` is handed in both modes: read-only views of
+        #: the rows the gradients are flattened into.
+        self._gradient_rows = {worker: freeze_payload(row)
+                               for worker, row in enumerate(self._gradients)}
         if mode == "offload":
             self._install_worker_state()
 
@@ -364,14 +385,8 @@ class DistributedTrainer:
         worker.  After this the parent-side ``replicas`` are construction
         artefacts only — the live models advance on the workers, and
         :meth:`evaluate` / :attr:`global_model` fetch from there.  The
-        per-iteration dense traffic goes through two shared arrays."""
-        shape = (self.cluster.num_workers, self.num_elements)
-        #: What ``session.step`` is handed: read-only views of the rows the
-        #: workers flatten their gradients into.
-        self._gradient_rows = {
-            worker: freeze_payload(row) for worker, row in
-            enumerate(self.cluster.shared_array(_GRADIENTS, shape))}
-        self._updates = self.cluster.shared_array(_UPDATES, shape)
+        per-iteration dense traffic goes through the two shared arrays."""
+        self._updates = self.cluster.shared_array(_UPDATES, self._gradients.shape)
         shipped = self.cluster.run_workers(_worker_install, {
             worker: ({
                 "replica": self.replicas[worker],
@@ -473,31 +488,20 @@ class DistributedTrainer:
 
     def _train_step_impl(self, epoch: int, iterators,
                          learning_rate: float) -> IterationRecord:
-        gradients: Dict[int, np.ndarray] = {}
-        losses: List[float] = []
+        device = self.config.device_seconds_per_sample
         with self._span("compute", "compute", iteration=self._iteration):
             if self.compute_mode == "offload":
                 computed = self.cluster.run_workers(_worker_compute_gradient, {
-                    worker: (self.config.device_seconds_per_sample,)
-                    for worker in range(self.cluster.num_workers)
+                    worker: (device,) for worker in range(self.cluster.num_workers)
                 })
-                gradients = self._gradient_rows
                 losses = [computed[worker] for worker in sorted(computed)]
             else:
-                device = self.config.device_seconds_per_sample
-                for worker, replica in enumerate(self.replicas):
-                    inputs, targets = next(iterators[worker])
-                    replica.train()
-                    replica.zero_grad()
-                    outputs = replica.forward(inputs)
-                    loss_value, grad_output = self.loss(outputs, targets)
-                    replica.backward(grad_output)
-                    if device > 0.0:
-                        time.sleep(device * inputs.shape[0])
-                    gradients[worker] = flatten_gradients(replica.parameters())
-                    losses.append(loss_value)
+                losses = [
+                    _local_step(replica, self._parameters[worker], self.loss,
+                                next(iterators[worker]), device, self._gradients[worker])
+                    for worker, replica in enumerate(self.replicas)]
 
-        result = self.session.step(gradients)
+        result = self.session.step(self._gradient_rows)
         bucket_stats = bucket_sizes = None
         if self.config.overlap_comm:
             # Bucketed synchronisers report the statistics of every exchange
@@ -535,9 +539,9 @@ class DistributedTrainer:
                 reference = params[0]
                 others = [params[w] for w in sorted(params) if w != 0]
             else:
-                reference = flatten_values(self.replicas[0].parameters())
-                others = [flatten_values(replica.parameters())
-                          for replica in self.replicas[1:]]
+                reference = flatten_values(self._parameters[0])
+                others = [flatten_values(parameters)
+                          for parameters in self._parameters[1:]]
             for values in others:
                 if not np.allclose(values, reference, rtol=1e-9, atol=1e-12):
                     raise RuntimeError("model replicas diverged after a synchronised update")

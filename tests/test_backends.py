@@ -620,6 +620,29 @@ def test_offload_hands_out_readonly_views_of_the_shared_rows(monkeypatch):
         _assert_all_readonly(view)
 
 
+def test_inline_flattens_into_the_same_shared_rows():
+    """One gradient path: inline mode hands ``session.step`` the same
+    read-only views of ``trainer.gradients`` every iteration, written in
+    place rather than allocated."""
+    with SimulatedCluster(2) as sim:
+        trainer = _trainer(sim, compute_mode="inline")
+        shared_gradients = sim.shared_array("trainer.gradients",
+                                            (2, trainer.num_elements))
+        synchronised = []
+        inner_step = trainer.session.step
+        trainer.session.step = lambda gradients: (
+            synchronised.append((gradients, dict(gradients)))
+            or inner_step(gradients))
+        trainer.train_epoch(0, evaluate=False)
+    assert len(synchronised) > 1 and shared_gradients.any()
+    for gradients, views in synchronised:
+        assert gradients is synchronised[0][0]
+        for rank, view in views.items():
+            assert view is synchronised[0][1][rank]
+            assert np.shares_memory(view, shared_gradients[rank])
+            _assert_all_readonly(view)
+
+
 def test_inline_averages_once_and_hands_out_a_readonly_view(monkeypatch):
     with SimulatedCluster(3) as sim:
         trainer = _trainer(sim, compute_mode="inline")

@@ -33,7 +33,6 @@ alias (case-insensitive, as in the paper's figures) and the keys are:
             transport — ``auto`` is MG-WFBP); non-flat specs need a
             ``model``, and ``auto`` planning reads the optional
             ``network=`` / ``compute_profile=`` arguments of :func:`make`
-``deferred`` SparDL deferred residual accumulation: ``true`` / ``false``
 ``bits``    wire value quantization (all methods): bits per value in
             ``[1, 32]``; values are quantized QSGD-style with exact error
             feedback, sparse messages bill the ``(1 + bits/32)/2`` COO
@@ -152,7 +151,7 @@ _SPEC_NAMES: Dict[str, str] = {
 
 #: Recognised spec keys, in canonical serialisation order.
 _SPEC_KEYS = ("k", "density", "teams", "sag", "residuals", "schedule",
-              "buckets", "deferred", "bits", "momentum", "hybrid",
+              "buckets", "bits", "momentum", "hybrid",
               "backend", "trace")
 
 
@@ -252,7 +251,6 @@ class SyncSpec:
     residuals: str = "global"
     schedule: str = "constant"
     buckets: str = "flat"
-    deferred: bool = False
     #: Wire quantization: ``None`` (full precision), an int in ``[1, 32]``,
     #: or a per-bucket override string like ``"8,emb:32"`` (see the grammar).
     bits: "Optional[int | str]" = None
@@ -324,8 +322,6 @@ class SyncSpec:
             params.append(f"schedule={self.schedule}")
         if self.buckets != "flat":
             params.append(f"buckets={self.buckets}")
-        if self.deferred:
-            params.append("deferred=true")
         if self.bits is not None:
             params.append(f"bits={self.bits}")
         if self.momentum is not None:
@@ -349,15 +345,6 @@ def _bucket_planner(buckets: str) -> str:
     if buckets == "auto":
         return "mgwfbp"
     return buckets.partition(":")[2]
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"spec key {key!r} expects a boolean, got {value!r}")
 
 
 def parse_spec(spec: "str | SyncSpec") -> SyncSpec:
@@ -396,8 +383,6 @@ def parse_spec(spec: "str | SyncSpec") -> SyncSpec:
                 # Kept as written: a plain integer or a per-bucket override
                 # string; SyncSpec canonicalises either form.
                 options[key] = value.strip()
-            elif key == "deferred":
-                options[key] = _parse_bool(key, value)
             else:
                 options[key] = value.strip().lower()
     return SyncSpec(method=name, **options)
@@ -446,7 +431,6 @@ def _build_flat(spec: SyncSpec, cluster: Transport,
             k=spec.k, density=spec.density, num_teams=spec.teams,
             sag_mode=SAGMode.coerce(spec.sag),
             residual_policy=ResidualPolicy.coerce(spec.residuals),
-            deferred_residuals=spec.deferred,
             schedule=schedule, num_bits=spec.bits, momentum=spec.momentum,
             **spec.extras,
         )

@@ -159,7 +159,7 @@ class TopkDSASynchronizer(SparseBaseline):
         reconstructed from the payload alone.
         """
         total = 0.0
-        compressor = self.compressor
+        compressor = self.stack.quantize if self.stack is not None else None
         for block, sparse in payload:
             dense_size = float(self.layout.block_size(block))
             if compressor is None:

@@ -10,8 +10,6 @@ from .quantization import (
     QuantizedCompressor,
     StochasticQuantizer,
     quantize_sparse,
-    quantized_bandwidth,
-    quantized_complexity,
     quantized_sparse_cost,
 )
 from .stack import (
@@ -31,7 +29,5 @@ __all__ = [
     "QuantizedCompressor",
     "StochasticQuantizer",
     "quantize_sparse",
-    "quantized_bandwidth",
-    "quantized_complexity",
     "quantized_sparse_cost",
 ]

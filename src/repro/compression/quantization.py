@@ -21,11 +21,10 @@ This module provides that combination:
   (``np.random.SeedSequence.spawn``, so results do not depend on worker
   iteration order), ``(quantized, error)`` splitting for sparse and dense
   payloads, and the message pricer that bills every wire payload at the
-  quantized accounting (:meth:`QuantizedCompressor.price`);
-* :func:`quantized_bandwidth` / :func:`quantized_complexity` — re-exported
-  from :mod:`repro.analysis.complexity`, which adjusts a Table I
-  :class:`~repro.analysis.complexity.ComplexityBound` for quantized values so
-  the combined scheme can be analysed next to the pure-sparse methods.
+  quantized accounting (:meth:`QuantizedCompressor.price`).
+
+The Table I adjustment for quantized values (``quantized_bandwidth`` /
+``quantized_complexity``) lives in :mod:`repro.analysis.complexity`.
 
 The quantizer is unbiased, so the usual error-feedback argument for
 convergence applies unchanged; the quantization error of each message is
@@ -46,11 +45,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Re-exported for backward compatibility: the Table I adjustment lives in the
-# analysis layer (so ``analysis.complexity.table1`` can render quantized rows
-# without importing this module), but has always been part of this module's
-# public interface.
-from ..analysis.complexity import quantized_bandwidth, quantized_complexity
 from ..sparse.vector import SparseGradient
 
 __all__ = [
@@ -58,8 +52,6 @@ __all__ = [
     "QuantizedCompressor",
     "quantize_sparse",
     "quantized_sparse_cost",
-    "quantized_bandwidth",
-    "quantized_complexity",
 ]
 
 #: Number of bits of one uncompressed element (index or value) in the paper's

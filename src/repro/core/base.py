@@ -34,7 +34,6 @@ from .pipeline import PIPELINE_STAGES, StepContext, SyncStage, fold_lost_message
 from .schedules import KSchedule, resolve_k
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..compression.quantization import QuantizedCompressor
     from ..compression.stack import CompressorStack
 
 __all__ = ["SyncResult", "GradientSynchronizer", "resolve_k",
@@ -131,16 +130,6 @@ class GradientSynchronizer(ABC):
     @property
     def num_workers(self) -> int:
         return self.cluster.num_workers
-
-    @property
-    def compressor(self) -> Optional["QuantizedCompressor"]:
-        """The stack's quantize-stage compressor, or ``None``.
-
-        Read-only backward-compatible accessor: pre-stack code (tests,
-        benchmarks, diagnostics) inspected ``sync.compressor`` directly; the
-        quantizer now lives inside :attr:`stack`.
-        """
-        return self.stack.quantize if self.stack is not None else None
 
     # ------------------------------------------------------------------
     # compressor stack plumbing

@@ -21,11 +21,11 @@ from .schedules import KSchedule, coerce_schedule
 __all__ = ["SAGMode", "SparDLConfig", "DEFAULT_DENSE_CROSSOVER"]
 
 #: Density ratio ``k/n`` at which the sparse pipeline stops beating a dense
-#: All-Reduce.  Measured by ``benchmarks/perf/bench_srs.py`` in simulated
-#: alpha-beta time (recorded in ``BENCH_PR2.json``): for power-of-two worker
-#: counts — where the dense algorithm is bandwidth-optimal — the crossover
-#: sits at ``k/n = 0.5``, exactly where the COO volume ``4k(P-1)/P`` meets
-#: the dense ``2n(P-1)/P``.  For other worker counts the latency-heavy ring
+#: All-Reduce.  Measured in simulated alpha-beta time (gated by
+#: ``tests/test_core_config.py``): for power-of-two worker counts — where
+#: the dense algorithm is bandwidth-optimal — the crossover sits at
+#: ``k/n = 0.5``, exactly where the COO volume ``4k(P-1)/P`` meets the
+#: dense ``2n(P-1)/P``.  For other worker counts the latency-heavy ring
 #: keeps the sparse pipeline ahead even at ``k/n = 1``, so 0.5 is the
 #: conservative bound.
 DEFAULT_DENSE_CROSSOVER = 0.5
@@ -86,14 +86,6 @@ class SparDLConfig:
         default :data:`DEFAULT_DENSE_CROSSOVER`; any positive float
         overrides it.  Because ``k/n`` never exceeds 1, a value above 1
         disables the fallback (equivalent to ``dense_fallback=False``).
-    deferred_residuals:
-        When True, the residual manager buffers every sparse discard
-        (``collect_procedure`` / ``collect_local_sparse``) per worker and
-        folds each buffer through one
-        :func:`~repro.sparse.vector.merge_many_coo` call and a single
-        scatter at the flush points of the iteration, instead of scattering
-        once per (worker, step).  Bit-identical residuals either way; the
-        default False keeps the eager reference path.
     schedule:
         Sparsity schedule (see :mod:`repro.core.schedules`): ``None`` keeps
         the constant ``k``/``density`` (the pre-schedule behaviour, bit for
@@ -131,7 +123,6 @@ class SparDLConfig:
     sparsify_all_blocks: bool = False
     dense_fallback: bool = True
     dense_fallback_ratio: Optional[float] = None
-    deferred_residuals: bool = False
     schedule: Optional[KSchedule | str] = None
     num_bits: Optional[int] = None
     momentum: Optional[float] = None

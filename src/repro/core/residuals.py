@@ -24,14 +24,6 @@ Three policies are provided, matching the paper's Section IV-I ablation:
 * :class:`ResidualPolicy.LOCAL` (LRES, as in DGC) collects local residuals
   only.
 * :class:`ResidualPolicy.NONE` disables error feedback entirely.
-
-Orthogonally to the policy, :class:`ResidualManager` supports **deferred
-accumulation** (``deferred=True``): sparse discards are buffered per worker
-and folded into the dense stores with one k-way merge and one scatter per
-worker at the iteration's flush points, instead of one scatter per
-(worker, step) — the amortisation matters at large worker counts where a
-synchronisation performs many small discards.  Both modes produce
-bit-identical stores; see :meth:`ResidualStore.fold_sparse_batch`.
 """
 
 from __future__ import annotations
@@ -39,13 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from . import rank_pool
 from ..sparse.topk import WarmTopK
-from ..sparse.vector import SparseGradient, merge_many_coo
+from ..sparse.vector import SparseGradient
 
 __all__ = ["ResidualPolicy", "ResidualStore", "ResidualManager"]
 
@@ -68,10 +60,6 @@ class ResidualPolicy(str, Enum):
 class ResidualStore:
     """Dense per-worker accumulator of discarded gradient mass.
 
-    :attr:`scatter_count` counts the sparse scatter operations performed
-    (one per :meth:`add_sparse` call, one per :meth:`fold_sparse_batch`
-    call) so the deferred-accumulation benchmark can demonstrate the
-    reduction from one scatter per (worker, step) to one per flush.
     ``data`` is the zeroed ``float64`` vector to accumulate in, when the
     owner holds one (a row of :class:`ResidualManager`'s slab).
     """
@@ -80,8 +68,6 @@ class ResidualStore:
         if num_elements <= 0:
             raise ValueError("num_elements must be positive")
         self._data = np.zeros(num_elements) if data is None else data
-        #: Number of sparse scatter operations applied to this store.
-        self.scatter_count = 0
 
     @property
     def num_elements(self) -> int:
@@ -100,40 +86,6 @@ class ResidualStore:
         # SparseGradient indices are unique by invariant, so a direct
         # fancy-index add is exact and much faster than np.add.at.
         self._data[sparse.indices] += sparse.values * float(share)
-        self.scatter_count += 1
-
-    def fold_sparse_batch(
-        self, discards: Sequence[Tuple[SparseGradient, float]]
-    ) -> None:
-        """Accumulate many ``(sparse, share)`` discards with ONE scatter.
-
-        Bit-identical to calling :meth:`add_sparse` once per discard in
-        order: the current store content at the touched indices is gathered
-        and fed to :func:`~repro.sparse.vector.merge_many_coo` as stream 0,
-        so each output value is the same left-to-right addition chain
-        ``((base + v1) + v2) + ...`` the sequential scatters would have
-        produced, and the result is written back with a single fancy-index
-        assignment.
-        """
-        index_streams: List[np.ndarray] = []
-        value_streams: List[np.ndarray] = []
-        for sparse, share in discards:
-            if sparse.nnz == 0:
-                continue
-            index_streams.append(sparse.indices)
-            # share == 1.0 skips the multiply; v * 1.0 == v bitwise anyway.
-            value_streams.append(sparse.values if share == 1.0
-                                 else sparse.values * float(share))
-        if not index_streams:
-            return
-        touched = np.unique(np.concatenate(index_streams))
-        base = self._data[touched]
-        indices, values = merge_many_coo([touched] + index_streams,
-                                         [base] + value_streams)
-        # Every stream index is in `touched`, so the merge returns exactly
-        # the touched set and the write-back is a plain assignment.
-        self._data[indices] = values
-        self.scatter_count += 1
 
     def peek(self) -> np.ndarray:
         """A copy of the current residual.  A copy, not a view: the buffer
@@ -195,8 +147,8 @@ class ResidualManager:
        out and added back (a dense path sends everything: :meth:`release`) —
        and :meth:`collect_procedure` / :meth:`collect_local_sparse` are
        called whenever a later sparsification or a quantiser discards values,
-    3. :meth:`finalize` resolves deferred (PARTIAL-policy) discards once the
-       final global gradient's index set is known.
+    3. :meth:`finalize` resolves held-back (PARTIAL-policy) discards once
+       the final global gradient's index set is known.
 
     Ownership: the corrected vectors alias live state.  Between
     :meth:`apply` and the selection they hold ``gradient + residual``;
@@ -205,20 +157,6 @@ class ResidualManager:
     never write them; the gradient arrays passed to :meth:`apply` are never
     written.  A slot that was not selected keeps its sum bit for bit,
     the sign of a ``-0.0`` included.
-
-    **Deferred accumulation** (``deferred=True``): instead of scattering
-    every sparse discard into the dense store at collection time — one
-    scatter per (worker, step) — the manager buffers the discards per
-    worker and folds each worker's buffer through a single
-    :func:`~repro.sparse.vector.merge_many_coo` call and one scatter at the
-    next flush point (:meth:`flush`, reached from :meth:`apply`,
-    :meth:`finalize` and every diagnostic read).  The fold replays the same
-    left-to-right addition chain the eager scatters would have performed
-    (see :meth:`ResidualStore.fold_sparse_batch`), so both modes produce
-    bit-identical stores.  The ordering contract is that dense
-    :meth:`collect_local` residuals of an iteration are collected *before*
-    that iteration's sparse discards — which is how every synchroniser in
-    this repository behaves (SRS phase 1 precedes all transmissions).
 
     Parameters
     ----------
@@ -229,10 +167,6 @@ class ResidualManager:
     policy:
         Which discards to keep: a :class:`ResidualPolicy` or its string
         value (``"global"`` / ``"partial"`` / ``"local"`` / ``"none"``).
-    deferred:
-        When True, batch sparse discards per worker and fold them at flush
-        points instead of scattering eagerly.  Default False (the eager
-        reference path).
     momentum:
         DGC momentum-correction factor ``m`` in ``[0, 1)`` (Lin et al.,
         ICLR'18).  When positive, :meth:`apply` accumulates a per-worker
@@ -251,21 +185,16 @@ class ResidualManager:
 
     def __init__(self, num_workers: int, num_elements: int,
                  policy: ResidualPolicy | str = ResidualPolicy.GLOBAL,
-                 deferred: bool = False, momentum: float = 0.0) -> None:
+                 momentum: float = 0.0) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.policy = ResidualPolicy.coerce(policy)
         self.num_workers = num_workers
         self.num_elements = num_elements
-        self.deferred = bool(deferred)
         self._stores = self._new_stores(num_workers)
         #: Threads the last :meth:`apply` swept its ranks on (1: the caller's).
         self.sweep_workers = 1
         self._pending: List[_PendingDiscard] = []
-        #: Deferred mode: per-worker FIFO of (discard, share) awaiting a flush.
-        self._buffered: Dict[int, List[Tuple[SparseGradient, float]]] = {
-            worker: [] for worker in range(num_workers)
-        }
         self.momentum = 0.0
         #: Per-worker velocity ``u`` (allocated only when momentum > 0, so
         #: the momentum-off paths stay exactly the pre-momentum code).
@@ -321,26 +250,8 @@ class ResidualManager:
                 in enumerate(_slab(num_workers, self.num_elements))}
 
     def store(self, worker: int) -> ResidualStore:
-        """The worker's :class:`ResidualStore`, flushed of any buffered
-        discards so direct reads (``peek`` / ``norm``) are accurate."""
-        self.flush(worker)
+        """The worker's :class:`ResidualStore`."""
         return self._stores[worker]
-
-    def flush(self, worker: Optional[int] = None) -> None:
-        """Fold buffered discards into the dense stores (deferred mode).
-
-        One :func:`~repro.sparse.vector.merge_many_coo` fold and one scatter
-        per non-empty buffer; a no-op in eager mode or when nothing is
-        buffered.  ``worker=None`` flushes every worker.
-        """
-        if not self.deferred:
-            return
-        workers = self._buffered.keys() if worker is None else (worker,)
-        for rank in workers:
-            buffered = self._buffered[rank]
-            if buffered:
-                self._stores[rank].fold_sparse_batch(buffered)
-                buffered.clear()
 
     def apply(self, gradients: Dict[int, np.ndarray],
               selector: Optional[WarmTopK] = None,
@@ -353,8 +264,7 @@ class ResidualManager:
         gradient``.  With ``momentum > 0`` the per-worker velocity is
         advanced first (``u = m * u + gradient``) and added instead — the
         DGC recursion ``v_t = v_{t-1} + u_t`` with the residual store
-        playing the role of the unsent accumulator ``v``.  A flush point:
-        buffered discards are folded in first.
+        playing the role of the unsent accumulator ``v``.
 
         A caller that will select block-wise through a
         :class:`~repro.sparse.topk.WarmTopK` passes it with the segments'
@@ -372,7 +282,6 @@ class ResidualManager:
         buffers and nothing else.  A task's exception is raised from here
         once all of them have finished.
         """
-        self.flush()
         corrected, tasks, adopts = {}, [], []
         for worker, gradient in gradients.items():
             data = corrected[worker] = self._stores[worker]._data
@@ -424,22 +333,17 @@ class ResidualManager:
 
         ``dropped`` is the discarded :class:`SparseGradient`; ``share`` is
         the fraction of it this worker keeps (1.0 unless several workers
-        discard identical values).  Buffered until the next flush in
-        deferred mode.
+        discard identical values).
         """
         if self.policy is ResidualPolicy.NONE:
-            return
-        if self.deferred:
-            if dropped.nnz:
-                self._buffered[worker].append((dropped, share))
             return
         self._stores[worker].add_sparse(dropped, share)
 
     def collect_procedure(self, worker: int, dropped: SparseGradient, share: float = 1.0) -> None:
         """Collect gradients discarded *during* the communication procedure.
 
-        Under GRES they are stored on the discarding worker — immediately in
-        eager mode, at the next flush in deferred mode.  Under PRES they are
+        Under GRES they are stored on the discarding worker at once.  Under
+        PRES they are
         held back until :meth:`finalize` decides whether they are
         end-procedure (kept) or in-procedure (dropped).  Under LRES / NONE
         they are discarded.
@@ -447,10 +351,7 @@ class ResidualManager:
         if dropped.nnz == 0:
             return
         if self.policy is ResidualPolicy.GLOBAL:
-            if self.deferred:
-                self._buffered[worker].append((dropped, share))
-            else:
-                self._stores[worker].add_sparse(dropped, share)
+            self._stores[worker].add_sparse(dropped, share)
         elif self.policy is ResidualPolicy.PARTIAL:
             self._pending.append(_PendingDiscard(worker, dropped, share))
         # LOCAL and NONE intentionally drop procedure residuals.
@@ -459,8 +360,7 @@ class ResidualManager:
         """Resolve PRES-pending discards given the final global index set.
 
         ``final_indices`` is the index set of the final global gradient (an
-        ``np.ndarray`` or iterable of ints; ``None`` means empty).  A flush
-        point in deferred mode, for every policy.
+        ``np.ndarray`` or iterable of ints; ``None`` means empty).
 
         With momentum correction active, also applies DGC's *momentum factor
         masking*: every worker's velocity is zeroed at the final global
@@ -500,14 +400,9 @@ class ResidualManager:
                     pending.sparse.indices[mask], pending.sparse.values[mask],
                     pending.sparse.length,
                 )
-                if self.deferred:
-                    self._buffered[pending.worker].append(
-                        (end_procedure, pending.share))
-                else:
-                    self._stores[pending.worker].add_sparse(
-                        end_procedure, pending.share)
+                self._stores[pending.worker].add_sparse(end_procedure,
+                                                        pending.share)
         self._pending.clear()
-        self.flush()
         if self.policy is ResidualPolicy.NONE:
             # Nothing is fed back: drop what the selection left in place.
             for store in self._stores.values():
@@ -526,9 +421,8 @@ class ResidualManager:
         store (see :func:`~repro.comm.faults.membership_transition`: a
         crashed rank maps onto a survivor, which absorbs its residual so no
         gradient mass leaves the system; joins map identically and the new
-        rank starts empty).  Buffered discards are flushed first and
-        PRES-pending discards follow their worker, so conservation holds
-        exactly across the transition in both eager and deferred modes.
+        rank starts empty).  PRES-pending discards follow their worker, so
+        conservation holds exactly across the transition.
         Momentum-correction velocity state is handed off the same way: a
         crashed rank's velocity is summed onto its successor's (momentum
         history is conserved alongside the residual mass) and joining ranks
@@ -536,7 +430,6 @@ class ResidualManager:
         """
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
-        self.flush()
         new_stores = self._new_stores(num_workers)
         new_velocity: Optional[Dict[int, np.ndarray]] = None
         if self._velocity is not None:
@@ -556,7 +449,6 @@ class ResidualManager:
             pending.worker = mapping[pending.worker]
         self._stores = new_stores
         self._velocity = new_velocity
-        self._buffered = {worker: [] for worker in range(num_workers)}
         self.num_workers = num_workers
 
     # ------------------------------------------------------------------
@@ -565,16 +457,12 @@ class ResidualManager:
     def total_residual(self) -> np.ndarray:
         """Coordinate-wise sum of all workers' residuals (used by the
         conservation tests and by convergence diagnostics).  Returns a fresh
-        dense ``np.ndarray`` of ``num_elements`` floats; flushes buffered
-        discards first."""
-        self.flush()
+        dense ``np.ndarray`` of ``num_elements`` floats."""
         total = np.zeros(self.num_elements, dtype=np.float64)
         for store in self._stores.values():
             total += store._data
         return total
 
     def residual_norms(self) -> Dict[int, float]:
-        """Per-worker L2 norm of the stored residual (``{rank: float}``);
-        flushes buffered discards first."""
-        self.flush()
+        """Per-worker L2 norm of the stored residual (``{rank: float}``)."""
         return {worker: store.norm() for worker, store in self._stores.items()}

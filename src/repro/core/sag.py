@@ -28,13 +28,6 @@ single bucket; see :mod:`repro.core.srs` on blocks, segments and buckets),
 views and merge them with the compiled kernels.  With a ``layout`` whose
 buckets have budgets of their own, ``keep`` (and B-SAG's ``h``) hold one
 entry per segment and every selection is a segmented top-k.
-
-Every ``collect_procedure`` call below goes through the
-:class:`~repro.core.residuals.ResidualManager` collection hooks, so when the
-synchroniser enables deferred residual accumulation
-(``SparDLConfig.deferred_residuals``) the per-step discards of both SAG
-variants are buffered and folded into the stores in one merge per worker at
-the iteration's flush point instead of being scattered step by step.
 """
 
 from __future__ import annotations

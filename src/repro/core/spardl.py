@@ -92,8 +92,7 @@ class SparDLSynchronizer(GradientSynchronizer):
     returns a :class:`~repro.core.base.SyncResult` whose
     ``global_gradients`` are identical on every worker.  Residual state
     lives in :attr:`residuals` (a
-    :class:`~repro.core.residuals.ResidualManager`, deferred-accumulation
-    mode when ``config.deferred_residuals`` is set) and carries over
+    :class:`~repro.core.residuals.ResidualManager`) and carries over
     between iterations, implementing error feedback.
     """
 
@@ -111,8 +110,7 @@ class SparDLSynchronizer(GradientSynchronizer):
         #: Sizes of the separately selected buckets the gradient concatenates.
         self.bucket_sizes = sizes
         self.residuals = ResidualManager(cluster.num_workers, self.num_elements,
-                                         config.residual_policy,
-                                         deferred=config.deferred_residuals)
+                                         config.residual_policy)
         #: Per-(rank, segment) cuts of the last step's block top-k, reused by
         #: SRS phase 1 to select exactly from a few candidates.
         self.selector = WarmTopK()
@@ -336,12 +334,9 @@ class SparDLSynchronizer(GradientSynchronizer):
         context.info = info
 
     def stage_residual_update(self, context: StepContext) -> None:
-        """Resolve deferred (PRES) discards against the final index set,
-        which is identical on every worker.  This is also the per-iteration
-        flush point of deferred residual accumulation: every sparse discard
-        the SRS/SAG steps buffered is folded into the stores in one merge
-        per worker here.  A dense-fallback step drops nothing, so there is
-        nothing to resolve."""
+        """Resolve held-back (PRES) discards against the final index set,
+        which is identical on every worker.  A dense-fallback step drops
+        nothing, so there is nothing to resolve."""
         if context.scratch.get("dense_fallback"):
             return
         self.residuals.finalize(context.reference.indices)

@@ -16,7 +16,8 @@ indices with matching ``float64`` values.  There are two construction paths:
   indices to it is undefined behaviour.
 
 The raw array kernels (:func:`merge_add_coo`, :func:`merge_many_coo`) are
-exported for the perf-regression harness under ``benchmarks/perf/``.
+exported too; ``tests/test_property_sparse.py`` holds them bit-identical to
+the seed's ``np.unique`` + ``np.add.at`` fold.
 """
 
 from .blocks import BlockLayout, block_bounds

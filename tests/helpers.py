@@ -8,14 +8,19 @@ from unittest import mock
 
 import numpy as np
 
+from repro.api import make_factory
+from repro.comm.cluster import SimulatedCluster
+from repro.comm.network import ETHERNET
 from repro.nn.module import Module
 from repro.nn.parameter import assign_flat_values, flatten_gradients, flatten_values
-
 from repro.sparse import topk as topk_module
 from repro.sparse.ckernels import SEED_MIN_RUNS, SEED_RUN, SEED_SHARE, SIMD_LANES
+from repro.training.cases import get_case
+from repro.training.trainer import DistributedTrainer, TrainerConfig
 
 __all__ = ["random_gradients", "numerical_gradient_check", "max_relative_error",
-           "SEED_LENGTHS", "SEEDING_KINDS", "seeding_values", "selection_legs"]
+           "SEED_LENGTHS", "SEEDING_KINDS", "seeding_values", "selection_legs",
+           "case5_trainer", "ledger"]
 
 #: Segment lengths around what a seeded cut's sample depends on: the run,
 #: the length up to which the whole segment is read, and the one past which
@@ -78,6 +83,37 @@ def random_gradients(num_workers: int, num_elements: int, seed: int = 0,
         worker: scale * np.random.default_rng(seed + worker).normal(size=num_elements)
         for worker in range(num_workers)
     }
+
+
+def case5_trainer(synchronizer, *, workers: int = 4, samples: int = 160,
+                  seed: int = 0, cluster=None, **config) -> DistributedTrainer:
+    """Case 5 trained data-parallel on ``workers`` simulated workers (or on
+    ``cluster``) the way the training gates run it: ``samples`` examples,
+    batch 8, the case's learning rate and momentum unless ``config``
+    overrides them, Ethernet timing.  ``synchronizer`` is a spec string or
+    anything else the trainer accepts."""
+    case = get_case(5)
+    train, test = case.build_datasets(num_samples=samples, seed=seed)
+    config = {"batch_size": 8, "learning_rate": case.learning_rate,
+              "momentum": case.momentum, "seed": seed, **config}
+    if isinstance(synchronizer, str):
+        synchronizer = make_factory(synchronizer)
+    return DistributedTrainer(
+        cluster or SimulatedCluster(workers), synchronizer, case.build_model,
+        train, test, config=TrainerConfig(**config), network=ETHERNET,
+        compute_profile=case.compute_profile, case_name=case.name)
+
+
+def ledger(sync) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sum of residuals, momentum * sum of velocities)`` of a bucketed
+    synchroniser, over its exchange groups: with the step's gradients they
+    are what the next global gradient plus residuals must add up to."""
+    velocity = np.zeros(sync.num_elements)
+    for (lo, hi), session in zip(sync.slices, sync.sessions):
+        residuals = getattr(session.synchronizer, "residuals", None)
+        if residuals is not None:  # (a dense bucket without momentum has none)
+            velocity[lo:hi] = residuals.momentum * residuals.total_velocity()
+    return sync.total_residual(), velocity
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:

@@ -52,6 +52,7 @@ class TestParseSpec:
         ("nope?k=10", "unknown synchroniser"),
         ("spardl?frobnicate=1", "unknown spec key"),
         ("spardl?density=0.01&wire=packed", "unknown spec key"),  # removed with the per-block wire
+        ("spardl?density=0.01&deferred=true", "unknown spec key"),  # removed with deferred residuals
         ("spardl?density", "malformed spec parameter"),
         ("spardl?k=5&k=6", "duplicate spec key"),
         ("spardl?k=5&density=0.1", "only one of k and density"),
@@ -121,7 +122,7 @@ class TestDescribeRoundTrip:
         "spardl?density=0.01&schedule=warmup:5&buckets=layer",
         "gtopk?density=0.01&schedule=adaptive",
         "ok-topk?k=500",
-        "spardl?density=0.02&residuals=partial&deferred=true",
+        "spardl?density=0.02&residuals=partial",
     ])
     def test_make_then_describe_round_trips(self, spec):
         cluster = SimulatedCluster(8)

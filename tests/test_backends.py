@@ -4,8 +4,7 @@ The multiprocess backend must be indistinguishable from the simulated
 reference everywhere the algorithms can observe: synchronised gradients,
 residual stores and communication accounting, bit for bit, for SparDL and
 every baseline — including quantized wire formats.  These tests are the
-gate; ``benchmarks/perf/bench_backends.py`` re-asserts a subset before
-timing anything.
+gate.
 """
 
 from __future__ import annotations
@@ -52,13 +51,13 @@ from tests.helpers import random_gradients
 NUM_ELEMENTS = 300
 ITERATIONS = 3
 
-#: The equivalence matrix: SparDL variants (teams, quantized, deferred)
-#: and all five baselines.
+#: The equivalence matrix: SparDL variants (teams, quantized, PRES held-back
+#: discards) and all five baselines.
 EQUIVALENCE_SPECS = [
     "spardl?density=0.02",
     "spardl?density=0.02&teams=2",
     "spardl?density=0.02&bits=8",
-    "spardl?density=0.02&deferred=true",
+    "spardl?density=0.02&residuals=partial",
     "ok-topk?density=0.02",
     "topka?density=0.02",
     "topkdsa?density=0.02",
@@ -547,6 +546,7 @@ def _spy_on_worker_tasks(cluster):
 OFFLOAD_CASES = {
     "plain": ("spardl?density=0.1", {}),
     "bits8": ("spardl?density=0.1&bits=8", {}),
+    "dense": ("dense", {}),
     "momentum-correction": ("spardl?density=0.1",
                             {"momentum": 0.9, "momentum_correction": True}),
 }

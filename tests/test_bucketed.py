@@ -14,6 +14,8 @@ from repro.nn.models import build_mlp
 from repro.training.cases import get_case
 from repro.training.trainer import DistributedTrainer, TrainerConfig
 
+from tests.helpers import case5_trainer
+
 NUM_WORKERS = 4
 
 
@@ -134,6 +136,20 @@ class TestBucketedVersusFlat:
                     num_elements=model.num_parameters())
         assert result.stats.rounds == flat.synchronize(
             _gradients(model.num_parameters())).stats.rounds
+
+    def test_training_per_layer_costs_the_flat_rounds_at_comparable_volume(self):
+        """One epoch of case 5 on four workers: per-layer selection shares
+        one exchange, so it takes the flat run's rounds, and moves a volume
+        within 3x of it (per-layer top-k rounds differently; wholesale
+        inflation would be a bug)."""
+        flat, layer = (case5_trainer(spec, check_consistency=True)
+                       for spec in ("spardl?density=0.02", "spardl?density=0.02&buckets=layer"))
+        flat.train(1)
+        layer.train(1)
+        flat_stats, layer_stats = flat.session.cumulative_stats, layer.session.cumulative_stats
+        assert layer_stats.rounds == flat_stats.rounds
+        volume = flat_stats.total_volume
+        assert volume / 3 <= layer_stats.total_volume <= 3 * volume
 
     def test_size_fusion_reduces_bucket_count(self):
         model = _model()

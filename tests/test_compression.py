@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.analysis import quantized_bandwidth, quantized_complexity
 from repro.analysis.complexity import spardl_complexity, table1
 from repro.compression import (
     QuantizedCompressor,
     StochasticQuantizer,
     quantize_sparse,
-    quantized_bandwidth,
-    quantized_complexity,
     quantized_sparse_cost,
 )
 from repro.sparse.vector import SparseGradient

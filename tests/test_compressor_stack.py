@@ -10,7 +10,7 @@ Its invariants:
 * ``compress_*`` returns ``(payload, error)`` with ``payload + error ==
   input`` exactly, so the conservation ledger ``global + residual_after ==
   residual_before + m * velocity_before + sum_w gradient_w`` holds to 1e-9
-  for every combination of momentum x sparsify x quantize x deferred;
+  for every combination of momentum x sparsify x quantize;
 * with momentum and bits both unset, ``from_config`` returns ``None`` and
   every synchroniser keeps its pre-stack code path bit for bit.
 """
@@ -157,23 +157,20 @@ class TestPayloadErrorContract:
 
 class TestConservationProperty:
     """ISSUE gate: ``sent + error + discards == input`` to 1e-9 across
-    momentum x sparsify x quantize x deferred.  With momentum correction the
+    momentum x sparsify x quantize.  With momentum correction the
     ledger gains the re-fed velocity term:
     ``global + residual_after == residual_before + m * velocity_before +
     sum_w gradient_w``  (``m = 0`` reduces it to plain GRES conservation)."""
 
     @given(momentum=st.sampled_from([None, 0.5, 0.9]),
            bits=st.sampled_from([None, 8, 4]),
-           deferred=st.booleans(),
            seed=st.integers(min_value=0, max_value=300))
     @settings(max_examples=40, deadline=None)
-    def test_spardl_ledger_all_stage_combinations(self, momentum, bits,
-                                                  deferred, seed):
+    def test_spardl_ledger_all_stage_combinations(self, momentum, bits, seed):
         num_workers, num_elements = 4, 120
         cluster = SimulatedCluster(num_workers)
         sync = SparDLSynchronizer(cluster, num_elements, SparDLConfig(
-            density=0.05, num_bits=bits, momentum=momentum,
-            deferred_residuals=deferred))
+            density=0.05, num_bits=bits, momentum=momentum))
         factor = momentum or 0.0
         for i in range(3):
             grads = random_gradients(num_workers, num_elements, seed=seed + 7 * i)
@@ -224,7 +221,6 @@ class TestMomentumOffBitIdentity:
     def test_no_stack_no_momentum_key(self, method):
         sync = self._build(method)
         assert sync.stack is None
-        assert sync.compressor is None
         result = sync.synchronize(random_gradients(4, 160, seed=3))
         assert "momentum" not in result.info
 
@@ -301,7 +297,7 @@ class TestPerBucketBits:
         widths = {}
         for group, session in zip(sync.groups, sync.sessions):
             for index in group:
-                widths[sync.bucket_names[index]] = session.synchronizer.compressor.num_bits
+                widths[sync.bucket_names[index]] = session.synchronizer.stack.quantize.num_bits
         assert list(widths) == sync.bucket_names
         for name, bits in widths.items():
             assert bits == (32 if "out" in name else 8), name
@@ -325,4 +321,4 @@ class TestPerBucketBits:
         # Everything fuses into one bucket whose name joins all tensors with
         # "+"; the "out" pattern matches a member, so the override applies.
         assert sync.num_buckets == 1
-        assert sync.sessions[0].synchronizer.compressor.num_bits == 32
+        assert sync.sessions[0].synchronizer.stack.quantize.num_bits == 32

@@ -173,6 +173,36 @@ class TestSRSOverBuckets:
             lo += size
         assert cluster.stats.total_messages == num_workers * fused.num_steps
 
+    def test_sixteen_buckets_cost_the_rounds_of_one(self):
+        """P = 64, n = 1e5 at density 0.01 in 16 buckets (weights of
+        doubling size, each followed by a bias a hundredth of it): one SRS
+        sends one packed message per worker per step, and one SRS per bucket
+        takes exactly 16 times its rounds and messages for the same
+        recorded volume."""
+        P, n = 64, 100_000
+        weights = 2.0 ** np.arange(8)
+        sizes = []
+        for share in weights / weights.sum():
+            weight = int(share * n / 1.01)
+            sizes += [weight, max(1, weight // 100)]
+        sizes[-2] += n - sum(sizes)
+        budgets = [max(1, round(0.01 * size) // P) for size in sizes]
+        gradients = random_gradients(P, n)
+        shared = run_srs(P, n, np.repeat(budgets, P), bucket_sizes=sizes,
+                         gradients=gradients)[0].stats
+        per_bucket = SimulatedCluster(P)
+        lo = 0
+        for size, budget in zip(sizes, budgets):
+            residuals = ResidualManager(P, size)
+            sliced = {rank: grad[lo:lo + size] for rank, grad in gradients.items()}
+            spar_reduce_scatter(per_bucket, [list(range(P))], residuals.apply(sliced),
+                                BlockLayout(size, P), budget, residuals)
+            lo += size
+        assert shared.total_messages == P * shared.rounds
+        assert per_bucket.stats.rounds == 16 * shared.rounds
+        assert per_bucket.stats.total_messages == 16 * shared.total_messages
+        assert per_bucket.stats.received_per_worker == shared.received_per_worker
+
     def test_a_message_keeps_one_bag_per_segment(self):
         """Bag ids are segment numbers: block ``j`` of a team of 4 is the
         segments ``j, j + 4, ...``, bucket after bucket."""

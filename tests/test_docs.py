@@ -9,6 +9,7 @@ contributor cannot silently rot.  CI additionally executes
 from __future__ import annotations
 
 import doctest
+import re
 from pathlib import Path
 
 import pytest
@@ -37,14 +38,28 @@ def test_doc_examples_run(relpath):
         f"{results.failed} doctest example(s) in {relpath} failed")
 
 
-def test_readme_documents_the_bench_trajectory():
-    readme = (REPO_ROOT / "README.md").read_text()
-    for artifact in ("BENCH_PR1.json", "BENCH_PR2.json", "BENCH_PR3.json",
-                     "BENCH_PR4.json", "BENCH_PR5.json", "BENCH_PR6.json",
-                     "BENCH_PR7.json", "BENCH_PR8.json", "BENCH_PR9.json",
-                     "BENCH_PR10.json"):
-        assert artifact in readme, f"README must reference {artifact}"
-        assert (REPO_ROOT / artifact).is_file(), f"{artifact} is missing"
+#: A repository path the docs point at (``src/repro/core/base.py:name`` and
+#: ``tests/test_x.py::TestY`` point into files: the path ends at the colon).
+_REPO_PATH = re.compile(r"(?<![\w/.-])((?:benchmarks|tests|src|examples)/[\w./*-]*)")
+
+
+def _written_by_runs():
+    """Directories the .gitignore keeps for run output (``benchmarks/e2e/out/``)."""
+    lines = (REPO_ROOT / ".gitignore").read_text().splitlines()
+    return tuple(line for line in lines if "/" in line.rstrip("/") and line.endswith("/"))
+
+
+@pytest.mark.parametrize("relpath", DOC_FILES)
+def test_doc_paths_exist(relpath):
+    """Every path under benchmarks/, tests/, src/ or examples/ a doc names
+    exists (a glob matches something), so a deleted file cannot leave a
+    stale pointer behind."""
+    outputs = _written_by_runs()
+    text = (REPO_ROOT / relpath).read_text()
+    missing = sorted({path for path in (p.rstrip(".") for p in _REPO_PATH.findall(text))
+                      if not path.startswith(outputs)
+                      and not any(REPO_ROOT.glob(path))})
+    assert not missing, f"{relpath} points at missing paths: {missing}"
 
 
 def test_configuration_doc_covers_every_config_field():
@@ -89,7 +104,8 @@ def test_api_doc_covers_quantization():
 
 def test_configuration_doc_covers_quantization():
     doc = (REPO_ROOT / "docs" / "configuration.md").read_text()
-    for token in ("`num_bits`", "QuantizedCompressor", "BENCH_PR5.json"):
+    for token in ("`num_bits`", "QuantizedCompressor",
+                  "tests/test_quantized_pipeline.py"):
         assert token in doc, f"docs/configuration.md does not mention {token!r}"
 
 
@@ -103,7 +119,7 @@ def test_configuration_doc_covers_every_fault_plan_field():
         assert f"`{field.name}`" in doc, (
             f"docs/configuration.md does not document FaultPlan.{field.name}")
     for token in ("install_fault_plan", "fold_lost_messages",
-                  "remap_workers", "BENCH_PR6.json"):
+                  "remap_workers", "tests/test_faults.py"):
         assert token in doc, (
             f"docs/configuration.md does not mention {token!r}")
 
@@ -112,7 +128,7 @@ def test_api_doc_covers_fault_layer():
     doc = (REPO_ROOT / "docs" / "api.md").read_text()
     for token in ("FaultPlan", "RetryPolicy", "MembershipEvent",
                   "poll_membership", "HeterogeneousNetwork",
-                  "fault_extra_rounds", "BENCH_PR6.json"):
+                  "fault_extra_rounds", "tests/test_faults.py"):
         assert token in doc, f"docs/api.md does not mention {token!r}"
 
 
@@ -120,7 +136,7 @@ def test_api_doc_covers_overlap_and_fusion():
     doc = (REPO_ROOT / "docs" / "api.md").read_text()
     for token in ("MGWFBP", "ASC", "fusion_plan", "AlphaBetaFit",
                   "hidden_comm_time", "overlap_comm", "compute_profile",
-                  "BENCH_PR8.json"):
+                  "tests/test_overlap_timing.py"):
         assert token in doc, f"docs/api.md does not mention {token!r}"
 
 
@@ -129,14 +145,14 @@ def test_architecture_doc_covers_overlap_and_fusion():
     for token in ("Overlap & bucket fusion", "overlap_timeline",
                   "ComputeProfile", "AlphaBetaFit", "benchmark_transport",
                   "MGWFBP", "ASC", "FusionPlan", "hidden_comm",
-                  "BENCH_PR8.json"):
+                  "tests/test_overlap_timing.py"):
         assert token in doc, f"docs/architecture.md does not mention {token!r}"
 
 
 def test_configuration_doc_covers_overlap_and_fusion():
     doc = (REPO_ROOT / "docs" / "configuration.md").read_text()
     for token in ("buckets=auto", "overlap_comm", "ComputeProfile",
-                  "hidden_comm_time", "BENCH_PR8.json"):
+                  "hidden_comm_time", "tests/test_overlap_timing.py"):
         assert token in doc, (
             f"docs/configuration.md does not mention {token!r}")
 
@@ -145,7 +161,7 @@ def test_api_doc_covers_momentum_and_hybrid():
     doc = (REPO_ROOT / "docs" / "api.md").read_text()
     for token in ("`momentum`", "`hybrid`", "dense<SIZE", "CompressorStack",
                   "momentum_correction", "velocity", "2 * n * (P - 1)",
-                  "BENCH_PR10.json"):
+                  "tests/test_momentum.py"):
         assert token in doc, f"docs/api.md does not mention {token!r}"
 
 
@@ -153,7 +169,7 @@ def test_configuration_doc_covers_momentum():
     doc = (REPO_ROOT / "docs" / "configuration.md").read_text()
     for token in ("`momentum`", "momentum_correction",
                   "enable_momentum_correction", "velocity",
-                  "BENCH_PR10.json"):
+                  "tests/test_momentum.py"):
         assert token in doc, (
             f"docs/configuration.md does not mention {token!r}")
 
@@ -163,7 +179,7 @@ def test_observability_doc_covers_tracing():
     for token in ("TraceLevel", "Tracer", "MetricsRegistry",
                   "export_chrome", "validate_chrome_trace", "attach_tracer",
                   "`off`", "`steps`", "`comm`", "hook_errors",
-                  "hidden_comm_time", "BENCH_PR9.json"):
+                  "hidden_comm_time", "obs.trace_overhead_pct"):
         assert token in doc, (
             f"docs/observability.md does not mention {token!r}")
 

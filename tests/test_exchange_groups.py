@@ -45,6 +45,8 @@ from repro.core.spardl import SparDLSynchronizer
 from repro.sparse import compiled_kernels_available
 from repro.sparse.vector import SparseGradient
 
+from tests.helpers import ledger
+
 
 def bits(array):
     return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
@@ -85,7 +87,6 @@ configs = st.fixed_dictionaries({
     "momentum": st.sampled_from([None, 0.9]),
     "schedule": st.sampled_from([None, "warmup:3"]),
     "residual_policy": st.sampled_from(["global", "partial", "local"]),
-    "deferred_residuals": st.booleans(),
     "sparsify_all_blocks": st.booleans(),
 })
 #: tensors of one and two elements and ones shorter than a team included
@@ -362,16 +363,6 @@ def churn_session(teams, num_bits, momentum, hybrid=False, workers=4):
         MembershipEvent(iteration=CRASH_STEP, kind="crash", worker=1),
         MembershipEvent(iteration=JOIN_STEP, kind="join")]))
     return SyncSession(sync)
-
-
-def ledger(sync):
-    """``(sum of residuals, momentum * sum of velocities)`` over the groups."""
-    velocity = np.zeros(sync.num_elements)
-    for (lo, hi), session in zip(sync.slices, sync.sessions):
-        residuals = getattr(session.synchronizer, "residuals", None)
-        if residuals is not None:  # (a dense bucket without momentum has none)
-            velocity[lo:hi] = residuals.momentum * residuals.total_velocity()
-    return sync.total_residual(), velocity
 
 
 class TestMembershipReachesEveryGroup:

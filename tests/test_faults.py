@@ -25,7 +25,7 @@ from repro.comm.faults import FaultPlan, MembershipEvent, membership_transition
 from repro.comm.network import ETHERNET, PERFECT, RDMA, HeterogeneousNetwork, NetworkProfile
 from repro.comm.stats import CommStats
 from repro.core.config import SparDLConfig
-from repro.core.pipeline import RetryPolicy
+from repro.core.pipeline import RetryPolicy, SyncSession
 from repro.core.spardl import SparDLSynchronizer
 from repro.baselines.dense import DenseAllReduceSynchronizer
 from repro.training.timing import communication_time, iteration_time, ComputeProfile
@@ -294,15 +294,16 @@ class TestRetryBilling:
 class TestGracefulDegradation:
     @pytest.mark.parametrize("sizes", [NUM_ELEMENTS, [NUM_ELEMENTS - 90, 3, 87]],
                              ids=["one-bucket", "three-buckets"])
-    @pytest.mark.parametrize("deferred", [False, True])
-    def test_conservation_under_heavy_loss(self, sizes, deferred):
+    @pytest.mark.parametrize("num_bits", [None, 8], ids=["exact", "bits8"])
+    def test_conservation_under_heavy_loss(self, sizes, num_bits):
         """A lost SRS bag — one bag per segment, several per block when the
-        gradient spans buckets — folds into the sender's residuals."""
+        gradient spans buckets — folds into the sender's residuals, next to
+        the quantisation error of every bag that did arrive."""
         cluster = SimulatedCluster(8)
         cluster.install_fault_plan(FaultPlan(seed=3, drop_rate=0.6,
                                              retry=RetryPolicy(max_retries=0)))
         sync = SparDLSynchronizer(cluster, sizes, SparDLConfig(
-            density=0.05, num_teams=2, deferred_residuals=deferred))
+            density=0.05, num_teams=2, num_bits=num_bits))
         lost_total = 0
         for iteration in range(3):
             grads = random_gradients(8, NUM_ELEMENTS, seed=100 * iteration)
@@ -517,3 +518,26 @@ class TestStragglerTiming:
         timing = iteration_time(stats, PERFECT, profile, compute_factors=factors)
         assert timing.compute_time == pytest.approx(max(factors))
         assert 1.0 < timing.compute_time <= 2.0
+
+    @pytest.mark.parametrize("spec", ["spardl?density=0.02&teams=2", "dense"])
+    def test_simulated_time_grows_with_straggler_severity(self, spec):
+        """Severity 1x .. 8x: stragglers at rate 0.3 and worker 0's NIC
+        slowed as much.  The factors are common random numbers across
+        severities, so six steps' simulated time grows strictly."""
+        profile = ComputeProfile(compute_time_per_update=5e-3, paper_parameters=1e6)
+        times = []
+        for severity in (1.0, 2.0, 4.0, 8.0):
+            plan = FaultPlan(seed=2024, straggler_rate=0.0 if severity == 1.0 else 0.3,
+                             straggler_slowdown=severity,
+                             worker_profiles={0: ETHERNET.scaled(beta_factor=severity)})
+            cluster = SimulatedCluster(8)
+            cluster.install_fault_plan(plan)
+            session = SyncSession(make(spec, cluster, num_elements=3_000))
+            network = plan.heterogeneous_network(8, ETHERNET)
+            total = 0.0
+            for iteration in range(6):
+                stats = session.step(random_gradients(8, 3_000, seed=9000 + 100 * iteration)).stats
+                total += iteration_time(stats, network, profile,
+                                        compute_factors=plan.straggler_factors(iteration, 8)).total
+            times.append(total)
+        assert all(faster < slower for faster, slower in zip(times, times[1:])), times

@@ -24,6 +24,8 @@ from repro.core.fusion import (
 from repro.nn.models import build_mlp
 from repro.training.timing import ComputeProfile
 
+from tests.helpers import case5_trainer
+
 PLANNERS = {"mgwfbp": plan_mgwfbp, "asc": plan_asc}
 
 
@@ -321,6 +323,16 @@ class TestSpecGrammar:
             assert sync.fusion_plan.planner == planner
             assert sync.bucket_sizes == sync.fusion_plan.sizes
             assert sum(sync.bucket_sizes) == model.num_parameters()
+
+    @pytest.mark.parametrize("planner", ["mgwfbp", "asc"])
+    def test_a_trainer_runs_the_planned_partition(self, planner):
+        """Case 5 on four workers: the synchroniser the trainer builds runs
+        the layout its planner chose, and the layout partitions the model."""
+        trainer = case5_trainer(f"spardl?density=0.02&buckets=auto:{planner}")
+        sync, plan = trainer.synchronizer, trainer.synchronizer.fusion_plan
+        assert plan.planner == planner
+        assert sync.bucket_sizes == plan.sizes and sync.num_buckets == plan.num_buckets
+        assert sum(plan.sizes) == plan.total_elements == trainer.num_elements
 
     def test_non_auto_buckets_have_no_plan(self):
         model = build_mlp(20, [32, 16], 4, seed=0)

@@ -139,16 +139,20 @@ def matrix_digests():
 # warm selection == cold selection, at synchroniser level
 # ---------------------------------------------------------------------------
 class TestWarmSelectionIsExact:
-    @pytest.mark.parametrize("num_teams,num_bits,momentum,deferred", list(
-        itertools.product([1, 2], [None, 8], [0.0, 0.9], [False, True])))
+    @pytest.mark.parametrize("num_teams,num_bits,momentum,policy", list(
+        itertools.product([1, 2], [None, 8], [0.0, 0.9],
+                          ["global", "partial", "local"])))
     def test_six_steps_bit_identical_to_cold(self, num_teams, num_bits,
-                                             momentum, deferred):
+                                             momentum, policy):
+        """The residual policy decides which procedure discards reach the
+        stores (GRES at once, PRES at finalize, LRES never), so a kept cut
+        meets a different store under each."""
         num_workers = 6  # not a power of two; teams of 6 and of 3
         pair = []
         for _ in range(2):
             config = SparDLConfig(density=0.03, num_teams=num_teams,
                                   num_bits=num_bits, momentum=momentum or None,
-                                  deferred_residuals=deferred)
+                                  residual_policy=policy)
             pair.append(SparDLSynchronizer(SimulatedCluster(num_workers),
                                            NUM_ELEMENTS, config))
         warm, cold = pair

@@ -5,8 +5,8 @@ worker count between iterations and hands residual state off so that no
 gradient mass leaves the system.  The oracles are the PR 2 non-power-of-two
 invariants: Theorem 1 bag subsets (SRS raises on violation), index-set
 agreement across workers, and exact conservation — here asserted *across*
-the membership transition, to 1e-9, under both eager and deferred residual
-accumulation.
+the membership transition, to 1e-9, on exact and on 8-bit quantized wires
+(a quantisation error is a residual like any other discard).
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from tests.helpers import random_gradients
 NUM_ELEMENTS = 600
 
 
-def _run_with_events(num_workers, events, *, num_teams=1, deferred=False,
+def _run_with_events(num_workers, events, *, num_teams=1, num_bits=None,
                      iterations=4, density=0.05):
     """Drive a session across membership events; return the conservation
     ledger (injected total, delivered total, synchroniser, membership log)."""
     cluster = SimulatedCluster(num_workers)
     cluster.install_fault_plan(FaultPlan(events=events))
     sync = SparDLSynchronizer(cluster, NUM_ELEMENTS, SparDLConfig(
-        density=density, num_teams=num_teams, deferred_residuals=deferred))
+        density=density, num_teams=num_teams, num_bits=num_bits))
     session = SyncSession(sync)
     injected = np.zeros(NUM_ELEMENTS)
     delivered = np.zeros(NUM_ELEMENTS)
@@ -52,12 +52,15 @@ def _run_with_events(num_workers, events, *, num_teams=1, deferred=False,
     return injected, delivered, sync, session, memberships
 
 
+WIRES = pytest.mark.parametrize("num_bits", [None, 8], ids=["exact", "bits8"])
+
+
 class TestJoinTransition:
-    @pytest.mark.parametrize("deferred", [False, True])
-    def test_three_to_four_join_conserves(self, deferred):
+    @WIRES
+    def test_three_to_four_join_conserves(self, num_bits):
         events = [MembershipEvent(iteration=2, kind="join")]
         injected, delivered, sync, session, memberships = _run_with_events(
-            3, events, deferred=deferred)
+            3, events, num_bits=num_bits)
         assert memberships == [3, 3, 4, 4]
         recon = delivered + sync.residuals.total_residual()
         np.testing.assert_allclose(recon, injected, atol=1e-9)
@@ -90,13 +93,13 @@ class TestJoinTransition:
 
 
 class TestCrashTransition:
-    @pytest.mark.parametrize("deferred", [False, True])
-    def test_eight_to_seven_crash_conserves(self, deferred):
+    @WIRES
+    def test_eight_to_seven_crash_conserves(self, num_bits):
         # P=8 with d=2; rank 3 crashes before iteration 2. 7 is prime, so
         # the team count must degrade to d=1 with a 7-worker team.
         events = [MembershipEvent(iteration=2, kind="crash", worker=3)]
         injected, delivered, sync, session, memberships = _run_with_events(
-            8, events, num_teams=2, deferred=deferred)
+            8, events, num_teams=2, num_bits=num_bits)
         assert memberships == [8, 8, 7, 7]
         assert sync.num_teams == 1
         assert sync.team_size == 7
@@ -129,13 +132,13 @@ class TestCrashTransition:
 
 
 class TestChurn:
-    @pytest.mark.parametrize("deferred", [False, True])
-    def test_crash_then_join_sequence(self, deferred):
+    @WIRES
+    def test_crash_then_join_sequence(self, num_bits):
         events = [MembershipEvent(iteration=1, kind="crash", worker=0),
                   MembershipEvent(iteration=3, kind="join"),
                   MembershipEvent(iteration=4, kind="join")]
         injected, delivered, sync, session, memberships = _run_with_events(
-            6, events, num_teams=2, deferred=deferred, iterations=6)
+            6, events, num_teams=2, num_bits=num_bits, iterations=6)
         assert memberships == [6, 5, 5, 6, 7, 7]
         recon = delivered + sync.residuals.total_residual()
         np.testing.assert_allclose(recon, injected, atol=1e-9)
@@ -237,9 +240,9 @@ class TestRemapWorkersUnit:
         with pytest.raises(ValueError):
             manager.remap_workers(0, {})
 
-    def test_deferred_buffers_flush_before_handoff(self):
+    def test_collected_discards_follow_their_rank(self):
         from repro.sparse.vector import SparseGradient
-        manager = ResidualManager(2, 10, deferred=True)
+        manager = ResidualManager(2, 10)
         sparse = SparseGradient.from_dense(np.arange(10.0))
         manager.collect_procedure(1, sparse)
         manager.remap_workers(1, {0: 0, 1: 0})
@@ -297,8 +300,8 @@ class TestMomentumChurn:
         manager.remap_workers(3, {0: 0, 1: 1})
         assert manager.velocity(0) is None
 
-    @pytest.mark.parametrize("deferred", [False, True])
-    def test_churn_conserves_momentum_ledger(self, deferred):
+    @WIRES
+    def test_churn_conserves_momentum_ledger(self, num_bits):
         """Crash then join under momentum correction: every step satisfies
         ``delivered + residual_after == residual_before
         + m * velocity_before + injected`` to 1e-9, including the steps
@@ -310,7 +313,7 @@ class TestMomentumChurn:
         cluster = SimulatedCluster(4)
         cluster.install_fault_plan(FaultPlan(events=events))
         sync = SparDLSynchronizer(cluster, NUM_ELEMENTS, SparDLConfig(
-            density=0.05, momentum=factor, deferred_residuals=deferred))
+            density=0.05, momentum=factor, num_bits=num_bits))
         session = SyncSession(sync)
         memberships = []
         for iteration in range(5):

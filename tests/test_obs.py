@@ -18,6 +18,7 @@ import pytest
 
 from repro import FaultPlan, MembershipEvent, SimulatedCluster, SyncSession
 from repro.api import describe, make, make_factory, parse_spec
+from repro.nn.parameter import flatten_values
 from repro.obs import (
     DRIVER_PID,
     SIM_PID,
@@ -29,6 +30,8 @@ from repro.obs import (
     validate_chrome_trace,
     worker_pid,
 )
+
+from tests.helpers import case5_trainer
 
 ALL_METHODS = ["spardl", "topka", "topkdsa", "gtopk", "ok-topk", "dense"]
 
@@ -487,6 +490,35 @@ class TestTrainerTracing:
             history.total_hidden_comm_time)
         assert snap["sim_iteration_s"]["sum"] == pytest.approx(
             history.total_time)
+
+    def test_traced_training_is_bit_identical_and_counts_every_message(self):
+        """trace=comm observes a training run without taking part: final
+        parameters, per-iteration losses and CommStats equal the untraced
+        run's, and the tracer counts every message CommStats records."""
+        runs = []
+        for trace in ("off", "comm"):
+            trainer = case5_trainer("spardl?density=0.02", trace=trace)
+            history = trainer.train(1)
+            stats = trainer.session.cumulative_stats
+            runs.append((flatten_values(trainer.replicas[0].parameters()),
+                         [record.loss for record in history.iterations],
+                         (stats.rounds, stats.total_messages, stats.total_volume)))
+        (params, losses, stats), (traced_params, traced_losses, traced_stats) = runs
+        np.testing.assert_array_equal(params, traced_params)
+        assert losses == traced_losses and stats == traced_stats
+        counted = sum(value for key, value in trainer.tracer.snapshot().items()
+                      if key.startswith("messages_total{"))
+        assert counted == stats[1]
+
+    def test_faulty_bucketed_overlapped_training_exports_every_category(self, tmp_path):
+        cluster = SimulatedCluster(4)
+        cluster.install_fault_plan(FaultPlan(seed=9, drop_rate=0.25))
+        trainer = case5_trainer("spardl?density=0.02&buckets=layer", cluster=cluster,
+                                trace="comm", overlap_comm=True)
+        trainer.train(1)
+        info = validate_chrome_trace(trainer.tracer.export_chrome(tmp_path / "t.json"))
+        assert {"stage", "message", "retry", "iteration", "overlap"} <= set(info["categories"])
+        assert info["spans"] > 0 and info["instants"] > 0
 
     def test_sim_track_spans_nest(self, tmp_path):
         trainer = _build_trainer("steps",

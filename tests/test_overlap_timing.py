@@ -1,5 +1,6 @@
 """Overlap-aware iteration timing: closed-form timelines, monotonicity,
-sequential equivalence, straggler composition and plan determinism."""
+sequential equivalence, straggler composition, plan determinism and
+fused training on the overlap-aware clock."""
 
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from repro.training.timing import (
     iteration_time,
     overlap_timeline,
 )
+
+from tests.helpers import case5_trainer
 
 NUM_WORKERS = 4
 
@@ -269,53 +272,58 @@ class TestAutoPlanDeterminism:
         assert sum(plan.sizes) == model.num_parameters()
         assert plan.total_elements == model.num_parameters()
 
-    def test_trainer_reports_hidden_communication(self):
-        """End to end: an auto-bucketed trainer run reports hidden
-        communication and a strictly shorter total than compute + comm."""
-        from repro.api import make_factory
-        from repro.training.cases import get_case
-        from repro.training.trainer import DistributedTrainer, TrainerConfig
 
-        case = get_case(5)
-        train, eval_set = case.build_datasets(num_samples=48, seed=0)
-        trainer = DistributedTrainer(
-            SimulatedCluster(NUM_WORKERS),
-            make_factory(self.SPEC),
-            case.build_model, train, eval_set,
-            config=TrainerConfig(batch_size=8, seed=0),
-            network=ETHERNET,
-            compute_profile=case.compute_profile,
-        )
-        assert trainer.synchronizer.fusion_plan is not None
-        trainer.train_epoch(0, evaluate=False)
-        records = trainer.history.iterations
-        assert records
-        assert all(r.hidden_comm_time > 0.0 for r in records)
-        for r in records:
-            assert r.total_time == pytest.approx(
-                r.compute_time + r.communication_time - r.hidden_comm_time)
-        epoch = trainer.history.epochs[0]
-        assert epoch.hidden_comm_time == pytest.approx(
-            sum(r.hidden_comm_time for r in records))
+class TestFusedTraining:
+    """One epoch of case 5 on four workers at density 0.02 on the
+    overlap-aware clock: flat, per-layer, and the layouts MG-WFBP and ASC
+    plan."""
+
+    LAYOUTS = {"flat": "", "layer": "&buckets=layer",
+               "mgwfbp": "&buckets=auto:mgwfbp", "asc": "&buckets=auto:asc"}
+
+    @classmethod
+    def _train(cls, layout, overlap_comm=True):
+        return case5_trainer("spardl?density=0.02" + cls.LAYOUTS[layout],
+                             check_consistency=True, overlap_comm=overlap_comm).train(1)
+
+    @pytest.fixture(scope="class")
+    def histories(self):
+        return {layout: self._train(layout) for layout in self.LAYOUTS}
+
+    def test_fused_beats_flat_and_hides_the_recorded_shares(self, histories):
+        """MG-WFBP's fused buckets finish strictly before flat SparDL and
+        hide 71.6 % of their communication behind the backward pass; ASC's
+        hide 63.2 %."""
+        assert histories["mgwfbp"].total_time < histories["flat"].total_time
+        shares = {layout: round(100 * histories[layout].total_hidden_comm_time
+                                / histories[layout].total_communication_time, 1)
+                  for layout in ("mgwfbp", "asc")}
+        assert shares == {"mgwfbp": 71.6, "asc": 63.2}
+
+    def test_every_iteration_accounts_for_its_overlap(self, histories):
+        """``0 <= hidden <= comm`` and ``total == compute + comm - hidden``
+        in every iteration; a flat run hides nothing, a fused one hides
+        communication in every iteration."""
+        for history in histories.values():
+            for r in history.iterations:
+                assert 0.0 <= r.hidden_comm_time <= r.communication_time + 1e-9
+                assert r.total_time == pytest.approx(
+                    r.compute_time + r.communication_time - r.hidden_comm_time, abs=1e-9)
+            assert history.epochs[0].hidden_comm_time == pytest.approx(
+                sum(r.hidden_comm_time for r in history.iterations))
+        assert histories["flat"].total_hidden_comm_time == 0.0
+        assert all(r.hidden_comm_time > 0.0 for r in histories["mgwfbp"].iterations)
+        epoch = histories["mgwfbp"].epochs[0]
         assert epoch.epoch_time < epoch.compute_time + epoch.communication_time
 
-    def test_overlap_disabled_reproduces_sequential_trainer_timing(self):
-        """TrainerConfig(overlap_comm=False) restores compute + comm."""
-        from repro.api import make_factory
-        from repro.training.cases import get_case
-        from repro.training.trainer import DistributedTrainer, TrainerConfig
-
-        case = get_case(5)
-        train, eval_set = case.build_datasets(num_samples=48, seed=0)
-        trainer = DistributedTrainer(
-            SimulatedCluster(NUM_WORKERS),
-            make_factory(self.SPEC),
-            case.build_model, train, eval_set,
-            config=TrainerConfig(batch_size=8, seed=0, overlap_comm=False),
-            network=ETHERNET,
-            compute_profile=case.compute_profile,
-        )
-        trainer.train_epoch(0, evaluate=False)
-        for r in trainer.history.iterations:
-            assert r.hidden_comm_time == 0.0
-            assert r.total_time == r.compute_time + r.communication_time
+    def test_overlap_off_restores_the_sequential_sum(self, histories):
+        """``overlap_comm=False`` hides nothing and totals compute + comm bit
+        for bit; compute is the overlapped run's exactly, communication up to
+        the order of summation — overlap only re-schedules."""
+        sequential = self._train("mgwfbp", overlap_comm=False)
+        for fast, slow in zip(histories["mgwfbp"].iterations, sequential.iterations):
+            assert slow.hidden_comm_time == 0.0
+            assert slow.total_time == slow.compute_time + slow.communication_time
+            assert slow.compute_time == fast.compute_time
+            assert slow.communication_time == pytest.approx(fast.communication_time,
+                                                            abs=1e-9)

@@ -14,10 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import SYNCHRONIZER_NAMES, make
+from repro.api import SYNCHRONIZER_NAMES, make, make_synchronizer
 from repro.comm.cluster import SimulatedCluster
 from repro.core.bucketed import BucketedSynchronizer
 from repro.core.pipeline import PIPELINE_STAGES, SyncSession, SyncStage
+from repro.training.cases import get_case
+
+from tests.helpers import case5_trainer
 
 NUM_ELEMENTS = 600
 ITERATIONS = 3
@@ -105,6 +108,21 @@ class TestSessionEqualsLegacySynchronize:
         assert session.cumulative_stats.rounds == sum(s.rounds for s in per_step)
         assert session.cumulative_stats.total_volume == pytest.approx(
             sum(s.total_volume for s in per_step))
+
+    def test_factory_built_training_equals_a_prebuilt_synchroniser(self):
+        """One epoch of case 5 on four workers: the trainer that builds its
+        synchroniser from the spec trains exactly like one handed a
+        synchroniser built the legacy way, over a precomputed size."""
+        facade = case5_trainer("spardl?density=0.02", check_consistency=True).train(1)
+        cluster = SimulatedCluster(4)
+        legacy = make_synchronizer("SparDL", cluster,
+                                   get_case(5).build_model(0).num_parameters(),
+                                   density=0.02)
+        prebuilt = case5_trainer(legacy, cluster=cluster, check_consistency=True).train(1)
+        assert ([epoch.train_loss for epoch in facade.epochs]
+                == [epoch.train_loss for epoch in prebuilt.epochs])
+        assert ([record.loss for record in facade.iterations]
+                == [record.loss for record in prebuilt.iterations])
 
 
 class TestStageProtocol:

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +15,7 @@ from repro.sparse.blocks import BlockLayout, block_bounds
 from repro.sparse.topk import kth_largest_magnitude, top_k_indices
 from repro.sparse.vector import SparseGradient, merge_add_coo, merge_many_coo
 
-# The naive seed idioms live next to the perf harness so benchmark timings
-# and these bit-exactness tests share one ground truth.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "perf"))
-
-from naive_reference import (  # noqa: E402
+from tests.references import (
     naive_merge_add as reference_merge_add,
     naive_merge_many as reference_merge_many,
     naive_top_k_indices as reference_top_k_indices,
@@ -114,6 +107,20 @@ class TestKernelEquivalence:
             np.testing.assert_array_equal(got_idx, ref_idx)
             assert np.array_equal(got_val.view(np.uint64), ref_val.view(np.uint64)), \
                 "k-way merge values are not bit-identical to sequential pairwise adds"
+
+    def test_merge_many_is_the_seed_fold_on_wide_gathers(self):
+        """Gathers as wide as 8 .. 256 workers, 2,000 entries each of a
+        1e6-long gradient: the production merge is the seed's pairwise
+        fold, bit for bit."""
+        rng = np.random.default_rng(0)
+        for num_streams in (8, 64, 128, 256):
+            streams = [(np.sort(rng.choice(1_000_000, size=2_000, replace=False)),
+                        rng.normal(size=2_000)) for _ in range(num_streams)]
+            got_idx, got_val = merge_many_coo(*zip(*streams))
+            ref_idx, ref_val = reference_merge_many(*zip(*streams))
+            np.testing.assert_array_equal(got_idx, ref_idx)
+            assert np.array_equal(got_val.view(np.uint64), ref_val.view(np.uint64)), \
+                f"{num_streams} streams: the merge is not the seed fold"
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     def test_merge_add_both_empty(self, path, monkeypatch):

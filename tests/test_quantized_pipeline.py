@@ -12,17 +12,15 @@ Three contracts, straight from the issue's acceptance criteria:
   full element per index, ``b`` bits per value, one scale element per
   non-empty sparse unit, ``b/32`` per dense value — verified message by
   message against an independent re-derivation, plus in closed form for a
-  controlled TopkA run.
+  controlled TopkA run.  Fewer bits move strictly less and land strictly
+  farther from the exact sum.
 * **residual mass is conserved.**  ``sum_t global_t + residuals ==
   sum_t inputs`` (sent + quantization error + discards == input, telescoped
-  over iterations) for every GRES-collecting configuration, including teams,
-  the deferred-residual path and the dense fallback.
+  over iterations) for every GRES-collecting configuration, including teams
+  and the dense fallback.
 """
 
 from __future__ import annotations
-
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,12 +31,8 @@ from repro.core.bucketed import BucketedSynchronizer
 from repro.core.config import SparDLConfig
 from repro.core.pipeline import SyncSession
 
-# The independent re-derivation of the quantized accounting is shared with
-# the BENCH_PR5 gate (benchmarks/perf/quantized_reference.py) so the test
-# and the benchmark enforce one contract.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent
-                       / "benchmarks" / "perf"))
-from quantized_reference import expected_price, spy_exchange  # noqa: E402
+from tests.helpers import random_gradients
+from tests.references import expected_price, spy_exchange
 
 NUM_ELEMENTS = 600
 ITERATIONS = 3
@@ -72,7 +66,7 @@ class TestBitsAbsentIsIdentity:
     @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
     def test_no_compressor_without_bits(self, method):
         sync = make(_spec(method), SimulatedCluster(8), num_elements=NUM_ELEMENTS)
-        assert sync.compressor is None
+        assert sync.stack is None
         assert sync.cluster._pricer is None
         result = sync.synchronize(_gradients(8, 0))
         assert "quantized_bits" not in result.info
@@ -82,8 +76,7 @@ class TestBitsAbsentIsIdentity:
     def test_compressor_with_bits(self, method):
         sync = make(_spec(method, bits=8), SimulatedCluster(8),
                     num_elements=NUM_ELEMENTS)
-        assert sync.compressor is not None
-        assert sync.compressor.num_bits == 8
+        assert sync.stack.quantize.num_bits == 8
         result = sync.synchronize(_gradients(8, 0))
         assert result.info["quantized_bits"] == 8
         assert result.is_consistent
@@ -163,6 +156,35 @@ class TestPerMessageAccounting:
             volume_quant = quantized.synchronize(_gradients(P, 0)).stats.total_volume
             assert volume_quant < volume_plain, method
 
+    @pytest.mark.parametrize("layout", ["flat", "bucketed"])
+    def test_fewer_bits_move_less_and_land_farther_from_the_exact_sum(self, layout):
+        """Eight steps of P = 4, n = 4,000 (buckets 1,500 / 400 / 1,600 /
+        500): volume falls strictly from full precision to 8, 4 and 2
+        bits, and the mean relative distance of the global gradient from
+        the exact dense sum grows strictly, full precision closest."""
+        P, n = 4, 4_000
+        volumes, errors = [], []
+        for bits in (None, 8, 4, 2):
+            spec = "spardl?density=0.02" + (f"&bits={bits}" if bits else "")
+            if layout == "flat":
+                sync = make(spec, SimulatedCluster(P), num_elements=n)
+            else:
+                sync = BucketedSynchronizer(
+                    SimulatedCluster(P), [1_500, 400, 1_600, 500],
+                    factory=lambda cluster, size: make(spec, cluster, num_elements=size))
+            volume, distances = 0.0, []
+            for iteration in range(8):
+                gradients = random_gradients(P, n, seed=7000 + 100 * iteration)
+                exact = sum(gradients.values())
+                result = sync.synchronize(gradients)
+                volume += result.stats.total_volume
+                distances.append(np.linalg.norm(result.gradient(0) - exact)
+                                 / np.linalg.norm(exact))
+            volumes.append(volume)
+            errors.append(np.mean(distances))
+        assert all(more > less for more, less in zip(volumes, volumes[1:])), volumes
+        assert all(closer < farther for closer, farther in zip(errors, errors[1:])), errors
+
 
 class TestOrderIndependence:
     @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
@@ -202,7 +224,6 @@ class TestResidualConservation:
         "spardl?density=0.05&bits=2",
         "spardl?density=0.05&teams=2&bits=4",          # R-SAG
         "spardl?density=0.05&teams=3&bits=8",          # B-SAG (P=6)
-        "spardl?density=0.05&bits=8&deferred=true",    # deferred residual path
         "spardl?density=0.8&bits=8",                   # dense fallback
         "dense?bits=8",                                # QSGD with error feedback
     ])
@@ -220,25 +241,6 @@ class TestResidualConservation:
         residual = sync.residuals.total_residual()
         np.testing.assert_allclose(total_global + residual, total_input,
                                    atol=1e-9)
-
-    def test_deferred_matches_eager_bitwise_under_quantization(self):
-        """The deferred residual fold must replay the eager scatter chain
-        even when quantization errors join the discards."""
-        P = 6
-        eager = make("spardl?density=0.05&teams=2&bits=4", SimulatedCluster(P),
-                     num_elements=NUM_ELEMENTS)
-        deferred = make("spardl?density=0.05&teams=2&bits=4&deferred=true",
-                        SimulatedCluster(P), num_elements=NUM_ELEMENTS)
-        for iteration in range(ITERATIONS):
-            gradients = _gradients(P, iteration)
-            result_eager = eager.synchronize({w: g.copy() for w, g in gradients.items()})
-            result_deferred = deferred.synchronize({w: g.copy() for w, g in gradients.items()})
-            for worker in range(P):
-                np.testing.assert_array_equal(
-                    result_eager.global_gradients[worker],
-                    result_deferred.global_gradients[worker])
-        np.testing.assert_array_equal(eager.residuals.total_residual(),
-                                      deferred.residuals.total_residual())
 
 
 class TestSessionsAndBuckets:
@@ -321,11 +323,10 @@ class TestSpecSurface:
     def test_make_synchronizer_num_bits_kwarg(self):
         sync = make_synchronizer("SparDL", SimulatedCluster(4), 1000,
                                  density=0.01, num_bits=4)
-        assert sync.compressor is not None
-        assert sync.compressor.num_bits == 4
+        assert sync.stack.quantize.num_bits == 4
 
     def test_bits_override_through_make(self):
         sync = make("spardl?density=0.01", SimulatedCluster(4),
                     num_elements=1000, bits=8)
-        assert sync.compressor.num_bits == 8
+        assert sync.stack.quantize.num_bits == 8
         assert describe(sync) == "spardl?density=0.01&bits=8"

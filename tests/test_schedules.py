@@ -17,6 +17,8 @@ from repro.core.schedules import (
     parse_schedule,
 )
 
+from tests.helpers import case5_trainer
+
 NUM_ELEMENTS = 800
 
 
@@ -157,6 +159,19 @@ class TestSchedulesAcrossMethods:
         assert all(a >= b for a, b in zip(ks, ks[1:]))
         assert ks[0] > target  # warm-up really started denser
         assert ks[-1] == target  # ... and landed on the configured sparsity
+
+    @pytest.mark.parametrize("buckets", ["", "&buckets=layer"], ids=["flat", "layer"])
+    def test_training_warmup_starts_denser_and_lands_on_the_target(self, buckets):
+        """A warm-up over 3 of the 5 iterations of one case-5 epoch on four
+        workers, flat and per layer: the first k is denser than the last,
+        and the last is the constant schedule's."""
+        ks = {}
+        for schedule in ("constant", "warmup:3"):
+            trainer = case5_trainer(f"spardl?density=0.02&schedule={schedule}{buckets}",
+                                    check_consistency=True)
+            trainer.train(1)
+            ks[schedule] = [k for k in trainer.session.k_history if k is not None]
+        assert ks["warmup:3"][0] > ks["warmup:3"][-1] == ks["constant"][-1]
 
     @pytest.mark.parametrize("num_workers", [3, 4, 5, 8])
     def test_spardl_warmup_preserves_gres_conservation(self, num_workers):

@@ -94,3 +94,41 @@ class TestNonPowerOfTwoEndToEnd:
             applied += result.gradient(0)
             np.testing.assert_allclose(applied + sync.residuals.total_residual(),
                                        fed, atol=1e-8)
+
+
+class TestResidualPoliciesSplitTheDiscards:
+    @pytest.mark.parametrize("team_size", TEAM_SIZES)
+    @pytest.mark.parametrize("num_teams", [1, 2])
+    @pytest.mark.parametrize("num_bits", [None, 8], ids=["exact", "bits8"])
+    def test_policies_differ_by_the_procedure_discards(self, team_size,
+                                                       num_teams, num_bits):
+        """Section III-C on a first step, where every policy makes the same
+        selections: GRES keeps the local, end-procedure and in-procedure
+        discards, PRES the first two, LRES the local ones (quantisation
+        errors included) alone.  So GRES - PRES lives on the final index
+        set, PRES - LRES off it, and GRES conserves the input."""
+        num_workers = team_size * num_teams
+        num_elements = 60 * team_size
+        gradients = random_gradients(num_workers, num_elements, seed=team_size)
+        delivered, residual = {}, {}
+        for policy in ("global", "partial", "local"):
+            sync = SparDLSynchronizer(
+                SimulatedCluster(num_workers), num_elements,
+                SparDLConfig(density=0.05, num_teams=num_teams,
+                             num_bits=num_bits, residual_policy=policy))
+            delivered[policy] = sync.synchronize(gradients).gradient(0)
+            residual[policy] = sync.residuals.total_residual()
+        np.testing.assert_array_equal(delivered["partial"], delivered["global"])
+        np.testing.assert_array_equal(delivered["local"], delivered["global"])
+        final = delivered["global"] != 0
+        in_procedure = residual["global"] - residual["partial"]
+        end_procedure = residual["partial"] - residual["local"]
+        # the shared discards are added in the same order: exact zeros
+        assert not in_procedure[~final].any()
+        assert not end_procedure[final].any()
+        assert np.abs(end_procedure).max() > 1e-3
+        # a lone team of 3 or 6 discards nothing in-procedure on these inputs
+        if (team_size, num_teams) not in {(3, 1), (6, 1)}:
+            assert np.abs(in_procedure).max() > 1e-3
+        np.testing.assert_allclose(delivered["global"] + residual["global"],
+                                   sum(gradients.values()), atol=1e-8)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,13 +23,9 @@ from repro.sparse.topk import (
     top_k_mask,
 )
 
-from tests.helpers import (  # noqa: E402
+from tests.helpers import (
     SEED_LENGTHS, SEEDING_KINDS, seeding_values, selection_legs)
-
-# The stable-argsort seed idiom, shared with the perf harness.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "perf"))
-
-from naive_reference import naive_top_k_indices  # noqa: E402
+from tests.references import naive_top_k_indices
 
 #: NaN, infinities, signed zeros, heavy ties and a denormal-scale value: every
 #: case the partition cut and the tie pass have to rank like a stable argsort.

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.registry import make_synchronizer
+from repro.api import make
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET, NetworkProfile
 from repro.core.residuals import ResidualPolicy
@@ -61,7 +61,6 @@ class MethodSpec:
     num_teams: int = 1
     sag_mode: str = "auto"
     residual_policy: ResidualPolicy | str = ResidualPolicy.GLOBAL
-    sparsify_all_blocks: bool = False
 
     @property
     def display(self) -> str:
@@ -71,12 +70,9 @@ class MethodSpec:
         kwargs = {}
         if self.name.lower() != "dense":
             kwargs = dict(k=self.k, density=None if self.k else self.density)
-        return make_synchronizer(
-            self.name, cluster, num_elements,
-            num_teams=self.num_teams, sag_mode=self.sag_mode,
-            residual_policy=self.residual_policy,
-            sparsify_all_blocks=self.sparsify_all_blocks, **kwargs,
-        )
+        return make(self.name, cluster, num_elements=num_elements,
+                    teams=self.num_teams, sag=self.sag_mode,
+                    residuals=self.residual_policy, **kwargs)
 
 
 @dataclass

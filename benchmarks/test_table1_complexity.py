@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.complexity import table1
 from repro.analysis.reporting import format_table
-from repro.baselines.registry import available_methods, make_synchronizer
+from repro.api import available_methods, make
 from repro.comm.cluster import SimulatedCluster
 
 NUM_ELEMENTS = 7_000
@@ -24,7 +24,7 @@ def measure(num_workers: int, k: int):
     measured = {}
     for method in available_methods(num_workers):
         cluster = SimulatedCluster(num_workers)
-        sync = make_synchronizer(method, cluster, NUM_ELEMENTS, k=k)
+        sync = make(method, cluster, num_elements=NUM_ELEMENTS, k=k)
         gradients = {w: np.random.default_rng(w).normal(size=NUM_ELEMENTS)
                      for w in range(num_workers)}
         result = sync.synchronize(gradients)
@@ -71,8 +71,8 @@ def test_table1_spardl_sag_rows(run_once):
         rows = {}
         for num_teams, mode in ((1, "auto"), (2, "rsag"), (4, "rsag"), (4, "bsag"), (8, "bsag")):
             cluster = SimulatedCluster(num_workers)
-            sync = make_synchronizer("SparDL", cluster, NUM_ELEMENTS, k=k,
-                                     num_teams=num_teams, sag_mode=mode)
+            sync = make("SparDL", cluster, num_elements=NUM_ELEMENTS, k=k,
+                        teams=num_teams, sag=mode)
             gradients = {w: np.random.default_rng(w).normal(size=NUM_ELEMENTS)
                          for w in range(num_workers)}
             result = sync.synchronize(gradients)

@@ -79,6 +79,12 @@ alias (case-insensitive, as in the paper's figures) and the keys are:
             see ``docs/observability.md``.
 ========== ===================================================================
 
+Each key is one row of :data:`_SPEC_KEYS` — its default, how it is read
+from a spec string, how it is validated and normalised (for spec strings
+and keyword arguments alike) and how it is printed — and that table drives
+:class:`SyncSpec`, :func:`parse_spec`, :meth:`SyncSpec.canonical` and the
+keyword overrides of :func:`make`.
+
 :func:`make` builds a ready synchroniser (a
 :class:`~repro.core.bucketed.BucketedSynchronizer` when bucketing is
 requested), :func:`make_factory` defers construction until the model is
@@ -86,23 +92,22 @@ known (the :class:`~repro.training.trainer.DistributedTrainer` calls the
 factory with its cluster and model replica), and :func:`describe` maps any
 facade-built synchroniser back to its canonical spec string —
 ``parse_spec(describe(x))`` round-trips.
-
-The old ``repro.baselines.registry`` interface (``make_synchronizer`` with
-keyword arguments, ``SYNCHRONIZER_NAMES``, ``available_methods``) lives
-here now and remains importable from the registry module unchanged.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from .baselines.dense import DenseAllReduceSynchronizer
+from .baselines.gtopk import GTopkSynchronizer
+from .baselines.ok_topk import OkTopkSynchronizer
+from .baselines.topk_a import TopkASynchronizer
+from .baselines.topk_dsa import TopkDSASynchronizer
 from .comm.transport import Transport, make_transport, parse_backend_spec, transport_spec
 from .core.base import GradientSynchronizer
 from .core.bucketed import BucketedSynchronizer, fuse_buckets, layer_buckets
+from .core.config import SAGMode, SparDLConfig, is_power_of_two
 from .core.fusion import FUSION_PLANNERS, plan_buckets
-from .core.config import SAGMode, SparDLConfig
 from .core.residuals import ResidualPolicy
 from .core.schedules import parse_schedule
 from .core.spardl import SparDLSynchronizer
@@ -114,49 +119,63 @@ __all__ = [
     "parse_spec",
     "make",
     "make_factory",
-    "make_synchronizer",
     "describe",
     "available_methods",
 ]
 
+#: Every method by its canonical name (as in the paper's figures): the
+#: spellings a spec may use for it (case-insensitive; the first is the one
+#: :meth:`SyncSpec.canonical` prints) and the class that runs it.
+_METHODS: Dict[str, Tuple[Tuple[str, ...], type]] = {
+    "SparDL": (("spardl",), SparDLSynchronizer),
+    "Ok-Topk": (("ok-topk", "oktopk", "ok_topk"), OkTopkSynchronizer),
+    "TopkA": (("topka", "topk-a", "topk_a"), TopkASynchronizer),
+    "TopkDSA": (("topkdsa", "topk-dsa", "topk_dsa"), TopkDSASynchronizer),
+    "gTopk": (("gtopk", "gtop-k"), GTopkSynchronizer),
+    "Dense": (("dense", "allreduce"), DenseAllReduceSynchronizer),
+}
+
 #: Canonical method names (as used in the paper's figures).
-SYNCHRONIZER_NAMES = ("SparDL", "Ok-Topk", "TopkA", "TopkDSA", "gTopk", "Dense")
+SYNCHRONIZER_NAMES = tuple(_METHODS)
 
-_ALIASES: Dict[str, str] = {
-    "spardl": "SparDL",
-    "ok-topk": "Ok-Topk",
-    "oktopk": "Ok-Topk",
-    "ok_topk": "Ok-Topk",
-    "topka": "TopkA",
-    "topk-a": "TopkA",
-    "topk_a": "TopkA",
-    "topkdsa": "TopkDSA",
-    "topk-dsa": "TopkDSA",
-    "topk_dsa": "TopkDSA",
-    "gtopk": "gTopk",
-    "gtop-k": "gTopk",
-    "dense": "Dense",
-    "allreduce": "Dense",
-}
-
-#: Spec token used when canonicalising each method name.
-_SPEC_NAMES: Dict[str, str] = {
-    "SparDL": "spardl",
-    "Ok-Topk": "ok-topk",
-    "TopkA": "topka",
-    "TopkDSA": "topkdsa",
-    "gTopk": "gtopk",
-    "Dense": "dense",
-}
-
-#: Recognised spec keys, in canonical serialisation order.
-_SPEC_KEYS = ("k", "density", "teams", "sag", "residuals", "schedule",
-              "buckets", "bits", "momentum", "hybrid",
-              "backend", "trace")
+_SPELLINGS = {spelling: name for name, (spellings, _) in _METHODS.items()
+              for spelling in spellings}
 
 
-def _is_power_of_two(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
+# ---------------------------------------------------------------------------
+# the spec keys
+# ---------------------------------------------------------------------------
+def _text(value: Any) -> str:
+    return str(value).strip().lower()
+
+
+def _show_float(value: float) -> str:
+    """The shortest ``%g`` form that reads back as the same float (plain
+    ``:g`` keeps six significant digits)."""
+    return next((text for text in (f"{value:.{digits}g}" for digits in range(6, 18))
+                 if float(text) == value), str(value))
+
+
+def _momentum(value: Any) -> float:
+    momentum = float(value)
+    if not 0.0 < momentum < 1.0:
+        raise ValueError("momentum must be in (0, 1)")
+    return momentum
+
+
+def _buckets(value: Any) -> str:
+    text = _text(value)
+    kind, _, argument = text.partition(":")
+    if kind == "auto" and text != "auto" and argument not in FUSION_PLANNERS:
+        raise ValueError(
+            f"unknown fusion planner in buckets={value!r}; expected auto, "
+            f"{', '.join('auto:' + planner for planner in FUSION_PLANNERS)}")
+    if text in ("flat", "layer") or kind == "auto":
+        return text
+    if kind == "size" and argument.isdigit() and int(argument) > 0:
+        return f"size:{int(argument)}"
+    raise ValueError(
+        f"unknown buckets mode {value!r}; expected flat, layer, size:N or auto[:PLANNER]")
 
 
 def _validate_bits_value(text: "str | int") -> int:
@@ -183,9 +202,12 @@ def _split_bits(bits: "int | str | None"):
         return None, []
     if isinstance(bits, int):
         return _validate_bits_value(bits), []
+    if not isinstance(bits, str):
+        raise ValueError("bits must be an integer between 1 and 32 "
+                         "or a per-bucket override string")
     default: Optional[int] = None
     overrides: List[tuple] = []
-    for item in str(bits).split(","):
+    for item in bits.split(","):
         item = item.strip()
         if not item:
             raise ValueError(f"empty item in bits={bits!r}")
@@ -211,7 +233,7 @@ def _split_bits(bits: "int | str | None"):
     return default, overrides
 
 
-def _canonical_bits(bits: "int | str | None") -> "int | str | None":
+def _canonical_bits(bits: "int | str") -> "int | str | None":
     """Validate a ``bits`` value and return its canonical form (an ``int``
     when there are no per-bucket overrides, else the normalised string)."""
     default, overrides = _split_bits(bits)
@@ -227,8 +249,7 @@ def _hybrid_threshold(hybrid: Optional[str]) -> Optional[int]:
     when the policy is off)."""
     if hybrid is None:
         return None
-    text = str(hybrid).strip().lower()
-    prefix, _, size = text.partition("<")
+    prefix, _, size = _text(hybrid).partition("<")
     if prefix != "dense" or not size:
         raise ValueError(
             f"hybrid={hybrid!r} is malformed; expected hybrid=dense<SIZE "
@@ -239,112 +260,102 @@ def _hybrid_threshold(hybrid: Optional[str]) -> Optional[int]:
     return threshold
 
 
-@dataclass
+def _backend(value: Any) -> str:
+    kind, workers = parse_backend_spec(value)
+    return kind if workers is None else f"{kind}:{workers}"
+
+
+class _Key(NamedTuple):
+    """One spec key: its default, how a spec string's value is read, how a
+    value is validated and normalised, and how it is printed."""
+
+    default: Any
+    parse: Callable[[str], Any]
+    normalise: Callable[[Any], Any]
+    show: Callable[[Any], str] = str
+
+
+#: Every spec key, in canonical serialisation order.
+_SPEC_KEYS: Dict[str, _Key] = {
+    "k": _Key(None, int, int),
+    "density": _Key(None, float, float, _show_float),
+    "teams": _Key(1, int, int),
+    "sag": _Key("auto", _text, lambda value: SAGMode.coerce(value).value),
+    "residuals": _Key("global", _text, lambda value: ResidualPolicy.coerce(value).value),
+    "schedule": _Key("constant", _text, _text),
+    "buckets": _Key("flat", _text, _buckets),
+    # kept as written: a plain integer or a per-bucket override string
+    "bits": _Key(None, str.strip, _canonical_bits),
+    "momentum": _Key(None, float, _momentum, _show_float),
+    "hybrid": _Key(None, _text, lambda value: f"dense<{_hybrid_threshold(value)}"),
+    "backend": _Key(None, _text, _backend),
+    "trace": _Key("off", _text, lambda value: TraceLevel.coerce(value).name.lower()),
+}
+
+
+def _unknown_key(key: str) -> ValueError:
+    return ValueError(
+        f"unknown spec key {key!r}; expected one of {', '.join(_SPEC_KEYS)}")
+
+
 class SyncSpec:
-    """Parsed form of one spec string (see the module grammar)."""
+    """Parsed form of one spec string: a method and one attribute per spec
+    key (see the module grammar), each normalised by its row of
+    :data:`_SPEC_KEYS`.  Keys left out take their defaults."""
 
-    method: str
-    k: Optional[int] = None
-    density: Optional[float] = None
-    teams: int = 1
-    sag: str = "auto"
-    residuals: str = "global"
-    schedule: str = "constant"
-    buckets: str = "flat"
-    #: Wire quantization: ``None`` (full precision), an int in ``[1, 32]``,
-    #: or a per-bucket override string like ``"8,emb:32"`` (see the grammar).
-    bits: "Optional[int | str]" = None
-    #: DGC momentum-correction factor in ``(0, 1)``, or ``None`` (off).
-    momentum: Optional[float] = None
-    #: Hybrid dense/sparse policy ``"dense<SIZE"``, or ``None`` (off).
-    hybrid: Optional[str] = None
-    backend: Optional[str] = None
-    trace: str = "off"
-    #: Extra builder options that are not part of the spec grammar
-    #: (e.g. ``sparsify_all_blocks`` for the ablation benchmark).
-    extras: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.method not in SYNCHRONIZER_NAMES:
-            canonical = _ALIASES.get(str(self.method).strip().lower())
-            if canonical is None:
-                raise ValueError(
-                    f"unknown synchroniser {self.method!r}; expected one of "
-                    f"{', '.join(SYNCHRONIZER_NAMES)}")
-            self.method = canonical
+    def __init__(self, method: str, **keys: Any) -> None:
+        self.method = method if method in _METHODS else _SPELLINGS.get(_text(method))
+        if self.method is None:
+            raise ValueError(
+                f"unknown synchroniser {method!r}; expected one of "
+                f"{', '.join(SYNCHRONIZER_NAMES)}")
+        for key in keys:
+            if key not in _SPEC_KEYS:
+                raise _unknown_key(key)
+        for key, entry in _SPEC_KEYS.items():
+            value = keys.get(key, entry.default)
+            setattr(self, key, None if value is None else entry.normalise(value))
         if self.k is not None and self.density is not None:
             raise ValueError("give only one of k and density")
-        if self.bits is not None:
-            if not isinstance(self.bits, (int, str)):
-                raise ValueError("bits must be an integer between 1 and 32 "
-                                 "or a per-bucket override string")
-            self.bits = _canonical_bits(self.bits)
-        if self.momentum is not None:
-            self.momentum = float(self.momentum)
-            if not 0.0 < self.momentum < 1.0:
-                raise ValueError("momentum must be in (0, 1)")
-        if self.hybrid is not None:
-            threshold = _hybrid_threshold(self.hybrid)
-            self.hybrid = f"dense<{threshold}"
-            if self.method == "Dense":
+        if self.hybrid is not None and self.method == "Dense":
+            raise ValueError(
+                "hybrid=dense<SIZE switches small buckets of a sparse "
+                "method to dense; it does not apply to the dense method")
+        if not self.is_bucketed:
+            if isinstance(self.bits, str):
                 raise ValueError(
-                    "hybrid=dense<SIZE switches small buckets of a sparse "
-                    "method to dense; it does not apply to the dense method")
-        if self.backend is not None:
-            kind, workers = parse_backend_spec(self.backend)
-            self.backend = kind if workers is None else f"{kind}:{workers}"
-        self.trace = TraceLevel.coerce(self.trace).name.lower()
-        if self.buckets.startswith("auto"):
-            planner = _bucket_planner(self.buckets)
-            if planner not in FUSION_PLANNERS:
+                    f"per-bucket bits overrides ({self.bits!r}) need a "
+                    "non-flat buckets mode (layer, size:N or auto); the "
+                    "patterns match bucket names")
+            if self.hybrid is not None:
                 raise ValueError(
-                    f"unknown fusion planner in buckets={self.buckets!r}; expected "
-                    f"auto, {', '.join('auto:' + p for p in FUSION_PLANNERS)}")
-        # A sparse method without k/density is allowed at parse time (the
-        # keyword arguments of make()/make_synchronizer may still supply
-        # the target); the builders fail loudly when it is truly missing.
+                    "hybrid=dense<SIZE is a per-bucket policy; use a non-flat "
+                    "buckets mode (layer, size:N or auto) so there are bucket "
+                    "sizes to switch on")
+        # A sparse method without k/density is allowed here (keyword
+        # overrides of make() may still supply the target); make() fails
+        # loudly when it is truly missing.
 
-    # ------------------------------------------------------------------
+    def replace(self, **keys: Any) -> "SyncSpec":
+        """A copy with the given keys replaced (same names as the grammar)."""
+        return SyncSpec(**{**vars(self), **keys})
+
     def canonical(self) -> str:
         """The canonical spec string (non-default keys only, fixed order)."""
-        params = []
-        if self.k is not None:
-            params.append(f"k={self.k}")
-        if self.density is not None:
-            params.append(f"density={self.density:g}")
-        if self.teams != 1:
-            params.append(f"teams={self.teams}")
-        if self.sag != "auto":
-            params.append(f"sag={self.sag}")
-        if self.residuals != "global":
-            params.append(f"residuals={self.residuals}")
-        if self.schedule != "constant":
-            params.append(f"schedule={self.schedule}")
-        if self.buckets != "flat":
-            params.append(f"buckets={self.buckets}")
-        if self.bits is not None:
-            params.append(f"bits={self.bits}")
-        if self.momentum is not None:
-            params.append(f"momentum={self.momentum:g}")
-        if self.hybrid is not None:
-            params.append(f"hybrid={self.hybrid}")
-        if self.backend is not None:
-            params.append(f"backend={self.backend}")
-        if self.trace != "off":
-            params.append(f"trace={self.trace}")
-        name = _SPEC_NAMES[self.method]
-        return f"{name}?{'&'.join(params)}" if params else name
+        params = "&".join(f"{key}={entry.show(value)}" for key, entry in _SPEC_KEYS.items()
+                          if (value := getattr(self, key)) != entry.default)
+        name = _METHODS[self.method][0][0]
+        return f"{name}?{params}" if params else name
 
     @property
     def is_bucketed(self) -> bool:
         return self.buckets != "flat"
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SyncSpec) and vars(self) == vars(other)
 
-def _bucket_planner(buckets: str) -> str:
-    """The planner name behind a ``buckets=auto[:PLANNER]`` value."""
-    if buckets == "auto":
-        return "mgwfbp"
-    return buckets.partition(":")[2]
+    def __repr__(self) -> str:
+        return f"SyncSpec({self.canonical()!r})"
 
 
 def parse_spec(spec: "str | SyncSpec") -> SyncSpec:
@@ -359,33 +370,18 @@ def parse_spec(spec: "str | SyncSpec") -> SyncSpec:
     if not text:
         raise ValueError("empty synchroniser spec")
     name, _, query = text.partition("?")
-    options: Dict[str, Any] = {}
-    if query:
-        for item in query.split("&"):
-            if not item:
-                continue
-            key, separator, value = item.partition("=")
-            key = key.strip().lower()
-            if not separator or not value:
-                raise ValueError(f"malformed spec parameter {item!r} (expected key=value)")
-            if key not in _SPEC_KEYS:
-                raise ValueError(
-                    f"unknown spec key {key!r}; expected one of {', '.join(_SPEC_KEYS)}")
-            if key in options:
-                raise ValueError(f"duplicate spec key {key!r}")
-            if key == "k":
-                options[key] = int(value)
-            elif key in ("density", "momentum"):
-                options[key] = float(value)
-            elif key == "teams":
-                options[key] = int(value)
-            elif key == "bits":
-                # Kept as written: a plain integer or a per-bucket override
-                # string; SyncSpec canonicalises either form.
-                options[key] = value.strip()
-            else:
-                options[key] = value.strip().lower()
-    return SyncSpec(method=name, **options)
+    keys: Dict[str, Any] = {}
+    for item in filter(None, query.split("&")):
+        key, separator, value = item.partition("=")
+        key = key.strip().lower()
+        if not separator or not value:
+            raise ValueError(f"malformed spec parameter {item!r} (expected key=value)")
+        if key not in _SPEC_KEYS:
+            raise _unknown_key(key)
+        if key in keys:
+            raise ValueError(f"duplicate spec key {key!r}")
+        keys[key] = _SPEC_KEYS[key].parse(value)
+    return SyncSpec(name, **keys)
 
 
 # ---------------------------------------------------------------------------
@@ -403,47 +399,17 @@ def _validate_schedule_spec(spec: SyncSpec) -> None:
 def _build_flat(spec: SyncSpec, cluster: Transport,
                 num_elements: int) -> GradientSynchronizer:
     """Build one flat-vector synchroniser for ``num_elements`` gradients."""
-    from .baselines.dense import DenseAllReduceSynchronizer
-    from .baselines.gtopk import GTopkSynchronizer
-    from .baselines.ok_topk import OkTopkSynchronizer
-    from .baselines.topk_a import TopkASynchronizer
-    from .baselines.topk_dsa import TopkDSASynchronizer
-
-    method = spec.method
-    if method == "gTopk" and not _is_power_of_two(cluster.num_workers):
-        raise ValueError(
-            f"gTopk requires a power-of-two number of workers, got P={cluster.num_workers}: "
-            "its recursive-doubling exchange pairs workers rank ^ step, which only covers "
-            "every rank when P is a power of two.  Run it at P in {2, 4, 8, ...} or pick "
-            "another method (see available_methods)."
-        )
+    cls = _METHODS[spec.method][1]
     schedule = None if spec.schedule == "constant" else spec.schedule
-    if spec.bits is not None and not isinstance(spec.bits, int):
-        raise ValueError(
-            f"per-bucket bits overrides ({spec.bits!r}) need a non-flat "
-            "buckets mode; the patterns match bucket names")
-    if method == "Dense":
-        return DenseAllReduceSynchronizer(cluster, num_elements,
-                                          num_bits=spec.bits,
-                                          momentum=spec.momentum)
-    if method == "SparDL":
-        config = SparDLConfig(
+    if spec.method == "Dense":
+        return cls(cluster, num_elements, num_bits=spec.bits, momentum=spec.momentum)
+    if spec.method == "SparDL":
+        return cls(cluster, num_elements, SparDLConfig(
             k=spec.k, density=spec.density, num_teams=spec.teams,
-            sag_mode=SAGMode.coerce(spec.sag),
-            residual_policy=ResidualPolicy.coerce(spec.residuals),
-            schedule=schedule, num_bits=spec.bits, momentum=spec.momentum,
-            **spec.extras,
-        )
-        return SparDLSynchronizer(cluster, num_elements, config)
-    classes = {
-        "Ok-Topk": OkTopkSynchronizer,
-        "TopkA": TopkASynchronizer,
-        "TopkDSA": TopkDSASynchronizer,
-        "gTopk": GTopkSynchronizer,
-    }
-    return classes[method](cluster, num_elements, k=spec.k, density=spec.density,
-                           schedule=schedule, num_bits=spec.bits,
-                           momentum=spec.momentum)
+            sag_mode=spec.sag, residual_policy=spec.residuals,
+            schedule=schedule, num_bits=spec.bits, momentum=spec.momentum))
+    return cls(cluster, num_elements, k=spec.k, density=spec.density,
+               schedule=schedule, num_bits=spec.bits, momentum=spec.momentum)
 
 
 def _bucket_layout(spec: SyncSpec, model) -> List[tuple]:
@@ -453,16 +419,11 @@ def _bucket_layout(spec: SyncSpec, model) -> List[tuple]:
             f"buckets={spec.buckets} needs the model: pass model=... (anything with "
             "parameters()) so the bucket layout can be derived from its tensor shapes")
     buckets = layer_buckets(model)
-    if spec.buckets == "layer" or spec.buckets.startswith("auto"):
-        # auto planning starts from the per-layer layout; the fusion plan
-        # itself is computed in make(), which has the transport in hand.
-        return buckets
     if spec.buckets.startswith("size:"):
-        max_elements = int(spec.buckets.split(":", 1)[1])
-        return fuse_buckets(buckets, max_elements)
-    raise ValueError(
-        f"unknown buckets mode {spec.buckets!r}; expected flat, layer, size:N "
-        "or auto[:mgwfbp|:asc]")
+        return fuse_buckets(buckets, int(spec.buckets.partition(":")[2]))
+    # layer, and the per-layer layout auto planning starts from (the fusion
+    # plan itself is computed in make(), which has the transport in hand)
+    return buckets
 
 
 def _resolve_backend(parsed: SyncSpec,
@@ -480,33 +441,87 @@ def _resolve_backend(parsed: SyncSpec,
                 "give cluster=... or a backend=KIND:P spec key so make() "
                 "can build the transport itself")
         return cluster
-    kind, workers = parse_backend_spec(parsed.backend)
     if cluster is None:
-        if workers is None:
-            raise ValueError(
-                f"backend={parsed.backend} without a cluster needs an explicit "
-                f"worker count: use backend={kind}:P or pass cluster=...")
-        return make_transport(parsed.backend)
-    actual_kind, actual_workers = parse_backend_spec(transport_spec(cluster))
-    if kind != actual_kind or (workers is not None and workers != actual_workers):
+        return make_transport(parsed.backend)  # raises without a worker count
+    actual = transport_spec(cluster)
+    if parsed.backend not in (actual, actual.partition(":")[0]):
         raise ValueError(
             f"spec requests backend={parsed.backend} but the passed cluster is "
-            f"{transport_spec(cluster)}; drop the backend key or pass a "
-            "matching transport")
+            f"{actual}; drop the backend key or pass a matching transport")
     return cluster
+
+
+def _build_bucketed(parsed: SyncSpec, cluster: Transport, model, network,
+                    compute_profile) -> BucketedSynchronizer:
+    """Build the bucketed synchroniser of a non-flat ``buckets`` spec."""
+    default_bits, bits_overrides = _split_bits(parsed.bits)
+    dense_below = _hybrid_threshold(parsed.hybrid)
+    layout = _bucket_layout(parsed, model)
+    flat_spec = parsed.replace(buckets="flat", hybrid=None, bits=default_bits)
+    if flat_spec.k is not None:
+        # An absolute k is a *global* budget: replicating it into every
+        # bucket would multiply the selection by the bucket count, so
+        # convert it to the equivalent density, which buckets pro-rata
+        # (each bucket still keeps at least one entry).
+        total = sum(size for _, size in layout)
+        flat_spec = flat_spec.replace(k=None, density=min(1.0, flat_spec.k / float(total)))
+    plan = None
+    if parsed.buckets.startswith("auto"):
+        from .comm.network import ETHERNET
+        plan = plan_buckets(
+            layout,
+            planner=parsed.buckets.partition(":")[2] or "mgwfbp",
+            method=parsed.method,
+            num_workers=cluster.num_workers,
+            density=flat_spec.density,
+            teams=parsed.teams,
+            num_bits=default_bits,
+            transport=cluster,
+            network=network if network is not None else ETHERNET,
+            compute_profile=compute_profile,
+        )
+        layout = plan.bucket_layout()
+
+    def bucket_factory(bucket_cluster: Transport, bucket_elements: int,
+                       bucket_name: str) -> GradientSynchronizer:
+        # Hybrid policy: buckets below the dense switch run an exact
+        # full-precision dense All-Reduce (momentum correction, when on,
+        # carries over — dense keeps the velocity unmasked, which is
+        # exactly naive momentum).  Per-bucket bits overrides match
+        # case-insensitive substrings of the bucket name; fused buckets
+        # join their tensor names with "+", so a pattern matches the
+        # fused bucket when it matches any member tensor.
+        if dense_below is not None and bucket_elements < dense_below:
+            dense_spec = SyncSpec("Dense", momentum=flat_spec.momentum)
+            return _build_flat(dense_spec, bucket_cluster, bucket_elements)
+        bits = default_bits
+        lowered = bucket_name.lower()
+        for pattern, width in bits_overrides:
+            if pattern in lowered:
+                bits = width
+        bucket_spec = flat_spec if bits == flat_spec.bits else flat_spec.replace(bits=bits)
+        return _build_flat(bucket_spec, bucket_cluster, bucket_elements)
+
+    return BucketedSynchronizer(
+        cluster, [size for _, size in layout],
+        factory=bucket_factory,
+        bucket_names=[name for name, _ in layout],
+        plan=plan,
+    )
 
 
 def make(spec: "str | SyncSpec", cluster: Optional[Transport] = None, *,
          num_elements: Optional[int] = None, model=None,
          network=None, compute_profile=None,
-         **overrides) -> GradientSynchronizer:
+         **keys) -> GradientSynchronizer:
     """Build a synchroniser from a spec string.
 
     ``num_elements`` gives the flat gradient length directly; ``model``
     (anything exposing ``parameters()``, e.g. a :class:`repro.nn.Module`)
     derives it — and is required for any non-flat ``buckets`` mode.
-    Keyword ``overrides`` replace individual spec keys (same names as the
-    grammar).
+    Keyword ``keys`` replace individual spec keys (same names as the
+    grammar: ``make("spardl", cluster, num_elements=n, density=0.01,
+    teams=4)``); any other keyword raises.
 
     ``buckets=auto`` specs plan the fused layout here (see
     :mod:`repro.core.fusion`): the alpha-beta model is calibrated by a
@@ -524,96 +539,12 @@ def make(spec: "str | SyncSpec", cluster: Optional[Transport] = None, *,
     built here (the synchroniser's ``.cluster`` owns it — ``close()`` it,
     or use it as a context manager, when the backend runs real processes).
     """
-    parsed = parse_spec(spec)
-    if overrides:
-        values = {key: getattr(parsed, key) for key in _SPEC_KEYS}
-        values["extras"] = dict(parsed.extras)
-        for key, value in overrides.items():
-            if key in _SPEC_KEYS:
-                values[key] = value
-            else:
-                values["extras"][key] = value
-        parsed = SyncSpec(method=parsed.method, **values)
+    parsed = parse_spec(spec).replace(**keys)
     _validate_schedule_spec(parsed)
     cluster = _resolve_backend(parsed, cluster)
-    default_bits, bits_overrides = _split_bits(parsed.bits)
-    dense_below = _hybrid_threshold(parsed.hybrid)
-    if not parsed.is_bucketed:
-        if bits_overrides:
-            raise ValueError(
-                f"per-bucket bits overrides ({parsed.bits!r}) need a "
-                "non-flat buckets mode (layer, size:N or auto); the "
-                "patterns match bucket names")
-        if dense_below is not None:
-            raise ValueError(
-                "hybrid=dense<SIZE is a per-bucket policy; use a non-flat "
-                "buckets mode (layer, size:N or auto) so there are bucket "
-                "sizes to switch on")
-
     if parsed.is_bucketed:
-        layout = _bucket_layout(parsed, model)
-        names = [name for name, _ in layout]
-        sizes = [size for _, size in layout]
-        flat_spec = dataclasses.replace(parsed, buckets="flat", hybrid=None,
-                                        bits=default_bits,
-                                        extras=dict(parsed.extras))
-        if flat_spec.k is not None:
-            # An absolute k is a *global* budget: replicating it into every
-            # bucket would multiply the selection by the bucket count, so
-            # convert it to the equivalent density, which buckets pro-rata
-            # (each bucket still keeps at least one entry).
-            flat_spec = dataclasses.replace(
-                flat_spec, k=None,
-                density=min(1.0, flat_spec.k / float(sum(sizes))))
-        plan = None
-        if parsed.buckets.startswith("auto"):
-            from .comm.network import ETHERNET
-            plan = plan_buckets(
-                layout,
-                planner=_bucket_planner(parsed.buckets),
-                method=parsed.method,
-                num_workers=cluster.num_workers,
-                density=flat_spec.density,
-                teams=parsed.teams,
-                num_bits=default_bits,
-                transport=cluster,
-                network=network if network is not None else ETHERNET,
-                compute_profile=compute_profile,
-            )
-            layout = plan.bucket_layout()
-            names = [name for name, _ in layout]
-            sizes = [size for _, size in layout]
-
-        def bucket_factory(bucket_cluster: Transport, bucket_elements: int,
-                           bucket_name: str) -> GradientSynchronizer:
-            # Hybrid policy: buckets below the dense switch run an exact
-            # full-precision dense All-Reduce (momentum correction, when on,
-            # carries over — dense keeps the velocity unmasked, which is
-            # exactly naive momentum).  Per-bucket bits overrides match
-            # case-insensitive substrings of the bucket name; fused buckets
-            # join their tensor names with "+", so a pattern matches the
-            # fused bucket when it matches any member tensor.
-            if dense_below is not None and bucket_elements < dense_below:
-                dense_spec = SyncSpec(method="Dense",
-                                      momentum=flat_spec.momentum)
-                return _build_flat(dense_spec, bucket_cluster, bucket_elements)
-            bits = default_bits
-            lowered = bucket_name.lower()
-            for pattern, width in bits_overrides:
-                if pattern in lowered:
-                    bits = width
-            bucket_spec = flat_spec
-            if bits != flat_spec.bits:
-                bucket_spec = dataclasses.replace(
-                    flat_spec, bits=bits, extras=dict(flat_spec.extras))
-            return _build_flat(bucket_spec, bucket_cluster, bucket_elements)
-
-        synchronizer: GradientSynchronizer = BucketedSynchronizer(
-            cluster, sizes,
-            factory=bucket_factory,
-            bucket_names=names,
-            plan=plan,
-        )
+        synchronizer: GradientSynchronizer = _build_bucketed(
+            parsed, cluster, model, network, compute_profile)
     else:
         if num_elements is None:
             if model is None:
@@ -623,14 +554,17 @@ def make(spec: "str | SyncSpec", cluster: Optional[Transport] = None, *,
     if parsed.backend is not None or getattr(cluster, "spec_name", "sim") != "sim":
         # Record the *effective* backend (always with its worker count) so
         # describe() round-trips e.g. "spardl?density=0.01&backend=mp:4".
-        parsed = dataclasses.replace(parsed, backend=transport_spec(cluster),
-                                     extras=dict(parsed.extras))
+        parsed = parsed.replace(backend=transport_spec(cluster))
     if parsed.trace != "off":
         # One tracer per built synchroniser, spanning the inner bucketed
         # sessions and the transport; trace=off constructs nothing.
         attach_tracer(synchronizer, Tracer(parsed.trace))
     synchronizer._spec = parsed.canonical()
     return synchronizer
+
+
+#: Keywords of :func:`make` a factory forwards besides spec keys.
+_CONTEXT = ("network", "compute_profile")
 
 
 def make_factory(spec: "str | SyncSpec",
@@ -644,12 +578,15 @@ def make_factory(spec: "str | SyncSpec",
     like this one that accept them, the trainer's ``network`` and
     ``compute_profile``, so ``buckets=auto`` specs plan their fusion
     against the very setting the run is timed with.  Keywords given here
-    win over that trainer-supplied context.
+    (spec keys, ``network``, ``compute_profile``) win over that
+    trainer-supplied context; the spec and its keys are checked here, not
+    when the trainer builds.
     """
-    parsed = parse_spec(spec)  # fail fast on malformed specs
+    context = {key: overrides.pop(key) for key in _CONTEXT if key in overrides}
+    parsed = parse_spec(spec).replace(**overrides)
 
-    def factory(cluster: Transport, model, **context) -> GradientSynchronizer:
-        return make(parsed, cluster, model=model, **{**context, **overrides})
+    def factory(cluster: Transport, model, **trainer_context) -> GradientSynchronizer:
+        return make(parsed, cluster, model=model, **{**trainer_context, **context})
 
     factory.spec = parsed.canonical()
     return factory
@@ -672,64 +609,12 @@ def describe(target) -> str:
         "synchronisers / factories carry a spec")
 
 
-# ---------------------------------------------------------------------------
-# registry-compatible interface
-# ---------------------------------------------------------------------------
 def available_methods(num_workers: int, include_dense: bool = False) -> List[str]:
     """Method names runnable on a cluster of ``num_workers`` (gTopk requires a
     power-of-two worker count)."""
     methods = ["SparDL", "Ok-Topk", "TopkA", "TopkDSA"]
-    if _is_power_of_two(num_workers):
+    if is_power_of_two(num_workers):
         methods.append("gTopk")
     if include_dense:
         methods.append("Dense")
     return methods
-
-
-def make_synchronizer(
-    name: str,
-    cluster: Transport,
-    num_elements: int,
-    *,
-    k: Optional[int] = None,
-    density: Optional[float] = None,
-    num_teams: int = 1,
-    sag_mode: SAGMode | str = SAGMode.AUTO,
-    residual_policy: ResidualPolicy | str = ResidualPolicy.GLOBAL,
-    sparsify_all_blocks: bool = False,
-    schedule: Optional[str] = None,
-    num_bits: Optional[int] = None,
-    momentum: Optional[float] = None,
-) -> GradientSynchronizer:
-    """Build a synchroniser by (case-insensitive) method name or spec string.
-
-    The pre-facade factory interface, kept verbatim: ``num_teams``,
-    ``sag_mode``, ``residual_policy`` and ``sparsify_all_blocks`` only
-    affect SparDL; the baselines use the residual policies of their
-    original papers.  ``name`` may also be a full spec string
-    (``"spardl?density=0.01&schedule=warmup:5"``); explicit keyword
-    arguments override the spec's keys.
-    """
-    parsed = parse_spec(name)
-    overrides: Dict[str, Any] = {}
-    if k is not None:
-        overrides["k"] = k
-    if density is not None:
-        overrides["density"] = density
-    if num_teams != 1:
-        overrides["teams"] = num_teams
-    mode = SAGMode.coerce(sag_mode)
-    if mode is not SAGMode.AUTO:
-        overrides["sag"] = mode.value
-    policy = ResidualPolicy.coerce(residual_policy)
-    if policy is not ResidualPolicy.GLOBAL:
-        overrides["residuals"] = policy.value
-    if sparsify_all_blocks:
-        overrides["sparsify_all_blocks"] = True
-    if schedule is not None:
-        overrides["schedule"] = schedule
-    if num_bits is not None:
-        overrides["bits"] = num_bits
-    if momentum is not None:
-        overrides["momentum"] = momentum
-    return make(parsed, cluster, num_elements=num_elements, **overrides)

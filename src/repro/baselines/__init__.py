@@ -1,23 +1,18 @@
 """Baseline gradient synchronisation methods compared against SparDL."""
 
-from .base import SparseBaseline, is_power_of_two, power_of_two_split
+from .base import SparseBaseline, power_of_two_split
 from .dense import DenseAllReduceSynchronizer
 from .gtopk import GTopkSynchronizer
 from .ok_topk import OkTopkSynchronizer
-from .registry import SYNCHRONIZER_NAMES, available_methods, make_synchronizer
 from .topk_a import TopkASynchronizer
 from .topk_dsa import TopkDSASynchronizer
 
 __all__ = [
     "SparseBaseline",
-    "is_power_of_two",
     "power_of_two_split",
     "DenseAllReduceSynchronizer",
     "GTopkSynchronizer",
     "OkTopkSynchronizer",
     "TopkASynchronizer",
     "TopkDSASynchronizer",
-    "SYNCHRONIZER_NAMES",
-    "available_methods",
-    "make_synchronizer",
 ]

@@ -25,11 +25,7 @@ from ..core.schedules import KSchedule, coerce_schedule
 from ..sparse.topk import WarmTopK
 from ..sparse.vector import SparseGradient
 
-__all__ = ["SparseBaseline", "power_of_two_split", "is_power_of_two"]
-
-
-def is_power_of_two(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
+__all__ = ["SparseBaseline", "power_of_two_split"]
 
 
 def power_of_two_split(num_workers: int) -> Tuple[int, int]:

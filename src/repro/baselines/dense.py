@@ -54,7 +54,6 @@ class DenseAllReduceSynchronizer(GradientSynchronizer):
         super().__init__(cluster, num_elements)
         self._num_bits = num_bits
         self._momentum = momentum
-        self.residuals: Optional[ResidualManager] = None
         if num_bits is not None or momentum is not None:
             self.residuals = ResidualManager(cluster.num_workers, num_elements,
                                              ResidualPolicy.GLOBAL)

@@ -20,10 +20,11 @@ from typing import Optional
 
 from ..comm.transport import Message, Transport
 from ..core.base import shared_dense_gradients
+from ..core.config import is_power_of_two
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualPolicy
 from ..core.schedules import KSchedule
-from .base import SparseBaseline, is_power_of_two
+from .base import SparseBaseline
 
 __all__ = ["GTopkSynchronizer"]
 
@@ -40,8 +41,10 @@ class GTopkSynchronizer(SparseBaseline):
                  momentum: Optional[float] = None) -> None:
         if not is_power_of_two(cluster.num_workers):
             raise ValueError(
-                "gTopk requires a power-of-two number of workers "
-                f"(got {cluster.num_workers}); the paper evaluates it at 8 workers only"
+                f"gTopk requires a power-of-two number of workers, got P={cluster.num_workers}: "
+                "its recursive-doubling exchange pairs workers rank ^ step, which only covers "
+                "every rank when P is a power of two.  Run it at P in {2, 4, 8, ...} or pick "
+                "another method (see repro.api.available_methods)."
             )
         super().__init__(cluster, num_elements, k=k, density=density,
                          schedule=schedule, residual_policy=ResidualPolicy.PARTIAL,

@@ -35,6 +35,7 @@ from .schedules import KSchedule, resolve_k
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compression.stack import CompressorStack
+    from .residuals import ResidualManager
 
 __all__ = ["SyncResult", "GradientSynchronizer", "resolve_k",
            "shared_dense_gradients"]
@@ -102,6 +103,11 @@ class GradientSynchronizer(ABC):
 
     #: Short human-readable name used in reports and figures.
     name: str = "synchronizer"
+    #: The per-worker selection budget of the current step (``None`` for
+    #: methods without a sparsity knob, e.g. Dense).
+    k: Optional[int] = None
+    #: The error-feedback state (``None`` for methods without one).
+    residuals: Optional["ResidualManager"] = None
 
     def __init__(self, cluster: Transport, num_elements: int,
                  schedule: Optional[KSchedule] = None) -> None:
@@ -142,9 +148,8 @@ class GradientSynchronizer(ABC):
         self.stack = stack
         if stack is None:
             return
-        residuals = getattr(self, "residuals", None)
-        if residuals is not None:
-            stack.bind_residuals(residuals)
+        if self.residuals is not None:
+            stack.bind_residuals(self.residuals)
         elif stack.momentum is not None:
             raise ValueError(
                 f"{type(self).__name__} has no residual manager; momentum "
@@ -157,12 +162,11 @@ class GradientSynchronizer(ABC):
         already active (e.g. spec ``momentum=`` disagreeing with
         ``TrainerConfig.momentum``) or the method has no residual manager.
         """
-        residuals = getattr(self, "residuals", None)
-        if residuals is None:
+        if self.residuals is None:
             raise ValueError(
                 f"{type(self).__name__} has no residual manager; momentum "
                 "correction requires an error-feedback path")
-        residuals.set_momentum(factor)
+        self.residuals.set_momentum(factor)
 
     # ------------------------------------------------------------------
     # the staged pipeline
@@ -194,7 +198,7 @@ class GradientSynchronizer(ABC):
         context = StepContext(
             gradients={rank: np.asarray(grad, dtype=np.float64)
                        for rank, grad in gradients.items()},
-            k=getattr(self, "k", None),
+            k=self.k,
             iteration=self.iteration,
         )
         # A pricing compressor stack re-prices every wire message of this
@@ -222,11 +226,10 @@ class GradientSynchronizer(ABC):
                 self.cluster.install_pricer(previous_pricer)
         if prices:
             context.info.setdefault("quantized_bits", self.stack.num_bits)
-        residuals = getattr(self, "residuals", None)
-        if residuals is not None and residuals.momentum:
+        if self.residuals is not None and self.residuals.momentum:
             # Only added when momentum correction is active, so momentum-off
             # runs keep their info dicts (and bit-identity gates) unchanged.
-            context.info.setdefault("momentum", residuals.momentum)
+            context.info.setdefault("momentum", self.residuals.momentum)
         if "lost_messages" in context.scratch:
             # Copied from scratch because combine stages may rebuild
             # ``context.info`` wholesale after the exchange absorbed losses.
@@ -245,7 +248,7 @@ class GradientSynchronizer(ABC):
     def _resolve_sparsity(self) -> None:
         """Adopt the ``k`` the schedule resolves for this iteration."""
         k = int(self.schedule.resolve(self.iteration, self.num_elements))
-        if k != getattr(self, "k", None):
+        if k != self.k:
             self.set_sparsity(k)
 
     def _compress_dense(self, context: StepContext) -> None:
@@ -266,13 +269,12 @@ class GradientSynchronizer(ABC):
         lost = self.cluster.drain_lost()
         if not lost:
             return
-        residuals = getattr(self, "residuals", None)
-        if residuals is None:
+        if self.residuals is None:
             raise RuntimeError(
                 f"{type(self).__name__} lost {len(lost)} lossy message(s) but "
                 "has no residual manager to absorb their mass; lossy "
                 "messages require an error-feedback path")
-        mass = fold_lost_messages(lost, residuals)
+        mass = fold_lost_messages(lost, self.residuals)
         context.scratch["lost_messages"] = (
             context.scratch.get("lost_messages", 0) + len(lost))
         context.scratch["lost_mass"] = (

@@ -231,7 +231,7 @@ class BucketedSynchronizer(GradientSynchronizer):
         Sessions read this after every step, so a bucketed warm-up's
         resolved-``k`` trajectory is visible exactly like a flat one's.
         """
-        ks = [getattr(session.synchronizer, "k", None) for session in self.sessions]
+        ks = [session.synchronizer.k for session in self.sessions]
         if any(value is None for value in ks):
             return None
         return int(sum(ks))
@@ -313,7 +313,7 @@ class BucketedSynchronizer(GradientSynchronizer):
         """
         total = np.zeros(self.num_elements, dtype=np.float64)
         for (lo, hi), session in zip(self.slices, self.sessions):
-            residuals = getattr(session.synchronizer, "residuals", None)
+            residuals = session.synchronizer.residuals
             if residuals is not None:
                 total[lo:hi] = residuals.total_residual()
         return total

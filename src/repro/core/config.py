@@ -18,7 +18,7 @@ from typing import Optional
 from .residuals import ResidualPolicy
 from .schedules import KSchedule, coerce_schedule
 
-__all__ = ["SAGMode", "SparDLConfig", "DEFAULT_DENSE_CROSSOVER"]
+__all__ = ["SAGMode", "SparDLConfig", "DEFAULT_DENSE_CROSSOVER", "is_power_of_two"]
 
 #: Density ratio ``k/n`` at which the sparse pipeline stops beating a dense
 #: All-Reduce.  Measured in simulated alpha-beta time (gated by
@@ -31,7 +31,7 @@ __all__ = ["SAGMode", "SparDLConfig", "DEFAULT_DENSE_CROSSOVER"]
 DEFAULT_DENSE_CROSSOVER = 0.5
 
 
-def _is_power_of_two(value: int) -> bool:
+def is_power_of_two(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
 
 
@@ -75,17 +75,15 @@ class SparDLConfig:
         Disable the paper's "Optimization for SRS": re-sparsify every held
         block after each summation instead of only the blocks about to be
         sent.  Only used by the ablation benchmark.
-    dense_fallback:
-        When True (default), synchronisations whose density ``k/n`` reaches
-        :attr:`dense_fallback_ratio` bypass the sparse pipeline and run a
-        dense All-Reduce instead — at high density the COO representation
-        moves *more* than the dense lower bound (2 elements per non-zero)
-        and pays the sparse bookkeeping on top.
     dense_fallback_ratio:
-        Crossover density for the fallback.  ``None`` uses the measured
-        default :data:`DEFAULT_DENSE_CROSSOVER`; any positive float
-        overrides it.  Because ``k/n`` never exceeds 1, a value above 1
-        disables the fallback (equivalent to ``dense_fallback=False``).
+        Synchronisations whose density ``k/n`` reaches this crossover
+        bypass the sparse pipeline and run a dense All-Reduce instead — at
+        high density the COO representation moves *more* than the dense
+        lower bound (2 elements per non-zero) and pays the sparse
+        bookkeeping on top.  ``None`` uses the measured default
+        :data:`DEFAULT_DENSE_CROSSOVER`; any positive float overrides it.
+        Because ``k/n`` never exceeds 1, a value above 1 (e.g.
+        ``float("inf")``) disables the fallback.
     schedule:
         Sparsity schedule (see :mod:`repro.core.schedules`): ``None`` keeps
         the constant ``k``/``density`` (the pre-schedule behaviour, bit for
@@ -121,7 +119,6 @@ class SparDLConfig:
     sag_mode: SAGMode | str = SAGMode.AUTO
     residual_policy: ResidualPolicy | str = ResidualPolicy.GLOBAL
     sparsify_all_blocks: bool = False
-    dense_fallback: bool = True
     dense_fallback_ratio: Optional[float] = None
     schedule: Optional[KSchedule | str] = None
     num_bits: Optional[int] = None
@@ -190,7 +187,7 @@ class SparDLConfig:
                 f"num_teams={self.num_teams} must divide the number of workers {num_workers}"
             )
         if (self.num_teams > 1 and self.sag_mode is SAGMode.RSAG
-                and not _is_power_of_two(self.num_teams)):
+                and not is_power_of_two(self.num_teams)):
             raise ValueError("R-SAG requires a power-of-two number of teams")
 
     def resolve_dense_crossover(self) -> float:
@@ -204,7 +201,7 @@ class SparDLConfig:
         if self.num_teams == 1:
             return SAGMode.AUTO
         if self.sag_mode is SAGMode.AUTO:
-            return SAGMode.RSAG if _is_power_of_two(self.num_teams) else SAGMode.BSAG
+            return SAGMode.RSAG if is_power_of_two(self.num_teams) else SAGMode.BSAG
         return SAGMode.coerce(self.sag_mode)
 
     def team_size(self, num_workers: int) -> int:

@@ -31,11 +31,10 @@ opaque ``synchronize()`` call.  A step runs five stages in order:
 
 :class:`StepContext` is the mutable record the stages pass along;
 :class:`SyncSession` is the stateful driver that runs the stages step
-after step, carrying the iteration count, the schedule-resolved ``k`` and
-the cumulative :class:`~repro.comm.stats.CommStats` across steps.  The
-legacy ``GradientSynchronizer.synchronize()`` remains as a thin adapter
-over the same staged driver, so the two paths are bit-identical by
-construction (asserted method-by-method in ``tests/test_pipeline_equivalence.py``).
+after step, carrying the schedule-resolved ``k`` and the cumulative
+:class:`~repro.comm.stats.CommStats` across steps.  The legacy
+``GradientSynchronizer.synchronize()`` remains as a thin adapter over the
+same staged driver, so the two paths are bit-identical by construction (asserted method-by-method in ``tests/test_pipeline_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import numpy as np
 from ..comm.packed import PackedBags
 from ..comm.stats import CommStats
 from ..sparse.vector import SparseGradient
-from .schedules import KSchedule, coerce_schedule
+from .schedules import KSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..comm.transport import Message
@@ -190,21 +189,17 @@ class SyncSession:
     """Stateful driver of the staged pipeline for one synchroniser.
 
     A session owns the cross-step state the one-shot ``synchronize()``
-    call hides: the iteration count, the ``k`` each step resolved through
-    the synchroniser's :class:`~repro.core.schedules.KSchedule`, and the
-    cumulative :class:`~repro.comm.stats.CommStats` over every step driven
-    so far.  Per-stage hooks observe the :class:`StepContext` after each
-    stage — the boundary that per-stage timing, logging and the bucketing
-    layer build on.
+    call hides: the ``k`` each step resolved through the synchroniser's
+    :class:`~repro.core.schedules.KSchedule`, and the cumulative
+    :class:`~repro.comm.stats.CommStats` over every step driven so far
+    (the iteration count is the synchroniser's own).  Per-stage hooks
+    observe the :class:`StepContext` after each stage — the boundary that
+    per-stage timing, logging and the bucketing layer build on.
 
     Parameters
     ----------
     synchronizer:
         The :class:`~repro.core.base.GradientSynchronizer` to drive.
-    schedule:
-        Optional schedule override: a :class:`KSchedule`, or a spec string
-        (``"warmup:5"``) interpreted against the synchroniser's current
-        ``k``.  ``None`` keeps the synchroniser's own schedule.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When set (directly, or
         inherited from ``synchronizer.tracer`` as installed by
@@ -226,17 +221,8 @@ class SyncSession:
     """
 
     def __init__(self, synchronizer: "GradientSynchronizer",
-                 schedule: Optional[KSchedule | str] = None,
                  tracer: Optional[Any] = None) -> None:
         self.synchronizer = synchronizer
-        if schedule is not None:
-            if isinstance(schedule, KSchedule):
-                synchronizer.schedule = schedule
-            else:
-                synchronizer.schedule = coerce_schedule(
-                    schedule, k=getattr(synchronizer, "k", None))
-        #: Number of steps driven through this session.
-        self.iteration = 0
         #: The ``k`` the schedule resolved for the most recent step.
         self.resolved_k: Optional[int] = None
         #: Per-step history of the resolved ``k``.
@@ -272,6 +258,11 @@ class SyncSession:
     def schedule(self) -> Optional[KSchedule]:
         return self.synchronizer.schedule
 
+    @property
+    def iteration(self) -> int:
+        """Steps the synchroniser has run (its counter is the only one)."""
+        return self.synchronizer.iteration
+
     def add_stage_hook(self, hook: StageHook) -> None:
         """Register ``hook(stage, context)`` to run after every stage."""
         self._stage_hooks.append(hook)
@@ -295,8 +286,7 @@ class SyncSession:
         else:
             observer = self._notify if self._stage_hooks else None
             result = self.synchronizer._step(gradients, observer=observer)
-        self.iteration += 1
-        self.resolved_k = getattr(self.synchronizer, "k", None)
+        self.resolved_k = self.synchronizer.k
         self.k_history.append(self.resolved_k)
         # Elastic membership: accumulate across different worker counts by
         # expanding whichever side is narrower to the widest seen so far.
@@ -317,22 +307,23 @@ class SyncSession:
         timer reads per stage and nothing to the stage bodies."""
         label = self.trace_label
         suffix = "" if label is None else f":{label}"
+        iteration = self.iteration
         start = tracer.now_us()
         cursor = [start]
 
         def observer(stage: SyncStage, context: StepContext) -> None:
             now = tracer.now_us()
             tracer.complete(f"{stage.value}{suffix}", "stage", cursor[0],
-                            now - cursor[0], args={"iteration": self.iteration})
+                            now - cursor[0], args={"iteration": iteration})
             cursor[0] = now
             if self._stage_hooks:
                 self._notify(stage, context)
 
         result = self.synchronizer._step(gradients, observer=observer)
         end = tracer.now_us()
-        k = getattr(self.synchronizer, "k", None)
+        k = self.synchronizer.k
         tracer.complete(f"step{suffix}", "iteration", start, end - start,
-                        args={"iteration": self.iteration,
+                        args={"iteration": iteration,
                               "method": self.synchronizer.name,
                               "k": None if k is None else int(k)})
         tracer.metrics.counter("steps_total", method=self.synchronizer.name).inc()

@@ -183,8 +183,7 @@ class SparDLSynchronizer(GradientSynchronizer):
         #: Non-zeros kept per block, over all of its segments.
         self.k_block = sum(per_bucket)
         #: True when the current ``k`` bypasses the sparse pipeline.
-        self.uses_dense_fallback = (self.config.dense_fallback
-                                    and self.k / self.num_elements >= self.dense_crossover)
+        self.uses_dense_fallback = self.k / self.num_elements >= self.dense_crossover
 
     # ------------------------------------------------------------------
     # elastic membership

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     SYNCHRONIZER_NAMES,
@@ -11,7 +14,6 @@ from repro.api import (
     describe,
     make,
     make_factory,
-    make_synchronizer,
     parse_spec,
 )
 from repro.baselines.dense import DenseAllReduceSynchronizer
@@ -20,8 +22,8 @@ from repro.baselines.ok_topk import OkTopkSynchronizer
 from repro.baselines.topk_a import TopkASynchronizer
 from repro.baselines.topk_dsa import TopkDSASynchronizer
 from repro.comm.cluster import SimulatedCluster
+from repro.comm.network import ETHERNET
 from repro.core.bucketed import BucketedSynchronizer
-from repro.core.schedules import WarmupSchedule
 from repro.core.spardl import SparDLSynchronizer
 from repro.nn.models import build_mlp
 
@@ -48,6 +50,17 @@ class TestParseSpec:
         assert parse_spec(spec).canonical() == spec
         assert parse_spec(parse_spec(spec).canonical()).canonical() == spec
 
+    def test_floats_keep_every_digit(self):
+        """Regression: ``:g`` printed six significant digits, so
+        ``density=0.0123456789`` came back as ``0.0123457``."""
+        text = "spardl?density=0.0123456789&momentum=0.987654321"
+        spec = parse_spec(text)
+        assert spec.canonical() == text
+        assert parse_spec(spec.canonical()) == spec
+        numpy_spec = SyncSpec("spardl", density=np.float64(0.0123456789),
+                              momentum=np.float64(0.987654321))
+        assert numpy_spec.canonical() == text
+
     @pytest.mark.parametrize("bad,match", [
         ("nope?k=10", "unknown synchroniser"),
         ("spardl?frobnicate=1", "unknown spec key"),
@@ -56,6 +69,8 @@ class TestParseSpec:
         ("spardl?density", "malformed spec parameter"),
         ("spardl?k=5&k=6", "duplicate spec key"),
         ("spardl?k=5&density=0.1", "only one of k and density"),
+        ("spardl?density=0.1&buckets=size:0", "unknown buckets mode"),
+        ("spardl?density=0.1&buckets=auto:greedy", "unknown fusion planner"),
         ("", "empty synchroniser spec"),
     ])
     def test_malformed_specs_raise(self, bad, match):
@@ -76,11 +91,48 @@ class TestMake:
         sync = make(spec, SimulatedCluster(8), num_elements=100)
         assert isinstance(sync, cls)
 
+    @pytest.mark.parametrize("name,cls", [
+        ("spardl", SparDLSynchronizer), ("SparDL", SparDLSynchronizer),
+        ("ok-topk", OkTopkSynchronizer), ("oktopk", OkTopkSynchronizer),
+        ("ok_topk", OkTopkSynchronizer), ("topka", TopkASynchronizer),
+        ("topk-a", TopkASynchronizer), ("topk_a", TopkASynchronizer),
+        ("topkdsa", TopkDSASynchronizer), ("topk-dsa", TopkDSASynchronizer),
+        ("topk_dsa", TopkDSASynchronizer), ("gtopk", GTopkSynchronizer),
+        ("gtop-k", GTopkSynchronizer), ("dense", DenseAllReduceSynchronizer),
+        ("allreduce", DenseAllReduceSynchronizer),
+    ])
+    def test_every_alias_builds_its_class(self, name, cls):
+        density = {} if cls is DenseAllReduceSynchronizer else {"density": 0.1}
+        sync = make(name, SimulatedCluster(8), num_elements=100, **density)
+        assert isinstance(sync, cls)
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="unknown synchroniser"):
+            make("nope", SimulatedCluster(4), num_elements=100, k=10)
+
     def test_overrides_replace_spec_keys(self):
-        sync = make("spardl?density=0.1", SimulatedCluster(8), num_elements=100,
-                    teams=4, sag="rsag")
-        assert sync.num_teams == 4
-        assert describe(sync) == "spardl?density=0.1&teams=4&sag=rsag"
+        sync = make("spardl?density=0.5", SimulatedCluster(8), num_elements=1000,
+                    density=0.01, teams=4, sag="rsag")
+        assert sync.k == 10 and sync.num_teams == 4
+        assert describe(sync) == "spardl?density=0.01&teams=4&sag=rsag"
+
+    @pytest.mark.parametrize("spec", ["spardl?density=0.1", "ok-topk?density=0.1",
+                                      "topka?density=0.1", "topkdsa?density=0.1",
+                                      "gtopk?density=0.1", "dense"])
+    def test_unknown_keywords_raise(self, spec):
+        """Regression: unknown keywords landed in a side dict only SparDL
+        read, so the baselines built silently and SparDL died on a bare
+        ``TypeError``."""
+        with pytest.raises(ValueError, match="unknown spec key 'tpyo'"):
+            make(spec, SimulatedCluster(8), num_elements=100, tpyo=3)
+        with pytest.raises(ValueError, match="unknown spec key 'tpyo'"):
+            make_factory(spec, tpyo=3)  # when called, not when the trainer builds
+
+    def test_factory_keywords_join_its_spec(self):
+        factory = make_factory("spardl?density=0.01", teams=2, network=ETHERNET)
+        assert factory.spec == "spardl?density=0.01&teams=2"
+        sync = factory(SimulatedCluster(4), build_mlp(8, [8], 2, seed=0))
+        assert sync.num_teams == 2 and describe(sync) == factory.spec
 
     def test_model_supplies_num_elements(self):
         model = build_mlp(8, [8], 2, seed=0)
@@ -101,7 +153,7 @@ class TestMake:
         with pytest.raises(ValueError, match="power-of-two"):
             make("gtopk?density=0.1", SimulatedCluster(14), num_elements=100)
         with pytest.raises(ValueError, match="power-of-two"):
-            make_synchronizer("gTopk", SimulatedCluster(6), 100, k=10)
+            make("gTopk", SimulatedCluster(6), num_elements=100, k=10)
 
     def test_dense_rejects_schedule(self):
         with pytest.raises(ValueError, match="no sparsity knob"):
@@ -113,25 +165,69 @@ class TestMake:
         assert isinstance(sync, BucketedSynchronizer)
         assert sync.num_elements == model.num_parameters()
 
+    def test_available_methods(self):
+        assert SYNCHRONIZER_NAMES == ("SparDL", "Ok-Topk", "TopkA", "TopkDSA",
+                                      "gTopk", "Dense")
+        assert "gTopk" not in available_methods(14)
+        assert "gTopk" in available_methods(8)
+        assert "Dense" in available_methods(8, include_dense=True)
+        assert "Dense" not in available_methods(8)
+
+
+#: Workers of the round-trip property, and the model its bucketed specs use
+#: (tensors ``mlp.fc0.weight`` / ``.bias``, ``mlp.out.weight`` / ``.bias``).
+WORKERS = 8
+MODEL = build_mlp(8, [8], 2, seed=0)
+#: Every spelling a spec may give a method.
+SPELLINGS = ["spardl", "SparDL", "ok-topk", "oktopk", "ok_topk", "topka", "topk-a",
+             "topk_a", "topkdsa", "topk-dsa", "topk_dsa", "gtopk", "gtop-k",
+             "dense", "allreduce"]
+
+
+@st.composite
+def spec_strings(draw):
+    """A runnable spec string with a value drawn for every key."""
+    name = draw(st.sampled_from(SPELLINGS))
+    sparse = parse_spec(name).method != "Dense"
+    buckets = draw(st.sampled_from(["flat", "layer", "size:40", "auto", "auto:asc"]))
+    bucketed = buckets != "flat"
+    momentum = draw(st.none() | st.floats(0.01, 0.99))
+    keys = {
+        "teams": draw(st.sampled_from([1, 2, 4])),
+        "sag": draw(st.sampled_from(["auto", "rsag", "bsag"])),
+        # momentum correction keeps its velocity in the residual stores
+        "residuals": draw(st.sampled_from(
+            ["global", "partial", "local"] + (["none"] if momentum is None else []))),
+        "buckets": buckets,
+        "bits": draw(st.none() | st.integers(1, 32)
+                     | (st.sampled_from(["8,out:32", "fc0:4"]) if bucketed else st.nothing())),
+        "momentum": momentum,
+        "backend": draw(st.sampled_from([None, f"sim:{WORKERS}"])),
+        "trace": draw(st.sampled_from(["off", "steps", "comm"])),
+    }
+    if sparse:
+        if draw(st.booleans()):
+            keys["k"] = draw(st.integers(1, 120))
+        else:
+            keys["density"] = draw(st.floats(1e-4, 1.0))
+        keys["schedule"] = draw(st.sampled_from(
+            ["constant", "warmup:3", "warmup:2:0.5", "adaptive", "adaptive:0.25"]))
+        if bucketed:
+            keys["hybrid"] = draw(st.sampled_from([None, "dense<20"]))
+    query = "&".join(f"{key}={value}" for key, value in keys.items() if value is not None)
+    return f"{name}?{query}"
+
 
 class TestDescribeRoundTrip:
-    @pytest.mark.parametrize("spec", [
-        "dense",
-        "spardl?density=0.01",
-        "spardl?k=50&teams=2",
-        "spardl?density=0.01&schedule=warmup:5&buckets=layer",
-        "gtopk?density=0.01&schedule=adaptive",
-        "ok-topk?k=500",
-        "spardl?density=0.02&residuals=partial",
-    ])
+    @given(spec=spec_strings())
+    @settings(max_examples=60, deadline=None)
     def test_make_then_describe_round_trips(self, spec):
-        cluster = SimulatedCluster(8)
-        needs_model = "buckets" in spec
-        model = build_mlp(8, [8], 2, seed=0) if needs_model else None
-        sync = make(spec, cluster, num_elements=None if needs_model else 200,
-                    model=model)
-        assert describe(sync) == spec
-        assert parse_spec(describe(sync)).canonical() == spec
+        expected = parse_spec(spec)
+        sync = make(spec, SimulatedCluster(WORKERS), network=ETHERNET,
+                    **({"model": MODEL} if expected.is_bucketed else {"num_elements": 200}))
+        assert parse_spec(describe(sync)) == expected
+        canonical = expected.canonical()
+        assert parse_spec(canonical).canonical() == canonical
 
     def test_describe_factory_and_string(self):
         factory = make_factory("spardl?density=0.01&schedule=warmup:5")
@@ -143,38 +239,7 @@ class TestDescribeRoundTrip:
             describe(object())
 
 
-class TestRegistryCompatibility:
-    """The old registry interface must keep working, re-exported verbatim."""
-
-    def test_reexports(self):
-        from repro.baselines.registry import (
-            SYNCHRONIZER_NAMES as reexported_names,
-            available_methods as reexported_available,
-            make_synchronizer as reexported_make,
-        )
-        assert reexported_names is SYNCHRONIZER_NAMES
-        assert reexported_available is available_methods
-        assert reexported_make is make_synchronizer
-
-    def test_make_synchronizer_accepts_spec_strings(self):
-        sync = make_synchronizer("spardl?density=0.01&schedule=warmup:5",
-                                 SimulatedCluster(8), 1000)
-        assert isinstance(sync, SparDLSynchronizer)
-        assert isinstance(sync.schedule, WarmupSchedule)
-
-    def test_make_synchronizer_kwargs_override_spec(self):
-        sync = make_synchronizer("spardl?density=0.5", SimulatedCluster(8), 1000,
-                                 density=0.01, num_teams=2)
-        assert sync.k == 10
-        assert sync.num_teams == 2
-
-    def test_available_methods(self):
-        assert "gTopk" not in available_methods(14)
-        assert "gTopk" in available_methods(8)
-        assert "Dense" in available_methods(8, include_dense=True)
-
-
-class TestSyncSpecDataclass:
+class TestSyncSpec:
     def test_direct_construction_canonicalises_method(self):
         assert SyncSpec(method="oktopk", k=5).method == "Ok-Topk"
 

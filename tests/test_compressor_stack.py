@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import describe, make, parse_spec
-from repro.baselines.registry import make_synchronizer
 from repro.comm.cluster import SimulatedCluster
 from repro.compression import (
     CompressorStack,
@@ -191,8 +190,8 @@ class TestConservationProperty:
         num_workers, num_elements = 4, 90
         cluster = SimulatedCluster(num_workers)
         kwargs = {} if method == "Dense" else {"density": 0.1}
-        sync = make_synchronizer(method, cluster, num_elements,
-                                 momentum=momentum, num_bits=bits, **kwargs)
+        sync = make(method, cluster, num_elements=num_elements,
+                    momentum=momentum, bits=bits, **kwargs)
         for i in range(3):
             grads = random_gradients(num_workers, num_elements, seed=seed + 11 * i)
             residual_before = sync.residuals.total_residual()
@@ -215,7 +214,7 @@ class TestMomentumOffBitIdentity:
     def _build(self, method):
         cluster = SimulatedCluster(4)
         kwargs = {} if method == "Dense" else {"density": 0.05}
-        return make_synchronizer(method, cluster, 160, **kwargs)
+        return make(method, cluster, num_elements=160, **kwargs)
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_no_stack_no_momentum_key(self, method):

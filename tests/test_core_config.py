@@ -111,7 +111,7 @@ class TestFallbackKnobs:
         ratios = []
         for density in densities:
             sparse = SparDLSynchronizer(SimulatedCluster(P), n, SparDLConfig(
-                density=density, dense_fallback=False)).synchronize(gradients)
+                density=density, dense_fallback_ratio=float("inf"))).synchronize(gradients)
             ratios.append(sparse.stats.simulated_time(ETHERNET)
                           / dense.stats.simulated_time(ETHERNET))
         crossing = next(i for i in range(1, len(ratios))

@@ -17,12 +17,11 @@ from tests.helpers import random_gradients
 
 def build(num_workers, num_elements, *, k=None, density=0.05, num_teams=1,
           sag_mode=SAGMode.AUTO, residual_policy=ResidualPolicy.GLOBAL,
-          sparsify_all=False, dense_fallback=True, dense_fallback_ratio=None):
+          sparsify_all=False, dense_fallback_ratio=None):
     cluster = SimulatedCluster(num_workers)
     config = SparDLConfig(k=k, density=None if k else density, num_teams=num_teams,
                           sag_mode=sag_mode, residual_policy=residual_policy,
                           sparsify_all_blocks=sparsify_all,
-                          dense_fallback=dense_fallback,
                           dense_fallback_ratio=dense_fallback_ratio)
     return cluster, SparDLSynchronizer(cluster, num_elements, config)
 
@@ -66,7 +65,7 @@ class TestSparDLBasics:
         """With k = n the *sparse pipeline* degenerates to an exact dense
         All-Reduce (fallback disabled so the sparse path itself is tested)."""
         num_workers, num_elements = 6, 120
-        _, sync = build(num_workers, num_elements, k=num_elements, dense_fallback=False)
+        _, sync = build(num_workers, num_elements, k=num_elements, dense_fallback_ratio=math.inf)
         gradients = random_gradients(num_workers, num_elements)
         result = sync.synchronize(gradients)
         assert not sync.uses_dense_fallback
@@ -239,7 +238,7 @@ class TestDenseFallback:
         assert not sync.uses_dense_fallback
 
     def test_disable_keeps_sparse_pipeline(self):
-        _, sync = build(8, 400, density=0.8, dense_fallback=False)
+        _, sync = build(8, 400, density=0.8, dense_fallback_ratio=math.inf)
         assert not sync.uses_dense_fallback
         result = sync.synchronize(random_gradients(8, 400))
         assert result.info["dense_fallback"] is False
@@ -250,7 +249,7 @@ class TestDenseFallback:
         num_workers, num_elements = 8, 800
         gradients = random_gradients(num_workers, num_elements)
         _, fallback = build(num_workers, num_elements, density=0.9)
-        _, sparse = build(num_workers, num_elements, density=0.9, dense_fallback=False)
+        _, sparse = build(num_workers, num_elements, density=0.9, dense_fallback_ratio=math.inf)
         t_fallback = fallback.synchronize(gradients).stats.simulated_time(ETHERNET)
         t_sparse = sparse.synchronize(gradients).stats.simulated_time(ETHERNET)
         assert t_fallback < t_sparse

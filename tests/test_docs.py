@@ -2,8 +2,8 @@
 
 Runs every ``>>>`` doctest embedded in the top-level README and the docs
 pages, so the commands and snippets the documentation shows a new
-contributor cannot silently rot.  CI additionally executes
-``examples/quickstart.py`` in a dedicated docs job.
+contributor cannot silently rot.  CI additionally executes every script
+in ``examples/`` in a dedicated docs job.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.complexity import spardl_complexity, table1
-from repro.baselines.registry import available_methods, make_synchronizer
+from repro.api import available_methods, make
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET
 from repro.core.config import SAGMode, SparDLConfig
@@ -27,7 +27,7 @@ class TestDegenerateGradients:
     def test_all_zero_gradients(self, method):
         """All-zero gradients synchronise to all-zero without errors."""
         cluster = SimulatedCluster(4)
-        sync = make_synchronizer(method, cluster, 100, k=10)
+        sync = make(method, cluster, num_elements=100, k=10)
         result = sync.synchronize({w: np.zeros(100) for w in range(4)})
         assert result.is_consistent
         np.testing.assert_allclose(result.gradient(0), np.zeros(100))
@@ -74,13 +74,13 @@ class TestTwoWorkerCluster:
     @pytest.mark.parametrize("method", ["SparDL", "TopkA", "TopkDSA", "Ok-Topk", "gTopk"])
     def test_two_workers_consistent(self, method):
         cluster = SimulatedCluster(2)
-        sync = make_synchronizer(method, cluster, 150, k=15)
+        sync = make(method, cluster, num_elements=150, k=15)
         result = sync.synchronize(random_gradients(2, 150))
         assert result.is_consistent
 
     def test_two_workers_spardl_single_round_each_phase(self):
         cluster = SimulatedCluster(2)
-        sync = make_synchronizer("SparDL", cluster, 150, k=15)
+        sync = make("SparDL", cluster, num_elements=150, k=15)
         result = sync.synchronize(random_gradients(2, 150))
         assert result.stats.rounds == 2  # one SRS step + one All-Gather step
 
@@ -114,14 +114,14 @@ class TestMethodAvailabilityAndLabels:
         for num_workers in (3, 4, 14):
             for method in available_methods(num_workers, include_dense=True):
                 cluster = SimulatedCluster(num_workers)
-                sync = make_synchronizer(method, cluster, 120, density=0.1)
+                sync = make(method, cluster, num_elements=120, density=0.1)
                 result = sync.synchronize(random_gradients(num_workers, 120))
                 assert result.is_consistent, f"{method} on P={num_workers}"
 
     def test_spardl_name_reflects_configuration(self):
         cluster = SimulatedCluster(8)
-        sync = make_synchronizer("SparDL", cluster, 100, density=0.01, num_teams=4,
-                                 sag_mode=SAGMode.RSAG)
+        sync = make("SparDL", cluster, num_elements=100, density=0.01, teams=4,
+                    sag=SAGMode.RSAG)
         assert "RSAG" in sync.name and "d=4" in sync.name
 
     def test_table1_and_measurement_share_units(self):
@@ -129,7 +129,7 @@ class TestMethodAvailabilityAndLabels:
         same ballpark for SparDL (both count COO elements)."""
         num_workers, num_elements, k = 8, 2000, 200
         cluster = SimulatedCluster(num_workers)
-        sync = make_synchronizer("SparDL", cluster, num_elements, k=k)
+        sync = make("SparDL", cluster, num_elements=num_elements, k=k)
         result = sync.synchronize(random_gradients(num_workers, num_elements))
         measured = communication_time(result.stats, ETHERNET)
         predicted = spardl_complexity(num_workers, num_elements, k).time(

@@ -103,7 +103,7 @@ class TestGroupedEqualsIndependent:
     def test_bit_identical_except_for_rounds(self, sizes, config, seed):
         # one tensor alone would fall back dense at k/n >= 0.5: the property
         # is about the sparse exchange (the fallback has its own test below)
-        config = SparDLConfig(dense_fallback=False, **config)
+        config = SparDLConfig(dense_fallback_ratio=float("inf"), **config)
         workers, total = self.NUM_WORKERS, sum(sizes)
         grouped = SparDLSynchronizer(SimulatedCluster(workers), sizes, config)
         singles = [SparDLSynchronizer(SimulatedCluster(workers), size, config)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.complexity import table1
-from repro.baselines.registry import available_methods, make_synchronizer
+from repro.api import available_methods, make
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET
 from repro.training.cases import get_case
@@ -28,7 +28,7 @@ class TestMeasuredVersusTableI:
         # the Table I expression applies without rounding slack.
         num_elements = 2000
         cluster = SimulatedCluster(num_workers)
-        sync = make_synchronizer("SparDL", cluster, num_elements, k=k)
+        sync = make("SparDL", cluster, num_elements=num_elements, k=k)
         result = sync.synchronize(random_gradients(num_workers, num_elements))
         bound = table1(num_workers, num_elements, k)["SparDL"]
         assert result.stats.rounds == bound.latency_rounds
@@ -38,7 +38,7 @@ class TestMeasuredVersusTableI:
     def test_topka_measured_within_formula(self, num_workers):
         num_elements, k = 2000, 200
         cluster = SimulatedCluster(num_workers)
-        sync = make_synchronizer("TopkA", cluster, num_elements, k=k)
+        sync = make("TopkA", cluster, num_elements=num_elements, k=k)
         result = sync.synchronize(random_gradients(num_workers, num_elements))
         bound = table1(num_workers, num_elements, k)["TopkA"]
         assert result.stats.max_received <= bound.bandwidth_high + 1e-9
@@ -48,7 +48,7 @@ class TestMeasuredVersusTableI:
     def test_gtopk_measured_within_formula(self):
         num_workers, num_elements, k = 8, 2000, 200
         cluster = SimulatedCluster(num_workers)
-        sync = make_synchronizer("gTopk", cluster, num_elements, k=k)
+        sync = make("gTopk", cluster, num_elements=num_elements, k=k)
         result = sync.synchronize(random_gradients(num_workers, num_elements))
         bound = table1(num_workers, num_elements, k)["gTopk"]
         assert result.stats.max_received <= bound.bandwidth_high + 1e-9
@@ -58,7 +58,7 @@ class TestMeasuredVersusTableI:
     def test_oktopk_latency_grows_linearly_with_p(self, num_workers):
         num_elements, k = 2000, 200
         cluster = SimulatedCluster(num_workers)
-        sync = make_synchronizer("Ok-Topk", cluster, num_elements, k=k)
+        sync = make("Ok-Topk", cluster, num_elements=num_elements, k=k)
         result = sync.synchronize(random_gradients(num_workers, num_elements))
         bound = table1(num_workers, num_elements, k)["Ok-Topk"]
         assert result.stats.rounds >= 2 * (num_workers - 1)
@@ -69,7 +69,7 @@ class TestMeasuredVersusTableI:
         rounds = {}
         for method in ("SparDL", "Ok-Topk", "TopkDSA"):
             cluster = SimulatedCluster(num_workers)
-            sync = make_synchronizer(method, cluster, num_elements, k=k)
+            sync = make(method, cluster, num_elements=num_elements, k=k)
             result = sync.synchronize(random_gradients(num_workers, num_elements))
             rounds[method] = result.stats.rounds
         assert rounds["SparDL"] < rounds["Ok-Topk"]
@@ -80,7 +80,7 @@ class TestMeasuredVersusTableI:
         volumes = {}
         for method in ("SparDL", "TopkA"):
             cluster = SimulatedCluster(num_workers)
-            sync = make_synchronizer(method, cluster, num_elements, k=k)
+            sync = make(method, cluster, num_elements=num_elements, k=k)
             result = sync.synchronize(random_gradients(num_workers, num_elements))
             volumes[method] = result.stats.max_received
         assert volumes["SparDL"] < volumes["TopkA"]
@@ -99,7 +99,7 @@ class TestPaperTimingClaims:
         times = {}
         for method in available_methods(num_workers):
             cluster = SimulatedCluster(num_workers)
-            sync = make_synchronizer(method, cluster, num_elements, density=density)
+            sync = make(method, cluster, num_elements=num_elements, density=density)
             result = sync.synchronize(random_gradients(num_workers, num_elements))
             times[method] = communication_time(result.stats, ETHERNET, scale)
         assert min(times, key=times.get) == "SparDL"
@@ -112,7 +112,7 @@ class TestPaperTimingClaims:
         times = {}
         for method in ("SparDL", "Ok-Topk", "TopkA", "TopkDSA"):
             cluster = SimulatedCluster(num_workers)
-            sync = make_synchronizer(method, cluster, num_elements, density=density)
+            sync = make(method, cluster, num_elements=num_elements, density=density)
             result = sync.synchronize(random_gradients(num_workers, num_elements))
             times[method] = communication_time(result.stats, ETHERNET, scale)
         assert times["SparDL"] < times["Ok-Topk"] < times["TopkDSA"]
@@ -126,7 +126,7 @@ class TestEndToEndTraining:
         train, test = case.build_datasets(num_samples=48, seed=0)
         cluster = SimulatedCluster(4)
         num_elements = case.build_model(0).num_parameters()
-        sync = make_synchronizer(method, cluster, num_elements, density=0.02)
+        sync = make(method, cluster, num_elements=num_elements, density=0.02)
         trainer = DistributedTrainer(
             cluster, sync, case.build_model, train, test,
             config=TrainerConfig(batch_size=8, learning_rate=case.learning_rate,
@@ -142,8 +142,8 @@ class TestEndToEndTraining:
         train, test = case.build_datasets(num_samples=48, seed=0)
         cluster = SimulatedCluster(4)
         num_elements = case.build_model(0).num_parameters()
-        sync = make_synchronizer("SparDL", cluster, num_elements, density=0.02,
-                                 num_teams=2)
+        sync = make("SparDL", cluster, num_elements=num_elements, density=0.02,
+                    teams=2)
         trainer = DistributedTrainer(
             cluster, sync, case.build_model, train, test,
             config=TrainerConfig(batch_size=8, learning_rate=case.learning_rate,
@@ -162,7 +162,7 @@ class TestEndToEndTraining:
         for method, kwargs in (("Dense", {}), ("SparDL", {"density": 0.05})):
             cluster = SimulatedCluster(4)
             num_elements = case.build_model(0).num_parameters()
-            sync = make_synchronizer(method, cluster, num_elements, **kwargs)
+            sync = make(method, cluster, num_elements=num_elements, **kwargs)
             trainer = DistributedTrainer(
                 cluster, sync, case.build_model, train, test,
                 config=TrainerConfig(batch_size=8, learning_rate=case.learning_rate,

@@ -23,7 +23,6 @@ import pytest
 
 from repro.api import make, make_factory
 from repro.baselines.dense import DenseAllReduceSynchronizer
-from repro.baselines.registry import make_synchronizer
 from repro.comm.cluster import SimulatedCluster
 from repro.core.config import SparDLConfig
 from repro.core.residuals import ResidualManager

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import SYNCHRONIZER_NAMES, make, make_synchronizer
+from repro.api import SYNCHRONIZER_NAMES, make
 from repro.comm.cluster import SimulatedCluster
 from repro.core.bucketed import BucketedSynchronizer
 from repro.core.pipeline import PIPELINE_STAGES, SyncSession, SyncStage
@@ -115,9 +115,9 @@ class TestSessionEqualsLegacySynchronize:
         synchroniser built the legacy way, over a precomputed size."""
         facade = case5_trainer("spardl?density=0.02", check_consistency=True).train(1)
         cluster = SimulatedCluster(4)
-        legacy = make_synchronizer("SparDL", cluster,
-                                   get_case(5).build_model(0).num_parameters(),
-                                   density=0.02)
+        legacy = make("SparDL", cluster,
+                      num_elements=get_case(5).build_model(0).num_parameters(),
+                      density=0.02)
         prebuilt = case5_trainer(legacy, cluster=cluster, check_consistency=True).train(1)
         assert ([epoch.train_loss for epoch in facade.epochs]
                 == [epoch.train_loss for epoch in prebuilt.epochs])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.registry import make_synchronizer
+from repro.api import make
 from repro.comm.cluster import SimulatedCluster
 from repro.core.config import SparDLConfig
 from repro.core.spardl import SparDLSynchronizer
@@ -94,7 +94,7 @@ class TestBaselineProperties:
     def test_baselines_always_consistent(self, num_workers, method, seed):
         num_elements = 200
         cluster = SimulatedCluster(num_workers)
-        sync = make_synchronizer(method, cluster, num_elements, density=0.05)
+        sync = make(method, cluster, num_elements=num_elements, density=0.05)
         result = sync.synchronize(_gradients(num_workers, num_elements, seed))
         assert result.is_consistent
 
@@ -103,7 +103,7 @@ class TestBaselineProperties:
     @settings(max_examples=20, deadline=None)
     def test_gtopk_consistent_on_power_of_two(self, num_workers, seed):
         cluster = SimulatedCluster(num_workers)
-        sync = make_synchronizer("gTopk", cluster, 200, density=0.05)
+        sync = make("gTopk", cluster, num_elements=200, density=0.05)
         result = sync.synchronize(_gradients(num_workers, 200, seed))
         assert result.is_consistent
         assert result.info["final_nnz"] == sync.k
@@ -114,7 +114,7 @@ class TestBaselineProperties:
     def test_dense_allreduce_is_exact(self, num_workers, seed):
         num_elements = 150
         cluster = SimulatedCluster(num_workers)
-        sync = make_synchronizer("Dense", cluster, num_elements)
+        sync = make("Dense", cluster, num_elements=num_elements)
         gradients = _gradients(num_workers, num_elements, seed)
         result = sync.synchronize(gradients)
         np.testing.assert_allclose(result.gradient(0), sum(gradients.values()), atol=1e-8)
@@ -128,7 +128,7 @@ class TestBaselineProperties:
         method's first synchronisation returns the exact dense sum."""
         num_elements = 60
         cluster = SimulatedCluster(num_workers)
-        sync = make_synchronizer(method, cluster, num_elements, k=num_elements)
+        sync = make(method, cluster, num_elements=num_elements, k=num_elements)
         gradients = _gradients(num_workers, num_elements, seed)
         result = sync.synchronize(gradients)
         np.testing.assert_allclose(result.gradient(0), sum(gradients.values()), atol=1e-7)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import SYNCHRONIZER_NAMES, describe, make, make_synchronizer, parse_spec
+from repro.api import SYNCHRONIZER_NAMES, describe, make, parse_spec
 from repro.comm.cluster import SimulatedCluster
 from repro.core.bucketed import BucketedSynchronizer
 from repro.core.config import SparDLConfig
@@ -320,9 +320,9 @@ class TestSpecSurface:
     def test_config_describe_mentions_bits(self):
         assert "8bit" in SparDLConfig(density=0.01, num_bits=8).describe()
 
-    def test_make_synchronizer_num_bits_kwarg(self):
-        sync = make_synchronizer("SparDL", SimulatedCluster(4), 1000,
-                                 density=0.01, num_bits=4)
+    def test_make_bits_keyword(self):
+        sync = make("SparDL", SimulatedCluster(4), num_elements=1000,
+                    density=0.01, bits=4)
         assert sync.stack.quantize.num_bits == 4
 
     def test_bits_override_through_make(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.registry import make_synchronizer
+from repro.api import make
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET, PERFECT, NetworkProfile
 from repro.comm.stats import CommStats
@@ -163,7 +163,7 @@ def _build_trainer(method="SparDL", num_workers=4, case_id=5, samples=64, epochs
     sync_kwargs.setdefault("density", 0.02)
     if method == "Dense":
         sync_kwargs = {}
-    sync = make_synchronizer(method, cluster, num_elements, **sync_kwargs)
+    sync = make(method, cluster, num_elements=num_elements, **sync_kwargs)
     config = TrainerConfig(batch_size=8, learning_rate=case.learning_rate,
                            momentum=case.momentum, seed=0,
                            check_consistency=check_consistency)
@@ -215,7 +215,7 @@ class TestDistributedTrainer:
         case = get_case(5)
         train, test = case.build_datasets(num_samples=32, seed=0)
         cluster = SimulatedCluster(2)
-        sync = make_synchronizer("SparDL", cluster, 123, density=0.1)
+        sync = make("SparDL", cluster, num_elements=123, density=0.1)
         with pytest.raises(ValueError):
             DistributedTrainer(cluster, sync, case.build_model, train, test,
                                config=TrainerConfig(batch_size=8))

@@ -47,7 +47,6 @@ class MultiHeadSelfAttention(Module):
         self.key = Linear(model_dim, model_dim, rng=rng, name=f"{name}.key")
         self.value = Linear(model_dim, model_dim, rng=rng, name=f"{name}.value")
         self.output = Linear(model_dim, model_dim, rng=rng, name=f"{name}.output")
-        self._cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def _split_heads(self, tensor: np.ndarray) -> np.ndarray:
@@ -73,7 +72,7 @@ class MultiHeadSelfAttention(Module):
         return self.output(merged)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        queries, keys, values, attention, scale = self._cache
+        queries, keys, values, attention, scale = self._release()
         grad_merged = self.output.backward(grad_output)
         n, t, _ = grad_merged.shape
         grad_context = grad_merged.reshape(n, t, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
@@ -143,15 +142,14 @@ class LearnedPositionalEmbedding(Module):
         self.max_length = max_length
         self.weight = Parameter(normal_init(rng, (max_length, model_dim), std=0.02),
                                 name=f"{name}.weight")
-        self._steps: Optional[int] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         steps = inputs.shape[1]
         if steps > self.max_length:
             raise ValueError(f"sequence length {steps} exceeds max_length {self.max_length}")
-        self._steps = steps
+        self._cache = steps
         return inputs + self.weight.data[None, :steps, :]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        self.weight.grad[:self._steps] += grad_output.sum(axis=0)
+        self.weight.grad[:self._release()] += grad_output.sum(axis=0)
         return grad_output

@@ -101,7 +101,6 @@ class Conv2d(Module):
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Parameter(he_normal(rng, shape), name=f"{name}.weight")
         self.bias = Parameter(zeros((out_channels,)), name=f"{name}.bias") if bias else None
-        self._cache: Optional[tuple] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         n, c, h, w = inputs.shape
@@ -118,7 +117,7 @@ class Conv2d(Module):
         return output.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        input_shape, columns = self._cache
+        input_shape, columns = self._release()
         n, out_c, out_h, out_w = grad_output.shape
         flat_grad = grad_output.transpose(0, 2, 3, 1).reshape(-1, out_c)
         self.weight.grad += (columns.T @ flat_grad).T.reshape(self.weight.shape)
@@ -136,7 +135,6 @@ class MaxPool2d(Module):
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = stride or kernel_size
-        self._cache: Optional[tuple] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         n, c, h, w = inputs.shape
@@ -150,7 +148,7 @@ class MaxPool2d(Module):
         return output.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        input_shape, argmax, col_shape = self._cache
+        input_shape, argmax, col_shape = self._release()
         n, c, h, w = input_shape
         grad_columns = np.zeros(col_shape, dtype=np.float64)
         grad_columns[np.arange(col_shape[0]), argmax] = grad_output.reshape(-1)
@@ -162,18 +160,15 @@ class MaxPool2d(Module):
 class GlobalAvgPool2d(Module):
     """Average each channel over its spatial extent: ``(N, C, H, W) -> (N, C)``."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: Optional[tuple] = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._shape = inputs.shape
+        self._cache = inputs.shape
         return inputs.mean(axis=(2, 3))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._shape
+        shape = self._release()
+        n, c, h, w = shape
         scale = 1.0 / (h * w)
-        return np.broadcast_to(grad_output[:, :, None, None], self._shape) * scale
+        return np.broadcast_to(grad_output[:, :, None, None], shape) * scale
 
 
 class BatchNorm2d(Module):
@@ -194,7 +189,6 @@ class BatchNorm2d(Module):
         self.beta = Parameter(np.zeros(num_channels), name=f"{name}.beta")
         self.running_mean = np.zeros(num_channels)
         self.running_var = np.ones(num_channels)
-        self._cache: Optional[tuple] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if self.training:
@@ -211,7 +205,7 @@ class BatchNorm2d(Module):
         return normalised * self.gamma.data[None, :, None, None] + self.beta.data[None, :, None, None]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        normalised, inv_std, shape = self._cache
+        normalised, inv_std, shape = self._release()
         n, c, h, w = shape
         count = n * h * w
         self.gamma.grad += (grad_output * normalised).sum(axis=(0, 2, 3))

@@ -42,19 +42,16 @@ class Linear(Module):
         self.weight = Parameter(xavier_uniform(rng, (in_features, out_features)),
                                 name=f"{name}.weight")
         self.bias = Parameter(zeros((out_features,)), name=f"{name}.bias") if bias else None
-        self._input: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input = inputs
+        self._cache = inputs
         output = inputs @ self.weight.data
         if self.bias is not None:
             output = output + self.bias.data
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise RuntimeError("backward called before forward")
-        inputs = self._input
+        inputs = self._release()
         flat_in = inputs.reshape(-1, self.in_features)
         flat_grad = grad_output.reshape(-1, self.out_features)
         self.weight.grad += flat_in.T @ flat_grad
@@ -66,57 +63,42 @@ class Linear(Module):
 class ReLU(Module):
     """Rectified linear activation."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: Optional[np.ndarray] = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._mask = inputs > 0
-        return inputs * self._mask
+        self._cache = inputs > 0
+        return inputs * self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._mask
+        return grad_output * self._release()
 
 
 class Tanh(Module):
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(inputs)
-        return self._output
+        self._cache = np.tanh(inputs)
+        return self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - self._output ** 2)
+        return grad_output * (1.0 - self._release() ** 2)
 
 
 class Sigmoid(Module):
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-inputs))
-        return self._output
+        self._cache = 1.0 / (1.0 + np.exp(-inputs))
+        return self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._output * (1.0 - self._output)
+        output = self._release()
+        return grad_output * output * (1.0 - output)
 
 
 class Flatten(Module):
     """Reshape ``(N, ...)`` to ``(N, -1)``."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: Optional[tuple] = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._shape = inputs.shape
+        self._cache = inputs.shape
         return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._shape)
+        return grad_output.reshape(self._release())
 
 
 class Dropout(Module):
@@ -128,20 +110,22 @@ class Dropout(Module):
             raise ValueError("dropout probability must be in [0, 1)")
         self.p = p
         self._rng = np.random.default_rng(seed)
-        self._mask: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
+        # The cache is ``(mask,)``; ``(None,)`` is the no-op pass.
         if not self.training or self.p == 0.0:
-            self._mask = None
+            self._cache = (None,)
             return inputs
         keep = 1.0 - self.p
-        self._mask = (self._rng.random(inputs.shape) < keep) / keep
-        return inputs * self._mask
+        mask = (self._rng.random(inputs.shape) < keep) / keep
+        self._cache = (mask,)
+        return inputs * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask, = self._release()
+        if mask is None:
             return grad_output
-        return grad_output * self._mask
+        return grad_output * mask
 
 
 class Embedding(Module):
@@ -155,21 +139,20 @@ class Embedding(Module):
         self.embedding_dim = embedding_dim
         self.weight = Parameter(normal_init(rng, (num_embeddings, embedding_dim), std=0.05),
                                 name=f"{name}.weight")
-        self._ids: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         ids = np.asarray(inputs, dtype=np.int64)
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.num_embeddings:
             raise ValueError("token id out of range of the embedding table")
-        self._ids = ids
+        self._cache = ids
         return self.weight.data[ids]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        ids = self._ids.reshape(-1)
+        ids = self._release()
         grads = grad_output.reshape(-1, self.embedding_dim)
-        np.add.at(self.weight.grad, ids, grads)
+        np.add.at(self.weight.grad, ids.reshape(-1), grads)
         # Token ids are not differentiable; return a zero gradient of the id shape.
-        return np.zeros(self._ids.shape, dtype=np.float64)
+        return np.zeros(ids.shape, dtype=np.float64)
 
 
 class LayerNorm(Module):
@@ -180,7 +163,6 @@ class LayerNorm(Module):
         self.eps = eps
         self.gamma = Parameter(np.ones(normalized_dim), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(normalized_dim), name=f"{name}.beta")
-        self._cache: Optional[tuple] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         mean = inputs.mean(axis=-1, keepdims=True)
@@ -191,7 +173,7 @@ class LayerNorm(Module):
         return normalised * self.gamma.data + self.beta.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        normalised, inv_std = self._cache
+        normalised, inv_std = self._release()
         dim = normalised.shape[-1]
         axes = tuple(range(grad_output.ndim - 1))
         self.gamma.grad += (grad_output * normalised).sum(axis=axes)
@@ -207,16 +189,12 @@ class LayerNorm(Module):
 class SelectLast(Module):
     """Select the last timestep of a ``(N, T, D)`` sequence."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: Optional[tuple] = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._shape = inputs.shape
+        self._cache = inputs.shape
         return inputs[:, -1, :]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = np.zeros(self._shape, dtype=np.float64)
+        grad = np.zeros(self._release(), dtype=np.float64)
         grad[:, -1, :] = grad_output
         return grad
 
@@ -224,14 +202,10 @@ class SelectLast(Module):
 class MeanOverTime(Module):
     """Average a ``(N, T, D)`` sequence over its time axis."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: Optional[tuple] = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._shape = inputs.shape
+        self._cache = inputs.shape
         return inputs.mean(axis=1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        n, t, d = self._shape
+        n, t, d = self._release()
         return np.repeat(grad_output[:, None, :], t, axis=1) / t

@@ -1,9 +1,10 @@
 """Module base class and containers.
 
 The deep-learning substrate follows a layer-graph design: every
-:class:`Module` implements ``forward`` (caching whatever it needs) and
-``backward`` (consuming the gradient of its output, accumulating parameter
-gradients and returning the gradient of its input).  Composite modules —
+:class:`Module` implements ``forward`` (caching whatever it needs in
+``_cache``) and ``backward`` (taking that cache with :meth:`Module._release`,
+consuming the gradient of its output, accumulating parameter gradients and
+returning the gradient of its input).  Composite modules —
 :class:`Sequential`, residual blocks, attention blocks — compose their
 children's ``forward``/``backward`` explicitly, which keeps the whole
 substrate free of any autograd machinery while remaining easy to verify with
@@ -12,7 +13,7 @@ finite differences.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Any, Iterator, List
 
 import numpy as np
 
@@ -23,6 +24,10 @@ __all__ = ["Module", "Sequential", "Identity"]
 
 class Module:
     """Base class of every layer and model."""
+
+    #: What the last ``forward`` left for its ``backward`` (``None``: no
+    #: backward pending).
+    _cache: Any = None
 
     def __init__(self) -> None:
         self.training = True
@@ -35,6 +40,16 @@ class Module:
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _release(self) -> Any:
+        """Take the cache of the last ``forward`` for this ``backward``.
+        The layer keeps no reference, so activations die with the backward
+        that consumes them instead of living on through synchronisation
+        and update; a backward with no forward of its own raises."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError("backward called before forward")
+        return cache
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward(inputs)

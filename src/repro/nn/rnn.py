@@ -95,13 +95,12 @@ class LSTMCell(Module):
         batch = inputs.shape[0]
         h0 = np.zeros((batch, self.hidden_dim))
         c0 = np.zeros((batch, self.hidden_dim))
-        h, _, cache = self.step(inputs, h0, c0)
-        self._cache = cache
+        h, _, self._cache = self.step(inputs, h0, c0)
         return h
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_c = np.zeros_like(grad_output)
-        grad_x, _, _ = self.step_backward(grad_output, grad_c, self._cache)
+        grad_x, _, _ = self.step_backward(grad_output, grad_c, self._release())
         return grad_x
 
 
@@ -125,14 +124,11 @@ class LSTM(Module):
                      name=f"{name}.cell{layer}")
             for layer in range(num_layers)
         ]
-        self._caches: Optional[List[List[tuple]]] = None
-        self._input_shape: Optional[tuple] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         batch, steps, _ = inputs.shape
-        self._input_shape = inputs.shape
         layer_input = inputs
-        self._caches = []
+        layer_caches: List[List[tuple]] = []
         for cell in self.cells:
             h = np.zeros((batch, self.hidden_dim))
             c = np.zeros((batch, self.hidden_dim))
@@ -142,16 +138,17 @@ class LSTM(Module):
                 h, c, cache = cell.step(layer_input[:, t, :], h, c)
                 outputs[:, t, :] = h
                 caches.append(cache)
-            self._caches.append(caches)
+            layer_caches.append(caches)
             layer_input = outputs
+        self._cache = (inputs.shape, layer_caches)
         return layer_input
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        batch, steps, _ = self._input_shape
+        (batch, steps, _), layer_caches = self._release()
         grad_layer = grad_output
         for layer in reversed(range(self.num_layers)):
             cell = self.cells[layer]
-            caches = self._caches[layer]
+            caches = layer_caches[layer]
             in_dim = cell.input_dim
             grad_input = np.zeros((batch, steps, in_dim))
             grad_h = np.zeros((batch, self.hidden_dim))

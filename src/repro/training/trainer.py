@@ -22,7 +22,13 @@ Compute modes
 -------------
 Where the per-worker forward/backward runs is a property of the transport,
 not of the algorithm.  In ``inline`` mode (the default on the simulated
-backend) the trainer iterates the replicas in the calling process.  In
+backend) the replicas live in the calling process and run side by side on
+the rank pool (:mod:`repro.core.rank_pool`; on the calling thread when the
+CPU affinity mask has one CPU): one task per rank does that rank's
+forward/backward into its gradient row, one per rank its optimizer step.
+A task writes only its own replica, optimizer and row; the batches are
+drawn, the gradients synchronised and averaged on the calling thread, in
+rank order, so the pooled and the serial run are the same arithmetic.  In
 ``offload`` mode (the default on transports whose workers run in parallel,
 e.g. the process-backed
 :class:`~repro.comm.mp_backend.MultiprocessCluster`) each replica, its
@@ -62,6 +68,7 @@ import inspect
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -69,6 +76,7 @@ import numpy as np
 from ..comm.network import ETHERNET, NetworkProfile
 from ..comm.transport import (Transport, UnsupportedTransportFeature,
                               freeze_payload)
+from ..core import rank_pool
 from ..core.base import GradientSynchronizer
 from ..core.pipeline import SyncSession
 from ..obs import Tracer, TraceLevel, attach_tracer, replay_iteration_timing
@@ -191,16 +199,10 @@ _UPDATES = "trainer.updates"
 def _worker_install(context: Dict[str, Any], rank: int,
                     state: Dict[str, Any]) -> int:
     """Adopt this rank's training state (replica, optimizer, loss, shard)
-    and look up the replica's parameter list once.
-
-    One deepcopy makes the in-process reference backend behave exactly like
-    a process boundary: the worker's replica and optimizer never alias the
-    parent's objects (on a real process backend the pickle round-trip
-    already guarantees that, and the copy of a just-unpickled state is
-    cheap).  The optimizer's parameter references survive either copy
-    because replica and optimizer travel in one object graph.
-    """
-    state = context["trainer"] = copy.deepcopy(state)
+    and look up the replica's parameter list once.  The state is this
+    rank's own: unpickled on a process backend, a copy made by
+    :meth:`DistributedTrainer._install_worker_state` in-process."""
+    context["trainer"] = state
     state["parameters"] = state["replica"].parameters()
     return parameter_count(state["parameters"])
 
@@ -385,17 +387,23 @@ class DistributedTrainer:
         worker.  After this the parent-side ``replicas`` are construction
         artefacts only — the live models advance on the workers, and
         :meth:`evaluate` / :attr:`global_model` fetch from there.  The
-        per-iteration dense traffic goes through the two shared arrays."""
+        per-iteration dense traffic goes through the two shared arrays.
+
+        In-process workers get a deep copy, so that they behave exactly like
+        ones behind a process boundary, where the pickle round-trip already
+        made one: a worker's replica and optimizer never alias the parent's.
+        The optimizer's parameter references survive either copy because
+        replica and optimizer travel in one object graph."""
         self._updates = self.cluster.shared_array(_UPDATES, self._gradients.shape)
+        states = {worker: {"replica": self.replicas[worker],
+                           "optimizer": self.optimizers[worker],
+                           "loss": self.loss,
+                           "shard": self.shards[worker]}
+                  for worker in range(self.cluster.num_workers)}
+        if not self.cluster.capabilities.real_processes:
+            states = {worker: copy.deepcopy(state) for worker, state in states.items()}
         shipped = self.cluster.run_workers(_worker_install, {
-            worker: ({
-                "replica": self.replicas[worker],
-                "optimizer": self.optimizers[worker],
-                "loss": self.loss,
-                "shard": self.shards[worker],
-            },)
-            for worker in range(self.cluster.num_workers)
-        })
+            worker: (state,) for worker, state in states.items()})
         for worker, reported in shipped.items():
             if reported != self.num_elements:
                 raise RuntimeError(
@@ -495,11 +503,14 @@ class DistributedTrainer:
                     worker: (device,) for worker in range(self.cluster.num_workers)
                 })
                 losses = [computed[worker] for worker in sorted(computed)]
+                workers = 1
             else:
-                losses = [
-                    _local_step(replica, self._parameters[worker], self.loss,
-                                next(iterators[worker]), device, self._gradients[worker])
-                    for worker, replica in enumerate(self.replicas)]
+                losses, workers = rank_pool.run([
+                    partial(_local_step, replica, self._parameters[worker], self.loss,
+                            next(iterators[worker]), device, self._gradients[worker])
+                    for worker, replica in enumerate(self.replicas)])
+        if self.tracer is not None:
+            self.tracer.metrics.gauge("training.compute_workers").set(workers)
 
         result = self.session.step(self._gradient_rows)
         bucket_stats = bucket_sizes = None
@@ -529,9 +540,10 @@ class DistributedTrainer:
                 })
             else:
                 rows, averaged = self._average(result)
-                for optimizer, row in zip(self.optimizers, rows):
-                    optimizer.step(flat_gradient=averaged[row],
-                                   learning_rate=learning_rate)
+                rank_pool.run([
+                    partial(optimizer.step, flat_gradient=averaged[row],
+                            learning_rate=learning_rate)
+                    for optimizer, row in zip(self.optimizers, rows)])
 
         if self.config.check_consistency:
             if self.compute_mode == "offload":

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from typing import Callable, Dict, Tuple
 from unittest import mock
 
@@ -11,6 +13,7 @@ import numpy as np
 from repro.api import make_factory
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET
+from repro.core import rank_pool
 from repro.nn.module import Module
 from repro.nn.parameter import assign_flat_values, flatten_gradients, flatten_values
 from repro.sparse import topk as topk_module
@@ -20,7 +23,7 @@ from repro.training.trainer import DistributedTrainer, TrainerConfig
 
 __all__ = ["random_gradients", "numerical_gradient_check", "max_relative_error",
            "SEED_LENGTHS", "SEEDING_KINDS", "seeding_values", "selection_legs",
-           "case5_trainer", "ledger"]
+           "case5_trainer", "ledger", "lanes"]
 
 #: Segment lengths around what a seeded cut's sample depends on: the run,
 #: the length up to which the whole segment is read, and the one past which
@@ -56,6 +59,19 @@ def seeding_values(rng: np.random.Generator, kind: str, n: int
         lo = int(rng.integers(0, n + 1))
         store[lo:lo + max(n // 50, 1)] *= 1e3
     return store, addend
+
+
+@contextmanager
+def lanes(width: int):
+    """Run ``rank_pool`` on ``width`` threads of the test's own (0: on the
+    calling thread), whatever this host's affinity mask."""
+    pool = [ThreadPoolExecutor(1) for _ in range(width)]
+    try:
+        with mock.patch.object(rank_pool, "_LANES", pool):
+            yield
+    finally:
+        for lane in pool:
+            lane.shutdown()
 
 
 def selection_legs():

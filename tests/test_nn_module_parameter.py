@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, ReLU
+from repro.nn.attention import (LearnedPositionalEmbedding, MultiHeadSelfAttention,
+                                TransformerEncoderLayer)
+from repro.nn.conv import BatchNorm2d, Conv2d, GlobalAvgPool2d, MaxPool2d
+from repro.nn.layers import (Dropout, Embedding, Flatten, LayerNorm, Linear, MeanOverTime,
+                             ReLU, SelectLast, Sigmoid, Tanh)
+from repro.nn.models import ResidualBlock
 from repro.nn.module import Identity, Module, Sequential
+from repro.nn.rnn import LSTM, LSTMCell
 from repro.nn.parameter import (
     Parameter,
     assign_flat_gradients,
@@ -144,6 +150,51 @@ class TestModule:
         b = Sequential(Linear(2, 2))
         with pytest.raises(ValueError):
             a.copy_parameters_from(b)
+
+
+#: Every layer that caches activations in ``forward`` (and the composites
+#: built from them), with an input it takes.
+_IMAGES, _SEQUENCES, _ROWS = (2, 2, 4, 4), (2, 3, 4), (2, 4)
+CACHED_LAYERS = {
+    "Linear": (lambda: Linear(4, 3), _ROWS),
+    "ReLU": (ReLU, _ROWS),
+    "Tanh": (Tanh, _ROWS),
+    "Sigmoid": (Sigmoid, _ROWS),
+    "Flatten": (Flatten, _IMAGES),
+    "Dropout": (lambda: Dropout(0.5), _ROWS),
+    "Dropout-noop": (lambda: Dropout(0.0), _ROWS),
+    "Embedding": (lambda: Embedding(10, 3), "ids"),
+    "LayerNorm": (lambda: LayerNorm(4), _SEQUENCES),
+    "SelectLast": (SelectLast, _SEQUENCES),
+    "MeanOverTime": (MeanOverTime, _SEQUENCES),
+    "Conv2d": (lambda: Conv2d(2, 3, 3, padding=1), _IMAGES),
+    "MaxPool2d": (lambda: MaxPool2d(2), _IMAGES),
+    "GlobalAvgPool2d": (GlobalAvgPool2d, _IMAGES),
+    "BatchNorm2d": (lambda: BatchNorm2d(2), _IMAGES),
+    "ResidualBlock": (lambda: ResidualBlock(2, 3, stride=2), _IMAGES),
+    "MultiHeadSelfAttention": (lambda: MultiHeadSelfAttention(4, 2), _SEQUENCES),
+    "TransformerEncoderLayer": (lambda: TransformerEncoderLayer(4, 2), _SEQUENCES),
+    "LearnedPositionalEmbedding": (lambda: LearnedPositionalEmbedding(5, 4), _SEQUENCES),
+    "LSTMCell": (lambda: LSTMCell(4, 3), _ROWS),
+    "LSTM": (lambda: LSTM(4, 3, num_layers=2), _SEQUENCES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_LAYERS))
+def test_backward_needs_a_forward_of_its_own(name):
+    """Backward takes the activations its forward cached: none before the
+    first forward, none left after the backward that consumed them."""
+    build, shape = CACHED_LAYERS[name]
+    rng = np.random.default_rng(0)
+    inputs = rng.integers(0, 10, size=(2, 5)) if shape == "ids" else rng.normal(size=shape)
+    layer = build()
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        layer.backward(np.ones(3))
+    grad_output = np.ones_like(layer.forward(inputs))
+    assert layer.backward(grad_output).shape == inputs.shape
+    assert all(module._cache is None for module in layer.modules())
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        layer.backward(grad_output)
 
 
 class TestSequential:

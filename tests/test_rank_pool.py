@@ -10,10 +10,8 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,22 +21,9 @@ from repro.core import rank_pool
 from repro.core.residuals import ResidualManager
 from repro.sparse.topk import WarmTopK
 
-from tests.helpers import random_gradients, selection_legs
+from tests.helpers import lanes, random_gradients, selection_legs
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-@contextmanager
-def lanes(width: int):
-    """Run ``rank_pool`` on ``width`` threads of the test's own (0: on the
-    calling thread), whatever this host's affinity mask."""
-    pool = [ThreadPoolExecutor(1) for _ in range(width)]
-    try:
-        with mock.patch.object(rank_pool, "_LANES", pool):
-            yield
-    finally:
-        for lane in pool:
-            lane.shutdown()
 
 
 def segments(n: int, workers: int, buckets: int):
@@ -195,6 +180,89 @@ def test_no_lost_update_under_more_threads_than_cores():
     assert selector.hits + selector.misses == 40 * workers * (bounds.shape[0] - 1)
 
 
+def _numpy_links_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas and Path("/proc/self/maps").exists()
+
+
+@contextmanager
+def blas_threads(count: int):
+    """Hold the loaded OpenBLAS at ``count`` threads for the test; give it
+    back its own count afterwards."""
+    get, set_ = rank_pool._blas()
+    before = get()
+    set_(count)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+@pytest.mark.skipif(not _numpy_links_openblas(), reason="NumPy links no OpenBLAS")
+class TestOneBlasThread:
+    def test_the_openblas_numpy_loaded_is_found(self):
+        blas = rank_pool._blas()
+        assert blas and blas[0]() >= 1
+
+    @pytest.mark.parametrize("raising", [False, True])
+    def test_lanes_run_on_one_blas_thread_and_the_count_comes_back(self, raising):
+        def task(rank):
+            if raising and rank == 1:
+                raise KeyError(rank)
+            return get()
+
+        with blas_threads(2) as get, lanes(2):
+            if raising:
+                with pytest.raises(KeyError):
+                    rank_pool.run([lambda rank=rank: task(rank) for rank in range(4)])
+            else:
+                assert rank_pool.run([lambda rank=rank: task(rank)
+                                      for rank in range(4)]) == ([1] * 4, 2)
+            assert get() == 2
+        with blas_threads(2) as get, lanes(0):  # the calling thread: left alone
+            assert rank_pool.run([get] * 4) == ([2] * 4, 1)
+
+    def test_overlapping_runs_never_restore_each_others_count(self):
+        """Three callers, two lanes, a switch every microsecond: inside every
+        task one BLAS thread, after the last run the count from before (a
+        run that restored the count while another's tasks still ran would
+        show them two)."""
+        seen, interval = [], sys.getswitchinterval()
+
+        def task():
+            threading.Event().wait(0.001)  # another caller's run may start
+            return get()
+
+        def caller():
+            for _ in range(30):
+                seen.extend(rank_pool.run([task] * 3)[0])
+
+        with blas_threads(2) as get, lanes(2):
+            sys.setswitchinterval(1e-6)
+            try:
+                callers = [threading.Thread(target=caller) for _ in range(3)]
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in callers)
+            assert seen == [1] * (3 * 30 * 3)
+            assert get() == 2
+
+
+def test_without_openblas_the_pool_runs_and_leaves_blas_alone(monkeypatch):
+    monkeypatch.setattr(rank_pool, "_BLAS", None)
+    monkeypatch.setattr(rank_pool, "_find_openblas", lambda: ())
+    with lanes(2):
+        assert rank_pool.run([lambda rank=rank: rank for rank in range(4)]) == ([0, 1, 2, 3], 2)
+    assert rank_pool._BLAS == ()
+
+
 class TestSlab:
     def test_stores_and_velocity_are_rows_of_one_array_each(self):
         manager = ResidualManager(5, 33, momentum=0.9)
@@ -282,13 +350,43 @@ print(threading.active_count() - before, sync.residuals.sweep_workers,
       int(sync.tracer.snapshot()["residuals.sweep_workers"]), digest.hexdigest())
 """
 
+#: Two epochs of case 1 on ``sim:4``: the threads the last compute ran on,
+#: whether the OpenBLAS thread count is the one from before, and a digest of
+#: the parameters.
+TRAIN = """
+import hashlib, os
+import repro.api as api
+from repro.comm import make_transport
+from repro.core import rank_pool
+from repro.nn.parameter import flatten_values
+from repro.training.cases import get_case
+from repro.training.trainer import DistributedTrainer, TrainerConfig
+{prelude}
+blas = rank_pool._blas()
+before = blas and blas[0]()
+case = get_case(1)
+with make_transport("sim:4") as cluster:
+    trainer = DistributedTrainer(
+        cluster, api.make_factory("spardl?density=0.01"), case.build_model,
+        *case.build_datasets(num_samples=64, seed=0),
+        config=TrainerConfig(batch_size=8, seed=0, learning_rate=case.learning_rate,
+                             momentum=case.momentum, trace="steps"),
+        compute_profile=case.compute_profile)
+    trainer.train(num_epochs=2)
+    parameters = flatten_values(trainer.global_model.parameters())
+print(int(trainer.tracer.snapshot()["training.compute_workers"]),
+      int((blas and blas[0]()) == before), hashlib.sha256(parameters.tobytes()).hexdigest())
+"""
 
-def one_step(prelude: str, **env: str):
+
+def one_step(prelude: str, script: str = ONE_STEP, **env: str):
+    """Run ``script`` in a child process; its printed integers, then its
+    digest."""
     out = subprocess.run(
-        [sys.executable, "-c", ONE_STEP.format(prelude=prelude)], check=True,
+        [sys.executable, "-c", script.format(prelude=prelude)], check=True,
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": SRC, **env}).stdout.split()
-    return int(out[0]), int(out[1]), int(out[2]), out[3]
+    return (*map(int, out[:-1]), out[-1])
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
@@ -300,6 +398,17 @@ def test_with_one_cpu_no_thread_exists_and_the_step_is_the_same(disable):
     assert (started, width, gauge) == (min(cpus, 4) if cpus > 1 else 0, min(cpus, 4), min(cpus, 4))
     pinned = one_step("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})", **env)
     assert pinned == (0, 1, 1, digest)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_with_one_cpu_training_is_the_same():
+    """Replicas side by side (and their products on one BLAS thread) or
+    one after another on the calling thread: the same parameters."""
+    cpus = len(os.sched_getaffinity(0))
+    workers, restored, digest = one_step("", TRAIN)
+    assert (workers, restored) == (min(cpus, 4), 1)
+    pinned = one_step("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})", TRAIN)
+    assert pinned == (1, 1, digest)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")

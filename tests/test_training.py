@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import make
+from repro.api import make, make_factory
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET, PERFECT, NetworkProfile
 from repro.comm.stats import CommStats
-from repro.data.datasets import TaskType
+from repro.data.datasets import DataLoader, TaskType
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.parameter import flatten_values
 from repro.training.cases import CASES, get_case
@@ -18,9 +18,12 @@ from repro.training.timing import ComputeProfile, communication_time, iteration_
 from repro.training.trainer import (
     DistributedTrainer,
     TrainerConfig,
+    _local_step,
     default_loss_for_task,
     default_metric_for_task,
 )
+
+from tests.helpers import lanes
 
 
 class TestComputeProfile:
@@ -244,3 +247,49 @@ class TestDistributedTrainer:
         slow_hist = slow.train(1)
         fast_hist = fast.train(1)
         assert slow_hist.total_communication_time > fast_hist.total_communication_time == 0.0
+
+
+def _case_trainer(case_id, workers=4, **config):
+    """Case ``case_id`` on ``sim:workers``, 64 samples, batch 8, traced."""
+    case = get_case(case_id)
+    return DistributedTrainer(
+        SimulatedCluster(workers), make_factory("spardl?density=0.01"), case.build_model,
+        *case.build_datasets(num_samples=64, seed=0),
+        config=TrainerConfig(batch_size=8, seed=0, learning_rate=case.learning_rate,
+                             momentum=case.momentum, trace="steps", **config),
+        compute_profile=case.compute_profile)
+
+
+class TestReplicasSideBySide:
+    @pytest.mark.parametrize("case_id", range(1, 7))
+    def test_pooled_training_equals_one_lane(self, case_id):
+        """Forward/backward and the optimizer steps on three threads, or all
+        on the calling thread: the same bits after two epochs."""
+        runs = []
+        for width in (3, 0):
+            trainer = _case_trainer(case_id)
+            with lanes(width):
+                history = trainer.train(num_epochs=2)
+            runs.append((flatten_values(trainer.global_model.parameters()).tobytes(),
+                         [record.loss for record in history.iterations],
+                         history.epochs[-1].eval_loss))
+            assert trainer.tracer.snapshot()["training.compute_workers"] == max(width, 1)
+        assert runs[0] == runs[1]
+
+    def test_offload_computes_on_no_pool_thread(self):
+        trainer = _case_trainer(5, workers=2, compute_mode="offload")
+        with lanes(2):
+            trainer.train_epoch(0, evaluate=False)
+        assert trainer.tracer.snapshot()["training.compute_workers"] == 1
+
+    @pytest.mark.parametrize("case_id", range(1, 8))
+    def test_no_layer_keeps_its_activations_after_a_local_step(self, case_id):
+        case = get_case(case_id)
+        model = case.build_model(0)
+        train, _ = case.build_datasets(num_samples=16, seed=0)
+        inputs, targets = next(iter(DataLoader(train, 8, shuffle=True, seed=0)))
+        model.forward(inputs)
+        assert any(module._cache is not None for module in model.modules())
+        _local_step(model, model.parameters(), default_loss_for_task(case.task),
+                    (inputs, targets), 0.0, np.empty(model.num_parameters()))
+        assert [module for module in model.modules() if module._cache is not None] == []

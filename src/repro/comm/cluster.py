@@ -50,8 +50,6 @@ class SimulatedCluster(Transport):
     capabilities = TransportCapabilities(
         fault_injection=True,
         wire_pricing=True,
-        worker_compute=True,
-        parallel_workers=False,
         real_processes=False,
     )
 

@@ -45,8 +45,8 @@ however they end, and nothing registers with ``multiprocessing``'s resource
 tracker (a named ``shared_memory`` segment attached in a forked worker is
 unlinked under the driver when that worker exits).  The mappings are
 dropped in :meth:`~MultiprocessCluster.close` and
-:meth:`~MultiprocessCluster.resize`.  The trainer's offload mode keeps its
-``(P, n)`` gradient and update arrays there, so a training iteration moves
+:meth:`~MultiprocessCluster.resize`.  The trainer keeps its ``(P, n)``
+gradient and update arrays there, so a training iteration moves
 a few hundred bytes through ``run`` commands.
 
 Ordering contract
@@ -344,8 +344,6 @@ class MultiprocessCluster(Transport):
     capabilities = TransportCapabilities(
         fault_injection=False,
         wire_pricing=True,
-        worker_compute=True,
-        parallel_workers=True,
         real_processes=True,
     )
 
@@ -621,24 +619,22 @@ class MultiprocessCluster(Transport):
         """Execute ``fn(context, rank, *args)`` concurrently, one call per
         worker process.
 
-        Semantics match the in-process reference implementation
+        Semantics match the in-process implementation
         (:meth:`Transport.run_workers <repro.comm.transport.Transport.run_workers>`):
         persistent per-rank context with the same ``seed_sequence`` spawns,
-        results keyed by rank.  ``fn`` and its arguments cross a process
-        boundary, so they must be picklable (``fn`` a module-level
-        function) and, because ranks genuinely run in parallel here, tasks
-        must be rank-order independent.
+        every rank checked before any is sent its task, results keyed by
+        rank.  ``fn`` and its arguments cross a process boundary, so they
+        must be picklable (``fn`` a module-level function).  The
+        ``transport.run_workers_lanes`` gauge is the number of ranks
+        dispatched.
         """
         self._ensure_open()
-        if args_by_rank is None:
-            targets = [(rank, ()) for rank in self.ranks]
-        else:
-            targets = [(rank, tuple(args_by_rank[rank]))
-                       for rank in sorted(args_by_rank)]
+        targets = self._run_targets(args_by_rank)
         for rank, args in targets:
-            self._check_rank(rank)
             self._send(rank, ("run", fn, args))
-        return {rank: self._receive(rank, "run")[1] for rank, _ in targets}
+        results = {rank: self._receive(rank, "run")[1] for rank, _ in targets}
+        self._publish_lanes(fn, len(targets))
+        return results
 
     # ------------------------------------------------------------------
     # shared arrays

@@ -28,12 +28,13 @@ pointer to the reference backend instead of degrading silently.
 
 Worker compute
 --------------
-Beyond message passing, a transport can *execute* per-rank work where the
+Beyond message passing, a transport *executes* per-rank work where the
 rank lives: :meth:`Transport.run_workers` runs one task per rank against a
-persistent per-rank context.  The base implementation executes tasks
-in-process in ascending rank order (the deterministic reference);
-process-backed transports dispatch them to the worker processes and run
-them concurrently.  Tasks must therefore be rank-order independent: any
+persistent per-rank context.  The base implementation runs the tasks
+side by side on the rank pool of the calling process
+(:mod:`repro.core.rank_pool`); process-backed transports dispatch them to
+the worker processes.  Either way tasks run concurrently, so they must be
+rank-order independent and write only their own rank's state: any
 randomness must come from the per-rank ``seed_sequence`` the context
 provides (one :class:`numpy.random.SeedSequence` spawn per rank, identical
 across backends), never from shared mutable state.
@@ -55,6 +56,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -183,11 +185,6 @@ class TransportCapabilities:
         :meth:`Transport.install_pricer` accepts a wire pricer (quantized
         accounting).  Pricing happens at admission, before any physical
         transit, so both backends support it.
-    ``worker_compute``
-        :meth:`Transport.run_workers` executes per-rank tasks.
-    ``parallel_workers``
-        ``run_workers`` tasks execute concurrently (one per worker
-        process) rather than serially in the calling process.
     ``real_processes``
         Workers are real OS processes and payloads physically leave the
         calling process; wall-clock timings of this backend are measured,
@@ -196,8 +193,6 @@ class TransportCapabilities:
 
     fault_injection: bool
     wire_pricing: bool
-    worker_compute: bool
-    parallel_workers: bool
     real_processes: bool
 
 
@@ -393,27 +388,49 @@ class Transport(ABC):
         construction) and ``"shared"`` (the arrays of
         :meth:`shared_array`, by key).
 
-        The base implementation executes tasks in-process, serially, in
-        ascending rank order — the deterministic reference.  Backends with
-        the ``parallel_workers`` capability run them concurrently in the
-        worker processes; tasks and their arguments must then be picklable
-        (``fn`` a module-level function) and rank-order independent.
-        Results are returned as ``{rank: return_value}``.
+        The base implementation builds the contexts on the calling thread
+        and runs the calls side by side on the rank pool
+        (:func:`repro.core.rank_pool.run`; one after another on the calling
+        thread when the CPU affinity mask has one CPU).  Process-backed
+        transports run them in the worker processes; ``fn`` and its
+        arguments must then be picklable (``fn`` a module-level function).
+        Either way the calls run concurrently, so each must touch only its
+        own rank's state.  Every rank is checked before any task runs.
+        Results are returned as ``{rank: return_value}``; with a tracer
+        installed, the gauge ``transport.run_workers_lanes{task=<fn name>}``
+        says how many ran at once.
         """
+        # Imported here: a module-level import would load repro.core, which
+        # imports this module.
+        from ..core import rank_pool
+        targets = self._run_targets(args_by_rank)
+        tasks = [partial(fn, self._context(rank), rank, *args)
+                 for rank, args in targets]
+        results, lanes = rank_pool.run(tasks)
+        self._publish_lanes(fn, lanes)
+        return {rank: result for (rank, _), result in zip(targets, results)}
+
+    def _run_targets(self, args_by_rank: Optional[Mapping[int, tuple]]
+                     ) -> List[Tuple[int, tuple]]:
+        """``[(rank, args)]`` of one :meth:`run_workers` call in ascending
+        rank order, every rank checked before anything runs."""
         if args_by_rank is None:
-            targets = [(rank, ()) for rank in self.ranks]
-        else:
-            targets = [(rank, tuple(args_by_rank[rank]))
-                       for rank in sorted(args_by_rank)]
-        results: Dict[int, Any] = {}
-        for rank, args in targets:
+            return [(rank, ()) for rank in self.ranks]
+        targets = [(rank, tuple(args_by_rank[rank]))
+                   for rank in sorted(args_by_rank)]
+        for rank, _ in targets:
             self._check_rank(rank)
-            results[rank] = fn(self._context(rank), rank, *args)
-        return results
+        return targets
+
+    def _publish_lanes(self, fn: Callable[..., Any], lanes: int) -> None:
+        if self._tracer is not None:
+            self._tracer.metrics.gauge(
+                "transport.run_workers_lanes",
+                task=getattr(fn, "__name__", "task")).set(lanes)
 
     def _context(self, rank: int) -> Dict[str, Any]:
-        """The persistent per-rank context of the in-process reference
-        implementation of :meth:`run_workers`."""
+        """The persistent per-rank context of the in-process implementation
+        of :meth:`run_workers`."""
         context = self._worker_ctx.get(rank)
         if context is None:
             context = self._worker_ctx[rank] = make_worker_context(

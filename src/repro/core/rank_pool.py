@@ -8,7 +8,8 @@ threads did not come along) and builds its own.  With one CPU in the mask, or
 no ``sched_setaffinity``, there is no thread: the same chunks run through the
 builtin ``map`` on the calling thread.  Tasks overlap where they drop the GIL
 (NumPy ufuncs and matrix products, ``ctypes.CDLL`` calls) and must share no
-state they write.
+state they write.  A task must not itself call :func:`run`: a lane is one
+thread, and it would wait on itself.
 
 While more than one thread runs tasks, the OpenBLAS that NumPy loaded is held
 at one thread of its own: every lane already occupies a CPU, and a product

@@ -18,34 +18,29 @@ gradient layout from the model instead of the caller pre-computing
 :class:`~repro.comm.stats.CommStats` and resolved-``k`` history are exposed
 as :attr:`DistributedTrainer.session`.
 
-Compute modes
--------------
-Where the per-worker forward/backward runs is a property of the transport,
-not of the algorithm.  In ``inline`` mode (the default on the simulated
-backend) the replicas live in the calling process and run side by side on
-the rank pool (:mod:`repro.core.rank_pool`; on the calling thread when the
-CPU affinity mask has one CPU): one task per rank does that rank's
-forward/backward into its gradient row, one per rank its optimizer step.
-A task writes only its own replica, optimizer and row; the batches are
-drawn, the gradients synchronised and averaged on the calling thread, in
-rank order, so the pooled and the serial run are the same arithmetic.  In
-``offload`` mode (the default on transports whose workers run in parallel,
-e.g. the process-backed
-:class:`~repro.comm.mp_backend.MultiprocessCluster`) each replica, its
-optimizer and its data shard live on the transport's worker for that rank
-— shipped once via :meth:`~repro.comm.transport.Transport.run_workers` —
-and every iteration computes gradients and applies updates worker-side,
-concurrently.
+Where replicas run
+------------------
+Each rank's replica, optimizer and data shard are installed once on the
+transport's worker for that rank, and every iteration runs one task per
+rank there through :meth:`~repro.comm.transport.Transport.run_workers`:
+forward/backward on the rank's next batch, then the optimizer step.  Where
+that is, the transport decides: side by side on the rank pool of the
+calling process on the simulated backend (:mod:`repro.core.rank_pool`; the
+calling thread when the CPU affinity mask has one CPU), one process per
+rank on :class:`~repro.comm.mp_backend.MultiprocessCluster`.  A task writes
+only its own rank's replica, optimizer and rows; the batches are a pure
+function of ``(seed, epoch, worker)`` and only the synchronisation runs in
+the driver, through the same staged pipeline everywhere, so every
+transport trains the same bits.
 
-In offload mode no dense vector is ever an argument or a result of a
-worker task.  The trainer keeps two ``(P, n)`` arrays in the transport's
-shared memory (:meth:`~repro.comm.transport.Transport.shared_array`):
+No dense vector is ever an argument or a result of a worker task.  The
+trainer keeps two ``(P, n)`` arrays in the transport's shared memory
+(:meth:`~repro.comm.transport.Transport.shared_array`):
 
 * ``trainer.gradients`` — rank ``r``'s compute task flattens its gradient
   into row ``r`` and returns only the loss; the driver synchronises
   read-only views of the rows, so they reach the error-feedback sweep
-  without a copy.  Inline mode flattens into the same rows and hands
-  ``session.step`` the same views.
+  without a copy.
 * ``trainer.updates`` — the driver writes ``global / P`` once per
   *distinct* global-gradient array (one row when every rank was handed the
   same array, which is the normal case) and tells each rank which row to
@@ -54,29 +49,20 @@ shared memory (:meth:`~repro.comm.transport.Transport.shared_array`):
 A task message is therefore a function reference, a row number and a few
 scalars.  The task protocol orders every access: workers touch the arrays
 only inside a task, the driver only between two ``run_workers`` calls.
-
-Only the synchronisation itself runs in the parent, through the exact same
-staged pipeline, so the two modes produce bit-identical models: the
-per-worker batches are a pure function of ``(seed, epoch, worker)`` and the
-arithmetic is the same either way.
 """
 
 from __future__ import annotations
 
-import copy
 import inspect
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from ..comm.network import ETHERNET, NetworkProfile
-from ..comm.transport import (Transport, UnsupportedTransportFeature,
-                              freeze_payload)
-from ..core import rank_pool
+from ..comm.transport import Transport, freeze_payload
 from ..core.base import GradientSynchronizer
 from ..core.pipeline import SyncSession
 from ..obs import Tracer, TraceLevel, attach_tracer, replay_iteration_timing
@@ -129,12 +115,6 @@ class TrainerConfig:
     #: Verify after every iteration that all replicas hold identical
     #: parameters (slow; used by the integration tests).
     check_consistency: bool = False
-    #: Where the per-worker forward/backward runs: ``"inline"`` (calling
-    #: process, the deterministic reference), ``"offload"`` (on the
-    #: transport's workers via ``run_workers``) or ``"auto"`` (offload
-    #: exactly when the transport's workers run in parallel, so the
-    #: simulated backend keeps its historical inline path).
-    compute_mode: str = "auto"
     #: Emulated accelerator time per training sample, in seconds.  Each
     #: worker blocks for ``device_seconds_per_sample * batch`` of real time
     #: after its backward pass, modelling the paper's GPU compute phase.
@@ -185,13 +165,13 @@ def _accepted_kwargs(factory: Callable, candidates: Dict[str, Any]) -> Dict[str,
 
 
 # ---------------------------------------------------------------------------
-# offload-mode worker tasks
+# worker tasks
 # ---------------------------------------------------------------------------
 # Module-level functions so process-backed transports can pickle them; each
 # runs as ``fn(context, rank, *args)`` under Transport.run_workers against
 # the persistent per-rank context.
 
-#: Keys of the offload mode's shared arrays (see "Compute modes" above).
+#: Keys of the shared arrays (see "Where replicas run" above).
 _GRADIENTS = "trainer.gradients"
 _UPDATES = "trainer.updates"
 
@@ -200,8 +180,8 @@ def _worker_install(context: Dict[str, Any], rank: int,
                     state: Dict[str, Any]) -> int:
     """Adopt this rank's training state (replica, optimizer, loss, shard)
     and look up the replica's parameter list once.  The state is this
-    rank's own: unpickled on a process backend, a copy made by
-    :meth:`DistributedTrainer._install_worker_state` in-process."""
+    rank's own: unpickled on a process backend, the trainer's own objects
+    in-process."""
     context["trainer"] = state
     state["parameters"] = state["replica"].parameters()
     return parameter_count(state["parameters"])
@@ -219,9 +199,9 @@ def _worker_epoch_start(context: Dict[str, Any], rank: int, batch_size: int,
 def _local_step(replica: Module, parameters: List[Parameter], loss: Loss,
                 batch: tuple, device_seconds_per_sample: float,
                 out: np.ndarray) -> float:
-    """One local step of either compute mode: forward and backward on
-    ``batch``; the flat gradient of ``parameters`` (the replica's, looked
-    up once) goes into ``out`` and the loss is returned."""
+    """One local step: forward and backward on ``batch``; the flat gradient
+    of ``parameters`` (the replica's, looked up once) goes into ``out`` and
+    the loss is returned."""
     inputs, targets = batch
     replica.train()
     for parameter in parameters:
@@ -260,8 +240,9 @@ def _worker_fetch_params(context: Dict[str, Any], rank: int) -> np.ndarray:
 
 
 def _worker_fetch_replica(context: Dict[str, Any], rank: int) -> Module:
-    """A detached copy of this rank's live replica (evaluation)."""
-    return copy.deepcopy(context["trainer"]["replica"])
+    """This rank's live replica (evaluation); a process backend's pickle
+    hands the driver a copy."""
+    return context["trainer"]["replica"]
 
 
 class DistributedTrainer:
@@ -292,12 +273,14 @@ class DistributedTrainer:
         self.case_name = case_name or train_dataset.name
 
         num_workers = cluster.num_workers
-        # Identical replicas: the same seed is passed to every factory call.
+        #: The replicas as built, identical: the same seed is passed to every
+        #: factory call.  They are installed on the transport's workers
+        #: below: in-process these objects are the live models, on a process
+        #: backend the live models are the workers' copies.
         self.replicas: List[Module] = [model_factory(self.config.seed)
                                        for _ in range(num_workers)]
-        #: Each replica's parameter list, looked up once.
-        self._parameters = [replica.parameters() for replica in self.replicas]
-        self.num_elements = parameter_count(self._parameters[0])
+        parameter_lists = [replica.parameters() for replica in self.replicas]
+        self.num_elements = parameter_count(parameter_lists[0])
         self.compute_profile = compute_profile or ComputeProfile(
             compute_time_per_update=0.0, paper_parameters=self.num_elements
         )
@@ -343,8 +326,8 @@ class DistributedTrainer:
         #: Staged-pipeline driver: cumulative CommStats and k history across
         #: the whole training run.
         self.session = SyncSession(synchronizer)
-        reference = flatten_values(self._parameters[0])
-        for parameters in self._parameters[1:]:
+        reference = flatten_values(parameter_lists[0])
+        for parameters in parameter_lists[1:]:
             if not np.array_equal(flatten_values(parameters), reference):
                 raise RuntimeError("model_factory must produce identical replicas for a fixed seed")
 
@@ -354,56 +337,29 @@ class DistributedTrainer:
         self.optimizers: List[SGD] = [
             SGD(parameters, learning_rate=self.config.learning_rate,
                 momentum=optimizer_momentum, weight_decay=self.config.weight_decay)
-            for parameters in self._parameters
+            for parameters in parameter_lists
         ]
         self.shards = [shard_dataset(train_dataset, num_workers, worker)
                        for worker in range(num_workers)]
         self.history = TrainingHistory(method=synchronizer.name, case=self.case_name)
         self._iteration = 0
 
-        mode = self.config.compute_mode
-        if mode not in ("auto", "inline", "offload"):
-            raise ValueError(
-                f"unknown compute_mode {mode!r}; expected auto, inline or offload")
-        if mode == "auto":
-            mode = "offload" if cluster.capabilities.parallel_workers else "inline"
-        if mode == "offload" and not cluster.capabilities.worker_compute:
-            raise UnsupportedTransportFeature(
-                f"{type(cluster).__name__} cannot run worker compute; "
-                "use compute_mode='inline'")
-        #: Resolved compute mode ("inline" or "offload").
-        self.compute_mode = mode
-        self._gradients = cluster.shared_array(
-            _GRADIENTS, (num_workers, self.num_elements))
-        #: What ``session.step`` is handed in both modes: read-only views of
-        #: the rows the gradients are flattened into.
-        self._gradient_rows = {worker: freeze_payload(row)
-                               for worker, row in enumerate(self._gradients)}
-        if mode == "offload":
-            self._install_worker_state()
-
-    def _install_worker_state(self) -> None:
-        """Ship every rank's replica, optimizer, loss and shard to its
-        worker.  After this the parent-side ``replicas`` are construction
-        artefacts only — the live models advance on the workers, and
-        :meth:`evaluate` / :attr:`global_model` fetch from there.  The
-        per-iteration dense traffic goes through the two shared arrays.
-
-        In-process workers get a deep copy, so that they behave exactly like
-        ones behind a process boundary, where the pickle round-trip already
-        made one: a worker's replica and optimizer never alias the parent's.
-        The optimizer's parameter references survive either copy because
-        replica and optimizer travel in one object graph."""
-        self._updates = self.cluster.shared_array(_UPDATES, self._gradients.shape)
-        states = {worker: {"replica": self.replicas[worker],
-                           "optimizer": self.optimizers[worker],
-                           "loss": self.loss,
-                           "shard": self.shards[worker]}
-                  for worker in range(self.cluster.num_workers)}
-        if not self.cluster.capabilities.real_processes:
-            states = {worker: copy.deepcopy(state) for worker, state in states.items()}
-        shipped = self.cluster.run_workers(_worker_install, {
-            worker: (state,) for worker, state in states.items()})
+        shape = (num_workers, self.num_elements)
+        #: What ``session.step`` is handed: read-only views of the rows the
+        #: workers flatten their gradients into.
+        self._gradient_rows = {worker: freeze_payload(row) for worker, row
+                               in enumerate(cluster.shared_array(_GRADIENTS, shape))}
+        self._updates = cluster.shared_array(_UPDATES, shape)
+        # Ship every rank's replica, optimizer, loss and shard to its worker;
+        # from here on the trainer reaches them only through tasks.  The
+        # optimizer's parameter references survive a pickle because replica
+        # and optimizer travel in one object graph.
+        shipped = cluster.run_workers(_worker_install, {
+            worker: ({"replica": self.replicas[worker],
+                      "optimizer": self.optimizers[worker],
+                      "loss": self.loss,
+                      "shard": self.shards[worker]},)
+            for worker in range(num_workers)})
         for worker, reported in shipped.items():
             if reported != self.num_elements:
                 raise RuntimeError(
@@ -438,30 +394,20 @@ class DistributedTrainer:
     def _train_epoch_impl(self, epoch: int, evaluate: bool) -> EpochRecord:
         learning_rate = self._schedule.at_epoch(epoch)
         # The per-worker batch stream is a pure function of (seed, epoch,
-        # worker) — constructed parent-side or worker-side, same batches.
-        if self.compute_mode == "offload":
-            lengths = self.cluster.run_workers(_worker_epoch_start, {
-                worker: (self.config.batch_size,
-                         self.config.seed + 1000 * epoch + worker)
-                for worker in range(self.cluster.num_workers)
-            })
-            iterators = None
-            steps = min(lengths.values())
-        else:
-            loaders = [
-                DataLoader(shard, self.config.batch_size, shuffle=True,
-                           seed=self.config.seed + 1000 * epoch + worker)
-                for worker, shard in enumerate(self.shards)
-            ]
-            iterators = [iter(loader) for loader in loaders]
-            steps = min(len(loader) for loader in loaders)
+        # worker), whichever worker draws it.
+        lengths = self.cluster.run_workers(_worker_epoch_start, {
+            worker: (self.config.batch_size,
+                     self.config.seed + 1000 * epoch + worker)
+            for worker in range(self.cluster.num_workers)
+        })
+        steps = min(lengths.values())
 
         epoch_losses: List[float] = []
         epoch_comm = 0.0
         epoch_compute = 0.0
         epoch_hidden = 0.0
         for _ in range(steps):
-            record = self._train_step(epoch, iterators, learning_rate)
+            record = self._train_step(epoch, learning_rate)
             epoch_losses.append(record.loss)
             epoch_comm += record.communication_time
             epoch_compute += record.compute_time
@@ -489,28 +435,17 @@ class DistributedTrainer:
         self.history.add_epoch(record)
         return record
 
-    def _train_step(self, epoch: int, iterators, learning_rate: float) -> IterationRecord:
+    def _train_step(self, epoch: int, learning_rate: float) -> IterationRecord:
         with self._span("iteration", "iteration", iteration=self._iteration,
                         epoch=epoch):
-            return self._train_step_impl(epoch, iterators, learning_rate)
+            return self._train_step_impl(epoch, learning_rate)
 
-    def _train_step_impl(self, epoch: int, iterators,
-                         learning_rate: float) -> IterationRecord:
+    def _train_step_impl(self, epoch: int, learning_rate: float) -> IterationRecord:
         device = self.config.device_seconds_per_sample
         with self._span("compute", "compute", iteration=self._iteration):
-            if self.compute_mode == "offload":
-                computed = self.cluster.run_workers(_worker_compute_gradient, {
-                    worker: (device,) for worker in range(self.cluster.num_workers)
-                })
-                losses = [computed[worker] for worker in sorted(computed)]
-                workers = 1
-            else:
-                losses, workers = rank_pool.run([
-                    partial(_local_step, replica, self._parameters[worker], self.loss,
-                            next(iterators[worker]), device, self._gradients[worker])
-                    for worker, replica in enumerate(self.replicas)])
-        if self.tracer is not None:
-            self.tracer.metrics.gauge("training.compute_workers").set(workers)
+            losses = self.cluster.run_workers(_worker_compute_gradient, {
+                worker: (device,) for worker in range(self.cluster.num_workers)
+            })
 
         result = self.session.step(self._gradient_rows)
         bucket_stats = bucket_sizes = None
@@ -532,36 +467,22 @@ class DistributedTrainer:
             replay_iteration_timing(self.tracer, timing, self._iteration)
 
         with self._span("apply_update", "compute", iteration=self._iteration):
-            if self.compute_mode == "offload":
-                rows, _ = self._average(result, out=self._updates)
-                self.cluster.run_workers(_worker_apply_update, {
-                    worker: (row, learning_rate)
-                    for worker, row in enumerate(rows)
-                })
-            else:
-                rows, averaged = self._average(result)
-                rank_pool.run([
-                    partial(optimizer.step, flat_gradient=averaged[row],
-                            learning_rate=learning_rate)
-                    for optimizer, row in zip(self.optimizers, rows)])
+            self.cluster.run_workers(_worker_apply_update, {
+                worker: (row, learning_rate)
+                for worker, row in enumerate(self._average(result))
+            })
 
         if self.config.check_consistency:
-            if self.compute_mode == "offload":
-                params = self.cluster.run_workers(_worker_fetch_params)
-                reference = params[0]
-                others = [params[w] for w in sorted(params) if w != 0]
-            else:
-                reference = flatten_values(self._parameters[0])
-                others = [flatten_values(parameters)
-                          for parameters in self._parameters[1:]]
-            for values in others:
+            params = self.cluster.run_workers(_worker_fetch_params)
+            reference = params[0]
+            for values in list(params.values())[1:]:
                 if not np.allclose(values, reference, rtol=1e-9, atol=1e-12):
                     raise RuntimeError("model replicas diverged after a synchronised update")
 
         record = IterationRecord(
             iteration=self._iteration,
             epoch=epoch,
-            loss=float(np.mean(losses)),
+            loss=float(np.mean(list(losses.values()))),
             compute_time=timing.compute_time,
             communication_time=timing.communication_time,
             hidden_comm_time=timing.hidden_comm_time,
@@ -570,26 +491,22 @@ class DistributedTrainer:
         self._iteration += 1
         return record
 
-    def _average(self, result, out: Optional[np.ndarray] = None
-                 ) -> tuple[List[int], List[np.ndarray]]:
-        """``global / P``, divided once per *distinct* global-gradient
-        array (sparse methods hand every agreeing rank the same one):
-        returns each worker's row number and the rows — read-only, and the
-        leading rows of ``out`` when it is given."""
+    def _average(self, result) -> List[int]:
+        """``global / P`` into the leading rows of the shared update array,
+        divided once per *distinct* global-gradient array (sparse methods
+        hand every agreeing rank the same one): returns each worker's row
+        number."""
         num_workers = self.cluster.num_workers
         row_of: Dict[int, int] = {}
-        averaged: List[np.ndarray] = []
         rows: List[int] = []
         for worker in range(num_workers):
             gradient = result.gradient(worker)
             row = row_of.get(id(gradient))
             if row is None:
-                row = row_of[id(gradient)] = len(averaged)
-                averaged.append(freeze_payload(np.divide(
-                    gradient, num_workers,
-                    out=None if out is None else out[row])))
+                row = row_of[id(gradient)] = len(row_of)
+                np.divide(gradient, num_workers, out=self._updates[row])
             rows.append(row)
-        return rows, averaged
+        return rows
 
     # ------------------------------------------------------------------
     # evaluation
@@ -627,10 +544,8 @@ class DistributedTrainer:
 
     @property
     def global_model(self) -> Module:
-        """The live replica of rank 0 (all replicas are identical after
-        every update).  In offload mode the live models advance on the
-        transport's workers, so rank 0's replica is fetched from there —
-        including any stateful layer buffers the parent never sees."""
-        if self.compute_mode == "offload":
-            return self.cluster.run_workers(_worker_fetch_replica, {0: ()})[0]
-        return self.replicas[0]
+        """Rank 0's replica, fetched from its worker (all replicas are
+        identical after every update): in-process the live replica itself,
+        on a process backend a copy of it — including any stateful layer
+        buffers the driver never sees."""
+        return self.cluster.run_workers(_worker_fetch_replica, {0: ()})[0]

@@ -9,6 +9,7 @@ gate.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import glob
 import multiprocessing
@@ -27,6 +28,7 @@ from repro.comm import (
     MultiprocessCluster,
     SimulatedCluster,
     Transport,
+    TransportCapabilities,
     UnsupportedTransportFeature,
     make_transport,
     parse_backend_spec,
@@ -38,6 +40,8 @@ from repro.data.synthetic import synthetic_image_classification
 from repro.data.datasets import train_test_split
 from repro.nn.models import build_mlp
 from repro.nn.optim import SGD
+from repro.nn.parameter import flatten_values
+from repro.obs import Tracer
 from repro.training.trainer import (
     DistributedTrainer,
     TrainerConfig,
@@ -46,7 +50,7 @@ from repro.training.trainer import (
     _worker_fetch_params,
 )
 
-from tests.helpers import random_gradients
+from tests.helpers import lanes, random_gradients
 
 NUM_ELEMENTS = 300
 ITERATIONS = 3
@@ -197,13 +201,13 @@ def test_sendrecv_works_on_mp_backend():
 def test_capability_flags():
     with SimulatedCluster(2) as sim, MultiprocessCluster(2) as mp:
         assert sim.capabilities.fault_injection
-        assert not sim.capabilities.parallel_workers
         assert not sim.capabilities.real_processes
         assert not mp.capabilities.fault_injection
         assert mp.capabilities.wire_pricing
-        assert mp.capabilities.worker_compute
-        assert mp.capabilities.parallel_workers
         assert mp.capabilities.real_processes
+    # Every transport runs per-rank tasks side by side: nothing to advertise.
+    assert [field.name for field in dataclasses.fields(TransportCapabilities)] == [
+        "fault_injection", "wire_pricing", "real_processes"]
 
 
 def test_mp_rejects_fault_plans_but_clears_them():
@@ -216,14 +220,71 @@ def test_mp_rejects_fault_plans_but_clears_them():
 
 
 def _seed_draw_task(context, rank):
-    return float(np.random.default_rng(context["seed_sequence"]).normal())
+    """The next draw of this rank's stream, kept in its context."""
+    if "rng" not in context:
+        context["rng"] = np.random.default_rng(context["seed_sequence"])
+    return float(context["rng"].normal())
 
 
 def test_worker_seed_streams_match_across_backends():
-    with SimulatedCluster(3) as sim, MultiprocessCluster(3) as mp:
-        reference = sim.run_workers(_seed_draw_task)
-        measured = mp.run_workers(_seed_draw_task)
-    assert reference == measured
+    """In-process on the calling thread, on three pool lanes, and on three
+    worker processes: the same draws, and a second call continues each
+    rank's stream from its persistent context."""
+    runs = []
+    for width in (0, 3):
+        with SimulatedCluster(3) as sim, lanes(width):
+            runs.append([sim.run_workers(_seed_draw_task) for _ in range(2)])
+    with MultiprocessCluster(3) as mp:
+        runs.append([mp.run_workers(_seed_draw_task) for _ in range(2)])
+    assert runs[0] == runs[1] == runs[2]
+    first, second = runs[0]
+    assert all(first[rank] != second[rank] for rank in range(3))
+
+
+def _log_task(context, rank, value):
+    """Append ``value`` to this rank's log; returns the log so far."""
+    context.setdefault("log", []).append(value)
+    return rank, context["log"]
+
+
+@pytest.mark.parametrize("backend", ["sim", "mp"])
+def test_run_workers_checks_every_rank_before_any_task_runs(backend):
+    with make_transport(backend, num_workers=2) as cluster:
+        with pytest.raises(ValueError, match="rank 5 out of range"):
+            cluster.run_workers(_log_task, {0: ("a",), 5: ("b",)})
+        # Rank 0 ran nothing, and no reply of the failed call is left over.
+        assert cluster.run_workers(_log_task, {0: ("fresh",), 1: ("fresh",)}) == {
+            0: (0, ["fresh"]), 1: (1, ["fresh"])}
+
+
+def _mark_then_fail_on_rank_0(context, rank):
+    context["ran"] = True
+    if rank == 0:
+        raise ValueError("boom on rank 0")
+
+
+def test_in_process_task_error_is_raised_once_no_task_runs():
+    """Lane 0 holds rank 0, lane 1 ranks 1 and 2: rank 0's error is raised
+    after the other lane has finished, and the cluster stays usable."""
+    with SimulatedCluster(3) as sim, lanes(2):
+        with pytest.raises(ValueError, match="boom on rank 0"):
+            sim.run_workers(_mark_then_fail_on_rank_0)
+        assert sim.run_workers(lambda context, rank: context.get("ran")) == {
+            0: True, 1: True, 2: True}
+
+
+@pytest.mark.parametrize("backend", ["sim", "mp"])
+def test_run_workers_publishes_its_lanes_per_task(backend):
+    with make_transport(backend, num_workers=3) as cluster, lanes(2):
+        cluster.install_tracer(Tracer("steps"))
+        cluster.run_workers(_pid_task)
+        cluster.run_workers(_log_task, {1: ("x",)})
+        snapshot = cluster.tracer.snapshot()
+    # In-process: the pool's width, capped by the task count; on mp: the
+    # ranks dispatched.
+    assert snapshot["transport.run_workers_lanes{task=_pid_task}"] == (
+        2 if backend == "sim" else 3)
+    assert snapshot["transport.run_workers_lanes{task=_log_task}"] == 1
 
 
 def _pid_task(context, rank):
@@ -500,7 +561,7 @@ def test_describe_keeps_sim_specs_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# trainer compute modes
+# the trainer on every transport
 # ---------------------------------------------------------------------------
 def _trainer(cluster, spec="spardl?density=0.1", hidden=8, **config_overrides):
     dataset = synthetic_image_classification(num_samples=48, num_classes=4,
@@ -523,7 +584,6 @@ def _trainer(cluster, spec="spardl?density=0.1", hidden=8, **config_overrides):
 
 
 def _final_params(trainer):
-    from repro.nn.parameter import flatten_values
     return flatten_values(trainer.global_model.parameters())
 
 
@@ -542,8 +602,8 @@ def _spy_on_worker_tasks(cluster):
     return calls
 
 
-#: Synchroniser spec + trainer config of the offload == inline matrix.
-OFFLOAD_CASES = {
+#: Synchroniser spec + trainer config of the mp == sim matrix.
+TRAINER_CASES = {
     "plain": ("spardl?density=0.1", {}),
     "bits8": ("spardl?density=0.1&bits=8", {}),
     "dense": ("dense", {}),
@@ -552,41 +612,44 @@ OFFLOAD_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(OFFLOAD_CASES))
-@pytest.mark.parametrize("backend", ["sim:2", "mp:2"])
-def test_trainer_offload_matches_inline_bit_for_bit(backend, case):
-    spec, config = OFFLOAD_CASES[case]
+@pytest.mark.parametrize("case", sorted(TRAINER_CASES))
+def test_mp_training_equals_sim_bit_for_bit(case):
+    spec, config = TRAINER_CASES[case]
     with SimulatedCluster(2) as sim:
-        inline = _trainer(sim, spec, **config)
-        assert inline.compute_mode == "inline"  # auto on sim
-        history_inline = inline.train(num_epochs=2)
-    with make_transport(backend) as cluster:
-        offload = _trainer(cluster, spec, compute_mode="offload",
-                           check_consistency=True, **config)
-        assert offload.compute_mode == "offload"
-        calls = _spy_on_worker_tasks(cluster)
-        history_offload = offload.train(num_epochs=2)
-        offload_params = _final_params(offload)
+        reference = _trainer(sim, spec, **config)
+        history_sim = reference.train(num_epochs=2)
+    with MultiprocessCluster(2) as mp:
+        trainer = _trainer(mp, spec, check_consistency=True, **config)
+        calls = _spy_on_worker_tasks(mp)
+        history_mp = trainer.train(num_epochs=2)
+        mp_params = _final_params(trainer)
         # The dense vectors went through shared_array, not through tasks:
-        shape = (2, offload.num_elements)
-        assert cluster.shared_array("trainer.gradients", shape).any()
-        assert cluster.shared_array("trainer.updates", shape)[0].any()
+        shape = (2, trainer.num_elements)
+        assert mp.shared_array("trainer.gradients", shape).any()
+        assert mp.shared_array("trainer.updates", shape)[0].any()
     for name, args_by_rank, results in calls:
         if name == _worker_compute_gradient.__name__:
             assert all(type(loss) is float for loss in results.values())
         elif name == _worker_apply_update.__name__:
             assert all(type(row) is int and type(rate) is float
                        for row, rate in args_by_rank.values())
-    assert np.array_equal(_final_params(inline), offload_params)
-    assert ([record.loss for record in history_inline.iterations]
-            == [record.loss for record in history_offload.iterations])
-    assert (history_inline.epochs[-1].eval_loss
-            == history_offload.epochs[-1].eval_loss)
+    assert np.array_equal(_final_params(reference), mp_params)
+    assert ([record.loss for record in history_sim.iterations]
+            == [record.loss for record in history_mp.iterations])
+    assert history_sim.epochs[-1].eval_loss == history_mp.epochs[-1].eval_loss
 
 
-def test_mp_trainer_defaults_to_offload():
-    with MultiprocessCluster(2) as mp:
-        assert _trainer(mp).compute_mode == "offload"  # auto on mp
+@pytest.mark.parametrize("backend", ["sim:2", "mp:2"])
+def test_global_model_is_rank_0s_replica_as_its_worker_holds_it(backend):
+    """In-process the live replica itself, no copy; on ``mp`` the pickle's
+    copy of the worker's replica."""
+    with make_transport(backend) as cluster:
+        trainer = _trainer(cluster)
+        trainer.train_epoch(0, evaluate=False)
+        live = cluster.run_workers(_worker_fetch_params, {0: ()})[0]
+        model = trainer.global_model
+    assert (model is trainer.replicas[0]) == (backend == "sim:2")
+    assert np.array_equal(flatten_values(model.parameters()), live)
 
 
 def _spy_on_applied_updates(monkeypatch):
@@ -598,21 +661,29 @@ def _spy_on_applied_updates(monkeypatch):
     return applied
 
 
-def test_offload_hands_out_readonly_views_of_the_shared_rows(monkeypatch):
-    with SimulatedCluster(2) as sim:
-        trainer = _trainer(sim, compute_mode="offload")
-        shared_gradients = sim.shared_array("trainer.gradients",
-                                            (2, trainer.num_elements))
-        shared_updates = sim.shared_array("trainer.updates",
-                                          (2, trainer.num_elements))
+@pytest.mark.parametrize("workers", [2, 3])
+def test_training_hands_out_readonly_views_of_the_shared_rows(monkeypatch, workers):
+    """One gradient path: ``session.step`` gets the same read-only views of
+    ``trainer.gradients`` every iteration, written in place rather than
+    allocated.  One update path: every rank applies a read-only view of
+    the one row of ``trainer.updates`` the global was averaged into."""
+    with SimulatedCluster(workers) as sim:
+        trainer = _trainer(sim)
+        shape = (workers, trainer.num_elements)
+        shared_gradients = sim.shared_array("trainer.gradients", shape)
+        shared_updates = sim.shared_array("trainer.updates", shape)
         synchronised, applied = [], _spy_on_applied_updates(monkeypatch)
         inner_step = trainer.session.step
         trainer.session.step = lambda gradients: (
-            synchronised.append(dict(gradients)) or inner_step(gradients))
+            synchronised.append((gradients, dict(gradients)))
+            or inner_step(gradients))
         trainer.train_epoch(0, evaluate=False)
-    assert synchronised and len(applied) == 2 * len(synchronised)
-    for gradients in synchronised:
-        for rank, view in gradients.items():
+    assert len(synchronised) > 1 and shared_gradients.any()
+    assert len(applied) == workers * len(synchronised)
+    for gradients, views in synchronised:
+        assert gradients is synchronised[0][0]
+        for rank, view in views.items():
+            assert view is synchronised[0][1][rank]
             assert np.shares_memory(view, shared_gradients[rank])  # zero-copy
             _assert_all_readonly(view)
     for view in applied:
@@ -620,46 +691,11 @@ def test_offload_hands_out_readonly_views_of_the_shared_rows(monkeypatch):
         _assert_all_readonly(view)
 
 
-def test_inline_flattens_into_the_same_shared_rows():
-    """One gradient path: inline mode hands ``session.step`` the same
-    read-only views of ``trainer.gradients`` every iteration, written in
-    place rather than allocated."""
-    with SimulatedCluster(2) as sim:
-        trainer = _trainer(sim, compute_mode="inline")
-        shared_gradients = sim.shared_array("trainer.gradients",
-                                            (2, trainer.num_elements))
-        synchronised = []
-        inner_step = trainer.session.step
-        trainer.session.step = lambda gradients: (
-            synchronised.append((gradients, dict(gradients)))
-            or inner_step(gradients))
-        trainer.train_epoch(0, evaluate=False)
-    assert len(synchronised) > 1 and shared_gradients.any()
-    for gradients, views in synchronised:
-        assert gradients is synchronised[0][0]
-        for rank, view in views.items():
-            assert view is synchronised[0][1][rank]
-            assert np.shares_memory(view, shared_gradients[rank])
-            _assert_all_readonly(view)
-
-
-def test_inline_averages_once_and_hands_out_a_readonly_view(monkeypatch):
-    with SimulatedCluster(3) as sim:
-        trainer = _trainer(sim, compute_mode="inline")
-        applied = _spy_on_applied_updates(monkeypatch)
-        trainer.train_epoch(0, evaluate=False)
-    assert applied and len(applied) % 3 == 0
-    for first in range(0, len(applied), 3):  # one iteration's three replicas
-        for view in applied[first:first + 3]:
-            assert np.shares_memory(view, applied[first])
-            _assert_all_readonly(view)
-
-
 @pytest.mark.parametrize("backend", ["sim:2", "mp:2"])
 def test_ranks_holding_different_globals_each_apply_their_own_row(backend):
     rate = 0.05
     with make_transport(backend) as cluster:
-        trainer = _trainer(cluster, compute_mode="offload")
+        trainer = _trainer(cluster)
         before = cluster.run_workers(_worker_fetch_params)
         inner_step = trainer.session.step
         forced = []
@@ -705,4 +741,6 @@ def test_traced_mp_iteration_keeps_dense_vectors_off_the_pipes():
         for event in computes:
             assert 0 < event.args["args_bytes"] < 1024
             assert 0 < event.args["reply_bytes"] < 1024
-    assert tracer.snapshot()["mp.shared_bytes"] == 0
+    snapshot = tracer.snapshot()
+    assert snapshot["mp.shared_bytes"] == 0
+    assert snapshot["transport.run_workers_lanes{task=_worker_compute_gradient}"] == 2

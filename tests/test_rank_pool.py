@@ -374,7 +374,7 @@ with make_transport("sim:4") as cluster:
         compute_profile=case.compute_profile)
     trainer.train(num_epochs=2)
     parameters = flatten_values(trainer.global_model.parameters())
-print(int(trainer.tracer.snapshot()["training.compute_workers"]),
+print(int(trainer.tracer.snapshot()["transport.run_workers_lanes{{task=_worker_compute_gradient}}"]),
       int((blas and blas[0]()) == before), hashlib.sha256(parameters.tobytes()).hexdigest())
 """
 

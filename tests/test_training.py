@@ -249,14 +249,14 @@ class TestDistributedTrainer:
         assert slow_hist.total_communication_time > fast_hist.total_communication_time == 0.0
 
 
-def _case_trainer(case_id, workers=4, **config):
-    """Case ``case_id`` on ``sim:workers``, 64 samples, batch 8, traced."""
+def _case_trainer(case_id):
+    """Case ``case_id`` on ``sim:4``, 64 samples, batch 8, traced."""
     case = get_case(case_id)
     return DistributedTrainer(
-        SimulatedCluster(workers), make_factory("spardl?density=0.01"), case.build_model,
+        SimulatedCluster(4), make_factory("spardl?density=0.01"), case.build_model,
         *case.build_datasets(num_samples=64, seed=0),
         config=TrainerConfig(batch_size=8, seed=0, learning_rate=case.learning_rate,
-                             momentum=case.momentum, trace="steps", **config),
+                             momentum=case.momentum, trace="steps"),
         compute_profile=case.compute_profile)
 
 
@@ -273,14 +273,9 @@ class TestReplicasSideBySide:
             runs.append((flatten_values(trainer.global_model.parameters()).tobytes(),
                          [record.loss for record in history.iterations],
                          history.epochs[-1].eval_loss))
-            assert trainer.tracer.snapshot()["training.compute_workers"] == max(width, 1)
+            assert trainer.tracer.snapshot()[
+                "transport.run_workers_lanes{task=_worker_compute_gradient}"] == max(width, 1)
         assert runs[0] == runs[1]
-
-    def test_offload_computes_on_no_pool_thread(self):
-        trainer = _case_trainer(5, workers=2, compute_mode="offload")
-        with lanes(2):
-            trainer.train_epoch(0, evaluate=False)
-        assert trainer.tracer.snapshot()["training.compute_workers"] == 1
 
     @pytest.mark.parametrize("case_id", range(1, 8))
     def test_no_layer_keeps_its_activations_after_a_local_step(self, case_id):

@@ -8,8 +8,8 @@ both of which reach the ``2 n (P-1)/P`` bandwidth lower bound.
 
 In staged-pipeline terms the method is the degenerate case: ``select`` and
 ``compress`` pass the dense gradients through untouched, ``exchange`` is
-the dense All-Reduce, ``combine`` adopts its output, and there is no
-residual state to update.
+the dense All-Reduce, ``combine`` adopts its output (one read-only array
+every worker shares), and there is no residual state to update.
 
 With ``num_bits`` set the method becomes QSGD with error feedback: the
 ``compress`` stage quantizes every worker's (residual-corrected) gradient

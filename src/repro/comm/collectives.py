@@ -249,26 +249,61 @@ def reduce_scatter_direct(
 # ---------------------------------------------------------------------------
 # Dense All-Reduce
 # ---------------------------------------------------------------------------
+# Both algorithms read the inputs through views, reduce every range exactly
+# once (in the operand order of the textbook schedule) into one result array
+# and hand that same read-only array to every worker: the all-gather phase
+# ships views of the result and copies nothing.  Messages, rounds and billed
+# elements are those of the schedule.
+def _dense_inputs(vectors: Dict[int, np.ndarray],
+                  group: Sequence[int]) -> tuple[Dict[int, np.ndarray], int]:
+    """``float64`` views of every group rank's input (a copy only for other
+    dtypes) and their common length; ``ValueError`` naming the rank when an
+    input is missing, not 1-D, or of another length than the first."""
+    if not group:
+        raise ValueError("dense All-Reduce needs a non-empty group")
+    views: Dict[int, np.ndarray] = {}
+    for rank in group:
+        if rank not in vectors:
+            raise ValueError(f"rank {rank} of the group has no input vector")
+        view = views[rank] = np.asarray(vectors[rank], dtype=np.float64)
+        if view.ndim != 1:
+            raise ValueError(f"rank {rank}'s input has shape {view.shape}; "
+                             "dense All-Reduce takes 1-D vectors")
+        n = views[group[0]].shape[0]
+        if view.shape[0] != n:
+            raise ValueError(f"rank {rank}'s input has {view.shape[0]} elements, "
+                             f"rank {group[0]}'s has {n}")
+    return views, n
+
+
+def _shared(result: np.ndarray, group: Sequence[int]) -> Dict[int, np.ndarray]:
+    """Freeze ``result`` and hand the same array to every rank of ``group``."""
+    result.flags.writeable = False
+    return {rank: result for rank in group}
+
+
 def allreduce_ring(
     cluster: Transport,
     vectors: Dict[int, np.ndarray],
     group: Optional[Sequence[int]] = None,
 ) -> Dict[int, np.ndarray]:
-    """Bandwidth-optimal ring All-Reduce (2(P-1) rounds, 2n(P-1)/P volume)."""
+    """Bandwidth-optimal ring All-Reduce (2(P-1) rounds, 2n(P-1)/P volume).
+
+    Every rank of ``group`` gets the same read-only result array."""
     if group is None:
         group = list(cluster.ranks)
     group = list(group)
     _validate_group(group, cluster)
+    views, n = _dense_inputs(vectors, group)
     size = len(group)
-    n = vectors[group[0]].shape[0]
     if size == 1:
-        only = group[0]
-        return {only: vectors[only].astype(np.float64, copy=True)}
+        return _shared(views[group[0]].copy(), group)
     bounds = _partition_bounds(n, size)
 
+    # Chunks start as views of the inputs; a reduce-scatter add makes a
+    # fresh ``own + received`` array, so no input is ever written.
     chunks: Dict[int, List[np.ndarray]] = {
-        rank: [vectors[rank][lo:hi].astype(np.float64, copy=True) for lo, hi in bounds]
-        for rank in group
+        rank: [views[rank][lo:hi] for lo, hi in bounds] for rank in group
     }
 
     # Reduce-scatter phase.
@@ -285,21 +320,25 @@ def allreduce_ring(
             for message in inboxes.get(rank, []):
                 chunks[rank][chunk_idx] = chunks[rank][chunk_idx] + np.asarray(message.payload)
 
-    # All-gather phase.
+    # Each owner writes its fully reduced chunk into the result once.
+    result = np.empty(n)
+    for pos, rank in enumerate(group):
+        chunk_idx = (pos + 1) % size
+        lo, hi = bounds[chunk_idx]
+        result[lo:hi] = chunks[rank][chunk_idx]
+
+    # All-gather phase: every hop forwards a view of the result.
     for step in range(size - 1):
         messages = []
         for pos, rank in enumerate(group):
             chunk_idx = (pos + 1 - step) % size
             dst = group[(pos + 1) % size]
-            messages.append(Message(src=rank, dst=dst, payload=chunks[rank][chunk_idx],
+            lo, hi = bounds[chunk_idx]
+            messages.append(Message(src=rank, dst=dst, payload=result[lo:hi],
                                      tag=f"ring-ag-{chunk_idx}"))
-        inboxes = cluster.exchange(messages)
-        for pos, rank in enumerate(group):
-            chunk_idx = (pos - step) % size
-            for message in inboxes.get(rank, []):
-                chunks[rank][chunk_idx] = np.asarray(message.payload, dtype=np.float64)
+        cluster.exchange(messages)
 
-    return {rank: np.concatenate(chunks[rank]) for rank in group}
+    return _shared(result, group)
 
 
 def allreduce_rabenseifner(
@@ -308,7 +347,9 @@ def allreduce_rabenseifner(
     group: Optional[Sequence[int]] = None,
 ) -> Dict[int, np.ndarray]:
     """Rabenseifner's All-Reduce: recursive-halving Reduce-Scatter followed by
-    recursive-doubling All-Gather.  Requires a power-of-two group size."""
+    recursive-doubling All-Gather.  Requires a power-of-two group size.
+
+    Every rank of ``group`` gets the same read-only result array."""
     if group is None:
         group = list(cluster.ranks)
     group = list(group)
@@ -316,14 +357,17 @@ def allreduce_rabenseifner(
     size = len(group)
     if size & (size - 1):
         raise ValueError("Rabenseifner's All-Reduce requires a power-of-two group size")
+    views, n = _dense_inputs(vectors, group)
     if size == 1:
-        only = group[0]
-        return {only: vectors[only].astype(np.float64, copy=True)}
+        return _shared(views[group[0]].copy(), group)
 
-    n = vectors[group[0]].shape[0]
-    working: Dict[int, np.ndarray] = {rank: vectors[rank].astype(np.float64, copy=True) for rank in group}
     # Track the index range each worker is currently responsible for.
     ranges: Dict[int, tuple[int, int]] = {rank: (0, n) for rank in group}
+    # Step 0 adds ``own + received`` into a fresh array of the kept half
+    # (``sums[rank]``, starting at index ``starts[rank]``); later steps add
+    # in place into that rank-private array.  The inputs are only read.
+    sums: Dict[int, np.ndarray] = {}
+    starts: Dict[int, int] = {}
 
     num_steps = int(math.log2(size))
     # Recursive halving reduce-scatter.
@@ -341,38 +385,50 @@ def allreduce_rabenseifner(
             else:
                 send_lo, send_hi, keep = mid, hi, (lo, mid)
             plan[rank] = keep
+            data, start = (views[rank], 0) if step == 0 else (sums[rank], starts[rank])
             # The slice offset is addressing metadata; only the chunk's
             # elements travel.
             messages.append(Message(src=rank, dst=partner,
-                                     payload=(send_lo, working[rank][send_lo:send_hi]),
+                                     payload=(send_lo, data[send_lo - start:send_hi - start]),
                                      size=float(send_hi - send_lo)))
         inboxes = cluster.exchange(messages)
         for rank in group:
             ranges[rank] = plan[rank]
             for message in inboxes.get(rank, []):
                 lo, chunk = message.payload
-                working[rank][lo:lo + len(chunk)] += chunk
+                if step == 0:
+                    starts[rank] = lo
+                    sums[rank] = views[rank][lo:lo + len(chunk)] + chunk
+                else:
+                    at = lo - starts[rank]
+                    sums[rank][at:at + len(chunk)] += chunk
 
-    # Recursive doubling all-gather of the owned ranges.
+    # Each owner writes its fully reduced range into the result once.
+    result = np.empty(n)
+    for rank in group:
+        lo, hi = ranges[rank]
+        result[lo:hi] = sums[rank][lo - starts[rank]:hi - starts[rank]]
+
+    # Recursive doubling all-gather of the owned ranges: every hop forwards
+    # a view of the result over the range its sender has gathered so far.
     for step in reversed(range(num_steps)):
         distance = size >> (step + 1)
         messages = []
         for pos, rank in enumerate(group):
             partner = group[pos ^ distance]
             lo, hi = ranges[rank]
-            messages.append(Message(src=rank, dst=partner, payload=(lo, working[rank][lo:hi]),
+            messages.append(Message(src=rank, dst=partner, payload=(lo, result[lo:hi]),
                                      size=float(hi - lo)))
         inboxes = cluster.exchange(messages)
         for rank in group:
             lo, hi = ranges[rank]
             for message in inboxes.get(rank, []):
                 other_lo, chunk = message.payload
-                working[rank][other_lo:other_lo + len(chunk)] = chunk
                 lo = min(lo, other_lo)
                 hi = max(hi, other_lo + len(chunk))
             ranges[rank] = (lo, hi)
 
-    return {rank: working[rank] for rank in group}
+    return _shared(result, group)
 
 
 def allreduce_dense(

@@ -70,7 +70,8 @@ class SyncResult:
     """Outcome of one gradient synchronisation."""
 
     #: Per-worker dense global gradient (sum over all workers' contributions).
-    #: Sparse methods hand every agreeing worker the *same* read-only array.
+    #: Every built-in method hands agreeing workers the *same* read-only
+    #: array (``.copy()`` it before writing).
     global_gradients: Dict[int, np.ndarray]
     #: Communication accounting for this synchronisation only.
     stats: CommStats

@@ -285,6 +285,8 @@ class SparDLSynchronizer(GradientSynchronizer):
         global gradients."""
         bucket_edges = self.layout.edges[::self.team_size]
         if context.scratch.get("dense_fallback"):
+            # The dense collective already hands every worker one
+            # read-only array.
             reduced = context.exchanged
             reference = reduced[next(iter(reduced))]
             context.global_gradients = reduced

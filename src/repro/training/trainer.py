@@ -493,9 +493,9 @@ class DistributedTrainer:
 
     def _average(self, result) -> List[int]:
         """``global / P`` into the leading rows of the shared update array,
-        divided once per *distinct* global-gradient array (sparse methods
-        hand every agreeing rank the same one): returns each worker's row
-        number."""
+        divided once per *distinct* global-gradient array (every built-in
+        method, dense All-Reduce included, hands agreeing ranks the same
+        one, so a step writes one row): returns each worker's row number."""
         num_workers = self.cluster.num_workers
         row_of: Dict[int, int] = {}
         rows: List[int] = []

@@ -15,20 +15,28 @@
   - dense float arrays bill ``bits/32`` per value, no scale;
   - routing integers inside containers are free metadata; a bare scalar is
     one element of control traffic at full precision.
+* The seed dense All-Reduce algorithms, which copy every input and every
+  gathered range into ``P`` working vectors: the copy-free collectives must
+  return the same bytes over the same messages, rounds and volumes
+  (``tests/test_comm_collectives.py``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import math
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.cluster import SimulatedCluster
+from repro.comm.collectives import _partition_bounds
 from repro.comm.packed import PackedBags
+from repro.comm.transport import Message
 from repro.sparse.vector import SparseGradient
 
 __all__ = ["naive_top_k_indices", "naive_merge_add", "naive_merge_many",
-           "expected_price", "spy_exchange"]
+           "expected_price", "spy_exchange", "seed_allreduce_ring",
+           "seed_allreduce_rabenseifner"]
 
 
 def naive_top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -103,3 +111,87 @@ def spy_exchange(cluster: SimulatedCluster) -> list:
 
     cluster.exchange = spy
     return records
+
+
+def seed_allreduce_ring(cluster, vectors: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+    """Seed ring All-Reduce over the whole cluster: per-rank copied chunks,
+    overwritten by the all-gather and concatenated per rank."""
+    group = list(cluster.ranks)
+    size = len(group)
+    n = vectors[group[0]].shape[0]
+    if size == 1:
+        return {group[0]: vectors[group[0]].astype(np.float64, copy=True)}
+    bounds = _partition_bounds(n, size)
+    chunks = {rank: [vectors[rank][lo:hi].astype(np.float64, copy=True) for lo, hi in bounds]
+              for rank in group}
+    for step in range(size - 1):
+        messages = []
+        for pos, rank in enumerate(group):
+            chunk_idx = (pos - step) % size
+            messages.append(Message(src=rank, dst=group[(pos + 1) % size],
+                                    payload=chunks[rank][chunk_idx], tag=f"ring-rs-{chunk_idx}"))
+        inboxes = cluster.exchange(messages)
+        for pos, rank in enumerate(group):
+            chunk_idx = (pos - 1 - step) % size
+            for message in inboxes.get(rank, []):
+                chunks[rank][chunk_idx] = chunks[rank][chunk_idx] + np.asarray(message.payload)
+    for step in range(size - 1):
+        messages = []
+        for pos, rank in enumerate(group):
+            chunk_idx = (pos + 1 - step) % size
+            messages.append(Message(src=rank, dst=group[(pos + 1) % size],
+                                    payload=chunks[rank][chunk_idx], tag=f"ring-ag-{chunk_idx}"))
+        inboxes = cluster.exchange(messages)
+        for pos, rank in enumerate(group):
+            chunk_idx = (pos - step) % size
+            for message in inboxes.get(rank, []):
+                chunks[rank][chunk_idx] = np.asarray(message.payload, dtype=np.float64)
+    return {rank: np.concatenate(chunks[rank]) for rank in group}
+
+
+def seed_allreduce_rabenseifner(cluster, vectors: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+    """Seed Rabenseifner All-Reduce over the whole (power-of-two) cluster:
+    every rank halves and doubles over its own full-length working copy."""
+    group = list(cluster.ranks)
+    size = len(group)
+    if size == 1:
+        return {group[0]: vectors[group[0]].astype(np.float64, copy=True)}
+    n = vectors[group[0]].shape[0]
+    working = {rank: vectors[rank].astype(np.float64, copy=True) for rank in group}
+    ranges = {rank: (0, n) for rank in group}
+    num_steps = int(math.log2(size))
+    for step in range(num_steps):
+        distance = size >> (step + 1)
+        messages, plan = [], {}
+        for pos, rank in enumerate(group):
+            lo, hi = ranges[rank]
+            mid = (lo + hi) // 2
+            if pos & distance:
+                send_lo, send_hi, plan[rank] = lo, mid, (mid, hi)
+            else:
+                send_lo, send_hi, plan[rank] = mid, hi, (lo, mid)
+            messages.append(Message(src=rank, dst=group[pos ^ distance],
+                                    payload=(send_lo, working[rank][send_lo:send_hi]),
+                                    size=float(send_hi - send_lo)))
+        inboxes = cluster.exchange(messages)
+        for rank in group:
+            ranges[rank] = plan[rank]
+            for message in inboxes.get(rank, []):
+                lo, chunk = message.payload
+                working[rank][lo:lo + len(chunk)] += chunk
+    for step in reversed(range(num_steps)):
+        distance = size >> (step + 1)
+        messages = []
+        for pos, rank in enumerate(group):
+            lo, hi = ranges[rank]
+            messages.append(Message(src=rank, dst=group[pos ^ distance],
+                                    payload=(lo, working[rank][lo:hi]), size=float(hi - lo)))
+        inboxes = cluster.exchange(messages)
+        for rank in group:
+            lo, hi = ranges[rank]
+            for message in inboxes.get(rank, []):
+                other_lo, chunk = message.payload
+                working[rank][other_lo:other_lo + len(chunk)] = chunk
+                lo, hi = min(lo, other_lo), max(hi, other_lo + len(chunk))
+            ranges[rank] = (lo, hi)
+    return {rank: working[rank] for rank in group}

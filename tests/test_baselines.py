@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import make
 from repro.baselines.base import power_of_two_split
 from repro.baselines.dense import DenseAllReduceSynchronizer
 from repro.baselines.gtopk import GTopkSynchronizer
@@ -43,6 +44,21 @@ class TestDenseAllReduce:
         result = sync.synchronize(gradients)
         assert result.is_consistent
         np.testing.assert_allclose(result.gradient(0), sum(gradients.values()), atol=1e-10)
+
+    @pytest.mark.parametrize("spec", ["dense", "dense?bits=8", "spardl?density=0.6"])
+    @pytest.mark.parametrize("num_workers", [1, 3, 4])
+    def test_every_worker_shares_one_read_only_result(self, spec, num_workers):
+        """Dense steps (``spardl?density=0.6`` is past the dense crossover)
+        hand every worker the same read-only global gradient."""
+        sync = make(spec, SimulatedCluster(num_workers), num_elements=50)
+        for step in range(2):
+            result = sync.synchronize(random_gradients(num_workers, 50, seed=step))
+            if spec.startswith("spardl"):
+                assert result.info["dense_fallback"]
+            shared = result.gradient(0)
+            assert all(result.gradient(w) is shared for w in range(num_workers))
+            assert not shared.flags.writeable
+            assert result.is_consistent
 
 
 class TestTopkA:

@@ -18,6 +18,8 @@ from repro.comm.collectives import (
     reduce_scatter_direct,
 )
 
+from tests.references import seed_allreduce_rabenseifner, seed_allreduce_ring
+
 
 def _items(num_workers):
     return {rank: np.array([float(rank)]) for rank in range(num_workers)}
@@ -151,6 +153,115 @@ class TestDenseAllReduce:
         cluster = SimulatedCluster(6)
         allreduce_dense(cluster, {r: np.ones(18) for r in range(6)})
         assert cluster.stats.rounds == 10
+
+
+def _special_vectors(num_workers, n, dtype, seed):
+    """Normal draws salted with ±0.0, subnormals, ±inf and NaN."""
+    rng = np.random.default_rng(seed)
+    specials = np.array([0.0, -0.0, 5e-324, -2.5e-320, np.inf, -np.inf, np.nan])
+    vectors = {}
+    for rank in range(num_workers):
+        vector = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        salted = rng.random(n) < 0.2
+        vector[salted] = rng.choice(specials, size=int(salted.sum()))
+        vectors[rank] = vector.astype(dtype)
+    return vectors
+
+
+_ALGORITHMS = [(allreduce_ring, seed_allreduce_ring),
+               (allreduce_rabenseifner, seed_allreduce_rabenseifner)]
+#: Ring at every size, Rabenseifner at the power-of-two ones.
+_SEED_CASES = [pytest.param(algorithm, seed_algorithm, num_workers,
+                            id=f"{algorithm.__name__}-P{num_workers}")
+               for algorithm, seed_algorithm in _ALGORITHMS
+               for num_workers in range(1, 10)
+               if algorithm is allreduce_ring or not num_workers & (num_workers - 1)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestCopyFreeDenseAllReduce:
+    """The collectives reduce each range once into one shared read-only
+    result; bytes, rounds and volumes equal the seed's copying algorithms
+    (``inf + -inf`` in the salted inputs is meant to make NaNs)."""
+
+    @pytest.mark.parametrize("algorithm, seed_algorithm, num_workers", _SEED_CASES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_the_seed(self, algorithm, seed_algorithm, num_workers, dtype):
+        for n in sorted({1, num_workers - 1, num_workers, 2 * num_workers + 1, 257}):
+            vectors = _special_vectors(num_workers, n, dtype, seed=1000 * num_workers + n)
+            ours, seeds = SimulatedCluster(num_workers), SimulatedCluster(num_workers)
+            result = algorithm(ours, vectors)
+            expected = seed_algorithm(seeds, vectors)
+            for rank in range(num_workers):
+                assert result[rank].dtype == np.float64
+                assert result[rank].tobytes() == expected[rank].tobytes(), (n, rank)
+            assert ours.stats.rounds == seeds.stats.rounds
+            assert ours.stats.total_volume == seeds.stats.total_volume
+            assert ours.stats.max_received == seeds.stats.max_received
+
+    @pytest.mark.parametrize("algorithm, seed_algorithm", _ALGORITHMS,
+                             ids=["ring", "rabenseifner"])
+    @pytest.mark.parametrize("num_workers", [1, 2, 4, 8])
+    def test_inputs_are_only_read(self, algorithm, seed_algorithm, num_workers):
+        """Read-only inputs: any write into a caller's array would raise."""
+        vectors = _special_vectors(num_workers, 37, np.float64, seed=num_workers)
+        snapshot = {rank: vector.tobytes() for rank, vector in vectors.items()}
+        for vector in vectors.values():
+            vector.flags.writeable = False
+        result = algorithm(SimulatedCluster(num_workers), vectors)
+        expected = seed_algorithm(SimulatedCluster(num_workers), vectors)
+        for rank in range(num_workers):
+            assert result[rank].tobytes() == expected[rank].tobytes()
+            assert vectors[rank].tobytes() == snapshot[rank]
+
+    @pytest.mark.parametrize("num_workers", [1, 2, 3, 4, 6, 8])
+    def test_every_rank_shares_one_read_only_result(self, num_workers):
+        vectors = {r: np.random.default_rng(r).normal(size=11) for r in range(num_workers)}
+        result = allreduce_dense(SimulatedCluster(num_workers), vectors)
+        shared = result[0]
+        assert all(result[rank] is shared for rank in range(num_workers))
+        assert not shared.flags.writeable
+        assert all(not np.shares_memory(shared, vector) for vector in vectors.values())
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+
+    def test_sub_group_shares_one_result(self):
+        cluster = SimulatedCluster(6)
+        vectors = {r: np.full(5, float(r)) for r in (1, 3, 4, 5)}
+        result = allreduce_ring(cluster, vectors, group=[1, 3, 4])
+        assert sorted(result) == [1, 3, 4]
+        assert result[1] is result[3] is result[4]
+        np.testing.assert_array_equal(result[1], np.full(5, 8.0))
+
+
+class TestDenseAllReduceInputs:
+    """Mismatched inputs raise a ``ValueError`` naming the rank on both
+    algorithms instead of returning a partly reduced or truncated vector."""
+
+    @pytest.mark.parametrize("algorithm, num_workers",
+                             [(allreduce_rabenseifner, 4), (allreduce_ring, 3),
+                              (allreduce_ring, 4)])
+    def test_length_mismatch(self, algorithm, num_workers):
+        vectors = {r: np.ones(8) for r in range(num_workers)}
+        vectors[1] = np.ones(9)
+        with pytest.raises(ValueError, match="rank 1's input has 9 elements"):
+            algorithm(SimulatedCluster(num_workers), vectors)
+
+    @pytest.mark.parametrize("algorithm, num_workers",
+                             [(allreduce_rabenseifner, 4), (allreduce_ring, 3)])
+    def test_missing_rank(self, algorithm, num_workers):
+        vectors = {r: np.ones(8) for r in range(num_workers - 1)}
+        with pytest.raises(ValueError, match=f"rank {num_workers - 1} of the group has no input"):
+            algorithm(SimulatedCluster(num_workers), vectors)
+
+    @pytest.mark.parametrize("algorithm, num_workers",
+                             [(allreduce_rabenseifner, 4), (allreduce_ring, 3),
+                              (allreduce_ring, 1)])
+    def test_not_one_dimensional(self, algorithm, num_workers):
+        vectors = {r: np.ones(8) for r in range(num_workers)}
+        vectors[0] = np.ones((2, 4))
+        with pytest.raises(ValueError, match=r"rank 0's input has shape \(2, 4\)"):
+            algorithm(SimulatedCluster(num_workers), vectors)
 
 
 class TestVolumeAccounting:

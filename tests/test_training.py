@@ -214,6 +214,22 @@ class TestDistributedTrainer:
         history = trainer.train(4)
         assert history.epochs[-1].train_loss < history.epochs[0].train_loss
 
+    def test_dense_training_averages_into_one_row_per_step(self):
+        """Dense All-Reduce hands every rank one shared array, so ``_average``
+        divides once and every rank applies update row 0."""
+        trainer = _build_trainer(method="Dense", samples=32)
+        average, rows_per_step = trainer._average, []
+
+        def spy(result):
+            rows = average(result)
+            rows_per_step.append(rows)
+            return rows
+
+        trainer._average = spy
+        trainer.train(1)
+        assert rows_per_step and all(rows == [0] * 4 for rows in rows_per_step)
+        assert trainer._updates[0].any() and not trainer._updates[1:].any()
+
     def test_num_elements_mismatch_raises(self):
         case = get_case(5)
         train, test = case.build_datasets(num_samples=32, seed=0)

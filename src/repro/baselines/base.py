@@ -129,9 +129,13 @@ class SparseBaseline(GradientSynchronizer):
         bounds = np.array([0, self.num_elements], dtype=np.int64)
         ks = np.array([self.k], dtype=np.int64)
         corrected = self.residuals.apply(gradients, self.selector, bounds, ks)
-        return {rank: self.residuals.take(rank, self.selector.select_segments(
-                    rank, dense, bounds, ks))
-                for rank, dense in corrected.items()}
+        ranks = list(corrected)
+        picked = self.selector.select_segments(ranks, list(corrected.values()),
+                                               bounds, ks)
+        values = self.residuals.take_rows(ranks, picked)
+        return {rank: SparseGradient.from_sorted_unique(
+                    picked[row], values[row], self.num_elements)
+                for row, rank in enumerate(ranks)}
 
     def finalize_residuals(self, final: SparseGradient) -> None:
         """Resolve deferred (PRES) procedure discards against the final

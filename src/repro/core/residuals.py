@@ -31,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from . import rank_pool
+from ..sparse.ckernels import get_kernels
 from ..sparse.topk import WarmTopK
 from ..sparse.vector import SparseGradient
 
@@ -126,10 +127,12 @@ def _accumulate(data: np.ndarray, gradient: np.ndarray,
 
 @dataclass
 class _PendingDiscard:
-    """A procedure discard whose fate depends on the final global indices."""
+    """Procedure discards whose fate depends on the final global indices:
+    ``values`` at ``indices`` (unique, in any order)."""
 
     worker: int
-    sparse: SparseGradient
+    indices: np.ndarray
+    values: np.ndarray
     share: float
 
 
@@ -299,12 +302,38 @@ class ResidualManager:
                 adopt(scan)
         return corrected
 
+    def buffers(self, workers: Sequence[int]) -> List[np.ndarray]:
+        """The workers' store buffers, in order: what :meth:`apply` returned
+        for them, under the same ownership rules (see the class notes)."""
+        return [self._stores[worker]._data for worker in workers]
+
     def take(self, worker: int, indices: np.ndarray) -> SparseGradient:
         """Select ``indices`` (sorted, unique, global coordinates) out of
         the worker's corrected vector: returns them as a sparse gradient
         and zeroes those slots, leaving the local residual in the store."""
         return SparseGradient.from_sorted_unique(
             indices, self._stores[worker].take(indices), self.num_elements)
+
+    def take_rows(self, workers: Sequence[int], indices: np.ndarray) -> np.ndarray:
+        """:meth:`take` for several workers at once: row ``i`` of
+        ``indices`` (unique global coordinates) is taken out of worker
+        ``workers[i]``'s corrected vector; returns the values in the same
+        ``(workers, picks)`` shape.  One compiled call (``take_rows_f64``)
+        where the kernels are loaded, a gather and a scatter per worker
+        otherwise; the same bits either way.  An index outside the vector
+        raises ``IndexError`` before anything is taken."""
+        values = np.empty(indices.shape)
+        rows = self.buffers(workers)
+        kernels = get_kernels()
+        if kernels is not None:
+            kernels.take_rows(rows, indices, values)
+            return values
+        if indices.size and not 0 <= indices.min() <= indices.max() < self.num_elements:
+            raise IndexError("an index lies outside the rows")
+        for picked, taken, data in zip(indices, values, rows):
+            np.take(data, picked, out=taken)
+            data[picked] = 0.0
+        return values
 
     def release(self, worker: int, error: Optional[np.ndarray] = None) -> np.ndarray:
         """Dense paths send the whole corrected vector: hand the store's
@@ -353,8 +382,16 @@ class ResidualManager:
         if self.policy is ResidualPolicy.GLOBAL:
             self._stores[worker].add_sparse(dropped, share)
         elif self.policy is ResidualPolicy.PARTIAL:
-            self._pending.append(_PendingDiscard(worker, dropped, share))
+            self.defer_procedure(worker, dropped.indices, dropped.values, share)
         # LOCAL and NONE intentionally drop procedure residuals.
+
+    def defer_procedure(self, worker: int, indices: np.ndarray, values: np.ndarray,
+                        share: float = 1.0) -> None:
+        """Under PRES, hold back procedure discards of ``worker`` — ``values``
+        at ``indices``, unique, in any order — until :meth:`finalize`; the
+        batched form of :meth:`collect_procedure` for a caller that applies
+        the policy itself."""
+        self._pending.append(_PendingDiscard(worker, indices, values, share))
 
     def finalize(self, final_indices: Optional[Iterable[int]]) -> None:
         """Resolve PRES-pending discards given the final global index set.
@@ -389,19 +426,10 @@ class ResidualManager:
                 final = np.unique(final)
         if self.policy is ResidualPolicy.PARTIAL:
             for pending in self._pending:
-                if pending.sparse.nnz == 0:
-                    continue
-                mask = ~np.isin(pending.sparse.indices, final,
-                                assume_unique=True)
-                if not mask.any():
-                    continue
-                # Masking a sorted-unique index array preserves the invariant.
-                end_procedure = SparseGradient.from_sorted_unique(
-                    pending.sparse.indices[mask], pending.sparse.values[mask],
-                    pending.sparse.length,
-                )
-                self._stores[pending.worker].add_sparse(end_procedure,
-                                                        pending.share)
+                end_procedure = ~np.isin(pending.indices, final, assume_unique=True)
+                if end_procedure.any():
+                    self._stores[pending.worker]._data[pending.indices[end_procedure]] += (
+                        pending.values[end_procedure] * float(pending.share))
         self._pending.clear()
         if self.policy is ResidualPolicy.NONE:
             # Nothing is fed back: drop what the selection left in place.

@@ -253,15 +253,14 @@ class SparDLSynchronizer(GradientSynchronizer):
     def stage_exchange(self, context: StepContext) -> None:
         """SRS inside every team, then Spar-All-Gather across teams — or the
         exact dense All-Reduce past the density crossover."""
-        corrected = context.wire
         if self.uses_dense_fallback:
-            context.exchanged = allreduce_dense(self.cluster, corrected)
+            context.exchanged = allreduce_dense(self.cluster, context.wire)
             context.scratch["dense_fallback"] = True
             return
+        # SRS selects from the residual stores: ``context.wire`` is them.
         srs_out = spar_reduce_scatter(
             cluster=self.cluster,
             teams=self.teams,
-            gradients=corrected,
             layout=self.layout,
             k_block=self.segment_k,
             residuals=self.residuals,

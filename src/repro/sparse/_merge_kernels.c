@@ -1,7 +1,8 @@
 /* Two-pointer / k-way merge-add kernels for sorted COO gradient streams, the
  * fused error-feedback accumulate + candidate scan (which also seeds the
- * cuts it scans against), the segmented exact top-k, and the convolution
- * unfold / fold of repro.nn.conv (end of file).
+ * cuts it scans against), the segmented exact top-k, the Spar-Reduce-Scatter
+ * take and transmission step, and the convolution unfold / fold of
+ * repro.nn.conv (end of file).
  *
  * Compiled on demand by repro.sparse.ckernels (cc -O3 -ffp-contract=off
  * -shared -fPIC); the package falls back to vectorized NumPy kernels when no
@@ -474,6 +475,32 @@ static double select_descending(double *a, int64_t n, int64_t p)
     return a[p];
 }
 
+/* One segment of the selection, 0 < k < n and k <= reach <= n: out[i] is set
+ * to 1 for the k kept entries of m[0..n) and to 0 for the others; returns the
+ * reach-th largest magnitude.  scratch holds n doubles. */
+static double mark_top_k(const double *m, int64_t n, int64_t k, int64_t reach,
+                         double *scratch, uint8_t *out)
+{
+    int64_t i, need = k;
+    double cut, at_reach;
+    for (i = 0; i < n; i++)
+        scratch[i] = m[i] == m[i] ? m[i] : -INFINITY;
+    cut = select_descending(scratch, n, k - 1);
+    at_reach = reach == k ? cut
+                          : select_descending(scratch + k, n - k, reach - k - 1);
+    for (i = 0; i < n; i++)
+        need -= m[i] > cut;
+    /* everything above the cut, and the first `need` entries exactly at it
+     * (NaN counts as -inf there) */
+    for (i = 0; i < n; i++) {
+        int tie = (m[i] == cut) | ((cut == -INFINITY) & (m[i] != m[i]));
+        tie &= need > 0;
+        out[i] = (m[i] > cut) | tie;
+        need -= tie;
+    }
+    return at_reach;
+}
+
 void segmented_top_k_f64(
     int64_t num_segments, const int64_t *offsets, const int64_t *ks,
     const int64_t *reaches, const double *magnitude, double *scratch,
@@ -481,10 +508,8 @@ void segmented_top_k_f64(
 {
     int64_t s, i;
     for (s = 0; s < num_segments; s++) {
-        const double *m = magnitude + offsets[s];
         uint8_t *out = keep + offsets[s];
-        int64_t n = offsets[s + 1] - offsets[s], k = ks[s], reach, need;
-        double cut;
+        int64_t n = offsets[s + 1] - offsets[s], k = ks[s], reach;
         if (k < 0)
             continue;
         cuts[s] = NAN;
@@ -499,23 +524,8 @@ void segmented_top_k_f64(
         reach = reaches && reaches[s] > k ? reaches[s] : k;
         if (reach > n)
             reach = n;
-        for (i = 0; i < n; i++)
-            scratch[i] = m[i] == m[i] ? m[i] : -INFINITY;
-        cut = select_descending(scratch, n, k - 1);
-        cuts[s] = reach == k ? cut
-                             : select_descending(scratch + k, n - k, reach - k - 1);
+        cuts[s] = mark_top_k(magnitude + offsets[s], n, k, reach, scratch, out);
         reached[s] = reach;
-        need = k;
-        for (i = 0; i < n; i++)
-            need -= m[i] > cut;
-        /* everything above the cut, and the first `need` entries exactly at
-         * it (NaN counts as -inf there) */
-        for (i = 0; i < n; i++) {
-            int tie = (m[i] == cut) | ((cut == -INFINITY) & (m[i] != m[i]));
-            tie &= need > 0;
-            out[i] = (m[i] > cut) | tie;
-            need -= tie;
-        }
     }
 }
 
@@ -561,6 +571,132 @@ int64_t top_k_split_i64_f64(
         rest += 1 - k;
     }
     return kept;
+}
+
+/* Phase 1 of Spar-Reduce-Scatter takes every rank's selection out of its
+ * store: out[r * per + i] = rows[r][x] and the slot becomes +0.0, x =
+ * indices[r * per + i] (unique within a rank).  Returns 0, or -1 — having
+ * changed nothing — when an index lies outside [0, length). */
+int64_t take_rows_f64(int64_t ranks, int64_t per, double *const *rows,
+                      const int64_t *indices, int64_t length, double *out)
+{
+    int64_t r, i;
+    for (i = 0; i < ranks * per; i++)
+        if ((uint64_t)indices[i] >= (uint64_t)length)
+            return -1;
+    for (r = 0; r < ranks; r++) {
+        double *row = rows[r];
+        for (i = r * per; i < (r + 1) * per; i++) {
+            out[i] = row[indices[i]];
+            row[indices[i]] = 0.0;
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * One transmission step of Spar-Reduce-Scatter, for every rank at once
+ * (repro.core.srs; srs_round_numpy there is the NumPy statement of it).
+ *
+ * A rank's blocks are one run of (held_i, held_v), block slot by block slot
+ * and bucket segment by bucket segment: segment b of slot s of rank r spans
+ * held_off[(r * (sent + slots) + s) * buckets + b] up to the next offset.
+ * The first `sent` slots of every rank have just been sent and are skipped.
+ * Slot j of the `slots` after them is
+ *   1. merged with what the rank received for it — bag b of it lies in rank
+ *      r's inbox buffers (inbox[2r]: indices, inbox[2r + 1]: values; null
+ *      when nothing arrived) from in_bounds[2q] up to in_bounds[2q + 1],
+ *      q = (r * slots + j) * buckets + b — held first, 0.0 + a + b where
+ *      both hold an index and 0.0 + x elsewhere; but when either block is
+ *      empty in every bucket, the other one is taken as it is;
+ *   2. where targets[r * slots + j] is set, cut to its ks[q] (> 0) largest
+ *      magnitudes in every bucket segment: the selection of
+ *      segmented_top_k_f64 (ties to the lower index, NaN lowest).  A
+ *      dropped entry is added into rows[r][index] when rows is not null and
+ *      written to (drop_i, drop_v) — rank r's from drop_off[r] up to
+ *      drop_off[r + 1] — when drop_off is not null.
+ * What is kept goes to (out_i, out_v) in the same layout with `slots` slots,
+ * its offsets to out_off; returns the number of entries written, or -1 when
+ * an index to add into a row lies outside [0, length) (what was added before
+ * stays added).  fwork holds 2 * longest doubles and keep `longest` bytes,
+ * longest being the most entries one merged segment can have.
+ * ------------------------------------------------------------------------ */
+int64_t srs_round_f64(
+    int64_t ranks, int64_t sent, int64_t slots, int64_t buckets,
+    const int64_t *held_off, const int64_t *held_i, const double *held_v,
+    const uintptr_t *inbox, const int64_t *in_bounds,
+    const uint8_t *targets, const int64_t *ks, double *const *rows,
+    int64_t *out_off, int64_t *out_i, double *out_v,
+    int64_t *drop_off, int64_t *drop_i, double *drop_v,
+    double *fwork, uint8_t *keep, int64_t length)
+{
+    int64_t r, j, b, i, o = 0, d = 0;
+    out_off[0] = 0;
+    if (drop_off)
+        drop_off[0] = 0;
+    for (r = 0; r < ranks; r++) {
+        const int64_t *in_i = (const int64_t *)inbox[2 * r];
+        const double *in_v = (const double *)inbox[2 * r + 1];
+        double *row = rows ? rows[r] : 0;
+        for (j = 0; j < slots; j++) {
+            int64_t q = (r * slots + j) * buckets, received = 0;
+            const int64_t *held = held_off + (r * (sent + slots) + sent + j) * buckets;
+            const int64_t *bounds = in_bounds + 2 * q;
+            int both;
+            for (b = 0; b < buckets; b++)
+                received += bounds[2 * b + 1] - bounds[2 * b];
+            both = received > 0 && held[buckets] > held[0];
+            for (b = 0; b < buckets; b++, q++) {
+                int64_t lo = held[b], na = held[b + 1] - lo;
+                int64_t in_lo = bounds[2 * b], nb = bounds[2 * b + 1] - in_lo;
+                int64_t n = na + nb, kept = 0;
+                if (both) {
+                    n = merge_add_i64_f64(na, held_i + lo, held_v + lo,
+                                          nb, in_i + in_lo, in_v + in_lo,
+                                          out_i + o, out_v + o);
+                } else {  /* one of the two is empty in every bucket */
+                    for (i = 0; i < na; i++) {
+                        out_i[o + i] = held_i[lo + i];
+                        out_v[o + i] = held_v[lo + i];
+                    }
+                    for (i = 0; i < nb; i++) {
+                        out_i[o + i] = in_i[in_lo + i];
+                        out_v[o + i] = in_v[in_lo + i];
+                    }
+                }
+                if (targets[r * slots + j] && n > ks[q]) {
+                    for (i = 0; i < n; i++)
+                        fwork[i] = fabs(out_v[o + i]);
+                    mark_top_k(fwork, n, ks[q], ks[q], fwork + n, keep);
+                    for (i = 0; i < n; i++) {  /* in place: kept <= i */
+                        int64_t index = out_i[o + i];
+                        double value = out_v[o + i];
+                        out_i[o + kept] = index;
+                        out_v[o + kept] = value;
+                        kept += keep[i];
+                        if (keep[i])
+                            continue;
+                        if (row) {
+                            if ((uint64_t)index >= (uint64_t)length)
+                                return -1;
+                            row[index] += value;
+                        }
+                        if (drop_off) {
+                            drop_i[d] = index;
+                            drop_v[d] = value;
+                            d++;
+                        }
+                    }
+                    n = kept;
+                }
+                o += n;
+                out_off[q + 1] = o;
+            }
+        }
+        if (drop_off)
+            drop_off[r + 1] = d;
+    }
+    return o;
 }
 
 /* ------------------------------------------------------------------------

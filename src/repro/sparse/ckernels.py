@@ -1,7 +1,8 @@
 """Loader for the optional compiled kernels.
 
 ``_merge_kernels.c`` (the COO merges, the fused accumulate + candidate scan,
-the segmented top-k and the convolution unfold / fold) is compiled once per
+the segmented top-k, the Spar-Reduce-Scatter take and rounds, and the
+convolution unfold / fold) is compiled once per
 machine into a shared object in a private
 per-user cache, addressed by source, compiler and flags (so repeated runs
 and test invocations reuse it and a flag change never loads a stale
@@ -81,6 +82,12 @@ class CMergeKernels:
         self._top_k_split = lib.top_k_split_i64_f64
         self._top_k_split.restype = _I64
         self._top_k_split.argtypes = [_I64] + [_PTR] * 6
+        self._take_rows = lib.take_rows_f64
+        self._take_rows.restype = _I64
+        self._take_rows.argtypes = [_I64, _I64, _PTR, _PTR, _I64, _PTR]
+        self._srs_round = lib.srs_round_f64
+        self._srs_round.restype = _I64
+        self._srs_round.argtypes = [_I64] * 4 + [_PTR] * 16 + [_I64]
         self._im2col = lib.im2col_f64
         self._im2col.restype = None
         self._im2col.argtypes = [_PTR] + [_I64] * 14 + [_PTR]
@@ -273,6 +280,111 @@ class CMergeKernels:
             fwork.ctypes.data, iwork.ctypes.data)
         return (iwork[:kept], fwork[2 * n:2 * n + kept],
                 iwork[n:2 * n - kept], fwork[3 * n:4 * n - kept])
+
+    def take_rows(self, rows: Sequence[np.ndarray], indices: np.ndarray,
+                  out: np.ndarray) -> None:
+        """The compiled leg of
+        :meth:`repro.core.residuals.ResidualManager.take_rows`: row ``r`` of
+        ``indices`` (``int64``, unique within the row) is gathered from
+        ``rows[r]`` into ``out[r]`` and zeroed there, all in one call; an
+        index outside the rows raises ``IndexError`` before anything is
+        written."""
+        length = rows[0].shape[0] if rows else 0
+        if (indices.dtype != np.int64 or indices.ndim != 2 or out.dtype != np.float64
+                or out.shape != indices.shape or indices.shape[0] != len(rows)
+                or not out.flags.c_contiguous or not all(
+                    row.dtype == np.float64 and row.shape == (length,)
+                    and row.flags.c_contiguous and row.flags.writeable for row in rows)):
+            raise ValueError("take_rows needs one writable float64 vector and one "
+                             "int64 row of indices per rank, and a matching output")
+        indices = _contiguous(indices)
+        pointers = np.array([row.ctypes.data for row in rows], dtype=np.uintp)
+        if self._take_rows(indices.shape[0], indices.shape[1], pointers.ctypes.data,
+                           indices.ctypes.data, length, out.ctypes.data):
+            raise IndexError("an index lies outside the rows")
+
+    def srs_round(self, sent: int, held: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                  inbox: Sequence[Optional[Tuple[np.ndarray, np.ndarray]]],
+                  in_bounds: np.ndarray, targets: np.ndarray, ks: np.ndarray,
+                  rows: Optional[Sequence[np.ndarray]] = None, defer: bool = False):
+        """One transmission step of Spar-Reduce-Scatter for every rank, in
+        one call: :func:`repro.core.srs.srs_round` owns the contract (and
+        :func:`repro.core.srs.srs_round_numpy` is the NumPy statement of
+        it).  Everything the kernel reads through a pointer is checked here:
+        dtypes, shapes, contiguity, the offsets against the buffers and the
+        inbox bounds against the payloads; an index outside the rows raises
+        ``ValueError`` from the kernel's return code.  Returns what
+        :func:`~repro.core.srs.srs_round` returns."""
+        offsets, indices, values = held
+        ranks, slots, buckets = ks.shape
+        cells = ranks * (sent + slots) * buckets
+        offsets = _contiguous(offsets)
+        indices, values = _contiguous(indices), _contiguous(values)
+        if (offsets.dtype != np.int64 or offsets.shape != (cells + 1,)
+                or indices.dtype != np.int64 or values.dtype != np.float64
+                or indices.shape != values.shape or offsets[0] < 0
+                or offsets[-1] > indices.shape[0] or (np.diff(offsets) < 0).any()):
+            raise ValueError("held offsets must rise through the held buffers, "
+                             "one per (rank, slot, bucket) and one more")
+        if (ks.dtype != np.int64 or targets.shape != (ranks, slots)
+                or in_bounds.dtype != np.int64
+                or in_bounds.shape != (ranks, slots, buckets, 2)
+                or len(inbox) != ranks or (ks[targets.astype(bool)] <= 0).any()):
+            raise ValueError("inbox bounds, targets and positive budgets must "
+                             "match (rank, slot, bucket)")
+        pointers = np.zeros(2 * ranks, dtype=np.uintp)
+        sizes = np.zeros(ranks, dtype=np.int64)
+        payloads = []
+        for rank, box in enumerate(inbox):
+            if box is None:
+                continue
+            box_indices, box_values = _contiguous(box[0]), _contiguous(box[1])
+            if (box_indices.dtype != np.int64 or box_values.dtype != np.float64
+                    or box_indices.shape != box_values.shape):
+                raise ValueError("a payload must be int64 indices and float64 values")
+            payloads += [box_indices, box_values]
+            pointers[2 * rank:2 * rank + 2] = (box_indices.ctypes.data,
+                                               box_values.ctypes.data)
+            sizes[rank] = box_indices.shape[0]
+        lo, hi = in_bounds[..., 0], in_bounds[..., 1]
+        if ((lo < 0) | (hi < lo) | (hi > sizes[:, None, None])).any():
+            raise ValueError("inbox bounds must lie inside the payloads")
+        length, row_pointers = 0, None
+        if rows is not None:
+            length = rows[0].shape[0] if rows else 0
+            if len(rows) != ranks or not all(
+                    row.dtype == np.float64 and row.shape == (length,)
+                    and row.flags.c_contiguous and row.flags.writeable for row in rows):
+                raise ValueError("rows must be one writable float64 vector per rank")
+            row_pointers = np.array([row.ctypes.data for row in rows], dtype=np.uintp)
+        held_lengths = np.diff(offsets).reshape(ranks, sent + slots, buckets)[:, sent:]
+        merged = held_lengths + (hi - lo)
+        capacity, longest = int(merged.sum()), int(merged.max(initial=0))
+        out_offsets = np.empty(ranks * slots * buckets + 1, dtype=np.int64)
+        out_indices = np.empty(capacity, dtype=np.int64)
+        out_values = np.empty(capacity)
+        drops = None
+        if defer:  # (offsets per rank, indices, values)
+            drops = (np.empty(ranks + 1, dtype=np.int64),
+                     np.empty(capacity, dtype=np.int64), np.empty(capacity))
+        fwork = np.empty(2 * longest)
+        keep = np.empty(longest, dtype=np.uint8)
+        targets = np.ascontiguousarray(targets, dtype=np.uint8)
+        ks, in_bounds = _contiguous(ks), _contiguous(in_bounds)
+        count = self._srs_round(
+            ranks, sent, slots, buckets,
+            offsets.ctypes.data, indices.ctypes.data, values.ctypes.data,
+            pointers.ctypes.data, in_bounds.ctypes.data, targets.ctypes.data,
+            ks.ctypes.data, None if row_pointers is None else row_pointers.ctypes.data,
+            out_offsets.ctypes.data, out_indices.ctypes.data, out_values.ctypes.data,
+            *((None,) * 3 if drops is None else (array.ctypes.data for array in drops)),
+            fwork.ctypes.data, keep.ctypes.data, length)
+        if count < 0:
+            raise ValueError("a dropped index lies outside the rows")
+        if drops is not None:
+            dropped = drops[0][-1]
+            drops = (drops[0], drops[1][:dropped], drops[2][:dropped])
+        return out_offsets, out_indices[:count], out_values[:count], drops
 
     def im2col(self, images: np.ndarray, kernel_h: int, kernel_w: int,
                stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:

@@ -14,7 +14,7 @@ repeated runs (and different workers holding identical data) agree exactly.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, Hashable, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -356,74 +356,105 @@ class WarmTopK:
             adopt(sweep())
         return plan is not None
 
-    def select_segments(self, group: Hashable, values: np.ndarray,
+    def select_segments(self, groups: Sequence[Hashable], rows: Sequence[np.ndarray],
                         bounds: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """Sorted indices of the ``ks[s]`` largest-magnitude entries of
-        every segment ``values[bounds[s]:bounds[s + 1]]``, as one array:
-        ``top_k_indices`` per segment, shifted to the whole vector."""
-        counts, indices, magnitudes = self._scanned.pop(group, (None, None, None))
-        edges, ks = bounds.tolist(), np.asarray(ks, dtype=np.int64)
-        segments = ks.shape[0]
-        scanned = [-1] * segments if counts is None else counts.tolist()
-        #: Where to seed the cuts missing here: no sweep ran to have done it.
-        ranks = seed_ranks(np.diff(bounds), ks)[0].tolist() if counts is None else None
-        #: k / reach of the segments served from the fused pass's candidates
-        #: (-1: not one of them), and every other segment's picks.
-        warm_ks = np.full(segments, -1, dtype=np.int64)
-        warm_reaches = np.zeros(segments, dtype=np.int64)
-        pieces: Dict[int, np.ndarray] = {}
-        for s, k in enumerate(ks.tolist()):
-            key = (group, s)
-            cut = self.cuts.get(key)
-            remembered = cut is not None
-            lo, hi = edges[s], edges[s + 1]
-            found = None  # candidates compared for here, not by a fused pass
-            if scanned[s] >= 0:
-                hit = scanned[s] >= k
-            else:
-                if cut is None and ranks is not None:
-                    cut = seed_cut(values[lo:hi], ranks[s])
-                    self.seeded += cut is not None
-                if cut is not None:
-                    found = np.flatnonzero(np.abs(values[lo:hi]) >= cut)
-                hit = found is not None and found.shape[0] >= k
-            if remembered and not hit:
-                self._loose.add(key)  # the cut was stale-high
-            reach = 2 * k if key in self._loose else k
-            if hit:
-                self.hits += 1
-                self.requested += k
-                if found is None:  # ranked with the group's other such segments
-                    self.candidates += scanned[s]
-                    warm_ks[s], warm_reaches[s] = k, reach
-                    continue
-                self.candidates += found.shape[0]
-            else:
-                self.misses += 1
-            segment = values[lo:hi] if not hit else values[lo:hi][found]
-            local, cut, reach = _top_k_of_magnitude(np.abs(segment), k, reach)
-            pieces[s] = (found[local] if hit else local) + lo
+        """Exact block-wise top-k of every group at once.  Row ``i`` of the
+        result holds the sorted indices of the ``ks[s]`` largest-magnitude
+        entries of every segment ``rows[i][bounds[s]:bounds[s + 1]]`` of
+        (distinct) group ``groups[i]`` — ``top_k_indices`` per segment,
+        shifted to the whole vector, ``min(ks[s], length)`` of them (none
+        for ``ks[s] <= 0``), segment after segment.
+
+        The candidates fused sweeps left for the groups are ranked together,
+        every ``(group, segment)`` they serve in one :func:`segmented_top_k`
+        call; hits, misses, remembered and loosened cuts are array
+        operations over ``(group, segment)``.  Only a segment no sweep
+        served — all of them on the NumPy leg — is compared against its cut
+        (seeded here when its group had no sweep), and only a miss runs the
+        full partition, segment by segment."""
+        ks = np.asarray(ks, dtype=np.int64)
+        num, segments = len(groups), ks.shape[0]
+        edges = bounds.tolist()
+        taken = np.clip(ks, 0, np.diff(bounds))
+        columns = np.concatenate(([0], np.cumsum(taken)))
+        picked = np.empty((num, int(columns[-1])), dtype=np.int64)
+        if not num or not segments:
+            return picked
+        scans = [self._scanned.pop(group, None) for group in groups]
+        counts = np.stack([np.full(segments, -1, dtype=np.int64) if scan is None
+                           else scan[0] for scan in scans])
+        keys = [(group, s) for group in groups for s in range(segments)]
+        cut_of = self.cuts.get
+        cuts = np.fromiter((cut_of(key, np.nan) for key in keys), dtype=np.float64,
+                           count=len(keys)).reshape(num, segments)
+        remembered = cuts == cuts
+        served = counts >= 0  # by a fused pass's candidates
+        hit = served & (counts >= ks)
+        found: Dict[Tuple[int, int], np.ndarray] = {}  # compared for here
+        ranks = None
+        for i, s in zip(*np.nonzero(~served)):
+            i, s = int(i), int(s)
+            cut: Optional[float] = cuts[i, s] if remembered[i, s] else None
+            values = rows[i][edges[s]:edges[s + 1]]
+            if cut is None and scans[i] is None:  # no sweep ran to seed it
+                if ranks is None:
+                    ranks = seed_ranks(np.diff(bounds), ks)[0]
+                cut = seed_cut(values, int(ranks[s]))
+                self.seeded += cut is not None
             if cut is not None:
-                self._remember(key, cut, reach)
-        if len(pieces) < segments:  # the segments the fused pass serves
-            held = np.maximum(counts, 0)
-            keep, cuts, reached = segmented_top_k(
-                magnitudes, np.concatenate(([0], np.cumsum(held))), warm_ks,
-                warm_reaches)
-            warm = indices[keep]
-            for s, (cut, reach) in enumerate(zip(cuts.tolist(), reached.tolist())):
-                if cut == cut:
-                    self._remember((group, s), cut, reach)
-            if not pieces:
-                return warm
-            taken = np.concatenate(([0], np.cumsum(
-                np.minimum(np.maximum(warm_ks, 0), held)))).tolist()
-            for s in range(segments):
-                if s not in pieces:
-                    pieces[s] = warm[taken[s]:taken[s + 1]]
-        if not segments:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([pieces[s] for s in range(segments)])
+                found[i, s] = np.flatnonzero(np.abs(values) >= cut)
+                hit[i, s] = found[i, s].shape[0] >= ks[s]
+        stale = remembered & ~hit  # the cut was stale-high
+        self._loose.update(keys[at] for at in np.flatnonzero(stale).tolist())
+        loose = np.fromiter((key in self._loose for key in keys), dtype=bool,
+                            count=len(keys)).reshape(num, segments)
+        reaches = np.where(loose, 2 * ks, ks)
+        self.hits += int(np.count_nonzero(hit))
+        self.misses += int(hit.size - np.count_nonzero(hit))
+        self.requested += int((ks * hit).sum())
+        warm = hit & served  # ranked with every other such segment
+        self.candidates += int(counts[warm].sum()) + sum(
+            candidates.shape[0] for at, candidates in found.items() if hit[at])
+        if warm.any():
+            scanned = [scan for scan in scans if scan is not None]
+            keep, warm_cuts, reached = segmented_top_k(
+                np.concatenate([scan[2] for scan in scanned]),
+                np.concatenate(([0], np.cumsum(np.maximum(counts, 0)))),
+                np.where(warm, ks, -1).ravel(), np.where(warm, reaches, 0).ravel())
+            # (gathering at the kept positions, not through the mask: which
+            # candidates are kept is as good as random, and NumPy's boolean
+            # gather branches on every entry)
+            picked.reshape(-1)[np.repeat(warm.ravel(), np.tile(taken, num))] = (
+                np.concatenate([scan[1] for scan in scanned])[np.flatnonzero(keep)])
+            ranked = warm_cuts == warm_cuts
+            self._remember_all([keys[at] for at in np.flatnonzero(ranked).tolist()],
+                               warm_cuts[ranked], reached[ranked])
+        for i, s in zip(*np.nonzero(~warm)):  # each by its own partition
+            i, s = int(i), int(s)
+            lo = edges[s]
+            values = rows[i][lo:edges[s + 1]]
+            candidates = found.get((i, s)) if hit[i, s] else None
+            if candidates is not None:
+                values = values[candidates]
+            local, cut, reach = _top_k_of_magnitude(np.abs(values), int(ks[s]),
+                                                    int(reaches[i, s]))
+            picked[i, columns[s]:columns[s + 1]] = (
+                local if candidates is None else candidates[local]) + lo
+            if cut is not None:
+                self._remember(keys[i * segments + s], cut, reach)
+        return picked
+
+    def _remember_all(self, keys: Sequence[Tuple[Hashable, int]], cuts: np.ndarray,
+                      reaches: np.ndarray) -> None:
+        """:meth:`_remember` of many selections."""
+        positive = cuts > 0
+        for key, keeps in zip(keys, positive.tolist()):
+            if not keeps:
+                self.cuts.pop(key, None)
+                self._reach.pop(key, None)
+        kept = [key for key, keeps in zip(keys, positive.tolist()) if keeps]
+        self.cuts.update(zip(kept, cuts[positive].tolist()))
+        self._reach.update(zip(kept, reaches[positive].tolist()))
 
     def publish(self, metrics: Any) -> None:
         """Add what was tallied since the last call to the counters

@@ -14,9 +14,12 @@ from repro.api import make_factory
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET
 from repro.core import rank_pool
+from repro.core import residuals as residuals_module
+from repro.core import srs as srs_module
 from repro.nn.module import Module
 from repro.nn.parameter import assign_flat_values, flatten_gradients, flatten_values
 from repro.sparse import topk as topk_module
+from repro.sparse import vector as vector_module
 from repro.sparse.ckernels import SEED_MIN_RUNS, SEED_RUN, SEED_SHARE, SIMD_LANES
 from repro.training.cases import get_case
 from repro.training.trainer import DistributedTrainer, TrainerConfig
@@ -74,12 +77,25 @@ def lanes(width: int):
             lane.shutdown()
 
 
+@contextmanager
+def _numpy_statements():
+    """The NumPy statements of the selection, the sparse kernels, the
+    residual take and the SRS rounds in this process, compiled kernels or
+    not."""
+    with mock.patch.object(topk_module, "get_kernels", lambda: None), \
+            mock.patch.object(srs_module, "get_kernels", lambda: None), \
+            mock.patch.object(residuals_module, "get_kernels", lambda: None), \
+            mock.patch.object(vector_module, "_get_c_kernels", lambda: None):
+        yield
+
+
 def selection_legs():
     """Every way a selector can come by its candidates here, as ``{name:
-    context-manager factory}``: the NumPy statements, and each variant of
-    the fused sweep this CPU runs."""
+    context-manager factory}``: the NumPy statements (of the SRS rounds
+    and the sparse kernels too), and each variant of the fused sweep this
+    CPU runs."""
     kernels = topk_module.get_kernels()
-    legs = {"numpy": lambda: mock.patch.object(topk_module, "get_kernels", lambda: None)}
+    legs = {"numpy": _numpy_statements}
     for name, lanes in SIMD_LANES.items():
         if kernels is not None and lanes <= SIMD_LANES[kernels.simd]:
             legs[name] = functools.partial(

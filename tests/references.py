@@ -19,6 +19,10 @@
   gathered range into ``P`` working vectors: the copy-free collectives must
   return the same bytes over the same messages, rounds and volumes
   (``tests/test_comm_collectives.py``).
+* The seed Spar-Reduce-Scatter, block by block: the batched one (one round
+  call per transmission step for every worker) must return the same bytes,
+  leave the same residual and velocity slabs and send the same messages
+  (``tests/test_core_srs.py``).
 """
 
 from __future__ import annotations
@@ -32,11 +36,14 @@ from repro.comm.cluster import SimulatedCluster
 from repro.comm.collectives import _partition_bounds
 from repro.comm.packed import PackedBags
 from repro.comm.transport import Message
+from repro.core.partition import plan_bags, transmission_distances
+from repro.core.srs import SRSOutput, pack_blocks, segment_budgets, sparsify_block
+from repro.sparse.topk import WarmTopK
 from repro.sparse.vector import SparseGradient
 
 __all__ = ["naive_top_k_indices", "naive_merge_add", "naive_merge_many",
            "expected_price", "spy_exchange", "seed_allreduce_ring",
-           "seed_allreduce_rabenseifner"]
+           "seed_allreduce_rabenseifner", "seed_spar_reduce_scatter"]
 
 
 def naive_top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -195,3 +202,95 @@ def seed_allreduce_rabenseifner(cluster, vectors: Dict[int, np.ndarray]) -> Dict
                 lo, hi = min(lo, other_lo), max(hi, other_lo + len(chunk))
             ranges[rank] = (lo, hi)
     return {rank: working[rank] for rank in group}
+
+
+def seed_spar_reduce_scatter(cluster, teams, layout, k_block, residuals,
+                             sparsify_all=False, compressor=None, selector=None):
+    """The seed's Spar-Reduce-Scatter, block by block: per worker one
+    selection and one ``take``, per received block one ``SparseGradient.add``
+    of a ``PackedBags.span``, per target block one ``sparsify_block`` and one
+    ``collect_procedure``, per bag one ``pack_blocks``.  It selects from the
+    residual stores, like the batched one (the seed ranked a ``gradients``
+    argument but took from the stores)."""
+    team_size = len(teams[0])
+    budgets = segment_budgets(layout, k_block)
+    if selector is None:
+        selector = WarmTopK()
+    taken = np.minimum(budgets, np.diff(layout.edges))
+    offsets = np.concatenate(([0], np.cumsum(taken)))
+    by_block = np.arange(taken.shape[0]).reshape(-1, team_size).T.ravel()
+    regrouped = np.concatenate(([0], np.cumsum(taken[by_block])))
+    block_edges = regrouped[::layout.num_buckets].tolist()
+    regroup = None
+    if layout.num_buckets > 1:
+        regroup = (np.repeat(offsets[by_block] - regrouped[:-1], taken[by_block])
+                   + np.arange(offsets[-1]))
+    held, plans = {}, {}
+    for team in teams:
+        for position, rank in enumerate(team):
+            picked = selector.select_segments(
+                [rank], residuals.buffers([rank]), layout.edges, budgets)[0]
+            selected = residuals.take(rank, picked)
+            if compressor is not None:
+                selected, quantization_error = compressor.compress_sparse(
+                    rank, selected, offsets)
+                residuals.collect_local_sparse(rank, quantization_error)
+            indices, values = selected.indices, selected.values
+            if regroup is not None:
+                indices, values = indices[regroup], values[regroup]
+            held[rank] = {
+                block: SparseGradient.from_sorted_unique(
+                    indices[lo:hi], values[lo:hi], selected.length)
+                for block, (lo, hi) in enumerate(zip(block_edges, block_edges[1:]))}
+            plans[rank] = plan_bags(position, team_size)
+    distances = transmission_distances(team_size)
+    num_steps = len(distances)
+    max_bag_nnz_per_step, resparsified = [], 0
+    for step_index, distance in enumerate(distances, start=1):
+        messages, step_max_nnz = [], 0
+        for team in teams:
+            for position, rank in enumerate(team):
+                bag_blocks = plans[rank].bag_for_step(step_index)
+                pieces = [held[rank].pop(block) for block in bag_blocks]
+                step_max_nnz = max(step_max_nnz, *(piece.nnz for piece in pieces))
+                messages.append(Message(
+                    src=rank, dst=team[(position + distance) % team_size],
+                    payload=pack_blocks(layout, bag_blocks, pieces),
+                    tag=f"srs-{step_index}", lossy=True))
+        inboxes = cluster.exchange(messages)
+        max_bag_nnz_per_step.append(step_max_nnz)
+        for team in teams:
+            for rank in team:
+                blocks = held[rank]
+                for message in inboxes.get(rank, []):
+                    payload = message.payload
+                    for first in range(0, payload.num_bags, layout.num_buckets):
+                        block = payload.ids[first] % team_size
+                        if block not in blocks:
+                            raise RuntimeError(
+                                f"Theorem 1 violated: worker {rank} received block "
+                                f"{block} it no longer holds")
+                        blocks[block] = blocks[block].add(
+                            payload.span(first, first + layout.num_buckets))
+                plan = plans[rank]
+                if sparsify_all:
+                    targets = tuple(blocks)
+                elif step_index < num_steps:
+                    targets = plan.bag_for_step(step_index + 1)
+                else:
+                    targets = (plan.preserved,)
+                for block in targets:
+                    blocks[block], dropped = sparsify_block(
+                        layout, block, blocks[block], budgets)
+                    residuals.collect_procedure(rank, dropped)
+                    resparsified += 1
+    reduced_blocks, owned_block = {}, {}
+    for team in teams:
+        for rank in team:
+            block = plans[rank].preserved
+            reduced_blocks[rank] = held[rank][block]
+            owned_block[rank] = block
+    return SRSOutput(reduced_blocks=reduced_blocks, owned_block=owned_block,
+                     layout=layout, num_steps=num_steps,
+                     max_bag_nnz_per_step=max_bag_nnz_per_step,
+                     resparsified=resparsified)

@@ -8,6 +8,8 @@ import pytest
 from repro.core.residuals import ResidualManager, ResidualPolicy, ResidualStore
 from repro.sparse.vector import SparseGradient
 
+from tests.helpers import selection_legs
+
 
 class TestResidualPolicy:
     def test_coerce_from_string(self):
@@ -85,6 +87,33 @@ class TestResidualManagerApply:
         # the next apply corrects with exactly that residual
         corrected = manager.apply({0: np.zeros(3), 1: np.zeros(3)})
         np.testing.assert_array_equal(corrected[0], [1, 0, 0])
+
+    @pytest.mark.parametrize("leg", selection_legs())
+    def test_take_rows_takes_every_workers_picks_at_once(self, leg):
+        """One call for every worker — after a dense step's ``release`` too,
+        when the stores are no longer rows of one slab — and the bits of
+        one ``take`` per worker; an index outside the vector changes
+        nothing."""
+        values = [np.array([1.0, -0.0, np.nan, 5e-324]), np.array([-2.0, 3.0, 0.5, 9.0])]
+        with selection_legs()[leg]():
+            batched, single = (ResidualManager(2, 4) for _ in range(2))
+            for manager in (batched, single):
+                manager.apply(dict(enumerate(values)))
+                manager.release(1)
+                manager.apply(dict(enumerate(values)))
+            picks = np.array([[1, 2], [0, 3]])
+            taken = batched.take_rows([0, 1], picks)
+            for worker in (0, 1):
+                expected = single.take(worker, picks[worker]).values
+                np.testing.assert_array_equal(taken[worker].view(np.uint64),
+                                              expected.view(np.uint64))
+                np.testing.assert_array_equal(batched.store(worker).peek().view(np.uint64),
+                                              single.store(worker).peek().view(np.uint64))
+            before = [batched.store(worker).peek() for worker in (0, 1)]
+            with pytest.raises(IndexError):
+                batched.take_rows([0, 1], np.array([[0, 1], [2, 4]]))
+            for worker in (0, 1):
+                np.testing.assert_array_equal(batched.store(worker).peek(), before[worker])
 
     def test_release_hands_out_the_buffer_and_keeps_only_the_error(self):
         manager = ResidualManager(1, 3, ResidualPolicy.GLOBAL)

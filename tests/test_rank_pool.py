@@ -48,11 +48,10 @@ def state(manager: ResidualManager, selector: WarmTopK):
 
 
 def select_and_take(manager, selector, corrected, bounds, ks):
-    picks = {}
-    for worker, dense in corrected.items():
-        picks[worker] = selector.select_segments(worker, dense, bounds, ks)
-        manager.take(worker, picks[worker])
-    return {w: p.tobytes() for w, p in picks.items()}
+    workers = list(corrected)
+    picks = selector.select_segments(workers, list(corrected.values()), bounds, ks)
+    manager.take_rows(workers, picks)
+    return picks.tobytes()
 
 
 @pytest.mark.parametrize("leg", selection_legs())

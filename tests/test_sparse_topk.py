@@ -226,9 +226,9 @@ class TestTopKSegmentsOfASparseGradient:
 def select_one(warm, key, values, k):
     """The whole vector as the one segment of group ``key`` (its cut is
     ``warm.cuts[(key, 0)]``)."""
-    return warm.select_segments(key, values,
+    return warm.select_segments([key], [values],
                                 np.array([0, values.shape[0]], dtype=np.int64),
-                                np.array([k]))
+                                np.array([k]))[0]
 
 
 class TestWarmTopK:
@@ -296,7 +296,7 @@ class TestWarmTopK:
         assert warm.cuts == {("big", 0): 9.0, ("small", 0): 0.3}
         # and so are the segments of one group
         both = np.concatenate([big, small])
-        picked = warm.select_segments("g", both, np.array([0, 3, 6]), np.array([1, 2]))
+        picked = warm.select_segments(["g"], [both], np.array([0, 3, 6]), np.array([1, 2]))[0]
         np.testing.assert_array_equal(picked, [0, 3, 4])
         assert (warm.cuts[("g", 0)], warm.cuts[("g", 1)]) == (9.0, 0.2)
 
@@ -346,7 +346,7 @@ class TestWarmTopK:
                     warm.cuts.pop(("g", segment), None)
             if data.draw(st.booleans()):  # budgets other than the add was told
                 ks = np.array(data.draw(budgets))
-            picked = warm.select_segments("g", store, bounds, ks)
+            picked = warm.select_segments(["g"], [store], bounds, ks)[0]
             np.testing.assert_array_equal(picked, looped_top_k(store, bounds, ks))
             assert picked.dtype == np.int64
             taken = data.draw(st.lists(st.booleans(), min_size=segments,
@@ -430,7 +430,7 @@ def add_and_select(warm, group, bounds, ks, store, addend, velocity=None, moment
             velocity *= momentum
             velocity += addend
             store += velocity
-    return warm.select_segments(group, store, bounds, ks)
+    return warm.select_segments([group], [store], bounds, ks)[0]
 
 
 class TestSeededSelection:

@@ -51,7 +51,6 @@ from .comm import (
     NetworkProfile,
     SimulatedCluster,
     Transport,
-    TransportCapabilities,
     UnsupportedTransportFeature,
     make_transport,
     transport_spec,
@@ -81,7 +80,6 @@ __version__ = "1.4.0"
 __all__ = [
     "__version__",
     "Transport",
-    "TransportCapabilities",
     "UnsupportedTransportFeature",
     "SimulatedCluster",
     "MultiprocessCluster",

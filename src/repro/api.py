@@ -527,8 +527,8 @@ def make(spec: "str | SyncSpec", cluster: Optional[Transport] = None, *,
     :mod:`repro.core.fusion`): the alpha-beta model is calibrated by a
     startup micro-benchmark on the transport — priced by ``network``
     (a :class:`~repro.comm.network.NetworkProfile`, default
-    :data:`~repro.comm.network.ETHERNET`) on simulated backends, measured
-    wall-clock on real-process ones — and ``compute_profile`` (a
+    :data:`~repro.comm.network.ETHERNET`) on every backend, so ``sim`` and
+    ``mp`` plan the same layout — and ``compute_profile`` (a
     :class:`~repro.training.timing.ComputeProfile`) supplies the
     per-bucket backward times the planner overlaps communication against.
     Both are ignored by non-``auto`` specs.  The resulting plan is kept on

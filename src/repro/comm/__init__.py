@@ -10,7 +10,6 @@ from .cluster import Message, SimulatedCluster, freeze_payload, payload_size
 from .mp_backend import MultiprocessCluster
 from .transport import (
     Transport,
-    TransportCapabilities,
     UnsupportedTransportFeature,
     make_transport,
     parse_backend_spec,
@@ -34,7 +33,6 @@ from .stats import CommStats
 __all__ = [
     "Message",
     "Transport",
-    "TransportCapabilities",
     "UnsupportedTransportFeature",
     "SimulatedCluster",
     "MultiprocessCluster",

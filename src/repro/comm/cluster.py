@@ -8,13 +8,14 @@ itself — it executes the real communication algorithms on real gradient data
 — but it records exactly the quantities the alpha-beta model needs (rounds
 and per-worker received volume) in :class:`repro.comm.stats.CommStats`.
 
-:class:`SimulatedCluster` is the deterministic, bit-exact reference
-implementation of the :class:`~repro.comm.transport.Transport` protocol,
-and the only backend with the ``fault_injection`` capability: message
-fates, stragglers and membership events are pure functions of a seed, so a
-faulted run replays exactly.  The process-backed
-:class:`~repro.comm.mp_backend.MultiprocessCluster` is gated against this
-class bit for bit on the reliable path.
+:class:`SimulatedCluster` is the deterministic reference implementation
+of the :class:`~repro.comm.transport.Transport` protocol, and the only
+backend that takes fault plans: message fates, stragglers and membership
+events are pure functions of a seed, so a faulted run replays exactly.
+Without a message-faulting plan it delivers through
+:meth:`Transport.exchange <repro.comm.transport.Transport.exchange>`, the
+same path as the process-backed
+:class:`~repro.comm.mp_backend.MultiprocessCluster`.
 
 Design notes
 ------------
@@ -32,13 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from .transport import (
-    Message,
-    Transport,
-    TransportCapabilities,
-    freeze_payload,
-    payload_size,
-)
+from .transport import Message, Transport, freeze_payload, payload_size
 
 __all__ = ["Message", "SimulatedCluster", "payload_size", "freeze_payload"]
 
@@ -47,11 +42,6 @@ class SimulatedCluster(Transport):
     """``P`` workers connected by a fully-switched, step-synchronous network."""
 
     spec_name = "sim"
-    capabilities = TransportCapabilities(
-        fault_injection=True,
-        wire_pricing=True,
-        real_processes=False,
-    )
 
     def __init__(self, num_workers: int) -> None:
         super().__init__(num_workers)
@@ -109,17 +99,8 @@ class SimulatedCluster(Transport):
     # message passing
     # ------------------------------------------------------------------
     def exchange(self, messages: Sequence[Message]) -> Dict[int, List[Message]]:
-        """Deliver one synchronous round of messages.
-
-        Returns the inbox of every worker that received something:
-        ``{dst_rank: [messages in arrival order]}``.  Raises if any rank is
-        out of range or a worker messages itself (local data movement is
-        free and must not be modelled as communication).
-
-        NumPy array payloads are delivered as read-only views (see
-        :func:`~repro.comm.transport.freeze_payload`): peers never share
-        writable memory, so a receiver mutating a received array raises
-        instead of silently corrupting the sender's state.
+        """Deliver one synchronous round of messages
+        (see :meth:`Transport.exchange <repro.comm.transport.Transport.exchange>`).
 
         With a message-faulting :class:`~repro.comm.faults.FaultPlan`
         installed, delivery attempts can drop or arrive late; undelivered
@@ -131,16 +112,9 @@ class SimulatedCluster(Transport):
         plan = self._fault_plan
         if plan is not None and plan.injects_message_faults:
             return self._exchange_with_faults(messages)
-        transfers = []
-        inboxes: Dict[int, List[Message]] = {}
-        for message in messages:
-            self._admit(message)
-            transfers.append((message.src, message.dst, float(message.size)))
-            inboxes.setdefault(message.dst, []).append(message)
-        if not transfers:
-            return {}
-        self._stats.record_round(transfers)
-        self._round_counter += 1
+        inboxes = super().exchange(messages)
+        if inboxes:
+            self._round_counter += 1
         return inboxes
 
     def _exchange_with_faults(self, messages: Sequence[Message]) -> Dict[int, List[Message]]:
@@ -162,10 +136,7 @@ class SimulatedCluster(Transport):
         if retry is None:
             from ..core.pipeline import RetryPolicy
             retry = RetryPolicy()
-        admitted: List[Message] = []
-        for message in messages:
-            self._admit(message)
-            admitted.append(message)
+        admitted = self._admit(messages)
         if not admitted:
             return {}
         base_round = self._round_counter

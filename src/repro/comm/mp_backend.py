@@ -1,40 +1,25 @@
-"""Multiprocess execution backend: workers as real OS processes.
+"""Multiprocess execution backend: a compute pool of real OS processes.
 
 :class:`MultiprocessCluster` implements the
 :class:`~repro.comm.transport.Transport` protocol with ``P`` persistent
-worker processes connected by a full mesh of OS pipes.  An
-:meth:`~MultiprocessCluster.exchange` round physically moves every payload
-out of the calling process: the driver ships each message to its *source*
-worker, the source worker sends it to the *destination* worker over their
-peer pipe (the actual inter-process hop, serialised by pickle exactly as a
-socket transport would frame it), and the destination worker hands its
-inbox back to the driver.  Payloads therefore round-trip through real IPC
-— :class:`~repro.comm.packed.PackedBags`, sparse gradients and nested
-array payloads included — and arrive as read-only arrays, the same
-discipline :func:`~repro.comm.transport.freeze_payload` enforces on the
-simulated backend.
-
-Identical accounting by construction
-------------------------------------
-Message admission (rank validation, wire pricing, size derivation) and
-:class:`~repro.comm.stats.CommStats` recording run in the driver through
-the shared :class:`~repro.comm.transport.Transport` base-class code path
-*before* any physical transit, so a round is billed bit-identically to
-:class:`~repro.comm.cluster.SimulatedCluster` no matter which backend
-carries it.  Inboxes are reassembled in submission order (each message
-carries its sequence number across the wire), so downstream merge order —
-and therefore every floating-point result — matches the simulated
-reference exactly.  The cross-backend equivalence gate in
-``tests/test_backends.py`` asserts this end to end for SparDL and all five
-baselines.
+worker processes, one per rank, each connected to the driver by a command
+pipe.  The workers run the per-rank compute: a trainer's replicas do their
+forward/backward passes and apply their updates there, through
+:meth:`~MultiprocessCluster.run_workers`.  Synchronisation — SparDL's
+Spar-Reduce-Scatter, Spar-All-Gather and residual collection, and every
+baseline — runs in the driver through the inherited
+:meth:`Transport.exchange <repro.comm.transport.Transport.exchange>`,
+exactly as on :class:`~repro.comm.cluster.SimulatedCluster`, so its
+results and accounting equal the simulated reference's by construction.
+``tests/test_backends.py`` checks this end to end for SparDL, all five
+baselines and training.
 
 What crosses the pipes, what lives in shared memory
 ----------------------------------------------------
 Pipes carry *commands*: every driver → worker message is one pickled tuple
-(``exchange`` with this rank's outgoing payloads, ``run`` with a function
-reference and its arguments, ``attach``, ``trace``, ``stop``) and every
-reply echoes the op with its result.  Sparse exchange payloads are
-``k/P``-sized and belong there.  Dense per-rank state does not:
+(``run`` with a function reference and its arguments, ``attach``,
+``trace``, ``trace_drain``, ``stop``) and every reply echoes the op with
+its result.  Dense per-rank state does not cross them:
 :meth:`MultiprocessCluster.shared_array` backs a named ``float64`` array
 with a temp file (``/dev/shm`` where it exists, the system temp dir
 otherwise) that the driver maps, every worker opens *by path* and maps on
@@ -65,19 +50,18 @@ heterogeneous network timing are simulation-only: they require the
 deterministic, seed-keyed delivery loop of the reference backend.
 Installing a fault plan here raises
 :class:`~repro.comm.transport.UnsupportedTransportFeature`.  Wire pricers
-*are* supported (pricing happens at admission, before transit).
+*are* supported: pricing is part of the shared delivery path.
 
 Failure containment
 -------------------
 Every driver-side wait watches the reply pipe *and* every worker's process
-sentinel.  A worker that died — the one awaited, or a peer the awaited one
-is blocked on — fails the call within milliseconds with a
-:class:`RuntimeError` naming the dead rank and its exit code; a live worker
-that stops replying (a deadlocked exchange) fails it at the hard timeout
-(default 120 s).  Either way the remaining processes are killed and the
-cluster is closed, so nothing upstream hangs and CI jobs fail fast.  A
-worker *task* that raises is reported with its traceback and closes the
-cluster the orderly way.
+sentinel.  A worker that died — the one awaited or any other — fails the
+call within milliseconds with a :class:`RuntimeError` naming the dead rank
+and its exit code; a live worker that stops replying (a hung task, a
+stopped process) fails it at the hard timeout (default 120 s).  Either way
+the remaining processes are killed and the cluster is closed, so nothing
+upstream hangs and CI jobs fail fast.  A worker *task* that raises is
+reported with its traceback and closes the cluster the orderly way.
 
 Kernel-path propagation
 -----------------------
@@ -95,9 +79,7 @@ from __future__ import annotations
 import mmap
 import multiprocessing
 import os
-import queue
 import tempfile
-import threading
 import time
 import traceback
 from multiprocessing.connection import Connection, wait as connection_wait
@@ -107,13 +89,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.trace import worker_pid
-from .transport import (
-    Message,
-    Transport,
-    TransportCapabilities,
-    freeze_payload,
-    make_worker_context,
-)
+from .transport import Transport, make_worker_context
 
 __all__ = ["MultiprocessCluster"]
 
@@ -188,19 +164,11 @@ def _create_backing_file(nbytes: int) -> Tuple[int, str]:
 # worker process
 # ---------------------------------------------------------------------------
 def _worker_main(rank: int, seed: int, command: Connection,
-                 peers: Dict[int, Connection], bootstrap: Dict[str, Any]) -> None:
+                 bootstrap: Dict[str, Any]) -> None:
     """Entry point of one worker process.
 
     The worker serves commands from the driver until ``stop``:
 
-    ``("exchange", outgoing, expect)``
-        ``outgoing`` is this rank's share of the round, ``[(dst, seq,
-        payload), ...]``; ``expect`` is how many messages this rank will
-        receive.  Outgoing messages are pushed to the peer pipes by a
-        background sender thread (so a full pipe buffer can never deadlock
-        the receive loop), incoming ones are drained from whichever peer
-        pipe is ready, and the collected ``[(seq, payload), ...]`` inbox is
-        returned to the driver.
     ``("run", fn, args)``
         Executes ``fn(context, rank, *args)`` against this worker's
         persistent context (see
@@ -212,10 +180,9 @@ def _worker_main(rank: int, seed: int, command: Connection,
         opened by path, so it works under ``fork`` and ``spawn`` alike; the
         driver unlinks it once every worker has replied.
     ``("trace", enabled)``
-        Toggles worker-side span recording.  While enabled, every
-        ``exchange`` and ``run`` is timed on the worker's own
-        ``perf_counter`` clock into a local buffer (a ``run`` span also
-        carries the bytes of its request and reply frames); the reply
+        Toggles worker-side span recording.  While enabled, every ``run``
+        is timed on the worker's own ``perf_counter`` clock into a local
+        buffer, with the bytes of its request and reply frames; the reply
         carries the worker's current clock reading so the driver can shift
         the stream onto the tracer's clock.
     ``("trace_drain",)``
@@ -236,19 +203,6 @@ def _worker_main(rank: int, seed: int, command: Connection,
         os.environ.pop(_CKERNELS_ENV, None)
     from ..sparse.vector import compiled_kernels_available
 
-    send_queue: "queue.Queue[Optional[Tuple[int, Any]]]" = queue.Queue()
-
-    def _sender() -> None:
-        while True:
-            item = send_queue.get()
-            if item is None:
-                return
-            dst, frame = item
-            peers[dst].send(frame)
-
-    sender = threading.Thread(target=_sender, daemon=True)
-    sender.start()
-
     context = make_worker_context(rank, seed, {})
     tracing = False
     trace_events: List[Dict[str, Any]] = []
@@ -260,25 +214,6 @@ def _worker_main(rank: int, seed: int, command: Connection,
             try:
                 if op == "stop":
                     break
-                elif op == "exchange":
-                    _, outgoing, expect = request
-                    start = time.perf_counter()
-                    for dst, seq, payload in outgoing:
-                        send_queue.put((dst, (seq, payload)))
-                    inbox: List[Tuple[int, Any]] = []
-                    pending = list(peers.values())
-                    while len(inbox) < expect:
-                        for conn in connection_wait(pending):
-                            inbox.append(conn.recv())
-                            if len(inbox) == expect:
-                                break
-                    if tracing:
-                        trace_events.append(
-                            {"name": "exchange", "cat": "worker", "ph": "X",
-                             "ts": start, "dur": time.perf_counter() - start,
-                             "args": {"sent": len(outgoing),
-                                      "received": expect}})
-                    _send_frame(command, (op, inbox))
                 elif op == "run":
                     _, fn, args = request
                     start = time.perf_counter()
@@ -313,13 +248,10 @@ def _worker_main(rank: int, seed: int, command: Connection,
                 _send_frame(command, ("error", rank, traceback.format_exc()))
     except (EOFError, OSError):  # pragma: no cover - driver went away
         pass
-    finally:
-        send_queue.put(None)
-        sender.join(timeout=1.0)
 
 
 class MultiprocessCluster(Transport):
-    """``P`` workers as real OS processes, full-mesh pipe interconnect.
+    """``P`` workers as real OS processes, one command pipe each.
 
     Parameters
     ----------
@@ -335,17 +267,12 @@ class MultiprocessCluster(Transport):
         elsewhere.  Both propagate the kernel path (see module docstring).
     timeout:
         Hard per-wait timeout in seconds for every driver-side receive; a
-        live worker missing the deadline fails the step and tears the
+        live worker missing the deadline fails the call and tears the
         cluster down instead of hanging the caller.  (A *dead* worker is
         noticed at once, through its process sentinel.)
     """
 
     spec_name = "mp"
-    capabilities = TransportCapabilities(
-        fault_injection=False,
-        wire_pricing=True,
-        real_processes=True,
-    )
 
     def __init__(self, num_workers: int, *, seed: int = 0,
                  start_method: Optional[str] = None,
@@ -373,15 +300,6 @@ class MultiprocessCluster(Transport):
     def _start_workers(self) -> None:
         ctx = self._mp_context
         P = self._num_workers
-        # Full mesh of peer pipes: link (i, j) gives end_i to rank i and
-        # end_j to rank j.  P is a worker-process count (<= a few dozen),
-        # so P*(P-1)/2 pipes is cheap.
-        peer_ends: List[Dict[int, Connection]] = [{} for _ in range(P)]
-        for i in range(P):
-            for j in range(i + 1, P):
-                end_i, end_j = ctx.Pipe(duplex=True)
-                peer_ends[i][j] = end_i
-                peer_ends[j][i] = end_j
         bootstrap = {"disable_ckernels": os.environ.get(_CKERNELS_ENV, "")}
         self._processes = []
         self._commands = []
@@ -389,14 +307,12 @@ class MultiprocessCluster(Transport):
             parent_end, worker_end = ctx.Pipe(duplex=True)
             process = ctx.Process(
                 target=_worker_main,
-                args=(rank, self._seed, worker_end, peer_ends[rank], bootstrap),
+                args=(rank, self._seed, worker_end, bootstrap),
                 name=f"repro-mp-worker-{rank}",
                 daemon=True,
             )
             process.start()
             worker_end.close()
-            for peer in peer_ends[rank].values():
-                peer.close()
             self._processes.append(process)
             self._commands.append(parent_end)
         self._closed = False
@@ -429,8 +345,7 @@ class MultiprocessCluster(Transport):
 
     def _shutdown(self, graceful: bool) -> None:
         """Tear the cluster down.  ``graceful`` asks every worker to stop
-        and waits for it; after a dead or stuck worker nobody can be asked
-        (a live peer may be blocked on the dead one), so the processes are
+        and waits for it; after a dead or stuck worker the processes are
         killed instead."""
         if self._closed:
             return
@@ -497,8 +412,7 @@ class MultiprocessCluster(Transport):
         """Install a tracer and toggle worker-side span recording.
 
         In addition to the base-class admission events, every worker starts
-        timing its ``exchange``/``run`` handling on its own clock; the
-        streams are pulled back (and aligned to the tracer's clock via the
+        timing its ``run`` tasks on its own clock; the streams are pulled back (and aligned to the tracer's clock via the
         enable-time anchor) by :meth:`collect_traces` — registered as a
         tracer collector, so any export sees them — and finally at
         :meth:`close`.
@@ -568,49 +482,6 @@ class MultiprocessCluster(Transport):
                                 name=f"mp worker {rank}")
 
     # ------------------------------------------------------------------
-    # message passing
-    # ------------------------------------------------------------------
-    def exchange(self, messages: Sequence[Message]) -> Dict[int, List[Message]]:
-        """Deliver one synchronous round through the worker processes.
-
-        Admission and accounting are the shared
-        :class:`~repro.comm.transport.Transport` code path (bit-identical
-        billing to the simulated backend); the payloads then physically
-        transit driver → source worker → destination worker → driver.  The
-        returned inboxes hold the *round-tripped* payloads, frozen
-        read-only, in submission order.
-        """
-        self._ensure_open()
-        admitted = [self._admit(message) for message in messages]
-        if not admitted:
-            return {}
-        self._stats.record_round(
-            [(m.src, m.dst, float(m.size)) for m in admitted])
-        outgoing: Dict[int, List[Tuple[int, int, Any]]] = {}
-        expected: Dict[int, int] = {}
-        for seq, message in enumerate(admitted):
-            outgoing.setdefault(message.src, []).append(
-                (message.dst, seq, message.payload))
-            expected[message.dst] = expected.get(message.dst, 0) + 1
-        involved = sorted(set(outgoing) | set(expected))
-        for rank in involved:
-            self._send(rank, ("exchange", outgoing.get(rank, []),
-                              expected.get(rank, 0)))
-        transited: Dict[int, Any] = {}
-        for rank in involved:
-            for seq, payload in self._receive(rank, "exchange")[1]:
-                transited[seq] = payload
-        inboxes: Dict[int, List[Message]] = {}
-        for seq, message in enumerate(admitted):
-            delivered = Message(
-                src=message.src, dst=message.dst,
-                payload=freeze_payload(transited[seq]),
-                size=message.size, tag=message.tag,
-                size_final=message.size_final, lossy=message.lossy)
-            inboxes.setdefault(message.dst, []).append(delivered)
-        return inboxes
-
-    # ------------------------------------------------------------------
     # per-rank task execution
     # ------------------------------------------------------------------
     def run_workers(self, fn: Callable[..., Any],
@@ -672,6 +543,8 @@ class MultiprocessCluster(Transport):
     # internals
     # ------------------------------------------------------------------
     def _ensure_open(self) -> None:
+        """Raise once the cluster is closed: :meth:`exchange` too, although
+        it needs no worker, so a closed cluster is closed for everything."""
         if self._closed:
             raise RuntimeError(
                 "MultiprocessCluster is closed; its worker processes have "
@@ -691,9 +564,9 @@ class MultiprocessCluster(Transport):
         """One driver-side receive of ``rank``'s reply to an ``op`` command.
 
         Waits on the reply pipe *and* on every worker's process sentinel: a
-        worker that died — this one, or a peer this one is blocked on —
-        fails the call within milliseconds; a live worker that misses the
-        timeout, or reports an error, fails it too.  Every failure tears
+        worker that died — this one or any other — fails the call within
+        milliseconds; a live worker that misses the timeout, or reports an
+        error, fails it too.  Every failure tears
         the whole cluster down so nothing upstream hangs."""
         connection = self._commands[rank]
         sentinels = [process.sentinel for process in self._processes]

@@ -11,20 +11,21 @@ protocol instead of a concrete cluster class.
 
 Two backends ship:
 
-* :class:`~repro.comm.cluster.SimulatedCluster` — the deterministic,
-  bit-exact in-process reference.  Supports every capability, including
-  the simulation-only ones (fault plans, elastic membership events).
+* :class:`~repro.comm.cluster.SimulatedCluster` — the deterministic
+  in-process reference, and the only backend that takes fault plans
+  (message drops/delays, stragglers, elastic membership events).
 * :class:`~repro.comm.mp_backend.MultiprocessCluster` — ``P`` workers as
-  real OS processes exchanging the same :class:`Message` wire format over
-  pipes, with identical accounting.
+  real OS processes that run the per-rank compute (a trainer's
+  forward/backward and updates) while synchronisation stays in the
+  driver.
 
-Capabilities
-------------
-Backends differ in what they can model.  Rather than letting callers probe
-``isinstance`` (which would re-couple the layers this module decouples),
-every transport advertises a :class:`TransportCapabilities` record, and
-simulation-only features raise :class:`UnsupportedTransportFeature` with a
-pointer to the reference backend instead of degrading silently.
+Both deliver messages through the one :meth:`Transport.exchange` below:
+every message is checked, then priced, traced and frozen, and the round is
+recorded once.  Payloads never leave the calling process, so the ``mp``
+backend's synchronisation results equal the reference by construction.
+A feature a backend cannot model raises
+:class:`UnsupportedTransportFeature` with a pointer to the reference
+backend instead of degrading silently.
 
 Worker compute
 --------------
@@ -54,7 +55,6 @@ a task writes between its call and its return, the caller between
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -66,7 +66,6 @@ from .stats import CommStats
 __all__ = [
     "Message",
     "Transport",
-    "TransportCapabilities",
     "UnsupportedTransportFeature",
     "payload_size",
     "freeze_payload",
@@ -111,10 +110,6 @@ def freeze_payload(payload: Any) -> Any:
     corrupting remote state.  Lists and tuples are frozen recursively; other
     payload objects (sparse gradients, packed buffers) are immutable by
     contract and pass through unchanged.
-
-    Process-backed transports apply the same freeze to payloads arriving
-    from a worker process, so the discipline is identical on every backend
-    even though a deserialised array no longer aliases any sender memory.
     """
     if isinstance(payload, np.ndarray):
         view = payload.view()
@@ -160,6 +155,8 @@ class Message:
     def __post_init__(self) -> None:
         if self.size is None:
             self.size = payload_size(self.payload)
+        if not math.isfinite(self.size):
+            raise ValueError(f"message size must be finite, got {self.size!r}")
         if self.size < 0:
             raise ValueError("message size must be non-negative")
 
@@ -173,46 +170,20 @@ class UnsupportedTransportFeature(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class TransportCapabilities:
-    """What an execution backend can model.
-
-    ``fault_injection``
-        :meth:`Transport.install_fault_plan` accepts a
-        :class:`~repro.comm.faults.FaultPlan` (message drops/delays,
-        stragglers, membership events).  Simulation-only.
-    ``wire_pricing``
-        :meth:`Transport.install_pricer` accepts a wire pricer (quantized
-        accounting).  Pricing happens at admission, before any physical
-        transit, so both backends support it.
-    ``real_processes``
-        Workers are real OS processes and payloads physically leave the
-        calling process; wall-clock timings of this backend are measured,
-        not simulated.
-    """
-
-    fault_injection: bool
-    wire_pricing: bool
-    real_processes: bool
-
-
-class Transport(ABC):
+class Transport:
     """Protocol of an execution backend: ``P`` ranked workers, synchronous
     message rounds, communication accounting and per-rank task execution.
 
-    Concrete backends implement :meth:`exchange` (and whatever capabilities
-    they advertise); the base class owns everything that must behave
-    identically on every backend so the accounting can never diverge:
-    message admission (validation, wire pricing, read-only freezing),
-    :class:`~repro.comm.stats.CommStats` ownership, the pairwise
-    :meth:`sendrecv` convenience wrapper and the per-rank context of
-    :meth:`run_workers`.
+    The base class owns everything that must behave identically on every
+    backend: message delivery (:meth:`exchange`: validation, wire pricing,
+    read-only freezing, :class:`~repro.comm.stats.CommStats` recording),
+    the pairwise :meth:`sendrecv` convenience wrapper and the per-rank
+    context of :meth:`run_workers`.  Backends differ in where the ranks'
+    tasks run and in what they can additionally model.
     """
 
     #: Token naming this backend in ``backend=`` spec strings ("sim", "mp").
     spec_name: str = ""
-    #: What this backend can model; see :class:`TransportCapabilities`.
-    capabilities: TransportCapabilities
 
     def __init__(self, num_workers: int, *, seed: int = 0) -> None:
         if num_workers <= 0:
@@ -258,15 +229,9 @@ class Transport(ABC):
         with a compression stage install their compressor's pricer for the
         duration of one step; returns the previously installed pricer so
         nested drivers (e.g. bucketed sessions on a shared cluster) can
-        restore it.  Pricing happens at message admission — before any
-        physical transit — so every backend whose capabilities advertise
-        ``wire_pricing`` bills identically to the simulated reference.
+        restore it.  Every backend prices in the one admission path of
+        :meth:`exchange`, so billing never depends on the backend.
         """
-        if pricer is not None and not self.capabilities.wire_pricing:
-            raise UnsupportedTransportFeature(
-                f"{type(self).__name__} does not support wire pricers; run "
-                "quantized accounting on a backend with the wire_pricing "
-                "capability (SimulatedCluster, MultiprocessCluster)")
         previous = self._pricer
         self._pricer = pricer
         return previous
@@ -277,12 +242,12 @@ class Transport(ABC):
     def install_tracer(self, tracer: Optional[Any]) -> Optional[Any]:
         """Install a :class:`~repro.obs.trace.Tracer` observing admission.
 
-        Every message that passes :meth:`_admit` — the single code path both
-        backends bill through — is reported to the tracer with its final
+        Every message :meth:`exchange` admits — the single code path every
+        backend bills through — is reported to the tracer with its final
         wire-priced size, so the per-message timeline matches the accounting
         exactly.  Returns the previously installed tracer; ``None``
         uninstalls.  Supported by every backend (process backends
-        additionally stream worker-side spans back at :meth:`close`).
+        additionally stream worker-side task spans back at :meth:`close`).
         """
         previous = self._tracer
         self._tracer = tracer if tracer is not None and tracer.enabled else None
@@ -302,9 +267,8 @@ class Transport(ABC):
 
         Fault injection is a simulation capability: deterministic message
         fates require the single-process, seed-keyed delivery loop of the
-        reference backend.  Transports without the ``fault_injection``
-        capability accept only ``None`` (a no-op, so capability-agnostic
-        callers can always *clear* a plan) and raise
+        reference backend.  Other transports accept only ``None`` (a no-op,
+        so backend-agnostic callers can always *clear* a plan) and raise
         :class:`UnsupportedTransportFeature` for anything else.
         """
         if plan is None:
@@ -317,8 +281,8 @@ class Transport(ABC):
 
     @property
     def fault_plan(self) -> Optional[Any]:
-        """The installed :class:`~repro.comm.faults.FaultPlan` (``None`` on
-        backends without the ``fault_injection`` capability)."""
+        """The installed :class:`~repro.comm.faults.FaultPlan` (always
+        ``None`` on backends without fault injection)."""
         return None
 
     def drain_lost(self) -> List[Message]:
@@ -329,17 +293,33 @@ class Transport(ABC):
     # ------------------------------------------------------------------
     # message passing
     # ------------------------------------------------------------------
-    @abstractmethod
     def exchange(self, messages: Sequence[Message]) -> Dict[int, List[Message]]:
         """Deliver one synchronous round of messages.
 
         Returns the inbox of every worker that received something:
-        ``{dst_rank: [messages in submission order]}``.  Raises if any rank
-        is out of range or a worker messages itself (local data movement is
-        free and must not be modelled as communication).  NumPy array
-        payloads are delivered as read-only views (see
-        :func:`freeze_payload`) on every backend.
+        ``{dst_rank: [messages in submission order]}``, and records the
+        round in :attr:`stats` (an empty round records nothing).  Raises if
+        any rank is out of range or a worker messages itself (local data
+        movement is free and must not be modelled as communication) —
+        before any message of the round is priced, traced or frozen.
+        NumPy array payloads are delivered as read-only views (see
+        :func:`freeze_payload`).
+
+        This is the delivery path of every backend: the payloads never
+        leave the calling process.  The simulated backend departs from it
+        only while a message-faulting plan is installed.
         """
+        self._ensure_open()
+        admitted = self._admit(messages)
+        if not admitted:
+            return {}
+        inboxes: Dict[int, List[Message]] = {}
+        for message in admitted:
+            inboxes.setdefault(message.dst, []).append(message)
+        self._stats.record_round(
+            [(message.src, message.dst, float(message.size))
+             for message in admitted])
+        return inboxes
 
     def sendrecv(self, sends: Dict[int, Tuple[int, Any]],
                  tag: str = "sendrecv") -> Dict[int, Dict[int, Any]]:
@@ -502,28 +482,42 @@ class Transport(ABC):
     # ------------------------------------------------------------------
     # shared internals
     # ------------------------------------------------------------------
-    def _admit(self, message: Message) -> Message:
-        """Validate, price and freeze one outgoing message.
+    def _admit(self, messages: Sequence[Message]) -> List[Message]:
+        """Validate, price, trace and freeze the messages of one round.
 
         Every backend admits through this one code path, so a message is
-        billed identically no matter which transport carries it.
+        billed identically no matter which transport carries it.  All
+        messages are checked (ranks, self-sends, priced sizes) before any
+        is changed or reported: a round that raises leaves the caller's
+        messages, the tracer and the statistics untouched.
         """
-        self._check_rank(message.src)
-        self._check_rank(message.dst)
-        if message.src == message.dst:
-            raise ValueError("workers must not send messages to themselves")
-        if self._pricer is not None and not message.size_final:
-            priced = float(self._pricer(message))
-            if not math.isfinite(priced) or priced < 0.0:
-                raise ValueError(
-                    f"pricer returned invalid message size {priced!r} for "
-                    f"{message.src}->{message.dst} (tag {message.tag!r})")
-            message.size = priced
-        if self._tracer is not None:
-            self._tracer.record_message(message.src, message.dst,
-                                        message.size, message.tag)
-        message.payload = freeze_payload(message.payload)
-        return message
+        messages = list(messages)
+        sizes = []
+        for message in messages:
+            self._check_rank(message.src)
+            self._check_rank(message.dst)
+            if message.src == message.dst:
+                raise ValueError("workers must not send messages to themselves")
+            size = message.size
+            if self._pricer is not None and not message.size_final:
+                size = float(self._pricer(message))
+                if not math.isfinite(size) or size < 0.0:
+                    raise ValueError(
+                        f"pricer returned invalid message size {size!r} for "
+                        f"{message.src}->{message.dst} (tag {message.tag!r})")
+            sizes.append(size)
+        tracer = self._tracer
+        for message, size in zip(messages, sizes):
+            message.size = size
+            if tracer is not None:
+                tracer.record_message(message.src, message.dst, size,
+                                      message.tag)
+            message.payload = freeze_payload(message.payload)
+        return messages
+
+    def _ensure_open(self) -> None:
+        """Raise if the transport can no longer deliver (the in-process
+        reference always can)."""
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self._num_workers:

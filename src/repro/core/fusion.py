@@ -12,8 +12,7 @@ planners do for real clusters:
    (``alpha`` = latency, ``beta`` = per-element cost) or runs a startup
    micro-benchmark on the live :class:`~repro.comm.transport.Transport`
    (:func:`benchmark_transport`): exchange a handful of payload sizes,
-   time each round — wall-clock on real-process backends, the simulated
-   alpha-beta price elsewhere — and least-squares fit
+   price each recorded round on the profile, and least-squares fit
    ``time = alpha + beta * size`` (:func:`fit_alpha_beta`).
 2. **Model** per-bucket cost.  Each candidate bucket's exchange is priced
    with the paper's Table I closed forms (:mod:`repro.analysis.complexity`)
@@ -44,7 +43,6 @@ default), ``buckets=auto:mgwfbp`` and ``buckets=auto:asc``.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -94,8 +92,8 @@ class AlphaBetaFit:
     ``time = alpha + beta * size`` for one synchronous round delivering
     ``size`` elements to the busiest receiver.  ``source`` records where
     the constants came from: ``"profile"`` (taken from a
-    :class:`~repro.comm.network.NetworkProfile`), ``"benchmark:simulated"``
-    or ``"benchmark:wallclock"`` (fitted from a transport micro-benchmark).
+    :class:`~repro.comm.network.NetworkProfile`) or ``"benchmark:simulated"``
+    (fitted from a transport micro-benchmark).
     """
 
     alpha: float
@@ -136,7 +134,7 @@ def fit_alpha_beta(sizes: Sequence[float], times: Sequence[float],
 
     The SSFusion recipe: benchmark a handful of message sizes at startup
     and fit the linear model once, instead of trusting datasheet numbers.
-    Negative fitted coefficients (possible with noisy wall-clock samples)
+    Negative fitted coefficients (possible with noisy measured samples)
     are clamped to zero — the model must stay a valid cost model.
     """
     xs = np.asarray(sizes, dtype=np.float64)
@@ -159,65 +157,47 @@ def fit_alpha_beta(sizes: Sequence[float], times: Sequence[float],
 
 def benchmark_transport(transport: Transport,
                         network: Optional[NetworkProfile] = None,
-                        sizes: Sequence[int] = (256, 2048, 16384, 131072),
-                        repeats: int = 3) -> AlphaBetaFit:
+                        sizes: Sequence[int] = (256, 2048, 16384, 131072)
+                        ) -> AlphaBetaFit:
     """Startup micro-benchmark: fit alpha/beta from live exchanges.
 
     Sends one ``size``-element payload from rank 0 to rank 1 for each probe
-    size and times the round: **wall-clock** (best of ``repeats``) on
-    backends whose workers are real processes, the **simulated**
-    alpha-beta price of the recorded statistics elsewhere (which recovers
-    the :class:`~repro.comm.network.NetworkProfile` constants exactly —
-    ``network`` is required in that case since simulated transports carry
-    no clock of their own).  The transport's statistics are saved and
-    restored around the probes, so calibration never pollutes the
-    accounting of the training run that follows.
+    size and prices the recorded round on ``network`` (the simulated
+    alpha-beta time of the statistics, which recovers the
+    :class:`~repro.comm.network.NetworkProfile` constants exactly).  Every
+    backend delivers through the same
+    :meth:`~repro.comm.transport.Transport.exchange`, so the fit — and every
+    plan made from it — is the same on every backend.  The transport's
+    statistics are saved and restored around the probes, so calibration
+    never pollutes the accounting of the training run that follows.
 
     Transports with fewer than two workers cannot exchange; they fall back
     to the network profile's constants directly.
     """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
     probe_sizes = sorted({int(size) for size in sizes})
     if len(probe_sizes) < 2 or probe_sizes[0] < 0:
         raise ValueError("sizes must contain at least two distinct non-negative sizes")
-    measured_clock = transport.capabilities.real_processes
-    if not measured_clock and network is None:
+    if network is None:
         raise ValueError(
-            "benchmarking a simulated transport needs a NetworkProfile to "
-            "price the probe rounds (simulated backends have no clock)")
+            "benchmarking a transport needs a NetworkProfile to price the "
+            "probe rounds")
     if transport.num_workers < 2:
-        if network is None:
-            raise ValueError(
-                "cannot micro-benchmark a single-worker transport; pass a "
-                "NetworkProfile to take alpha/beta from")
         return AlphaBetaFit.from_network(network)
 
     preserved = transport.reset_stats()
     points: List[Tuple[float, float]] = []
     try:
         for size in probe_sizes:
-            payload = np.zeros(size, dtype=np.float64)
-            best: Optional[float] = None
-            for _ in range(repeats):
-                transport.reset_stats()
-                if measured_clock:
-                    start = _time.perf_counter()
-                    transport.exchange([Message(src=0, dst=1, payload=payload,
-                                                tag="fusion-probe")])
-                    elapsed = _time.perf_counter() - start
-                else:
-                    transport.exchange([Message(src=0, dst=1, payload=payload,
-                                                tag="fusion-probe")])
-                    elapsed = transport.stats.simulated_time(network)
-                best = elapsed if best is None else min(best, elapsed)
-            points.append((float(size), float(best)))
+            transport.reset_stats()
+            transport.exchange([Message(src=0, dst=1,
+                                        payload=np.zeros(size, dtype=np.float64),
+                                        tag="fusion-probe")])
+            points.append((float(size), transport.stats.simulated_time(network)))
     finally:
         transport.reset_stats()
         transport.stats.merge(preserved)
-    source = "benchmark:wallclock" if measured_clock else "benchmark:simulated"
     return fit_alpha_beta([p[0] for p in points], [p[1] for p in points],
-                          source=source)
+                          source="benchmark:simulated")
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +513,7 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
 
     Resolution order for the alpha-beta model: an explicit ``fit`` wins;
     otherwise a ``transport`` is micro-benchmarked
-    (:func:`benchmark_transport`, priced by ``network`` on simulated
-    backends); otherwise ``network``'s constants are taken at face value.
+    (:func:`benchmark_transport`, priced by ``network``); otherwise ``network``'s constants are taken at face value.
     ``compute_profile`` supplies the per-bucket backward times (none means
     planning under zero compute — no overlap is assumable, so latency
     minimisation fuses aggressively).  ``model_parameters`` defaults to

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import make, parse_spec
+from repro.comm import make_transport
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET, RDMA, NetworkProfile
 from repro.core.fusion import (
@@ -22,6 +23,7 @@ from repro.core.fusion import (
     plan_mgwfbp,
 )
 from repro.nn.models import build_mlp
+from repro.training.cases import get_case
 from repro.training.timing import ComputeProfile
 
 from tests.helpers import case5_trainer
@@ -266,6 +268,30 @@ class TestBenchmarkTransport:
     def test_simulated_backend_requires_network(self):
         with pytest.raises(ValueError, match="NetworkProfile"):
             benchmark_transport(SimulatedCluster(4))
+
+    def test_every_backend_prices_the_probes_on_the_profile(self):
+        with make_transport("mp:2") as mp:
+            fit = benchmark_transport(mp, network=ETHERNET)
+            assert mp.stats.rounds == 0
+        assert fit == benchmark_transport(SimulatedCluster(2), network=ETHERNET)
+        assert fit.source == "benchmark:simulated"
+        with make_transport("mp:2") as mp, pytest.raises(ValueError,
+                                                          match="NetworkProfile"):
+            benchmark_transport(mp)
+
+    def test_mp_and_sim_plan_the_same_layout(self):
+        """``buckets=auto`` is a pure function of the spec, the layout and
+        the profiles: case 1's plan is the same on ``mp:2`` and ``sim:2``."""
+        case = get_case(1)
+        model = case.build_model(0)
+        plans = []
+        for backend in ("sim:2", "mp:2"):
+            with make_transport(backend) as cluster:
+                sync = make("spardl?density=0.01&buckets=auto", cluster,
+                            model=model, compute_profile=case.compute_profile)
+                plans.append(sync.fusion_plan)
+        assert plans[0] == plans[1]
+        assert plans[0].fit.alpha == pytest.approx(ETHERNET.alpha, rel=1e-6)
 
 
 class TestCommModels:

@@ -555,6 +555,10 @@ class TestReplayUnit:
 # ---------------------------------------------------------------------------
 # multiprocess backend: per-rank streams
 # ---------------------------------------------------------------------------
+def _rank_task(context, rank):
+    return rank
+
+
 class TestMultiprocessStreams:
     def test_mp_trace_merges_worker_streams(self, tmp_path):
         sync = make("spardl?density=0.05&backend=mp:2&trace=comm",
@@ -563,15 +567,20 @@ class TestMultiprocessStreams:
             session = SyncSession(sync)
             for step in range(2):
                 session.step(grads_for(sync.cluster, 600, step))
+                sync.cluster.run_workers(_rank_task)
         finally:
             sync.cluster.close()
         document = sync.tracer.export_chrome(tmp_path / "mp.json")
         info = validate_chrome_trace(document)
         assert worker_pid(0) in info["pids"] and worker_pid(1) in info["pids"]
-        worker_events = [e for e in document["traceEvents"]
-                         if e.get("pid") == worker_pid(0) and e.get("ph") == "X"]
-        assert worker_events
-        assert all(e["ts"] >= 0 for e in worker_events)
+        for rank in range(2):
+            worker_events = [e for e in document["traceEvents"]
+                             if e.get("pid") == worker_pid(rank)
+                             and e.get("ph") == "X"]
+            # Workers run tasks, never messages: synchronisation is the
+            # driver's, so their streams hold only run:* spans.
+            assert [e["name"] for e in worker_events] == ["run:_rank_task"] * 2
+            assert all(e["ts"] >= 0 for e in worker_events)
 
     def test_mp_trace_off_runs_untraced(self):
         sync = make("spardl?density=0.05&backend=mp:2", num_elements=600)

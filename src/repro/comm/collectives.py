@@ -20,11 +20,21 @@ block ids) is never billed as transmitted elements — messages whose payload
 carries such bookkeeping alongside the data pass an explicit ``size=`` with
 the data elements only, so recorded volumes match the closed-form element
 counts of the alpha-beta analysis exactly.
+
+The dense All-Reduces compute their result once, apart from their messages:
+one task per owned range on the rank pool (:mod:`repro.core.rank_pool`) sums
+that range, block by block, in the operand order of the schedule's adds.
+Their message rounds are the schedule's accounting — every message with the
+source, destination, tag and billed size the schedule gives it, carrying
+views of the senders' inputs (reduce-scatter) and of the result
+(all-gather) — so a fault plan prices drops and retries but cannot change
+the result.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -249,22 +259,31 @@ def reduce_scatter_direct(
 # ---------------------------------------------------------------------------
 # Dense All-Reduce
 # ---------------------------------------------------------------------------
-# Both algorithms read the inputs through views, reduce every range exactly
-# once (in the operand order of the textbook schedule) into one result array
-# and hand that same read-only array to every worker: the all-gather phase
-# ships views of the result and copies nothing.  Messages, rounds and billed
-# elements are those of the schedule.
+# Both algorithms sum each owned range once (see the module docstring), in
+# the operand order of the schedule's adds: ``a + b`` and ``b + a`` can be
+# different NaNs.  No message is lossy, so a fault plan can delay one or
+# force it through, and the result never depends on delivery.
+
+#: Elements per block of the reduction: a block's partial sums stay in cache
+#: from the add that writes them to the add that reads them.
+_BLOCK = 1 << 14
+
+
 def _dense_inputs(vectors: Dict[int, np.ndarray],
                   group: Sequence[int]) -> tuple[Dict[int, np.ndarray], int]:
     """``float64`` views of every group rank's input (a copy only for other
     dtypes) and their common length; ``ValueError`` naming the rank when an
-    input is missing, not 1-D, or of another length than the first."""
+    input is missing, complex, not 1-D, or of another length than the
+    first."""
     if not group:
         raise ValueError("dense All-Reduce needs a non-empty group")
     views: Dict[int, np.ndarray] = {}
     for rank in group:
         if rank not in vectors:
             raise ValueError(f"rank {rank} of the group has no input vector")
+        if np.iscomplexobj(vectors[rank]):
+            raise ValueError(f"rank {rank}'s input is complex; "
+                             "dense All-Reduce takes real vectors")
         view = views[rank] = np.asarray(vectors[rank], dtype=np.float64)
         if view.ndim != 1:
             raise ValueError(f"rank {rank}'s input has shape {view.shape}; "
@@ -274,6 +293,57 @@ def _dense_inputs(vectors: Dict[int, np.ndarray],
             raise ValueError(f"rank {rank}'s input has {view.shape[0]} elements, "
                              f"rank {group[0]}'s has {n}")
     return views, n
+
+
+def _sum(tree: Any, lo: int, hi: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The sum ``tree`` over ``[lo, hi)``.  A leaf is an input vector and
+    gives its view; a pair ``(left, right)`` is ``left + right``, written
+    into ``out``.  A chain of pairs with leaves on the left is walked, not
+    recursed into (a ring chunk is a chain of ``P - 1`` pairs); a right operand
+    that is itself a sum of pairs goes into ``scratch[0]`` (its own right
+    operands into the rows after)."""
+    lefts = []
+    while isinstance(tree, tuple) and isinstance(tree[0], np.ndarray):
+        lefts.append(tree[0])
+        tree = tree[1]
+    if isinstance(tree, np.ndarray):
+        total = tree[lo:hi]
+    else:
+        left, right = tree
+        total = np.add(_sum(left, lo, hi, out, scratch),
+                       _sum(right, lo, hi, scratch[0], scratch[1:]), out=out)
+    for left in reversed(lefts):
+        total = np.add(left[lo:hi], total, out=out)
+    return total
+
+
+def _sum_range(result: np.ndarray, tree: Any, lo: int, hi: int, rows: int) -> None:
+    """Write ``tree`` over ``[lo, hi)`` into ``result``, one block at a time.
+    The last block takes the remainder, so the last add over the range ends
+    in the same vector-loop tail as one add over all of it: NumPy picks
+    between two NaN operands by where an element falls in its loop, and a
+    ring chunk's NaNs stay those of the schedule's adds over whole chunks."""
+    edges = [lo + _BLOCK * block for block in range(max(1, (hi - lo) // _BLOCK))] + [hi]
+    scratch = np.empty((rows, hi - edges[-2]))
+    for start, stop in zip(edges, edges[1:]):
+        _sum(tree, start, stop, result[start:stop], scratch[:, :stop - start])
+
+
+def _reduce(cluster: Transport, n: int, owned: Sequence[tuple[tuple[int, int], Any]],
+            rows: int) -> np.ndarray:
+    """A fresh ``result`` of ``n`` elements holding every owned range
+    ``((lo, hi), tree)`` summed as its tree says (``rows``: the scratch rows
+    the trees need), one rank-pool task per range.  When traced, the gauge
+    ``comm.reduce_workers`` says how many threads ran them."""
+    # Imported here: a module-level import would load repro.core, which
+    # imports this module.
+    from ..core import rank_pool
+    result = np.empty(n)
+    _, workers = rank_pool.run([partial(_sum_range, result, tree, lo, hi, rows)
+                                for (lo, hi), tree in owned])
+    if cluster.tracer is not None:
+        cluster.tracer.metrics.gauge("comm.reduce_workers").set(workers)
+    return result
 
 
 def _shared(result: np.ndarray, group: Sequence[int]) -> Dict[int, np.ndarray]:
@@ -289,6 +359,10 @@ def allreduce_ring(
 ) -> Dict[int, np.ndarray]:
     """Bandwidth-optimal ring All-Reduce (2(P-1) rounds, 2n(P-1)/P volume).
 
+    Chunk ``c`` starts at position ``c`` and every hop adds the receiver's
+    own input on the left, so its owner ``c - 1`` holds
+    ``a[c-1] + (… + (a[c+1] + a[c]))``; each chunk is summed once in that
+    order, and the rounds carry views of the inputs, then of the result.
     Every rank of ``group`` gets the same read-only result array."""
     if group is None:
         group = list(cluster.ranks)
@@ -299,43 +373,36 @@ def allreduce_ring(
     if size == 1:
         return _shared(views[group[0]].copy(), group)
     bounds = _partition_bounds(n, size)
+    inputs = [views[rank] for rank in group]
 
-    # Chunks start as views of the inputs; a reduce-scatter add makes a
-    # fresh ``own + received`` array, so no input is ever written.
-    chunks: Dict[int, List[np.ndarray]] = {
-        rank: [views[rank][lo:hi] for lo, hi in bounds] for rank in group
-    }
-
-    # Reduce-scatter phase.
+    # Reduce-scatter phase: at step s position p sends chunk p - s.
     for step in range(size - 1):
         messages = []
         for pos, rank in enumerate(group):
             chunk_idx = (pos - step) % size
-            dst = group[(pos + 1) % size]
-            messages.append(Message(src=rank, dst=dst, payload=chunks[rank][chunk_idx],
-                                     tag=f"ring-rs-{chunk_idx}"))
-        inboxes = cluster.exchange(messages)
-        for pos, rank in enumerate(group):
-            chunk_idx = (pos - 1 - step) % size
-            for message in inboxes.get(rank, []):
-                chunks[rank][chunk_idx] = chunks[rank][chunk_idx] + np.asarray(message.payload)
+            lo, hi = bounds[chunk_idx]
+            messages.append(Message(src=rank, dst=group[(pos + 1) % size],
+                                    payload=inputs[pos][lo:hi],
+                                    tag=f"ring-rs-{chunk_idx}"))
+        cluster.exchange(messages)
 
-    # Each owner writes its fully reduced chunk into the result once.
-    result = np.empty(n)
-    for pos, rank in enumerate(group):
-        chunk_idx = (pos + 1) % size
-        lo, hi = bounds[chunk_idx]
-        result[lo:hi] = chunks[rank][chunk_idx]
+    owned = []
+    for chunk_idx, span in enumerate(bounds):
+        tree = inputs[chunk_idx]
+        for hop in range(1, size):
+            tree = (inputs[(chunk_idx + hop) % size], tree)
+        owned.append((span, tree))
+    result = _reduce(cluster, n, owned, rows=0)
 
-    # All-gather phase: every hop forwards a view of the result.
+    # All-gather phase: at step s position p forwards chunk p + 1 - s.
     for step in range(size - 1):
         messages = []
         for pos, rank in enumerate(group):
             chunk_idx = (pos + 1 - step) % size
-            dst = group[(pos + 1) % size]
             lo, hi = bounds[chunk_idx]
-            messages.append(Message(src=rank, dst=dst, payload=result[lo:hi],
-                                     tag=f"ring-ag-{chunk_idx}"))
+            messages.append(Message(src=rank, dst=group[(pos + 1) % size],
+                                    payload=result[lo:hi],
+                                    tag=f"ring-ag-{chunk_idx}"))
         cluster.exchange(messages)
 
     return _shared(result, group)
@@ -349,7 +416,12 @@ def allreduce_rabenseifner(
     """Rabenseifner's All-Reduce: recursive-halving Reduce-Scatter followed by
     recursive-doubling All-Gather.  Requires a power-of-two group size.
 
-    Every rank of ``group`` gets the same read-only result array."""
+    At every halving step a position adds its partner's partial sum to its
+    own, so the owner at position ``r`` holds the own-first XOR tree
+    ``((a[r] + a[r^P/2]) + (a[r^P/4] + a[r^P/4^P/2])) + …``; each owned range
+    is summed once in that order, and the rounds carry views of the inputs,
+    then of the result.  Every rank of ``group`` gets the same read-only
+    result array."""
     if group is None:
         group = list(cluster.ranks)
     group = list(group)
@@ -360,73 +432,45 @@ def allreduce_rabenseifner(
     views, n = _dense_inputs(vectors, group)
     if size == 1:
         return _shared(views[group[0]].copy(), group)
-
-    # Track the index range each worker is currently responsible for.
-    ranges: Dict[int, tuple[int, int]] = {rank: (0, n) for rank in group}
-    # Step 0 adds ``own + received`` into a fresh array of the kept half
-    # (``sums[rank]``, starting at index ``starts[rank]``); later steps add
-    # in place into that rank-private array.  The inputs are only read.
-    sums: Dict[int, np.ndarray] = {}
-    starts: Dict[int, int] = {}
-
+    inputs = [views[rank] for rank in group]
     num_steps = int(math.log2(size))
-    # Recursive halving reduce-scatter.
+
+    # Recursive halving reduce-scatter: every position keeps one half of its
+    # range and sends the other to its partner, together with the slice
+    # offset (addressing metadata: only the chunk's elements are billed).
+    ranges = [(0, n)] * size
+    trees: List[Any] = list(inputs)
     for step in range(num_steps):
         distance = size >> (step + 1)
         messages = []
-        plan = {}
         for pos, rank in enumerate(group):
-            partner = group[pos ^ distance]
-            lo, hi = ranges[rank]
+            lo, hi = ranges[pos]
             mid = (lo + hi) // 2
-            keep_high = bool(pos & distance)
-            if keep_high:
-                send_lo, send_hi, keep = lo, mid, (mid, hi)
+            if pos & distance:
+                send_lo, send_hi, ranges[pos] = lo, mid, (mid, hi)
             else:
-                send_lo, send_hi, keep = mid, hi, (lo, mid)
-            plan[rank] = keep
-            data, start = (views[rank], 0) if step == 0 else (sums[rank], starts[rank])
-            # The slice offset is addressing metadata; only the chunk's
-            # elements travel.
-            messages.append(Message(src=rank, dst=partner,
-                                     payload=(send_lo, data[send_lo - start:send_hi - start]),
-                                     size=float(send_hi - send_lo)))
-        inboxes = cluster.exchange(messages)
-        for rank in group:
-            ranges[rank] = plan[rank]
-            for message in inboxes.get(rank, []):
-                lo, chunk = message.payload
-                if step == 0:
-                    starts[rank] = lo
-                    sums[rank] = views[rank][lo:lo + len(chunk)] + chunk
-                else:
-                    at = lo - starts[rank]
-                    sums[rank][at:at + len(chunk)] += chunk
+                send_lo, send_hi, ranges[pos] = mid, hi, (lo, mid)
+            messages.append(Message(src=rank, dst=group[pos ^ distance],
+                                    payload=(send_lo, inputs[pos][send_lo:send_hi]),
+                                    size=float(send_hi - send_lo)))
+        cluster.exchange(messages)
+        trees = [(trees[pos], trees[pos ^ distance]) for pos in range(size)]
 
-    # Each owner writes its fully reduced range into the result once.
-    result = np.empty(n)
-    for rank in group:
-        lo, hi = ranges[rank]
-        result[lo:hi] = sums[rank][lo - starts[rank]:hi - starts[rank]]
+    result = _reduce(cluster, n, list(zip(ranges, trees)), rows=num_steps - 1)
 
-    # Recursive doubling all-gather of the owned ranges: every hop forwards
-    # a view of the result over the range its sender has gathered so far.
+    # Recursive doubling all-gather: every position forwards the range it
+    # has gathered so far and adds its partner's.
     for step in reversed(range(num_steps)):
         distance = size >> (step + 1)
         messages = []
         for pos, rank in enumerate(group):
-            partner = group[pos ^ distance]
-            lo, hi = ranges[rank]
-            messages.append(Message(src=rank, dst=partner, payload=(lo, result[lo:hi]),
-                                     size=float(hi - lo)))
-        inboxes = cluster.exchange(messages)
-        for rank in group:
-            lo, hi = ranges[rank]
-            for message in inboxes.get(rank, []):
-                other_lo, chunk = message.payload
-                lo = min(lo, other_lo)
-                hi = max(hi, other_lo + len(chunk))
-            ranges[rank] = (lo, hi)
+            lo, hi = ranges[pos]
+            messages.append(Message(src=rank, dst=group[pos ^ distance],
+                                    payload=(lo, result[lo:hi]), size=float(hi - lo)))
+        cluster.exchange(messages)
+        ranges = [(min(ranges[pos][0], ranges[pos ^ distance][0]),
+                   max(ranges[pos][1], ranges[pos ^ distance][1]))
+                  for pos in range(size)]
 
     return _shared(result, group)
 

@@ -72,6 +72,14 @@ whether the compiled C kernels actually loaded, and a mismatch with the
 parent (e.g. a worker that cannot compile what the parent could) aborts
 construction loudly rather than letting half the cluster fall back to the
 NumPy kernels unnoticed.
+
+BLAS threads
+------------
+The ``P`` workers share the driver's CPU affinity mask, so the bootstrap
+runs each worker's OpenBLAS on ``max(1, cpus // P)`` threads
+(:func:`repro.core.rank_pool.set_blas_threads`), whatever
+``OPENBLAS_NUM_THREADS`` says.  At OpenBLAS's default, a thread per CPU in
+every worker, the workers' matrix products oversubscribe the CPUs.
 """
 
 from __future__ import annotations
@@ -202,7 +210,10 @@ def _worker_main(rank: int, seed: int, command: Connection,
     else:
         os.environ.pop(_CKERNELS_ENV, None)
     from ..sparse.vector import compiled_kernels_available
+    from ..core import rank_pool
 
+    # The workers share the driver's CPUs (see "BLAS threads" above).
+    rank_pool.set_blas_threads(bootstrap["blas_threads"])
     context = make_worker_context(rank, seed, {})
     tracing = False
     trace_events: List[Dict[str, Any]] = []
@@ -300,7 +311,10 @@ class MultiprocessCluster(Transport):
     def _start_workers(self) -> None:
         ctx = self._mp_context
         P = self._num_workers
-        bootstrap = {"disable_ckernels": os.environ.get(_CKERNELS_ENV, "")}
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        bootstrap = {"disable_ckernels": os.environ.get(_CKERNELS_ENV, ""),
+                     "blas_threads": max(1, cpus // P)}
         self._processes = []
         self._commands = []
         for rank in range(P):

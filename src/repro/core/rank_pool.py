@@ -17,7 +17,9 @@ that fans out over OpenBLAS's threads as well oversubscribes them (four
 case-1 trainer replicas side by side took 2-3x *longer* that way than one
 after another on a 2-core host, and ~0.6x as long on one BLAS thread).  The
 previous count comes back when :func:`run` returns or raises.  Where no
-OpenBLAS is mapped, BLAS is left alone.
+OpenBLAS is mapped, BLAS is left alone.  :func:`set_blas_threads` sets the
+count for good: a process that is one rank of several on the same CPUs (an
+``mp`` worker) takes its share of them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-__all__ = ["run"]
+__all__ = ["run", "set_blas_threads"]
 
 T = TypeVar("T")
 
@@ -101,6 +103,14 @@ def _blas() -> tuple:
     if _BLAS is None:
         _BLAS = _find_openblas()
     return _BLAS
+
+
+def set_blas_threads(threads: int) -> None:
+    """Run the OpenBLAS this process has mapped on ``threads`` threads from
+    now on (nothing where no OpenBLAS is mapped)."""
+    blas = _blas()
+    if blas:
+        blas[1](threads)
 
 
 def _run_chunk(tasks: Sequence[Callable[[], T]]) -> List[T]:

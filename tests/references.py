@@ -28,7 +28,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,10 +120,12 @@ def spy_exchange(cluster: SimulatedCluster) -> list:
     return records
 
 
-def seed_allreduce_ring(cluster, vectors: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-    """Seed ring All-Reduce over the whole cluster: per-rank copied chunks,
-    overwritten by the all-gather and concatenated per rank."""
-    group = list(cluster.ranks)
+def seed_allreduce_ring(cluster, vectors: Dict[int, np.ndarray],
+                        group: Optional[Sequence[int]] = None) -> Dict[int, np.ndarray]:
+    """Seed ring All-Reduce over ``group`` (default: the whole cluster):
+    per-rank copied chunks, overwritten by the all-gather and concatenated
+    per rank."""
+    group = list(cluster.ranks if group is None else group)
     size = len(group)
     n = vectors[group[0]].shape[0]
     if size == 1:
@@ -156,10 +158,12 @@ def seed_allreduce_ring(cluster, vectors: Dict[int, np.ndarray]) -> Dict[int, np
     return {rank: np.concatenate(chunks[rank]) for rank in group}
 
 
-def seed_allreduce_rabenseifner(cluster, vectors: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-    """Seed Rabenseifner All-Reduce over the whole (power-of-two) cluster:
-    every rank halves and doubles over its own full-length working copy."""
-    group = list(cluster.ranks)
+def seed_allreduce_rabenseifner(cluster, vectors: Dict[int, np.ndarray],
+                                group: Optional[Sequence[int]] = None) -> Dict[int, np.ndarray]:
+    """Seed Rabenseifner All-Reduce over the (power-of-two) ``group``
+    (default: the whole cluster): every rank halves and doubles over its own
+    full-length working copy."""
+    group = list(cluster.ranks if group is None else group)
     size = len(group)
     if size == 1:
         return {group[0]: vectors[group[0]].astype(np.float64, copy=True)}

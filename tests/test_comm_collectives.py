@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.collectives import (
+    _BLOCK,
     allgather_bruck,
     allgather_bruck_grouped,
     allgather_recursive_doubling,
@@ -17,7 +19,11 @@ from repro.comm.collectives import (
     allreduce_ring,
     reduce_scatter_direct,
 )
+from repro.comm.faults import FaultPlan
+from repro.compression.stack import CompressorStack
+from repro.obs import Tracer
 
+from tests.helpers import lanes
 from tests.references import seed_allreduce_rabenseifner, seed_allreduce_ring
 
 
@@ -168,6 +174,21 @@ def _special_vectors(num_workers, n, dtype, seed):
     return vectors
 
 
+class RecordingCluster(SimulatedCluster):
+    """A simulated cluster that keeps every round's messages as billed:
+    ``log`` is one list of ``(src, dst, tag, size)`` per exchange call."""
+
+    def __init__(self, num_workers):
+        super().__init__(num_workers)
+        self.log = []
+
+    def exchange(self, messages):
+        inboxes = super().exchange(messages)
+        self.log.append([(message.src, message.dst, message.tag, message.size)
+                         for message in messages])
+        return inboxes
+
+
 _ALGORITHMS = [(allreduce_ring, seed_allreduce_ring),
                (allreduce_rabenseifner, seed_allreduce_rabenseifner)]
 #: Ring at every size, Rabenseifner at the power-of-two ones.
@@ -187,7 +208,9 @@ class TestCopyFreeDenseAllReduce:
     @pytest.mark.parametrize("algorithm, seed_algorithm, num_workers", _SEED_CASES)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bit_identical_to_the_seed(self, algorithm, seed_algorithm, num_workers, dtype):
-        for n in sorted({1, num_workers - 1, num_workers, 2 * num_workers + 1, 257}):
+        # The last length: two blocks per owned range, the second with a remainder.
+        for n in sorted({1, num_workers - 1, num_workers, 2 * num_workers + 1, 257,
+                         (2 * _BLOCK + 3) * num_workers + 1}):
             vectors = _special_vectors(num_workers, n, dtype, seed=1000 * num_workers + n)
             ours, seeds = SimulatedCluster(num_workers), SimulatedCluster(num_workers)
             result = algorithm(ours, vectors)
@@ -225,6 +248,106 @@ class TestCopyFreeDenseAllReduce:
         with pytest.raises(ValueError):
             shared[0] = 1.0
 
+    @pytest.mark.parametrize("algorithm, seed_algorithm, num_workers", _SEED_CASES)
+    def test_nothing_but_nans(self, algorithm, seed_algorithm, num_workers):
+        """IEEE 754 leaves open which NaN ``a + b`` returns when both are
+        NaN, and NumPy's choice depends on where an element falls in its
+        vector loop (body or remainder), not only on the operand order.  The
+        ring adds over the seed's very ranges (its last block takes the
+        remainder), so its NaNs are the seed's bit for bit; Rabenseifner adds
+        over blocks of the owned ranges, not over the seed's halves, so a
+        NaN may carry the other sign.  Every number is the seed's either way
+        (``test_bit_identical_to_the_seed``)."""
+        rng = np.random.default_rng(num_workers)
+        for n in (1, 5, 37, 1001, 2 * _BLOCK * num_workers + 77):
+            vectors = {r: np.where(rng.random(n) < 0.5, np.nan, -np.nan)
+                       for r in range(num_workers)}
+            result = algorithm(SimulatedCluster(num_workers), vectors)[0]
+            expected = seed_algorithm(SimulatedCluster(num_workers), vectors)[0]
+            assert np.isnan(result).all()
+            if algorithm is allreduce_ring:
+                assert result.tobytes() == expected.tobytes(), n
+
+    @pytest.mark.parametrize("algorithm, seed_algorithm, num_workers", _SEED_CASES)
+    @pytest.mark.parametrize("bits", [None, 8], ids=["unpriced", "bits8"])
+    def test_every_message_is_the_seeds(self, algorithm, seed_algorithm, num_workers, bits):
+        """Not just the totals: round by round, every message's ``(src, dst,
+        tag, size)`` equals the seed's, also under the ``dense?bits=8``
+        pricer (which re-derives sizes from the payloads)."""
+        vectors = _special_vectors(num_workers, 3 * num_workers + 2, np.float64,
+                                   seed=num_workers)
+        ours, seeds = RecordingCluster(num_workers), RecordingCluster(num_workers)
+        if bits:
+            for cluster in (ours, seeds):
+                cluster.install_pricer(CompressorStack.from_config(
+                    num_workers, num_bits=bits).price_message)
+        algorithm(ours, vectors)
+        seed_algorithm(seeds, vectors)
+        assert ours.log == seeds.log
+        assert len(ours.log) == (0 if num_workers == 1 else ours.stats.rounds)
+
+    @pytest.mark.parametrize("algorithm, seed_algorithm, group", [
+        (allreduce_ring, seed_allreduce_ring, [1, 3, 5]),
+        (allreduce_ring, seed_allreduce_ring, [5, 0, 2, 4]),
+        (allreduce_rabenseifner, seed_allreduce_rabenseifner, [0, 2, 3, 5]),
+        (allreduce_rabenseifner, seed_allreduce_rabenseifner, [4, 1]),
+    ])
+    def test_group_subsets_equal_the_seed(self, algorithm, seed_algorithm, group):
+        vectors = _special_vectors(6, 2 * _BLOCK + 11, np.float64, seed=len(group))
+        ours, seeds = RecordingCluster(6), RecordingCluster(6)
+        result = algorithm(ours, vectors, group=group)
+        expected = seed_algorithm(seeds, vectors, group=group)
+        assert sorted(result) == sorted(group)
+        for rank in group:
+            assert result[rank].tobytes() == expected[rank].tobytes()
+        assert ours.log == seeds.log
+
+    @pytest.mark.parametrize("num_workers", range(1, 10))
+    def test_pooled_equals_inline(self, num_workers):
+        """The reduction's rank-pool tasks on three threads write the bytes
+        the calling thread writes alone; ``comm.reduce_workers`` says which
+        ran."""
+        vectors = _special_vectors(num_workers, _BLOCK * num_workers + 7, np.float64,
+                                   seed=num_workers)
+        results, gauges = {}, {}
+        for width in (0, 3):
+            cluster = SimulatedCluster(num_workers)
+            cluster.install_tracer(Tracer("steps"))
+            with lanes(width):
+                results[width] = allreduce_dense(cluster, vectors)[0].tobytes()
+            gauges[width] = cluster.tracer.snapshot().get("comm.reduce_workers")
+        assert results[0] == results[3]
+        if num_workers == 1:
+            assert gauges == {0: None, 3: None}  # nothing to reduce
+        else:
+            assert gauges == {0: 1, 3: min(3, num_workers)}
+
+    @pytest.mark.parametrize("num_workers, expected", [
+        # (rounds, fault_extra_rounds, retried, dropped, forced)
+        (8, (16, 10, 15, 15, 0)),
+        (6, (31, 21, 24, 26, 2)),
+    ])
+    def test_a_dense_step_under_drops_returns_the_fault_free_bytes(self, num_workers,
+                                                                 expected):
+        """Dense messages are not lossy: drops and forced deliveries cost
+        rounds (the ones the copying algorithms recorded under this plan)
+        but never change the result."""
+        n = 1000 + num_workers % 2
+        gradients = {w: np.random.default_rng(w).standard_normal(n)
+                     for w in range(num_workers)}
+        spec = f"dense?backend=sim:{num_workers}"
+        clean = api.make(spec, num_elements=n).synchronize(gradients)
+        sync = api.make(spec, num_elements=n)
+        sync.cluster.install_fault_plan(FaultPlan(seed=11, drop_rate=0.3))
+        faulted = sync.synchronize(gradients)
+        assert faulted.gradient(0).tobytes() == clean.gradient(0).tobytes()
+        stats = faulted.stats
+        assert (stats.rounds, stats.fault_extra_rounds, stats.retried_messages,
+                stats.dropped_messages, stats.forced_deliveries) == expected
+        assert stats.rounds - stats.fault_extra_rounds == clean.stats.rounds
+        assert stats.total_volume == clean.stats.total_volume
+        assert sync.cluster.drain_lost() == []
+
     def test_sub_group_shares_one_result(self):
         cluster = SimulatedCluster(6)
         vectors = {r: np.full(5, float(r)) for r in (1, 3, 4, 5)}
@@ -261,6 +384,18 @@ class TestDenseAllReduceInputs:
         vectors = {r: np.ones(8) for r in range(num_workers)}
         vectors[0] = np.ones((2, 4))
         with pytest.raises(ValueError, match=r"rank 0's input has shape \(2, 4\)"):
+            algorithm(SimulatedCluster(num_workers), vectors)
+
+
+    @pytest.mark.parametrize("algorithm, num_workers",
+                             [(allreduce_rabenseifner, 4), (allreduce_ring, 3),
+                              (allreduce_ring, 1)])
+    def test_complex_input(self, algorithm, num_workers):
+        """Regression: complex inputs were cast to ``float64`` with only a
+        ``ComplexWarning``, dropping their imaginary parts."""
+        vectors = {r: np.arange(4.0) for r in range(num_workers)}
+        vectors[num_workers - 1] = np.arange(4) + 1j
+        with pytest.raises(ValueError, match=f"rank {num_workers - 1}'s input is complex"):
             algorithm(SimulatedCluster(num_workers), vectors)
 
 

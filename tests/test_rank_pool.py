@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro.api as api
+from repro.comm.mp_backend import MultiprocessCluster
 from repro.core import rank_pool
 from repro.core.residuals import ResidualManager
 from repro.sparse.topk import WarmTopK
@@ -200,6 +201,10 @@ def blas_threads(count: int):
         set_(before)
 
 
+def _blas_thread_count(context, rank):
+    return rank_pool._blas()[0]()
+
+
 @pytest.mark.skipif(not _numpy_links_openblas(), reason="NumPy links no OpenBLAS")
 class TestOneBlasThread:
     def test_the_openblas_numpy_loaded_is_found(self):
@@ -252,6 +257,19 @@ class TestOneBlasThread:
             assert not any(thread.is_alive() for thread in callers)
             assert seen == [1] * (3 * 30 * 3)
             assert get() == 2
+
+
+    @pytest.mark.parametrize("start_method", [method for method in ("fork", "spawn")
+                                              if method in multiprocessing.get_all_start_methods()])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mp_workers_take_their_share_of_the_cpus(self, start_method, workers, monkeypatch):
+        """Regression: ``mp`` workers ran OpenBLAS at its default, a thread
+        per CPU each, and oversubscribed the CPUs they share."""
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        share = max(1, len(os.sched_getaffinity(0)) // workers)
+        with blas_threads(share + 1), \
+                MultiprocessCluster(workers, start_method=start_method) as cluster:
+            assert cluster.run_workers(_blas_thread_count) == dict.fromkeys(range(workers), share)
 
 
 def test_without_openblas_the_pool_runs_and_leaves_blas_alone(monkeypatch):

@@ -51,7 +51,6 @@ from .comm import (
     NetworkProfile,
     SimulatedCluster,
     Transport,
-    UnsupportedTransportFeature,
     make_transport,
     transport_spec,
 )
@@ -80,7 +79,6 @@ __version__ = "1.4.0"
 __all__ = [
     "__version__",
     "Transport",
-    "UnsupportedTransportFeature",
     "SimulatedCluster",
     "MultiprocessCluster",
     "make_transport",

@@ -10,7 +10,6 @@ from .cluster import Message, SimulatedCluster, freeze_payload, payload_size
 from .mp_backend import MultiprocessCluster
 from .transport import (
     Transport,
-    UnsupportedTransportFeature,
     make_transport,
     parse_backend_spec,
     transport_spec,
@@ -33,7 +32,6 @@ from .stats import CommStats
 __all__ = [
     "Message",
     "Transport",
-    "UnsupportedTransportFeature",
     "SimulatedCluster",
     "MultiprocessCluster",
     "make_transport",

@@ -1,4 +1,4 @@
-"""Deterministic fault and heterogeneity injection for the simulated cluster.
+"""Deterministic fault and heterogeneity injection for every transport.
 
 Every benchmark before this layer assumed a fixed worker count over a
 perfectly reliable, uniform network — the one regime production never runs
@@ -15,11 +15,12 @@ in.  :class:`FaultPlan` describes the departures from that ideal:
   iteration, applied by synchronisers between steps
   (:meth:`~repro.core.base.GradientSynchronizer.poll_membership`).
 
-A plan is installed on a cluster with
-:meth:`~repro.comm.cluster.SimulatedCluster.install_fault_plan`, mirroring
-``install_pricer``.  With no plan installed, ``exchange`` runs the exact
-pre-fault code path — bit-identical messages, statistics and results (gated
-in ``tests/test_faults.py``).
+A plan is installed on any cluster with
+:meth:`~repro.comm.transport.Transport.install_fault_plan`, mirroring
+``install_pricer``; the simulated and the process-backed transport run the
+same delivery loop, so a faulted run is identical on both.  With no plan
+installed, ``exchange`` runs the exact pre-fault code path — bit-identical
+messages, statistics and results (gated in ``tests/test_faults.py``).
 
 Determinism
 -----------

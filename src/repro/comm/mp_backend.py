@@ -45,12 +45,18 @@ the other side reads after receiving it.
 
 What this backend does *not* model
 ----------------------------------
-Fault injection (message drops/delays, stragglers, membership events) and
-heterogeneous network timing are simulation-only: they require the
-deterministic, seed-keyed delivery loop of the reference backend.
-Installing a fault plan here raises
-:class:`~repro.comm.transport.UnsupportedTransportFeature`.  Wire pricers
-*are* supported: pricing is part of the shared delivery path.
+Nothing of the message layer is backend-specific: wire pricers and fault
+plans (drops, delays, retries, lost messages) act in the inherited
+:meth:`~repro.comm.transport.Transport.exchange`, so a faulted
+synchronisation here equals the simulated one bit for bit.  Stragglers and
+:class:`~repro.comm.network.HeterogeneousNetwork` timing price the
+recorded :class:`~repro.comm.stats.CommStats` in
+:mod:`repro.training.timing`, whichever backend recorded them.  Membership
+events of a synchroniser driven on its own (``SyncSession``) restart the
+worker pool through :meth:`~MultiprocessCluster.resize`.  What is not
+modelled yet is churn *during training*: the trainer keeps its replicas
+and shared arrays in the pool, and re-installing them after a restart is
+open work.
 
 Failure containment
 -------------------
@@ -411,10 +417,12 @@ class MultiprocessCluster(Transport):
         contexts restart, exactly like the per-rank contexts of the
         simulated backend) and the statistics window resets to the new
         worker count.  Shared arrays do not survive: ask
-        :meth:`shared_array` again for the new membership.
+        :meth:`shared_array` again for the new membership.  Everything
+        :meth:`Transport.resize` refuses (undrained lost messages) raises
+        before the pool is touched.
         """
-        self.close()
         super().resize(num_workers)
+        self.close()
         self._start_workers()
         if self._tracer is not None:
             self._set_worker_tracing(True)

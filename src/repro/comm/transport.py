@@ -12,8 +12,7 @@ protocol instead of a concrete cluster class.
 Two backends ship:
 
 * :class:`~repro.comm.cluster.SimulatedCluster` — the deterministic
-  in-process reference, and the only backend that takes fault plans
-  (message drops/delays, stragglers, elastic membership events).
+  in-process reference.
 * :class:`~repro.comm.mp_backend.MultiprocessCluster` — ``P`` workers as
   real OS processes that run the per-rank compute (a trainer's
   forward/backward and updates) while synchronisation stays in the
@@ -23,9 +22,21 @@ Both deliver messages through the one :meth:`Transport.exchange` below:
 every message is checked, then priced, traced and frozen, and the round is
 recorded once.  Payloads never leave the calling process, so the ``mp``
 backend's synchronisation results equal the reference by construction.
-A feature a backend cannot model raises
-:class:`UnsupportedTransportFeature` with a pointer to the reference
-backend instead of degrading silently.
+
+Fault injection
+---------------
+A :class:`~repro.comm.faults.FaultPlan` installed with
+:meth:`Transport.install_fault_plan` works on every backend, because it
+acts where every message passes: under a message-faulting plan
+:meth:`Transport.exchange` runs the seeded drop/delay/retry loop, keyed by
+one round counter, and parks lost messages in one buffer for
+:meth:`Transport.drain_lost`.  Stragglers and heterogeneous links price
+the recorded :class:`~repro.comm.stats.CommStats` in
+:mod:`repro.training.timing`, whichever backend recorded them; membership
+events are applied between steps by the synchronisers
+(:meth:`~repro.core.base.GradientSynchronizer.poll_membership`, which
+calls :meth:`Transport.resize`).  A faulted run replays exactly on any
+backend.
 
 Worker compute
 --------------
@@ -66,7 +77,6 @@ from .stats import CommStats
 __all__ = [
     "Message",
     "Transport",
-    "UnsupportedTransportFeature",
     "payload_size",
     "freeze_payload",
     "parse_backend_spec",
@@ -161,15 +171,6 @@ class Message:
             raise ValueError("message size must be non-negative")
 
 
-class UnsupportedTransportFeature(RuntimeError):
-    """A capability was requested from a transport that does not provide it.
-
-    Raised instead of degrading silently: a fault plan installed on a
-    process-backed transport would otherwise simply never fire, turning a
-    robustness experiment into a reliable run without any signal.
-    """
-
-
 class Transport:
     """Protocol of an execution backend: ``P`` ranked workers, synchronous
     message rounds, communication accounting and per-rank task execution.
@@ -177,9 +178,10 @@ class Transport:
     The base class owns everything that must behave identically on every
     backend: message delivery (:meth:`exchange`: validation, wire pricing,
     read-only freezing, :class:`~repro.comm.stats.CommStats` recording),
-    the pairwise :meth:`sendrecv` convenience wrapper and the per-rank
-    context of :meth:`run_workers`.  Backends differ in where the ranks'
-    tasks run and in what they can additionally model.
+    the pairwise :meth:`sendrecv` convenience wrapper, fault injection
+    (:meth:`install_fault_plan`) and the per-rank context of
+    :meth:`run_workers`.  Backends differ only in where the ranks' tasks
+    run and where their shared arrays live.
     """
 
     #: Token naming this backend in ``backend=`` spec strings ("sim", "mp").
@@ -195,6 +197,12 @@ class Transport:
         self._seed = int(seed)
         self._worker_ctx: Dict[int, Dict[str, Any]] = {}
         self._shared: Dict[str, np.ndarray] = {}
+        self._fault_plan: Optional[Any] = None
+        #: Monotonic round counter over the transport's lifetime (never
+        #: reset with the statistics) — the deterministic key of fault
+        #: sampling.
+        self._round_counter = 0
+        self._lost: List[Message] = []
 
     # ------------------------------------------------------------------
     # basic properties
@@ -259,36 +267,33 @@ class Transport:
         return self._tracer
 
     # ------------------------------------------------------------------
-    # fault injection (simulation-only by default)
+    # fault injection
     # ------------------------------------------------------------------
     def install_fault_plan(self, plan: Optional[Any]) -> Optional[Any]:
         """Install a :class:`~repro.comm.faults.FaultPlan` for subsequent
         :meth:`exchange` rounds; returns the previously installed plan.
 
-        Fault injection is a simulation capability: deterministic message
-        fates require the single-process, seed-keyed delivery loop of the
-        reference backend.  Other transports accept only ``None`` (a no-op,
-        so backend-agnostic callers can always *clear* a plan) and raise
-        :class:`UnsupportedTransportFeature` for anything else.
+        With no plan installed (the default), ``exchange`` runs the exact
+        reliable code path — bit-identical messages, statistics and results.
+        A plan whose drop and delay rates are zero is equally bit-identical;
+        only actual drop/delay decisions change the recorded rounds.
         """
-        if plan is None:
-            return None
-        raise UnsupportedTransportFeature(
-            f"{type(self).__name__} does not support fault plans; fault "
-            "injection (drops, delays, stragglers, membership events) is "
-            "simulation-only — run it on SimulatedCluster, the deterministic "
-            "reference backend")
+        previous = self._fault_plan
+        self._fault_plan = plan
+        return previous
 
     @property
     def fault_plan(self) -> Optional[Any]:
-        """The installed :class:`~repro.comm.faults.FaultPlan` (always
-        ``None`` on backends without fault injection)."""
-        return None
+        """The installed :class:`~repro.comm.faults.FaultPlan` (or ``None``)."""
+        return self._fault_plan
 
     def drain_lost(self) -> List[Message]:
         """Return (and clear) the messages lost past the retry budget since
-        the last drain.  Always empty on backends without fault injection."""
-        return []
+        the last drain.  The pipeline's robustness policy folds their mass
+        into the senders' residual stores."""
+        lost = self._lost
+        self._lost = []
+        return lost
 
     # ------------------------------------------------------------------
     # message passing
@@ -306,10 +311,18 @@ class Transport:
         :func:`freeze_payload`).
 
         This is the delivery path of every backend: the payloads never
-        leave the calling process.  The simulated backend departs from it
-        only while a message-faulting plan is installed.
+        leave the calling process.  With a message-faulting
+        :class:`~repro.comm.faults.FaultPlan` installed, delivery attempts
+        can drop or arrive late; undelivered messages are retried under the
+        plan's retry policy, with every attempt, backoff idle round and late
+        arrival billed as extra recorded rounds.  Past the budget, ``lossy``
+        messages are parked for :meth:`drain_lost` and everything else is
+        force-delivered.
         """
         self._ensure_open()
+        plan = self._fault_plan
+        if plan is not None and plan.injects_message_faults:
+            return self._exchange_with_faults(messages)
         admitted = self._admit(messages)
         if not admitted:
             return {}
@@ -319,6 +332,109 @@ class Transport:
         self._stats.record_round(
             [(message.src, message.dst, float(message.size))
              for message in admitted])
+        self._round_counter += 1
+        return inboxes
+
+    def _exchange_with_faults(self, messages: Sequence[Message]) -> Dict[int, List[Message]]:
+        """One logical round under the installed fault plan.
+
+        Each pending message is attempted once per retry round; its fate
+        (deliver on time, deliver ``lateness`` rounds late, or drop — which
+        includes timing out past the plan's ``timeout_rounds``) is a pure
+        function of the plan's seed, the transport's monotonic round
+        counter, the attempt number and the message's ``(src, dst, tag)``.
+        Billing is honest: the nominal round is always recorded, every retry
+        attempt and every distinct lateness adds a recorded round, and the
+        retry policy's backoff idles are recorded as empty (latency-only)
+        rounds.  Inboxes preserve submission order for delivered messages,
+        so downstream merge order matches the reliable path.
+        """
+        plan = self._fault_plan
+        retry = plan.retry
+        if retry is None:
+            from ..core.pipeline import RetryPolicy
+            retry = RetryPolicy()
+        admitted = self._admit(messages)
+        if not admitted:
+            return {}
+        base_round = self._round_counter
+        delivered: set = set()
+        pending: List[int] = list(range(len(admitted)))
+        rounds_recorded = 0
+
+        def record(indices: Sequence[int]) -> None:
+            nonlocal rounds_recorded
+            self._stats.record_round(
+                [(admitted[i].src, admitted[i].dst, float(admitted[i].size))
+                 for i in indices])
+            rounds_recorded += 1
+
+        attempt = 1
+        max_attempts = 1 + retry.max_retries
+        tracer = self._tracer
+        while pending and attempt <= max_attempts:
+            if attempt > 1:
+                for _ in range(retry.idle_rounds(attempt)):
+                    record(())
+                self._stats.retried_messages += len(pending)
+                if tracer is not None:
+                    tracer.record_fault("retry", attempt=attempt,
+                                        pending=len(pending),
+                                        idle_rounds=retry.idle_rounds(attempt))
+            on_time: List[int] = []
+            late: Dict[int, List[int]] = {}
+            still: List[int] = []
+            for index in pending:
+                message = admitted[index]
+                fate, lateness = plan.message_fate(
+                    base_round, attempt, message.src, message.dst, message.tag)
+                if fate == "drop":
+                    self._stats.dropped_messages += 1
+                    still.append(index)
+                    if tracer is not None:
+                        tracer.record_fault("drop", src=message.src,
+                                            dst=message.dst, tag=message.tag,
+                                            attempt=attempt)
+                elif lateness == 0:
+                    on_time.append(index)
+                else:
+                    self._stats.delayed_messages += 1
+                    late.setdefault(lateness, []).append(index)
+                    if tracer is not None:
+                        tracer.record_fault("late", src=message.src,
+                                            dst=message.dst, tag=message.tag,
+                                            attempt=attempt, lateness=lateness)
+            record(on_time)
+            delivered.update(on_time)
+            if late:
+                for offset in range(1, max(late) + 1):
+                    bucket = late.get(offset, [])
+                    record(bucket)
+                    delivered.update(bucket)
+            pending = still
+            attempt += 1
+        if pending:
+            lost = [i for i in pending if admitted[i].lossy]
+            forced = [i for i in pending if not admitted[i].lossy]
+            self._lost.extend(admitted[i] for i in lost)
+            self._stats.lost_messages += len(lost)
+            if tracer is not None:
+                for i in lost:
+                    tracer.record_fault("lost", src=admitted[i].src,
+                                        dst=admitted[i].dst,
+                                        tag=admitted[i].tag)
+            if forced:
+                record(forced)
+                delivered.update(forced)
+                self._stats.forced_deliveries += len(forced)
+                if tracer is not None:
+                    tracer.record_fault("forced", count=len(forced))
+        self._stats.fault_extra_rounds += rounds_recorded - 1
+        self._round_counter += rounds_recorded
+        inboxes: Dict[int, List[Message]] = {}
+        for index, message in enumerate(admitted):
+            if index in delivered:
+                inboxes.setdefault(message.dst, []).append(message)
         return inboxes
 
     def sendrecv(self, sends: Dict[int, Tuple[int, Any]],
@@ -457,10 +573,16 @@ class Transport:
         synchroniser applying the membership event remaps its own per-rank
         state (see :meth:`~repro.core.base.GradientSynchronizer.poll_membership`).
         Statistics, per-rank contexts and shared arrays restart from the
-        new membership.
+        new membership.  Must be called between steps: undrained lost
+        messages mean the previous step's loss accounting was skipped, and
+        raise before anything changes.
         """
         if num_workers <= 0:
             raise ValueError("a cluster needs at least one worker")
+        if self._lost:
+            raise RuntimeError(
+                "cannot resize the cluster with undrained lost messages; "
+                "fold their mass into the residual path first (drain_lost)")
         self._num_workers = int(num_workers)
         self._stats = CommStats(num_workers=self._num_workers)
         self._worker_ctx = {}

@@ -295,7 +295,7 @@ class GradientSynchronizer(ABC):
         iteration.  Returns True when the membership changed.
         """
         plan = self.cluster.fault_plan
-        if plan is None or not getattr(plan, "events", None):
+        if plan is None or not plan.events:
             return False
         if self.iteration <= self._membership_polled:
             return False

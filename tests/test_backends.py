@@ -9,11 +9,14 @@ gate.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import glob
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -21,19 +24,20 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.api import describe, make, parse_spec
 from repro.comm import (
     Message,
     MultiprocessCluster,
     SimulatedCluster,
     Transport,
-    UnsupportedTransportFeature,
     make_transport,
     parse_backend_spec,
     transport_spec,
 )
-from repro.comm.faults import FaultPlan
+from repro.comm.faults import FaultPlan, MembershipEvent
 from repro.comm.mp_backend import _CKERNELS_ENV
+from repro.core.pipeline import SyncSession
 from repro.data.synthetic import synthetic_image_classification
 from repro.data.datasets import train_test_split
 from repro.nn.models import build_mlp
@@ -222,15 +226,78 @@ def test_sendrecv_works_on_mp_backend():
 
 
 # ---------------------------------------------------------------------------
-# what mp does not model
+# fault plans on every backend
 # ---------------------------------------------------------------------------
-def test_mp_rejects_fault_plans_but_clears_them():
-    with MultiprocessCluster(2) as mp:
-        assert mp.install_fault_plan(None) is None  # clearing is universal
-        with pytest.raises(UnsupportedTransportFeature):
-            mp.install_fault_plan(FaultPlan(seed=0, drop_rate=0.1))
-        assert mp.fault_plan is None
-        assert mp.drain_lost() == []
+#: Drops, delays and stragglers on every step, a crash before step 2 and a
+#: join before step 4.
+FAULT_PLAN = FaultPlan(seed=5, drop_rate=0.3, delay_rate=0.2,
+                       straggler_rate=0.2,
+                       events=[MembershipEvent(iteration=2, kind="crash"),
+                               MembershipEvent(iteration=4, kind="join")])
+FAULT_STEPS = 6
+
+
+def _run_faulted_trace(spec: str, cluster: Transport):
+    """Drive FAULT_STEPS session steps under FAULT_PLAN, membership polled
+    before every step; record everything observable."""
+    sync = make(spec, cluster, num_elements=NUM_ELEMENTS, trace="comm")
+    cluster.install_fault_plan(FAULT_PLAN)
+    session = SyncSession(sync)
+    trace = []
+    for iteration in range(FAULT_STEPS):
+        session.poll_membership()
+        workers = session.num_workers
+        result = session.step(random_gradients(workers, NUM_ELEMENTS,
+                                               seed=17 * iteration + 1))
+        residuals = getattr(sync, "residuals", None)
+        trace.append({
+            "workers": workers,
+            "gradients": [np.asarray(result.gradient(rank))
+                          for rank in range(workers)],
+            "residuals": None if residuals is None else [
+                residuals.store(rank).peek() for rank in range(workers)],
+            "stats": dataclasses.asdict(result.stats),
+            "lost": (result.info.get("lost_messages"),
+                     result.info.get("lost_mass")),
+            "stragglers": FAULT_PLAN.straggler_factors(iteration, workers),
+        })
+    events = [(event.name, event.cat, event.args) for event in sync.tracer.events
+              if event.cat in ("retry", "membership")]
+    return trace, events
+
+
+@pytest.mark.parametrize("num_workers", [2, 4])
+@pytest.mark.parametrize("spec", ["spardl?density=0.02", "dense",
+                                  "spardl?density=0.02&bits=8"])
+def test_mp_faulted_sync_is_bit_identical_to_sim(spec, num_workers):
+    """One fault loop in ``Transport.exchange``: under drops, delays,
+    stragglers and a crash/join, ``mp`` replays ``sim`` exactly — results,
+    residual stores, every ``CommStats`` counter, the lost mass and the
+    fault and membership trace."""
+    with SimulatedCluster(num_workers) as sim:
+        reference, reference_events = _run_faulted_trace(spec, sim)
+    with MultiprocessCluster(num_workers) as mp:
+        measured, measured_events = _run_faulted_trace(spec, mp)
+    for step, (want, got) in enumerate(zip(reference, measured)):
+        assert want["workers"] == got["workers"], f"step {step}: membership"
+        for rank, (a, b) in enumerate(zip(want["gradients"], got["gradients"])):
+            assert np.array_equal(a, b), f"step {step}, rank {rank}: globals"
+        if want["residuals"] is not None:
+            for rank, (a, b) in enumerate(zip(want["residuals"],
+                                              got["residuals"])):
+                assert np.array_equal(a, b), f"step {step}, rank {rank}: residuals"
+        for key in ("stats", "lost", "stragglers"):
+            assert want[key] == got[key], f"step {step}: {key} diverged"
+    assert [step["workers"] for step in reference] == (
+        [num_workers] * 2 + [num_workers - 1] * 2 + [num_workers] * 2)
+    # The plan really fired: drops, delays and retries on the wire, lost
+    # mass on the lossy sparse path, and at P = 4 (enough messages to
+    # exhaust the budget) forced deliveries of reliable messages.
+    assert reference_events == measured_events
+    kinds = {name for name, _, _ in reference_events}
+    assert {"drop", "late", "retry", "crash", "join"} <= kinds
+    assert ("lost" in kinds) == (spec != "dense")
+    assert ("forced" in kinds) == (num_workers == 4)
 
 
 def _seed_draw_task(context, rank):
@@ -365,6 +432,11 @@ def test_mp_close_is_idempotent_and_use_after_close_raises():
         mp.exchange([Message(src=0, dst=1, payload=1.0)])
     with pytest.raises(RuntimeError, match="closed"):
         mp.run_workers(_pid_task)
+    # The faulted delivery loop is closed too.
+    mp.install_fault_plan(FaultPlan(seed=0, drop_rate=0.5))
+    with pytest.raises(RuntimeError, match="closed"):
+        mp.exchange([Message(src=0, dst=1, payload=1.0)])
+    assert mp.stats.rounds == 0
 
 
 def _failing_task(context, rank):
@@ -390,6 +462,22 @@ def test_mp_resize_restarts_worker_pool():
         assert mp.num_workers == 3
         assert len(after) == 3
         assert set(before.values()).isdisjoint(after.values())
+
+
+def test_mp_resize_with_undrained_losses_raises_before_teardown():
+    with MultiprocessCluster(2) as mp:
+        pids = mp.run_workers(_pid_task)
+        # Every attempt drops: the lossy message is lost past the budget.
+        mp.install_fault_plan(FaultPlan(seed=0, drop_rate=1.0))
+        mp.exchange([Message(src=0, dst=1, payload=1.0, lossy=True)])
+        with pytest.raises(RuntimeError, match="undrained lost messages"):
+            mp.resize(3)
+        # Nothing was torn down: the same workers serve the same membership.
+        assert mp.num_workers == 2
+        assert mp.run_workers(_pid_task) == pids
+        assert len(mp.drain_lost()) == 1
+        mp.resize(3)
+        assert len(mp.run_workers(_pid_task)) == 3
 
 
 START_METHODS = [method for method in ("fork", "spawn")
@@ -479,6 +567,60 @@ def test_shared_array_is_one_memory_for_driver_and_ranks(backend):
         assert seen == {0: 0.0, 1: 7.0}  # ... the ranks read it, and the
         assert array.tolist() == [[10.0] * 3, [11.0] * 3]  # driver their rows
         assert cluster.shared_array("empty", (2, 0)).shape == (2, 0)
+
+
+#: Two epochs of training case 1 per spec on ``sim:2`` and on ``mp:2``; the
+#: final parameters must agree bit for bit (``buckets=auto`` too: its fusion
+#: plan is priced, not timed, so it cannot depend on the backend), and no
+#: shared-array backing file may be left behind.
+_TRAIN_MP_SCRIPT = """
+import glob, os, tempfile
+import numpy as np
+import repro.api as api
+from repro.comm import make_transport
+from repro.nn.parameter import flatten_values
+from repro.training.cases import get_case
+from repro.training.trainer import DistributedTrainer, TrainerConfig
+
+def final_parameters(backend, spec):
+    case = get_case(1)
+    datasets = case.build_datasets(num_samples=96, seed=0)
+    with make_transport(backend) as cluster:
+        trainer = DistributedTrainer(
+            cluster, api.make_factory(spec), case.build_model,
+            *datasets, config=TrainerConfig(batch_size=8, seed=0,
+                                            learning_rate=case.learning_rate),
+            compute_profile=case.compute_profile)
+        trainer.train(num_epochs=2)
+        return flatten_values(trainer.global_model.parameters())
+
+for spec in ("spardl?density=0.01", "dense",
+             "spardl?density=0.01&buckets=auto"):
+    reference = final_parameters("sim:2", spec)
+    measured = final_parameters("mp:2", spec)
+    assert np.array_equal(reference, measured), f"{spec}: mp:2 diverged from sim:2"
+left = [path for directory in ("/dev/shm", tempfile.gettempdir())
+        for path in glob.glob(os.path.join(directory, "repro-mp-*"))]
+assert not left, left
+print("mp:2 == sim:2 (spardl, dense, buckets=auto) on", reference.size,
+      "parameters; no repro-mp-* file left")
+"""
+
+
+def test_mp_training_is_warning_free_and_leaves_nothing_behind():
+    """Training on ``mp:2`` under ``python -W error``: a resource-tracker
+    "leaked shared_memory" warning, an unclosed file or a mapping that
+    outlives ``close()`` fails the run, as does any divergence from
+    ``sim:2`` or a ``repro-mp-*`` file left in ``/dev/shm`` or the temp
+    dir.  A fresh interpreter, so no warning filter of the test session
+    applies."""
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", _TRAIN_MP_SCRIPT],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert "no repro-mp-* file left" in run.stdout
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)

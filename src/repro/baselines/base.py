@@ -17,7 +17,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..comm.transport import Transport
-from ..compression.stack import CompressorStack
 from ..core.base import GradientSynchronizer
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualManager, ResidualPolicy
@@ -59,11 +58,11 @@ class SparseBaseline(GradientSynchronizer):
     num_bits:
         Optional value quantization of the wire: ``None`` (default) keeps
         full-precision values — the pre-quantization behaviour bit for bit —
-        while an integer in ``[1, 32]`` installs a quantize stage on the
-        method's :class:`~repro.compression.stack.CompressorStack` whose
-        ``compress`` stage quantizes every worker's selection (independent
-        per-worker random streams) and folds the exact quantization error
-        into the method's residual store.
+        while an integer in ``[1, 32]`` installs a
+        :class:`~repro.compression.quantization.QuantizedCompressor` as
+        :attr:`stack`: the ``compress`` stage quantizes every worker's
+        selection (independent per-worker random streams) and folds the
+        exact quantization error into the method's residual store.
     momentum:
         Optional DGC momentum-correction factor in ``(0, 1)``: the residual
         manager accumulates velocity instead of raw gradient, with momentum
@@ -86,9 +85,7 @@ class SparseBaseline(GradientSynchronizer):
         #: one segment): the selector SparDL's phase 1 uses, so that the
         #: methods' wall-clock compares at the same selection cost.
         self.selector = WarmTopK()
-        self.adopt_stack(CompressorStack.from_config(
-            cluster.num_workers, momentum=momentum, num_bits=num_bits,
-            sparsify=True))
+        self._configure_compression(num_bits, momentum)
 
     def set_sparsity(self, k: int) -> None:
         """Adopt a per-step ``k`` (schedule resolution)."""
@@ -98,15 +95,14 @@ class SparseBaseline(GradientSynchronizer):
     def stage_compress(self, context: StepContext) -> None:
         """Wire encoding of the per-worker selections.
 
-        Identity without a wire-transforming stack stage.  With a quantize
-        stage, every worker's sparse selection is folded through the stack
-        using that worker's independent random stream — so results do not
-        depend on iteration order — and the exact error of the draw is
-        collected as that worker's local residual (error feedback over the
-        message actually sent).  Declarative stages (momentum correction)
-        act through the residual manager and leave the wire untouched.
+        Identity without a quantizer.  With one, every worker's sparse
+        selection is quantized with that worker's independent random stream
+        — so results do not depend on iteration order — and the exact error
+        of the draw is collected as that worker's local residual (error
+        feedback over the message actually sent).  Momentum correction acts
+        through the residual manager and leaves the wire untouched.
         """
-        if self.stack is None or not self.stack.transforms_wire:
+        if self.stack is None:
             context.wire = context.selected
             return
         wire: Dict[int, SparseGradient] = {}

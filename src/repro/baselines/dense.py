@@ -29,13 +29,12 @@ point the momentum-correction convergence bench compares against.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..comm.transport import Transport
 from ..comm.collectives import allreduce_dense
-from ..compression.stack import CompressorStack
 from ..core.base import GradientSynchronizer
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualManager, ResidualPolicy
@@ -52,13 +51,10 @@ class DenseAllReduceSynchronizer(GradientSynchronizer):
                  num_bits: Optional[int] = None,
                  momentum: Optional[float] = None) -> None:
         super().__init__(cluster, num_elements)
-        self._num_bits = num_bits
-        self._momentum = momentum
         if num_bits is not None or momentum is not None:
             self.residuals = ResidualManager(cluster.num_workers, num_elements,
                                              ResidualPolicy.GLOBAL)
-        self.adopt_stack(CompressorStack.from_config(
-            cluster.num_workers, momentum=momentum, num_bits=num_bits))
+        self._configure_compression(num_bits, momentum)
 
     def enable_momentum_correction(self, factor: float) -> None:
         """Trainer handoff: dense needs an error-feedback path only for the
@@ -69,17 +65,6 @@ class DenseAllReduceSynchronizer(GradientSynchronizer):
                                              self.num_elements,
                                              ResidualPolicy.GLOBAL)
         self.residuals.set_momentum(factor)
-
-    def apply_membership(self, num_workers: int, mapping: Dict[int, int]) -> None:
-        """Dense All-Reduce has no per-rank state beyond the optional QSGD
-        error-feedback stores and momentum velocity, which hand off like any
-        other residual state."""
-        if self.residuals is not None:
-            self.residuals.remap_workers(num_workers, mapping)
-        if self.stack is not None:
-            self.adopt_stack(CompressorStack.from_config(
-                num_workers, momentum=self._momentum, num_bits=self._num_bits))
-        super().apply_membership(num_workers, mapping)
 
     def stage_select(self, context: StepContext) -> None:
         if self.residuals is None:

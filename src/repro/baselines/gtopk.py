@@ -16,7 +16,7 @@ worker counts (Fig. 12 evaluates gTopk at 8 workers only).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from ..comm.transport import Message, Transport
 from ..core.base import shared_dense_gradients
@@ -29,6 +29,16 @@ from .base import SparseBaseline
 __all__ = ["GTopkSynchronizer"]
 
 
+def _require_power_of_two(num_workers: int) -> None:
+    if not is_power_of_two(num_workers):
+        raise ValueError(
+            f"gTopk requires a power-of-two number of workers, got P={num_workers}: "
+            "its recursive-doubling exchange pairs workers rank ^ step, which only covers "
+            "every rank when P is a power of two.  Run it at P in {2, 4, 8, ...} or pick "
+            "another method (see repro.api.available_methods)."
+        )
+
+
 class GTopkSynchronizer(SparseBaseline):
     """Global top-k All-Reduce (power-of-two worker counts only)."""
 
@@ -39,16 +49,16 @@ class GTopkSynchronizer(SparseBaseline):
                  schedule: Optional[KSchedule | str] = None,
                  num_bits: Optional[int] = None,
                  momentum: Optional[float] = None) -> None:
-        if not is_power_of_two(cluster.num_workers):
-            raise ValueError(
-                f"gTopk requires a power-of-two number of workers, got P={cluster.num_workers}: "
-                "its recursive-doubling exchange pairs workers rank ^ step, which only covers "
-                "every rank when P is a power of two.  Run it at P in {2, 4, 8, ...} or pick "
-                "another method (see repro.api.available_methods)."
-            )
+        _require_power_of_two(cluster.num_workers)
         super().__init__(cluster, num_elements, k=k, density=density,
                          schedule=schedule, residual_policy=ResidualPolicy.PARTIAL,
                          num_bits=num_bits, momentum=momentum)
+
+    def apply_membership(self, num_workers: int, mapping: Dict[int, int]) -> None:
+        """Refuse, before anything changes, a membership that is not a
+        power of two."""
+        _require_power_of_two(num_workers)
+        super().apply_membership(num_workers, mapping)
 
     # ------------------------------------------------------------------
     def stage_select(self, context: StepContext) -> None:

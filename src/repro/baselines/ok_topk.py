@@ -70,6 +70,15 @@ class OkTopkSynchronizer(SparseBaseline):
         #: Number of locally selected gradients at the last iteration.
         self.last_selected: Dict[int, int] = {rank: self.k for rank in cluster.ranks}
 
+    def apply_membership(self, num_workers: int, mapping: Dict[int, int]) -> None:
+        """Hand the per-rank state over (see the base class), then even out
+        the owner regions over the new membership and calibrate every
+        worker's threshold afresh from its store's exact k-th magnitude."""
+        super().apply_membership(num_workers, mapping)
+        self.boundaries = self._even_boundaries()
+        self.thresholds = {rank: 0.0 for rank in self.cluster.ranks}
+        self.last_selected = {rank: self.k for rank in self.cluster.ranks}
+
     # ------------------------------------------------------------------
     def stage_select(self, context: StepContext) -> None:
         corrected = self.residuals.apply(context.gradients)

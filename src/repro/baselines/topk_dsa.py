@@ -46,6 +46,12 @@ class TopkDSASynchronizer(SparseBaseline):
                          num_bits=num_bits, momentum=momentum)
         self.layout = BlockLayout(num_elements, cluster.num_workers)
 
+    def apply_membership(self, num_workers: int, mapping: Dict[int, int]) -> None:
+        """Hand the per-rank state over (see the base class), then cut the
+        vector into one block per worker of the new membership."""
+        super().apply_membership(num_workers, mapping)
+        self.layout = BlockLayout(self.num_elements, num_workers)
+
     # ------------------------------------------------------------------
     def stage_select(self, context: StepContext) -> None:
         context.selected = self.local_select(context.gradients)
@@ -159,12 +165,11 @@ class TopkDSASynchronizer(SparseBaseline):
         reconstructed from the payload alone.
         """
         total = 0.0
-        compressor = self.stack.quantize if self.stack is not None else None
         for block, sparse in payload:
             dense_size = float(self.layout.block_size(block))
-            if compressor is None:
+            if self.stack is None:
                 total += min(2.0 * sparse.nnz, dense_size)
             else:
-                total += min(compressor.sparse_cost(sparse.nnz),
-                             compressor.dense_cost(dense_size))
+                total += min(self.stack.sparse_cost(sparse.nnz),
+                             self.stack.dense_cost(dense_size))
         return total

@@ -1,9 +1,10 @@
-"""Compression layer: quantization (Section VI) and the composable stack.
+"""Compression layer: value quantization (Section VI).
 
-The :class:`~repro.compression.stack.CompressorStack` is the single object a
-synchroniser owns for everything compression-related — ordered stages
-(momentum-correction -> sparsify -> quantize) with a uniform
-``(payload, error)`` contract feeding the conservation-gated residual path.
+A synchroniser's compression state is one optional
+:class:`~repro.compression.quantization.QuantizedCompressor`, held as
+``sync.stack`` (``None`` keeps full precision).  DGC momentum correction is
+not a compression step: it lives in the residual manager
+(:meth:`~repro.core.residuals.ResidualManager.set_momentum`).
 """
 
 from .quantization import (
@@ -12,20 +13,8 @@ from .quantization import (
     quantize_sparse,
     quantized_sparse_cost,
 )
-from .stack import (
-    CompressorStack,
-    CompressorStage,
-    MomentumCorrection,
-    QuantizeStage,
-    TopKSparsifier,
-)
 
 __all__ = [
-    "CompressorStack",
-    "CompressorStage",
-    "MomentumCorrection",
-    "QuantizeStage",
-    "TopKSparsifier",
     "QuantizedCompressor",
     "StochasticQuantizer",
     "quantize_sparse",

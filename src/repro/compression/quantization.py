@@ -199,7 +199,9 @@ class QuantizedCompressor:
     """The ``compress`` stage: quantize wire values, feed back exact errors,
     and price every message at the quantized accounting.
 
-    One compressor serves one synchroniser.  It owns an independent random
+    One compressor serves one synchroniser, which holds it as ``sync.stack``
+    and rebuilds it from :attr:`num_bits`, :attr:`seed` and :attr:`streams`
+    when its worker count changes.  It owns an independent random
     stream per worker (spawned from one ``np.random.SeedSequence``), so the
     quantized run is reproducible **and** independent of the order in which
     the workers of a simulated step happen to be iterated — a shared stream
@@ -232,6 +234,7 @@ class QuantizedCompressor:
         self.num_bits = self.quantizer.num_bits
         self.num_workers = int(num_workers)
         self.seed = int(seed)
+        self.streams = int(streams)
         #: Per worker, one generator per separately selected tensor
         #: (``streams`` of them, each started where a compressor serving
         #: that tensor alone would start): a tensor's draws do not depend on
@@ -245,10 +248,6 @@ class QuantizedCompressor:
     # ------------------------------------------------------------------
     # value transformation (error feedback)
     # ------------------------------------------------------------------
-    def rng(self, worker: int) -> np.random.Generator:
-        """The independent random stream of ``worker`` (its first tensor's)."""
-        return self._rngs[worker][0]
-
     def compress_sparse(self, worker: int, sparse: SparseGradient,
                         offsets: Optional[np.ndarray] = None
                         ) -> Tuple[SparseGradient, SparseGradient]:

@@ -30,11 +30,11 @@ import numpy as np
 from ..comm.transport import Transport, payload_size
 from ..comm.faults import membership_transition
 from ..comm.stats import CommStats
+from ..compression.quantization import QuantizedCompressor
 from .pipeline import PIPELINE_STAGES, StepContext, SyncStage, fold_lost_messages
 from .schedules import KSchedule, resolve_k
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..compression.stack import CompressorStack
     from .residuals import ResidualManager
 
 __all__ = ["SyncResult", "GradientSynchronizer", "resolve_k",
@@ -120,13 +120,11 @@ class GradientSynchronizer(ABC):
         #: Sparsity schedule consulted at the start of every step
         #: (``None`` for methods without a sparsity knob, e.g. Dense).
         self.schedule: Optional[KSchedule] = schedule
-        #: The composable compressor stack driving the ``compress`` stage
-        #: (``None`` keeps the identity compress stage and the
-        #: full-precision accounting — the pre-compression pipeline, bit for
-        #: bit).  Built by subclasses via
-        #: :meth:`~repro.compression.stack.CompressorStack.from_config` and
-        #: bound to the method's residual manager through :meth:`adopt_stack`.
-        self.stack: Optional["CompressorStack"] = None
+        #: The value quantizer of the ``compress`` stage, built by
+        #: subclasses from ``num_bits`` (``None`` keeps the identity
+        #: compress stage and the full-precision accounting — the
+        #: pre-compression pipeline, bit for bit).
+        self.stack: Optional[QuantizedCompressor] = None
         #: Tracer installed by ``repro.obs.attach_tracer`` / ``trace=`` on
         #: the facade spec (``None`` keeps the untraced code path).
         self.tracer: Optional[Any] = None
@@ -139,22 +137,23 @@ class GradientSynchronizer(ABC):
         return self.cluster.num_workers
 
     # ------------------------------------------------------------------
-    # compressor stack plumbing
+    # compression and momentum correction
     # ------------------------------------------------------------------
-    def adopt_stack(self, stack: Optional["CompressorStack"]) -> None:
-        """Install ``stack`` and bind its declarative stages to the method's
-        residual manager (momentum correction configures the manager's
-        velocity mode here).  ``None`` uninstalls — full precision, no
-        momentum, the pre-stack pipeline bit for bit."""
-        self.stack = stack
-        if stack is None:
-            return
-        if self.residuals is not None:
-            stack.bind_residuals(self.residuals)
-        elif stack.momentum is not None:
-            raise ValueError(
-                f"{type(self).__name__} has no residual manager; momentum "
-                "correction requires an error-feedback path")
+    def _configure_compression(self, num_bits: Optional[int],
+                               momentum: Optional[float],
+                               streams: int = 1) -> None:
+        """Constructor ``momentum=`` / ``num_bits=``: DGC momentum
+        correction on the residual manager at a factor in (0, 1), and a
+        value quantizer with ``streams`` random streams per worker (one per
+        separately selected tensor).  ``None`` leaves each off, bit for
+        bit."""
+        if momentum is not None:
+            if not 0.0 < float(momentum) < 1.0:
+                raise ValueError("momentum factor must be in (0, 1)")
+            self.residuals.set_momentum(momentum)
+        if num_bits is not None:
+            self.stack = QuantizedCompressor(num_bits, self.num_workers,
+                                             streams=streams)
 
     def enable_momentum_correction(self, factor: float) -> None:
         """Turn on DGC momentum correction at ``factor`` (trainer handoff).
@@ -202,12 +201,12 @@ class GradientSynchronizer(ABC):
             k=self.k,
             iteration=self.iteration,
         )
-        # A pricing compressor stack re-prices every wire message of this
-        # step at its compressed accounting.  The pricer is scoped to the
-        # step (and the previous one restored) because the cluster is shared
-        # — e.g. by the buckets of a BucketedSynchronizer, which may mix
-        # quantized and full-precision buckets.
-        prices = self.stack is not None and self.stack.prices
+        # A quantizer re-prices every wire message of this step at its
+        # compressed accounting.  The pricer is scoped to the step (and the
+        # previous one restored) because the cluster is shared — e.g. by the
+        # buckets of a BucketedSynchronizer, which may mix quantized and
+        # full-precision buckets.
+        prices = self.stack is not None
         previous_pricer = None
         if prices:
             previous_pricer = self.cluster.install_pricer(self.stack.price_message)
@@ -256,11 +255,10 @@ class GradientSynchronizer(ABC):
         """``compress`` stage of a dense step: everything is sent, so each
         store hands its corrected buffer to the collective and keeps only
         the quantisation error of the send (nothing without a quantiser)."""
-        quantizes = self.stack is not None and self.stack.transforms_wire
         context.wire = {}
         for rank, corrected in context.selected.items():
             error = None
-            if quantizes:
+            if self.stack is not None:
                 corrected, error = self.stack.compress_dense(rank, corrected)
             self.residuals.release(rank, error)
             context.wire[rank] = corrected
@@ -319,13 +317,22 @@ class GradientSynchronizer(ABC):
 
         ``mapping`` sends every old rank to the new rank inheriting its
         state (see :func:`~repro.comm.faults.membership_transition`).  The
-        base implementation resizes the cluster — sufficient for stateless
-        methods like the dense baseline; methods with per-rank state
-        (residual stores, team partitions) override and remap it first.
-        Synchronisers sharing a cluster (the groups of a
+        base implementation hands the residual stores (and momentum
+        velocity) over, rebuilds the quantizer for the new worker count
+        (same bits, seed and streams: the per-worker random streams restart,
+        deterministically, at the transition) and then resizes the cluster;
+        methods with more per-rank state (team partitions, block layouts,
+        owner regions) override and rebuild it after.  Synchronisers sharing
+        a cluster (the groups of a
         :class:`~repro.core.bucketed.BucketedSynchronizer`) each remap their
         own state; the first one resizes it.
         """
+        if self.residuals is not None:
+            self.residuals.remap_workers(num_workers, mapping)
+        if self.stack is not None:
+            self.stack = QuantizedCompressor(
+                self.stack.num_bits, num_workers, seed=self.stack.seed,
+                streams=self.stack.streams)
         if self.cluster.num_workers != num_workers:
             self.cluster.resize(num_workers)
 
@@ -368,7 +375,7 @@ class GradientSynchronizer(ABC):
         ``size_final=True`` because the pricer cannot reconstruct the
         adjustment from the payload alone.
         """
-        if self.stack is not None and self.stack.prices:
+        if self.stack is not None:
             return self.stack.price(payload)
         return payload_size(payload)
 

@@ -11,14 +11,14 @@ opaque ``synchronize()`` call.  A step runs five stages in order:
     whose selection is interleaved with communication, like SparDL's
     block-wise SRS top-k — just the residual add).
 ``compress``
-    Turn the selection into its wire representation, by folding it through
-    the synchroniser's :class:`~repro.compression.stack.CompressorStack`
-    (ordered stages momentum-correction -> sparsify -> quantize with a
-    uniform ``(payload, error)`` contract).  The default is the identity
-    (COO sparse gradients already *are* the wire format, and a stack
-    without wire-transforming stages leaves it untouched); declarative
-    stages like momentum correction act through the residual manager
-    instead of the payload.
+    Turn the selection into its wire representation: quantize it with the
+    synchroniser's optional
+    :class:`~repro.compression.quantization.QuantizedCompressor`
+    (``sync.stack``), which returns ``(payload, error)`` with ``payload +
+    error`` equal to the input, the error staying in the residual store.
+    Without a quantizer this is the identity (COO sparse gradients already
+    *are* the wire format); momentum correction acts through the residual
+    manager, never on the payload.
 ``exchange``
     The method-specific communication.  All cluster traffic of a step
     happens here.

@@ -47,7 +47,6 @@ import numpy as np
 from ..comm.transport import Transport
 from ..comm.collectives import allgather_bruck_grouped, allreduce_dense
 from ..comm.packed import PackedBags
-from ..compression.stack import CompressorStack
 from ..sparse.blocks import BlockLayout
 from ..sparse.topk import WarmTopK
 from ..sparse.vector import SparseGradient
@@ -120,22 +119,20 @@ class SparDLSynchronizer(GradientSynchronizer):
         #: SAG step (the series plotted in Fig. 7).
         self.merged_nnz_history: List[float] = []
         self.name = config.describe()
+        self._configure_compression(config.num_bits, config.momentum,
+                                    streams=len(sizes))
         self._partition(config.num_teams,
                         [self.schedule.resolve(0, size) for size in sizes])
 
     def _partition(self, num_teams: int, ks: Sequence[int]) -> None:
-        """Teams, block layout, budgets and per-rank compressor and
-        controller state for the cluster's current size."""
+        """Teams, block layout, budgets and per-rank controller state for
+        the cluster's current size."""
         num_workers = self.cluster.num_workers
         self.num_teams = num_teams
         self.team_size = num_workers // num_teams
         self.teams = make_teams(num_workers, num_teams)
         self.layout = BlockLayout(self.num_elements, self.team_size,
                                   tuple(self.bucket_sizes))
-        self.adopt_stack(CompressorStack.from_config(
-            num_workers, momentum=self.config.momentum,
-            num_bits=self.config.num_bits, sparsify=True,
-            streams=len(self.bucket_sizes)))
         self.set_sparsity(ks)
         #: B-SAG compression-ratio controllers, one per bucket.
         self._controllers: List[CompressionRatioController] = []
@@ -191,19 +188,15 @@ class SparDLSynchronizer(GradientSynchronizer):
     def apply_membership(self, num_workers: int, mapping: Dict[int, int]) -> None:
         """Re-partition for a new worker count between iterations.
 
-        The residual stores are handed off first (crashed ranks' stores are
-        absorbed by their successors, so conservation holds across the
-        transition), then teams, block layout, per-segment budgets and the
+        The base class hands the residual stores off first (crashed ranks'
+        stores and velocities are absorbed by their successors, so
+        conservation holds across the transition) and rebuilds the
+        quantizer; then teams, block layout, per-segment budgets and the
         B-SAG controllers are rebuilt for the new ``P``.  The team count is
         re-resolved as the largest divisor of the new ``P`` not exceeding
         the configured ``num_teams`` — Theorem 1 requires teams of equal
-        size, and crashes rarely preserve divisibility.  A quantizing
-        synchroniser rebuilds its compressor stack (per-worker random
-        streams restart, deterministically, at the transition); the
-        residual remap hands momentum-correction velocity state to the
-        surviving ranks first.
+        size, and crashes rarely preserve divisibility.
         """
-        self.residuals.remap_workers(num_workers, mapping)
         super().apply_membership(num_workers, mapping)
         num_teams = 1
         for candidate in range(min(self.config.num_teams, num_workers), 0, -1):
@@ -217,18 +210,17 @@ class SparDLSynchronizer(GradientSynchronizer):
     # the staged pipeline
     # ------------------------------------------------------------------
     def stage_compress(self, context: StepContext) -> None:
-        """Wire encoding of the step, driven by the compressor stack.
+        """Wire encoding of the step, driven by the quantizer.
 
         On the sparse path this is the identity.  The dense-fallback path
         sends everything, so every store releases its corrected buffer to
-        the collective here — folded through the stack first when
-        ``config.num_bits`` is set (one draw per worker, the exact error
-        stays in that worker's residual store); on the sparse path the
-        selection is interleaved with the SRS transmissions, so the stack is
-        applied inside :meth:`stage_exchange` instead — right after each
-        block-wise top-k, i.e. the moment a value first reaches the wire.
-        Declarative stages (momentum correction) act through the residual
-        manager and leave the wire untouched.
+        the collective here — quantized first when ``config.num_bits`` is
+        set (one draw per worker, the exact error stays in that worker's
+        residual store); on the sparse path the selection is interleaved
+        with the SRS transmissions, so the quantizer is applied inside
+        :meth:`stage_exchange` instead — right after each block-wise top-k,
+        i.e. the moment a value first reaches the wire.  Momentum correction
+        acts through the residual manager and leaves the wire untouched.
         """
         if self.uses_dense_fallback:
             self._compress_dense(context)
@@ -265,8 +257,7 @@ class SparDLSynchronizer(GradientSynchronizer):
             k_block=self.segment_k,
             residuals=self.residuals,
             sparsify_all=self.config.sparsify_all_blocks,
-            compressor=(self.stack if self.stack is not None
-                        and self.stack.transforms_wire else None),
+            compressor=self.stack,
             selector=self.selector,
         )
         tracer = self.cluster.tracer

@@ -97,7 +97,7 @@ from .partition import plan_bags, transmission_distances
 from .residuals import ResidualManager, ResidualPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..compression.stack import CompressorStack
+    from ..compression.quantization import QuantizedCompressor
 
 __all__ = ["SRSOutput", "spar_reduce_scatter", "srs_round", "srs_round_numpy",
            "pack_blocks", "sparsify_block", "segment_budgets"]
@@ -298,7 +298,7 @@ def spar_reduce_scatter(
     k_block: Union[int, Sequence[int]],
     residuals: ResidualManager,
     sparsify_all: bool = False,
-    compressor: Optional["CompressorStack"] = None,
+    compressor: Optional["QuantizedCompressor"] = None,
     selector: Optional[WarmTopK] = None,
 ) -> SRSOutput:
     """Run SRS concurrently inside every team.
@@ -326,9 +326,9 @@ def spar_reduce_scatter(
         of only the blocks about to be sent (paper's pre-optimisation
         behaviour).
     compressor:
-        Optional wire-transforming
-        :class:`~repro.compression.stack.CompressorStack` (or any object
-        honouring its ``compress_sparse -> (payload, error)`` contract).
+        Optional :class:`~repro.compression.quantization.QuantizedCompressor`
+        (or any object honouring its ``compress_sparse -> (payload, error)``
+        contract).
         When given, a worker's selection is folded through it immediately
         after its local top-k — the moment its values first reach the wire
         — segment by segment (each is a message of its own: own scale, the

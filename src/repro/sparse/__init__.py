@@ -26,7 +26,6 @@ from .topk import (
     kth_largest_magnitude,
     threshold_indices,
     top_k_indices,
-    top_k_mask,
 )
 from .vector import (
     SparseGradient,
@@ -42,7 +41,6 @@ __all__ = [
     "block_bounds",
     "WarmTopK",
     "top_k_indices",
-    "top_k_mask",
     "threshold_indices",
     "kth_largest_magnitude",
     "merge_add_coo",

@@ -15,7 +15,7 @@ segment keeps its own top-k budget.  With one bucket a segment is a block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,9 +138,3 @@ class BlockLayout:
         for block, (lo, hi) in enumerate(self.bounds):
             yield block, lo, hi
 
-    def concat_blocks(self, pieces: Sequence[SparseGradient]) -> SparseGradient:
-        """Merge per-block sparse gradients (disjoint coordinate ranges) into
-        one sparse gradient over the full vector."""
-        if len(pieces) == 0:
-            return SparseGradient.empty(self.length)
-        return SparseGradient.merge_many(pieces)

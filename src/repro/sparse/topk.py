@@ -26,7 +26,6 @@ __all__ = [
     "seed_ranks",
     "segmented_top_k",
     "top_k_indices",
-    "top_k_mask",
     "threshold_indices",
     "kth_largest_magnitude",
 ]
@@ -479,13 +478,6 @@ class WarmTopK:
             metrics.gauge("select.warm_share").set(hits / (hits + misses))
         if requested:
             metrics.gauge("select.candidates_per_k").set(candidates / requested)
-
-
-def top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask marking the top-k entries of ``values``."""
-    mask = np.zeros(np.asarray(values).shape[0], dtype=bool)
-    mask[top_k_indices(values, k)] = True
-    return mask
 
 
 def kth_largest_magnitude(values: np.ndarray, k: int) -> float:

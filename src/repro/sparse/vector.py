@@ -372,10 +372,6 @@ class SparseGradient:
             self.indices[start:stop], self.values[start:stop], self.length
         )
 
-    def index_set(self) -> set:
-        """The non-zero support as a Python ``set`` of ``int`` indices."""
-        return set(self.indices.tolist())
-
     def __len__(self) -> int:
         """Alias for :attr:`nnz`."""
         return self.nnz

@@ -20,7 +20,7 @@ from repro.comm.collectives import (
     reduce_scatter_direct,
 )
 from repro.comm.faults import FaultPlan
-from repro.compression.stack import CompressorStack
+from repro.compression.quantization import QuantizedCompressor
 from repro.obs import Tracer
 
 from tests.helpers import lanes
@@ -279,8 +279,8 @@ class TestCopyFreeDenseAllReduce:
         ours, seeds = RecordingCluster(num_workers), RecordingCluster(num_workers)
         if bits:
             for cluster in (ours, seeds):
-                cluster.install_pricer(CompressorStack.from_config(
-                    num_workers, num_bits=bits).price_message)
+                cluster.install_pricer(QuantizedCompressor(
+                    bits, num_workers).price_message)
         algorithm(ours, vectors)
         seed_algorithm(seeds, vectors)
         assert ours.log == seeds.log

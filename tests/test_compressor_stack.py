@@ -1,18 +1,20 @@
-"""The composable CompressorStack: construction, the (payload, error)
-contract, conservation across every stage combination, momentum-off
-bit-identity, and per-bucket ``bits=`` override composition.
+"""A synchroniser's compression state: one optional quantizer and the
+momentum factor on its residual manager — the (payload, error) contract,
+conservation across every momentum x bits combination, momentum-off
+bit-identity, the constructors' range checks, and per-bucket ``bits=``
+override composition.
 
-The stack is the single compression object a synchroniser owns (PR 10).
-Its invariants:
+The invariants:
 
-* stage order is validated against the canonical momentum -> sparsify ->
-  quantize chain (any other order is mathematically wrong);
-* ``compress_*`` returns ``(payload, error)`` with ``payload + error ==
-  input`` exactly, so the conservation ledger ``global + residual_after ==
-  residual_before + m * velocity_before + sum_w gradient_w`` holds to 1e-9
-  for every combination of momentum x sparsify x quantize;
-* with momentum and bits both unset, ``from_config`` returns ``None`` and
-  every synchroniser keeps its pre-stack code path bit for bit.
+* ``QuantizedCompressor.compress_*`` returns ``(payload, error)`` with
+  ``payload + error == input`` exactly, so the conservation ledger
+  ``global + residual_after == residual_before + m * velocity_before +
+  sum_w gradient_w`` holds to 1e-9 for every combination of momentum x
+  quantization;
+* with momentum and bits both unset, ``sync.stack`` is ``None`` and every
+  synchroniser keeps its uncompressed code path bit for bit;
+* every constructor rejects a momentum factor outside (0, 1) and a bit
+  width outside [1, 32].
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import describe, make, parse_spec
-from repro.comm.cluster import SimulatedCluster
-from repro.compression import (
-    CompressorStack,
-    CompressorStage,
-    MomentumCorrection,
-    QuantizeStage,
-    TopKSparsifier,
+from repro.baselines import (
+    DenseAllReduceSynchronizer,
+    GTopkSynchronizer,
+    OkTopkSynchronizer,
+    TopkASynchronizer,
+    TopkDSASynchronizer,
 )
-from repro.compression.quantization import QuantizedCompressor, quantized_sparse_cost
+from repro.comm.cluster import SimulatedCluster
+from repro.compression.quantization import QuantizedCompressor
 from repro.core.config import SparDLConfig
 from repro.core.residuals import ResidualManager
 from repro.core.spardl import SparDLSynchronizer
@@ -42,121 +44,70 @@ from repro.sparse.vector import SparseGradient
 from tests.helpers import random_gradients
 
 
-def _quantize(bits: int, workers: int = 2) -> QuantizeStage:
-    return QuantizeStage(QuantizedCompressor(bits, workers, seed=0))
-
-
-class TestStackConstruction:
-    def test_canonical_order_accepted(self):
-        stack = CompressorStack([MomentumCorrection(0.9), TopKSparsifier(),
-                                 _quantize(8)])
-        assert stack.describe() == "momentum(0.9) -> topk -> quantize(8)"
-        assert stack.momentum == 0.9
-        assert stack.num_bits == 8
-        assert stack.transforms_wire
-        assert stack.prices
-
-    def test_wrong_order_raises(self):
-        with pytest.raises(ValueError, match="stage order"):
-            CompressorStack([_quantize(8), MomentumCorrection(0.9)])
-        with pytest.raises(ValueError, match="stage order"):
-            CompressorStack([TopKSparsifier(), MomentumCorrection(0.9)])
-
-    def test_duplicate_stage_raises(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            CompressorStack([TopKSparsifier(), TopKSparsifier()])
-
-    def test_empty_stack_raises(self):
-        with pytest.raises(ValueError, match="at least one stage"):
-            CompressorStack([])
-
-    def test_unknown_kind_raises(self):
-        class Bogus(CompressorStage):
-            kind = "frobnicate"
-
-        with pytest.raises(ValueError, match="unknown stage kind"):
-            CompressorStack([Bogus()])
-
-    def test_momentum_factor_validated(self):
-        with pytest.raises(ValueError):
-            MomentumCorrection(0.0)
-        with pytest.raises(ValueError):
-            MomentumCorrection(1.0)
-
-    def test_from_config_trivial_is_none(self):
-        assert CompressorStack.from_config(4) is None
-        assert CompressorStack.from_config(4, sparsify=True) is None
-
-    def test_from_config_momentum_only(self):
-        stack = CompressorStack.from_config(4, momentum=0.9, sparsify=True)
-        assert stack.describe() == "momentum(0.9) -> topk"
-        assert not stack.transforms_wire
-        assert not stack.prices
-        assert stack.num_bits is None
-        assert stack.quantize is None
-
-    def test_from_config_full(self):
-        stack = CompressorStack.from_config(4, momentum=0.5, num_bits=4,
-                                            sparsify=True)
-        assert stack.describe() == "momentum(0.5) -> topk -> quantize(4)"
-        assert stack.stage("sparsify") is not None
-
-    def test_pricing_without_quantize_raises(self):
-        stack = CompressorStack.from_config(4, momentum=0.9, sparsify=True)
-        assert stack.sparse_cost(10) == 20.0
-        assert stack.dense_cost(10) == 10.0
-        with pytest.raises(RuntimeError, match="stack.prices"):
-            stack.price(np.zeros(4))
-        with pytest.raises(RuntimeError, match="stack.prices"):
-            stack.price_message(None)
-
-    def test_pricing_with_quantize_delegates(self):
-        stack = CompressorStack.from_config(4, num_bits=8, sparsify=True)
-        assert stack.sparse_cost(10) == quantized_sparse_cost(10, 8)
-        assert stack.dense_cost(32) == 32 * 8 / 32
-
-
 class TestPayloadErrorContract:
-    def test_declarative_stack_is_identity(self):
-        stack = CompressorStack.from_config(2, momentum=0.9, sparsify=True)
-        sparse = SparseGradient(np.array([1, 5, 9]), np.array([1.0, -2.0, 0.5]), 12)
-        payload, error = stack.compress_sparse(0, sparse)
-        assert payload is sparse
-        assert error.nnz == 0
-        dense = np.linspace(-1.0, 1.0, 8)
-        out, err = stack.compress_dense(0, dense)
-        np.testing.assert_array_equal(out, dense)
-        np.testing.assert_array_equal(err, np.zeros(8))
-
     def test_sparse_payload_plus_error_reconstructs_exactly(self):
-        stack = CompressorStack.from_config(2, momentum=0.9, num_bits=3,
-                                            sparsify=True)
+        compressor = QuantizedCompressor(3, 2)
         rng = np.random.default_rng(7)
         dense = rng.normal(size=40)
         sparse = SparseGradient.from_dense(dense, top_k_indices(dense, 10))
-        payload, error = stack.compress_sparse(1, sparse)
+        payload, error = compressor.compress_sparse(1, sparse)
         np.testing.assert_array_equal(payload.to_dense() + error.to_dense(),
                                       sparse.to_dense())
 
     def test_dense_payload_plus_error_reconstructs_exactly(self):
-        stack = CompressorStack.from_config(2, num_bits=4)
+        compressor = QuantizedCompressor(4, 2)
         dense = np.random.default_rng(3).normal(size=25)
-        payload, error = stack.compress_dense(0, dense)
+        payload, error = compressor.compress_dense(0, dense)
         # The dense error is computed in the quantizer's scaled space, so
         # reconstruction is exact up to one float64 rounding per value.
         np.testing.assert_allclose(payload + error, dense, rtol=0, atol=1e-14)
 
-    def test_bind_residuals_installs_momentum(self):
-        stack = CompressorStack.from_config(3, momentum=0.7, sparsify=True)
-        manager = ResidualManager(3, 20)
-        stack.bind_residuals(manager)
-        assert manager.momentum == 0.7
-        assert manager.velocity(0) is not None
+
+CONSTRUCTORS = {
+    "SparDL": lambda cluster, **kw: SparDLSynchronizer(
+        cluster, 64, SparDLConfig(density=0.1, **kw)),
+    "TopkA": lambda cluster, **kw: TopkASynchronizer(cluster, 64, density=0.1, **kw),
+    "TopkDSA": lambda cluster, **kw: TopkDSASynchronizer(cluster, 64, density=0.1, **kw),
+    "gTopk": lambda cluster, **kw: GTopkSynchronizer(cluster, 64, density=0.1, **kw),
+    "Ok-Topk": lambda cluster, **kw: OkTopkSynchronizer(cluster, 64, density=0.1, **kw),
+    "Dense": lambda cluster, **kw: DenseAllReduceSynchronizer(cluster, 64, **kw),
+}
+
+
+class TestConstructorRanges:
+    """Each constructor checks ``momentum=`` and ``num_bits=`` itself."""
+
+    @pytest.mark.parametrize("method", list(CONSTRUCTORS))
+    @pytest.mark.parametrize("factor", [0.0, 1.0, -0.5, 1.5])
+    def test_momentum_factor_outside_open_unit_interval_raises(self, method, factor):
+        with pytest.raises(ValueError, match=r"momentum.*\(0, 1\)"):
+            CONSTRUCTORS[method](SimulatedCluster(4), momentum=factor)
+
+    @pytest.mark.parametrize("method", list(CONSTRUCTORS))
+    @pytest.mark.parametrize("bits", [0, 33])
+    def test_bits_outside_range_raises(self, method, bits):
+        with pytest.raises(ValueError, match="between 1 and 32"):
+            CONSTRUCTORS[method](SimulatedCluster(4), num_bits=bits)
+
+    @pytest.mark.parametrize("method", list(CONSTRUCTORS))
+    def test_momentum_and_bits_land_on_residuals_and_quantizer(self, method):
+        sync = CONSTRUCTORS[method](SimulatedCluster(4), momentum=0.7, num_bits=6)
+        assert sync.residuals.momentum == 0.7
+        assert sync.residuals.velocity(0) is not None
+        assert isinstance(sync.stack, QuantizedCompressor)
+        assert (sync.stack.num_bits, sync.stack.num_workers) == (6, 4)
+
+    @pytest.mark.parametrize("method", list(CONSTRUCTORS))
+    def test_conflicting_momentum_factor_raises(self, method):
+        sync = CONSTRUCTORS[method](SimulatedCluster(4), momentum=0.7)
+        sync.enable_momentum_correction(0.7)
+        with pytest.raises(ValueError, match="already active"):
+            sync.enable_momentum_correction(0.5)
 
 
 class TestConservationProperty:
     """ISSUE gate: ``sent + error + discards == input`` to 1e-9 across
-    momentum x sparsify x quantize.  With momentum correction the
+    momentum x quantize.  With momentum correction the
     ledger gains the re-fed velocity term:
     ``global + residual_after == residual_before + m * velocity_before +
     sum_w gradient_w``  (``m = 0`` reduces it to plain GRES conservation)."""
@@ -296,7 +247,7 @@ class TestPerBucketBits:
         widths = {}
         for group, session in zip(sync.groups, sync.sessions):
             for index in group:
-                widths[sync.bucket_names[index]] = session.synchronizer.stack.quantize.num_bits
+                widths[sync.bucket_names[index]] = session.synchronizer.stack.num_bits
         assert list(widths) == sync.bucket_names
         for name, bits in widths.items():
             assert bits == (32 if "out" in name else 8), name
@@ -320,4 +271,4 @@ class TestPerBucketBits:
         # Everything fuses into one bucket whose name joins all tensors with
         # "+"; the "out" pattern matches a member, so the override applies.
         assert sync.num_buckets == 1
-        assert sync.sessions[0].synchronizer.stack.quantize.num_bits == 32
+        assert sync.sessions[0].synchronizer.stack.num_bits == 32

@@ -12,7 +12,7 @@ import pytest
 
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.faults import FaultPlan
-from repro.compression.stack import CompressorStack
+from repro.compression.quantization import QuantizedCompressor
 from repro.core import spardl as spardl_module
 from repro.core.config import SparDLConfig
 from repro.core.pipeline import fold_lost_messages
@@ -367,8 +367,8 @@ def srs_record(run, workers, teams, layout_name, policy, sparsify_all=False,
     k_block = np.repeat(budgets, team_size) if len(sizes) > 1 else budgets[0]
     residuals = ResidualManager(workers, layout.length, policy, momentum=momentum)
     selector = WarmTopK()
-    compressor = (None if bits is None else CompressorStack.from_config(
-        workers, num_bits=bits, sparsify=True, streams=len(sizes)))
+    compressor = (None if bits is None else QuantizedCompressor(
+        bits, workers, streams=len(sizes)))
     cluster = SimulatedCluster(workers)
     cluster.install_fault_plan(plan)
     sent = []

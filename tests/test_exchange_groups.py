@@ -416,8 +416,8 @@ class TestMembershipReachesEveryGroup:
         for inner in (s.synchronizer for s in sync.sessions):
             if getattr(inner, "residuals", None) is not None:
                 assert inner.residuals.num_workers == 4
-            if inner.stack is not None and inner.stack.quantize is not None:
-                assert inner.stack.quantize.num_workers == 4
+            if inner.stack is not None:
+                assert inner.stack.num_workers == 4
 
     def test_the_shared_cluster_is_resized_once(self):
         session = churn_session(1, None, None, hybrid=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import make
 from repro.baselines.dense import DenseAllReduceSynchronizer
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.faults import FaultPlan, MembershipEvent
@@ -345,3 +346,59 @@ class TestMomentumChurn:
         np.testing.assert_allclose(sync.residuals.velocity(1),
                                    before[1] + before[2], atol=1e-12)
         np.testing.assert_array_equal(sync.residuals.velocity(2), before[3])
+
+
+class TestSparseBaselinesElastic:
+    """The baselines hand their residual stores and quantizer streams over
+    on a crash or join, and rebuild what they cut by ``P`` (TopkDSA's
+    blocks, Ok-Topk's owner regions): the GRES ledger holds on every step
+    of a crash-then-join run, and the stores match the new membership."""
+
+    EVENTS = [MembershipEvent(iteration=1, kind="crash", worker=1),
+              MembershipEvent(iteration=2, kind="join"),
+              MembershipEvent(iteration=3, kind="join")]
+
+    @pytest.mark.parametrize("method", ["TopkA", "TopkDSA", "Ok-Topk"])
+    @WIRES
+    def test_crash_then_join_conserves(self, method, num_bits):
+        num_elements = 200
+        cluster = SimulatedCluster(4)
+        cluster.install_fault_plan(FaultPlan(events=self.EVENTS))
+        sync = make(method, cluster, num_elements=num_elements,
+                    density=0.05, bits=num_bits)
+        session = SyncSession(sync)
+        memberships = []
+        for iteration in range(5):
+            carried = sync.residuals.total_residual()
+            session.poll_membership()
+            np.testing.assert_allclose(sync.residuals.total_residual(), carried,
+                                       atol=1e-12)
+            current = session.num_workers
+            memberships.append(current)
+            assert sync.residuals.num_workers == cluster.num_workers == current
+            if num_bits is not None:
+                assert sync.stack.num_workers == current
+            grads = random_gradients(current, num_elements, seed=23 * iteration)
+            residual_before = sync.residuals.total_residual()
+            result = session.step(grads)
+            assert result.is_consistent
+            lhs = result.gradient(0) + sync.residuals.total_residual()
+            np.testing.assert_allclose(
+                lhs, residual_before + sum(grads.values()), atol=1e-9)
+        assert memberships == [4, 3, 4, 5, 5]
+
+    def test_gtopk_refuses_a_non_power_of_two_membership_unchanged(self):
+        cluster = SimulatedCluster(4)
+        cluster.install_fault_plan(FaultPlan(events=self.EVENTS[:1]))
+        sync = make("gTopk", cluster, num_elements=200, density=0.05, bits=8)
+        session = SyncSession(sync)
+        session.step(random_gradients(4, 200))
+        stores = [sync.residuals.store(w).peek().copy() for w in range(4)]
+        stack = sync.stack
+        with pytest.raises(ValueError, match="power-of-two"):
+            session.poll_membership()
+        assert cluster.num_workers == sync.residuals.num_workers == 4
+        assert sync.stack is stack and stack.num_workers == 4
+        for worker, store in enumerate(stores):
+            np.testing.assert_array_equal(sync.residuals.store(worker).peek(),
+                                          store)

@@ -307,11 +307,11 @@ class TestHybridPolicy:
             inner = session.synchronizer
             assert inner.residuals.momentum == 0.9
             if inner.name == "Dense":
-                # Dense buckets stay full precision *sparse-method-free* but
-                # still carry the momentum stack.
-                assert inner.stack.momentum == 0.9
+                # Dense buckets stay full precision: momentum lives on their
+                # residual manager, and there is no quantizer.
+                assert inner.stack is None
             else:
-                assert inner.stack.quantize.num_bits == 8
+                assert inner.stack.num_bits == 8
 
     def test_hybrid_spec_round_trips(self):
         from repro.api import describe, parse_spec

@@ -76,7 +76,7 @@ class TestBitsAbsentIsIdentity:
     def test_compressor_with_bits(self, method):
         sync = make(_spec(method, bits=8), SimulatedCluster(8),
                     num_elements=NUM_ELEMENTS)
-        assert sync.stack.quantize.num_bits == 8
+        assert sync.stack.num_bits == 8
         result = sync.synchronize(_gradients(8, 0))
         assert result.info["quantized_bits"] == 8
         assert result.is_consistent
@@ -323,10 +323,10 @@ class TestSpecSurface:
     def test_make_bits_keyword(self):
         sync = make("SparDL", SimulatedCluster(4), num_elements=1000,
                     density=0.01, bits=4)
-        assert sync.stack.quantize.num_bits == 4
+        assert sync.stack.num_bits == 4
 
     def test_bits_override_through_make(self):
         sync = make("spardl?density=0.01", SimulatedCluster(4),
                     num_elements=1000, bits=8)
-        assert sync.stack.quantize.num_bits == 8
+        assert sync.stack.num_bits == 8
         assert describe(sync) == "spardl?density=0.01&bits=8"

@@ -20,7 +20,6 @@ from repro.sparse.topk import (
     segmented_top_k,
     threshold_indices,
     top_k_indices,
-    top_k_mask,
 )
 
 from tests.helpers import (
@@ -559,18 +558,6 @@ class TestSeededSelection:
                                 rng.standard_normal(n) ** 3)
         np.testing.assert_array_equal(picked, top_k_indices(store, k))
         assert (warm.hits, warm.seeded) == (1, 1) and warm.cuts[("z", 0)] > 0
-
-
-class TestTopKMask:
-    def test_mask_marks_exactly_k(self):
-        values = np.random.default_rng(1).normal(size=50)
-        mask = top_k_mask(values, 7)
-        assert mask.sum() == 7
-
-    def test_mask_matches_indices(self):
-        values = np.random.default_rng(2).normal(size=20)
-        mask = top_k_mask(values, 5)
-        np.testing.assert_array_equal(np.flatnonzero(mask), top_k_indices(values, 5))
 
 
 class TestKthLargestMagnitude:

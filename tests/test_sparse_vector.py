@@ -239,10 +239,6 @@ class TestSlicing:
         restricted = sparse.restrict(2, 8)
         assert set(restricted.indices.tolist()) == {2, 5}
 
-    def test_index_set(self):
-        sparse = SparseGradient(np.array([2, 5]), np.array([1.0, 2.0]), 10)
-        assert sparse.index_set() == {2, 5}
-
     def test_len_is_nnz(self):
         sparse = SparseGradient(np.array([2, 5]), np.array([1.0, 2.0]), 10)
         assert len(sparse) == 2

@@ -31,7 +31,6 @@ from repro.comm.network import ETHERNET, NetworkProfile
 from repro.core.residuals import ResidualPolicy
 from repro.training.cases import get_case
 from repro.training.metrics import TrainingHistory
-from repro.training.timing import communication_time
 from repro.training.trainer import DistributedTrainer, TrainerConfig
 
 __all__ = [
@@ -147,7 +146,7 @@ def measure_per_update(case_id: int, methods: Sequence[MethodSpec], num_workers:
             gradients = correlated_gradients(num_workers, num_elements,
                                              seed + 977 * iteration, overlap)
             outcome = sync.synchronize(gradients)
-            comm_times.append(communication_time(outcome.stats, network, scale))
+            comm_times.append(outcome.stats.simulated_time(network, scale))
             rounds.append(outcome.stats.rounds)
             volumes.append(outcome.stats.max_received)
         results[spec.display] = PerUpdateResult(

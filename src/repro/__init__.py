@@ -7,7 +7,7 @@ contribution:
 * :mod:`repro.comm` — the :class:`~repro.comm.transport.Transport` protocol
   with its two execution backends (the deterministic in-process simulator
   and the real-OS-process backend), the alpha-beta cost model and the dense
-  collective algorithms (Bruck / recursive doubling / ring / Rabenseifner).
+  collective algorithms (Bruck All-Gather, ring / Rabenseifner All-Reduce).
 * :mod:`repro.sparse` — COO sparse gradients, top-k selection and block
   layouts.
 * :mod:`repro.core` — SparDL itself: Spar-Reduce-Scatter, Spar-All-Gather

@@ -29,8 +29,8 @@ alias (case-insensitive, as in the paper's figures) and the keys are:
             ``N`` elements), or ``auto`` / ``auto:mgwfbp`` / ``auto:asc``
             (plan the fused layout with :mod:`repro.core.fusion`: MG-WFBP
             merge-if-it-keeps-the-critical-path, or ASC alpha-saturation
-            coalescing, over an alpha-beta model calibrated from the
-            transport — ``auto`` is MG-WFBP); non-flat specs need a
+            coalescing, over the ``network=`` alpha-beta profile —
+            ``auto`` is MG-WFBP); non-flat specs need a
             ``model``, and ``auto`` planning reads the optional
             ``network=`` / ``compute_profile=`` arguments of :func:`make`
 ``bits``    wire value quantization (all methods): bits per value in
@@ -476,8 +476,7 @@ def _build_bucketed(parsed: SyncSpec, cluster: Transport, model, network,
             density=flat_spec.density,
             teams=parsed.teams,
             num_bits=default_bits,
-            transport=cluster,
-            network=network if network is not None else ETHERNET,
+            network=network or ETHERNET,
             compute_profile=compute_profile,
         )
         layout = plan.bucket_layout()
@@ -524,11 +523,10 @@ def make(spec: "str | SyncSpec", cluster: Optional[Transport] = None, *,
     teams=4)``); any other keyword raises.
 
     ``buckets=auto`` specs plan the fused layout here (see
-    :mod:`repro.core.fusion`): the alpha-beta model is calibrated by a
-    startup micro-benchmark on the transport — priced by ``network``
+    :mod:`repro.core.fusion`): every bucket is priced on ``network``
     (a :class:`~repro.comm.network.NetworkProfile`, default
-    :data:`~repro.comm.network.ETHERNET`) on every backend, so ``sim`` and
-    ``mp`` plan the same layout — and ``compute_profile`` (a
+    :data:`~repro.comm.network.ETHERNET`) without sending a message, so
+    every backend plans the same layout — and ``compute_profile`` (a
     :class:`~repro.training.timing.ComputeProfile`) supplies the
     per-bucket backward times the planner overlaps communication against.
     Both are ignored by non-``auto`` specs.  The resulting plan is kept on

@@ -12,11 +12,11 @@ the exchange itself.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..comm.transport import Transport
+from ..comm.transport import Message, Transport
 from ..core.base import GradientSynchronizer
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualManager, ResidualPolicy
@@ -137,6 +137,31 @@ class SparseBaseline(GradientSynchronizer):
         """Resolve deferred (PRES) procedure discards against the final
         global index set."""
         self.residuals.finalize(final.indices)
+
+    def _reduce_scatter_direct(self, selected: Dict[int, SparseGradient],
+                               bounds: Sequence[Tuple[int, int]],
+                               tag: str) -> Dict[int, SparseGradient]:
+        """Direct-send Reduce-Scatter of the sparse selections: rank ``r``
+        ends holding the sum of every selection's entries in ``bounds[r]``.
+
+        Each rank sends every owner its slice straight, one peer per round
+        (``P - 1`` rounds, the latency-heavy pattern of TopkDSA and
+        Ok-Topk); round ``shift``'s messages are tagged ``{tag}-{shift}``.
+        """
+        P = self.num_workers
+        reduced = {rank: selected[rank].restrict(*bounds[rank]) for rank in range(P)}
+        for shift in range(1, P):
+            messages: List[Message] = []
+            for rank in range(P):
+                dst = (rank + shift) % P
+                messages.append(Message(src=rank, dst=dst,
+                                        payload=selected[rank].restrict(*bounds[dst]),
+                                        tag=f"{tag}-{shift}"))
+            inboxes = self.cluster.exchange(messages)
+            for dst, inbox in inboxes.items():
+                for message in inbox:
+                    reduced[dst] = reduced[dst].add(message.payload)
+        return reduced
 
     @staticmethod
     def merge_sum(pieces: Sequence[SparseGradient]) -> SparseGradient:

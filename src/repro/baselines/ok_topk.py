@@ -94,7 +94,9 @@ class OkTopkSynchronizer(SparseBaseline):
         if self.iteration % self.rebalance_period == 0:
             self._rebalance_regions(selected)
 
-        reduced = self._reduce_scatter_direct(selected)
+        reduced = self._reduce_scatter_direct(
+            selected, [self._region(rank) for rank in range(self.num_workers)],
+            "oktopk-rs")
         pruned = self._prune_regions(reduced)
         self._exchange_sizes(pruned)
         context.exchanged = self._allgather_direct(pruned)
@@ -195,26 +197,6 @@ class OkTopkSynchronizer(SparseBaseline):
     # ------------------------------------------------------------------
     # communication phases
     # ------------------------------------------------------------------
-    def _reduce_scatter_direct(self, selected: Dict[int, SparseGradient]) -> Dict[int, SparseGradient]:
-        P = self.num_workers
-        reduced: Dict[int, SparseGradient] = {}
-        for rank in range(P):
-            lo, hi = self._region(rank)
-            reduced[rank] = selected[rank].restrict(lo, hi)
-        for shift in range(1, P):
-            messages = []
-            for rank in range(P):
-                dst = (rank + shift) % P
-                lo, hi = self._region(dst)
-                messages.append(Message(src=rank, dst=dst,
-                                        payload=selected[rank].restrict(lo, hi),
-                                        tag=f"oktopk-rs-{shift}"))
-            inboxes = self.cluster.exchange(messages)
-            for dst, inbox in inboxes.items():
-                for message in inbox:
-                    reduced[dst] = reduced[dst].add(message.payload)
-        return reduced
-
     def _prune_regions(self, reduced: Dict[int, SparseGradient]) -> Dict[int, SparseGradient]:
         """Prune every owner's summed region towards its share of the global
         ``k`` budget (threshold pruning, so the result may exceed the share)."""

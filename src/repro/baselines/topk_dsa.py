@@ -62,7 +62,7 @@ class TopkDSASynchronizer(SparseBaseline):
             context.exchanged = {0: [(0, selected[0])]}
             context.scratch["trivial"] = True
             return
-        reduced = self._reduce_scatter_direct(selected)
+        reduced = self._reduce_scatter_direct(selected, self.layout.bounds, "dsa-rs")
         context.exchanged = self._allgather_dense_switching(reduced)
 
     def stage_combine(self, context: StepContext) -> None:
@@ -79,26 +79,6 @@ class TopkDSASynchronizer(SparseBaseline):
         self.finalize_residuals(context.reference)
 
     # ------------------------------------------------------------------
-    def _reduce_scatter_direct(self, selected: Dict[int, SparseGradient]) -> Dict[int, SparseGradient]:
-        """Direct-send Reduce-Scatter of the sparse selections (one peer per
-        round, ``P - 1`` rounds)."""
-        P = self.num_workers
-        reduced: Dict[int, SparseGradient] = {
-            rank: self.layout.restrict(selected[rank], rank) for rank in range(P)
-        }
-        for shift in range(1, P):
-            messages: List[Message] = []
-            for rank in range(P):
-                dst = (rank + shift) % P
-                part = self.layout.restrict(selected[rank], dst)
-                messages.append(Message(src=rank, dst=dst, payload=part,
-                                        tag=f"dsa-rs-{shift}"))
-            inboxes = self.cluster.exchange(messages)
-            for dst, inbox in inboxes.items():
-                for message in inbox:
-                    reduced[dst] = reduced[dst].add(message.payload)
-        return reduced
-
     def _allgather_dense_switching(
         self, reduced: Dict[int, SparseGradient]
     ) -> Dict[int, List[Tuple[int, SparseGradient]]]:

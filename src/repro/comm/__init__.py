@@ -15,14 +15,10 @@ from .transport import (
     transport_spec,
 )
 from .collectives import (
-    allgather_bruck,
     allgather_bruck_grouped,
-    allgather_recursive_doubling,
-    allgather_recursive_doubling_grouped,
     allreduce_dense,
     allreduce_rabenseifner,
     allreduce_ring,
-    reduce_scatter_direct,
 )
 from .faults import FaultPlan, MembershipEvent, membership_transition
 from .network import ETHERNET, PERFECT, RDMA, HeterogeneousNetwork, NetworkProfile
@@ -49,12 +45,8 @@ __all__ = [
     "ETHERNET",
     "RDMA",
     "PERFECT",
-    "allgather_bruck",
     "allgather_bruck_grouped",
-    "allgather_recursive_doubling",
-    "allgather_recursive_doubling_grouped",
     "allreduce_dense",
     "allreduce_rabenseifner",
     "allreduce_ring",
-    "reduce_scatter_direct",
 ]

@@ -5,11 +5,7 @@ Figure 3):
 
 * **Bruck All-Gather** — efficient for any number of workers, used by
   SparDL's final intra-team gather and by B-SAG.
-* **Recursive-doubling All-Gather** — efficient for power-of-two worker
-  counts, used by R-SAG and by the TopkA baseline.
 * **Ring All-Reduce** and **Rabenseifner All-Reduce** — the dense baselines.
-* **Direct-send Reduce-Scatter** — the latency-heavy pattern used by the
-  TopkDSA and Ok-Topk baselines.
 
 All collectives support *grouped* execution: several disjoint groups of
 workers run the same collective concurrently and share communication
@@ -40,15 +36,11 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..sparse.vector import SparseGradient
-from .transport import Message, Transport, payload_size
+from .transport import Message, Transport
 from .packed import PackedBags
 
 __all__ = [
-    "allgather_bruck",
     "allgather_bruck_grouped",
-    "allgather_recursive_doubling",
-    "allgather_recursive_doubling_grouped",
-    "reduce_scatter_direct",
     "allreduce_ring",
     "allreduce_rabenseifner",
     "allreduce_dense",
@@ -138,122 +130,6 @@ def allgather_bruck_grouped(
                 ordered[(pos + offset) % size] = item
             results[rank] = ordered
     return results
-
-
-def allgather_bruck(
-    cluster: Transport,
-    items: Dict[int, Any],
-    group: Optional[Sequence[int]] = None,
-) -> Dict[int, List[Any]]:
-    """Bruck All-Gather over one group (default: the whole cluster)."""
-    if group is None:
-        group = list(cluster.ranks)
-    return allgather_bruck_grouped(cluster, [list(group)], items)
-
-
-# ---------------------------------------------------------------------------
-# Recursive doubling All-Gather
-# ---------------------------------------------------------------------------
-def allgather_recursive_doubling_grouped(
-    cluster: Transport,
-    groups: Sequence[Sequence[int]],
-    items: Dict[int, Any],
-) -> Dict[int, List[Any]]:
-    """Recursive-doubling All-Gather inside each (power-of-two sized) group."""
-    for group in groups:
-        _validate_group(group, cluster)
-        size = len(group)
-        if size & (size - 1):
-            raise ValueError(
-                "recursive doubling requires a power-of-two group size; "
-                f"got {size} (use Bruck All-Gather instead)"
-            )
-
-    # gathered[rank] maps group position -> item
-    gathered: Dict[int, Dict[int, Any]] = {}
-    for group in groups:
-        for pos, rank in enumerate(group):
-            gathered[rank] = {pos: items[rank]}
-
-    max_size = max((len(group) for group in groups), default=1)
-    num_steps = int(math.log2(max_size)) if max_size > 1 else 0
-    for step in range(num_steps):
-        distance = 1 << step
-        messages: List[Message] = []
-        for group in groups:
-            size = len(group)
-            if distance >= size:
-                continue
-            for pos, rank in enumerate(group):
-                partner_pos = pos ^ distance
-                partner = group[partner_pos]
-                payload = list(gathered[rank].items())
-                # Group positions are routing metadata, not transmitted
-                # gradient data: bill only the items themselves.
-                payload_elements = sum(payload_size(item) for _, item in payload)
-                messages.append(Message(src=rank, dst=partner, payload=payload,
-                                         size=payload_elements, tag=f"rd-{step}"))
-        inboxes = cluster.exchange(messages)
-        for dst, inbox in inboxes.items():
-            for message in inbox:
-                gathered[dst].update(dict(message.payload))
-
-    results: Dict[int, List[Any]] = {}
-    for group in groups:
-        size = len(group)
-        for rank in group:
-            ordered = [gathered[rank][pos] for pos in range(size)]
-            results[rank] = ordered
-    return results
-
-
-def allgather_recursive_doubling(
-    cluster: Transport,
-    items: Dict[int, Any],
-    group: Optional[Sequence[int]] = None,
-) -> Dict[int, List[Any]]:
-    if group is None:
-        group = list(cluster.ranks)
-    return allgather_recursive_doubling_grouped(cluster, [list(group)], items)
-
-
-# ---------------------------------------------------------------------------
-# Reduce-Scatter (direct sends)
-# ---------------------------------------------------------------------------
-def reduce_scatter_direct(
-    cluster: Transport,
-    vectors: Dict[int, np.ndarray],
-    group: Optional[Sequence[int]] = None,
-) -> Dict[int, np.ndarray]:
-    """Reduce-Scatter where every worker sends each partition straight to its
-    owner (the latency-heavy pattern of TopkDSA / Ok-Topk, one peer per
-    round, ``P - 1`` rounds)."""
-    if group is None:
-        group = list(cluster.ranks)
-    group = list(group)
-    _validate_group(group, cluster)
-    size = len(group)
-    first = vectors[group[0]]
-    n = first.shape[0]
-    bounds = _partition_bounds(n, size)
-
-    partial: Dict[int, np.ndarray] = {}
-    for pos, rank in enumerate(group):
-        lo, hi = bounds[pos]
-        partial[rank] = vectors[rank][lo:hi].astype(np.float64, copy=True)
-
-    for shift in range(1, size):
-        messages = []
-        for pos, rank in enumerate(group):
-            dst_pos = (pos + shift) % size
-            dst = group[dst_pos]
-            lo, hi = bounds[dst_pos]
-            messages.append(Message(src=rank, dst=dst, payload=vectors[rank][lo:hi]))
-        inboxes = cluster.exchange(messages)
-        for dst, inbox in inboxes.items():
-            for message in inbox:
-                partial[dst] = partial[dst] + np.asarray(message.payload, dtype=np.float64)
-    return partial
 
 
 # ---------------------------------------------------------------------------

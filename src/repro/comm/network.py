@@ -51,11 +51,6 @@ class NetworkProfile:
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
 
-    def round_time(self, volume: float) -> float:
-        """Time of a single round in which the busiest worker receives
-        ``volume`` elements."""
-        return self.alpha + self.beta * float(volume)
-
     def time(self, rounds: float, volume: float) -> float:
         """Total time of ``rounds`` rounds delivering ``volume`` elements to
         the busiest worker overall (aggregate form of the model)."""

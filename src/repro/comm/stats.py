@@ -10,17 +10,17 @@ alpha-beta cost model used throughout the paper:
 A "round" corresponds to one call to ``SimulatedCluster.exchange`` — all
 messages inside one call are considered to be in flight simultaneously, as
 in a synchronous MPI step.  Because distributed training is bulk
-synchronous, the time of a round is governed by the busiest receiver; the
-:meth:`CommStats.simulated_time` helper therefore sums
-``alpha + beta * max_received`` over rounds.
+synchronous, the time of a round is governed by the busiest receiver;
+:meth:`CommStats.simulated_time`, the one pricing of recorded rounds,
+therefore sums ``alpha + beta * max_received`` over rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import Iterable, List, Union
 
-from .network import NetworkProfile
+from .network import HeterogeneousNetwork, NetworkProfile
 
 __all__ = ["CommStats"]
 
@@ -157,17 +157,32 @@ class CommStats:
         """Total number of elements moved across the network."""
         return sum(self.received_per_worker)
 
-    def simulated_time(self, network: NetworkProfile) -> float:
-        """Bulk-synchronous time under ``network``: each round costs
-        ``alpha`` plus ``beta`` times the busiest receiver of that round."""
-        time = network.alpha * self.rounds
-        time += network.beta * sum(self.per_round_max_received)
-        return time
+    def simulated_time(self, network: Union[NetworkProfile, HeterogeneousNetwork],
+                       volume_scale: float = 1.0) -> float:
+        """Bulk-synchronous time of the recorded rounds under ``network``.
 
-    def aggregate_time(self, network: NetworkProfile) -> float:
-        """Aggregate-form time ``alpha * rounds + beta * max_received``,
-        matching the closed-form expressions of Table I."""
-        return network.time(self.rounds, self.max_received)
+        Under a uniform :class:`~repro.comm.network.NetworkProfile` each
+        round costs ``alpha`` plus ``beta`` times the busiest receiver's
+        volume.  Under a :class:`~repro.comm.network.HeterogeneousNetwork` a
+        round is priced as the **maximum over per-worker critical paths** —
+        worker ``w`` finishes after ``alpha_w + beta_w * received_w`` and the
+        synchronous round waits for the slowest — using the per-round
+        per-worker volumes recorded here.  ``volume_scale`` rescales volumes
+        to the paper's model size (see :mod:`repro.training.timing`).
+        """
+        if volume_scale <= 0:
+            raise ValueError("volume_scale must be positive")
+        if isinstance(network, HeterogeneousNetwork):
+            time = sum(network.round_time(received, volume_scale)
+                       for received in self.per_round_received)
+            # Rounds merged from stats predating per-round rows (or recorded
+            # under a different membership) price at the default latency.
+            time += network.default.alpha * max(
+                0, self.rounds - len(self.per_round_received))
+            return time
+        time = network.alpha * self.rounds
+        time += network.beta * volume_scale * sum(self.per_round_max_received)
+        return time
 
     def copy(self) -> "CommStats":
         return CommStats(

@@ -178,8 +178,7 @@ class Transport:
     The base class owns everything that must behave identically on every
     backend: message delivery (:meth:`exchange`: validation, wire pricing,
     read-only freezing, :class:`~repro.comm.stats.CommStats` recording),
-    the pairwise :meth:`sendrecv` convenience wrapper, fault injection
-    (:meth:`install_fault_plan`) and the per-rank context of
+    fault injection (:meth:`install_fault_plan`) and the per-rank context of
     :meth:`run_workers`.  Backends differ only in where the ranks' tasks
     run and where their shared arrays live.
     """
@@ -436,34 +435,6 @@ class Transport:
             if index in delivered:
                 inboxes.setdefault(message.dst, []).append(message)
         return inboxes
-
-    def sendrecv(self, sends: Dict[int, Tuple[int, Any]],
-                 tag: str = "sendrecv") -> Dict[int, Dict[int, Any]]:
-        """Convenience wrapper for one round of pairwise sends.
-
-        ``sends`` maps source rank to ``(dst, payload)``; the return value
-        maps each destination rank to its inbox, keyed by source rank:
-        ``{dst: {src: payload}}``.  Keying by source keeps a single received
-        payload distinguishable from a payload that *is* a list — returning
-        the bare payload for one sender and a list for several (the previous
-        behaviour) made the two cases ambiguous.
-
-        Every message carries ``tag`` (default ``"sendrecv"``) so pairwise
-        sends are distinguishable from collective traffic.  This matters
-        under fault injection: :class:`~repro.comm.faults.FaultPlan` samples
-        each message's fate from ``(round, attempt, src, dst, tag)``, so an
-        untagged pairwise send between the same pair in the same round as a
-        collective message would share the collective's fault fate — and be
-        indistinguishable from it in fault traces.  Callers interleaving
-        several pairwise patterns per round should pass distinct tags.
-        """
-        messages = [Message(src=s, dst=d, payload=p, tag=tag)
-                    for s, (d, p) in sends.items()]
-        inboxes = self.exchange(messages)
-        return {
-            dst: {message.src: message.payload for message in inbox}
-            for dst, inbox in inboxes.items()
-        }
 
     # ------------------------------------------------------------------
     # per-rank task execution

@@ -7,17 +7,16 @@ strictly slower than flat.  This module plans the bucket layout that
 minimises the overlapped critical path, the way SSFusion's MG-WFBP and ASC
 planners do for real clusters:
 
-1. **Calibrate** an alpha-beta communication model.  The planner either
-   takes the :class:`~repro.comm.network.NetworkProfile` at face value
-   (``alpha`` = latency, ``beta`` = per-element cost) or runs a startup
-   micro-benchmark on the live :class:`~repro.comm.transport.Transport`
-   (:func:`benchmark_transport`): exchange a handful of payload sizes,
-   price each recorded round on the profile, and least-squares fit
-   ``time = alpha + beta * size`` (:func:`fit_alpha_beta`).
+1. **Price** on the alpha-beta model the run is timed with: the
+   :class:`~repro.comm.network.NetworkProfile` handed in (``alpha`` =
+   latency per round, ``beta`` = cost per element), taken at face value.
+   Planning sends no message: it is a pure function of the layout, the
+   profiles and the method.
 2. **Model** per-bucket cost.  Each candidate bucket's exchange is priced
    with the paper's Table I closed forms (:mod:`repro.analysis.complexity`)
-   for the method that will run it — rounds times ``alpha`` plus volume
-   times ``beta`` — and each bucket's backward slice comes from the
+   for the method that will run it — :meth:`NetworkProfile.time
+   <repro.comm.network.NetworkProfile.time>` of its rounds and volume —
+   and each bucket's backward slice comes from the
    :class:`~repro.training.timing.ComputeProfile` per-bucket model.
 3. **Fuse**.  :func:`plan_mgwfbp` greedily merges adjacent layer buckets
    whenever the merge does not lengthen the overlapped critical path of
@@ -43,10 +42,8 @@ default), ``buckets=auto:mgwfbp`` and ``buckets=auto:asc``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..analysis.complexity import (
     dense_allreduce_complexity,
@@ -60,15 +57,11 @@ from ..analysis.complexity import (
     topk_dsa_complexity,
 )
 from ..comm.network import NetworkProfile
-from ..comm.transport import Message, Transport
 from ..training.timing import ComputeProfile, OverlapTimeline, overlap_timeline
 
 __all__ = [
-    "AlphaBetaFit",
     "FusionPlan",
     "FUSION_PLANNERS",
-    "fit_alpha_beta",
-    "benchmark_transport",
     "bucket_comm_model",
     "plan_mgwfbp",
     "plan_asc",
@@ -80,124 +73,6 @@ FUSION_PLANNERS = ("mgwfbp", "asc")
 
 #: ``estimator(bucket_elements) -> (rounds, volume_elements)``.
 CommModel = Callable[[int], Tuple[float, float]]
-
-
-# ---------------------------------------------------------------------------
-# alpha-beta calibration
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class AlphaBetaFit:
-    """A fitted (or assumed) alpha-beta communication-time model.
-
-    ``time = alpha + beta * size`` for one synchronous round delivering
-    ``size`` elements to the busiest receiver.  ``source`` records where
-    the constants came from: ``"profile"`` (taken from a
-    :class:`~repro.comm.network.NetworkProfile`) or ``"benchmark:simulated"``
-    (fitted from a transport micro-benchmark).
-    """
-
-    alpha: float
-    beta: float
-    source: str = "profile"
-    #: The ``(size, seconds)`` samples behind a fitted model (empty when
-    #: the constants were assumed from a profile).
-    samples: Tuple[Tuple[float, float], ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
-
-    def round_time(self, volume: float) -> float:
-        return self.alpha + self.beta * float(volume)
-
-    def time(self, rounds: float, volume: float) -> float:
-        """Predicted duration of ``rounds`` rounds moving ``volume``
-        elements to the busiest receiver."""
-        return self.alpha * float(rounds) + self.beta * float(volume)
-
-    @property
-    def saturation_size(self) -> float:
-        """Elements per round at which the bandwidth term equals the
-        latency term (``alpha / beta``; infinite on a latency-only model)."""
-        if self.beta == 0:
-            return float("inf")
-        return self.alpha / self.beta
-
-    @classmethod
-    def from_network(cls, network: NetworkProfile) -> "AlphaBetaFit":
-        return cls(alpha=network.alpha, beta=network.beta, source="profile")
-
-
-def fit_alpha_beta(sizes: Sequence[float], times: Sequence[float],
-                   source: str = "benchmark") -> AlphaBetaFit:
-    """Least-squares fit of ``time = alpha + beta * size``.
-
-    The SSFusion recipe: benchmark a handful of message sizes at startup
-    and fit the linear model once, instead of trusting datasheet numbers.
-    Negative fitted coefficients (possible with noisy measured samples)
-    are clamped to zero — the model must stay a valid cost model.
-    """
-    xs = np.asarray(sizes, dtype=np.float64)
-    ys = np.asarray(times, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("sizes and times must be 1-D sequences of equal length")
-    if xs.size < 2:
-        raise ValueError("at least two samples are required to fit alpha and beta")
-    if np.unique(xs).size < 2:
-        raise ValueError("samples must cover at least two distinct sizes")
-    design = np.stack([np.ones_like(xs), xs], axis=1)
-    (alpha, beta), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return AlphaBetaFit(
-        alpha=float(max(0.0, alpha)),
-        beta=float(max(0.0, beta)),
-        source=source,
-        samples=tuple((float(x), float(y)) for x, y in zip(xs, ys)),
-    )
-
-
-def benchmark_transport(transport: Transport,
-                        network: Optional[NetworkProfile] = None,
-                        sizes: Sequence[int] = (256, 2048, 16384, 131072)
-                        ) -> AlphaBetaFit:
-    """Startup micro-benchmark: fit alpha/beta from live exchanges.
-
-    Sends one ``size``-element payload from rank 0 to rank 1 for each probe
-    size and prices the recorded round on ``network`` (the simulated
-    alpha-beta time of the statistics, which recovers the
-    :class:`~repro.comm.network.NetworkProfile` constants exactly).  Every
-    backend delivers through the same
-    :meth:`~repro.comm.transport.Transport.exchange`, so the fit — and every
-    plan made from it — is the same on every backend.  The transport's
-    statistics are saved and restored around the probes, so calibration
-    never pollutes the accounting of the training run that follows.
-
-    Transports with fewer than two workers cannot exchange; they fall back
-    to the network profile's constants directly.
-    """
-    probe_sizes = sorted({int(size) for size in sizes})
-    if len(probe_sizes) < 2 or probe_sizes[0] < 0:
-        raise ValueError("sizes must contain at least two distinct non-negative sizes")
-    if network is None:
-        raise ValueError(
-            "benchmarking a transport needs a NetworkProfile to price the "
-            "probe rounds")
-    if transport.num_workers < 2:
-        return AlphaBetaFit.from_network(network)
-
-    preserved = transport.reset_stats()
-    points: List[Tuple[float, float]] = []
-    try:
-        for size in probe_sizes:
-            transport.reset_stats()
-            transport.exchange([Message(src=0, dst=1,
-                                        payload=np.zeros(size, dtype=np.float64),
-                                        tag="fusion-probe")])
-            points.append((float(size), transport.stats.simulated_time(network)))
-    finally:
-        transport.reset_stats()
-        transport.stats.merge(preserved)
-    return fit_alpha_beta([p[0] for p in points], [p[1] for p in points],
-                          source="benchmark:simulated")
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +152,8 @@ class FusionPlan:
     layers: Tuple[Tuple[str, int], ...]
     #: Per fused bucket: the (start, stop) slice of merged layer indices.
     groups: Tuple[Tuple[int, int], ...]
-    #: The calibrated communication model the plan was made against.
-    fit: AlphaBetaFit
+    #: The alpha-beta model the plan was priced on.
+    network: NetworkProfile
     #: Volume rescaling applied to the bandwidth term (paper model size).
     volume_scale: float
     #: Predicted overlapped timeline of the fused layout (backward order).
@@ -333,9 +208,9 @@ class FusionPlan:
             "num_layers": len(self.layers),
             "num_buckets": self.num_buckets,
             "bucket_sizes": self.sizes,
-            "alpha": self.fit.alpha,
-            "beta": self.fit.beta,
-            "fit_source": self.fit.source,
+            "alpha": self.network.alpha,
+            "beta": self.network.beta,
+            "network": self.network.name,
             "volume_scale": self.volume_scale,
             "fallback": self.fallback,
             "predicted_sequential_s": self.predicted_sequential,
@@ -347,7 +222,7 @@ def _group_times(layers: Sequence[Tuple[str, int]],
                  compute_times: Sequence[float],
                  groups: Sequence[Tuple[int, int]],
                  estimator: CommModel,
-                 fit: AlphaBetaFit,
+                 network: NetworkProfile,
                  volume_scale: float) -> Tuple[List[float], List[float]]:
     """Per-group (backward slice, comm time), forward order."""
     computes: List[float] = []
@@ -356,14 +231,14 @@ def _group_times(layers: Sequence[Tuple[str, int]],
         size = sum(s for _, s in layers[start:stop])
         rounds, volume = estimator(size)
         computes.append(float(sum(compute_times[start:stop])))
-        comms.append(fit.time(rounds, volume * volume_scale))
+        comms.append(network.time(rounds, volume * volume_scale))
     return computes, comms
 
 
-def _timeline_for(layers, compute_times, groups, estimator, fit,
+def _timeline_for(layers, compute_times, groups, estimator, network,
                   volume_scale) -> OverlapTimeline:
     computes, comms = _group_times(layers, compute_times, groups, estimator,
-                                   fit, volume_scale)
+                                   network, volume_scale)
     # Backward consumes the layout back to front.
     return overlap_timeline(computes[::-1], comms[::-1])
 
@@ -383,7 +258,7 @@ def _validate_plan_inputs(layers, compute_times) -> None:
 def plan_mgwfbp(layers: Sequence[Tuple[str, int]],
                 compute_times: Sequence[float],
                 estimator: CommModel,
-                fit: AlphaBetaFit,
+                network: NetworkProfile,
                 volume_scale: float = 1.0) -> FusionPlan:
     """MG-WFBP-style fusion: merge adjacent buckets whenever the merge does
     not lengthen the overlapped critical path.
@@ -407,7 +282,7 @@ def plan_mgwfbp(layers: Sequence[Tuple[str, int]],
     compute_times = [float(t) for t in compute_times]
     _validate_plan_inputs(layers, compute_times)
     groups: List[Tuple[int, int]] = [(i, i + 1) for i in range(len(layers))]
-    current = _timeline_for(layers, compute_times, groups, estimator, fit,
+    current = _timeline_for(layers, compute_times, groups, estimator, network,
                             volume_scale)
     sequential = current.backward_total + current.comm_total
 
@@ -421,7 +296,7 @@ def plan_mgwfbp(layers: Sequence[Tuple[str, int]],
                       + [(groups[position][0], groups[position + 1][1])]
                       + groups[position + 2:])
             candidate = _timeline_for(layers, compute_times, merged, estimator,
-                                      fit, volume_scale)
+                                      network, volume_scale)
             tol = 1e-12 * max(1.0, current.critical_path)
             shorter = candidate.critical_path < current.critical_path - tol
             tie = abs(candidate.critical_path - current.critical_path) <= tol
@@ -431,7 +306,7 @@ def plan_mgwfbp(layers: Sequence[Tuple[str, int]],
                 current = candidate
                 improved = True
     return FusionPlan(
-        planner="mgwfbp", layers=layers, groups=tuple(groups), fit=fit,
+        planner="mgwfbp", layers=layers, groups=tuple(groups), network=network,
         volume_scale=volume_scale, predicted=current,
         predicted_sequential=sequential,
     )
@@ -440,18 +315,18 @@ def plan_mgwfbp(layers: Sequence[Tuple[str, int]],
 def plan_asc(layers: Sequence[Tuple[str, int]],
              compute_times: Sequence[float],
              estimator: CommModel,
-             fit: AlphaBetaFit,
+             network: NetworkProfile,
              volume_scale: float = 1.0) -> FusionPlan:
-    """ASC-style fusion: alpha-saturation coalescing over the fitted model.
+    """ASC-style fusion: alpha-saturation coalescing over ``network``.
 
     Walking the backward order, consecutive layers accumulate into one
     bucket until the bucket's bandwidth term has earned its latency term —
-    ``beta * volume >= alpha * rounds`` under the fitted alpha-beta model —
+    ``beta * volume >= alpha * rounds`` under the alpha-beta model —
     at which point the bucket closes and the next one starts.  A
     latency-dominated network (large ``alpha/beta``) therefore fuses
     everything into a single flat bucket, while a bandwidth-dominated one
     (``alpha -> 0``) keeps pure per-layer buckets; in between the bucket
-    count tracks the fitted saturation size ``alpha / beta``.  Unlike
+    count tracks the saturation size ``alpha / beta``.  Unlike
     MG-WFBP the rule is closed-form rather than timeline-driven, so the
     plan is additionally checked against the per-layer timeline and falls
     back to per-layer buckets when the grouping predicts worse
@@ -462,7 +337,7 @@ def plan_asc(layers: Sequence[Tuple[str, int]],
     _validate_plan_inputs(layers, compute_times)
     per_layer = [(i, i + 1) for i in range(len(layers))]
     per_layer_timeline = _timeline_for(layers, compute_times, per_layer,
-                                       estimator, fit, volume_scale)
+                                       estimator, network, volume_scale)
     sequential = (per_layer_timeline.backward_total
                   + per_layer_timeline.comm_total)
 
@@ -473,21 +348,21 @@ def plan_asc(layers: Sequence[Tuple[str, int]],
     for index in range(len(layers) - 1, -1, -1):
         size = sum(s for _, s in layers[index:stop])
         rounds, volume = estimator(size)
-        if fit.beta * volume * volume_scale >= fit.alpha * rounds:
+        if network.beta * volume * volume_scale >= network.alpha * rounds:
             groups_backward.append((index, stop))
             stop = index
     if stop > 0:  # leftover head of the model never saturated: one bucket
         groups_backward.append((0, stop))
     groups = tuple(sorted(groups_backward))
 
-    timeline = _timeline_for(layers, compute_times, groups, estimator, fit,
+    timeline = _timeline_for(layers, compute_times, groups, estimator, network,
                              volume_scale)
     fallback = timeline.critical_path > per_layer_timeline.critical_path * (1 + 1e-12)
     if fallback:
         groups = tuple(per_layer)
         timeline = per_layer_timeline
     return FusionPlan(
-        planner="asc", layers=layers, groups=groups, fit=fit,
+        planner="asc", layers=layers, groups=groups, network=network,
         volume_scale=volume_scale, predicted=timeline,
         predicted_sequential=sequential, fallback=fallback,
     )
@@ -501,19 +376,16 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
                  planner: str = "mgwfbp",
                  method: str = "SparDL",
                  num_workers: int,
+                 network: NetworkProfile,
                  density: Optional[float] = None,
                  teams: int = 1,
                  num_bits: Optional[int] = None,
-                 fit: Optional[AlphaBetaFit] = None,
-                 transport: Optional[Transport] = None,
-                 network: Optional[NetworkProfile] = None,
                  compute_profile: Optional[ComputeProfile] = None,
                  model_parameters: Optional[int] = None) -> FusionPlan:
     """Plan a fused bucket layout for ``layers`` (forward order).
 
-    Resolution order for the alpha-beta model: an explicit ``fit`` wins;
-    otherwise a ``transport`` is micro-benchmarked
-    (:func:`benchmark_transport`, priced by ``network``); otherwise ``network``'s constants are taken at face value.
+    Every bucket's exchange is priced on ``network``, the
+    :class:`~repro.comm.network.NetworkProfile` the run is timed with.
     ``compute_profile`` supplies the per-bucket backward times (none means
     planning under zero compute — no overlap is assumable, so latency
     minimisation fuses aggressively).  ``model_parameters`` defaults to
@@ -522,8 +394,8 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
     the iteration timing applies, so plans optimise exactly the quantity
     :func:`~repro.training.timing.iteration_time` reports.
 
-    Everything here is deterministic: a fixed layout, profile and
-    fit/seeded transport always produce the identical plan.
+    Everything here is deterministic and sends nothing: a fixed layout
+    and fixed profiles always produce the identical plan.
     """
     if planner not in _PLANNERS:
         raise ValueError(
@@ -532,15 +404,6 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
     layout = [(str(name), int(size)) for name, size in layers]
     if not layout:
         raise ValueError("at least one layer bucket is required")
-    if fit is None:
-        if transport is not None:
-            fit = benchmark_transport(transport, network=network)
-        elif network is not None:
-            fit = AlphaBetaFit.from_network(network)
-        else:
-            raise ValueError(
-                "give fit=, transport= or network= so the planner has an "
-                "alpha-beta communication model to optimise against")
     sizes = [size for _, size in layout]
     total = sum(sizes)
     if model_parameters is None:
@@ -553,5 +416,5 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
         volume_scale = 1.0
     estimator = bucket_comm_model(method, num_workers, density=density,
                                   teams=teams, num_bits=num_bits)
-    return _PLANNERS[planner](layout, compute_times, estimator, fit,
+    return _PLANNERS[planner](layout, compute_times, estimator, network,
                               volume_scale=volume_scale)

@@ -2,7 +2,7 @@
 
 from .cases import CASES, CaseSpec, case_names, get_case
 from .metrics import EpochRecord, IterationRecord, TrainingHistory
-from .timing import ComputeProfile, IterationTiming, communication_time, iteration_time
+from .timing import ComputeProfile, IterationTiming, iteration_time
 from .trainer import (
     DistributedTrainer,
     TrainerConfig,
@@ -20,7 +20,6 @@ __all__ = [
     "TrainingHistory",
     "ComputeProfile",
     "IterationTiming",
-    "communication_time",
     "iteration_time",
     "DistributedTrainer",
     "TrainerConfig",

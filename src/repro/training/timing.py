@@ -6,8 +6,9 @@ wall-clock measurement with the same alpha-beta model the paper uses for its
 analysis:
 
 * **communication time** comes from the *measured* rounds and per-round
-  busiest-receiver volumes of the simulated cluster, priced by a
-  :class:`~repro.comm.network.NetworkProfile`;
+  busiest-receiver volumes of the simulated cluster, priced on a
+  :class:`~repro.comm.network.NetworkProfile` by
+  :meth:`~repro.comm.stats.CommStats.simulated_time`;
 * **computation time** is a per-case constant (the paper's compute bars in
   Fig. 8 are flat across communication methods, so a constant profile
   preserves every comparison);
@@ -49,7 +50,6 @@ __all__ = [
     "ComputeProfile",
     "IterationTiming",
     "OverlapTimeline",
-    "communication_time",
     "iteration_time",
     "overlap_timeline",
 ]
@@ -345,35 +345,6 @@ class IterationTiming:
         return self.compute_time + self.communication_time - self.hidden_comm_time
 
 
-def communication_time(stats: CommStats,
-                       network: Union[NetworkProfile, HeterogeneousNetwork],
-                       volume_scale: float = 1.0) -> float:
-    """Bulk-synchronous communication time of a synchronisation.
-
-    Under a uniform :class:`~repro.comm.network.NetworkProfile` each round
-    costs ``alpha`` plus ``beta`` times the busiest receiver's volume.
-    Under a :class:`~repro.comm.network.HeterogeneousNetwork` a round is
-    priced as the **maximum over per-worker critical paths** — worker ``w``
-    finishes after ``alpha_w + beta_w * received_w`` and the synchronous
-    round waits for the slowest — using the per-round per-worker volumes
-    the cluster records.  ``volume_scale`` rescales volumes to the paper's
-    model size (see module docstring).
-    """
-    if volume_scale <= 0:
-        raise ValueError("volume_scale must be positive")
-    if isinstance(network, HeterogeneousNetwork):
-        time = sum(network.round_time(received, volume_scale)
-                   for received in stats.per_round_received)
-        # Rounds merged from stats predating per-round rows (or recorded
-        # under a different membership) price at the default latency.
-        time += network.default.alpha * max(
-            0, stats.rounds - len(stats.per_round_received))
-        return time
-    time = network.alpha * stats.rounds
-    time += network.beta * volume_scale * sum(stats.per_round_max_received)
-    return time
-
-
 def _compute_slowdown(compute_factors: Optional[Sequence[float]]) -> float:
     """The synchronous-training compute slowdown: the slowest worker's
     factor (everyone waits for it), 1.0 without stragglers."""
@@ -423,7 +394,7 @@ def iteration_time(stats: CommStats,
     if bucket_stats is None:
         return IterationTiming(
             compute_time=compute,
-            communication_time=communication_time(stats, network, scale),
+            communication_time=stats.simulated_time(network, scale),
         )
 
     if bucket_sizes is None:
@@ -435,7 +406,7 @@ def iteration_time(stats: CommStats,
             f"bucket_stats has {len(per_bucket)} buckets but bucket_sizes "
             f"has {len(sizes)}")
     backward = [t * slowdown for t in profile.bucket_backward_times_for(sizes)]
-    comms = [communication_time(part, network, scale) for part in per_bucket]
+    comms = [part.simulated_time(network, scale) for part in per_bucket]
     # Backward runs the layers in reverse: the last bucket's gradients are
     # ready first, so the pipeline consumes the lists back to front.
     timeline = overlap_timeline(backward[::-1], comms[::-1])

@@ -54,7 +54,6 @@ only inside a task, the driver only between two ``run_workers`` calls.
 from __future__ import annotations
 
 import inspect
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Union
@@ -115,13 +114,6 @@ class TrainerConfig:
     #: Verify after every iteration that all replicas hold identical
     #: parameters (slow; used by the integration tests).
     check_consistency: bool = False
-    #: Emulated accelerator time per training sample, in seconds.  Each
-    #: worker blocks for ``device_seconds_per_sample * batch`` of real time
-    #: after its backward pass, modelling the paper's GPU compute phase.
-    #: On a process-backed transport these phases genuinely overlap, which
-    #: is what the backend benchmark measures; 0 (the default) disables the
-    #: emulation.
-    device_seconds_per_sample: float = 0.0
     #: Use the overlap-aware iteration timing when the synchroniser reports
     #: per-bucket statistics (bucketed layouts): each bucket's exchange is
     #: scheduled against the per-bucket backward slices, and the hidden
@@ -197,8 +189,7 @@ def _worker_epoch_start(context: Dict[str, Any], rank: int, batch_size: int,
 
 
 def _local_step(replica: Module, parameters: List[Parameter], loss: Loss,
-                batch: tuple, device_seconds_per_sample: float,
-                out: np.ndarray) -> float:
+                batch: tuple, out: np.ndarray) -> float:
     """One local step: forward and backward on ``batch``; the flat gradient
     of ``parameters`` (the replica's, looked up once) goes into ``out`` and
     the loss is returned."""
@@ -209,20 +200,16 @@ def _local_step(replica: Module, parameters: List[Parameter], loss: Loss,
     outputs = replica.forward(inputs)
     loss_value, grad_output = loss(outputs, targets)
     replica.backward(grad_output)
-    if device_seconds_per_sample > 0.0:
-        time.sleep(device_seconds_per_sample * inputs.shape[0])
     flatten_gradients(parameters, out=out)
     return float(loss_value)
 
 
-def _worker_compute_gradient(context: Dict[str, Any], rank: int,
-                             device_seconds_per_sample: float) -> float:
+def _worker_compute_gradient(context: Dict[str, Any], rank: int) -> float:
     """One local step on this rank's next batch, into this rank's row of
     the shared gradient array; only the loss is returned."""
     state = context["trainer"]
     return _local_step(state["replica"], state["parameters"], state["loss"],
-                       next(state["iterator"]), device_seconds_per_sample,
-                       context["shared"][_GRADIENTS][rank])
+                       next(state["iterator"]), context["shared"][_GRADIENTS][rank])
 
 
 def _worker_apply_update(context: Dict[str, Any], rank: int, row: int,
@@ -441,11 +428,8 @@ class DistributedTrainer:
             return self._train_step_impl(epoch, learning_rate)
 
     def _train_step_impl(self, epoch: int, learning_rate: float) -> IterationRecord:
-        device = self.config.device_seconds_per_sample
         with self._span("compute", "compute", iteration=self._iteration):
-            losses = self.cluster.run_workers(_worker_compute_gradient, {
-                worker: (device,) for worker in range(self.cluster.num_workers)
-            })
+            losses = self.cluster.run_workers(_worker_compute_gradient)
 
         result = self.session.step(self._gradient_rows)
         bucket_stats = bucket_sizes = None

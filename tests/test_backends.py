@@ -189,40 +189,35 @@ def test_message_rejects_a_non_finite_or_negative_size(size):
 
 
 # ---------------------------------------------------------------------------
-# sendrecv tagging (satellite)
+# exchange inboxes and fault fates per tag
 # ---------------------------------------------------------------------------
-def test_sendrecv_default_tag_and_shape():
+def test_exchange_default_tag_and_shape():
     with SimulatedCluster(3) as cluster:
-        captured = []
-        original = cluster.exchange
-
-        def spy(messages):
-            captured.extend(messages)
-            return original(messages)
-
-        cluster.exchange = spy
-        result = cluster.sendrecv({0: (1, 1.0), 2: (1, 2.0)})
-        assert all(message.tag == "sendrecv" for message in captured)
-        assert result == {1: {0: 1.0, 2: 2.0}}
+        inboxes = cluster.exchange([Message(src=0, dst=1, payload=1.0),
+                                    Message(src=2, dst=1, payload=2.0)])
+        assert all(message.tag == "" for message in inboxes[1])
+        assert {rank: {m.src: m.payload for m in inbox}
+                for rank, inbox in inboxes.items()} == {1: {0: 1.0, 2: 2.0}}
 
 
-def test_sendrecv_custom_tag_separates_fault_fates():
+def test_exchange_works_on_mp_backend():
+    with MultiprocessCluster(2) as mp:
+        inboxes = mp.exchange([Message(src=0, dst=1, payload=np.arange(3.0), tag="pairwise"),
+                               Message(src=1, dst=0, payload=np.arange(2.0), tag="pairwise")])
+        assert np.array_equal(inboxes[1][0].payload, np.arange(3.0))
+        assert np.array_equal(inboxes[0][0].payload, np.arange(2.0))
+        assert mp.stats.rounds == 1
+
+
+def test_message_tag_separates_fault_fates():
     # FaultPlan keys each message fate by (round, attempt, src, dst, tag):
     # the same pair in the same round draws independent fates per tag.
     plan = FaultPlan(seed=5, drop_rate=0.5)
     fates = {
         tag: plan.message_fate(0, 1, 0, 1, tag)
-        for tag in ("sendrecv", "a", "b", "c", "d", "e", "f", "g")
+        for tag in ("pairwise", "a", "b", "c", "d", "e", "f", "g")
     }
     assert len(set(fates.values())) > 1
-
-
-def test_sendrecv_works_on_mp_backend():
-    with MultiprocessCluster(2) as mp:
-        result = mp.sendrecv({0: (1, np.arange(3.0)), 1: (0, np.arange(2.0))},
-                             tag="pairwise")
-        assert np.array_equal(result[1][0], np.arange(3.0))
-        assert np.array_equal(result[0][1], np.arange(2.0))
 
 
 # ---------------------------------------------------------------------------

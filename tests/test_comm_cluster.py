@@ -89,22 +89,26 @@ class TestSimulatedCluster:
         assert old.rounds == 1
         assert cluster4.stats.rounds == 0
 
-    def test_sendrecv_keyed_by_source(self, cluster4):
-        received = cluster4.sendrecv({0: (1, np.arange(2.0)), 1: (0, np.arange(3.0))})
-        assert set(received) == {0, 1}
-        assert received[0][1].shape == (3,)
-        assert received[1][0].shape == (2,)
+    def test_exchange_keyed_by_source(self, cluster4):
+        inboxes = cluster4.exchange([Message(src=0, dst=1, payload=np.arange(2.0)),
+                                     Message(src=1, dst=0, payload=np.arange(3.0))])
+        assert set(inboxes) == {0, 1}
+        assert [m.src for m in inboxes[0]] == [1]
+        assert inboxes[0][0].payload.shape == (3,)
+        assert inboxes[1][0].payload.shape == (2,)
 
-    def test_sendrecv_multiple_to_same_destination(self, cluster4):
-        received = cluster4.sendrecv({0: (2, 1.0), 1: (2, 2.0)})
-        assert received[2] == {0: 1.0, 1: 2.0}
+    def test_exchange_multiple_to_same_destination(self, cluster4):
+        inboxes = cluster4.exchange([Message(src=0, dst=2, payload=1.0),
+                                     Message(src=1, dst=2, payload=2.0)])
+        assert {m.src: m.payload for m in inboxes[2]} == {0: 1.0, 1: 2.0}
 
-    def test_sendrecv_single_list_payload_is_unambiguous(self, cluster4):
-        # A single received payload that *is* a list must stay distinguishable
-        # from two separate payloads (the old bare-payload convention made
-        # them identical).
-        received = cluster4.sendrecv({0: (2, [1.0, 2.0])})
-        assert received[2] == {0: [1.0, 2.0]}
+    def test_exchange_single_list_payload_is_unambiguous(self, cluster4):
+        # A single received payload that *is* a list stays distinguishable
+        # from two separate payloads: each message is its own inbox entry.
+        inboxes = cluster4.exchange([Message(src=0, dst=2, payload=[1.0, 2.0])])
+        assert len(inboxes[2]) == 1
+        assert inboxes[2][0].src == 0
+        assert inboxes[2][0].payload == [1.0, 2.0]
 
     def test_ranks_property(self, cluster6):
         assert list(cluster6.ranks) == [0, 1, 2, 3, 4, 5]

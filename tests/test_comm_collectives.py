@@ -8,22 +8,22 @@ import numpy as np
 import pytest
 
 import repro.api as api
+from repro.baselines.ok_topk import OkTopkSynchronizer
+from repro.baselines.topk_dsa import TopkDSASynchronizer
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.collectives import (
     _BLOCK,
-    allgather_bruck,
     allgather_bruck_grouped,
-    allgather_recursive_doubling,
     allreduce_dense,
     allreduce_rabenseifner,
     allreduce_ring,
-    reduce_scatter_direct,
 )
 from repro.comm.faults import FaultPlan
 from repro.compression.quantization import QuantizedCompressor
 from repro.obs import Tracer
+from repro.sparse.vector import SparseGradient
 
-from tests.helpers import lanes
+from tests.helpers import lanes, random_gradients
 from tests.references import seed_allreduce_rabenseifner, seed_allreduce_ring
 
 
@@ -35,7 +35,7 @@ class TestBruckAllGather:
     @pytest.mark.parametrize("num_workers", [1, 2, 3, 4, 5, 6, 7, 8, 14])
     def test_all_workers_get_all_items_in_order(self, num_workers):
         cluster = SimulatedCluster(num_workers)
-        result = allgather_bruck(cluster, _items(num_workers))
+        result = allgather_bruck_grouped(cluster, [list(range(num_workers))], _items(num_workers))
         expected = [float(rank) for rank in range(num_workers)]
         for rank in range(num_workers):
             assert [float(item[0]) for item in result[rank]] == expected
@@ -43,20 +43,20 @@ class TestBruckAllGather:
     @pytest.mark.parametrize("num_workers", [2, 4, 8, 16])
     def test_round_count_is_log2_for_power_of_two(self, num_workers):
         cluster = SimulatedCluster(num_workers)
-        allgather_bruck(cluster, _items(num_workers))
+        allgather_bruck_grouped(cluster, [list(range(num_workers))], _items(num_workers))
         assert cluster.stats.rounds == int(math.log2(num_workers))
 
     @pytest.mark.parametrize("num_workers", [3, 5, 6, 7, 14])
     def test_round_count_is_ceil_log2_for_any_count(self, num_workers):
         cluster = SimulatedCluster(num_workers)
-        allgather_bruck(cluster, _items(num_workers))
+        allgather_bruck_grouped(cluster, [list(range(num_workers))], _items(num_workers))
         assert cluster.stats.rounds == math.ceil(math.log2(num_workers))
 
     def test_bandwidth_reaches_lower_bound(self):
         # Each worker receives exactly (P-1) items of unit size.
         num_workers = 6
         cluster = SimulatedCluster(num_workers)
-        allgather_bruck(cluster, _items(num_workers))
+        allgather_bruck_grouped(cluster, [list(range(num_workers))], _items(num_workers))
         assert cluster.stats.max_received == num_workers - 1
 
     def test_grouped_execution_shares_rounds(self):
@@ -66,6 +66,19 @@ class TestBruckAllGather:
         result = allgather_bruck_grouped(cluster, groups, items)
         assert cluster.stats.rounds == 2  # log2(4), shared by both groups
         assert [float(i[0]) for i in result[5]] == [4.0, 5.0, 6.0, 7.0]
+
+    @pytest.mark.parametrize("groups", [
+        [[0, 1, 2], [3, 4, 5, 6, 7]],
+        [[6, 1, 4], [0, 7], [2, 5, 3]],
+        [[0], [1, 2, 3, 4, 5, 6, 7]],
+    ], ids=["uneven", "interleaved", "singleton"])
+    def test_every_group_gathers_its_own_items_in_group_order(self, groups):
+        cluster = SimulatedCluster(8)
+        result = allgather_bruck_grouped(cluster, groups, _items(8))
+        assert cluster.stats.rounds == max(math.ceil(math.log2(len(g))) for g in groups)
+        for group in groups:
+            for rank in group:
+                assert [float(item[0]) for item in result[rank]] == [float(r) for r in group]
 
     def test_duplicate_ranks_rejected(self):
         cluster = SimulatedCluster(4)
@@ -79,41 +92,60 @@ class TestBruckAllGather:
         assert cluster.stats.rounds == 0
 
 
-class TestRecursiveDoublingAllGather:
-    @pytest.mark.parametrize("num_workers", [1, 2, 4, 8])
-    def test_gathers_in_order(self, num_workers):
-        cluster = SimulatedCluster(num_workers)
-        result = allgather_recursive_doubling(cluster, _items(num_workers))
-        for rank in range(num_workers):
-            assert [float(item[0]) for item in result[rank]] == [float(r) for r in range(num_workers)]
-
-    def test_rejects_non_power_of_two(self):
-        cluster = SimulatedCluster(6)
-        with pytest.raises(ValueError):
-            allgather_recursive_doubling(cluster, _items(6))
-
-    def test_round_count(self):
-        cluster = SimulatedCluster(8)
-        allgather_recursive_doubling(cluster, _items(8))
-        assert cluster.stats.rounds == 3
-
-
 class TestReduceScatterDirect:
+    """``SparseBaseline._reduce_scatter_direct``: the one direct-send
+    Reduce-Scatter TopkDSA and Ok-Topk both run."""
+
+    @staticmethod
+    def _selections(num_workers, n):
+        return {rank: SparseGradient.from_dense(dense)
+                for rank, dense in random_gradients(num_workers, n).items()}
+
     @pytest.mark.parametrize("num_workers", [2, 3, 5, 8])
     def test_each_worker_holds_reduced_partition(self, num_workers):
         n = 12
         cluster = SimulatedCluster(num_workers)
-        vectors = {r: np.random.default_rng(r).normal(size=n) for r in range(num_workers)}
-        result = reduce_scatter_direct(cluster, vectors)
-        total = sum(vectors.values())
-        rebuilt = np.concatenate([result[r] for r in range(num_workers)])
+        sync = TopkDSASynchronizer(cluster, n, k=n)
+        selected = self._selections(num_workers, n)
+        bounds = sync.layout.bounds
+        reduced = sync._reduce_scatter_direct(selected, bounds, "t")
+        total = sum(piece.to_dense() for piece in selected.values())
+        rebuilt = np.concatenate([reduced[r].to_dense()[lo:hi]
+                                  for r, (lo, hi) in enumerate(bounds)])
         np.testing.assert_allclose(rebuilt, total)
+        for rank, (lo, hi) in enumerate(bounds):
+            assert np.all((reduced[rank].indices >= lo) & (reduced[rank].indices < hi))
 
     def test_uses_p_minus_one_rounds(self):
         cluster = SimulatedCluster(5)
-        vectors = {r: np.ones(10) for r in range(5)}
-        reduce_scatter_direct(cluster, vectors)
+        sync = TopkDSASynchronizer(cluster, 10, k=10)
+        sync._reduce_scatter_direct(self._selections(5, 10), sync.layout.bounds, "t")
         assert cluster.stats.rounds == 4
+
+    def test_each_worker_receives_its_slice_of_every_other_selection(self):
+        num_workers, n = 5, 40
+        cluster = SimulatedCluster(num_workers)
+        sync = TopkDSASynchronizer(cluster, n, k=n)
+        selected = self._selections(num_workers, n)
+        bounds = sync.layout.bounds
+        sync._reduce_scatter_direct(selected, bounds, "t")
+        for rank, (lo, hi) in enumerate(bounds):
+            expected = sum(selected[src].restrict(lo, hi).comm_size
+                           for src in range(num_workers) if src != rank)
+            assert cluster.stats.received_per_worker[rank] == expected
+
+    @pytest.mark.parametrize("method, tag", [(TopkDSASynchronizer, "dsa-rs"),
+                                             (OkTopkSynchronizer, "oktopk-rs")])
+    def test_round_shift_tags_every_message(self, method, tag):
+        num_workers = 4
+        cluster = SimulatedCluster(num_workers)
+        tracer = Tracer("comm")
+        cluster.install_tracer(tracer)
+        method(cluster, 400, k=20).synchronize(random_gradients(num_workers, 400))
+        tags = [e.args["tag"] for e in tracer.events if e.cat == "message"]
+        for shift in range(1, num_workers):
+            assert tags.count(f"{tag}-{shift}") == num_workers
+        assert f"{tag}-{num_workers}" not in tags
 
 
 class TestDenseAllReduce:
@@ -404,13 +436,13 @@ class TestVolumeAccounting:
     control metadata (group positions, slice offsets, block ids) is free."""
 
     @pytest.mark.parametrize("num_workers", [2, 4, 8, 16])
-    def test_recursive_doubling_allgather_volume_is_exact(self, num_workers):
+    def test_bruck_dense_allgather_volume_is_exact(self, num_workers):
         item_size = 3
         cluster = SimulatedCluster(num_workers)
         items = {r: np.full(item_size, float(r)) for r in range(num_workers)}
-        allgather_recursive_doubling(cluster, items)
+        allgather_bruck_grouped(cluster, [list(range(num_workers))], items)
         # Every worker ends holding all P items, P-1 of which arrived over
-        # the wire; the position ints it also receives are metadata.
+        # the wire; the rolling buffer's positions are metadata.
         expected = float(item_size * (num_workers - 1))
         for rank in range(num_workers):
             assert cluster.stats.received_per_worker[rank] == expected
@@ -429,8 +461,6 @@ class TestVolumeAccounting:
 
     @pytest.mark.parametrize("num_workers", [2, 3, 5, 8])
     def test_bruck_sparse_allgather_volume_is_exact(self, num_workers):
-        from repro.sparse.vector import SparseGradient
-
         nnz = 4
         cluster = SimulatedCluster(num_workers)
         items = {
@@ -438,7 +468,7 @@ class TestVolumeAccounting:
                               np.ones(nnz), num_workers * nnz)
             for r in range(num_workers)
         }
-        allgather_bruck(cluster, items)
+        allgather_bruck_grouped(cluster, [list(range(num_workers))], items)
         # P-1 foreign items of 2*nnz elements each; the packed wire format's
         # bag ids and offsets must not change the count.
         expected = 2.0 * nnz * (num_workers - 1)

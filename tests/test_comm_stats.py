@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.comm.network import ETHERNET, PERFECT, RDMA, NetworkProfile
+from repro.comm.network import ETHERNET, PERFECT, RDMA, HeterogeneousNetwork, NetworkProfile
 from repro.comm.stats import CommStats
 
 
@@ -65,23 +67,38 @@ class TestCommStats:
         network = NetworkProfile("test", alpha=1.0, beta=0.1)
         assert stats.simulated_time(network) == pytest.approx(2.0 + 0.1 * 30.0)
 
-    def test_aggregate_time_uses_max_received(self):
+    @pytest.mark.parametrize("network", [
+        ETHERNET, RDMA, HeterogeneousNetwork(default=ETHERNET, overrides={1: RDMA}),
+    ], ids=["ethernet", "rdma", "heterogeneous"])
+    def test_empty_stats_cost_nothing(self, network):
+        assert CommStats(num_workers=2).simulated_time(network) == 0.0
+
+    @pytest.mark.parametrize("network", [
+        ETHERNET, HeterogeneousNetwork(default=ETHERNET),
+    ], ids=["uniform", "heterogeneous"])
+    @pytest.mark.parametrize("volume_scale", [0.0, -1.0])
+    def test_non_positive_volume_scale_rejected(self, network, volume_scale):
         stats = CommStats(num_workers=2)
         stats.record_round([(0, 1, 10.0)])
-        stats.record_round([(1, 0, 20.0)])
-        network = NetworkProfile("test", alpha=1.0, beta=0.1)
-        assert stats.aggregate_time(network) == pytest.approx(2.0 + 0.1 * 20.0)
+        with pytest.raises(ValueError, match="volume_scale"):
+            stats.simulated_time(network, volume_scale)
 
 
 class TestNetworkProfile:
-    def test_round_and_total_time(self):
+    def test_total_time(self):
         net = NetworkProfile("n", alpha=2.0, beta=0.5)
-        assert net.round_time(10) == 7.0
         assert net.time(3, 10) == 11.0
 
     def test_negative_costs_rejected(self):
         with pytest.raises(ValueError):
             NetworkProfile("bad", alpha=-1.0, beta=0.0)
+
+    @given(alpha=st.floats(0.0, 1.0), beta=st.floats(0.0, 1e-4),
+           rounds=st.integers(0, 64), volume=st.floats(0.0, 1e9))
+    @settings(max_examples=40, deadline=None)
+    def test_time_is_the_linear_model(self, alpha, beta, rounds, volume):
+        net = NetworkProfile("n", alpha=alpha, beta=beta)
+        assert net.time(rounds, volume) == alpha * rounds + beta * volume
 
     def test_scaled(self):
         net = ETHERNET.scaled(alpha_factor=0.5, beta_factor=2.0, name="custom")
@@ -102,8 +119,6 @@ class TestNetworkProfile:
 # Integer message sizes keep every accumulation exact, so the merged-equals-
 # sum-of-parts properties can assert strict equality instead of approx.
 
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 _P = 4  # fixed cluster size shared by every generated part
 
@@ -174,6 +189,27 @@ class TestCommStatsProperties:
         total = CommStats.merged(_P, (part.copy() for part in parts))
         assert total.simulated_time(network) == pytest.approx(
             sum(part.simulated_time(network) for part in parts))
+
+    @given(comm_stats_parts())
+    @settings(max_examples=60, deadline=None)
+    def test_unit_volume_scale_is_the_unscaled_formula(self, parts):
+        # alpha * rounds + beta * sum(per-round maxima), bit for bit: a
+        # volume scale of 1.0 multiplies exactly.
+        stats = CommStats.merged(_P, (part.copy() for part in parts))
+        network = NetworkProfile("prop", alpha=0.3, beta=0.7)
+        unscaled = (network.alpha * stats.rounds
+                    + network.beta * sum(stats.per_round_max_received))
+        assert stats.simulated_time(network) == unscaled
+        assert stats.simulated_time(network, 1.0) == unscaled
+
+    @given(comm_stats_parts())
+    @settings(max_examples=60, deadline=None)
+    def test_heterogeneous_without_overrides_prices_as_uniform(self, parts):
+        stats = CommStats.merged(_P, (part.copy() for part in parts))
+        network = NetworkProfile("prop", alpha=3.0, beta=2.0)
+        for scale in (1.0, 2.5):
+            assert stats.simulated_time(HeterogeneousNetwork(default=network), scale) \
+                == pytest.approx(stats.simulated_time(network, scale))
 
     @given(comm_stats_parts(), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)

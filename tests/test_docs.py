@@ -134,7 +134,7 @@ def test_api_doc_covers_fault_layer():
 
 def test_api_doc_covers_overlap_and_fusion():
     doc = (REPO_ROOT / "docs" / "api.md").read_text()
-    for token in ("MGWFBP", "ASC", "fusion_plan", "AlphaBetaFit",
+    for token in ("MGWFBP", "ASC", "fusion_plan", "NetworkProfile",
                   "hidden_comm_time", "overlap_comm", "compute_profile",
                   "tests/test_overlap_timing.py"):
         assert token in doc, f"docs/api.md does not mention {token!r}"
@@ -143,7 +143,7 @@ def test_api_doc_covers_overlap_and_fusion():
 def test_architecture_doc_covers_overlap_and_fusion():
     doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
     for token in ("Overlap & bucket fusion", "overlap_timeline",
-                  "ComputeProfile", "AlphaBetaFit", "benchmark_transport",
+                  "ComputeProfile", "NetworkProfile", "simulated_time",
                   "MGWFBP", "ASC", "FusionPlan", "hidden_comm",
                   "tests/test_overlap_timing.py"):
         assert token in doc, f"docs/architecture.md does not mention {token!r}"

@@ -17,7 +17,6 @@ from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET
 from repro.core.config import SAGMode, SparDLConfig
 from repro.core.spardl import SparDLSynchronizer
-from repro.training.timing import communication_time
 
 from tests.helpers import random_gradients
 
@@ -131,7 +130,7 @@ class TestMethodAvailabilityAndLabels:
         cluster = SimulatedCluster(num_workers)
         sync = make("SparDL", cluster, num_elements=num_elements, k=k)
         result = sync.synchronize(random_gradients(num_workers, num_elements))
-        measured = communication_time(result.stats, ETHERNET)
+        measured = result.stats.simulated_time(ETHERNET)
         predicted = spardl_complexity(num_workers, num_elements, k).time(
             ETHERNET.alpha, ETHERNET.beta)
         assert 0.3 * predicted <= measured <= 3.0 * predicted

@@ -28,7 +28,7 @@ from repro.core.config import SparDLConfig
 from repro.core.pipeline import RetryPolicy, SyncSession
 from repro.core.spardl import SparDLSynchronizer
 from repro.baselines.dense import DenseAllReduceSynchronizer
-from repro.training.timing import communication_time, iteration_time, ComputeProfile
+from repro.training.timing import iteration_time, ComputeProfile
 
 from tests.helpers import random_gradients
 
@@ -472,7 +472,7 @@ class TestHeterogeneousNetwork:
         assert ingress.beta == max(ETHERNET.beta, congested.beta)
         assert network.profile_for(3) is ETHERNET
 
-    def test_communication_time_uses_per_round_volumes(self):
+    def test_simulated_time_uses_per_round_volumes(self):
         cluster = SimulatedCluster(3)
         cluster.exchange([Message(src=0, dst=1, size=100.0),
                           Message(src=0, dst=2, size=10.0)])
@@ -481,16 +481,16 @@ class TestHeterogeneousNetwork:
         slow = NetworkProfile(name="slow", alpha=1.0, beta=1.0)
         network = HeterogeneousNetwork(default=PERFECT, overrides={2: slow})
         # round 1: worker 2 receives 10 -> 11 ; round 2: receives 50 -> 51
-        assert communication_time(stats, network) == pytest.approx(62.0)
+        assert stats.simulated_time(network) == pytest.approx(62.0)
         # uniform pricing is unchanged
-        assert communication_time(stats, RDMA) == pytest.approx(
+        assert stats.simulated_time(RDMA) == pytest.approx(
             RDMA.alpha * 2 + RDMA.beta * 150.0)
 
     def test_rounds_without_rows_price_at_default_alpha(self):
         stats = CommStats(num_workers=2)
         stats.rounds = 3  # e.g. merged from pre-heterogeneity data
         network = HeterogeneousNetwork(default=NetworkProfile("n", 2.0, 0.0))
-        assert communication_time(stats, network) == pytest.approx(6.0)
+        assert stats.simulated_time(network) == pytest.approx(6.0)
 
 
 class TestStragglerTiming:

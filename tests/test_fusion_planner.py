@@ -1,5 +1,5 @@
-"""Property tests for the MGWFBP/ASC bucket-fusion planners, the alpha-beta
-fit, the transport micro-benchmark, and the spec-grammar wiring."""
+"""Property tests for the MGWFBP/ASC bucket-fusion planners, their pricing
+on the network profile, and the spec-grammar wiring."""
 
 from __future__ import annotations
 
@@ -11,18 +11,18 @@ from hypothesis import strategies as st
 from repro.api import make, parse_spec
 from repro.comm import make_transport
 from repro.comm.cluster import SimulatedCluster
+from repro.comm.faults import FaultPlan
 from repro.comm.network import ETHERNET, RDMA, NetworkProfile
+from repro.comm.transport import Message
 from repro.core.fusion import (
-    AlphaBetaFit,
     FusionPlan,
-    benchmark_transport,
     bucket_comm_model,
-    fit_alpha_beta,
     plan_asc,
     plan_buckets,
     plan_mgwfbp,
 )
 from repro.nn.models import build_mlp
+from repro.obs import Tracer
 from repro.training.cases import get_case
 from repro.training.timing import ComputeProfile
 
@@ -62,9 +62,9 @@ class TestPlanIsValidPartition:
     @settings(max_examples=60, deadline=None)
     def test_sizes_sum_and_order_preserved(self, data, planner, alpha, beta):
         sizes, computes = data
-        fit = AlphaBetaFit(alpha=alpha, beta=beta)
+        network = NetworkProfile("n", alpha=alpha, beta=beta)
         plan = PLANNERS[planner](_layers(sizes), computes,
-                                 _linear_estimator(), fit)
+                                 _linear_estimator(), network)
         # Sizes sum to the model's parameter count.
         assert sum(plan.sizes) == sum(sizes)
         # Order preserved: joining the fused names reproduces the layer
@@ -98,9 +98,9 @@ class TestPlanNeverExceedsSequential:
     @settings(max_examples=60, deadline=None)
     def test_critical_path_bounded_by_sequential(self, data, planner, alpha, beta):
         sizes, computes = data
-        fit = AlphaBetaFit(alpha=alpha, beta=beta)
+        network = NetworkProfile("n", alpha=alpha, beta=beta)
         plan = PLANNERS[planner](_layers(sizes), computes,
-                                 _linear_estimator(), fit)
+                                 _linear_estimator(), network)
         assert (plan.predicted.critical_path
                 <= plan.predicted_sequential * (1 + 1e-9) + 1e-12)
 
@@ -113,9 +113,9 @@ class TestPlanNeverExceedsSequential:
         worse than the sequential per-layer baseline (ASC's fallback guard
         exists for exactly this)."""
         sizes, computes = data
-        fit = AlphaBetaFit(alpha=alpha, beta=1e-6)
+        network = NetworkProfile("n", alpha=alpha, beta=1e-6)
         superadditive = lambda n: (1.0, float(n) ** 1.5)
-        plan = PLANNERS[planner](_layers(sizes), computes, superadditive, fit)
+        plan = PLANNERS[planner](_layers(sizes), computes, superadditive, network)
         assert (plan.predicted.critical_path
                 <= plan.predicted_sequential * (1 + 1e-9) + 1e-12)
 
@@ -127,9 +127,9 @@ class TestDegenerateRegimes:
         """With a latency-only network every extra bucket costs a full
         round and saves nothing: both planners must fuse everything."""
         sizes, computes = data
-        fit = AlphaBetaFit(alpha=1.0, beta=0.0)
+        network = NetworkProfile("n", alpha=1.0, beta=0.0)
         plan = PLANNERS[planner](_layers(sizes), computes,
-                                 _linear_estimator(), fit)
+                                 _linear_estimator(), network)
         assert plan.num_buckets == 1
 
     @given(sizes=layer_sizes, planner=st.sampled_from(["mgwfbp", "asc"]),
@@ -143,9 +143,9 @@ class TestDegenerateRegimes:
         times = computes.draw(st.lists(st.floats(1e-3, 0.5),
                                        min_size=len(sizes),
                                        max_size=len(sizes)))
-        fit = AlphaBetaFit(alpha=0.0, beta=1e-3)
+        network = NetworkProfile("n", alpha=0.0, beta=1e-3)
         plan = PLANNERS[planner](_layers(sizes), times,
-                                 _linear_estimator(), fit)
+                                 _linear_estimator(), network)
         assert plan.num_buckets == len(sizes)
 
     def test_asc_bucket_count_tracks_saturation_size(self):
@@ -155,8 +155,8 @@ class TestDegenerateRegimes:
         computes = [0.01] * 8
         counts = []
         for alpha in (0.0, 1e-3, 1.0):
-            fit = AlphaBetaFit(alpha=alpha, beta=1e-6)
-            plan = plan_asc(_layers(sizes), computes, _linear_estimator(), fit)
+            network = NetworkProfile("n", alpha=alpha, beta=1e-6)
+            plan = plan_asc(_layers(sizes), computes, _linear_estimator(), network)
             counts.append(plan.num_buckets)
         assert counts[0] == 8  # free latency: per-layer
         assert counts[-1] == 1  # latency-dominated: one flat bucket
@@ -165,22 +165,22 @@ class TestDegenerateRegimes:
     def test_single_layer_is_always_one_bucket(self):
         for planner in PLANNERS.values():
             plan = planner(_layers([123]), [0.1], _linear_estimator(),
-                           AlphaBetaFit(alpha=0.1, beta=1e-6))
+                           NetworkProfile("n", alpha=0.1, beta=1e-6))
             assert plan.num_buckets == 1
             assert plan.sizes == [123]
 
 
 class TestPlanInputValidation:
     def test_rejects_empty_and_mismatched_inputs(self):
-        fit = AlphaBetaFit(alpha=0.1, beta=1e-6)
+        network = NetworkProfile("n", alpha=0.1, beta=1e-6)
         with pytest.raises(ValueError):
-            plan_mgwfbp([], [], _linear_estimator(), fit)
+            plan_mgwfbp([], [], _linear_estimator(), network)
         with pytest.raises(ValueError):
-            plan_mgwfbp(_layers([10, 20]), [0.1], _linear_estimator(), fit)
+            plan_mgwfbp(_layers([10, 20]), [0.1], _linear_estimator(), network)
         with pytest.raises(ValueError):
-            plan_mgwfbp(_layers([10]), [-0.1], _linear_estimator(), fit)
+            plan_mgwfbp(_layers([10]), [-0.1], _linear_estimator(), network)
         with pytest.raises(ValueError):
-            plan_mgwfbp([("a", 0)], [0.1], _linear_estimator(), fit)
+            plan_mgwfbp([("a", 0)], [0.1], _linear_estimator(), network)
 
     def test_unknown_planner_rejected(self):
         with pytest.raises(ValueError, match="planner"):
@@ -191,93 +191,102 @@ class TestPlanInputValidation:
         with pytest.raises(ValueError, match="density"):
             plan_buckets(_layers([10]), num_workers=4, network=ETHERNET)
 
-    def test_needs_a_cost_model_source(self):
-        with pytest.raises(ValueError, match="alpha-beta"):
+    def test_needs_a_network(self):
+        with pytest.raises(TypeError, match="network"):
             plan_buckets(_layers([10]), num_workers=4, density=0.1)
 
     def test_fusion_plan_rejects_invalid_groups(self):
-        fit = AlphaBetaFit(alpha=0.1, beta=1e-6)
+        network = NetworkProfile("n", alpha=0.1, beta=1e-6)
         good = plan_mgwfbp(_layers([10, 20]), [0.1, 0.1],
-                           _linear_estimator(), fit)
+                           _linear_estimator(), network)
         with pytest.raises(ValueError):
             FusionPlan(planner="mgwfbp", layers=good.layers,
-                       groups=((0, 1),), fit=fit, volume_scale=1.0,
+                       groups=((0, 1),), network=network, volume_scale=1.0,
                        predicted=good.predicted,
                        predicted_sequential=good.predicted_sequential)
         with pytest.raises(ValueError):
             FusionPlan(planner="mgwfbp", layers=good.layers,
-                       groups=((0, 1), (0, 2)), fit=fit, volume_scale=1.0,
+                       groups=((0, 1), (0, 2)), network=network, volume_scale=1.0,
                        predicted=good.predicted,
                        predicted_sequential=good.predicted_sequential)
 
 
-class TestAlphaBetaFit:
-    @given(alpha=st.floats(0.0, 1.0), beta=st.floats(0.0, 1e-4))
-    @settings(max_examples=40, deadline=None)
-    def test_recovers_exact_linear_model(self, alpha, beta):
-        sizes = [256.0, 2048.0, 16384.0, 131072.0]
-        times = [alpha + beta * s for s in sizes]
-        fit = fit_alpha_beta(sizes, times)
-        assert fit.alpha == pytest.approx(alpha, abs=1e-9)
-        assert fit.beta == pytest.approx(beta, rel=1e-6, abs=1e-15)
-
-    def test_clamps_negative_coefficients(self):
-        # Decreasing times would fit beta < 0: clamped to a valid model.
-        fit = fit_alpha_beta([100.0, 200.0, 300.0], [3.0, 2.0, 1.0])
-        assert fit.beta == 0.0
-        assert fit.alpha >= 0.0
-
-    def test_rejects_degenerate_samples(self):
-        with pytest.raises(ValueError):
-            fit_alpha_beta([100.0], [1.0])
-        with pytest.raises(ValueError):
-            fit_alpha_beta([100.0, 100.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            AlphaBetaFit(alpha=-1.0, beta=0.0)
-
-    def test_saturation_size(self):
-        assert AlphaBetaFit(alpha=2.0, beta=0.5).saturation_size == 4.0
-        assert AlphaBetaFit(alpha=1.0, beta=0.0).saturation_size == float("inf")
-
-
-class TestBenchmarkTransport:
-    def test_recovers_network_profile_on_simulated_backend(self):
+class TestPlanPricesOnTheProfile:
+    def test_building_an_auto_plan_sends_nothing(self):
+        """``buckets=auto`` prices on the profile it is handed: building
+        the synchroniser puts no message on the transport."""
+        case = get_case(1)
         cluster = SimulatedCluster(4)
-        for profile in (ETHERNET, RDMA):
-            fit = benchmark_transport(cluster, network=profile)
-            assert fit.source == "benchmark:simulated"
-            assert fit.alpha == pytest.approx(profile.alpha, rel=1e-6)
-            assert fit.beta == pytest.approx(profile.beta, rel=1e-6)
+        tracer = Tracer("comm")
+        cluster.install_tracer(tracer)
+        make("spardl?density=0.01&buckets=auto", cluster,
+             model=case.build_model(0), compute_profile=case.compute_profile)
+        assert [e.name for e in tracer.events if e.cat == "message"] == []
+        assert cluster.stats.rounds == 0
 
-    def test_probes_do_not_pollute_training_stats(self):
-        cluster = SimulatedCluster(4)
-        cluster.stats.record_round([(0, 1, 500.0)])
-        before_rounds = cluster.stats.rounds
-        before_received = list(cluster.stats.received_per_worker)
-        benchmark_transport(cluster, network=ETHERNET)
-        assert cluster.stats.rounds == before_rounds
-        assert cluster.stats.received_per_worker == before_received
+    @pytest.mark.parametrize("profile", [ETHERNET, RDMA], ids=["ethernet", "rdma"])
+    def test_plan_reports_the_profile(self, profile):
+        plan = plan_buckets(_layers([4000, 300, 20000, 50]), num_workers=4,
+                            density=0.01, network=profile)
+        assert plan.network is profile
+        summary = plan.breakdown()
+        assert (summary["alpha"], summary["beta"], summary["network"]) == (
+            profile.alpha, profile.beta, profile.name)
 
-    def test_single_worker_falls_back_to_profile(self):
-        fit = benchmark_transport(SimulatedCluster(1), network=ETHERNET)
-        assert fit.source == "profile"
-        assert fit.alpha == ETHERNET.alpha
+    def test_plan_prices_on_the_profile_it_is_handed(self):
+        layers = _layers([4000, 300, 20000, 50])
+        cheap = NetworkProfile("cheap", alpha=1e-4, beta=1e-9)
+        slow = cheap.scaled(alpha_factor=10.0, name="slow")
+        plans = [plan_buckets(layers, num_workers=4, density=0.01, network=network)
+                 for network in (cheap, slow)]
+        assert plans[1].predicted_sequential > plans[0].predicted_sequential
+
+    @pytest.mark.parametrize("alpha, beta", [(-1.0, 0.0), (0.0, -1e-9)],
+                             ids=["alpha", "beta"])
+    def test_negative_costs_rejected(self, alpha, beta):
+        # The profile the planner prices on admits no negative cost.
         with pytest.raises(ValueError):
-            benchmark_transport(SimulatedCluster(1))
+            NetworkProfile("bad", alpha=alpha, beta=beta)
 
-    def test_simulated_backend_requires_network(self):
-        with pytest.raises(ValueError, match="NetworkProfile"):
-            benchmark_transport(SimulatedCluster(4))
+    def test_single_worker_plans_on_the_profile(self):
+        plan = plan_buckets(_layers([10, 20]), num_workers=1, density=0.1,
+                            network=ETHERNET)
+        assert plan.network is ETHERNET
+        assert sum(plan.sizes) == 30
 
-    def test_every_backend_prices_the_probes_on_the_profile(self):
-        with make_transport("mp:2") as mp:
-            fit = benchmark_transport(mp, network=ETHERNET)
-            assert mp.stats.rounds == 0
-        assert fit == benchmark_transport(SimulatedCluster(2), network=ETHERNET)
-        assert fit.source == "benchmark:simulated"
-        with make_transport("mp:2") as mp, pytest.raises(ValueError,
-                                                          match="NetworkProfile"):
-            benchmark_transport(mp)
+    @pytest.mark.parametrize("backend", ["sim:2", "mp:2"])
+    def test_building_leaves_the_stats_as_they_were(self, backend):
+        case = get_case(1)
+        with make_transport(backend) as cluster:
+            cluster.stats.record_round([(0, 1, 500.0)])
+            before = cluster.stats.copy()
+            make("spardl?density=0.01&buckets=auto", cluster,
+                 model=case.build_model(0), compute_profile=case.compute_profile)
+            assert cluster.stats.rounds == before.rounds
+            assert cluster.stats.received_per_worker == before.received_per_worker
+            assert cluster.stats.per_round_received == before.per_round_received
+
+    def test_building_leaves_the_fault_draws_as_they_were(self):
+        """Fault fates are keyed by the transport's round counter: building
+        an auto plan must not advance it, so the first step after ``make``
+        draws the fates it would have drawn without the build."""
+        case = get_case(1)
+
+        def faulty_rounds(build):
+            cluster = SimulatedCluster(4)
+            cluster.install_fault_plan(FaultPlan(seed=3, drop_rate=0.3))
+            if build:
+                make("spardl?density=0.01&buckets=auto", cluster,
+                     model=case.build_model(0), compute_profile=case.compute_profile)
+            for _ in range(6):
+                cluster.exchange([Message(src=rank, dst=(rank + 1) % 4,
+                                          payload=np.zeros(8), tag="x")
+                                  for rank in range(4)])
+            stats = cluster.stats
+            return (stats.rounds, stats.dropped_messages, stats.retried_messages,
+                    stats.per_round_received)
+
+        assert faulty_rounds(build=True) == faulty_rounds(build=False)
 
     def test_mp_and_sim_plan_the_same_layout(self):
         """``buckets=auto`` is a pure function of the spec, the layout and
@@ -291,7 +300,7 @@ class TestBenchmarkTransport:
                             model=model, compute_profile=case.compute_profile)
                 plans.append(sync.fusion_plan)
         assert plans[0] == plans[1]
-        assert plans[0].fit.alpha == pytest.approx(ETHERNET.alpha, rel=1e-6)
+        assert plans[0].network is ETHERNET
 
 
 class TestCommModels:

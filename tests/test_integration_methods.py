@@ -13,7 +13,6 @@ from repro.api import available_methods, make
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET
 from repro.training.cases import get_case
-from repro.training.timing import communication_time
 from repro.training.trainer import DistributedTrainer, TrainerConfig
 
 from tests.helpers import random_gradients
@@ -101,7 +100,7 @@ class TestPaperTimingClaims:
             cluster = SimulatedCluster(num_workers)
             sync = make(method, cluster, num_elements=num_elements, density=density)
             result = sync.synchronize(random_gradients(num_workers, num_elements))
-            times[method] = communication_time(result.stats, ETHERNET, scale)
+            times[method] = result.stats.simulated_time(ETHERNET, scale)
         assert min(times, key=times.get) == "SparDL"
 
     def test_oktopk_is_the_strongest_baseline(self):
@@ -114,7 +113,7 @@ class TestPaperTimingClaims:
             cluster = SimulatedCluster(num_workers)
             sync = make(method, cluster, num_elements=num_elements, density=density)
             result = sync.synchronize(random_gradients(num_workers, num_elements))
-            times[method] = communication_time(result.stats, ETHERNET, scale)
+            times[method] = result.stats.simulated_time(ETHERNET, scale)
         assert times["SparDL"] < times["Ok-Topk"] < times["TopkDSA"]
         assert times["Ok-Topk"] < times["TopkA"]
 

@@ -18,7 +18,6 @@ from repro.core.pipeline import SyncSession
 from repro.nn.models import build_mlp
 from repro.training.timing import (
     ComputeProfile,
-    communication_time,
     iteration_time,
     overlap_timeline,
 )
@@ -138,8 +137,7 @@ class TestIterationTimeEquivalence:
         profile = ComputeProfile(0.13, 35.2e6)
         timing = iteration_time(stats, ETHERNET, profile, model_parameters=1000)
         expected = (profile.compute_time_per_update
-                    + communication_time(stats, ETHERNET,
-                                         profile.volume_scale(1000)))
+                    + stats.simulated_time(ETHERNET, profile.volume_scale(1000)))
         assert timing.total == expected  # bit-exact, not approx
         assert timing.hidden_comm_time == 0.0
         assert timing.timeline is None
@@ -261,8 +259,7 @@ class TestAutoPlanDeterminism:
         first, second = self._plan(), self._plan()
         assert first.groups == second.groups
         assert first.sizes == second.sizes
-        assert first.fit.alpha == second.fit.alpha
-        assert first.fit.beta == second.fit.beta
+        assert first.network == second.network
         assert (first.predicted.critical_path
                 == second.predicted.critical_path)
 

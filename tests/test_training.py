@@ -14,7 +14,7 @@ from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.parameter import flatten_values
 from repro.training.cases import CASES, get_case
 from repro.training.metrics import EpochRecord, IterationRecord, TrainingHistory
-from repro.training.timing import ComputeProfile, communication_time, iteration_time
+from repro.training.timing import ComputeProfile, iteration_time
 from repro.training.trainer import (
     DistributedTrainer,
     TrainerConfig,
@@ -48,18 +48,18 @@ class TestTimingFunctions:
         stats.record_round([(1, 0, 50.0)])
         return stats
 
-    def test_communication_time(self):
+    def test_simulated_time(self):
         network = NetworkProfile("n", alpha=1.0, beta=0.01)
-        assert communication_time(self._stats(), network) == pytest.approx(2.0 + 1.5)
+        assert self._stats().simulated_time(network) == pytest.approx(2.0 + 1.5)
 
     def test_volume_scale_multiplies_bandwidth_only(self):
         network = NetworkProfile("n", alpha=1.0, beta=0.01)
-        scaled = communication_time(self._stats(), network, volume_scale=10.0)
+        scaled = self._stats().simulated_time(network, volume_scale=10.0)
         assert scaled == pytest.approx(2.0 + 15.0)
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
-            communication_time(self._stats(), ETHERNET, volume_scale=0.0)
+            self._stats().simulated_time(ETHERNET, volume_scale=0.0)
 
     def test_iteration_time_combines_compute_and_comm(self):
         profile = ComputeProfile(compute_time_per_update=0.5, paper_parameters=1000)
@@ -302,5 +302,5 @@ class TestReplicasSideBySide:
         model.forward(inputs)
         assert any(module._cache is not None for module in model.modules())
         _local_step(model, model.parameters(), default_loss_for_task(case.task),
-                    (inputs, targets), 0.0, np.empty(model.num_parameters()))
+                    (inputs, targets), np.empty(model.num_parameters()))
         assert [module for module in model.modules() if module._cache is not None] == []

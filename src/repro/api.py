@@ -525,7 +525,9 @@ def make(spec: "str | SyncSpec", cluster: Optional[Transport] = None, *,
     ``buckets=auto`` specs plan the fused layout here (see
     :mod:`repro.core.fusion`): every bucket is priced on ``network``
     (a :class:`~repro.comm.network.NetworkProfile`, default
-    :data:`~repro.comm.network.ETHERNET`) without sending a message, so
+    :data:`~repro.comm.network.ETHERNET`; a
+    :class:`~repro.comm.network.HeterogeneousNetwork` plans on its slowest
+    profile) without sending a message, so
     every backend plans the same layout — and ``compute_profile`` (a
     :class:`~repro.training.timing.ComputeProfile`) supplies the
     per-bucket backward times the planner overlaps communication against.

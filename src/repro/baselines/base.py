@@ -12,10 +12,11 @@ the exchange itself.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..comm.packed import PackedBags
 from ..comm.transport import Message, Transport
 from ..core.base import GradientSynchronizer
 from ..core.pipeline import StepContext
@@ -144,7 +145,8 @@ class SparseBaseline(GradientSynchronizer):
         """Direct-send Reduce-Scatter of the sparse selections: rank ``r``
         ends holding the sum of every selection's entries in ``bounds[r]``.
 
-        Each rank sends every owner its slice straight, one peer per round
+        Each rank sends every owner its slice straight, as a one-bag
+        :class:`~repro.comm.packed.PackedBags`, one peer per round
         (``P - 1`` rounds, the latency-heavy pattern of TopkDSA and
         Ok-Topk); round ``shift``'s messages are tagged ``{tag}-{shift}``.
         """
@@ -154,22 +156,50 @@ class SparseBaseline(GradientSynchronizer):
             messages: List[Message] = []
             for rank in range(P):
                 dst = (rank + shift) % P
-                messages.append(Message(src=rank, dst=dst,
-                                        payload=selected[rank].restrict(*bounds[dst]),
+                payload = PackedBags.pack([selected[rank].restrict(*bounds[dst])])
+                messages.append(Message(src=rank, dst=dst, payload=payload,
                                         tag=f"{tag}-{shift}"))
             inboxes = self.cluster.exchange(messages)
             for dst, inbox in inboxes.items():
                 for message in inbox:
-                    reduced[dst] = reduced[dst].add(message.payload)
+                    reduced[dst] = reduced[dst].add(message.payload.bag(0))
         return reduced
 
-    @staticmethod
-    def merge_sum(pieces: Sequence[SparseGradient]) -> SparseGradient:
-        """Merge-sum a non-empty sequence of sparse gradients (one k-way
-        gather merge rather than sequential pairwise adds)."""
-        if not pieces:
-            raise ValueError("merge_sum needs at least one sparse gradient")
-        return SparseGradient.merge_many(pieces)
+    def _allgather_doubling(self, gathered: Dict[int, List[PackedBags]],
+                            tags: Tuple[str, str, str],
+                            size: Callable[[int, PackedBags], Optional[float]]) -> None:
+        """Recursive-doubling All-Gather of ``gathered`` (per rank, packs
+        whose bag ids no other rank holds), in place.
+
+        Ranks past the largest power of two ``p2`` first fold their packs
+        into rank ``rank - p2`` and finally receive the whole set back.
+        Every message is one pack of every bag its sender holds
+        (:meth:`~repro.comm.packed.PackedBags.join`), tagged ``tags[0]``
+        (fold-in), ``f"{tags[1]}-{distance}"`` (doubling) or ``tags[2]``
+        (fold-out); ``size(dst, payload)`` is its final billed size, or
+        ``None`` to derive it from the payload.
+        """
+        p2, extra = power_of_two_split(self.num_workers)
+
+        def exchange(pairs, tag):
+            messages = []
+            for src, dst in pairs:
+                payload = PackedBags.join(gathered[src])
+                billed = size(dst, payload)
+                messages.append(Message(src=src, dst=dst, payload=payload, tag=tag,
+                                        size=billed, size_final=billed is not None))
+            return self.cluster.exchange(messages).items() if messages else ()
+
+        for dst, inbox in exchange([(p2 + i, i) for i in range(extra)], tags[0]):
+            gathered[dst].extend(message.payload for message in inbox)
+        distance = 1
+        while distance < p2:
+            pairs = [(rank, rank ^ distance) for rank in range(p2)]
+            for dst, inbox in exchange(pairs, f"{tags[1]}-{distance}"):
+                gathered[dst].extend(message.payload for message in inbox)
+            distance <<= 1
+        for dst, inbox in exchange([(i, p2 + i) for i in range(extra)], tags[2]):
+            gathered[dst] = [message.payload for message in inbox]
 
     @staticmethod
     def num_doubling_steps(size: int) -> int:

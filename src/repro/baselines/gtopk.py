@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..comm.packed import PackedBags
 from ..comm.transport import Message, Transport
 from ..core.base import shared_dense_gradients
 from ..core.config import is_power_of_two
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualPolicy
 from ..core.schedules import KSchedule
+from ..sparse.vector import SparseGradient
 from .base import SparseBaseline
 
 __all__ = ["GTopkSynchronizer"]
@@ -75,7 +77,8 @@ class GTopkSynchronizer(SparseBaseline):
             messages = []
             for rank in range(P):
                 partner = rank ^ step
-                messages.append(Message(src=rank, dst=partner, payload=current[rank],
+                messages.append(Message(src=rank, dst=partner,
+                                        payload=PackedBags.pack([current[rank]]),
                                         tag=f"gtopk-{step}"))
             inboxes = self.cluster.exchange(messages)
             # Every worker of a 2^(level+1) cohort ends up with the same merged
@@ -84,9 +87,8 @@ class GTopkSynchronizer(SparseBaseline):
             for rank in range(P):
                 inbox = inboxes.get(rank, [])
                 if inbox:
-                    current[rank] = self.merge_sum(
-                        [current[rank]] + [message.payload for message in inbox]
-                    )
+                    current[rank] = SparseGradient.merge_many(
+                        [current[rank]] + [message.payload.bag(0) for message in inbox])
                 kept, dropped = current[rank].top_k(self.k)
                 current[rank] = kept
                 self.residuals.collect_procedure(rank, dropped, share=share)

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..comm.packed import PackedBags
 from ..comm.transport import Message, Transport
 from ..core.base import shared_dense_gradients
 from ..core.pipeline import StepContext
@@ -87,7 +88,7 @@ class OkTopkSynchronizer(SparseBaseline):
     def stage_exchange(self, context: StepContext) -> None:
         selected = context.wire
         if self.num_workers == 1:
-            context.exchanged = {0: [selected[0]]}
+            context.exchanged = {0: [PackedBags.pack([selected[0]], ids=[0])]}
             context.scratch["trivial"] = True
             return
 
@@ -102,8 +103,10 @@ class OkTopkSynchronizer(SparseBaseline):
         context.exchanged = self._allgather_direct(pruned)
 
     def stage_combine(self, context: StepContext) -> None:
-        global_sparse = {rank: self.merge_sum(pieces)
-                         for rank, pieces in context.exchanged.items()}
+        # Owner regions are disjoint and rise with the owner rank, the id of
+        # every gathered bag: concatenation in id order is the merge.
+        global_sparse = {rank: PackedBags.concat_by_id(packs)
+                         for rank, packs in context.exchanged.items()}
         context.global_sparse = global_sparse
         context.reference = global_sparse[0]
         context.global_gradients = shared_dense_gradients(global_sparse)
@@ -232,18 +235,15 @@ class OkTopkSynchronizer(SparseBaseline):
                 self.cluster.exchange(messages)
             step <<= 1
 
-    def _allgather_direct(self, pruned: Dict[int, SparseGradient]) -> Dict[int, List[SparseGradient]]:
-        """Direct-send All-Gather of the uneven regions (one peer per round)."""
+    def _allgather_direct(self, pruned: Dict[int, SparseGradient]) -> Dict[int, List[PackedBags]]:
+        """Direct-send All-Gather of the uneven regions (one peer per round);
+        every region travels as a one-bag pack whose id is its owner."""
         P = self.num_workers
-        gathered: Dict[int, List[SparseGradient]] = {rank: [pruned[rank]] for rank in range(P)}
+        gathered = {rank: [PackedBags.pack([pruned[rank]], ids=[rank])] for rank in range(P)}
         for shift in range(1, P):
-            messages = []
-            for rank in range(P):
-                dst = (rank + shift) % P
-                messages.append(Message(src=rank, dst=dst, payload=pruned[rank],
-                                        tag=f"oktopk-ag-{shift}"))
+            messages = [Message(src=rank, dst=(rank + shift) % P, payload=gathered[rank][0],
+                                tag=f"oktopk-ag-{shift}") for rank in range(P)]
             inboxes = self.cluster.exchange(messages)
             for dst, inbox in inboxes.items():
-                for message in inbox:
-                    gathered[dst].append(message.payload)
+                gathered[dst].extend(message.payload for message in inbox)
         return gathered

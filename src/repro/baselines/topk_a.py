@@ -11,9 +11,10 @@ of two).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
-from ..comm.transport import Message, Transport
+from ..comm.packed import PackedBags
+from ..comm.transport import Transport
 from ..core.base import shared_dense_gradients
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualPolicy
@@ -46,68 +47,47 @@ class TopkASynchronizer(SparseBaseline):
         selected = context.wire
         P = self.num_workers
 
-        # Per-worker accumulation of gathered contributions.  The exchange
-        # only concatenates; summation happens once at the end so that the
-        # SGA dilemma manifests purely as growing message sizes.
-        gathered: Dict[int, List[SparseGradient]] = {rank: [selected[rank]] for rank in range(P)}
+        # Per-worker packs of gathered selections, each bag's id its source
+        # rank.  The exchange only concatenates; summation happens once at
+        # the end so that the SGA dilemma manifests purely as growing
+        # message sizes.  A message forwards every bag its sender holds.
+        gathered = {rank: [PackedBags.pack([selected[rank]], ids=[rank])] for rank in range(P)}
         if P == 1:
             context.exchanged = gathered
             context.scratch["trivial"] = True
             return
 
-        p2, extra = power_of_two_split(P)
+        p2, _ = power_of_two_split(P)
 
-        # Fold-in: the last ``extra`` workers hand their contribution to a
-        # partner inside the power-of-two core.
-        if extra:
-            messages = [Message(src=p2 + i, dst=i, payload=gathered[p2 + i],
-                                tag="topka-fold-in") for i in range(extra)]
-            inboxes = self.cluster.exchange(messages)
-            for dst, inbox in inboxes.items():
-                for message in inbox:
-                    gathered[dst].extend(message.payload)
+        def fold_out_size(dst: int, payload: PackedBags) -> Optional[float]:
+            """Fold-in and doubling bill their payload.  A fold-out receiver
+            (``dst >= p2``) already holds its own contribution, so that part
+            of the payload costs no bandwidth (keeping the total at 2(P-1)k
+            as in Table I).  wire_size applies the active compression, and
+            the subtraction makes the size final — a payload-derived pricer
+            could not reconstruct it."""
+            if dst < p2:
+                return None
+            return max(self.wire_size(payload) - self.wire_size(gathered[dst][0]), 0.0)
 
-        # Recursive doubling over the power-of-two core.
-        step = 1
-        while step < p2:
-            messages = []
-            for rank in range(p2):
-                partner = rank ^ step
-                messages.append(Message(src=rank, dst=partner, payload=list(gathered[rank]),
-                                        tag=f"topka-rd-{step}"))
-            inboxes = self.cluster.exchange(messages)
-            for dst, inbox in inboxes.items():
-                for message in inbox:
-                    gathered[dst].extend(message.payload)
-            step <<= 1
-
-        # Fold-out: send the gathered set back to the extra workers.  The
-        # receiver already holds its own contribution, so that part of the
-        # payload costs no bandwidth (keeping the total at 2(P-1)k as in
-        # Table I).
-        if extra:
-            messages = []
-            for i in range(extra):
-                payload = list(gathered[i])
-                # The receiver already holds its own contribution, so that
-                # part of the payload costs no bandwidth (keeping the total
-                # at 2(P-1)k as in Table I).  wire_size applies the active
-                # compression, and the subtraction makes the size final —
-                # a payload-derived pricer could not reconstruct it.
-                size = self.wire_size(payload) - self.wire_size(selected[p2 + i])
-                messages.append(Message(src=i, dst=p2 + i, payload=payload,
-                                        size=max(size, 0.0), tag="topka-fold-out",
-                                        size_final=True))
-            inboxes = self.cluster.exchange(messages)
-            for dst, inbox in inboxes.items():
-                for message in inbox:
-                    gathered[dst] = list(message.payload)
-
+        self._allgather_doubling(gathered, ("topka-fold-in", "topka-rd", "topka-fold-out"),
+                                 fold_out_size)
         context.exchanged = gathered
 
     def stage_combine(self, context: StepContext) -> None:
-        global_sparse = {rank: self.merge_sum(pieces)
-                         for rank, pieces in context.exchanged.items()}
+        """Sum every rank's gathered selections in source-rank order, once
+        per distinct set of sources: ranks holding the same selections are
+        handed the same result, bit for bit (arrival order differs from
+        rank to rank, and a float sum depends on its order)."""
+        sums: Dict[Tuple[int, ...], SparseGradient] = {}
+        global_sparse = {}
+        for rank, packs in context.exchanged.items():
+            bags = sorted((bag for pack in packs for bag in pack.items()),
+                          key=lambda bag: bag[0])
+            sources = tuple(source for source, _ in bags)
+            if sources not in sums:
+                sums[sources] = SparseGradient.merge_many([bag for _, bag in bags])
+            global_sparse[rank] = sums[sources]
         context.global_sparse = global_sparse
         context.reference = global_sparse[0]
         context.global_gradients = shared_dense_gradients(global_sparse)

@@ -17,16 +17,19 @@ Reduce-Scatter and an All-Gather:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..comm.transport import Message, Transport
+import numpy as np
+
+from ..comm.packed import PackedBags
+from ..comm.transport import Transport
 from ..core.base import shared_dense_gradients
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualPolicy
 from ..core.schedules import KSchedule
 from ..sparse.blocks import BlockLayout
 from ..sparse.vector import SparseGradient
-from .base import SparseBaseline, power_of_two_split
+from .base import SparseBaseline
 
 __all__ = ["TopkDSASynchronizer"]
 
@@ -59,15 +62,17 @@ class TopkDSASynchronizer(SparseBaseline):
     def stage_exchange(self, context: StepContext) -> None:
         selected = context.wire
         if self.num_workers == 1:
-            context.exchanged = {0: [(0, selected[0])]}
+            context.exchanged = {0: [PackedBags.pack([selected[0]], ids=[0])]}
             context.scratch["trivial"] = True
             return
         reduced = self._reduce_scatter_direct(selected, self.layout.bounds, "dsa-rs")
         context.exchanged = self._allgather_dense_switching(reduced)
 
     def stage_combine(self, context: StepContext) -> None:
-        global_sparse = {rank: self.merge_sum([piece for _, piece in pieces])
-                         for rank, pieces in context.exchanged.items()}
+        # Block ``b`` is owner ``b``'s index range: concatenation in block
+        # order is the merge.
+        global_sparse = {rank: PackedBags.concat_by_id(packs)
+                         for rank, packs in context.exchanged.items()}
         context.global_sparse = global_sparse
         context.reference = global_sparse[0]
         context.global_gradients = shared_dense_gradients(global_sparse)
@@ -81,60 +86,22 @@ class TopkDSASynchronizer(SparseBaseline):
     # ------------------------------------------------------------------
     def _allgather_dense_switching(
         self, reduced: Dict[int, SparseGradient]
-    ) -> Dict[int, List[Tuple[int, SparseGradient]]]:
+    ) -> Dict[int, List[PackedBags]]:
         """Recursive-doubling All-Gather of the reduced blocks.
 
-        Accumulated payloads keep every block tagged with its owner so the
-        message size can switch from COO (two elements per non-zero) to the
-        dense block size, whichever is smaller.
+        Every message is one :class:`~repro.comm.packed.PackedBags` of the
+        blocks its sender holds, each bag's id its block, so the message
+        size can switch from COO (two elements per non-zero) to the dense
+        block size, whichever is smaller.  Every rank ends with the packs
+        it was handed, its own block first.
         """
-        P = self.num_workers
-        gathered: Dict[int, List[Tuple[int, SparseGradient]]] = {
-            rank: [(rank, reduced[rank])] for rank in range(P)
-        }
-        p2, extra = power_of_two_split(P)
-
-        if extra:
-            messages = [
-                Message(src=p2 + i, dst=i, payload=gathered[p2 + i],
-                        size=self._payload_size(gathered[p2 + i]),
-                        tag="dsa-fold-in", size_final=True)
-                for i in range(extra)
-            ]
-            inboxes = self.cluster.exchange(messages)
-            for dst, inbox in inboxes.items():
-                for message in inbox:
-                    gathered[dst].extend(message.payload)
-
-        step = 1
-        while step < p2:
-            messages = []
-            for rank in range(p2):
-                partner = rank ^ step
-                payload = list(gathered[rank])
-                messages.append(Message(src=rank, dst=partner, payload=payload,
-                                        size=self._payload_size(payload),
-                                        tag=f"dsa-ag-{step}", size_final=True))
-            inboxes = self.cluster.exchange(messages)
-            for dst, inbox in inboxes.items():
-                for message in inbox:
-                    gathered[dst].extend(message.payload)
-            step <<= 1
-
-        if extra:
-            messages = [
-                Message(src=i, dst=p2 + i, payload=list(gathered[i]),
-                        size=self._payload_size(gathered[i]),
-                        tag="dsa-fold-out", size_final=True)
-                for i in range(extra)
-            ]
-            inboxes = self.cluster.exchange(messages)
-            for dst, inbox in inboxes.items():
-                for message in inbox:
-                    gathered[dst] = list(message.payload)
+        gathered = {rank: [PackedBags.pack([reduced[rank]], ids=[rank])]
+                    for rank in range(self.num_workers)}
+        self._allgather_doubling(gathered, ("dsa-fold-in", "dsa-ag", "dsa-fold-out"),
+                                 lambda dst, payload: self._payload_size(payload))
         return gathered
 
-    def _payload_size(self, payload: List[Tuple[int, SparseGradient]]) -> float:
+    def _payload_size(self, payload: PackedBags) -> float:
         """COO size per block, capped at the dense block size (TopkDSA's
         switch to dense transmission).
 
@@ -145,11 +112,11 @@ class TopkDSASynchronizer(SparseBaseline):
         reconstructed from the payload alone.
         """
         total = 0.0
-        for block, sparse in payload:
+        for block, nnz in zip(payload.ids, np.diff(payload.offsets).tolist()):
             dense_size = float(self.layout.block_size(block))
             if self.stack is None:
-                total += min(2.0 * sparse.nnz, dense_size)
+                total += min(2.0 * nnz, dense_size)
             else:
-                total += min(self.stack.sparse_cost(sparse.nnz),
+                total += min(self.stack.sparse_cost(nnz),
                              self.stack.dense_cost(dense_size))
         return total

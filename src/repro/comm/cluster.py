@@ -19,9 +19,11 @@ Design notes
 * A call to :meth:`SimulatedCluster.exchange` is one synchronous round: all
   messages passed in are considered concurrent, exactly like one step of a
   bulk-synchronous collective.
-* Payload sizes are derived automatically: NumPy arrays count one element
-  per entry, objects exposing a ``comm_size`` attribute (sparse gradients)
-  use it, and an explicit size can always be given.
+* Payload sizes are derived automatically
+  (:func:`~repro.comm.transport.payload_size`): NumPy arrays count one
+  element per entry, sparse gradient mass travels only as
+  :class:`~repro.comm.packed.PackedBags` (two elements per non-zero), and
+  an explicit size can always be given.
 * Workers are plain integer ranks; algorithm state lives in the algorithms
   themselves, which keeps every collective a pure function of its inputs.
 """

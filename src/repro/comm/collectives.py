@@ -35,9 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..sparse.vector import SparseGradient
 from .transport import Message, Transport
-from .packed import PackedBags
 
 __all__ = [
     "allgather_bruck_grouped",
@@ -74,12 +72,11 @@ def allgather_bruck_grouped(
     group counts as a single shared round, which models teams communicating
     in parallel.
 
-    Sparse payloads use the batched wire format: when every forwarded item
-    is a :class:`~repro.sparse.vector.SparseGradient`, the slice of the
-    rolling buffer is packed into one :class:`PackedBags` buffer pair per
-    message (``comm_size`` derived from the packed arrays — identical to the
-    sum of the per-item COO sizes) and unpacked into zero-copy views on
-    receive.  Other item types travel as plain lists, unchanged.
+    Each message carries the forwarded slice of the rolling buffer as a
+    plain list; sparse callers hand in :class:`~repro.comm.packed.PackedBags`
+    items, the one wire form of sparse gradient mass, so the list is billed
+    as the sum of its packs.  Every member of a group receives the same item
+    objects, in the same order.
     """
     for group in groups:
         _validate_group(group, cluster)
@@ -103,19 +100,14 @@ def allgather_bruck_grouped(
                 # At step t each worker forwards the first min(2^t, P - 2^t)
                 # items it holds; the receiver then holds min(2^(t+1), P).
                 count = min(distance, size - distance)
-                payload: Any = buffers[rank][:count]
-                if all(isinstance(item, SparseGradient) for item in payload):
-                    payload = PackedBags.pack(payload)
-                messages.append(Message(src=rank, dst=dst, payload=payload, tag=f"bruck-{step}"))
+                messages.append(Message(src=rank, dst=dst, payload=buffers[rank][:count],
+                                        tag=f"bruck-{step}"))
         if not messages:
             continue
         inboxes = cluster.exchange(messages)
         for dst, inbox in inboxes.items():
             for message in inbox:
-                if isinstance(message.payload, PackedBags):
-                    buffers[dst].extend(message.payload.to_list())
-                else:
-                    buffers[dst].extend(message.payload)
+                buffers[dst].extend(message.payload)
 
     # Trim and rotate so results are in absolute group order.
     results: Dict[int, List[Any]] = {}

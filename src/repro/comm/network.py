@@ -104,6 +104,19 @@ class HeterogeneousNetwork:
     def profile_for(self, worker: int) -> NetworkProfile:
         return self.overrides.get(worker, self.default)
 
+    def slowest(self) -> NetworkProfile:
+        """The slowest profile the network holds: the largest alpha and the
+        largest beta over ``default`` and ``overrides`` (``default`` itself
+        when no override is slower).  A round priced on it bounds
+        :meth:`round_time` from above, exactly when every worker receives
+        the same volume."""
+        profiles = [self.default, *self.overrides.values()]
+        alpha = max(profile.alpha for profile in profiles)
+        beta = max(profile.beta for profile in profiles)
+        if (alpha, beta) == (self.default.alpha, self.default.beta):
+            return self.default
+        return NetworkProfile(name=f"{self.default.name}-slowest", alpha=alpha, beta=beta)
+
     def round_time(self, received: Sequence[float],
                    volume_scale: float = 1.0) -> float:
         """Time of one synchronous round given each worker's received

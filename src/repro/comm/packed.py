@@ -1,16 +1,15 @@
-"""Batched wire format for sparse COO payloads.
+"""The one wire form of sparse gradient mass.
 
-The communication algorithms move *sets* of sparse gradients: Spar-Reduce-
-Scatter sends a bag of blocks per transmission step, and the Bruck All-Gather
-forwards a growing list of per-worker selections.  Shipping those sets as
-Python lists of :class:`~repro.sparse.vector.SparseGradient` objects models
-one wire transfer per element — per-object headers, per-object size
-accounting, and per-object decode work on the receiver.
-
-:class:`PackedBags` is the batched alternative: all bags of one message are
-concatenated into a single contiguous ``(indices, values)`` buffer pair with
-an ``offsets`` table delimiting the bags, exactly like an MPI message built
-from one gather of COO segments.  Properties of the format:
+A :class:`~repro.sparse.vector.SparseGradient` is the compute type; every
+message that carries sparse gradient mass — a Spar-Reduce-Scatter bag of
+blocks, a Bruck All-Gather item, every baseline's Reduce-Scatter slice,
+All-Gather region or gathered selection set — travels as one
+:class:`PackedBags`: all bags of the message concatenated into a single
+contiguous ``(indices, values)`` buffer pair with an ``offsets`` table
+delimiting the bags, exactly like an MPI message built from one gather of
+COO segments.  :func:`~repro.comm.transport.payload_size` and the
+quantizer's price key on this one type; a bare ``SparseGradient`` payload
+is a ``TypeError``.  Properties of the format:
 
 * **One buffer pair on the wire.**  ``comm_size`` is derived from the packed
   arrays alone (``indices.size + values.size`` — two elements per non-zero,
@@ -21,7 +20,7 @@ from one gather of COO segments.  Properties of the format:
   :class:`SparseGradient` as a slice view of the packed buffers through the
   trusted ``from_sorted_unique`` constructor (each bag was a valid sparse
   gradient when packed, and packing preserves per-bag order), so receivers
-  can feed the views straight into the PR 1 ``merge_add`` / ``merge_many``
+  can feed the views straight into the ``merge_add`` / ``merge_many``
   kernels.
 * **Immutable on the wire.**  The packed buffers are marked read-only at
   construction, so no receiver can corrupt another receiver's (or the
@@ -170,32 +169,49 @@ class PackedBags:
             self.indices[lo:hi], self.values[lo:hi], self.length
         )
 
-    @staticmethod
-    def concat_by_id(items: Sequence["PackedBags"]) -> SparseGradient:
-        """Every bag of ``items`` (at least one payload) as one sparse
-        gradient, bags in ascending id order.
+    @classmethod
+    def join(cls, items: Sequence["PackedBags"]) -> "PackedBags":
+        """Every bag of ``items`` (at least one payload; bag ids unique
+        across them) as one payload, bags in ascending id order.
 
-        For payloads whose ids number disjoint index ranges that rise with
-        the id — the segments of a
-        :class:`~repro.sparse.blocks.BlockLayout`: concatenating in id order
-        then *is* the merge.  Equal to
-        :meth:`SparseGradient.merge_many` over the payloads' :meth:`span`
-        bit for bit, without comparing an index."""
-        nonempty = [item for item in items if item.nnz]
-        if len(nonempty) <= 1:
-            return (nonempty or items)[0].span()
+        How a sender forwards everything it has gathered as one message:
+        the ids keep routing the bags, so the receiver never needs to know
+        which earlier message brought which bag."""
         bags = []  # (id, payload, lo, hi); ids are unique, so they alone order
-        for number, item in enumerate(nonempty):
+        for number, item in enumerate(items):
             edges = item.offsets.tolist()
             bags += zip(item.ids, repeat(number), edges, edges[1:])
         bags.sort()
-        values = np.concatenate([nonempty[number].values[lo:hi]
+        offsets = np.zeros(len(bags) + 1, dtype=np.int64)
+        np.cumsum([hi - lo for _, _, lo, hi in bags], out=offsets[1:])
+        indices = np.concatenate([items[number].indices[lo:hi]
+                                  for _, number, lo, hi in bags])
+        values = np.concatenate([items[number].values[lo:hi]
                                  for _, number, lo, hi in bags])
-        values += 0.0  # as a merge accumulates, 0.0 + v: -0.0 comes out +0.0
+        for array in (offsets, indices, values):
+            array.flags.writeable = False
+        return cls(ids=tuple(bag[0] for bag in bags), offsets=offsets,
+                   indices=indices, values=values, length=items[0].length)
+
+    @staticmethod
+    def concat_by_id(items: Sequence["PackedBags"]) -> SparseGradient:
+        """Every bag of ``items`` (at least one payload, each with its bags
+        in ascending id order) as one sparse gradient, bags in ascending id
+        order.
+
+        For payloads whose ids number disjoint index ranges that rise with
+        the id — the segments of a
+        :class:`~repro.sparse.blocks.BlockLayout`, the owner regions of a
+        direct-send Reduce-Scatter: concatenating in id order then *is* the
+        merge.  Equal to :meth:`SparseGradient.merge_many` over the
+        payloads' :meth:`span` bit for bit, without comparing an index."""
+        nonempty = [item for item in items if item.nnz]
+        if len(nonempty) <= 1:
+            return (nonempty or items)[0].span()
+        joined = PackedBags.join(nonempty)
+        # As a merge accumulates, 0.0 + v: -0.0 comes out +0.0.
         return SparseGradient.from_sorted_unique(
-            np.concatenate([nonempty[number].indices[lo:hi]
-                            for _, number, lo, hi in bags]),
-            values, nonempty[0].length)
+            joined.indices, joined.values + 0.0, joined.length)
 
     def items(self) -> Iterator[Tuple[int, SparseGradient]]:
         """Iterate ``(id, bag)`` pairs in packing order."""

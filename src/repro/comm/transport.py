@@ -72,6 +72,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .packed import PackedBags
 from .stats import CommStats
 
 __all__ = [
@@ -90,18 +91,20 @@ def payload_size(payload: Any) -> float:
 
     * ``None`` has size 0 (control message).
     * NumPy arrays: one element per entry.
-    * Objects with a ``comm_size`` attribute (e.g. sparse gradients in COO
-      form) report their own size.
+    * :class:`~repro.comm.packed.PackedBags`, the one wire form of sparse
+      gradient mass: two elements per non-zero (:attr:`PackedBags.comm_size`).
     * Lists / tuples: sum of their items.
     * Scalars: 1.
+
+    Anything else — a bare :class:`~repro.sparse.vector.SparseGradient`
+    included: pack it first — raises :class:`TypeError`.
     """
     if payload is None:
         return 0.0
     if isinstance(payload, np.ndarray):
         return float(payload.size)
-    comm_size = getattr(payload, "comm_size", None)
-    if comm_size is not None:
-        return float(comm_size)
+    if isinstance(payload, PackedBags):
+        return payload.comm_size
     if isinstance(payload, (list, tuple)):
         return float(sum(payload_size(item) for item in payload))
     if isinstance(payload, (int, float, np.integer, np.floating)):
@@ -117,9 +120,9 @@ def freeze_payload(payload: Any) -> Any:
     a view in place would silently corrupt the sender.  A real network never
     shares memory between peers, so the exchange boundary delivers arrays
     read-only: an accidental in-place write raises immediately instead of
-    corrupting remote state.  Lists and tuples are frozen recursively; other
-    payload objects (sparse gradients, packed buffers) are immutable by
-    contract and pass through unchanged.
+    corrupting remote state.  Lists and tuples are frozen recursively;
+    :class:`~repro.comm.packed.PackedBags` buffers are read-only from
+    construction and pass through unchanged, as do scalars.
     """
     if isinstance(payload, np.ndarray):
         view = payload.view()

@@ -10,13 +10,11 @@ not a compression step: it lives in the residual manager
 from .quantization import (
     QuantizedCompressor,
     StochasticQuantizer,
-    quantize_sparse,
     quantized_sparse_cost,
 )
 
 __all__ = [
     "QuantizedCompressor",
     "StochasticQuantizer",
-    "quantize_sparse",
     "quantized_sparse_cost",
 ]

@@ -13,9 +13,8 @@ This module provides that combination:
   draw and returns both the dequantized message and the exact quantization
   error ``values - quantized`` of that same draw, so error feedback always
   collects the error of the message actually sent;
-* :func:`quantize_sparse` — quantize the values of a
-  :class:`~repro.sparse.vector.SparseGradient` and report the compressed
-  transmission size in 32-bit elements (:func:`quantized_sparse_cost`);
+* :func:`quantized_sparse_cost` — the compressed transmission size, in
+  32-bit elements, of one quantized sparse message;
 * :class:`QuantizedCompressor` — the pipeline's ``compress``-stage
   implementation: per-worker independent random streams
   (``np.random.SeedSequence.spawn``, so results do not depend on worker
@@ -45,12 +44,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..comm.packed import PackedBags
 from ..sparse.vector import SparseGradient
 
 __all__ = [
     "StochasticQuantizer",
     "QuantizedCompressor",
-    "quantize_sparse",
     "quantized_sparse_cost",
 ]
 
@@ -85,7 +84,7 @@ class StochasticQuantizer:
     message; each value is rounded stochastically to one of its two
     neighbouring levels so that the expectation equals the input
     (QSGD-style).  The per-message ``scale`` travels at full precision and is
-    accounted for by :func:`quantize_sparse` / :func:`quantized_sparse_cost`.
+    accounted for by :func:`quantized_sparse_cost`.
     """
 
     def __init__(self, num_bits: int = 8, seed: int = 0) -> None:
@@ -180,21 +179,6 @@ class StochasticQuantizer:
         return self.quantize_with_error(values, rng=rng)[0]
 
 
-def quantize_sparse(sparse: SparseGradient, quantizer: StochasticQuantizer,
-                    rng: Optional[np.random.Generator] = None
-                    ) -> Tuple[SparseGradient, float]:
-    """Quantize the values of a sparse gradient.
-
-    Returns ``(quantized, comm_size)`` where ``comm_size`` is the compressed
-    transmission size in 32-bit elements (:func:`quantized_sparse_cost`):
-    one full element per index, a ``num_bits``-bit value per entry and one
-    full-precision scale for the whole message.
-    """
-    quantized_values = quantizer.quantize(sparse.values, rng=rng)
-    quantized = SparseGradient(sparse.indices, quantized_values, sparse.length)
-    return quantized, quantized_sparse_cost(sparse.nnz, quantizer.num_bits)
-
-
 class QuantizedCompressor:
     """The ``compress`` stage: quantize wire values, feed back exact errors,
     and price every message at the quantized accounting.
@@ -216,9 +200,10 @@ class QuantizedCompressor:
       fold ``error`` into its :class:`~repro.core.residuals.ResidualManager`;
     * :meth:`price` / :meth:`price_message` — the wire pricer installed on
       the :class:`~repro.comm.cluster.SimulatedCluster` for the duration of
-      a quantized step.  Sparse payloads bill
-      :func:`quantized_sparse_cost` per message unit (scale element
-      included); dense float arrays bill ``num_bits/32`` per value (the
+      a quantized step.  Every bag of a
+      :class:`~repro.comm.packed.PackedBags` bills
+      :func:`quantized_sparse_cost` (one scale element per non-empty bag);
+      dense float arrays bill ``num_bits/32`` per value (the
       dense-fallback convention); routing integers (block ids, group
       positions) and ``None`` stay zero-cost metadata; bare scalars remain
       one element of control traffic, unquantized.
@@ -297,8 +282,12 @@ class QuantizedCompressor:
     def price(self, payload: Any) -> float:
         """Quantized wire size of ``payload``, by structural decomposition.
 
-        Mirrors :func:`repro.comm.cluster.payload_size` unit by unit, with
-        the quantized accounting substituted for every value-bearing unit.
+        Mirrors :func:`repro.comm.transport.payload_size` unit by unit, with
+        the quantized accounting substituted for every value-bearing unit:
+        a :class:`~repro.comm.packed.PackedBags` bills its values at
+        ``num_bits`` bits, its indices at full precision and one scale per
+        non-empty bag — the sum of :func:`quantized_sparse_cost` over its
+        bags, exactly (every term is a dyadic rational).
         Integers inside containers follow the repository's accounting
         convention (block ids, group positions and slice offsets are header
         metadata, never billed); a bare numeric payload is one element of
@@ -313,24 +302,17 @@ class QuantizedCompressor:
             return 0.0
         if isinstance(payload, np.ndarray):
             return self.dense_cost(payload.size)
-        if isinstance(payload, SparseGradient):
-            return self.sparse_cost(payload.nnz)
+        if isinstance(payload, PackedBags):
+            if payload.nnz == 0:
+                return 0.0
+            nonempty = int(np.count_nonzero(np.diff(payload.offsets)))
+            return payload.nnz * (1.0 + self.num_bits / _ELEMENT_BITS) + float(nonempty)
         if isinstance(payload, (list, tuple)):
             return float(sum(self._price(item) for item in payload))
         if isinstance(payload, (int, np.integer)):
             return 0.0  # routing metadata inside a container
         if isinstance(payload, (float, np.floating)):
             return 1.0  # control scalar (e.g. a transmitted size)
-        # PackedBags (duck-typed to avoid importing the comm layer here):
-        # one scale per non-empty bag, indices at full precision, values at
-        # num_bits bits.
-        offsets = getattr(payload, "offsets", None)
-        if offsets is not None and hasattr(payload, "indices"):
-            nnz = int(payload.indices.shape[0])
-            nonempty = int(np.count_nonzero(np.diff(offsets)))
-            if nnz == 0:
-                return 0.0
-            return nnz * (1.0 + self.num_bits / _ELEMENT_BITS) + float(nonempty)
         raise TypeError(
             f"cannot determine quantized wire size of {type(payload)!r}")
 

@@ -9,7 +9,11 @@ planners do for real clusters:
 
 1. **Price** on the alpha-beta model the run is timed with: the
    :class:`~repro.comm.network.NetworkProfile` handed in (``alpha`` =
-   latency per round, ``beta`` = cost per element), taken at face value.
+   latency per round, ``beta`` = cost per element), taken at face value —
+   or, for a :class:`~repro.comm.network.HeterogeneousNetwork`, its
+   :meth:`~repro.comm.network.HeterogeneousNetwork.slowest` profile: a
+   synchronous round waits for its slowest receiver, and the closed forms
+   predict only the busiest receiver's volume.
    Planning sends no message: it is a pure function of the layout, the
    profiles and the method.
 2. **Model** per-bucket cost.  Each candidate bucket's exchange is priced
@@ -56,7 +60,7 @@ from ..analysis.complexity import (
     topk_a_complexity,
     topk_dsa_complexity,
 )
-from ..comm.network import NetworkProfile
+from ..comm.network import HeterogeneousNetwork, NetworkProfile
 from ..training.timing import ComputeProfile, OverlapTimeline, overlap_timeline
 
 __all__ = [
@@ -376,7 +380,7 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
                  planner: str = "mgwfbp",
                  method: str = "SparDL",
                  num_workers: int,
-                 network: NetworkProfile,
+                 network: NetworkProfile | HeterogeneousNetwork,
                  density: Optional[float] = None,
                  teams: int = 1,
                  num_bits: Optional[int] = None,
@@ -385,7 +389,9 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
     """Plan a fused bucket layout for ``layers`` (forward order).
 
     Every bucket's exchange is priced on ``network``, the
-    :class:`~repro.comm.network.NetworkProfile` the run is timed with.
+    :class:`~repro.comm.network.NetworkProfile` the run is timed with (a
+    :class:`~repro.comm.network.HeterogeneousNetwork` plans on its
+    slowest profile).
     ``compute_profile`` supplies the per-bucket backward times (none means
     planning under zero compute — no overlap is assumable, so latency
     minimisation fuses aggressively).  ``model_parameters`` defaults to
@@ -414,6 +420,8 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
     else:
         compute_times = [0.0] * len(layout)
         volume_scale = 1.0
+    if isinstance(network, HeterogeneousNetwork):
+        network = network.slowest()
     estimator = bucket_comm_model(method, num_workers, density=density,
                                   teams=teams, num_bits=num_bits)
     return _PLANNERS[planner](layout, compute_times, estimator, network,

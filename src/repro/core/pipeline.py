@@ -49,7 +49,6 @@ import numpy as np
 
 from ..comm.packed import PackedBags
 from ..comm.stats import CommStats
-from ..sparse.vector import SparseGradient
 from .schedules import KSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,17 +153,6 @@ class RetryPolicy:
         return max(0, int(math.ceil(self.backoff ** (attempt - 2))) - 1)
 
 
-def _lost_sparse_parts(payload: Any) -> List[SparseGradient]:
-    """The sparse gradients carried by a lost message's payload."""
-    if isinstance(payload, PackedBags):
-        return payload.to_list()
-    if isinstance(payload, SparseGradient):
-        return [payload]
-    raise TypeError(
-        f"cannot fold lost payload of type {type(payload).__name__} into the "
-        "residual path; lossy messages must carry sparse gradient mass")
-
-
 def fold_lost_messages(lost: Sequence["Message"],
                        residuals: "ResidualManager") -> float:
     """Fold the gradient mass of lost messages into the senders' residuals.
@@ -178,7 +166,11 @@ def fold_lost_messages(lost: Sequence["Message"],
     """
     mass = 0.0
     for message in lost:
-        for sparse in _lost_sparse_parts(message.payload):
+        if not isinstance(message.payload, PackedBags):
+            raise TypeError(
+                f"cannot fold lost payload of type {type(message.payload).__name__} "
+                "into the residual path; lossy messages must carry PackedBags")
+        for sparse in message.payload.to_list():
             residuals.collect_procedure(message.src, sparse)
             if sparse.nnz:
                 mass += float(np.abs(sparse.values).sum())

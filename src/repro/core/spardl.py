@@ -351,13 +351,17 @@ class SparDLSynchronizer(GradientSynchronizer):
 
     def _intra_team_allgather(self, blocks: Dict[int, SparseGradient]) -> Dict[int, SparseGradient]:
         """Bruck All-Gather of the per-position blocks inside every team,
-        assembled into one sparse gradient per worker: the bags are the
+        assembled into one sparse gradient per team: the bags are the
         layout's segments — disjoint index ranges, numbered in index order —
-        so putting them in that order is the whole merge."""
+        so putting them in that order is the whole merge.  Bruck hands every
+        member of a team the same packs in group order, so the members
+        share the one assembled object."""
         if self.team_size == 1:
             return dict(blocks)
         packed = {rank: pack_blocks(self.layout, [position], [blocks[rank]])
                   for team in self.teams for position, rank in enumerate(team)}
         gathered = allgather_bruck_grouped(self.cluster, self.teams, packed)
-        return {rank: PackedBags.concat_by_id(items)
-                for rank, items in gathered.items()}
+        final: Dict[int, SparseGradient] = {}
+        for team in self.teams:
+            final.update(dict.fromkeys(team, PackedBags.concat_by_id(gathered[team[0]])))
+        return final

@@ -19,8 +19,6 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .vector import SparseGradient
-
 __all__ = ["BlockLayout", "block_bounds"]
 
 
@@ -128,10 +126,6 @@ class BlockLayout:
     def slice_dense(self, dense: np.ndarray, block: int) -> np.ndarray:
         lo, hi = self.bound(block)
         return dense[lo:hi]
-
-    def restrict(self, sparse: SparseGradient, block: int) -> SparseGradient:
-        lo, hi = self.bound(block)
-        return sparse.restrict(lo, hi)
 
     def iter_blocks(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(segment, lo, hi)`` for every segment."""

@@ -245,12 +245,6 @@ class SparseGradient:
         """Number of stored non-zero entries (``int``)."""
         return int(self.indices.shape[0])
 
-    @property
-    def comm_size(self) -> float:
-        """Transmission size in elements: one index plus one value per entry
-        (the COO convention used by the paper's cost analysis)."""
-        return 2.0 * self.nnz
-
     def to_dense(self, length: Optional[int] = None) -> np.ndarray:
         """Densify into a fresh ``float64`` array of ``length`` entries
         (defaults to :attr:`length`)."""

@@ -118,12 +118,13 @@ def random_gradients(num_workers: int, num_elements: int, seed: int = 0,
 
 
 def case5_trainer(synchronizer, *, workers: int = 4, samples: int = 160,
-                  seed: int = 0, cluster=None, **config) -> DistributedTrainer:
+                  seed: int = 0, cluster=None, network=ETHERNET,
+                  **config) -> DistributedTrainer:
     """Case 5 trained data-parallel on ``workers`` simulated workers (or on
     ``cluster``) the way the training gates run it: ``samples`` examples,
     batch 8, the case's learning rate and momentum unless ``config``
-    overrides them, Ethernet timing.  ``synchronizer`` is a spec string or
-    anything else the trainer accepts."""
+    overrides them, timed on ``network``.  ``synchronizer`` is a spec
+    string or anything else the trainer accepts."""
     case = get_case(5)
     train, test = case.build_datasets(num_samples=samples, seed=seed)
     config = {"batch_size": 8, "learning_rate": case.learning_rate,
@@ -132,7 +133,7 @@ def case5_trainer(synchronizer, *, workers: int = 4, samples: int = 160,
         synchronizer = make_factory(synchronizer)
     return DistributedTrainer(
         cluster or SimulatedCluster(workers), synchronizer, case.build_model,
-        train, test, config=TrainerConfig(**config), network=ETHERNET,
+        train, test, config=TrainerConfig(**config), network=network,
         compute_profile=case.compute_profile, case_name=case.name)
 
 

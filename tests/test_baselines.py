@@ -15,8 +15,33 @@ from repro.baselines.ok_topk import OkTopkSynchronizer
 from repro.baselines.topk_a import TopkASynchronizer
 from repro.baselines.topk_dsa import TopkDSASynchronizer
 from repro.comm.cluster import SimulatedCluster
+from repro.sparse.topk import top_k_indices
+from repro.sparse.vector import SparseGradient
 
 from tests.helpers import random_gradients
+
+
+class TestEveryRankHoldsTheSameBytes:
+    """Fault-free, every method hands every rank byte-identical global
+    gradients (``is_consistent`` only checks them to a tolerance)."""
+
+    @pytest.mark.parametrize("num_workers", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("spec", ["spardl", "spardl?teams=2", "ok-topk", "topka",
+                                      "topkdsa", "gtopk", "dense"])
+    def test_three_steps(self, spec, num_workers):
+        if spec == "gtopk" and num_workers & (num_workers - 1):
+            pytest.skip("gTopk runs at powers of two only")
+        if "teams" in spec and num_workers % 2:
+            pytest.skip("two teams need an even worker count")
+        n = 1 << 16
+        sync = make(spec, SimulatedCluster(num_workers), num_elements=n,
+                    **({} if spec == "dense" else {"density": 0.01}))
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            result = sync.synchronize(dict(enumerate(rng.standard_normal((num_workers, n)))))
+            reference = result.gradient(0).tobytes()
+            for rank in range(1, num_workers):
+                assert result.gradient(rank).tobytes() == reference, rank
 
 
 class TestPowerOfTwoSplit:
@@ -77,6 +102,24 @@ class TestTopkA:
         result = sync.synchronize(gradients)
         # k = n means nothing is pruned: exact sum.
         np.testing.assert_allclose(result.gradient(0), sum(gradients.values()), atol=1e-10)
+
+    @pytest.mark.parametrize("num_workers", [2, 3, 5, 6, 8])
+    def test_every_rank_holds_the_source_rank_order_sum(self, num_workers):
+        """The gathered selections are summed in source-rank order, once:
+        every rank's global gradient is one merge of rank 0's, rank 1's, …
+        selection, whatever order they arrived in."""
+        n = 1 << 12
+        sync = TopkASynchronizer(SimulatedCluster(num_workers), n, density=0.02)
+        gradients = {rank: grad for rank, grad in enumerate(
+            np.random.default_rng(0).standard_normal((num_workers, n)))}
+        selections = [SparseGradient.from_dense(gradients[rank],
+                                                top_k_indices(gradients[rank], sync.k))
+                      for rank in range(num_workers)]
+        expected = SparseGradient.merge_many(selections).to_dense()
+        result = sync.synchronize(gradients)
+        for rank in range(num_workers):
+            assert result.gradient(rank) is result.gradient(0)
+        assert result.gradient(0).tobytes() == expected.tobytes()
 
     def test_latency_log_p_for_power_of_two(self):
         cluster = SimulatedCluster(8)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.comm.cluster import Message, SimulatedCluster, payload_size
+from repro.comm.packed import PackedBags
+from repro.compression.quantization import QuantizedCompressor
 from repro.sparse.vector import SparseGradient
 
 
@@ -16,13 +18,26 @@ class TestPayloadSize:
     def test_array_counts_elements(self):
         assert payload_size(np.zeros((3, 4))) == 12.0
 
-    def test_sparse_gradient_uses_comm_size(self):
+    def test_one_bag_pack_counts_two_per_entry(self):
         sparse = SparseGradient(np.array([0, 1]), np.array([1.0, 2.0]), 5)
-        assert payload_size(sparse) == 4.0
+        assert payload_size(PackedBags.pack([sparse])) == 4.0
 
     def test_list_sums_items(self):
-        items = [np.zeros(3), SparseGradient(np.array([0]), np.array([1.0]), 5)]
+        items = [np.zeros(3),
+                 PackedBags.pack([SparseGradient(np.array([0]), np.array([1.0]), 5)])]
         assert payload_size(items) == 5.0
+
+    def test_bare_sparse_gradient_raises(self):
+        """Sparse gradient mass travels only as PackedBags: a bare
+        SparseGradient is not sized (nor priced) by duck-typing."""
+        sparse = SparseGradient(np.array([0, 1]), np.array([1.0, 2.0]), 5)
+        for payload in (sparse, [sparse], (3, sparse)):
+            with pytest.raises(TypeError):
+                payload_size(payload)
+            with pytest.raises(TypeError):
+                QuantizedCompressor(8, num_workers=2).price(payload)
+            with pytest.raises(TypeError):
+                Message(src=0, dst=1, payload=payload)
 
     def test_scalar_counts_one(self):
         assert payload_size(3.5) == 1.0

@@ -19,6 +19,8 @@ from repro.comm.collectives import (
     allreduce_ring,
 )
 from repro.comm.faults import FaultPlan
+from repro.comm.packed import PackedBags
+from repro.comm.transport import payload_size
 from repro.compression.quantization import QuantizedCompressor
 from repro.obs import Tracer
 from repro.sparse.vector import SparseGradient
@@ -130,7 +132,7 @@ class TestReduceScatterDirect:
         bounds = sync.layout.bounds
         sync._reduce_scatter_direct(selected, bounds, "t")
         for rank, (lo, hi) in enumerate(bounds):
-            expected = sum(selected[src].restrict(lo, hi).comm_size
+            expected = sum(payload_size(PackedBags.pack([selected[src].restrict(lo, hi)]))
                            for src in range(num_workers) if src != rank)
             assert cluster.stats.received_per_worker[rank] == expected
 
@@ -464,8 +466,8 @@ class TestVolumeAccounting:
         nnz = 4
         cluster = SimulatedCluster(num_workers)
         items = {
-            r: SparseGradient(np.arange(nnz, dtype=np.int64) + r * nnz,
-                              np.ones(nnz), num_workers * nnz)
+            r: PackedBags.pack([SparseGradient(np.arange(nnz, dtype=np.int64) + r * nnz,
+                                               np.ones(nnz), num_workers * nnz)], ids=[r])
             for r in range(num_workers)
         }
         allgather_bruck_grouped(cluster, [list(range(num_workers))], items)

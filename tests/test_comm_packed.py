@@ -62,7 +62,7 @@ class TestWireAccounting:
         bags = [sparse([1, 2, 3], [1.0, 2.0, 3.0]), sparse([10, 20], [1.0, 2.0])]
         packed = PackedBags.pack(bags, ids=[7, 8])
         assert packed.comm_size == 2.0 * 5
-        assert packed.comm_size == sum(bag.comm_size for bag in bags)
+        assert packed.comm_size == sum(payload_size(PackedBags.pack([bag])) for bag in bags)
 
     def test_payload_size_uses_comm_size(self):
         packed = PackedBags.pack([sparse([1, 2], [1.0, 2.0])])
@@ -126,7 +126,8 @@ class TestSplitBags:
         assert [bag.indices.tolist() for bag in packed.to_list()] == [
             [1, 4], [40, 41], [90], [7], [], [55]]
         # accounting: the packed arrays alone, whatever the bag boundaries
-        assert packed.comm_size == first.comm_size + second.comm_size
+        assert packed.comm_size == (payload_size(PackedBags.pack([first]))
+                                    + payload_size(PackedBags.pack([second])))
         assert payload_size(packed) == packed.comm_size
         assert not packed.offsets.flags.writeable
 

@@ -13,9 +13,10 @@ from repro.analysis.complexity import spardl_complexity, table1
 from repro.compression import (
     QuantizedCompressor,
     StochasticQuantizer,
-    quantize_sparse,
     quantized_sparse_cost,
 )
+from repro.comm.packed import PackedBags
+from repro.comm.transport import payload_size
 from repro.sparse.vector import SparseGradient
 
 
@@ -138,17 +139,18 @@ class TestStochasticQuantizer:
 class TestQuantizedSparse:
     def test_indices_preserved_and_size_reduced(self):
         sparse = SparseGradient(np.array([3, 10, 40]), np.array([0.5, -2.0, 1.0]), 100)
-        quantizer = StochasticQuantizer(num_bits=8, seed=0)
-        quantized, comm_size = quantize_sparse(sparse, quantizer)
+        compressor = QuantizedCompressor(8, num_workers=1, seed=0)
+        quantized, _ = compressor.compress_sparse(0, sparse)
         np.testing.assert_array_equal(quantized.indices, sparse.indices)
-        assert comm_size < sparse.comm_size
+        comm_size = compressor.price(PackedBags.pack([quantized]))
+        assert comm_size < payload_size(PackedBags.pack([sparse]))
         assert comm_size == pytest.approx(3 * 1.25 + 1.0)
 
     def test_empty_sparse(self):
-        quantizer = StochasticQuantizer(num_bits=8, seed=0)
-        quantized, comm_size = quantize_sparse(SparseGradient.empty(10), quantizer)
+        compressor = QuantizedCompressor(8, num_workers=1, seed=0)
+        quantized, _ = compressor.compress_sparse(0, SparseGradient.empty(10))
         assert quantized.nnz == 0
-        assert comm_size == 0.0
+        assert compressor.price(PackedBags.pack([quantized])) == 0.0
 
     @pytest.mark.parametrize("bits,per_value", [(2, 2 / 32), (4, 0.125),
                                                 (8, 0.25), (16, 0.5), (32, 1.0)])
@@ -162,11 +164,12 @@ class TestQuantizedSparse:
                 2 * nnz * (1 + bits / 32) / 2 + 1)
         assert quantized_sparse_cost(0, bits) == 0.0
 
-    def test_cost_matches_quantize_sparse(self):
+    def test_cost_matches_the_price_of_a_compressed_selection(self):
         sparse = SparseGradient(np.arange(5), np.arange(1.0, 6.0), 50)
         for bits in (2, 4, 8):
-            quantizer = StochasticQuantizer(num_bits=bits, seed=0)
-            _, comm_size = quantize_sparse(sparse, quantizer)
+            compressor = QuantizedCompressor(bits, num_workers=1, seed=0)
+            quantized, _ = compressor.compress_sparse(0, sparse)
+            comm_size = compressor.price(PackedBags.pack([quantized]))
             assert comm_size == quantized_sparse_cost(sparse.nnz, bits)
 
     def test_cost_validates_inputs(self):
@@ -224,8 +227,9 @@ class TestQuantizedCompressor:
 
     def test_pricing_units(self):
         compressor = QuantizedCompressor(8, num_workers=2)
-        sparse = SparseGradient(np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0]), 10)
-        # sparse message: quantize_sparse accounting, scale included
+        sparse = PackedBags.pack([
+            SparseGradient(np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0]), 10)])
+        # sparse message: quantized_sparse_cost accounting, scale included
         assert compressor.price(sparse) == quantized_sparse_cost(3, 8)
         # dense values: num_bits/32 apiece, no scale
         assert compressor.price(np.zeros(100)) == pytest.approx(25.0)
@@ -238,8 +242,6 @@ class TestQuantizedCompressor:
         assert compressor.price([sparse, sparse]) == 2 * quantized_sparse_cost(3, 8)
 
     def test_pricing_packed_bags(self):
-        from repro.comm.packed import PackedBags
-
         compressor = QuantizedCompressor(8, num_workers=2)
         bags = [SparseGradient(np.array([1, 2]), np.array([1.0, 2.0]), 10),
                 SparseGradient.empty(10),
@@ -247,6 +249,9 @@ class TestQuantizedCompressor:
         packed = PackedBags.pack(bags)
         # 3 nnz total, 2 non-empty bags -> 2 scales
         assert compressor.price(packed) == pytest.approx(3 * 1.25 + 2.0)
+        # exactly the per-bag costs summed: every term is dyadic
+        assert compressor.price(packed) == sum(
+            quantized_sparse_cost(bag.nnz, 8) for bag in bags)
 
     def test_pricing_rejects_unknown_payloads(self):
         compressor = QuantizedCompressor(8, num_workers=1)

@@ -12,7 +12,7 @@ from repro.api import make, parse_spec
 from repro.comm import make_transport
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.faults import FaultPlan
-from repro.comm.network import ETHERNET, RDMA, NetworkProfile
+from repro.comm.network import ETHERNET, RDMA, HeterogeneousNetwork, NetworkProfile
 from repro.comm.transport import Message
 from repro.core.fusion import (
     FusionPlan,
@@ -240,6 +240,47 @@ class TestPlanPricesOnTheProfile:
         plans = [plan_buckets(layers, num_workers=4, density=0.01, network=network)
                  for network in (cheap, slow)]
         assert plans[1].predicted_sequential > plans[0].predicted_sequential
+
+    def test_overrides_equal_to_the_default_plan_as_that_profile(self):
+        layers = _layers([4000, 300, 20000, 50])
+        copy = NetworkProfile("copy", alpha=ETHERNET.alpha, beta=ETHERNET.beta)
+        network = HeterogeneousNetwork(default=ETHERNET, overrides={1: ETHERNET, 3: copy})
+        compute = ComputeProfile(0.13, 35.2e6)
+        for planner in PLANNERS:
+            plans = [plan_buckets(layers, planner=planner, num_workers=4, density=0.01,
+                                  network=profile, compute_profile=compute)
+                     for profile in (network, ETHERNET)]
+            assert plans[0] == plans[1]
+            assert plans[0].network is ETHERNET
+
+    def test_a_heterogeneous_network_plans_on_its_slowest_profile(self):
+        """A synchronous round waits for its slowest receiver: the planner
+        prices on the largest alpha and the largest beta the network holds."""
+        layers = _layers([4000, 300, 20000, 50])
+        late = ETHERNET.scaled(alpha_factor=10.0, name="late")
+        narrow = ETHERNET.scaled(beta_factor=10.0, name="narrow")
+        network = HeterogeneousNetwork(default=ETHERNET, overrides={0: late, 2: narrow})
+        worst = NetworkProfile("worst", alpha=late.alpha, beta=narrow.beta)
+        compute = ComputeProfile(0.13, 35.2e6)
+        for planner in PLANNERS:
+            plan, expected = (plan_buckets(layers, planner=planner, num_workers=4,
+                                           density=0.01, network=profile,
+                                           compute_profile=compute)
+                              for profile in (network, worst))
+            assert (plan.network.alpha, plan.network.beta) == (worst.alpha, worst.beta)
+            assert plan.groups == expected.groups
+            assert plan.predicted == expected.predicted
+
+    def test_a_trainer_plans_on_a_fault_plans_network(self):
+        """``buckets=auto`` under a ``FaultPlan``'s per-worker profiles:
+        the trainer builds the plan and trains an epoch on ``sim:4``."""
+        slow = ETHERNET.scaled(alpha_factor=4.0, beta_factor=4.0, name="slow")
+        network = FaultPlan(worker_profiles={1: slow}).heterogeneous_network(4, ETHERNET)
+        trainer = case5_trainer("spardl?density=0.02&buckets=auto", samples=64,
+                                network=network)
+        history = trainer.train(1)
+        assert trainer.synchronizer.fusion_plan.network.alpha == slow.alpha
+        assert len(history.epochs) == 1
 
     @pytest.mark.parametrize("alpha, beta", [(-1.0, 0.0), (0.0, -1e-9)],
                              ids=["alpha", "beta"])

@@ -245,7 +245,7 @@ class TestBlockLayoutProperties:
         layout = BlockLayout(length, num_blocks)
         dense = np.random.default_rng(seed).normal(size=length)
         sparse = SparseGradient.from_dense(dense)
-        pieces = [layout.restrict(sparse, block) for block in range(num_blocks)]
+        pieces = [sparse.restrict(*layout.bound(block)) for block in range(num_blocks)]
         np.testing.assert_array_equal(
             np.concatenate([piece.indices for piece in pieces]), sparse.indices)
         np.testing.assert_array_equal(

@@ -56,10 +56,10 @@ class TestBlockLayout:
         dense = np.arange(6, dtype=float)
         np.testing.assert_array_equal(layout.slice_dense(dense, 1), [2.0, 3.0])
 
-    def test_restrict(self):
+    def test_restrict_to_a_block(self):
         layout = BlockLayout(8, 4)
         sparse = SparseGradient(np.array([0, 3, 6]), np.array([1.0, 2.0, 3.0]), 8)
-        assert layout.restrict(sparse, 3).indices.tolist() == [6]
+        assert sparse.restrict(*layout.bound(3)).indices.tolist() == [6]
 
     def test_iter_blocks_order(self):
         layout = BlockLayout(10, 4)

@@ -49,10 +49,6 @@ class TestConstruction:
         sparse = SparseGradient(np.array([3, 1]), np.array([1.0, 2.0]), length=5)
         assert list(sparse.indices) == [1, 3]
 
-    def test_comm_size_is_two_per_entry(self):
-        sparse = SparseGradient(np.array([0, 2]), np.array([1.0, 2.0]), length=4)
-        assert sparse.comm_size == 4.0
-
 
 class TestAlgebra:
     def test_round_trip_dense(self):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..comm.packed import PackedBags
 from ..comm.transport import Message, Transport
-from ..core.base import GradientSynchronizer
+from ..core.base import GradientSynchronizer, shared_dense_gradients
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualManager, ResidualPolicy
 from ..core.schedules import KSchedule, coerce_schedule
@@ -158,6 +158,7 @@ class SparseBaseline(GradientSynchronizer):
                 dst = (rank + shift) % P
                 payload = PackedBags.pack([selected[rank].restrict(*bounds[dst])])
                 messages.append(Message(src=rank, dst=dst, payload=payload,
+                                        size=self.wire_size(payload),
                                         tag=f"{tag}-{shift}"))
             inboxes = self.cluster.exchange(messages)
             for dst, inbox in inboxes.items():
@@ -167,7 +168,7 @@ class SparseBaseline(GradientSynchronizer):
 
     def _allgather_doubling(self, gathered: Dict[int, List[PackedBags]],
                             tags: Tuple[str, str, str],
-                            size: Callable[[int, PackedBags], Optional[float]]) -> None:
+                            size: Callable[[int, PackedBags], float]) -> None:
         """Recursive-doubling All-Gather of ``gathered`` (per rank, packs
         whose bag ids no other rank holds), in place.
 
@@ -176,8 +177,7 @@ class SparseBaseline(GradientSynchronizer):
         Every message is one pack of every bag its sender holds
         (:meth:`~repro.comm.packed.PackedBags.join`), tagged ``tags[0]``
         (fold-in), ``f"{tags[1]}-{distance}"`` (doubling) or ``tags[2]``
-        (fold-out); ``size(dst, payload)`` is its final billed size, or
-        ``None`` to derive it from the payload.
+        (fold-out) and billed ``size(dst, payload)``.
         """
         p2, extra = power_of_two_split(self.num_workers)
 
@@ -185,9 +185,8 @@ class SparseBaseline(GradientSynchronizer):
             messages = []
             for src, dst in pairs:
                 payload = PackedBags.join(gathered[src])
-                billed = size(dst, payload)
                 messages.append(Message(src=src, dst=dst, payload=payload, tag=tag,
-                                        size=billed, size_final=billed is not None))
+                                        size=size(dst, payload)))
             return self.cluster.exchange(messages).items() if messages else ()
 
         for dst, inbox in exchange([(p2 + i, i) for i in range(extra)], tags[0]):
@@ -200,6 +199,27 @@ class SparseBaseline(GradientSynchronizer):
             distance <<= 1
         for dst, inbox in exchange([(i, p2 + i) for i in range(extra)], tags[2]):
             gathered[dst] = [message.payload for message in inbox]
+
+    @staticmethod
+    def _combine_gathered(context: StepContext,
+                          combine: Callable[[List[PackedBags]], SparseGradient]) -> None:
+        """Sum every rank's gathered packs (``context.exchanged``) with
+        ``combine``, once per distinct set of bag ids: ranks holding the
+        same bags are handed the same result object (their packs arrive in
+        different orders, and a float sum depends on its order), which
+        ``shared_dense_gradients`` densifies once.  Sets
+        ``context.global_sparse``, ``context.reference`` (rank 0's) and
+        ``context.global_gradients``."""
+        results: Dict[Tuple[int, ...], SparseGradient] = {}
+        global_sparse = {}
+        for rank, packs in context.exchanged.items():
+            ids = tuple(sorted(bag_id for pack in packs for bag_id in pack.ids))
+            if ids not in results:
+                results[ids] = combine(packs)
+            global_sparse[rank] = results[ids]
+        context.global_sparse = global_sparse
+        context.reference = global_sparse[0]
+        context.global_gradients = shared_dense_gradients(global_sparse)
 
     @staticmethod
     def num_doubling_steps(size: int) -> int:

@@ -79,7 +79,8 @@ class DenseAllReduceSynchronizer(GradientSynchronizer):
             self._compress_dense(context)
 
     def stage_exchange(self, context: StepContext) -> None:
-        context.exchanged = allreduce_dense(self.cluster, context.wire)
+        context.exchanged = allreduce_dense(self.cluster, context.wire,
+                                            price=self.wire_size)
 
     def stage_combine(self, context: StepContext) -> None:
         context.global_gradients = context.exchanged

@@ -77,8 +77,9 @@ class GTopkSynchronizer(SparseBaseline):
             messages = []
             for rank in range(P):
                 partner = rank ^ step
-                messages.append(Message(src=rank, dst=partner,
-                                        payload=PackedBags.pack([current[rank]]),
+                payload = PackedBags.pack([current[rank]])
+                messages.append(Message(src=rank, dst=partner, payload=payload,
+                                        size=self.wire_size(payload),
                                         tag=f"gtopk-{step}"))
             inboxes = self.cluster.exchange(messages)
             # Every worker of a 2^(level+1) cohort ends up with the same merged

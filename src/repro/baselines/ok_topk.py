@@ -34,8 +34,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..comm.packed import PackedBags
-from ..comm.transport import Message, Transport
-from ..core.base import shared_dense_gradients
+from ..comm.transport import Message, Transport, payload_size
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualPolicy
 from ..core.schedules import KSchedule
@@ -105,11 +104,7 @@ class OkTopkSynchronizer(SparseBaseline):
     def stage_combine(self, context: StepContext) -> None:
         # Owner regions are disjoint and rise with the owner rank, the id of
         # every gathered bag: concatenation in id order is the merge.
-        global_sparse = {rank: PackedBags.concat_by_id(packs)
-                         for rank, packs in context.exchanged.items()}
-        context.global_sparse = global_sparse
-        context.reference = global_sparse[0]
-        context.global_gradients = shared_dense_gradients(global_sparse)
+        self._combine_gathered(context, PackedBags.concat_by_id)
         if context.scratch.get("trivial"):
             context.info = {"k": self.k, "final_nnz": context.reference.nnz}
             return
@@ -171,11 +166,10 @@ class OkTopkSynchronizer(SparseBaseline):
                 partner = rank ^ step
                 if partner < P:
                     # Index-count statistics, not gradient values: billed at
-                    # full precision even under value quantization, hence the
-                    # final explicit size.
+                    # full precision even under value quantization.
                     messages.append(Message(src=rank, dst=partner, payload=bucket_payload,
-                                            size=float(bucket_payload.size),
-                                            tag="oktopk-rebalance", size_final=True))
+                                            size=payload_size(bucket_payload),
+                                            tag="oktopk-rebalance"))
             if messages:
                 self.cluster.exchange(messages)
             step <<= 1
@@ -228,8 +222,9 @@ class OkTopkSynchronizer(SparseBaseline):
             for rank in range(P):
                 partner = rank ^ step
                 if partner < P:
-                    messages.append(Message(src=rank, dst=partner,
-                                            payload=float(pruned[rank].nnz),
+                    count = float(pruned[rank].nnz)
+                    messages.append(Message(src=rank, dst=partner, payload=count,
+                                            size=self.wire_size(count),
                                             tag="oktopk-sizes"))
             if messages:
                 self.cluster.exchange(messages)
@@ -242,6 +237,7 @@ class OkTopkSynchronizer(SparseBaseline):
         gathered = {rank: [PackedBags.pack([pruned[rank]], ids=[rank])] for rank in range(P)}
         for shift in range(1, P):
             messages = [Message(src=rank, dst=(rank + shift) % P, payload=gathered[rank][0],
+                                size=self.wire_size(gathered[rank][0]),
                                 tag=f"oktopk-ag-{shift}") for rank in range(P)]
             inboxes = self.cluster.exchange(messages)
             for dst, inbox in inboxes.items():

@@ -11,11 +11,10 @@ of two).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ..comm.packed import PackedBags
 from ..comm.transport import Transport
-from ..core.base import shared_dense_gradients
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualPolicy
 from ..core.schedules import KSchedule
@@ -59,15 +58,14 @@ class TopkASynchronizer(SparseBaseline):
 
         p2, _ = power_of_two_split(P)
 
-        def fold_out_size(dst: int, payload: PackedBags) -> Optional[float]:
+        def fold_out_size(dst: int, payload: PackedBags) -> float:
             """Fold-in and doubling bill their payload.  A fold-out receiver
             (``dst >= p2``) already holds its own contribution, so that part
             of the payload costs no bandwidth (keeping the total at 2(P-1)k
-            as in Table I).  wire_size applies the active compression, and
-            the subtraction makes the size final — a payload-derived pricer
-            could not reconstruct it."""
+            as in Table I).  wire_size applies the active compression to
+            both terms."""
             if dst < p2:
-                return None
+                return self.wire_size(payload)
             return max(self.wire_size(payload) - self.wire_size(gathered[dst][0]), 0.0)
 
         self._allgather_doubling(gathered, ("topka-fold-in", "topka-rd", "topka-fold-out"),
@@ -75,22 +73,14 @@ class TopkASynchronizer(SparseBaseline):
         context.exchanged = gathered
 
     def stage_combine(self, context: StepContext) -> None:
-        """Sum every rank's gathered selections in source-rank order, once
-        per distinct set of sources: ranks holding the same selections are
-        handed the same result, bit for bit (arrival order differs from
-        rank to rank, and a float sum depends on its order)."""
-        sums: Dict[Tuple[int, ...], SparseGradient] = {}
-        global_sparse = {}
-        for rank, packs in context.exchanged.items():
+        """Sum every rank's gathered selections in source-rank order (once
+        per distinct set of sources)."""
+        def merge(packs):
             bags = sorted((bag for pack in packs for bag in pack.items()),
                           key=lambda bag: bag[0])
-            sources = tuple(source for source, _ in bags)
-            if sources not in sums:
-                sums[sources] = SparseGradient.merge_many([bag for _, bag in bags])
-            global_sparse[rank] = sums[sources]
-        context.global_sparse = global_sparse
-        context.reference = global_sparse[0]
-        context.global_gradients = shared_dense_gradients(global_sparse)
+            return SparseGradient.merge_many([bag for _, bag in bags])
+
+        self._combine_gathered(context, merge)
         context.info = {"k": self.k, "final_nnz": context.reference.nnz}
 
     def stage_residual_update(self, context: StepContext) -> None:

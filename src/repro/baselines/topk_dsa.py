@@ -23,7 +23,6 @@ import numpy as np
 
 from ..comm.packed import PackedBags
 from ..comm.transport import Transport
-from ..core.base import shared_dense_gradients
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualPolicy
 from ..core.schedules import KSchedule
@@ -71,11 +70,7 @@ class TopkDSASynchronizer(SparseBaseline):
     def stage_combine(self, context: StepContext) -> None:
         # Block ``b`` is owner ``b``'s index range: concatenation in block
         # order is the merge.
-        global_sparse = {rank: PackedBags.concat_by_id(packs)
-                         for rank, packs in context.exchanged.items()}
-        context.global_sparse = global_sparse
-        context.reference = global_sparse[0]
-        context.global_gradients = shared_dense_gradients(global_sparse)
+        self._combine_gathered(context, PackedBags.concat_by_id)
         context.info = {"k": self.k, "final_nnz": context.reference.nnz}
 
     def stage_residual_update(self, context: StepContext) -> None:
@@ -107,9 +102,7 @@ class TopkDSASynchronizer(SparseBaseline):
 
         Under quantization both representations carry ``num_bits``-bit
         values, so the switch compares the quantized COO cost (scale element
-        included) against the quantized dense block.  The messages carrying
-        these payloads are ``size_final``: the per-block min cannot be
-        reconstructed from the payload alone.
+        included) against the quantized dense block.
         """
         total = 0.0
         for block, nnz in zip(payload.ids, np.diff(payload.offsets).tolist()):

@@ -11,11 +11,13 @@ All collectives support *grouped* execution: several disjoint groups of
 workers run the same collective concurrently and share communication
 rounds, which is how SparDL's teams overlap their intra-team phases.
 
-Accounting convention: control metadata (group positions, slice offsets,
-block ids) is never billed as transmitted elements — messages whose payload
-carries such bookkeeping alongside the data pass an explicit ``size=`` with
-the data elements only, so recorded volumes match the closed-form element
-counts of the alpha-beta analysis exactly.
+Accounting convention: every collective prices its messages as it builds
+them, with the ``price`` it is given (default :func:`payload_size`; a
+synchroniser passes its ``wire_size``, which applies its compression).
+Control metadata (group positions, slice offsets, block ids) is never billed
+as transmitted elements — a message whose payload carries such bookkeeping
+alongside the data is priced on the data alone, so recorded volumes match
+the closed-form element counts of the alpha-beta analysis exactly.
 
 The dense All-Reduces compute their result once, apart from their messages:
 one task per owned range on the rank pool (:mod:`repro.core.rank_pool`) sums
@@ -31,11 +33,11 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .transport import Message, Transport
+from .transport import Message, Transport, payload_size
 
 __all__ = [
     "allgather_bruck_grouped",
@@ -60,6 +62,7 @@ def allgather_bruck_grouped(
     cluster: Transport,
     groups: Sequence[Sequence[int]],
     items: Dict[int, Any],
+    price: Callable[[Any], float] = payload_size,
 ) -> Dict[int, List[Any]]:
     """Bruck All-Gather run concurrently inside each group.
 
@@ -74,9 +77,9 @@ def allgather_bruck_grouped(
 
     Each message carries the forwarded slice of the rolling buffer as a
     plain list; sparse callers hand in :class:`~repro.comm.packed.PackedBags`
-    items, the one wire form of sparse gradient mass, so the list is billed
-    as the sum of its packs.  Every member of a group receives the same item
-    objects, in the same order.
+    items, the one wire form of sparse gradient mass, and ``price`` bills
+    the list as the sum of its packs.  Every member of a group receives the
+    same item objects, in the same order.
     """
     for group in groups:
         _validate_group(group, cluster)
@@ -100,8 +103,9 @@ def allgather_bruck_grouped(
                 # At step t each worker forwards the first min(2^t, P - 2^t)
                 # items it holds; the receiver then holds min(2^(t+1), P).
                 count = min(distance, size - distance)
-                messages.append(Message(src=rank, dst=dst, payload=buffers[rank][:count],
-                                        tag=f"bruck-{step}"))
+                payload = buffers[rank][:count]
+                messages.append(Message(src=rank, dst=dst, payload=payload,
+                                        size=price(payload), tag=f"bruck-{step}"))
         if not messages:
             continue
         inboxes = cluster.exchange(messages)
@@ -224,6 +228,7 @@ def allreduce_ring(
     cluster: Transport,
     vectors: Dict[int, np.ndarray],
     group: Optional[Sequence[int]] = None,
+    price: Callable[[Any], float] = payload_size,
 ) -> Dict[int, np.ndarray]:
     """Bandwidth-optimal ring All-Reduce (2(P-1) rounds, 2n(P-1)/P volume).
 
@@ -249,8 +254,9 @@ def allreduce_ring(
         for pos, rank in enumerate(group):
             chunk_idx = (pos - step) % size
             lo, hi = bounds[chunk_idx]
+            chunk = inputs[pos][lo:hi]
             messages.append(Message(src=rank, dst=group[(pos + 1) % size],
-                                    payload=inputs[pos][lo:hi],
+                                    payload=chunk, size=price(chunk),
                                     tag=f"ring-rs-{chunk_idx}"))
         cluster.exchange(messages)
 
@@ -268,8 +274,9 @@ def allreduce_ring(
         for pos, rank in enumerate(group):
             chunk_idx = (pos + 1 - step) % size
             lo, hi = bounds[chunk_idx]
+            chunk = result[lo:hi]
             messages.append(Message(src=rank, dst=group[(pos + 1) % size],
-                                    payload=result[lo:hi],
+                                    payload=chunk, size=price(chunk),
                                     tag=f"ring-ag-{chunk_idx}"))
         cluster.exchange(messages)
 
@@ -280,6 +287,7 @@ def allreduce_rabenseifner(
     cluster: Transport,
     vectors: Dict[int, np.ndarray],
     group: Optional[Sequence[int]] = None,
+    price: Callable[[Any], float] = payload_size,
 ) -> Dict[int, np.ndarray]:
     """Rabenseifner's All-Reduce: recursive-halving Reduce-Scatter followed by
     recursive-doubling All-Gather.  Requires a power-of-two group size.
@@ -305,7 +313,7 @@ def allreduce_rabenseifner(
 
     # Recursive halving reduce-scatter: every position keeps one half of its
     # range and sends the other to its partner, together with the slice
-    # offset (addressing metadata: only the chunk's elements are billed).
+    # offset (addressing metadata: only the chunk is priced).
     ranges = [(0, n)] * size
     trees: List[Any] = list(inputs)
     for step in range(num_steps):
@@ -318,9 +326,9 @@ def allreduce_rabenseifner(
                 send_lo, send_hi, ranges[pos] = lo, mid, (mid, hi)
             else:
                 send_lo, send_hi, ranges[pos] = mid, hi, (lo, mid)
+            chunk = inputs[pos][send_lo:send_hi]
             messages.append(Message(src=rank, dst=group[pos ^ distance],
-                                    payload=(send_lo, inputs[pos][send_lo:send_hi]),
-                                    size=float(send_hi - send_lo)))
+                                    payload=(send_lo, chunk), size=price(chunk)))
         cluster.exchange(messages)
         trees = [(trees[pos], trees[pos ^ distance]) for pos in range(size)]
 
@@ -333,8 +341,9 @@ def allreduce_rabenseifner(
         messages = []
         for pos, rank in enumerate(group):
             lo, hi = ranges[pos]
+            chunk = result[lo:hi]
             messages.append(Message(src=rank, dst=group[pos ^ distance],
-                                    payload=(lo, result[lo:hi]), size=float(hi - lo)))
+                                    payload=(lo, chunk), size=price(chunk)))
         cluster.exchange(messages)
         ranges = [(min(ranges[pos][0], ranges[pos ^ distance][0]),
                    max(ranges[pos][1], ranges[pos ^ distance][1]))
@@ -347,6 +356,7 @@ def allreduce_dense(
     cluster: Transport,
     vectors: Dict[int, np.ndarray],
     group: Optional[Sequence[int]] = None,
+    price: Callable[[Any], float] = payload_size,
 ) -> Dict[int, np.ndarray]:
     """Dense All-Reduce choosing Rabenseifner for power-of-two groups and the
     ring algorithm otherwise."""
@@ -354,8 +364,8 @@ def allreduce_dense(
         group = list(cluster.ranks)
     size = len(group)
     if size and not size & (size - 1):
-        return allreduce_rabenseifner(cluster, vectors, group)
-    return allreduce_ring(cluster, vectors, group)
+        return allreduce_rabenseifner(cluster, vectors, group, price)
+    return allreduce_ring(cluster, vectors, group, price)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ in.  :class:`FaultPlan` describes the departures from that ideal:
   (:meth:`~repro.core.base.GradientSynchronizer.poll_membership`).
 
 A plan is installed on any cluster with
-:meth:`~repro.comm.transport.Transport.install_fault_plan`, mirroring
-``install_pricer``; the simulated and the process-backed transport run the
-same delivery loop, so a faulted run is identical on both.  With no plan
-installed, ``exchange`` runs the exact pre-fault code path — bit-identical
-messages, statistics and results (gated in ``tests/test_faults.py``).
+:meth:`~repro.comm.transport.Transport.install_fault_plan`; the simulated
+and the process-backed transport run the same delivery loop, so a faulted
+run is identical on both.  With no plan installed, ``exchange`` runs the
+exact pre-fault code path — bit-identical messages, statistics and results
+(gated in ``tests/test_faults.py``).
 
 Determinism
 -----------

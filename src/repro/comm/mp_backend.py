@@ -45,12 +45,12 @@ the other side reads after receiving it.
 
 What this backend does *not* model
 ----------------------------------
-Nothing of the message layer is backend-specific: wire pricers and fault
-plans (drops, delays, retries, lost messages) act in the inherited
-:meth:`~repro.comm.transport.Transport.exchange`, so a faulted
-synchronisation here equals the simulated one bit for bit.  Stragglers and
-:class:`~repro.comm.network.HeterogeneousNetwork` timing price the
-recorded :class:`~repro.comm.stats.CommStats` in
+Nothing of the message layer is backend-specific: messages arrive priced
+by their senders, and fault plans (drops, delays, retries, lost messages)
+act in the inherited :meth:`~repro.comm.transport.Transport.exchange`, so a
+faulted synchronisation here equals the simulated one bit for bit.
+Stragglers and :class:`~repro.comm.network.HeterogeneousNetwork` timing
+price the recorded :class:`~repro.comm.stats.CommStats` in
 :mod:`repro.training.timing`, whichever backend recorded them.  Membership
 events of a synchroniser driven on its own (``SyncSession``) restart the
 worker pool through :meth:`~MultiprocessCluster.resize`.  What is not

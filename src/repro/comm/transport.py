@@ -19,8 +19,8 @@ Two backends ship:
   driver.
 
 Both deliver messages through the one :meth:`Transport.exchange` below:
-every message is checked, then priced, traced and frozen, and the round is
-recorded once.  Payloads never leave the calling process, so the ``mp``
+every message arrives priced by its sender, is checked, traced and frozen,
+and the round is recorded once.  Payloads never leave the calling process, so the ``mp``
 backend's synchronisation results equal the reference by construction.
 
 Fault injection
@@ -139,13 +139,11 @@ def freeze_payload(payload: Any) -> Any:
 class Message:
     """A point-to-point message between two workers.
 
-    ``size`` may be given explicitly (for example to exclude routing
-    metadata from the accounting); otherwise it is derived from the payload
-    via :func:`payload_size`.  ``size_final=True`` declares the explicit
-    size authoritative: an installed wire pricer (see
-    :meth:`Transport.install_pricer`) must not re-derive it — the
-    sender already accounted for compression or control-channel semantics
-    that the payload structure alone cannot express.
+    ``size`` is the billed wire size, final when the message is built: the
+    sender prices its payload (its compression, metadata exclusion or
+    control-channel semantics included) and the transport bills that size
+    unchanged.  Left out, it is derived from the payload via
+    :func:`payload_size`.
 
     ``lossy=True`` declares that the *sender* can account for this message
     never arriving: past the retry budget of an installed
@@ -162,7 +160,6 @@ class Message:
     payload: Any = None
     size: Optional[float] = None
     tag: str = ""
-    size_final: bool = False
     lossy: bool = False
 
     def __post_init__(self) -> None:
@@ -179,7 +176,7 @@ class Transport:
     message rounds, communication accounting and per-rank task execution.
 
     The base class owns everything that must behave identically on every
-    backend: message delivery (:meth:`exchange`: validation, wire pricing,
+    backend: message delivery (:meth:`exchange`: validation, tracing,
     read-only freezing, :class:`~repro.comm.stats.CommStats` recording),
     fault injection (:meth:`install_fault_plan`) and the per-rank context of
     :meth:`run_workers`.  Backends differ only in where the ranks' tasks
@@ -194,7 +191,6 @@ class Transport:
             raise ValueError("a cluster needs at least one worker")
         self._num_workers = int(num_workers)
         self._stats = CommStats(num_workers=self._num_workers)
-        self._pricer: Optional[Any] = None
         self._tracer: Optional[Any] = None
         self._seed = int(seed)
         self._worker_ctx: Dict[int, Dict[str, Any]] = {}
@@ -228,33 +224,14 @@ class Transport:
         return old
 
     # ------------------------------------------------------------------
-    # wire pricing
-    # ------------------------------------------------------------------
-    def install_pricer(self, pricer: Optional[Any]) -> Optional[Any]:
-        """Install a wire pricer for subsequent :meth:`exchange` rounds.
-
-        ``pricer(message) -> float`` re-derives the billed size of every
-        message whose size came from its payload (messages constructed with
-        ``size_final=True`` keep their sender-computed size).  Synchronisers
-        with a compression stage install their compressor's pricer for the
-        duration of one step; returns the previously installed pricer so
-        nested drivers (e.g. bucketed sessions on a shared cluster) can
-        restore it.  Every backend prices in the one admission path of
-        :meth:`exchange`, so billing never depends on the backend.
-        """
-        previous = self._pricer
-        self._pricer = pricer
-        return previous
-
-    # ------------------------------------------------------------------
     # tracing
     # ------------------------------------------------------------------
     def install_tracer(self, tracer: Optional[Any]) -> Optional[Any]:
         """Install a :class:`~repro.obs.trace.Tracer` observing admission.
 
         Every message :meth:`exchange` admits — the single code path every
-        backend bills through — is reported to the tracer with its final
-        wire-priced size, so the per-message timeline matches the accounting
+        backend bills through — is reported to the tracer with the size its
+        sender priced, so the per-message timeline matches the accounting
         exactly.  Returns the previously installed tracer; ``None``
         uninstalls.  Supported by every backend (process backends
         additionally stream worker-side task spans back at :meth:`close`).
@@ -308,7 +285,7 @@ class Transport:
         round in :attr:`stats` (an empty round records nothing).  Raises if
         any rank is out of range or a worker messages itself (local data
         movement is free and must not be modelled as communication) —
-        before any message of the round is priced, traced or frozen.
+        before any message of the round is traced or frozen.
         NumPy array payloads are delivered as read-only views (see
         :func:`freeze_payload`).
 
@@ -579,34 +556,25 @@ class Transport:
     # shared internals
     # ------------------------------------------------------------------
     def _admit(self, messages: Sequence[Message]) -> List[Message]:
-        """Validate, price, trace and freeze the messages of one round.
+        """Validate, trace and freeze the messages of one round.
 
-        Every backend admits through this one code path, so a message is
-        billed identically no matter which transport carries it.  All
-        messages are checked (ranks, self-sends, priced sizes) before any
-        is changed or reported: a round that raises leaves the caller's
-        messages, the tracer and the statistics untouched.
+        Every backend admits through this one code path, and every message
+        arrives priced by its sender, so a message is billed identically no
+        matter which transport carries it.  All messages are checked (ranks,
+        self-sends) before any is changed or reported: a round that raises
+        leaves the caller's messages, the tracer and the statistics
+        untouched.
         """
         messages = list(messages)
-        sizes = []
         for message in messages:
             self._check_rank(message.src)
             self._check_rank(message.dst)
             if message.src == message.dst:
                 raise ValueError("workers must not send messages to themselves")
-            size = message.size
-            if self._pricer is not None and not message.size_final:
-                size = float(self._pricer(message))
-                if not math.isfinite(size) or size < 0.0:
-                    raise ValueError(
-                        f"pricer returned invalid message size {size!r} for "
-                        f"{message.src}->{message.dst} (tag {message.tag!r})")
-            sizes.append(size)
         tracer = self._tracer
-        for message, size in zip(messages, sizes):
-            message.size = size
+        for message in messages:
             if tracer is not None:
-                tracer.record_message(message.src, message.dst, size,
+                tracer.record_message(message.src, message.dst, message.size,
                                       message.tag)
             message.payload = freeze_payload(message.payload)
         return messages

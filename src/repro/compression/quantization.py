@@ -19,8 +19,9 @@ This module provides that combination:
   implementation: per-worker independent random streams
   (``np.random.SeedSequence.spawn``, so results do not depend on worker
   iteration order), ``(quantized, error)`` splitting for sparse and dense
-  payloads, and the message pricer that bills every wire payload at the
-  quantized accounting (:meth:`QuantizedCompressor.price`).
+  payloads, and the price of every wire payload at the quantized
+  accounting (:meth:`QuantizedCompressor.price`), which its synchroniser's
+  senders bill their messages with.
 
 The Table I adjustment for quantized values (``quantized_bandwidth`` /
 ``quantized_complexity``) lives in :mod:`repro.analysis.complexity`.
@@ -198,10 +199,10 @@ class QuantizedCompressor:
       worker's payload with that worker's stream and return
       ``(quantized, error)`` from a single draw, ready for the caller to
       fold ``error`` into its :class:`~repro.core.residuals.ResidualManager`;
-    * :meth:`price` / :meth:`price_message` — the wire pricer installed on
-      the :class:`~repro.comm.cluster.SimulatedCluster` for the duration of
-      a quantized step.  Every bag of a
-      :class:`~repro.comm.packed.PackedBags` bills
+    * :meth:`price` — the billed size of a wire payload, with which the
+      synchroniser (``GradientSynchronizer.wire_size``) and Spar-Reduce-Scatter
+      price every message of a quantized step as they build it.  Every bag
+      of a :class:`~repro.comm.packed.PackedBags` bills
       :func:`quantized_sparse_cost` (one scale element per non-empty bag);
       dense float arrays bill ``num_bits/32`` per value (the
       dense-fallback convention); routing integers (block ids, group
@@ -315,10 +316,6 @@ class QuantizedCompressor:
             return 1.0  # control scalar (e.g. a transmitted size)
         raise TypeError(
             f"cannot determine quantized wire size of {type(payload)!r}")
-
-    def price_message(self, message) -> float:
-        """Pricer hook for :meth:`repro.comm.cluster.SimulatedCluster.exchange`."""
-        return self.price(message.payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"QuantizedCompressor(num_bits={self.num_bits}, "

@@ -83,12 +83,13 @@ class SyncResult:
 
     @property
     def is_consistent(self) -> bool:
-        """True when every worker holds numerically identical global gradients."""
+        """True when every worker holds exactly the same global gradient
+        (the same array, or an equal one)."""
         ranks = sorted(self.global_gradients)
         reference = self.global_gradients[ranks[0]]
         return all(
             self.global_gradients[rank] is reference
-            or np.allclose(self.global_gradients[rank], reference, rtol=1e-9, atol=1e-12)
+            or np.array_equal(self.global_gradients[rank], reference)
             for rank in ranks[1:]
         )
 
@@ -201,30 +202,17 @@ class GradientSynchronizer(ABC):
             k=self.k,
             iteration=self.iteration,
         )
-        # A quantizer re-prices every wire message of this step at its
-        # compressed accounting.  The pricer is scoped to the step (and the
-        # previous one restored) because the cluster is shared — e.g. by the
-        # buckets of a BucketedSynchronizer, which may mix quantized and
-        # full-precision buckets.
-        prices = self.stack is not None
-        previous_pricer = None
-        if prices:
-            previous_pricer = self.cluster.install_pricer(self.stack.price_message)
-        try:
-            for stage in PIPELINE_STAGES:
-                getattr(self, f"stage_{stage.value}")(context)
-                if stage in (SyncStage.EXCHANGE, SyncStage.COMBINE):
-                    # Graceful degradation under faults: messages lost past
-                    # the retry budget surrender their mass to the senders'
-                    # residual stores before the residual state is resolved,
-                    # so the conservation invariant survives the loss.
-                    self._absorb_lost(context)
-                if observer is not None:
-                    observer(stage, context)
-        finally:
-            if prices:
-                self.cluster.install_pricer(previous_pricer)
-        if prices:
+        for stage in PIPELINE_STAGES:
+            getattr(self, f"stage_{stage.value}")(context)
+            if stage in (SyncStage.EXCHANGE, SyncStage.COMBINE):
+                # Graceful degradation under faults: messages lost past the
+                # retry budget surrender their mass to the senders' residual
+                # stores before the residual state is resolved, so the
+                # conservation invariant survives the loss.
+                self._absorb_lost(context)
+            if observer is not None:
+                observer(stage, context)
+        if self.stack is not None:
             context.info.setdefault("quantized_bits", self.stack.num_bits)
         if self.residuals is not None and self.residuals.momentum:
             # Only added when momentum correction is active, so momentum-off
@@ -368,12 +356,11 @@ class GradientSynchronizer(ABC):
     def wire_size(self, payload: Any) -> float:
         """Billed wire size of ``payload`` under the active compression.
 
-        Methods that compute explicit message sizes (metadata exclusion,
-        dense switching, fold-out subtraction) route them through this
-        helper so one code path serves both the full-precision and the
-        quantized accounting; such messages are sent with
-        ``size_final=True`` because the pricer cannot reconstruct the
-        adjustment from the payload alone.
+        Every message a method sends is priced here when it is built (the
+        collectives and SAG take it as ``price``), so one code path serves
+        both the full-precision and the quantized accounting; sizes a
+        payload cannot express (dense switching, fold-out subtraction) are
+        computed from it.
         """
         if self.stack is not None:
             return self.stack.price(payload)

@@ -24,7 +24,8 @@ Both variants ship sparse payloads in the batched
 :class:`~repro.comm.packed.PackedBags` wire format: a worker's block travels
 as one buffer pair with one bag per segment (one bag when the gradient is a
 single bucket; see :mod:`repro.core.srs` on blocks, segments and buckets),
-``comm_size`` derived from the packed arrays.  Receivers decode zero-copy
+billed by the ``price`` the caller passes (default ``payload_size``: the
+pack's ``comm_size``).  Receivers decode zero-copy
 views and merge them with the compiled kernels.  With a ``layout`` whose
 buckets have budgets of their own, ``keep`` (and B-SAG's ``h``) hold one
 entry per segment and every selection is a segmented top-k.
@@ -34,11 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..comm.transport import Message, Transport
+from ..comm.transport import Message, Transport, payload_size
 from ..comm.collectives import allgather_bruck_grouped
 from ..sparse.blocks import BlockLayout
 from ..sparse.vector import SparseGradient
@@ -185,6 +186,7 @@ def r_sag(
     keep: Union[int, Sequence[int]],
     residuals: ResidualManager,
     layout: Optional[BlockLayout] = None,
+    price: Callable[[Any], float] = payload_size,
 ) -> SAGOutput:
     """Recursive-doubling Spar-All-Gather.
 
@@ -202,6 +204,8 @@ def r_sag(
         the same values, so each keeps a half share).
     layout:
         The SRS block layout (default: one bucket, a block is one segment).
+    price:
+        The billed wire size of a payload (the synchroniser's ``wire_size``).
     """
     num_teams = len(teams)
     if num_teams < 1:
@@ -229,10 +233,9 @@ def r_sag(
         for position, group in enumerate(groups):
             for team_index, rank in enumerate(group):
                 partner = group[team_index ^ distance]
-                messages.append(Message(
-                    src=rank, dst=partner,
-                    payload=pack_blocks(layout, [position], [current[rank]]),
-                    tag=f"rsag-{step}"))
+                payload = pack_blocks(layout, [position], [current[rank]])
+                messages.append(Message(src=rank, dst=partner, payload=payload,
+                                        size=price(payload), tag=f"rsag-{step}"))
         inboxes = cluster.exchange(messages)
         # After step ``t`` the 2^(t+1) teams of a recursive-doubling cohort all
         # hold identical merged data and drop identical values, so each worker
@@ -270,6 +273,7 @@ def b_sag(
     h: Union[int, Sequence[int]],
     residuals: ResidualManager,
     layout: Optional[BlockLayout] = None,
+    price: Callable[[Any], float] = payload_size,
 ) -> SAGOutput:
     """Bruck-based Spar-All-Gather.
 
@@ -279,7 +283,8 @@ def b_sag(
     gathered blocks are merge-summed and finally re-sparsified to ``keep``
     non-zeros.  The discarded values of the final selection are identical on
     every member of a group, so each collects a ``1/d`` share.  ``keep`` and
-    ``h`` hold one entry per segment of ``layout`` when its buckets differ.
+    ``h`` hold one entry per segment of ``layout`` when its buckets differ;
+    ``price`` bills every message, as in :func:`r_sag`.
     """
     num_teams = len(teams)
     if num_teams < 1:
@@ -307,7 +312,7 @@ def b_sag(
             selected[rank] = pack_blocks(layout, [position], [kept])
             residuals.collect_procedure(rank, dropped, share=1.0)
 
-    gathered = allgather_bruck_grouped(cluster, groups, selected)
+    gathered = allgather_bruck_grouped(cluster, groups, selected, price)
 
     merged_max = 0
     merged_sum = 0.0

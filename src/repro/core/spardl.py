@@ -246,7 +246,8 @@ class SparDLSynchronizer(GradientSynchronizer):
         """SRS inside every team, then Spar-All-Gather across teams — or the
         exact dense All-Reduce past the density crossover."""
         if self.uses_dense_fallback:
-            context.exchanged = allreduce_dense(self.cluster, context.wire)
+            context.exchanged = allreduce_dense(self.cluster, context.wire,
+                                                price=self.wire_size)
             context.scratch["dense_fallback"] = True
             return
         # SRS selects from the residual stores: ``context.wire`` is them.
@@ -338,12 +339,12 @@ class SparDLSynchronizer(GradientSynchronizer):
             return None
         if not self._controllers:
             output = r_sag(self.cluster, self.teams, blocks, self.segment_k,
-                           self.residuals, self.layout)
+                           self.residuals, self.layout, self.wire_size)
         else:
             hs = [controller.h for controller in self._controllers]
             output = b_sag(self.cluster, self.teams, blocks, self.segment_k,
                            hs[0] if len(hs) == 1 else np.repeat(hs, self.team_size),
-                           self.residuals, self.layout)
+                           self.residuals, self.layout, self.wire_size)
             for controller, merged in zip(self._controllers, output.bucket_nnz_max):
                 controller.update(merged)
         self.merged_nnz_history.append(float(output.merged_nnz_mean))
@@ -360,7 +361,8 @@ class SparDLSynchronizer(GradientSynchronizer):
             return dict(blocks)
         packed = {rank: pack_blocks(self.layout, [position], [blocks[rank]])
                   for team in self.teams for position, rank in enumerate(team)}
-        gathered = allgather_bruck_grouped(self.cluster, self.teams, packed)
+        gathered = allgather_bruck_grouped(self.cluster, self.teams, packed,
+                                           self.wire_size)
         final: Dict[int, SparseGradient] = {}
         for team in self.teams:
             final.update(dict.fromkeys(team, PackedBags.concat_by_id(gathered[team[0]])))

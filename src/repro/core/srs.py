@@ -87,7 +87,7 @@ from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from ..comm.transport import Message, Transport
+from ..comm.transport import Message, Transport, payload_size
 from ..comm.packed import PackedBags
 from ..sparse.blocks import BlockLayout
 from ..sparse.ckernels import get_kernels
@@ -328,15 +328,16 @@ def spar_reduce_scatter(
     compressor:
         Optional :class:`~repro.compression.quantization.QuantizedCompressor`
         (or any object honouring its ``compress_sparse -> (payload, error)``
-        contract).
+        and ``price(payload) -> float`` contract).
         When given, a worker's selection is folded through it immediately
         after its local top-k — the moment its values first reach the wire
         — segment by segment (each is a message of its own: own scale, the
         owning worker's draws for that bucket), and the exact compression
         error of that draw is collected as a local residual.  Later
         transmission steps forward merge-sums of the compressed blocks
-        unchanged; the synchroniser's installed pricer bills them at the
-        compressed accounting.
+        unchanged, and every message is priced by the compressor's
+        :meth:`~repro.compression.quantization.QuantizedCompressor.price`
+        (without one, by :func:`~repro.comm.transport.payload_size`).
     selector:
         The synchroniser's :class:`~repro.sparse.topk.WarmTopK`, keyed by
         ``(rank, segment)``: it runs the exact top-k on the few candidates
@@ -352,6 +353,7 @@ def spar_reduce_scatter(
     budgets = segment_budgets(layout, k_block)
     if selector is None:
         selector = WarmTopK()
+    price = payload_size if compressor is None else compressor.price
     ranks = [rank for team in teams for rank in team]
     workers, buckets, length = len(ranks), layout.num_buckets, layout.length
     positions = np.tile(np.arange(team_size), len(teams))
@@ -412,14 +414,13 @@ def spar_reduce_scatter(
         # returns to the sender's residual store), and the downstream
         # all-gather keeps every worker consistent — so SRS can degrade
         # gracefully where the SAG/all-gather steps cannot.
-        messages = [Message(
-            src=rank, dst=destinations[row],
-            payload=PackedBags(ids=tuple(ids[row]), offsets=bags[row],
-                               indices=indices[lo:hi], values=values[lo:hi],
-                               length=length),
-            tag=f"srs-{step}", lossy=True)
-            for row, (rank, lo, hi) in enumerate(zip(ranks, spans[:, 0].tolist(),
-                                                      spans[:, -1].tolist()))]
+        packs = [PackedBags(ids=tuple(ids[row]), offsets=bags[row],
+                            indices=indices[lo:hi], values=values[lo:hi], length=length)
+                 for row, (lo, hi) in enumerate(zip(spans[:, 0].tolist(),
+                                                    spans[:, -1].tolist()))]
+        messages = [Message(src=rank, dst=destinations[row], payload=pack,
+                            size=price(pack), tag=f"srs-{step}", lossy=True)
+                    for row, (rank, pack) in enumerate(zip(ranks, packs))]
         inboxes = cluster.exchange(messages)
         sent += size
         slots = team_size - sent

@@ -35,7 +35,7 @@ import numpy as np
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.collectives import _partition_bounds
 from repro.comm.packed import PackedBags
-from repro.comm.transport import Message
+from repro.comm.transport import Message, payload_size
 from repro.core.partition import plan_bags, transmission_distances
 from repro.core.srs import SRSOutput, pack_blocks, segment_budgets, sparsify_block
 from repro.sparse.topk import WarmTopK
@@ -105,15 +105,14 @@ def expected_price(payload, bits: int) -> float:
 
 def spy_exchange(cluster: SimulatedCluster) -> list:
     """Wrap ``cluster.exchange`` in place; returns the growing record list
-    of ``(tag, billed size, size_final, payload)`` per message sent."""
+    of ``(tag, billed size, payload)`` per message sent."""
     records: list = []
     original = cluster.exchange
 
     def spy(messages):
         inboxes = original(messages)
         for message in messages:
-            records.append((message.tag, float(message.size),
-                            message.size_final, message.payload))
+            records.append((message.tag, float(message.size), message.payload))
         return inboxes
 
     cluster.exchange = spy
@@ -121,10 +120,11 @@ def spy_exchange(cluster: SimulatedCluster) -> list:
 
 
 def seed_allreduce_ring(cluster, vectors: Dict[int, np.ndarray],
-                        group: Optional[Sequence[int]] = None) -> Dict[int, np.ndarray]:
+                        group: Optional[Sequence[int]] = None,
+                        price=payload_size) -> Dict[int, np.ndarray]:
     """Seed ring All-Reduce over ``group`` (default: the whole cluster):
     per-rank copied chunks, overwritten by the all-gather and concatenated
-    per rank."""
+    per rank; every message billed ``price(chunk)``."""
     group = list(cluster.ranks if group is None else group)
     size = len(group)
     n = vectors[group[0]].shape[0]
@@ -137,8 +137,9 @@ def seed_allreduce_ring(cluster, vectors: Dict[int, np.ndarray],
         messages = []
         for pos, rank in enumerate(group):
             chunk_idx = (pos - step) % size
-            messages.append(Message(src=rank, dst=group[(pos + 1) % size],
-                                    payload=chunks[rank][chunk_idx], tag=f"ring-rs-{chunk_idx}"))
+            chunk = chunks[rank][chunk_idx]
+            messages.append(Message(src=rank, dst=group[(pos + 1) % size], payload=chunk,
+                                    size=price(chunk), tag=f"ring-rs-{chunk_idx}"))
         inboxes = cluster.exchange(messages)
         for pos, rank in enumerate(group):
             chunk_idx = (pos - 1 - step) % size
@@ -148,8 +149,9 @@ def seed_allreduce_ring(cluster, vectors: Dict[int, np.ndarray],
         messages = []
         for pos, rank in enumerate(group):
             chunk_idx = (pos + 1 - step) % size
-            messages.append(Message(src=rank, dst=group[(pos + 1) % size],
-                                    payload=chunks[rank][chunk_idx], tag=f"ring-ag-{chunk_idx}"))
+            chunk = chunks[rank][chunk_idx]
+            messages.append(Message(src=rank, dst=group[(pos + 1) % size], payload=chunk,
+                                    size=price(chunk), tag=f"ring-ag-{chunk_idx}"))
         inboxes = cluster.exchange(messages)
         for pos, rank in enumerate(group):
             chunk_idx = (pos - step) % size
@@ -159,10 +161,12 @@ def seed_allreduce_ring(cluster, vectors: Dict[int, np.ndarray],
 
 
 def seed_allreduce_rabenseifner(cluster, vectors: Dict[int, np.ndarray],
-                                group: Optional[Sequence[int]] = None) -> Dict[int, np.ndarray]:
+                                group: Optional[Sequence[int]] = None,
+                                price=payload_size) -> Dict[int, np.ndarray]:
     """Seed Rabenseifner All-Reduce over the (power-of-two) ``group``
     (default: the whole cluster): every rank halves and doubles over its own
-    full-length working copy."""
+    full-length working copy; every message billed ``price(chunk)``, its
+    slice offset free."""
     group = list(cluster.ranks if group is None else group)
     size = len(group)
     if size == 1:
@@ -181,9 +185,9 @@ def seed_allreduce_rabenseifner(cluster, vectors: Dict[int, np.ndarray],
                 send_lo, send_hi, plan[rank] = lo, mid, (mid, hi)
             else:
                 send_lo, send_hi, plan[rank] = mid, hi, (lo, mid)
+            chunk = working[rank][send_lo:send_hi]
             messages.append(Message(src=rank, dst=group[pos ^ distance],
-                                    payload=(send_lo, working[rank][send_lo:send_hi]),
-                                    size=float(send_hi - send_lo)))
+                                    payload=(send_lo, chunk), size=price(chunk)))
         inboxes = cluster.exchange(messages)
         for rank in group:
             ranges[rank] = plan[rank]
@@ -195,8 +199,9 @@ def seed_allreduce_rabenseifner(cluster, vectors: Dict[int, np.ndarray],
         messages = []
         for pos, rank in enumerate(group):
             lo, hi = ranges[rank]
+            chunk = working[rank][lo:hi]
             messages.append(Message(src=rank, dst=group[pos ^ distance],
-                                    payload=(lo, working[rank][lo:hi]), size=float(hi - lo)))
+                                    payload=(lo, chunk), size=price(chunk)))
         inboxes = cluster.exchange(messages)
         for rank in group:
             lo, hi = ranges[rank]
@@ -215,11 +220,13 @@ def seed_spar_reduce_scatter(cluster, teams, layout, k_block, residuals,
     of a ``PackedBags.span``, per target block one ``sparsify_block`` and one
     ``collect_procedure``, per bag one ``pack_blocks``.  It selects from the
     residual stores, like the batched one (the seed ranked a ``gradients``
-    argument but took from the stores)."""
+    argument but took from the stores), and bills every bag at its
+    ``compressor``'s price (the seed's synchroniser billed it so)."""
     team_size = len(teams[0])
     budgets = segment_budgets(layout, k_block)
     if selector is None:
         selector = WarmTopK()
+    price = payload_size if compressor is None else compressor.price
     taken = np.minimum(budgets, np.diff(layout.edges))
     offsets = np.concatenate(([0], np.cumsum(taken)))
     by_block = np.arange(taken.shape[0]).reshape(-1, team_size).T.ravel()
@@ -257,9 +264,10 @@ def seed_spar_reduce_scatter(cluster, teams, layout, k_block, residuals,
                 bag_blocks = plans[rank].bag_for_step(step_index)
                 pieces = [held[rank].pop(block) for block in bag_blocks]
                 step_max_nnz = max(step_max_nnz, *(piece.nnz for piece in pieces))
+                payload = pack_blocks(layout, bag_blocks, pieces)
                 messages.append(Message(
                     src=rank, dst=team[(position + distance) % team_size],
-                    payload=pack_blocks(layout, bag_blocks, pieces),
+                    payload=payload, size=price(payload),
                     tag=f"srs-{step_index}", lossy=True))
         inboxes = cluster.exchange(messages)
         max_bag_nnz_per_step.append(step_max_nnz)

@@ -156,14 +156,11 @@ def test_payloads_arrive_readonly_including_nested(backend):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["sim", "mp"])
 def test_a_round_that_raises_admits_nothing(backend):
-    def pricer(message):
-        return 2.0 * message.size
-
     with make_transport(backend, num_workers=2) as cluster:
         cluster.install_tracer(Tracer("steps"))
-        cluster.install_pricer(pricer)
         payload = np.arange(3.0)
-        messages = [Message(src=0, dst=1, payload=payload, tag="t"),
+        # priced by its sender: twice its payload's size
+        messages = [Message(src=0, dst=1, payload=payload, size=6.0, tag="t"),
                     Message(src=1, dst=5, payload=1.0, tag="t")]
         before = cluster.tracer.snapshot()
         with pytest.raises(ValueError, match="rank 5 out of range"):
@@ -172,20 +169,22 @@ def test_a_round_that_raises_admits_nothing(backend):
             cluster.exchange([messages[0], Message(src=1, dst=1, payload=1.0)])
         assert cluster.tracer.snapshot() == before
         assert cluster.stats.rounds == 0 and cluster.stats.total_messages == 0
-        # The caller's messages are as they were built: unpriced, and
-        # still carrying the sender's own (writable) array.
-        assert messages[0].size == 3.0 and messages[0].payload is payload
+        # The caller's messages are as they were built: their sender's
+        # size, and still carrying the sender's own (writable) array.
+        assert messages[0].size == 6.0 and messages[0].payload is payload
         assert messages[0].payload.flags.writeable
-        # A good round after the failed ones is priced and recorded once.
+        # A good round after the failed ones bills its sender's size and is
+        # recorded once.
         inboxes = cluster.exchange(messages[:1])
         assert inboxes[1][0].size == 6.0 and cluster.stats.rounds == 1
+        assert cluster.stats.total_volume == 6.0
         assert cluster.tracer.snapshot()["messages_total{tag=t}"] == 1
 
 
 @pytest.mark.parametrize("size", [float("nan"), float("inf"), -1.0])
 def test_message_rejects_a_non_finite_or_negative_size(size):
     with pytest.raises(ValueError, match="message size must be"):
-        Message(src=0, dst=1, size=size, size_final=True)
+        Message(src=0, dst=1, size=size)
 
 
 # ---------------------------------------------------------------------------

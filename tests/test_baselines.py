@@ -15,6 +15,7 @@ from repro.baselines.ok_topk import OkTopkSynchronizer
 from repro.baselines.topk_a import TopkASynchronizer
 from repro.baselines.topk_dsa import TopkDSASynchronizer
 from repro.comm.cluster import SimulatedCluster
+from repro.core.pipeline import SyncSession, SyncStage
 from repro.sparse.topk import top_k_indices
 from repro.sparse.vector import SparseGradient
 
@@ -23,7 +24,7 @@ from tests.helpers import random_gradients
 
 class TestEveryRankHoldsTheSameBytes:
     """Fault-free, every method hands every rank byte-identical global
-    gradients (``is_consistent`` only checks them to a tolerance)."""
+    gradients (what ``is_consistent`` checks)."""
 
     @pytest.mark.parametrize("num_workers", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("spec", ["spardl", "spardl?teams=2", "ok-topk", "topka",
@@ -42,6 +43,30 @@ class TestEveryRankHoldsTheSameBytes:
             reference = result.gradient(0).tobytes()
             for rank in range(1, num_workers):
                 assert result.gradient(rank).tobytes() == reference, rank
+
+    @pytest.mark.parametrize("num_workers", [3, 4, 5, 8])
+    @pytest.mark.parametrize("spec", ["ok-topk", "topkdsa"])
+    def test_one_result_object_for_every_rank(self, spec, num_workers):
+        """Every rank gathers the same packs, so the combine builds one
+        sparse result and every rank is handed that object, densified once
+        (``shared_dense_gradients`` takes its ``is`` path)."""
+        n = 1 << 12
+        session = SyncSession(make(spec, SimulatedCluster(num_workers), num_elements=n,
+                                   density=0.02))
+        combined = []
+
+        def hook(stage, context):
+            if stage is SyncStage.COMBINE:
+                combined.append(context.global_sparse)
+
+        session.add_stage_hook(hook)
+        rng = np.random.default_rng(num_workers)
+        for _ in range(2):
+            result = session.step(dict(enumerate(rng.standard_normal((num_workers, n)))))
+            global_sparse = combined.pop()
+            for rank in range(1, num_workers):
+                assert global_sparse[rank] is global_sparse[0], rank
+                assert result.global_gradients[rank] is result.global_gradients[0], rank
 
 
 class TestPowerOfTwoSplit:

@@ -307,16 +307,13 @@ class TestCopyFreeDenseAllReduce:
     def test_every_message_is_the_seeds(self, algorithm, seed_algorithm, num_workers, bits):
         """Not just the totals: round by round, every message's ``(src, dst,
         tag, size)`` equals the seed's, also under the ``dense?bits=8``
-        pricer (which re-derives sizes from the payloads)."""
+        price (which bills ``bits/32`` per value of the chunk)."""
         vectors = _special_vectors(num_workers, 3 * num_workers + 2, np.float64,
                                    seed=num_workers)
         ours, seeds = RecordingCluster(num_workers), RecordingCluster(num_workers)
-        if bits:
-            for cluster in (ours, seeds):
-                cluster.install_pricer(QuantizedCompressor(
-                    bits, num_workers).price_message)
-        algorithm(ours, vectors)
-        seed_algorithm(seeds, vectors)
+        price = QuantizedCompressor(bits, num_workers).price if bits else payload_size
+        algorithm(ours, vectors, price=price)
+        seed_algorithm(seeds, vectors, price=price)
         assert ours.log == seeds.log
         assert len(ours.log) == (0 if num_workers == 1 else ours.stats.rounds)
 

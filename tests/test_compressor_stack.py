@@ -206,7 +206,7 @@ class TestMomentumOffBitIdentity:
 
 class TestPerBucketBits:
     """Satellite 1: ``bits=8,emb:32`` per-bucket overrides — grammar
-    round-trip and mixed-bucket pricer composition."""
+    round-trip and mixed-bucket pricing composition."""
 
     def test_spec_round_trips(self):
         spec = "spardl?density=0.2&buckets=layer&bits=8,out:32"
@@ -234,7 +234,7 @@ class TestPerBucketBits:
             make("spardl?density=0.1&bits=8,emb:32", SimulatedCluster(4),
                  num_elements=100)
 
-    def test_mixed_bucket_pricer_composition(self):
+    def test_mixed_bucket_pricing_composition(self):
         """Each bucket prices its own wire: ``out``-matching buckets carry a
         32-bit compressor, the rest the 8-bit default — a different width
         never shares an exchange group — and the per-group info reports the

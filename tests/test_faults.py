@@ -21,12 +21,15 @@ import pytest
 
 from repro.api import SYNCHRONIZER_NAMES, make
 from repro.comm.cluster import Message, SimulatedCluster
+from repro.comm.collectives import (allgather_bruck_grouped, allreduce_rabenseifner,
+                                    allreduce_ring)
 from repro.comm.faults import FaultPlan, MembershipEvent, membership_transition
 from repro.comm.network import ETHERNET, PERFECT, RDMA, HeterogeneousNetwork, NetworkProfile
 from repro.comm.stats import CommStats
 from repro.core.config import SparDLConfig
 from repro.core.pipeline import RetryPolicy, SyncSession
 from repro.core.spardl import SparDLSynchronizer
+from repro.obs import Tracer
 from repro.baselines.dense import DenseAllReduceSynchronizer
 from repro.training.timing import iteration_time, ComputeProfile
 
@@ -413,17 +416,37 @@ class TestClusterFaultMechanics:
         assert stats.received_per_worker[1] == 4.0
 
 
-class TestPricerValidation:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_invalid_pricer_output_raises(self, cluster4, bad):
-        cluster4.install_pricer(lambda message: bad)
-        with pytest.raises(ValueError, match="pricer returned invalid"):
-            cluster4.exchange([Message(src=0, dst=1, payload=np.ones(3))])
+class TestPriceValidation:
+    """A sender's ``price`` is checked as its messages are built: a bad
+    size raises before any message of the round reaches the transport."""
 
-    def test_valid_pricer_still_applies(self, cluster4):
-        cluster4.install_pricer(lambda message: 2.5)
-        cluster4.exchange([Message(src=0, dst=1, payload=np.ones(3))])
+    @pytest.mark.parametrize("collective", [
+        lambda cluster, items, price: allgather_bruck_grouped(
+            cluster, [list(cluster.ranks)], items, price),
+        lambda cluster, items, price: allreduce_ring(cluster, items, price=price),
+        lambda cluster, items, price: allreduce_rabenseifner(cluster, items, price=price),
+    ], ids=["bruck", "ring", "rabenseifner"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_invalid_price_raises(self, cluster4, collective, bad):
+        calls = []
+
+        def price(payload):
+            calls.append(payload)
+            return bad if len(calls) == 4 else 1.0  # the round's last message
+
+        cluster4.install_tracer(Tracer("steps"))
+        before = cluster4.tracer.snapshot()
+        with pytest.raises(ValueError, match="message size must be"):
+            collective(cluster4, {rank: np.ones(8) for rank in range(4)}, price)
+        assert len(calls) == 4
+        assert cluster4.tracer.snapshot() == before
+        assert cluster4.stats.rounds == 0 and cluster4.stats.total_messages == 0
+
+    def test_valid_price_is_billed(self, cluster4):
+        allgather_bruck_grouped(cluster4, [[0, 1]], {0: np.ones(3), 1: np.ones(3)},
+                                lambda payload: 2.5)
         assert cluster4.stats.received_per_worker[1] == 2.5
+        assert cluster4.stats.total_volume == 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,11 @@ class TestSharedGlobalGradient:
         np.testing.assert_array_equal(dense[2], [0, 2, 0, 0, -3.5, 0])
         assert not SyncResult(dense, stats=None).is_consistent
         assert SyncResult({0: dense[0], 1: dense[1]}, stats=None).is_consistent
+        # exact: an equal copy agrees, arrays 1e-15 apart do not
+        near = dense[0] + np.array([0, 1e-15, 0, 0, 0, 0])
+        assert not np.array_equal(near, dense[0])
+        assert SyncResult({0: dense[0], 1: dense[0].copy()}, stats=None).is_consistent
+        assert not SyncResult({0: dense[0], 1: near}, stats=None).is_consistent
 
 
 # ---------------------------------------------------------------------------

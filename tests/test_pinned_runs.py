@@ -2,22 +2,30 @@
 
 With two or more CPUs in the affinity mask the rank pool is as wide as the
 mask: the ranks' error-feedback sweeps, the trainer replicas and the dense
-All-Reduce's owned ranges run side by side.  Under ``taskset -c 0`` there
-is no pool thread and the same task functions run through ``map`` on the
-calling thread.  Each check below runs in two child processes of this file,
-one with the whole mask and one under ``taskset -c 0``; it asserts its
-lanes and gauges there and prints the CPU count and a digest, and the two
-digests must be equal.  On one CPU there is nothing to compare and the
-tests skip, so a CI runner asserts ``nproc >= 2`` before tier-1.
+All-Reduce's owned ranges run side by side.  Pinned to one CPU there is no
+pool thread and the same task functions run through ``map`` on the calling
+thread.  Each check below runs in two child processes of this file, one
+with the whole mask and one pinned to its lowest CPU
+(``os.sched_setaffinity``, before NumPy loads, as ``taskset -c 0`` would);
+it asserts its lanes, threads and gauges there and prints the CPU count and
+a digest, and the two digests must be equal.  The kernel-dependent checks
+run on both kernel legs (``REPRO_DISABLE_CKERNELS``).  On one CPU both
+children are pinned: the lanes and gauges are still asserted, the
+comparison is trivial, so a CI runner asserts ``nproc >= 2`` before tier-1.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import shutil
-import subprocess
 import sys
+
+if __name__ == "__main__" and sys.argv[2:] == ["pinned"]:
+    # Before NumPy loads: OpenBLAS sizes its thread pool from the mask it
+    # starts with.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+import hashlib
+import subprocess
 import threading
 from pathlib import Path
 
@@ -35,22 +43,28 @@ from repro.training.cases import get_case
 from repro.training.trainer import DistributedTrainer, TrainerConfig
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-TASKSET = shutil.which("taskset")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def sweep():
     """One SparDL step on sim:4: the pool as wide as the mask, the
-    ``residuals.sweep_workers`` gauge saying so, and no other thread."""
+    ``residuals.sweep_workers`` gauge saying so, and no other thread; the
+    digest covers every rank's global gradient and residual store."""
     cpus = len(os.sched_getaffinity(0))
     sync = api.make("spardl?density=0.01&backend=sim:4&trace=steps", num_elements=1 << 16)
+    before = threading.active_count()
     result = sync.synchronize({w: np.random.default_rng(w).standard_normal(1 << 16) ** 3
                                for w in range(4)})
     assert len(rank_pool._lanes()) == (cpus if cpus > 1 else 0), rank_pool._lanes()
     assert sync.residuals.sweep_workers == min(cpus, 4), sync.residuals.sweep_workers
     assert sync.tracer.snapshot()["residuals.sweep_workers"] == min(cpus, 4)
-    assert threading.active_count() == 1 + (min(cpus, 4) if cpus > 1 else 0)
-    return cpus, hashlib.sha256(result.global_gradients[0].tobytes()).hexdigest()
+    started = min(cpus, 4) if cpus > 1 else 0
+    assert threading.active_count() == before + started == 1 + started
+    digest = hashlib.sha256()
+    for w in range(4):
+        digest.update(np.ascontiguousarray(result.global_gradients[w]).tobytes())
+        digest.update(sync.residuals.store(w).peek().tobytes())
+    return cpus, digest.hexdigest()
 
 
 def training():
@@ -59,8 +73,8 @@ def training():
     compute ran on, and the OpenBLAS thread count after training the one
     from before."""
     cpus = len(os.sched_getaffinity(0))
-    get_threads = rank_pool._blas()[0]  # NumPy's wheel bundles OpenBLAS
-    before = get_threads()
+    blas = rank_pool._blas()  # () where NumPy has no OpenBLAS
+    before = blas and blas[0]()
     case = get_case(1)
     with make_transport("sim:4") as cluster:
         trainer = DistributedTrainer(
@@ -73,7 +87,7 @@ def training():
         parameters = flatten_values(trainer.global_model.parameters())
     lanes = trainer.tracer.snapshot()["transport.run_workers_lanes{task=_worker_compute_gradient}"]
     assert lanes == min(cpus, 4), lanes
-    assert get_threads() == before, (get_threads(), before)
+    assert (blas and blas[0]()) == before, before
     return cpus, hashlib.sha256(parameters.tobytes()).hexdigest()
 
 
@@ -97,26 +111,28 @@ def dense():
 CHECKS = {"sweep": sweep, "training": training, "dense": dense}
 
 
-def run(check: str, pinned: bool):
+def run(check: str, pinned: bool, disable: str):
     """``(cpus, digest)`` of ``check`` in a child process of this file,
-    under ``taskset -c 0`` when ``pinned``."""
-    command = [sys.executable, __file__, check]
-    if pinned:
-        command = [TASKSET, "-c", "0", *command]
-    child = subprocess.run(command, capture_output=True, text=True, timeout=300,
-                           env={**os.environ, "PYTHONPATH": SRC})
+    pinned to one CPU when ``pinned``, on the NumPy kernel leg when
+    ``disable``."""
+    command = [sys.executable, __file__, check] + (["pinned"] if pinned else [])
+    env = {**os.environ, "PYTHONPATH": SRC}
+    if disable:
+        env["REPRO_DISABLE_CKERNELS"] = disable
+    child = subprocess.run(command, capture_output=True, text=True, timeout=300, env=env)
     assert child.returncode == 0, child.stderr
     cpus, digest = child.stdout.split()
     return int(cpus), digest
 
 
-@pytest.mark.skipif(CPUS < 2 or TASKSET is None,
-                    reason="needs two CPUs and taskset to compare pooled with pinned")
-@pytest.mark.parametrize("check", sorted(CHECKS))
-def test_pinned_run_equals_pooled_run(check):
-    pooled_cpus, pooled = run(check, pinned=False)
-    pinned_cpus, pinned = run(check, pinned=True)
-    assert pinned_cpus == 1 and pooled_cpus >= 2
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize("check, disable", [
+    ("dense", ""), ("sweep", ""), ("sweep", "1"), ("training", ""), ("training", "1")],
+    ids=["dense", "sweep", "sweep-numpy", "training", "training-numpy"])
+def test_pinned_run_equals_pooled_run(check, disable):
+    pooled_cpus, pooled = run(check, pinned=False, disable=disable)
+    pinned_cpus, pinned = run(check, pinned=True, disable=disable)
+    assert pinned_cpus == 1 and pooled_cpus == CPUS
     assert pinned == pooled
 
 

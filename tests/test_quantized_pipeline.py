@@ -3,9 +3,10 @@
 Three contracts, straight from the issue's acceptance criteria:
 
 * **bits absent == pre-quantization pipeline.**  Without ``bits`` no
-  compressor is installed, the compress stage is the identity and no wire
-  pricer ever runs — `tests/test_pipeline_equivalence.py` already gates the
-  resulting behaviour bit-for-bit; here we gate the *mechanism* (no
+  compressor is installed, the compress stage is the identity and every
+  message bills its full-precision size, also on a cluster a quantized
+  step ran on before — `tests/test_pipeline_equivalence.py` already gates
+  the resulting behaviour bit-for-bit; here we gate the *mechanism* (no
   compressor object, identity wire).
 * **bits=b == quantized accounting, per message.**  Every message of a
   quantized step bills the ``(1 + b/32)/2`` COO accounting exactly — one
@@ -62,15 +63,34 @@ def _methods_for(num_workers: int):
             if name != "gTopk" or (num_workers & (num_workers - 1)) == 0]
 
 
+def _assert_bills_full_precision(cluster, method: str) -> None:
+    """A full-precision step of ``method`` on ``cluster`` bills exactly what
+    it bills on a fresh cluster, message by message."""
+    gradients = _gradients(cluster.num_workers, 1)
+    bills = []
+    for target in (cluster, SimulatedCluster(cluster.num_workers)):
+        sync = make(_spec(method), target, num_elements=NUM_ELEMENTS)
+        records = spy_exchange(target)
+        result = sync.synchronize(gradients)
+        assert "quantized_bits" not in result.info
+        bills.append(([(tag, size) for tag, size, _ in records],
+                      result.stats.rounds, result.stats.received_per_worker))
+    assert bills[0] == bills[1]
+
+
 class TestBitsAbsentIsIdentity:
     @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
     def test_no_compressor_without_bits(self, method):
         sync = make(_spec(method), SimulatedCluster(8), num_elements=NUM_ELEMENTS)
         assert sync.stack is None
-        assert sync.cluster._pricer is None
         result = sync.synchronize(_gradients(8, 0))
         assert "quantized_bits" not in result.info
-        assert sync.cluster._pricer is None
+        # a quantized step first leaves nothing on the cluster that prices
+        # a later full-precision one
+        cluster = SimulatedCluster(8)
+        make(_spec(method, bits=8), cluster,
+             num_elements=NUM_ELEMENTS).synchronize(_gradients(8, 0))
+        _assert_bills_full_precision(cluster, method)
 
     @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
     def test_compressor_with_bits(self, method):
@@ -80,8 +100,9 @@ class TestBitsAbsentIsIdentity:
         result = sync.synchronize(_gradients(8, 0))
         assert result.info["quantized_bits"] == 8
         assert result.is_consistent
-        # the pricer is scoped to the step: uninstalled afterwards
-        assert sync.cluster._pricer is None
+        # the quantized pricing belongs to the step's own messages: a
+        # full-precision step after it on the same cluster bills full precision
+        _assert_bills_full_precision(sync.cluster, method)
 
 
 class TestPerMessageAccounting:
@@ -98,22 +119,20 @@ class TestPerMessageAccounting:
         for iteration in range(2):
             sync.synchronize(_gradients(num_workers, iteration))
         assert records, "no traffic recorded"
-        for tag, size, size_final, payload in records:
-            if not size_final:
-                assert size == expected_price(payload, bits), (
-                    f"{method}/{tag}: billed {size}, expected "
-                    f"{expected_price(payload, bits)}")
-            elif tag == "oktopk-rebalance":
+        for tag, size, payload in records:
+            if tag == "oktopk-rebalance":
                 # control statistics travel at full precision
                 assert size == float(num_workers)
             elif tag == "topka-fold-out":
                 # gathered set minus the receiver's own contribution
                 assert size <= expected_price(payload, bits)
-            elif tag.startswith("dsa-"):
+            elif tag.startswith(("dsa-fold", "dsa-ag")):
                 # per-block min(quantized COO, quantized dense block)
                 assert 0.0 <= size <= expected_price(payload, bits)
-            else:  # pragma: no cover - new size_final sites must be priced
-                raise AssertionError(f"unpriced size_final message {tag!r}")
+            else:
+                assert size == expected_price(payload, bits), (
+                    f"{method}/{tag}: billed {size}, expected "
+                    f"{expected_price(payload, bits)}")
 
     def test_topka_closed_form_volume(self):
         """TopkA at a power-of-two P has a known message structure (no
@@ -279,8 +298,8 @@ class TestSessionsAndBuckets:
         np.testing.assert_allclose(total_global + bucketed.total_residual(),
                                    total_input, atol=1e-9)
 
-    def test_mixed_precision_buckets_restore_the_pricer(self):
-        """A quantized bucket must not leak its pricer into a later
+    def test_mixed_precision_buckets_bill_their_own_precision(self):
+        """A quantized bucket must not leak its pricing into a later
         full-precision bucket on the shared cluster."""
         P = 4
         cluster = SimulatedCluster(P)
@@ -295,11 +314,12 @@ class TestSessionsAndBuckets:
         result = bucketed.synchronize(gradients)
         expected = reference.synchronize({w: g[300:] for w, g in gradients.items()})
         # the full-precision bucket's volume matches a standalone
-        # full-precision run exactly: no pricer leaked
+        # full-precision run exactly: no pricing leaked
         bucket1_stats = bucketed.sessions[1].cumulative_stats
         assert bucket1_stats.total_volume == expected.stats.total_volume
-        assert cluster._pricer is None
         assert result.is_consistent
+        # nor into a full-precision step after the bucketed one
+        _assert_bills_full_precision(cluster, "SparDL")
 
 
 class TestSpecSurface:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import subprocess
 import sys
 import threading
 from contextlib import contextmanager
@@ -23,8 +22,6 @@ from repro.core.residuals import ResidualManager
 from repro.sparse.topk import WarmTopK
 
 from tests.helpers import lanes, random_gradients, selection_legs
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def segments(n: int, workers: int, buckets: int):
@@ -348,84 +345,6 @@ class TestSlab:
         before = resident_mb()
         managers = [ResidualManager(8, 1 << 20, momentum=0.9) for _ in range(4)]
         assert len(managers) == 4 and resident_mb() - before < 16  # of 512 MB
-
-
-ONE_STEP = """
-import hashlib, os, sys, threading
-import numpy as np
-import repro.api as api
-{prelude}
-sync = api.make("spardl?density=0.01&backend=sim:4&trace=steps", num_elements=1 << 16)
-before = threading.active_count()
-gradients = {{w: np.random.default_rng(w).standard_normal(1 << 16) ** 3 for w in range(4)}}
-result = sync.synchronize(gradients)
-digest = hashlib.sha256()
-for w in range(4):
-    digest.update(np.ascontiguousarray(result.global_gradients[w]).tobytes())
-    digest.update(sync.residuals.store(w).peek().tobytes())
-print(threading.active_count() - before, sync.residuals.sweep_workers,
-      int(sync.tracer.snapshot()["residuals.sweep_workers"]), digest.hexdigest())
-"""
-
-#: Two epochs of case 1 on ``sim:4``: the threads the last compute ran on,
-#: whether the OpenBLAS thread count is the one from before, and a digest of
-#: the parameters.
-TRAIN = """
-import hashlib, os
-import repro.api as api
-from repro.comm import make_transport
-from repro.core import rank_pool
-from repro.nn.parameter import flatten_values
-from repro.training.cases import get_case
-from repro.training.trainer import DistributedTrainer, TrainerConfig
-{prelude}
-blas = rank_pool._blas()
-before = blas and blas[0]()
-case = get_case(1)
-with make_transport("sim:4") as cluster:
-    trainer = DistributedTrainer(
-        cluster, api.make_factory("spardl?density=0.01"), case.build_model,
-        *case.build_datasets(num_samples=64, seed=0),
-        config=TrainerConfig(batch_size=8, seed=0, learning_rate=case.learning_rate,
-                             momentum=case.momentum, trace="steps"),
-        compute_profile=case.compute_profile)
-    trainer.train(num_epochs=2)
-    parameters = flatten_values(trainer.global_model.parameters())
-print(int(trainer.tracer.snapshot()["transport.run_workers_lanes{{task=_worker_compute_gradient}}"]),
-      int((blas and blas[0]()) == before), hashlib.sha256(parameters.tobytes()).hexdigest())
-"""
-
-
-def one_step(prelude: str, script: str = ONE_STEP, **env: str):
-    """Run ``script`` in a child process; its printed integers, then its
-    digest."""
-    out = subprocess.run(
-        [sys.executable, "-c", script.format(prelude=prelude)], check=True,
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": SRC, **env}).stdout.split()
-    return (*map(int, out[:-1]), out[-1])
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-@pytest.mark.parametrize("disable", ["", "1"])
-def test_with_one_cpu_no_thread_exists_and_the_step_is_the_same(disable):
-    env = {"REPRO_DISABLE_CKERNELS": disable} if disable else {}
-    cpus = len(os.sched_getaffinity(0))
-    started, width, gauge, digest = one_step("", **env)
-    assert (started, width, gauge) == (min(cpus, 4) if cpus > 1 else 0, min(cpus, 4), min(cpus, 4))
-    pinned = one_step("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})", **env)
-    assert pinned == (0, 1, 1, digest)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-def test_with_one_cpu_training_is_the_same():
-    """Replicas side by side (and their products on one BLAS thread) or
-    one after another on the calling thread: the same parameters."""
-    cpus = len(os.sched_getaffinity(0))
-    workers, restored, digest = one_step("", TRAIN)
-    assert (workers, restored) == (min(cpus, 4), 1)
-    pinned = one_step("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})", TRAIN)
-    assert pinned == (1, 1, digest)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")

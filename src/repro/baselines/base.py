@@ -11,7 +11,6 @@ the exchange itself.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,6 +113,14 @@ class SparseBaseline(GradientSynchronizer):
         context.wire = wire
 
     # ------------------------------------------------------------------
+    def stage_select(self, context: StepContext) -> None:
+        context.selected = self.local_select(context.gradients)
+
+    def stage_residual_update(self, context: StepContext) -> None:
+        """Resolve deferred (PRES) procedure discards, and mask momentum,
+        at the final global index set."""
+        self.residuals.finalize(context.reference.indices)
+
     def local_select(self, gradients: Dict[int, np.ndarray]) -> Dict[int, SparseGradient]:
         """Residual-corrected local top-k selection for every worker.
 
@@ -134,11 +141,6 @@ class SparseBaseline(GradientSynchronizer):
                     picked[row], values[row], self.num_elements)
                 for row, rank in enumerate(ranks)}
 
-    def finalize_residuals(self, final: SparseGradient) -> None:
-        """Resolve deferred (PRES) procedure discards against the final
-        global index set."""
-        self.residuals.finalize(final.indices)
-
     def _reduce_scatter_direct(self, selected: Dict[int, SparseGradient],
                                bounds: Sequence[Tuple[int, int]],
                                tag: str) -> Dict[int, SparseGradient]:
@@ -149,9 +151,11 @@ class SparseBaseline(GradientSynchronizer):
         :class:`~repro.comm.packed.PackedBags`, one peer per round
         (``P - 1`` rounds, the latency-heavy pattern of TopkDSA and
         Ok-Topk); round ``shift``'s messages are tagged ``{tag}-{shift}``.
+        Each owner sums its own slice and what arrived, in arrival order,
+        once at the end.
         """
         P = self.num_workers
-        reduced = {rank: selected[rank].restrict(*bounds[rank]) for rank in range(P)}
+        pieces = {rank: [selected[rank].restrict(*bounds[rank])] for rank in range(P)}
         for shift in range(1, P):
             messages: List[Message] = []
             for rank in range(P):
@@ -162,9 +166,8 @@ class SparseBaseline(GradientSynchronizer):
                                         tag=f"{tag}-{shift}"))
             inboxes = self.cluster.exchange(messages)
             for dst, inbox in inboxes.items():
-                for message in inbox:
-                    reduced[dst] = reduced[dst].add(message.payload.bag(0))
-        return reduced
+                pieces[dst].extend(message.payload.bag(0) for message in inbox)
+        return {rank: SparseGradient.merge_many(pieces[rank]) for rank in range(P)}
 
     def _allgather_doubling(self, gathered: Dict[int, List[PackedBags]],
                             tags: Tuple[str, str, str],
@@ -220,7 +223,3 @@ class SparseBaseline(GradientSynchronizer):
         context.global_sparse = global_sparse
         context.reference = global_sparse[0]
         context.global_gradients = shared_dense_gradients(global_sparse)
-
-    @staticmethod
-    def num_doubling_steps(size: int) -> int:
-        return int(math.log2(size)) if size > 1 else 0

@@ -63,9 +63,6 @@ class GTopkSynchronizer(SparseBaseline):
         super().apply_membership(num_workers, mapping)
 
     # ------------------------------------------------------------------
-    def stage_select(self, context: StepContext) -> None:
-        context.selected = self.local_select(context.gradients)
-
     def stage_exchange(self, context: StepContext) -> None:
         selected = context.wire
         P = self.num_workers
@@ -104,6 +101,3 @@ class GTopkSynchronizer(SparseBaseline):
         context.reference = current[0]
         context.global_gradients = shared_dense_gradients(current)
         context.info = {"k": self.k, "final_nnz": context.reference.nnz}
-
-    def stage_residual_update(self, context: StepContext) -> None:
-        self.finalize_residuals(context.reference)

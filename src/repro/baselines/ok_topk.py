@@ -115,9 +115,6 @@ class OkTopkSynchronizer(SparseBaseline):
             "thresholds": dict(self.thresholds),
         }
 
-    def stage_residual_update(self, context: StepContext) -> None:
-        self.finalize_residuals(context.reference)
-
     # ------------------------------------------------------------------
     # local threshold pruning
     # ------------------------------------------------------------------

@@ -39,9 +39,6 @@ class TopkASynchronizer(SparseBaseline):
                          num_bits=num_bits, momentum=momentum)
 
     # ------------------------------------------------------------------
-    def stage_select(self, context: StepContext) -> None:
-        context.selected = self.local_select(context.gradients)
-
     def stage_exchange(self, context: StepContext) -> None:
         selected = context.wire
         P = self.num_workers
@@ -51,11 +48,6 @@ class TopkASynchronizer(SparseBaseline):
         # the end so that the SGA dilemma manifests purely as growing
         # message sizes.  A message forwards every bag its sender holds.
         gathered = {rank: [PackedBags.pack([selected[rank]], ids=[rank])] for rank in range(P)}
-        if P == 1:
-            context.exchanged = gathered
-            context.scratch["trivial"] = True
-            return
-
         p2, _ = power_of_two_split(P)
 
         def fold_out_size(dst: int, payload: PackedBags) -> float:
@@ -82,8 +74,3 @@ class TopkASynchronizer(SparseBaseline):
 
         self._combine_gathered(context, merge)
         context.info = {"k": self.k, "final_nnz": context.reference.nnz}
-
-    def stage_residual_update(self, context: StepContext) -> None:
-        if context.scratch.get("trivial"):
-            return
-        self.finalize_residuals(context.reference)

@@ -55,16 +55,8 @@ class TopkDSASynchronizer(SparseBaseline):
         self.layout = BlockLayout(self.num_elements, num_workers)
 
     # ------------------------------------------------------------------
-    def stage_select(self, context: StepContext) -> None:
-        context.selected = self.local_select(context.gradients)
-
     def stage_exchange(self, context: StepContext) -> None:
-        selected = context.wire
-        if self.num_workers == 1:
-            context.exchanged = {0: [PackedBags.pack([selected[0]], ids=[0])]}
-            context.scratch["trivial"] = True
-            return
-        reduced = self._reduce_scatter_direct(selected, self.layout.bounds, "dsa-rs")
+        reduced = self._reduce_scatter_direct(context.wire, self.layout.bounds, "dsa-rs")
         context.exchanged = self._allgather_dense_switching(reduced)
 
     def stage_combine(self, context: StepContext) -> None:
@@ -72,11 +64,6 @@ class TopkDSASynchronizer(SparseBaseline):
         # order is the merge.
         self._combine_gathered(context, PackedBags.concat_by_id)
         context.info = {"k": self.k, "final_nnz": context.reference.nnz}
-
-    def stage_residual_update(self, context: StepContext) -> None:
-        if context.scratch.get("trivial"):
-            return
-        self.finalize_residuals(context.reference)
 
     # ------------------------------------------------------------------
     def _allgather_dense_switching(

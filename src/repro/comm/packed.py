@@ -20,8 +20,8 @@ is a ``TypeError``.  Properties of the format:
   :class:`SparseGradient` as a slice view of the packed buffers through the
   trusted ``from_sorted_unique`` constructor (each bag was a valid sparse
   gradient when packed, and packing preserves per-bag order), so receivers
-  can feed the views straight into the ``merge_add`` / ``merge_many``
-  kernels.
+  can feed the views straight into :meth:`SparseGradient.merge_many`'s
+  kernel.
 * **Immutable on the wire.**  The packed buffers are marked read-only at
   construction, so no receiver can corrupt another receiver's (or the
   sender's) view of the same physical message.

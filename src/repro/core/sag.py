@@ -245,8 +245,9 @@ def r_sag(
         share = 1.0 / float(2 << step)
         for position, group in enumerate(groups):
             for rank in group:
-                for message in inboxes.get(rank, []):
-                    current[rank] = current[rank].add(message.payload.span())
+                current[rank] = SparseGradient.merge_many(
+                    [current[rank]] + [message.payload.span()
+                                       for message in inboxes.get(rank, [])])
                 merged_max = max(merged_max, current[rank].nnz)
                 merged_sum += current[rank].nnz
                 merged_count += 1

@@ -10,14 +10,15 @@ indices with matching ``float64`` values.  There are two construction paths:
   invariant.  Use these for any arrays whose provenance is not this package.
 * **Trusted** (kernel-internal): :meth:`SparseGradient.from_sorted_unique`
   skips re-validation entirely.  It is reserved for arrays produced by the
-  kernels in this package (linear merge-add, k-way gather merge, top-k /
-  threshold splits, searchsorted restriction), all of which preserve the
-  invariant by construction.  Passing unsorted, duplicated or out-of-range
-  indices to it is undefined behaviour.
+  kernels in this package (k-way merge-sum, top-k / threshold splits,
+  searchsorted restriction), all of which preserve the invariant by
+  construction.  Passing unsorted, duplicated or out-of-range indices to
+  it is undefined behaviour.
 
-The raw array kernels (:func:`merge_add_coo`, :func:`merge_many_coo`) are
-exported too; ``tests/test_property_sparse.py`` holds them bit-identical to
-the seed's ``np.unique`` + ``np.add.at`` fold.
+The raw array kernel of :meth:`SparseGradient.merge_many`, the one
+merge-sum (:func:`merge_many_coo`), is exported too;
+``tests/test_property_sparse.py`` holds it bit-identical to the seed's
+``np.unique`` + ``np.add.at`` fold.
 """
 
 from .blocks import BlockLayout, block_bounds
@@ -30,7 +31,6 @@ from .topk import (
 from .vector import (
     SparseGradient,
     compiled_kernels_available,
-    merge_add_coo,
     merge_many_coo,
 )
 
@@ -43,6 +43,5 @@ __all__ = [
     "top_k_indices",
     "threshold_indices",
     "kth_largest_magnitude",
-    "merge_add_coo",
     "merge_many_coo",
 ]

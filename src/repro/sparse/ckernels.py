@@ -64,9 +64,6 @@ class CMergeKernels:
     through without the per-argument ``ctypes.cast`` of a typed pointer."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
-        self._merge_add = lib.merge_add_i64_f64
-        self._merge_add.restype = _I64
-        self._merge_add.argtypes = [_I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]
         self._merge_many = lib.merge_many_tournament_i64_f64
         self._merge_many.restype = _I64
         self._merge_many.argtypes = [_I64, _PTR, _PTR, _PTR, _PTR, _PTR]
@@ -102,31 +99,17 @@ class CMergeKernels:
         self.simd: str = next(name for name, lanes in SIMD_LANES.items()
                               if lanes == widest)
 
-    def merge_add(self, a_indices: np.ndarray, a_values: np.ndarray,
-                  b_indices: np.ndarray, b_values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # The kernel reads raw data pointers; a strided view (legal input at
-        # the SparseGradient API boundary) must be compacted first.
-        a_indices, a_values = _contiguous(a_indices), _contiguous(a_values)
-        b_indices, b_values = _contiguous(b_indices), _contiguous(b_values)
-        na, nb = a_indices.shape[0], b_indices.shape[0]
-        out_indices = np.empty(na + nb, dtype=np.int64)
-        out_values = np.empty(na + nb, dtype=np.float64)
-        count = self._merge_add(
-            na, a_indices.ctypes.data, a_values.ctypes.data,
-            nb, b_indices.ctypes.data, b_values.ctypes.data,
-            out_indices.ctypes.data, out_values.ctypes.data,
-        )
-        return out_indices[:count], out_values[:count]
-
     def merge_many(self, index_streams: Sequence[np.ndarray],
                    value_streams: Sequence[np.ndarray]
                    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """K-way merge (the O(total * log streams) winner tree); returns
-        ``None`` when the stream count exceeds the compiled kernel's
-        capacity (callers then fall back)."""
+        """K-way merge (the O(total * log streams) winner tree; two streams
+        take the two-pointer loop); returns ``None`` when the stream count
+        exceeds the compiled kernel's capacity (callers then fall back)."""
         k = len(index_streams)
         if k > MAX_STREAMS:
             return None
+        # The kernel reads raw data pointers; a strided view (legal input at
+        # the SparseGradient API boundary) must be compacted first.
         index_streams = [_contiguous(stream) for stream in index_streams]
         value_streams = [_contiguous(stream) for stream in value_streams]
         lengths = np.fromiter((stream.shape[0] for stream in index_streams),

@@ -51,8 +51,7 @@ def compiled_kernels_available() -> bool:
     return _get_c_kernels() is not None
 
 
-__all__ = ["SparseGradient", "compiled_kernels_available",
-           "merge_add_coo", "merge_many_coo"]
+__all__ = ["SparseGradient", "compiled_kernels_available", "merge_many_coo"]
 
 
 def _stable_merge_sorted(index_streams: Sequence[np.ndarray],
@@ -112,39 +111,21 @@ def _segment_sum_sorted(indices: np.ndarray, values: np.ndarray) -> Tuple[np.nda
     return indices[is_start], np.bincount(segment, weights=values)
 
 
-def merge_add_coo(a_indices: np.ndarray, a_values: np.ndarray,
-                  b_indices: np.ndarray, b_values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Linear merge-sum of two sorted-unique COO streams.
-
-    Both index arrays must be sorted ascending and internally unique (the
-    :class:`SparseGradient` invariant).  Returns sorted-unique ``(indices,
-    values)`` with values summed where supports overlap; for a shared index
-    the sum is ``a + b``, matching the accumulation order of the previous
-    ``np.unique`` + ``np.add.at`` implementation bit-for-bit.
-
-    Uses the compiled single-pass two-pointer kernel when available,
-    otherwise one stable merge plus one segment-sum pass in NumPy.
-    """
-    kernels = _get_c_kernels()
-    if kernels is not None:
-        return kernels.merge_add(a_indices, a_values, b_indices, b_values)
-    indices, values = _stable_merge_sorted((a_indices, b_indices), (a_values, b_values))
-    if indices.shape[0] == 0:
-        return indices, values
-    return _segment_sum_sorted(indices, values)
-
-
 def merge_many_coo(index_streams: Sequence[np.ndarray],
                    value_streams: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """K-way merge-sum of sorted-unique COO streams.
 
-    One k-way tournament-tree merge when the compiled kernels are
-    available, else one stable merge plus one segment-sum pass in NumPy.
-    (The NumPy path keeps the packed-key stable sort: timsort's galloping
-    merges the presorted runs in O(total * log streams) comparisons, so it
-    already *is* a tournament merge in optimized C.)  Duplicate values accumulate
-    in stream order, so each output value is the left-to-right sum over
-    streams — bit-identical to folding :func:`merge_add_coo` pairwise.
+    Every index array must be sorted ascending and internally unique (the
+    :class:`SparseGradient` invariant; a lone stream may repeat indices,
+    which are summed).  One k-way tournament-tree merge when the compiled
+    kernels are available (two streams take its two-pointer loop), else
+    one stable merge plus one segment-sum pass in NumPy.  (The NumPy path
+    keeps the packed-key stable sort: timsort's galloping merges the
+    presorted runs in O(total * log streams) comparisons, so it already
+    *is* a tournament merge in optimized C.)  Duplicate values accumulate
+    in stream order from ``+0.0``, so each output value is the
+    left-to-right sum over streams — bit-identical to the seed's pairwise
+    fold of ``np.unique`` + ``np.add.at`` merges.
     """
     kernels = _get_c_kernels()
     if kernels is not None:
@@ -256,26 +237,15 @@ class SparseGradient:
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
-    def add(self, other: "SparseGradient") -> "SparseGradient":
-        """Merge-sum with another :class:`SparseGradient` over the same
-        vector; returns a new sparse gradient (inputs are unchanged)."""
-        if other.length != self.length:
-            raise ValueError("cannot add sparse gradients of different lengths")
-        if self.nnz == 0:
-            return other
-        if other.nnz == 0:
-            return self
-        indices, values = merge_add_coo(self.indices, self.values,
-                                        other.indices, other.values)
-        return SparseGradient.from_sorted_unique(indices, values, self.length)
-
     @staticmethod
     def merge_many(pieces: Sequence["SparseGradient"]) -> "SparseGradient":
-        """Merge-sum a non-empty sequence of sparse gradients in one pass.
+        """Merge-sum a non-empty sequence of sparse gradients over the same
+        vector in one pass; inputs are unchanged.
 
-        Equivalent to (and bit-identical with) folding :meth:`add` over the
-        sequence, but a single k-way gather merge instead of repeated
-        pairwise merges.
+        Values sum in sequence order (bit-identical with folding a pairwise
+        merge-sum over the sequence) in a single k-way merge.  An empty
+        piece adds nothing: with one non-empty piece, that piece itself is
+        returned, and with none, the first.
         """
         if not pieces:
             raise ValueError("merge_many needs at least one sparse gradient")

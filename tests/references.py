@@ -216,8 +216,8 @@ def seed_allreduce_rabenseifner(cluster, vectors: Dict[int, np.ndarray],
 def seed_spar_reduce_scatter(cluster, teams, layout, k_block, residuals,
                              sparsify_all=False, compressor=None, selector=None):
     """The seed's Spar-Reduce-Scatter, block by block: per worker one
-    selection and one ``take``, per received block one ``SparseGradient.add``
-    of a ``PackedBags.span``, per target block one ``sparsify_block`` and one
+    selection and one ``take``, per received block one two-piece
+    ``SparseGradient.merge_many`` with a ``PackedBags.span``, per target block one ``sparsify_block`` and one
     ``collect_procedure``, per bag one ``pack_blocks``.  It selects from the
     residual stores, like the batched one (the seed ranked a ``gradients``
     argument but took from the stores), and bills every bag at its
@@ -282,8 +282,8 @@ def seed_spar_reduce_scatter(cluster, teams, layout, k_block, residuals,
                             raise RuntimeError(
                                 f"Theorem 1 violated: worker {rank} received block "
                                 f"{block} it no longer holds")
-                        blocks[block] = blocks[block].add(
-                            payload.span(first, first + layout.num_buckets))
+                        blocks[block] = SparseGradient.merge_many(
+                            [blocks[block], payload.span(first, first + layout.num_buckets)])
                 plan = plans[rank]
                 if sparsify_all:
                     targets = tuple(blocks)

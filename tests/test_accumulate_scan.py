@@ -385,7 +385,7 @@ class TestMarshalling:
     def test_merges_read_strided_views(self):
         ai, av = np.arange(0, 20, 2)[::2], np.arange(10.0)[::2]
         bi, bv = np.arange(0, 20, 4), np.ones(5)
-        indices, merged = KERNELS.merge_add(ai, av, bi, bv)
+        indices, merged = KERNELS.merge_many([ai, bi], [av, bv])
         np.testing.assert_array_equal(indices, [0, 4, 8, 12, 16])
         np.testing.assert_array_equal(merged, av + bv)
         indices, merged = KERNELS.merge_many([ai, bi, ai], [av, bv, av])

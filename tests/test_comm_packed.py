@@ -97,8 +97,8 @@ class TestDecode:
         a = sparse([1, 4, 8], [1.0, 2.0, 3.0])
         b = sparse([4, 9], [10.0, 20.0])
         packed = PackedBags.pack([a, b])
-        merged = packed.bag(0).add(packed.bag(1))
-        expected = a.add(b)
+        merged = SparseGradient.merge_many([packed.bag(0), packed.bag(1)])
+        expected = SparseGradient.merge_many([a, b])
         np.testing.assert_array_equal(merged.indices, expected.indices)
         np.testing.assert_array_equal(merged.values, expected.values)
 

@@ -497,7 +497,7 @@ class TestSRSIsBatched:
     def test_kernel_calls_per_step(self, monkeypatch, workers, teams, buckets, bits,
                                    momentum):
         kernels, calls, inside = get_kernels(), Counter(), []
-        for name in ("merge_add", "merge_many", "scan_task", "segmented_top_k",
+        for name in ("merge_many", "scan_task", "segmented_top_k",
                      "top_k_split", "take_rows", "srs_round", "im2col", "col2im"):
             def counted(*args, _name=name, _inner=getattr(kernels, name), **kwargs):
                 calls[_name] += bool(inside)

@@ -13,7 +13,7 @@ from repro.sparse import ckernels as ckernels_module
 from repro.sparse import vector as vector_module
 from repro.sparse.blocks import BlockLayout, block_bounds
 from repro.sparse.topk import kth_largest_magnitude, top_k_indices
-from repro.sparse.vector import SparseGradient, merge_add_coo, merge_many_coo
+from repro.sparse.vector import SparseGradient, merge_many_coo
 
 from tests.references import (
     naive_merge_add as reference_merge_add,
@@ -79,7 +79,7 @@ class TestKernelEquivalence:
                 rng.normal(size=n) * (rng.random(n) < 0.3), length=n)
             if a.nnz == 0 or b.nnz == 0:
                 continue
-            got_idx, got_val = merge_add_coo(a.indices, a.values, b.indices, b.values)
+            got_idx, got_val = merge_many_coo([a.indices, b.indices], [a.values, b.values])
             ref_idx, ref_val = reference_merge_add(a.indices, a.values, b.indices, b.values)
             np.testing.assert_array_equal(got_idx, ref_idx)
             assert np.array_equal(got_val.view(np.uint64), ref_val.view(np.uint64)), \
@@ -127,7 +127,7 @@ class TestKernelEquivalence:
         force_kernel_path(monkeypatch, path)
         empty_i = np.empty(0, dtype=np.int64)
         empty_v = np.empty(0, dtype=np.float64)
-        got_idx, got_val = merge_add_coo(empty_i, empty_v, empty_i, empty_v)
+        got_idx, got_val = merge_many_coo([empty_i, empty_i], [empty_v, empty_v])
         assert got_idx.shape == (0,) and got_val.shape == (0,)
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
@@ -141,7 +141,7 @@ class TestKernelEquivalence:
         a_val = np.array([-0.0, 1.0, -0.0])
         b_idx = np.array([1, 5], dtype=np.int64)
         b_val = np.array([-0.0, -0.0])
-        got_idx, got_val = merge_add_coo(a_idx, a_val, b_idx, b_val)
+        got_idx, got_val = merge_many_coo([a_idx, b_idx], [a_val, b_val])
         ref_idx, ref_val = reference_merge_add(a_idx, a_val, b_idx, b_val)
         np.testing.assert_array_equal(got_idx, ref_idx)
         assert np.array_equal(got_val.view(np.uint64), ref_val.view(np.uint64)), \
@@ -161,7 +161,7 @@ class TestKernelEquivalence:
         sb = SparseGradient.from_dense(b, length=a.shape[0])
         if sa.nnz == 0 or sb.nnz == 0:
             return
-        merged = sa.add(sb)
+        merged = SparseGradient.merge_many([sa, sb])
         ref_idx, ref_val = reference_merge_add(sa.indices, sa.values, sb.indices, sb.values)
         np.testing.assert_array_equal(merged.indices, ref_idx)
         np.testing.assert_array_equal(merged.values, ref_val)
@@ -207,7 +207,8 @@ class TestSparseGradientProperties:
     @settings(max_examples=60, deadline=None)
     def test_add_matches_dense_addition(self, a, seed):
         b = np.random.default_rng(seed).normal(size=a.shape[0])
-        sparse_sum = SparseGradient.from_dense(a).add(SparseGradient.from_dense(b))
+        sparse_sum = SparseGradient.merge_many([SparseGradient.from_dense(a),
+                                                SparseGradient.from_dense(b)])
         np.testing.assert_allclose(sparse_sum.to_dense(), a + b, atol=1e-9)
 
     @given(values=dense_vectors,

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..comm.transport import Transport
-from ..comm.collectives import allreduce_dense
+from ..comm.collectives import _allreduce_dense
 from ..core.base import GradientSynchronizer
 from ..core.pipeline import StepContext
 from ..core.residuals import ResidualManager, ResidualPolicy
+from ..sparse.ckernels import get_kernels
 
 __all__ = ["DenseAllReduceSynchronizer"]
 
@@ -51,6 +50,10 @@ class DenseAllReduceSynchronizer(GradientSynchronizer):
                  num_bits: Optional[int] = None,
                  momentum: Optional[float] = None) -> None:
         super().__init__(cluster, num_elements)
+        # Load the compiled tree sum now, not inside the first step: loading
+        # it between that step's vector-sized allocations left the heap one
+        # result larger in about one process in four.
+        get_kernels()
         if num_bits is not None or momentum is not None:
             self.residuals = ResidualManager(cluster.num_workers, num_elements,
                                              ResidualPolicy.GLOBAL)
@@ -79,12 +82,12 @@ class DenseAllReduceSynchronizer(GradientSynchronizer):
             self._compress_dense(context)
 
     def stage_exchange(self, context: StepContext) -> None:
-        context.exchanged = allreduce_dense(self.cluster, context.wire,
-                                            price=self.wire_size)
+        context.exchanged, (context.scratch["final_nnz"],) = _allreduce_dense(
+            self.cluster, context.wire, price=self.wire_size)
 
     def stage_combine(self, context: StepContext) -> None:
         context.global_gradients = context.exchanged
         context.info = {
             "k": self.num_elements,
-            "final_nnz": int(np.count_nonzero(context.exchanged[0])),
+            "final_nnz": context.scratch["final_nnz"],
         }

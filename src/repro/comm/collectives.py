@@ -21,7 +21,10 @@ the closed-form element counts of the alpha-beta analysis exactly.
 
 The dense All-Reduces compute their result once, apart from their messages:
 one task per owned range on the rank pool (:mod:`repro.core.rank_pool`) sums
-that range, block by block, in the operand order of the schedule's adds.
+that range, block by block, in the operand order of the schedule's adds —
+one compiled call when the kernels of :mod:`repro.sparse.ckernels` are
+there, which also counts the range's non-zeros for the synchronisers'
+``final_nnz``.
 Their message rounds are the schedule's accounting — every message with the
 source, destination, tag and billed size the schedule gives it, carrying
 views of the senders' inputs (reduce-scatter) and of the result
@@ -37,6 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..sparse.ckernels import get_kernels
 from .transport import Message, Transport, payload_size
 
 __all__ = [
@@ -135,9 +139,12 @@ def allgather_bruck_grouped(
 # the operand order of the schedule's adds: ``a + b`` and ``b + a`` can be
 # different NaNs.  No message is lossy, so a fault plan can delay one or
 # force it through, and the result never depends on delivery.
+#
+# An operand tree names the inputs by their position in the group: a leaf is
+# an ``int``, a sum a pair ``(left, right)``.
 
-#: Elements per block of the reduction: a block's partial sums stay in cache
-#: from the add that writes them to the add that reads them.
+#: Elements per block of the NumPy reduction: a block's partial sums stay in
+#: cache from the add that writes them to the add that reads them.
 _BLOCK = 1 << 14
 
 
@@ -167,61 +174,107 @@ def _dense_inputs(vectors: Dict[int, np.ndarray],
     return views, n
 
 
-def _sum(tree: Any, lo: int, hi: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The sum ``tree`` over ``[lo, hi)``.  A leaf is an input vector and
-    gives its view; a pair ``(left, right)`` is ``left + right``, written
-    into ``out``.  A chain of pairs with leaves on the left is walked, not
-    recursed into (a ring chunk is a chain of ``P - 1`` pairs); a right operand
-    that is itself a sum of pairs goes into ``scratch[0]`` (its own right
-    operands into the rows after)."""
+def _sum(tree: Any, inputs: Sequence[np.ndarray], lo: int, hi: int,
+         out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The sum ``tree`` over ``[lo, hi)``.  A leaf gives its input's view; a
+    pair ``(left, right)`` is ``left + right``, written into ``out``.  A
+    chain of pairs with leaves on the left is walked, not recursed into (a
+    ring chunk is a chain of ``P - 1`` pairs); a right operand that is itself
+    a sum of pairs goes into ``scratch[0]`` (its own right operands into the
+    rows after)."""
     lefts = []
-    while isinstance(tree, tuple) and isinstance(tree[0], np.ndarray):
+    while isinstance(tree, tuple) and isinstance(tree[0], int):
         lefts.append(tree[0])
         tree = tree[1]
-    if isinstance(tree, np.ndarray):
-        total = tree[lo:hi]
+    if isinstance(tree, int):
+        total = inputs[tree][lo:hi]
     else:
         left, right = tree
-        total = np.add(_sum(left, lo, hi, out, scratch),
-                       _sum(right, lo, hi, scratch[0], scratch[1:]), out=out)
+        total = np.add(_sum(left, inputs, lo, hi, out, scratch),
+                       _sum(right, inputs, lo, hi, scratch[0], scratch[1:]), out=out)
     for left in reversed(lefts):
-        total = np.add(left[lo:hi], total, out=out)
+        total = np.add(inputs[left][lo:hi], total, out=out)
     return total
 
 
-def _sum_range(result: np.ndarray, tree: Any, lo: int, hi: int, rows: int) -> None:
-    """Write ``tree`` over ``[lo, hi)`` into ``result``, one block at a time.
-    The last block takes the remainder, so the last add over the range ends
-    in the same vector-loop tail as one add over all of it: NumPy picks
-    between two NaN operands by where an element falls in its loop, and a
-    ring chunk's NaNs stay those of the schedule's adds over whole chunks."""
+def _sum_range(result: np.ndarray, inputs: Sequence[np.ndarray], tree: Any,
+               lo: int, hi: int, rows: int) -> None:
+    """Write ``tree`` over ``[lo, hi)`` into ``result``, one block at a time
+    (the NumPy statement of the reduction; ``rows``: the scratch rows the
+    tree needs).  The last block takes the remainder, so the last add over
+    the range ends in the same vector-loop tail as one add over all of it:
+    NumPy picks between two NaN operands by where an element falls in its
+    loop, and a ring chunk's NaNs stay those of the schedule's adds over
+    whole chunks."""
     edges = [lo + _BLOCK * block for block in range(max(1, (hi - lo) // _BLOCK))] + [hi]
     scratch = np.empty((rows, hi - edges[-2]))
     for start, stop in zip(edges, edges[1:]):
-        _sum(tree, start, stop, result[start:stop], scratch[:, :stop - start])
+        _sum(tree, inputs, start, stop, result[start:stop], scratch[:, :stop - start])
 
 
-def _reduce(cluster: Transport, n: int, owned: Sequence[tuple[tuple[int, int], Any]],
-            rows: int) -> np.ndarray:
-    """A fresh ``result`` of ``n`` elements holding every owned range
-    ``((lo, hi), tree)`` summed as its tree says (``rows``: the scratch rows
-    the trees need), one rank-pool task per range.  When traced, the gauge
-    ``comm.reduce_workers`` says how many threads ran them."""
+def _sum_and_count(result: np.ndarray, inputs: Sequence[np.ndarray], tree: Any,
+                   edges: np.ndarray, rows: int, counts: np.ndarray) -> None:
+    """The NumPy leg of one owned range: :func:`_sum_range` over
+    ``[edges[0], edges[-1])``, then the non-zeros of every piece between
+    consecutive ``edges`` into ``counts[:, 0]``."""
+    _sum_range(result, inputs, tree, int(edges[0]), int(edges[-1]), rows)
+    for piece, (lo, hi) in enumerate(zip(edges.tolist(), edges[1:].tolist())):
+        counts[piece, 0] = np.count_nonzero(result[lo:hi])
+
+
+def _reduce(cluster: Transport, inputs: Sequence[np.ndarray],
+            owned: Sequence[tuple[tuple[int, int], Any]], rows: int,
+            edges: Optional[Sequence[int]]) -> tuple[np.ndarray, List[int]]:
+    """A fresh ``result`` holding every owned range ``((lo, hi), tree)``
+    summed as its tree says (``rows``: the scratch rows the NumPy statement
+    of the trees needs), one rank-pool task per range, and the non-zero
+    entries of ``result`` between consecutive ``edges`` (``None``: ``[0,
+    n]``).  With the compiled kernels a task is one tree-sum call, which
+    counts as it sums; a range it finds a NaN in is summed again by
+    :func:`_sum_range`, so both legs write the same bytes.  When traced, the
+    gauge ``comm.reduce_workers`` says how many threads ran the tasks."""
     # Imported here: a module-level import would load repro.core, which
     # imports this module.
     from ..core import rank_pool
+    n = inputs[0].shape[0]
     result = np.empty(n)
-    _, workers = rank_pool.run([partial(_sum_range, result, tree, lo, hi, rows)
-                                for (lo, hi), tree in owned])
+    edges = np.array([0, n] if edges is None else edges, dtype=np.int64)
+    # Every owned range is cut at the edges inside it; one count per piece.
+    cuts = np.union1d([lo for (lo, _), _ in owned] + [n], edges)
+    counts = np.zeros((cuts.shape[0] - 1, 2), dtype=np.int64)
+    spans = np.searchsorted(cuts, [span for span, _ in owned]).tolist()
+    kernels = get_kernels()
+    if kernels is None:
+        tasks = [partial(_sum_and_count, result, inputs, tree, cuts[first:last + 1],
+                         rows, counts[first:last])
+                 for (first, last), (_, tree) in zip(spans, owned)]
+    else:
+        tasks = kernels.tree_sum_tasks(inputs, result, cuts, counts, [
+            (tree, first, last) for (first, last), (_, tree) in zip(spans, owned)])
+    _, workers = rank_pool.run(tasks)
+    if kernels is not None and counts[:, 1].any():
+        rank_pool.run([partial(_sum_range, result, inputs, tree, lo, hi, rows)
+                       for (first, last), ((lo, hi), tree) in zip(spans, owned)
+                       if counts[first:last, 1].any()])
     if cluster.tracer is not None:
         cluster.tracer.metrics.gauge("comm.reduce_workers").set(workers)
-    return result
+    total = np.concatenate(([0], np.cumsum(counts[:, 0])))
+    return result, np.diff(total[np.searchsorted(cuts, edges)]).tolist()
 
 
 def _shared(result: np.ndarray, group: Sequence[int]) -> Dict[int, np.ndarray]:
     """Freeze ``result`` and hand the same array to every rank of ``group``."""
     result.flags.writeable = False
     return {rank: result for rank in group}
+
+
+def _alone(vector: np.ndarray, group: Sequence[int],
+           edges: Optional[Sequence[int]]) -> tuple[Dict[int, np.ndarray], List[int]]:
+    """A one-rank group's result (a copy of its input) and its counts."""
+    result = vector.copy()
+    edges = [0, result.shape[0]] if edges is None else list(edges)
+    return _shared(result, group), [int(np.count_nonzero(result[lo:hi]))
+                                    for lo, hi in zip(edges, edges[1:])]
 
 
 def allreduce_ring(
@@ -237,6 +290,14 @@ def allreduce_ring(
     ``a[c-1] + (… + (a[c+1] + a[c]))``; each chunk is summed once in that
     order, and the rounds carry views of the inputs, then of the result.
     Every rank of ``group`` gets the same read-only result array."""
+    return _ring(cluster, vectors, group, price, None)[0]
+
+
+def _ring(cluster: Transport, vectors: Dict[int, np.ndarray],
+          group: Optional[Sequence[int]], price: Callable[[Any], float],
+          edges: Optional[Sequence[int]]) -> tuple[Dict[int, np.ndarray], List[int]]:
+    """:func:`allreduce_ring`, and the result's non-zeros between
+    consecutive ``edges`` (see :func:`_reduce`)."""
     if group is None:
         group = list(cluster.ranks)
     group = list(group)
@@ -244,7 +305,7 @@ def allreduce_ring(
     views, n = _dense_inputs(vectors, group)
     size = len(group)
     if size == 1:
-        return _shared(views[group[0]].copy(), group)
+        return _alone(views[group[0]], group, edges)
     bounds = _partition_bounds(n, size)
     inputs = [views[rank] for rank in group]
 
@@ -262,11 +323,11 @@ def allreduce_ring(
 
     owned = []
     for chunk_idx, span in enumerate(bounds):
-        tree = inputs[chunk_idx]
+        tree = chunk_idx
         for hop in range(1, size):
-            tree = (inputs[(chunk_idx + hop) % size], tree)
+            tree = ((chunk_idx + hop) % size, tree)
         owned.append((span, tree))
-    result = _reduce(cluster, n, owned, rows=0)
+    result, counts = _reduce(cluster, inputs, owned, 0, edges)
 
     # All-gather phase: at step s position p forwards chunk p + 1 - s.
     for step in range(size - 1):
@@ -280,7 +341,7 @@ def allreduce_ring(
                                     tag=f"ring-ag-{chunk_idx}"))
         cluster.exchange(messages)
 
-    return _shared(result, group)
+    return _shared(result, group), counts
 
 
 def allreduce_rabenseifner(
@@ -298,6 +359,15 @@ def allreduce_rabenseifner(
     is summed once in that order, and the rounds carry views of the inputs,
     then of the result.  Every rank of ``group`` gets the same read-only
     result array."""
+    return _rabenseifner(cluster, vectors, group, price, None)[0]
+
+
+def _rabenseifner(cluster: Transport, vectors: Dict[int, np.ndarray],
+                  group: Optional[Sequence[int]], price: Callable[[Any], float],
+                  edges: Optional[Sequence[int]]
+                  ) -> tuple[Dict[int, np.ndarray], List[int]]:
+    """:func:`allreduce_rabenseifner`, and the result's non-zeros between
+    consecutive ``edges`` (see :func:`_reduce`)."""
     if group is None:
         group = list(cluster.ranks)
     group = list(group)
@@ -307,7 +377,7 @@ def allreduce_rabenseifner(
         raise ValueError("Rabenseifner's All-Reduce requires a power-of-two group size")
     views, n = _dense_inputs(vectors, group)
     if size == 1:
-        return _shared(views[group[0]].copy(), group)
+        return _alone(views[group[0]], group, edges)
     inputs = [views[rank] for rank in group]
     num_steps = int(math.log2(size))
 
@@ -315,7 +385,7 @@ def allreduce_rabenseifner(
     # range and sends the other to its partner, together with the slice
     # offset (addressing metadata: only the chunk is priced).
     ranges = [(0, n)] * size
-    trees: List[Any] = list(inputs)
+    trees: List[Any] = list(range(size))
     for step in range(num_steps):
         distance = size >> (step + 1)
         messages = []
@@ -332,7 +402,8 @@ def allreduce_rabenseifner(
         cluster.exchange(messages)
         trees = [(trees[pos], trees[pos ^ distance]) for pos in range(size)]
 
-    result = _reduce(cluster, n, list(zip(ranges, trees)), rows=num_steps - 1)
+    result, counts = _reduce(cluster, inputs, list(zip(ranges, trees)),
+                             num_steps - 1, edges)
 
     # Recursive doubling all-gather: every position forwards the range it
     # has gathered so far and adds its partner's.
@@ -349,7 +420,7 @@ def allreduce_rabenseifner(
                    max(ranges[pos][1], ranges[pos ^ distance][1]))
                   for pos in range(size)]
 
-    return _shared(result, group)
+    return _shared(result, group), counts
 
 
 def allreduce_dense(
@@ -360,12 +431,24 @@ def allreduce_dense(
 ) -> Dict[int, np.ndarray]:
     """Dense All-Reduce choosing Rabenseifner for power-of-two groups and the
     ring algorithm otherwise."""
+    return _allreduce_dense(cluster, vectors, group, price)[0]
+
+
+def _allreduce_dense(cluster: Transport, vectors: Dict[int, np.ndarray],
+                     group: Optional[Sequence[int]] = None,
+                     price: Callable[[Any], float] = payload_size,
+                     edges: Optional[Sequence[int]] = None
+                     ) -> tuple[Dict[int, np.ndarray], List[int]]:
+    """:func:`allreduce_dense`, and the non-zero entries of its result
+    between consecutive ``edges`` (``None``: one count of the whole), counted
+    as the result is summed: ``np.count_nonzero`` of every piece, which the
+    synchronisers report as ``final_nnz``."""
     if group is None:
         group = list(cluster.ranks)
     size = len(group)
     if size and not size & (size - 1):
-        return allreduce_rabenseifner(cluster, vectors, group, price)
-    return allreduce_ring(cluster, vectors, group, price)
+        return _rabenseifner(cluster, vectors, group, price, edges)
+    return _ring(cluster, vectors, group, price, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..comm.transport import Transport
-from ..comm.collectives import allgather_bruck_grouped, allreduce_dense
+from ..comm.collectives import _allreduce_dense, allgather_bruck_grouped
 from ..comm.packed import PackedBags
 from ..sparse.blocks import BlockLayout
 from ..sparse.topk import WarmTopK
@@ -246,8 +246,9 @@ class SparDLSynchronizer(GradientSynchronizer):
         """SRS inside every team, then Spar-All-Gather across teams — or the
         exact dense All-Reduce past the density crossover."""
         if self.uses_dense_fallback:
-            context.exchanged = allreduce_dense(self.cluster, context.wire,
-                                                price=self.wire_size)
+            context.exchanged, context.scratch["bucket_nnz"] = _allreduce_dense(
+                self.cluster, context.wire, price=self.wire_size,
+                edges=self.layout.edges[::self.team_size])
             context.scratch["dense_fallback"] = True
             return
         # SRS selects from the residual stores: ``context.wire`` is them.
@@ -274,15 +275,11 @@ class SparDLSynchronizer(GradientSynchronizer):
     def stage_combine(self, context: StepContext) -> None:
         """Bruck All-Gather inside every team and merge into the per-worker
         global gradients."""
-        bucket_edges = self.layout.edges[::self.team_size]
         if context.scratch.get("dense_fallback"):
             # The dense collective already hands every worker one
-            # read-only array.
-            reduced = context.exchanged
-            reference = reduced[next(iter(reduced))]
-            context.global_gradients = reduced
-            bucket_nnz = [int(np.count_nonzero(reference[lo:hi]))
-                          for lo, hi in zip(bucket_edges, bucket_edges[1:])]
+            # read-only array, and counted its non-zeros per bucket.
+            context.global_gradients = context.exchanged
+            bucket_nnz = context.scratch["bucket_nnz"]
             context.info = {
                 "k": self.k,
                 "k_block": self.k_block,
@@ -311,7 +308,7 @@ class SparDLSynchronizer(GradientSynchronizer):
             # Per bucket: every separately selected tensor's own share.
             "bucket_k": list(self.bucket_k),
             "bucket_final_nnz": np.diff(np.searchsorted(
-                reference.indices, bucket_edges)).tolist(),
+                reference.indices, self.layout.edges[::self.team_size])).tolist(),
             "srs_steps": srs_out.num_steps,
             "max_bag_nnz_per_step": srs_out.max_bag_nnz_per_step,
             "dense_fallback": False,

@@ -1,8 +1,8 @@
 /* Two-pointer / k-way merge-add kernels for sorted COO gradient streams, the
  * fused error-feedback accumulate + candidate scan (which also seeds the
  * cuts it scans against), the segmented exact top-k, the Spar-Reduce-Scatter
- * take and transmission step, and the convolution unfold / fold of
- * repro.nn.conv (end of file).
+ * take and transmission step, the dense All-Reduce's tree sum, and the
+ * convolution unfold / fold of repro.nn.conv (end of file).
  *
  * Compiled on demand by repro.sparse.ckernels (cc -O3 -ffp-contract=off
  * -shared -fPIC); the package falls back to vectorized NumPy kernels when no
@@ -24,8 +24,9 @@
 #define X86_VARIANTS 1
 #endif
 
-/* MAX_STREAMS, SCAN_PAD, SEED_RUN, SEED_SHARE and SEED_MIN_RUNS come as -D
- * flags from ckernels.py, their one definition. */
+/* MAX_STREAMS, SCAN_PAD, SEED_RUN, SEED_SHARE, SEED_MIN_RUNS, SUM_BLOCK and
+ * the tree-sum codes SUM_PAIR, SUM_LEAF and SUM_TOP come as -D flags from
+ * ckernels.py, their one definition. */
 
 /* Merge-add two sorted-unique COO streams.  Writes at most na + nb entries
  * into out_indices / out_values; returns the number written.  Sums exactly
@@ -704,6 +705,115 @@ int64_t srs_round_f64(
             drop_off[r + 1] = d;
     }
     return o;
+}
+
+/* ------------------------------------------------------------------------
+ * Dense All-Reduce: one owned range of the result, summed as the schedule's
+ * operand tree (repro.comm.collectives; _sum_range there is the NumPy
+ * statement).
+ *
+ * The tree is a postfix program of `ops` triples (code, x, y) over the
+ * inputs — input x is inputs[x], read through its element stride
+ * strides[x] — run on a stack of SUM_BLOCK-element rows, one block at a time:
+ *   SUM_PAIR  push inputs[x] + inputs[y]
+ *   SUM_LEAF  top += inputs[x]
+ *   SUM_TOP   pop, then top += the popped row
+ * The bottom row is the block of the result itself; the others are the rows
+ * of `scratch` (one fewer than the deepest stack).  Every add rounds on its
+ * own, so every number equals NumPy's bit for bit (a + b and b + a are one
+ * number); which NaN an add of two NaNs returns is the compiler's choice.
+ * The range runs from edges[0] to edges[pieces], piece by piece; piece i
+ * counts its non-zero entries (NaNs included, -0.0 is zero) into
+ * counts[2 i] and its NaNs into counts[2 i + 1].
+ * ------------------------------------------------------------------------ */
+static inline void sum_pair(double *restrict out, const double *a, int64_t sa,
+                            const double *b, int64_t sb, int64_t m)
+{
+    int64_t i;
+    if (sa == 1 && sb == 1)
+        for (i = 0; i < m; i++)
+            out[i] = a[i] + b[i];
+    else
+        for (i = 0; i < m; i++)
+            out[i] = a[i * sa] + b[i * sb];
+}
+
+static inline void sum_into(double *restrict out, const double *a, int64_t sa, int64_t m)
+{
+    int64_t i;
+    if (sa == 1)
+        for (i = 0; i < m; i++)
+            out[i] += a[i];
+    else
+        for (i = 0; i < m; i++)
+            out[i] += a[i * sa];
+}
+
+/* The m <= SUM_BLOCK elements from `start` on; adds its non-zeros and NaNs
+ * to counts[0] and counts[1].  Inlined with constant m and `unit` (every
+ * input read with stride 1) wherever it can be, so that the short loops
+ * have a fixed length and no stride. */
+static inline void sum_block(int64_t ops, const int64_t *program,
+                             const uintptr_t *inputs, const int64_t *strides,
+                             int unit, int64_t start, int64_t m, double *result,
+                             double *scratch, int64_t *counts)
+{
+    int64_t op, i, depth = 0, nonzero = 0, nans = 0;
+    const double *block = result + start;
+#define ROW(d) ((d) ? scratch + ((d) - 1) * SUM_BLOCK : result + start)
+#define STRIDE(x) (unit ? 1 : strides[x])
+#define INPUT(x) ((const double *)inputs[x] + start * STRIDE(x))
+    for (op = 0; op < ops; op++) {
+        const int64_t *code = program + 3 * op;
+        switch (code[0]) {
+        case SUM_PAIR:
+            sum_pair(ROW(depth), INPUT(code[1]), STRIDE(code[1]),
+                     INPUT(code[2]), STRIDE(code[2]), m);
+            depth++;
+            break;
+        case SUM_LEAF:
+            sum_into(ROW(depth - 1), INPUT(code[1]), STRIDE(code[1]), m);
+            break;
+        case SUM_TOP:
+            depth--;
+            sum_into(ROW(depth - 1), ROW(depth), 1, m);
+        }
+    }
+#undef ROW
+#undef STRIDE
+#undef INPUT
+    for (i = 0; i < m; i++) {
+        nonzero += block[i] != 0.0;
+        nans += block[i] != block[i];
+    }
+    counts[0] += nonzero;
+    counts[1] += nans;
+}
+
+void tree_sum_f64(int64_t ops, const int64_t *program, const uintptr_t *inputs,
+                  const int64_t *strides, int64_t pieces, const int64_t *edges,
+                  double *result, double *scratch, int64_t *counts)
+{
+    int64_t piece, start, op, unit = 1;
+    for (op = 0; op < ops; op++) {
+        const int64_t *code = program + 3 * op;
+        unit &= code[0] == SUM_TOP || strides[code[1]] == 1;
+        unit &= code[0] != SUM_PAIR || strides[code[2]] == 1;
+    }
+    for (piece = 0; piece < pieces; piece++) {
+        int64_t *piece_counts = counts + 2 * piece;
+        piece_counts[0] = piece_counts[1] = 0;
+        for (start = edges[piece]; start + SUM_BLOCK <= edges[piece + 1]; start += SUM_BLOCK)
+            if (unit)
+                sum_block(ops, program, inputs, strides, 1, start, SUM_BLOCK,
+                          result, scratch, piece_counts);
+            else
+                sum_block(ops, program, inputs, strides, 0, start, SUM_BLOCK,
+                          result, scratch, piece_counts);
+        if (start < edges[piece + 1])
+            sum_block(ops, program, inputs, strides, 0, start, edges[piece + 1] - start,
+                      result, scratch, piece_counts);
+    }
 }
 
 /* ------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Loader for the optional compiled kernels.
 
 ``_merge_kernels.c`` (the COO merges, the fused accumulate + candidate scan,
-the segmented top-k, the Spar-Reduce-Scatter take and rounds, and the
-convolution unfold / fold) is compiled once per
+the segmented top-k, the Spar-Reduce-Scatter take and rounds, the dense
+All-Reduce's tree sum, and the convolution unfold / fold) is compiled once per
 machine into a shared object in a private
 per-user cache, addressed by source, compiler and flags (so repeated runs
 and test invocations reuse it and a flag change never loads a stale
@@ -20,7 +20,8 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +38,13 @@ SCAN_PAD = 8
 SEED_RUN = 64
 SEED_SHARE = 64
 SEED_MIN_RUNS = 16
+#: Elements per block of the dense tree sum (:meth:`CMergeKernels.tree_sum_tasks`):
+#: short, so that every input of a tree streams at once — with blocks of a
+#: few KB only the two inputs of one add do, and an 8-input sum of 8 MB
+#: vectors ran ~25 % slower from memory (2-core x86 host).
+SUM_BLOCK = 16
+#: The codes of a tree-sum program (see ``tree_sum_f64``).
+SUM_PAIR, SUM_LEAF, SUM_TOP = 0, 1, 2
 #: Variants of the fused accumulate + scan kernel, by values per instruction.
 SIMD_LANES = {"scalar": 1, "avx2": 4, "avx512f": 8}
 
@@ -46,7 +54,8 @@ _SOURCE = Path(__file__).with_name("_merge_kernels.c")
 #: ``v *= m; v += g`` — also where the target has FMA (aarch64, or a ``CC``
 #: that implies ``-march=native``).
 _DEFINES = tuple(f"-D{name}={globals()[name]}" for name in (
-    "MAX_STREAMS", "SCAN_PAD", "SEED_RUN", "SEED_SHARE", "SEED_MIN_RUNS"))
+    "MAX_STREAMS", "SCAN_PAD", "SEED_RUN", "SEED_SHARE", "SEED_MIN_RUNS",
+    "SUM_BLOCK", "SUM_PAIR", "SUM_LEAF", "SUM_TOP"))
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", *_DEFINES)
 
 _PTR = ctypes.c_void_p
@@ -91,6 +100,9 @@ class CMergeKernels:
         self._col2im = lib.col2im_f64
         self._col2im.restype = None
         self._col2im.argtypes = [_PTR] + [_I64] * 9 + [_PTR]
+        self._tree_sum = lib.tree_sum_f64
+        self._tree_sum.restype = None
+        self._tree_sum.argtypes = [_I64, _PTR, _PTR, _PTR, _I64] + [_PTR] * 4
         lib.accumulate_scan_lanes.restype = _I64
         lib.accumulate_scan_lanes.argtypes = []
         widest = lib.accumulate_scan_lanes()
@@ -369,6 +381,74 @@ class CMergeKernels:
             drops = (drops[0], drops[1][:dropped], drops[2][:dropped])
         return out_offsets, out_indices[:count], out_values[:count], drops
 
+    def tree_sum_tasks(self, inputs: Sequence[np.ndarray], result: np.ndarray,
+                       cuts: np.ndarray, counts: np.ndarray,
+                       ranges: Sequence[Tuple[Any, int, int]]
+                       ) -> List[Callable[[], None]]:
+        """One call per range ``(tree, first, last)``, to make later on any
+        thread (GIL released): it writes ``result[cuts[first]:cuts[last]]``
+        as the operand ``tree`` says, and the counts of every piece
+        ``cuts[i]:cuts[i + 1]`` of it into ``counts[i]`` — ``(non-zeros,
+        NaNs)``, NaNs counting as non-zero and ``-0.0`` as zero.
+
+        A tree names the ``inputs`` by position: a leaf is an ``int``, a sum
+        a pair ``(left, right)`` of trees, and a tree sums at least two.
+        Every add rounds on its own, so every number of the result is the
+        one NumPy's adds in the tree's order give (the operands of a pair
+        may be swapped: ``a + b`` is ``b + a`` for every number — not for
+        every pair of NaNs).  ``inputs`` are 1-D ``float64`` vectors of
+        ``result``'s length, read through any strides (a copy only for a
+        stride or an address that is not a whole element); ``result`` is
+        contiguous writable ``float64``; ``cuts`` (``int64``) rise inside
+        ``[0, len(result)]``; ``counts`` is a contiguous writable ``int64``
+        ``(len(cuts) - 1, 2)`` array; the ranges do not overlap.  All of it
+        is checked here, so the calls read and write nothing else.
+        """
+        n = result.shape[0]
+        if (result.dtype != np.float64 or result.ndim != 1
+                or not (result.flags.c_contiguous and result.flags.writeable)):
+            raise ValueError("tree_sum needs a contiguous writable float64 result")
+        views = []
+        for vector in inputs:
+            if vector.dtype != np.float64 or vector.shape != (n,):
+                raise ValueError("tree_sum inputs must be float64 vectors of "
+                                 "the result's length")
+            if vector.strides[0] % 8 or vector.ctypes.data % 8:
+                vector = vector.copy()
+            views.append(vector)
+        cuts = _contiguous(cuts)
+        pieces = cuts.shape[0] - 1
+        if (cuts.dtype != np.int64 or cuts.ndim != 1 or pieces < 0
+                or cuts[0] < 0 or cuts[-1] > n or (np.diff(cuts) < 0).any()
+                or counts.dtype != np.int64 or counts.shape != (pieces, 2)
+                or not (counts.flags.c_contiguous and counts.flags.writeable)):
+            raise ValueError("cuts must rise inside the result, with one "
+                             "writable int64 pair of counts per piece")
+        spans = sorted((first, last) for _, first, last in ranges)
+        if any(not 0 <= first <= last <= pieces for first, last in spans) or any(
+                last > first for (_, last), (first, _) in zip(spans, spans[1:])):
+            raise ValueError("ranges must be disjoint runs of pieces")
+        programs = [_tree_program(tree) for tree, _, _ in ranges]
+        if any(lowest < 0 or highest >= len(views)
+               for _, _, lowest, highest in programs):
+            raise ValueError("a tree names an input that is not there")
+        pointers = np.array([vector.ctypes.data for vector in views], dtype=np.uintp)
+        strides = np.array([vector.strides[0] // 8 for vector in views], dtype=np.int64)
+        rows = [(depth - 1) * SUM_BLOCK for _, depth, _, _ in programs]
+        scratch = np.empty(sum(rows))
+        fixed = (pointers.ctypes.data, strides.ctypes.data)
+        cut_at, count_at, row_at = cuts.ctypes.data, counts.ctypes.data, scratch.ctypes.data
+        tasks = []
+        for (program, _, _, _), (_, first, last), row in zip(programs, ranges, rows):
+            tasks.append(partial(
+                self._tree_sum, program.shape[0], program.ctypes.data, *fixed,
+                last - first, cut_at + 8 * first, result.ctypes.data, row_at,
+                count_at + 16 * first))
+            # What the raw pointers point at must live as long as the call.
+            tasks[-1].operands = views, pointers, strides, program, cuts, scratch
+            row_at += 8 * row
+        return tasks
+
     def im2col(self, images: np.ndarray, kernel_h: int, kernel_w: int,
                stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:
         """:func:`repro.nn.conv.im2col` of an image of any strides, read as
@@ -402,6 +482,46 @@ class CMergeKernels:
         self._col2im(columns.ctypes.data, n, c, padded_h, padded_w,
                      kernel_h, kernel_w, stride, out_h, out_w, padded.ctypes.data)
         return padded
+
+
+@lru_cache(maxsize=1024)
+def _tree_program(tree: Any) -> Tuple[np.ndarray, int, int, int]:
+    """``tree`` (see :meth:`CMergeKernels.tree_sum_tasks`) as the postfix
+    program ``tree_sum_f64`` runs — ``(code, x, y)`` rows: ``SUM_PAIR``
+    pushes ``inputs[x] + inputs[y]``, ``SUM_LEAF`` adds ``inputs[x]`` to the
+    top row, ``SUM_TOP`` pops the top row and adds it to the one below —
+    with the deepest stack it reaches and its lowest and highest leaf.  The
+    deeper operand of a pair goes first, so the stack stays as shallow as
+    the tree allows: a chain needs one row, a balanced tree of ``2^s``
+    leaves ``s``."""
+    def leaf(node: Any) -> bool:
+        return isinstance(node, int)
+
+    def emit(node: Any) -> Tuple[list, int]:
+        chained = []  # a chain of pairs with one leaf each is walked
+        while True:
+            if not (isinstance(node, tuple) and len(node) == 2):
+                raise ValueError("a tree sums at least two inputs, in pairs")
+            left, right = node
+            if leaf(left) and leaf(right):
+                steps, depth = [(SUM_PAIR, left, right)], 1
+                break
+            if leaf(left) or leaf(right):
+                chained.append(left if leaf(left) else right)
+                node = right if leaf(left) else left
+                continue
+            (steps, depth), (second, shallow) = sorted(
+                (emit(left), emit(right)), key=lambda emitted: -emitted[1])
+            steps, depth = steps + second + [(SUM_TOP, 0, 0)], max(depth, shallow + 1)
+            break
+        return steps + [(SUM_LEAF, x, 0) for x in reversed(chained)], depth
+
+    steps, depth = emit(tree)
+    program = np.array(steps, dtype=np.int64)
+    program.flags.writeable = False
+    leaves = np.concatenate([program[program[:, 0] != SUM_TOP, 1],
+                             program[program[:, 0] == SUM_PAIR, 2]])
+    return program, depth, int(leaves.min()), int(leaves.max())
 
 
 def _cache_path(source: str, compiler: str) -> Optional[Path]:

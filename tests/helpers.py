@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 
 from repro.api import make_factory
+from repro.comm import collectives as collectives_module
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET
 from repro.core import rank_pool
@@ -80,9 +81,10 @@ def lanes(width: int):
 @contextmanager
 def _numpy_statements():
     """The NumPy statements of the selection, the sparse kernels, the
-    residual take and the SRS rounds in this process, compiled kernels or
-    not."""
+    residual take, the SRS rounds and the dense All-Reduce's sums in this
+    process, compiled kernels or not."""
     with mock.patch.object(topk_module, "get_kernels", lambda: None), \
+            mock.patch.object(collectives_module, "get_kernels", lambda: None), \
             mock.patch.object(srs_module, "get_kernels", lambda: None), \
             mock.patch.object(residuals_module, "get_kernels", lambda: None), \
             mock.patch.object(vector_module, "_get_c_kernels", lambda: None):

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.api as api
 from repro.baselines.ok_topk import OkTopkSynchronizer
 from repro.baselines.topk_dsa import TopkDSASynchronizer
 from repro.comm.cluster import SimulatedCluster
+from repro.comm import collectives
 from repro.comm.collectives import (
     _BLOCK,
+    _sum_range,
     allgather_bruck_grouped,
     allreduce_dense,
     allreduce_rabenseifner,
@@ -25,8 +32,19 @@ from repro.compression.quantization import QuantizedCompressor
 from repro.obs import Tracer
 from repro.sparse.vector import SparseGradient
 
+from repro.sparse.ckernels import get_kernels
+
 from tests.helpers import lanes, random_gradients
 from tests.references import seed_allreduce_rabenseifner, seed_allreduce_ring
+
+
+compiled_only = pytest.mark.skipif(get_kernels() is None,
+                                   reason="compiled kernels unavailable")
+
+
+def numpy_leg():
+    """The dense All-Reduce's NumPy statement, compiled kernels or not."""
+    return mock.patch.object(collectives, "get_kernels", lambda: None)
 
 
 def _items(num_workers):
@@ -291,14 +309,19 @@ class TestCopyFreeDenseAllReduce:
         remainder), so its NaNs are the seed's bit for bit; Rabenseifner adds
         over blocks of the owned ranges, not over the seed's halves, so a
         NaN may carry the other sign.  Every number is the seed's either way
-        (``test_bit_identical_to_the_seed``)."""
+        (``test_bit_identical_to_the_seed``).  On either leg the bytes are
+        those of the NumPy statement: the compiled sum hands a range with a
+        NaN back to it."""
         rng = np.random.default_rng(num_workers)
         for n in (1, 5, 37, 1001, 2 * _BLOCK * num_workers + 77):
             vectors = {r: np.where(rng.random(n) < 0.5, np.nan, -np.nan)
                        for r in range(num_workers)}
             result = algorithm(SimulatedCluster(num_workers), vectors)[0]
             expected = seed_algorithm(SimulatedCluster(num_workers), vectors)[0]
+            with numpy_leg():
+                statement = algorithm(SimulatedCluster(num_workers), vectors)[0]
             assert np.isnan(result).all()
+            assert result.tobytes() == statement.tobytes(), n
             if algorithm is allreduce_ring:
                 assert result.tobytes() == expected.tobytes(), n
 
@@ -386,6 +409,207 @@ class TestCopyFreeDenseAllReduce:
         assert sorted(result) == [1, 3, 4]
         assert result[1] is result[3] is result[4]
         np.testing.assert_array_equal(result[1], np.full(5, 8.0))
+
+
+#: What the tree-sum tests salt their inputs with: signed zeros,
+#: subnormals, infinities, huge values whose sums overflow, and NaNs of both
+#: signs with several payloads (one of them signalling).
+_PALETTE = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, np.inf, -np.inf, 1e308, -1e308],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+              0xFFFC00000000BEEF, 0x7FFFFFFFFFFFFFFF, 0x7FF0000000000001],
+             dtype=np.uint64).view(np.float64)])
+
+
+def _salted(rng, n, share):
+    """Draws over a wide range of magnitudes, a ``share`` of them replaced by
+    ``_PALETTE`` values."""
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    wide = rng.random(n) < 0.1
+    values[wide] = np.ldexp(rng.normal(size=int(wide.sum())),
+                            rng.integers(-1074, 1000, size=int(wide.sum())))
+    salted = rng.random(n) < share
+    values[salted] = rng.choice(_PALETTE, size=int(salted.sum()))
+    return values
+
+
+def _laid_out(values, layout):
+    """``values`` as a ``float32`` copy, a strided or reversed view, or
+    themselves."""
+    if layout == "float32":
+        return values.astype(np.float32)
+    if layout == "strided":
+        buffer = np.full(2 * values.shape[0], 7.0)
+        buffer[::2] = values
+        return buffer[::2]
+    if layout == "reversed":
+        return values[::-1].copy()[::-1]
+    return values
+
+
+def _chain(num_inputs):
+    """The ring's own-first chain of chunk 0: ``a[P-1] + (… + (a[1] + a[0]))``."""
+    tree = 0
+    for hop in range(1, num_inputs):
+        tree = (hop, tree)
+    return tree
+
+
+def _xor_tree(num_inputs):
+    """Rabenseifner's own-first XOR tree of position 0."""
+    trees = list(range(num_inputs))
+    distance = num_inputs // 2
+    while distance:
+        trees = [(trees[pos], trees[pos ^ distance]) for pos in range(num_inputs)]
+        distance //= 2
+    return trees[0]
+
+
+def _pieces(edges):
+    return list(zip(edges, edges[1:]))
+
+
+@compiled_only
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestCompiledTreeSum:
+    """With the compiled kernels every owned range is one ``tree_sum_f64``
+    call that also counts the range's non-zeros and NaNs; a range holding a
+    NaN is summed again by the NumPy statement (``_sum_range``).  So both
+    legs write the same bytes — NaN payloads included — and the counts are
+    ``np.count_nonzero``'s."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_the_compiled_leg_writes_the_numpy_statement(self, data):
+        num_workers = data.draw(st.sampled_from([*range(1, 10), 16]), label="P")
+        n = data.draw(st.sampled_from(sorted({
+            0, 1, num_workers - 1, num_workers + 1,
+            _BLOCK * num_workers - 1, _BLOCK * num_workers + 1})) | st.integers(0, 3000),
+            label="n")
+        layout = data.draw(st.sampled_from(["contiguous", "strided", "reversed",
+                                            "float32"]), label="layout")
+        share = data.draw(st.sampled_from([0.0, 0.001, 0.05, 0.3, 1.0]), label="share")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        vectors = {rank: _laid_out(_salted(rng, n, share), layout)
+                   for rank in range(num_workers)}
+        edges = [0, *sorted(data.draw(st.lists(st.integers(0, n), max_size=5),
+                                      label="cuts")), n]
+        algorithms = [collectives._ring]
+        if not num_workers & (num_workers - 1):
+            algorithms.append(collectives._rabenseifner)
+        for algorithm in algorithms:
+            result, counts = algorithm(SimulatedCluster(num_workers), vectors, None,
+                                       payload_size, edges)
+            with numpy_leg():
+                statement, statement_counts = algorithm(
+                    SimulatedCluster(num_workers), vectors, None, payload_size, edges)
+            assert result[0].tobytes() == statement[0].tobytes()
+            assert counts == statement_counts == [
+                np.count_nonzero(result[0][lo:hi]) for lo, hi in _pieces(edges)]
+
+    @pytest.mark.parametrize("tree", [
+        _chain(2), _chain(5), _chain(9), _xor_tree(4), _xor_tree(16),
+        ((0, 1), ((2, (3, 4)), 5)), (((0, 1), 2), ((3, 4), (5, 6))),
+    ], ids=["pair", "chain5", "chain9", "xor4", "xor16", "lopsided", "mixed"])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "reversed"])
+    def test_the_kernel_alone_writes_every_number_of_the_statement(self, tree, layout):
+        """Before any range goes back to NumPy: every number equals the
+        statement's bit for bit, NaNs stand where its NaNs stand, and each
+        piece counts ``(np.count_nonzero, NaNs)``."""
+        leaves = len(str(tree).replace("(", "").replace(")", "").split(","))
+        n = 3 * 16 * 1024 + 37
+        rng = np.random.default_rng(leaves)
+        inputs = [np.asarray(_laid_out(_salted(rng, n, 0.02), layout))
+                  for _ in range(leaves)]
+        cuts = np.array([0, 1, 40, 40, 5000, n - 3, n], dtype=np.int64)
+        counts = np.full((cuts.shape[0] - 1, 2), -1, dtype=np.int64)
+        result = np.full(n, 3.0)
+        ranges = [(tree, 0, 2), (tree, 2, 4), (tree, 4, 5)]  # the last piece stays
+        for task in get_kernels().tree_sum_tasks(inputs, result, cuts, counts, ranges):
+            task()
+        statement = np.full(n, 3.0)
+        _sum_range(statement, inputs, tree, 0, int(cuts[-2]), rows=leaves)
+        nan = np.isnan(statement)
+        assert np.array_equal(np.isnan(result), nan)
+        assert np.array_equal(result[~nan].view(np.uint64), statement[~nan].view(np.uint64))
+        assert counts[:-1].tolist() == [
+            [np.count_nonzero(statement[lo:hi]), np.isnan(statement[lo:hi]).sum()]
+            for lo, hi in _pieces(cuts[:-1].tolist())]
+        assert counts[-1].tolist() == [-1, -1] and (result[cuts[-2]:] == 3.0).all()
+
+    def test_inputs_off_the_element_grid_are_read_from_a_copy(self):
+        values = np.random.default_rng(0).normal(size=(2, 100))
+        buffer = bytearray(2 * 800 + 4)  # each row 4 bytes past a whole element
+        inputs = []
+        for row in values:
+            view = np.ndarray((100,), np.float64, buffer=buffer,
+                              offset=4 + 800 * len(inputs))
+            view[:] = row
+            inputs.append(view)
+        result, counts = np.empty(100), np.zeros((1, 2), dtype=np.int64)
+        for task in get_kernels().tree_sum_tasks(inputs, result, np.array([0, 100]),
+                                                 counts, [((1, 0), 0, 1)]):
+            task()
+        assert result.tobytes() == (values[1] + values[0]).tobytes()
+        assert counts.tolist() == [[100, 0]]
+
+    @pytest.mark.parametrize("tree, cuts, counts, ranges, message", [
+        (0, [0, 8], (1, 2), [(0, 0, 1)], "at least two"),
+        ((0, 2), [0, 8], (1, 2), [((0, 2), 0, 1)], "not there"),
+        ((0, -1), [0, 8], (1, 2), [((0, -1), 0, 1)], "not there"),
+        ((0, 1), [0, 4, 8], (2, 2), [((0, 1), 0, 2), ((1, 0), 1, 2)], "disjoint"),
+        ((0, 1), [0, 8], (1, 2), [((0, 1), 0, 2)], "disjoint"),
+        ((0, 1), [0, 9], (1, 2), [((0, 1), 0, 1)], "rise inside"),
+        ((0, 1), [4, 2], (1, 2), [((0, 1), 0, 1)], "rise inside"),
+        ((0, 1), [0, 8], (2, 2), [((0, 1), 0, 1)], "rise inside"),
+    ])
+    def test_a_call_that_would_stray_is_refused(self, tree, cuts, counts, ranges,
+                                                 message):
+        inputs = [np.ones(8), np.ones(8)]
+        with pytest.raises(ValueError, match=message):
+            get_kernels().tree_sum_tasks(inputs, np.empty(8), np.array(cuts),
+                                         np.zeros(counts, dtype=np.int64), ranges)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("leg", ["compiled", "numpy"])
+@pytest.mark.parametrize("num_workers", [1, 3, 4, 8])
+@pytest.mark.parametrize("spec", ["dense", "spardl?density=0.6", "spardl-bucketed"])
+def test_a_dense_step_reports_numpys_counts(leg, num_workers, spec):
+    """``final_nnz`` and SparDL's per-bucket ``bucket_final_nnz`` of a dense
+    step come out of the sum itself and equal ``np.count_nonzero`` over the
+    result on both legs — exact zeros, ``-0.0`` (zero) and NaN (non-zero)
+    entries included."""
+    if leg == "compiled" and get_kernels() is None:
+        pytest.skip("compiled kernels unavailable")
+    sizes = [3000, 17, 1, 9000, 250]
+    n = sum(sizes)
+    model = types.SimpleNamespace(parameters=lambda: [
+        types.SimpleNamespace(name=f"p{index}", size=size)
+        for index, size in enumerate(sizes)])
+    rng = np.random.default_rng(num_workers)
+    gradients = {}
+    for rank in range(num_workers):
+        gradient = rng.normal(size=n)
+        gradient[:1500] = 0.0  # zero in every rank: a zero sum
+        gradient[1500:1600] = -0.0
+        gradient[rng.random(n) < 0.001] = np.nan
+        gradients[rank] = gradient
+    shape = {"model": model} if spec == "spardl-bucketed" else {"num_elements": n}
+    spec = {"spardl-bucketed": "spardl?density=0.6&buckets=layer"}.get(spec, spec)
+    sync = api.make(f"{spec}{'&' if '?' in spec else '?'}backend=sim:{num_workers}",
+                    **shape)
+    with numpy_leg() if leg == "numpy" else contextlib.nullcontext():
+        result = sync.synchronize(gradients)
+    reference = result.gradient(0)
+    assert 0 < result.info["final_nnz"] == np.count_nonzero(reference) < n
+    if spec.startswith("spardl"):
+        info = result.info.get("per_bucket_info", [result.info])[0]
+        assert info["dense_fallback"]
+        edges = np.cumsum([0, *sizes]).tolist() if "buckets" in spec else [0, n]
+        assert info["bucket_final_nnz"] == [
+            np.count_nonzero(reference[lo:hi]) for lo, hi in _pieces(edges)]
 
 
 class TestDenseAllReduceInputs:

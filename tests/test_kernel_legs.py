@@ -15,7 +15,8 @@ silently stops seeding turns a test red rather than a benchmark slower.
 Then one case-1 forward/backward (13 convolutions, 4 poolings), and one
 SparDL step on sim:8 with 16 buckets, 8-bit values, momentum and two teams
 plus one flat step — their global gradients, statistics and residual /
-velocity slabs — must hash alike on this leg and on the other.
+velocity slabs — must hash alike on this leg and on the other; so must
+dense All-Reduces of special values and the non-zero counts they report.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import numpy as np
 import pytest
 
 import repro.api as api
+from repro.comm.cluster import SimulatedCluster
+from repro.comm.collectives import _BLOCK, _allreduce_dense
 from repro.data.datasets import DataLoader
 from repro.sparse import compiled_kernels_available
 from repro.sparse.ckernels import get_kernels
@@ -89,9 +92,37 @@ def srs_digest() -> str:
     return digest.hexdigest()
 
 
-def leg_digests() -> dict:
+def dense_digest() -> str:
+    """Dense All-Reduces (Rabenseifner at P = 4 and 8, the ring at 5) of
+    vectors salted with signed zeros, subnormals, infinities and NaNs of
+    both signs: result bytes, per-piece non-zeros and a ``dense`` step's
+    ``final_nnz``."""
+    specials = np.array([0.0, -0.0, 5e-324, -2.5e-320, np.inf, -np.inf,
+                         np.nan, -np.nan, 1e308])
+    digest = hashlib.sha256()
+    for workers in (4, 5, 8):
+        rng = np.random.default_rng(workers)
+        n = 2 * _BLOCK * workers + 11
+        vectors = {}
+        for rank in range(workers):
+            vector = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+            salted = rng.random(n) < (0.2 if rank else 0.0002)
+            vector[salted] = rng.choice(specials, size=int(salted.sum()))
+            vectors[rank] = vector
+        result, counts = _allreduce_dense(SimulatedCluster(workers), vectors,
+                                          edges=[0, 7, n // 3, n // 3, n])
+        step = api.make(f"dense?backend=sim:{workers}", num_elements=n
+                        ).synchronize({rank: vector[::-1] for rank, vector
+                                       in vectors.items()})
+        digest.update(result[0].tobytes() + step.gradient(0).tobytes())
+        digest.update(repr((counts, step.info["final_nnz"])).encode())
+    return digest.hexdigest()
+
+
+def leg_digests(names=("conv", "srs")) -> dict:
+    digests = {"conv": conv_digest, "srs": srs_digest, "dense": dense_digest}
     return {"compiled": get_kernels() is not None,
-            "conv": conv_digest(), "srs": srs_digest()}
+            **{name: digests[name]() for name in names}}
 
 
 def test_this_leg_runs_its_own_kernels():
@@ -105,6 +136,7 @@ def test_this_leg_runs_its_own_kernels():
         assert callable(kernels.top_k_split) and callable(kernels.srs_round)
         assert callable(kernels.take_rows)
         assert callable(kernels.im2col) and callable(kernels.col2im)
+        assert callable(kernels.tree_sum_tasks)
 
 
 def test_one_line_segmented_selection():
@@ -128,7 +160,9 @@ def test_cold_selection_seeds_every_segment():
         for i in top_k_indices(gradient[lo:lo + (1 << 13)], 82).tolist()]
 
 
-def test_conv_folds_and_srs_agree_with_the_other_leg():
+def other_leg_agrees(*names: str) -> None:
+    """A child process on the other leg computes the digests ``names``;
+    they must equal this process's."""
     env = dict(os.environ)
     if THIS_LEG_COMPILED:
         env["REPRO_DISABLE_CKERNELS"] = "1"
@@ -137,15 +171,25 @@ def test_conv_folds_and_srs_agree_with_the_other_leg():
     root = Path(__file__).resolve().parents[1]
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src"), str(root)] + env.get("PYTHONPATH", "").split(os.pathsep))
-    child = subprocess.run([sys.executable, __file__], env=env, check=True,
+    child = subprocess.run([sys.executable, __file__, *names], env=env, check=True,
                            capture_output=True, text=True, timeout=300)
-    other, mine = json.loads(child.stdout), leg_digests()
-    assert other["conv"] == mine["conv"]
-    assert other["srs"] == mine["srs"]
+    other, mine = json.loads(child.stdout), leg_digests(names)
+    for name in names:
+        assert other[name] == mine[name], name
     if other["compiled"] == mine["compiled"] and COMPILER is None:
         pytest.skip("no C compiler: both processes ran the NumPy kernels")
     assert other["compiled"] != mine["compiled"], "both legs ran the same kernels"
 
 
-if __name__ == "__main__":  # the child of test_conv_folds_and_srs_agree_with_the_other_leg
-    print(json.dumps(leg_digests()))
+def test_conv_folds_and_srs_agree_with_the_other_leg():
+    other_leg_agrees("conv", "srs")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_dense_allreduce_agrees_with_the_other_leg():
+    other_leg_agrees("dense")
+
+
+if __name__ == "__main__":  # the child of other_leg_agrees
+    print(json.dumps(leg_digests(sys.argv[1:])))

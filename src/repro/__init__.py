@@ -55,7 +55,6 @@ from .comm import (
     transport_spec,
 )
 from .core import (
-    AdaptiveSchedule,
     BucketedSynchronizer,
     ConstantSchedule,
     GradientSynchronizer,
@@ -101,7 +100,6 @@ __all__ = [
     "KSchedule",
     "ConstantSchedule",
     "WarmupSchedule",
-    "AdaptiveSchedule",
     "BucketedSynchronizer",
     "ResidualManager",
     "ResidualPolicy",

@@ -7,7 +7,7 @@ ride along.  The facade folds all of it into one URL-style spec string::
 
     spardl?density=0.01&schedule=warmup:5&buckets=layer
     ok-topk?k=500
-    gtopk?density=0.01&schedule=adaptive
+    gtopk?density=0.01&bits=8
     dense
 
 Grammar
@@ -19,20 +19,18 @@ alias (case-insensitive, as in the paper's figures) and the keys are:
 ``k``       entries selected per worker (mutually exclusive with ``density``)
 ``density`` selected fraction ``k/n`` (mutually exclusive with ``k``)
 ``schedule`` sparsity schedule: ``constant`` (default), ``warmup:STEPS`` /
-            ``warmup:STEPS:START_DENSITY`` (DGC-style ramp), ``adaptive`` /
-            ``adaptive:GAIN`` (nnz-feedback controller)
+            ``warmup:STEPS:START_DENSITY`` (DGC-style ramp)
 ``teams``   SparDL team count ``d`` (default 1)
 ``sag``     SparDL Spar-All-Gather mode: ``auto`` / ``rsag`` / ``bsag``
 ``residuals`` SparDL residual policy: ``global`` / ``partial`` / ``local`` / ``none``
 ``buckets`` ``flat`` (default), ``layer`` (one bucket per parameter tensor),
             ``size:N`` (SSFusion-style fusion of consecutive tensors up to
-            ``N`` elements), or ``auto`` / ``auto:mgwfbp`` / ``auto:asc``
-            (plan the fused layout with :mod:`repro.core.fusion`: MG-WFBP
-            merge-if-it-keeps-the-critical-path, or ASC alpha-saturation
-            coalescing, over the ``network=`` alpha-beta profile —
-            ``auto`` is MG-WFBP); non-flat specs need a
-            ``model``, and ``auto`` planning reads the optional
-            ``network=`` / ``compute_profile=`` arguments of :func:`make`
+            ``N`` elements), or ``auto`` (plan the fused layout with
+            :mod:`repro.core.fusion`'s MG-WFBP planner, which merges while
+            it keeps the critical path, over the ``network=`` alpha-beta
+            profile); SparDL only.  Non-flat specs need a ``model``, and
+            ``auto`` planning reads the optional ``network=`` /
+            ``compute_profile=`` arguments of :func:`make`
 ``bits``    wire value quantization (all methods): bits per value in
             ``[1, 32]``; values are quantized QSGD-style with exact error
             feedback, sparse messages bill the ``(1 + bits/32)/2`` COO
@@ -55,13 +53,6 @@ alias (case-insensitive, as in the paper's figures) and the keys are:
             ``TrainerConfig.momentum_correction=True`` (momentum-free
             optimizer) so velocity is not applied twice.  Absent = plain
             error feedback, bit for bit
-``hybrid``  per-tensor-size dense/sparse policy on bucketed layouts:
-            ``hybrid=dense<SIZE`` runs every bucket smaller than ``SIZE``
-            elements as an exact full-precision dense All-Reduce and the
-            rest with the spec's sparse method (+quantization) — the DGC
-            hybrid: small tensors are cheaper dense and are guaranteed
-            representation.  Requires a non-flat ``buckets`` mode and a
-            sparse method
 ``backend`` execution backend: ``sim:P`` (deterministic in-process
             simulator) or ``mp:P`` (``P`` real worker processes, see
             :class:`~repro.comm.mp_backend.MultiprocessCluster`); with a
@@ -107,7 +98,7 @@ from .comm.transport import Transport, make_transport, parse_backend_spec, trans
 from .core.base import GradientSynchronizer
 from .core.bucketed import BucketedSynchronizer, fuse_buckets, layer_buckets
 from .core.config import SAGMode, SparDLConfig, is_power_of_two
-from .core.fusion import FUSION_PLANNERS, plan_buckets
+from .core.fusion import plan_buckets
 from .core.residuals import ResidualPolicy
 from .core.schedules import parse_schedule
 from .core.spardl import SparDLSynchronizer
@@ -163,19 +154,30 @@ def _momentum(value: Any) -> float:
     return momentum
 
 
+def _removed(spelling: str, instead: str) -> ValueError:
+    """The error a removed spelling raises (see "Migration" in docs/api.md)."""
+    return ValueError(
+        f"{spelling} was removed (see the migration table in docs/api.md); {instead}")
+
+
+def _schedule(value: Any) -> str:
+    text = _text(value)
+    if text.partition(":")[0] == "adaptive":
+        raise _removed(f"schedule={text}", "use constant or warmup:STEPS[:START]")
+    return text
+
+
 def _buckets(value: Any) -> str:
     text = _text(value)
     kind, _, argument = text.partition(":")
-    if kind == "auto" and text != "auto" and argument not in FUSION_PLANNERS:
-        raise ValueError(
-            f"unknown fusion planner in buckets={value!r}; expected auto, "
-            f"{', '.join('auto:' + planner for planner in FUSION_PLANNERS)}")
-    if text in ("flat", "layer") or kind == "auto":
+    if text in ("flat", "layer", "auto"):
         return text
+    if kind == "auto":
+        raise _removed(f"buckets={text}", "buckets=auto is the MG-WFBP planner")
     if kind == "size" and argument.isdigit() and int(argument) > 0:
         return f"size:{int(argument)}"
     raise ValueError(
-        f"unknown buckets mode {value!r}; expected flat, layer, size:N or auto[:PLANNER]")
+        f"unknown buckets mode {value!r}; expected flat, layer, size:N or auto")
 
 
 def _validate_bits_value(text: "str | int") -> int:
@@ -244,22 +246,6 @@ def _canonical_bits(bits: "int | str") -> "int | str | None":
     return ",".join(items)
 
 
-def _hybrid_threshold(hybrid: Optional[str]) -> Optional[int]:
-    """The dense-switch size of a ``hybrid=dense<SIZE`` value (``None``
-    when the policy is off)."""
-    if hybrid is None:
-        return None
-    prefix, _, size = _text(hybrid).partition("<")
-    if prefix != "dense" or not size:
-        raise ValueError(
-            f"hybrid={hybrid!r} is malformed; expected hybrid=dense<SIZE "
-            "(buckets smaller than SIZE elements run dense)")
-    threshold = int(size)
-    if threshold <= 0:
-        raise ValueError("the hybrid dense-switch size must be positive")
-    return threshold
-
-
 def _backend(value: Any) -> str:
     kind, workers = parse_backend_spec(value)
     return kind if workers is None else f"{kind}:{workers}"
@@ -282,18 +268,20 @@ _SPEC_KEYS: Dict[str, _Key] = {
     "teams": _Key(1, int, int),
     "sag": _Key("auto", _text, lambda value: SAGMode.coerce(value).value),
     "residuals": _Key("global", _text, lambda value: ResidualPolicy.coerce(value).value),
-    "schedule": _Key("constant", _text, _text),
+    "schedule": _Key("constant", _text, _schedule),
     "buckets": _Key("flat", _text, _buckets),
     # kept as written: a plain integer or a per-bucket override string
     "bits": _Key(None, str.strip, _canonical_bits),
     "momentum": _Key(None, float, _momentum, _show_float),
-    "hybrid": _Key(None, _text, lambda value: f"dense<{_hybrid_threshold(value)}"),
     "backend": _Key(None, _text, _backend),
     "trace": _Key("off", _text, lambda value: TraceLevel.coerce(value).name.lower()),
 }
 
 
 def _unknown_key(key: str) -> ValueError:
+    if key == "hybrid":
+        return _removed("hybrid=dense<SIZE",
+                        "drop the key: every bucket of a bucketed spec runs SparDL")
     return ValueError(
         f"unknown spec key {key!r}; expected one of {', '.join(_SPEC_KEYS)}")
 
@@ -317,21 +305,14 @@ class SyncSpec:
             setattr(self, key, None if value is None else entry.normalise(value))
         if self.k is not None and self.density is not None:
             raise ValueError("give only one of k and density")
-        if self.hybrid is not None and self.method == "Dense":
+        if self.is_bucketed and self.method != "SparDL":
+            raise _removed(f"buckets={self.buckets} on {self.method}",
+                           "only SparDL runs bucketed: drop the key")
+        if not self.is_bucketed and isinstance(self.bits, str):
             raise ValueError(
-                "hybrid=dense<SIZE switches small buckets of a sparse "
-                "method to dense; it does not apply to the dense method")
-        if not self.is_bucketed:
-            if isinstance(self.bits, str):
-                raise ValueError(
-                    f"per-bucket bits overrides ({self.bits!r}) need a "
-                    "non-flat buckets mode (layer, size:N or auto); the "
-                    "patterns match bucket names")
-            if self.hybrid is not None:
-                raise ValueError(
-                    "hybrid=dense<SIZE is a per-bucket policy; use a non-flat "
-                    "buckets mode (layer, size:N or auto) so there are bucket "
-                    "sizes to switch on")
+                f"per-bucket bits overrides ({self.bits!r}) need a "
+                "non-flat buckets mode (layer, size:N or auto); the "
+                "patterns match bucket names")
         # A sparse method without k/density is allowed here (keyword
         # overrides of make() may still supply the target); make() fails
         # loudly when it is truly missing.
@@ -396,20 +377,26 @@ def _validate_schedule_spec(spec: SyncSpec) -> None:
     parse_schedule(spec.schedule, k=spec.k, density=spec.density)
 
 
+def _spardl_config(spec: SyncSpec, **fields: Any) -> SparDLConfig:
+    """The :class:`SparDLConfig` of a SparDL spec, ``fields`` replaced."""
+    return SparDLConfig(**{
+        "k": spec.k, "density": spec.density, "num_teams": spec.teams,
+        "sag_mode": spec.sag, "residual_policy": spec.residuals,
+        "schedule": None if spec.schedule == "constant" else spec.schedule,
+        "num_bits": spec.bits, "momentum": spec.momentum, **fields})
+
+
 def _build_flat(spec: SyncSpec, cluster: Transport,
                 num_elements: int) -> GradientSynchronizer:
     """Build one flat-vector synchroniser for ``num_elements`` gradients."""
     cls = _METHODS[spec.method][1]
-    schedule = None if spec.schedule == "constant" else spec.schedule
     if spec.method == "Dense":
         return cls(cluster, num_elements, num_bits=spec.bits, momentum=spec.momentum)
     if spec.method == "SparDL":
-        return cls(cluster, num_elements, SparDLConfig(
-            k=spec.k, density=spec.density, num_teams=spec.teams,
-            sag_mode=spec.sag, residual_policy=spec.residuals,
-            schedule=schedule, num_bits=spec.bits, momentum=spec.momentum))
+        return cls(cluster, num_elements, _spardl_config(spec))
     return cls(cluster, num_elements, k=spec.k, density=spec.density,
-               schedule=schedule, num_bits=spec.bits, momentum=spec.momentum)
+               schedule=None if spec.schedule == "constant" else spec.schedule,
+               num_bits=spec.bits, momentum=spec.momentum)
 
 
 def _bucket_layout(spec: SyncSpec, model) -> List[tuple]:
@@ -455,25 +442,21 @@ def _build_bucketed(parsed: SyncSpec, cluster: Transport, model, network,
                     compute_profile) -> BucketedSynchronizer:
     """Build the bucketed synchroniser of a non-flat ``buckets`` spec."""
     default_bits, bits_overrides = _split_bits(parsed.bits)
-    dense_below = _hybrid_threshold(parsed.hybrid)
     layout = _bucket_layout(parsed, model)
-    flat_spec = parsed.replace(buckets="flat", hybrid=None, bits=default_bits)
-    if flat_spec.k is not None:
+    density = parsed.density
+    if parsed.k is not None:
         # An absolute k is a *global* budget: replicating it into every
         # bucket would multiply the selection by the bucket count, so
         # convert it to the equivalent density, which buckets pro-rata
         # (each bucket still keeps at least one entry).
-        total = sum(size for _, size in layout)
-        flat_spec = flat_spec.replace(k=None, density=min(1.0, flat_spec.k / float(total)))
+        density = min(1.0, parsed.k / float(sum(size for _, size in layout)))
     plan = None
-    if parsed.buckets.startswith("auto"):
+    if parsed.buckets == "auto":
         from .comm.network import ETHERNET
         plan = plan_buckets(
             layout,
-            planner=parsed.buckets.partition(":")[2] or "mgwfbp",
-            method=parsed.method,
             num_workers=cluster.num_workers,
-            density=flat_spec.density,
+            density=density,
             teams=parsed.teams,
             num_bits=default_bits,
             network=network or ETHERNET,
@@ -481,29 +464,21 @@ def _build_bucketed(parsed: SyncSpec, cluster: Transport, model, network,
         )
         layout = plan.bucket_layout()
 
-    def bucket_factory(bucket_cluster: Transport, bucket_elements: int,
-                       bucket_name: str) -> GradientSynchronizer:
-        # Hybrid policy: buckets below the dense switch run an exact
-        # full-precision dense All-Reduce (momentum correction, when on,
-        # carries over — dense keeps the velocity unmasked, which is
-        # exactly naive momentum).  Per-bucket bits overrides match
-        # case-insensitive substrings of the bucket name; fused buckets
-        # join their tensor names with "+", so a pattern matches the
-        # fused bucket when it matches any member tensor.
-        if dense_below is not None and bucket_elements < dense_below:
-            dense_spec = SyncSpec("Dense", momentum=flat_spec.momentum)
-            return _build_flat(dense_spec, bucket_cluster, bucket_elements)
+    def bucket_bits(name: str) -> Optional[int]:
+        # Per-bucket bits overrides match case-insensitive substrings of the
+        # bucket name (the last match wins); fused buckets join their tensor
+        # names with "+", so a pattern matches the fused bucket when it
+        # matches any member tensor.
         bits = default_bits
-        lowered = bucket_name.lower()
         for pattern, width in bits_overrides:
-            if pattern in lowered:
+            if pattern in name.lower():
                 bits = width
-        bucket_spec = flat_spec if bits == flat_spec.bits else flat_spec.replace(bits=bits)
-        return _build_flat(bucket_spec, bucket_cluster, bucket_elements)
+        return bits
 
     return BucketedSynchronizer(
         cluster, [size for _, size in layout],
-        factory=bucket_factory,
+        [_spardl_config(parsed, k=None, density=density, num_bits=bucket_bits(name))
+         for name, _ in layout],
         bucket_names=[name for name, _ in layout],
         plan=plan,
     )

@@ -15,7 +15,6 @@ from .pipeline import (
 from .residuals import ResidualManager, ResidualPolicy, ResidualStore
 from .sag import CompressionRatioController, SAGOutput, b_sag, cross_team_groups, r_sag
 from .schedules import (
-    AdaptiveSchedule,
     ConstantSchedule,
     KSchedule,
     WarmupSchedule,
@@ -41,7 +40,6 @@ __all__ = [
     "KSchedule",
     "ConstantSchedule",
     "WarmupSchedule",
-    "AdaptiveSchedule",
     "parse_schedule",
     "coerce_schedule",
     "SAGMode",

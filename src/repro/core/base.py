@@ -185,8 +185,8 @@ class GradientSynchronizer(ABC):
 
     def _step(self, gradients: Dict[int, np.ndarray], observer=None) -> SyncResult:
         """Run one full pipeline step: resolve ``k`` through the schedule,
-        drive the five stages inside a fresh statistics window, feed the
-        outcome back to the schedule, and advance the iteration counter.
+        drive the five stages inside a fresh statistics window, and advance
+        the iteration counter.
 
         ``observer`` (``hook(stage, context)``) is invoked after every
         stage; :class:`~repro.core.pipeline.SyncSession` uses it to expose
@@ -228,8 +228,6 @@ class GradientSynchronizer(ABC):
             stats=self.cluster.reset_stats(),
             info=context.info,
         )
-        if self.schedule is not None:
-            self.schedule.observe(self.iteration, context.k, result)
         self.iteration += 1
         return result
 

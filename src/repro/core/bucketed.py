@@ -13,19 +13,18 @@ state, own quantiser scale — and the aggregate still presents the plain
 the benchmarks are oblivious.
 
 Selection granularity and exchange granularity are separate decisions.
-Consecutive buckets whose synchronisers are SparDL with equal
-configurations form one **exchange group**: a single
+Every bucket runs SparDL under its own
+:class:`~repro.core.config.SparDLConfig`, and consecutive buckets with
+equal configurations form one **exchange group**: a single
 :class:`~repro.core.spardl.SparDLSynchronizer` spanning their sizes, in
 which every bucket is a set of segments of the block layout, so the group
 pays the rounds of *one* SRS -> SAG -> All-Gather however many buckets it
 holds (results are those of per-bucket synchronisers, bit for bit; only
-rounds and messages differ).  A bucket stays a group of its own when it
-cannot share an exchange or was planned not to: a dense (``hybrid``) or
-baseline-method bucket, a different configuration (a per-bucket ``bits=``
-override), a feedback schedule that retunes ``k`` from the bucket's own
-result, or any bucket of a :class:`~repro.core.fusion.FusionPlan`
-(``buckets=auto``), whose exchanges the planner already priced one by one
-against the backward pass.  :attr:`BucketedSynchronizer.sessions` /
+rounds and messages differ).  Two things start a new group: a different
+configuration (a per-bucket ``bits=`` override) and a
+:class:`~repro.core.fusion.FusionPlan` (``buckets=auto``), whose every
+bucket the planner already priced as an exchange of its own against the
+backward pass.  :attr:`BucketedSynchronizer.sessions` /
 :attr:`~BucketedSynchronizer.slices` are per group; groups synchronise one
 after the other, so the aggregated :class:`~repro.comm.stats.CommStats`
 adds the groups' rounds as well as their volumes.
@@ -35,44 +34,23 @@ small layers are guaranteed representation in the global gradient (the
 motivation DGC gives for per-layer selection), whereas the flat pipeline
 lets a few large layers monopolise the budget.  Residual conservation is
 preserved bucket by bucket, which the bucketed-vs-flat equivalence tests
-assert alongside exact equality on the dense path.
+assert.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..comm.transport import Transport
 from ..comm.stats import CommStats
 from .base import GradientSynchronizer, SyncResult
+from .config import SparDLConfig
 from .pipeline import SyncSession
-from .schedules import KSchedule
 from .spardl import SparDLSynchronizer
 
 __all__ = ["BucketedSynchronizer", "layer_buckets", "fuse_buckets"]
-
-#: Builds one bucket's synchroniser: ``factory(cluster, bucket_elements)``,
-#: or ``factory(cluster, bucket_elements, bucket_name)`` for per-bucket
-#: policies (hybrid dense/sparse switching, per-bucket ``bits=`` overrides).
-BucketFactory = Callable[..., GradientSynchronizer]
-
-
-def _factory_takes_name(factory: BucketFactory) -> bool:
-    """True when ``factory`` accepts a third positional (name) argument."""
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # builtins / odd callables: stay binary
-        return False
-    positional = [
-        p for p in parameters.values()
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if any(p.kind is p.VAR_POSITIONAL for p in parameters.values()):
-        return True
-    return len(positional) >= 3
 
 
 def layer_buckets(module) -> List[Tuple[str, int]]:
@@ -119,15 +97,6 @@ def fuse_buckets(buckets: Sequence[Tuple[str, int]],
     return fused
 
 
-def _shares_exchange(left: GradientSynchronizer, right: GradientSynchronizer) -> bool:
-    """True when two neighbouring buckets' synchronisers can be one
-    :class:`SparDLSynchronizer` over both: same class, same configuration,
-    and a schedule that needs no feedback from the bucket's own result."""
-    return (type(left) is SparDLSynchronizer and type(right) is SparDLSynchronizer
-            and left.config == right.config
-            and type(left.schedule).observe is KSchedule.observe)
-
-
 class BucketedSynchronizer(GradientSynchronizer):
     """Drives one :class:`SyncSession` per exchange group of buckets.
 
@@ -138,16 +107,11 @@ class BucketedSynchronizer(GradientSynchronizer):
     bucket_sizes:
         Element count of each contiguous bucket; they concatenate to the
         full flat gradient.
-    factory:
-        ``factory(cluster, bucket_elements)`` building one bucket's
-        synchroniser — what that bucket would run on its own.  A factory
-        accepting a third positional argument is additionally handed the
-        bucket's *name* (``factory(cluster, bucket_elements,
-        bucket_name)``), which per-bucket policies key on: the hybrid
-        dense/sparse switch picks the method per bucket size, and
-        per-bucket ``bits=`` overrides match name patterns.  Neighbouring
-        buckets that come back as equally configured SparDL synchronisers
-        are replaced by one spanning them (see the module notes).
+    configs:
+        One :class:`~repro.core.config.SparDLConfig` per bucket: what that
+        bucket would run on its own.  Neighbouring buckets with equal
+        configurations share one :class:`SparDLSynchronizer` (see the
+        module notes).
     bucket_names:
         Optional display names (defaults to ``bucket0..``).
     plan:
@@ -161,14 +125,16 @@ class BucketedSynchronizer(GradientSynchronizer):
     name = "Bucketed"
 
     def __init__(self, cluster: Transport, bucket_sizes: Sequence[int],
-                 factory: BucketFactory,
-                 bucket_names: Optional[Sequence[str]] = None,
+                 configs: Sequence[SparDLConfig],
+                 bucket_names: Sequence[str] | None = None,
                  plan=None) -> None:
         sizes = [int(size) for size in bucket_sizes]
         if not sizes:
             raise ValueError("at least one bucket is required")
         if any(size <= 0 for size in sizes):
             raise ValueError("bucket sizes must be positive")
+        if len(configs) != len(sizes):
+            raise ValueError("configs must match bucket_sizes")
         super().__init__(cluster, sum(sizes))
         self.bucket_sizes = sizes
         if bucket_names is None:
@@ -176,24 +142,17 @@ class BucketedSynchronizer(GradientSynchronizer):
         if len(bucket_names) != len(sizes):
             raise ValueError("bucket_names must match bucket_sizes")
         self.bucket_names = list(bucket_names)
-        if _factory_takes_name(factory):
-            built = [factory(cluster, size, name)
-                     for size, name in zip(sizes, self.bucket_names)]
-        else:
-            built = [factory(cluster, size) for size in sizes]
-        #: Method label of every bucket (what it would run on its own).
-        self.bucket_methods = [synchronizer.name for synchronizer in built]
         #: Exchange groups: ``groups[g]`` lists the buckets of group ``g``.
         self.groups: List[List[int]] = [[0]]
-        for index in range(1, len(built)):
-            if plan is None and _shares_exchange(built[index - 1], built[index]):
+        for index in range(1, len(sizes)):
+            if plan is None and configs[index] == configs[index - 1]:
                 self.groups[-1].append(index)
             else:
                 self.groups.append([index])
         #: One session per exchange group, each wrapping its own synchroniser.
         self.sessions: List[SyncSession] = [
-            SyncSession(built[group[0]] if len(group) == 1 else SparDLSynchronizer(
-                cluster, [sizes[index] for index in group], built[group[0]].config))
+            SyncSession(SparDLSynchronizer(
+                cluster, [sizes[index] for index in group], configs[group[0]]))
             for group in self.groups]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
         #: ``(lo, hi)`` slice of every exchange group in the flat gradient.
@@ -201,7 +160,7 @@ class BucketedSynchronizer(GradientSynchronizer):
             (offsets[group[0]], offsets[group[-1] + 1]) for group in self.groups]
         #: The fusion plan behind this layout, when one was used.
         self.fusion_plan = plan
-        self.name = f"Bucketed[{len(sizes)}]({self.bucket_methods[0]})"
+        self.name = f"Bucketed[{len(sizes)}]({self.sessions[0].synchronizer.name})"
 
     # ------------------------------------------------------------------
     def enable_momentum_correction(self, factor: float) -> None:
@@ -224,17 +183,14 @@ class BucketedSynchronizer(GradientSynchronizer):
         return len(self.bucket_sizes)
 
     @property
-    def k(self) -> Optional[int]:
+    def k(self) -> int:
         """Aggregate selection budget: the sum of the buckets' current
-        ``k`` (``None`` when the buckets have no sparsity knob, e.g. dense).
+        ``k``.
 
         Sessions read this after every step, so a bucketed warm-up's
         resolved-``k`` trajectory is visible exactly like a flat one's.
         """
-        ks = [session.synchronizer.k for session in self.sessions]
-        if any(value is None for value in ks):
-            return None
-        return int(sum(ks))
+        return int(sum(session.synchronizer.k for session in self.sessions))
 
     def _step(self, gradients: Dict[int, np.ndarray], observer=None) -> SyncResult:
         """One bucketed step: slice, drive every group's session, and
@@ -257,8 +213,8 @@ class BucketedSynchronizer(GradientSynchronizer):
             # result is the result.
             global_gradients = results[0].global_gradients
         else:
-            # Sparse groups hand every agreeing rank the same array, so ranks
-            # with identical parts share one read-only concatenation too.
+            # Groups hand every agreeing rank the same array, so ranks with
+            # identical parts share one read-only concatenation too.
             assembled: Dict[Tuple[int, ...], np.ndarray] = {}
             global_gradients = {}
             for rank in arrays:
@@ -272,14 +228,10 @@ class BucketedSynchronizer(GradientSynchronizer):
             "buckets": self.num_buckets,
             "bucket_names": list(self.bucket_names),
             "bucket_sizes": list(self.bucket_sizes),
-            # Per-bucket method labels: under the hybrid dense/sparse policy
-            # (and per-bucket bits overrides) buckets run different methods,
-            # and the volume accounting is audited per group against them.
-            "bucket_methods": list(self.bucket_methods),
-            "k": self._total_or_none("k", results),
-            "final_nnz": self._total_or_none("final_nnz", results),
-            # One entry per exchange group (a SparDL group lists its
-            # buckets' shares under ``bucket_k`` / ``bucket_final_nnz``).
+            "k": int(sum(outcome.info["k"] for outcome in results)),
+            "final_nnz": int(sum(outcome.info["final_nnz"] for outcome in results)),
+            # One entry per exchange group (each lists its buckets' shares
+            # under ``bucket_k`` / ``bucket_final_nnz``).
             "per_bucket_info": [outcome.info for outcome in results],
             # Exchange groups in forward order — which buckets, how many
             # elements, what traffic: the overlap-aware iteration timing
@@ -305,25 +257,13 @@ class BucketedSynchronizer(GradientSynchronizer):
 
     # ------------------------------------------------------------------
     def total_residual(self) -> np.ndarray:
-        """Sum of every group's residual stores, assembled to full length.
-
-        Groups without residual state (e.g. dense buckets) contribute
-        zeros, so ``global + total_residual() == exact dense sum`` holds
-        exactly when it holds per group (GRES conservation).
-        """
+        """Sum of every group's residual stores, assembled to full length,
+        so ``global + total_residual() == exact dense sum`` holds exactly
+        when it holds per group (GRES conservation)."""
         total = np.zeros(self.num_elements, dtype=np.float64)
         for (lo, hi), session in zip(self.slices, self.sessions):
-            residuals = session.synchronizer.residuals
-            if residuals is not None:
-                total[lo:hi] = residuals.total_residual()
+            total[lo:hi] = session.synchronizer.residuals.total_residual()
         return total
-
-    @staticmethod
-    def _total_or_none(key: str, results: Sequence[SyncResult]):
-        values = [outcome.info.get(key) for outcome in results]
-        if any(value is None for value in values):
-            return None
-        return int(sum(values))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BucketedSynchronizer(P={self.num_workers}, buckets={self.num_buckets}, "

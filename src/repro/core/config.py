@@ -87,7 +87,7 @@ class SparDLConfig:
     schedule:
         Sparsity schedule (see :mod:`repro.core.schedules`): ``None`` keeps
         the constant ``k``/``density`` (the pre-schedule behaviour, bit for
-        bit), a spec string (``"warmup:5"``, ``"adaptive"``) is interpreted
+        bit), a spec string (``"warmup:5"``) is interpreted
         against the configured ``k``/``density`` target, and a ready
         :class:`~repro.core.schedules.KSchedule` object carries its own
         target (``k``/``density`` must then be omitted).

@@ -4,8 +4,8 @@ Per-layer bucketing (:mod:`repro.core.bucketed`) earns its keep only when
 the per-bucket exchanges *overlap* the backward pass — otherwise every
 bucket pays the full latency of its own collective and the layout is
 strictly slower than flat.  This module plans the bucket layout that
-minimises the overlapped critical path, the way SSFusion's MG-WFBP and ASC
-planners do for real clusters:
+minimises the overlapped critical path, the way MG-WFBP (Shi et al.,
+INFOCOM 2019) does for real clusters:
 
 1. **Price** on the alpha-beta model the run is timed with: the
    :class:`~repro.comm.network.NetworkProfile` handed in (``alpha`` =
@@ -26,22 +26,15 @@ planners do for real clusters:
    whenever the merge does not lengthen the overlapped critical path of
    the whole timeline (merging always saves per-bucket latency; it hurts
    only when it delays a gradient that could have been on the wire
-   earlier).  :func:`plan_asc` fuses by alpha-saturation coalescing:
-   walking the backward order, layers accumulate into one bucket until the
-   bucket's bandwidth term has earned its latency term
-   (``beta * volume >= alpha * rounds``), so an alpha-dominated network
-   degenerates to one flat bucket and a beta-dominated one to pure
-   per-layer buckets.
+   earlier).
 
 The resulting :class:`FusionPlan` is a valid partition by construction —
 only *adjacent* buckets ever merge, so sizes sum to the model's parameter
 count and layer order is preserved — and its predicted critical path never
 exceeds the sequential (non-overlapped) per-layer timeline: MG-WFBP only
-accepts merges that keep the critical path, and ASC falls back to the
-per-layer plan if its grouping ever predicts worse.
+accepts merges that keep the critical path.
 
-``repro.api`` exposes the planners as ``buckets=auto`` (MG-WFBP, the
-default), ``buckets=auto:mgwfbp`` and ``buckets=auto:asc``.
+``repro.api`` exposes the planner as ``buckets=auto``.
 """
 
 from __future__ import annotations
@@ -65,15 +58,10 @@ from ..training.timing import ComputeProfile, OverlapTimeline, overlap_timeline
 
 __all__ = [
     "FusionPlan",
-    "FUSION_PLANNERS",
     "bucket_comm_model",
     "plan_mgwfbp",
-    "plan_asc",
     "plan_buckets",
 ]
-
-#: Planner names accepted by ``buckets=auto[:PLANNER]``.
-FUSION_PLANNERS = ("mgwfbp", "asc")
 
 #: ``estimator(bucket_elements) -> (rounds, volume_elements)``.
 CommModel = Callable[[int], Tuple[float, float]]
@@ -151,7 +139,6 @@ class FusionPlan:
     :class:`~repro.core.bucketed.BucketedSynchronizer` is built from.
     """
 
-    planner: str
     #: The original per-layer layout the plan partitions.
     layers: Tuple[Tuple[str, int], ...]
     #: Per fused bucket: the (start, stop) slice of merged layer indices.
@@ -165,9 +152,6 @@ class FusionPlan:
     #: Predicted non-overlapped (sequential) time of the *per-layer*
     #: layout: the baseline any acceptable plan must not exceed.
     predicted_sequential: float
-    #: True when ASC's threshold grouping predicted worse than per-layer
-    #: buckets and the plan fell back to the per-layer layout.
-    fallback: bool = False
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -208,7 +192,6 @@ class FusionPlan:
     def breakdown(self) -> dict:
         """JSON-friendly plan summary for benchmark reports."""
         return {
-            "planner": self.planner,
             "num_layers": len(self.layers),
             "num_buckets": self.num_buckets,
             "bucket_sizes": self.sizes,
@@ -216,7 +199,6 @@ class FusionPlan:
             "beta": self.network.beta,
             "network": self.network.name,
             "volume_scale": self.volume_scale,
-            "fallback": self.fallback,
             "predicted_sequential_s": self.predicted_sequential,
             "predicted": self.predicted.breakdown(),
         }
@@ -310,74 +292,14 @@ def plan_mgwfbp(layers: Sequence[Tuple[str, int]],
                 current = candidate
                 improved = True
     return FusionPlan(
-        planner="mgwfbp", layers=layers, groups=tuple(groups), network=network,
+        layers=layers, groups=tuple(groups), network=network,
         volume_scale=volume_scale, predicted=current,
         predicted_sequential=sequential,
     )
 
 
-def plan_asc(layers: Sequence[Tuple[str, int]],
-             compute_times: Sequence[float],
-             estimator: CommModel,
-             network: NetworkProfile,
-             volume_scale: float = 1.0) -> FusionPlan:
-    """ASC-style fusion: alpha-saturation coalescing over ``network``.
-
-    Walking the backward order, consecutive layers accumulate into one
-    bucket until the bucket's bandwidth term has earned its latency term —
-    ``beta * volume >= alpha * rounds`` under the alpha-beta model —
-    at which point the bucket closes and the next one starts.  A
-    latency-dominated network (large ``alpha/beta``) therefore fuses
-    everything into a single flat bucket, while a bandwidth-dominated one
-    (``alpha -> 0``) keeps pure per-layer buckets; in between the bucket
-    count tracks the saturation size ``alpha / beta``.  Unlike
-    MG-WFBP the rule is closed-form rather than timeline-driven, so the
-    plan is additionally checked against the per-layer timeline and falls
-    back to per-layer buckets when the grouping predicts worse
-    (``fallback=True``) — the plan never exceeds the sequential baseline.
-    """
-    layers = tuple((str(name), int(size)) for name, size in layers)
-    compute_times = [float(t) for t in compute_times]
-    _validate_plan_inputs(layers, compute_times)
-    per_layer = [(i, i + 1) for i in range(len(layers))]
-    per_layer_timeline = _timeline_for(layers, compute_times, per_layer,
-                                       estimator, network, volume_scale)
-    sequential = (per_layer_timeline.backward_total
-                  + per_layer_timeline.comm_total)
-
-    # Accumulate in backward order (last forward layer first), closing each
-    # group once its bandwidth term covers its latency term.
-    groups_backward: List[Tuple[int, int]] = []
-    stop = len(layers)
-    for index in range(len(layers) - 1, -1, -1):
-        size = sum(s for _, s in layers[index:stop])
-        rounds, volume = estimator(size)
-        if network.beta * volume * volume_scale >= network.alpha * rounds:
-            groups_backward.append((index, stop))
-            stop = index
-    if stop > 0:  # leftover head of the model never saturated: one bucket
-        groups_backward.append((0, stop))
-    groups = tuple(sorted(groups_backward))
-
-    timeline = _timeline_for(layers, compute_times, groups, estimator, network,
-                             volume_scale)
-    fallback = timeline.critical_path > per_layer_timeline.critical_path * (1 + 1e-12)
-    if fallback:
-        groups = tuple(per_layer)
-        timeline = per_layer_timeline
-    return FusionPlan(
-        planner="asc", layers=layers, groups=groups, network=network,
-        volume_scale=volume_scale, predicted=timeline,
-        predicted_sequential=sequential, fallback=fallback,
-    )
-
-
-_PLANNERS = {"mgwfbp": plan_mgwfbp, "asc": plan_asc}
-
-
 def plan_buckets(layers: Sequence[Tuple[str, int]],
                  *,
-                 planner: str = "mgwfbp",
                  method: str = "SparDL",
                  num_workers: int,
                  network: NetworkProfile | HeterogeneousNetwork,
@@ -386,7 +308,8 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
                  num_bits: Optional[int] = None,
                  compute_profile: Optional[ComputeProfile] = None,
                  model_parameters: Optional[int] = None) -> FusionPlan:
-    """Plan a fused bucket layout for ``layers`` (forward order).
+    """Plan a fused bucket layout for ``layers`` (forward order) with
+    :func:`plan_mgwfbp`.
 
     Every bucket's exchange is priced on ``network``, the
     :class:`~repro.comm.network.NetworkProfile` the run is timed with (a
@@ -403,10 +326,6 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
     Everything here is deterministic and sends nothing: a fixed layout
     and fixed profiles always produce the identical plan.
     """
-    if planner not in _PLANNERS:
-        raise ValueError(
-            f"unknown fusion planner {planner!r}; expected one of "
-            f"{', '.join(FUSION_PLANNERS)}")
     layout = [(str(name), int(size)) for name, size in layers]
     if not layout:
         raise ValueError("at least one layer bucket is required")
@@ -424,5 +343,5 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
         network = network.slowest()
     estimator = bucket_comm_model(method, num_workers, density=density,
                                   teams=teams, num_bits=num_bits)
-    return _PLANNERS[planner](layout, compute_times, estimator, network,
-                              volume_scale=volume_scale)
+    return plan_mgwfbp(layout, compute_times, estimator, network,
+                       volume_scale=volume_scale)

@@ -4,22 +4,17 @@ The paper sweeps the sparsity ratio ``k/n`` as a static hyper-parameter
 (Fig. 16); follow-up systems treat it as a *schedule*: Deep Gradient
 Compression ramps the sparsity up over a few warm-up epochs so early
 iterations — whose gradients carry the most signal — are compressed
-gently, and adaptive systems retune the ratio online from what the
-exchange actually observed.  A :class:`KSchedule` makes that first-class:
-every synchroniser resolves its per-step ``k`` through its schedule at the
-start of each step, and hands the step's outcome back through
-:meth:`KSchedule.observe` afterwards.
+gently.  A :class:`KSchedule` makes that first-class: every synchroniser
+resolves its per-step ``k`` through its schedule at the start of each
+step.
 
-Three schedules are provided:
+Two schedules are provided:
 
 * :class:`ConstantSchedule` — the paper's static ``k``/``density`` pair.
   This is the default everywhere and reproduces the pre-schedule behaviour
   bit for bit.
 * :class:`WarmupSchedule` — a DGC-style geometric ramp from a dense-ish
   ``start_density`` down to the target over ``warmup_steps`` steps.
-* :class:`AdaptiveSchedule` — a feedback controller that treats the target
-  ``k`` as a budget on the *merged global* non-zero count and multiplicatively
-  retunes the per-worker ``k`` from the observed ``final_nnz``.
 
 Schedules also define the spec-string grammar used by :mod:`repro.api`
 (``schedule=warmup:5`` etc.); :func:`parse_schedule` and
@@ -36,7 +31,6 @@ __all__ = [
     "KSchedule",
     "ConstantSchedule",
     "WarmupSchedule",
-    "AdaptiveSchedule",
     "parse_schedule",
     "coerce_schedule",
     "SCHEDULE_KINDS",
@@ -44,7 +38,7 @@ __all__ = [
 
 #: Schedule kinds understood by :func:`parse_schedule` (the ``schedule=``
 #: values of the :mod:`repro.api` spec grammar).
-SCHEDULE_KINDS = ("constant", "warmup", "adaptive")
+SCHEDULE_KINDS = ("constant", "warmup")
 
 
 def resolve_k(num_elements: int, k: Optional[int], density: Optional[float]) -> int:
@@ -71,11 +65,7 @@ class KSchedule(ABC):
     """Per-iteration resolution of the sparsity ``k``.
 
     ``resolve(iteration, num_elements)`` is called at the *start* of every
-    step and returns the ``k`` that step selects per worker;
-    ``observe(iteration, k_used, result)`` is called at the *end* of the
-    step with the finished :class:`~repro.core.base.SyncResult`, so
-    feedback schedules can retune themselves from the observed non-zero
-    count or communication volume.  Stateless schedules ignore ``observe``.
+    step and returns the ``k`` that step selects per worker.
     """
 
     #: Spec-grammar kind (first token of the ``schedule=`` value).
@@ -85,9 +75,6 @@ class KSchedule(ABC):
     def resolve(self, iteration: int, num_elements: int) -> int:
         """The ``k`` to select at ``iteration`` (0-based) for a gradient of
         ``num_elements``."""
-
-    def observe(self, iteration: int, k_used: int, result) -> None:
-        """Feedback hook called after each step (default: no-op)."""
 
     @abstractmethod
     def spec(self) -> str:
@@ -185,73 +172,6 @@ class WarmupSchedule(KSchedule):
         return f"warmup:{self.warmup_steps}"
 
 
-class AdaptiveSchedule(KSchedule):
-    """Feedback controller: retune ``k`` from the observed global nnz.
-
-    The target ``k``/``density`` is read as a *budget on the merged global
-    gradient's non-zero count* (the quantity SparDL's Fig. 7 plots and the
-    B-SAG controller steers).  When workers select mostly disjoint indices
-    the merged nnz approaches ``P * k`` — far over budget for the same
-    per-element information — so after every step the controller rescales
-    the per-worker ``k`` multiplicatively:
-
-    ``k <- k * (budget / observed_nnz) ** gain``
-
-    damped by ``gain`` (default 0.5) and clamped to at most a 2x move per
-    step.  Steps that report no ``final_nnz``, and dense-fallback steps
-    (whose ``final_nnz`` counts the exact dense sum, not a merged sparse
-    selection), leave ``k`` untouched — otherwise a budget near the
-    fallback crossover would oscillate across it forever.
-    """
-
-    kind = "adaptive"
-
-    def __init__(self, k: Optional[int] = None, density: Optional[float] = None,
-                 gain: float = 0.5) -> None:
-        _validate_target(k, density)
-        if not 0 < gain <= 1:
-            raise ValueError("gain must be in (0, 1]")
-        self.k = None if k is None else int(k)
-        self.density = None if density is None else float(density)
-        self.gain = float(gain)
-        self._current: Optional[int] = None
-
-    def resolve(self, iteration: int, num_elements: int) -> int:
-        budget = resolve_k(num_elements, self.k, self.density)
-        if self._current is None:
-            self._current = budget
-        return max(1, min(num_elements, self._current))
-
-    def observe(self, iteration: int, k_used: int, result) -> None:
-        if result is None or result.info.get("dense_fallback"):
-            return
-        observed = result.info.get("final_nnz")
-        if not observed:
-            return
-        budget = self._budget_nnz(result)
-        ratio = budget / float(observed)
-        factor = ratio ** self.gain
-        # At most halve / double per step so one noisy iteration cannot
-        # collapse the selection.
-        factor = min(2.0, max(0.5, factor))
-        self._current = max(1, int(round(k_used * factor)))
-
-    def _budget_nnz(self, result) -> float:
-        length = None
-        gradients = getattr(result, "global_gradients", None)
-        if gradients:
-            first = next(iter(gradients.values()))
-            length = first.shape[0]
-        if length is None:  # pragma: no cover - defensive
-            return float(self.k or 1)
-        return float(resolve_k(length, self.k, self.density))
-
-    def spec(self) -> str:
-        if self.gain != 0.5:
-            return f"adaptive:{self.gain:g}"
-        return "adaptive"
-
-
 # ---------------------------------------------------------------------------
 # spec-string grammar
 # ---------------------------------------------------------------------------
@@ -264,8 +184,6 @@ def parse_schedule(spec: str, k: Optional[int] = None,
         constant                  -> ConstantSchedule(k, density)
         warmup:STEPS              -> WarmupSchedule(STEPS, k, density)
         warmup:STEPS:START        -> WarmupSchedule(STEPS, k, density, START)
-        adaptive                  -> AdaptiveSchedule(k, density)
-        adaptive:GAIN             -> AdaptiveSchedule(k, density, GAIN)
 
     The target sparsity (``k`` or ``density``) comes from the surrounding
     configuration, exactly as in ``SparDLConfig``.
@@ -286,11 +204,6 @@ def parse_schedule(spec: str, k: Optional[int] = None,
         steps = int(args[0])
         start = float(args[1]) if len(args) == 2 else None
         return WarmupSchedule(steps, k=k, density=density, start_density=start)
-    if kind == "adaptive":
-        if len(args) > 1:
-            raise ValueError(f"adaptive schedule spec must be adaptive[:GAIN], got {spec!r}")
-        gain = float(args[0]) if args else 0.5
-        return AdaptiveSchedule(k=k, density=density, gain=gain)
     raise ValueError(
         f"unknown schedule kind {kind!r}; expected one of {', '.join(SCHEDULE_KINDS)}")
 

@@ -41,7 +41,8 @@ from repro.core.srs import SRSOutput, pack_blocks, segment_budgets, sparsify_blo
 from repro.sparse.topk import WarmTopK
 from repro.sparse.vector import SparseGradient
 
-__all__ = ["naive_top_k_indices", "naive_merge_add", "naive_merge_many",
+__all__ = ["naive_top_k_indices", "two_rank_partition_cut", "naive_merge_add",
+           "naive_merge_many",
            "expected_price", "spy_exchange", "seed_allreduce_ring",
            "seed_allreduce_rabenseifner", "seed_spar_reduce_scatter"]
 
@@ -57,6 +58,21 @@ def naive_top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     magnitude = np.abs(values)
     order = np.argsort(-magnitude, kind="stable")
     return np.sort(order[:k].astype(np.int64))
+
+
+def two_rank_partition_cut(magnitude: np.ndarray, k: int,
+                           reach: Optional[int] = None):
+    """The k-th and reach-th largest magnitude out of one two-rank
+    ``np.partition``, NaN remapped to -inf when present: what
+    ``repro.sparse.topk._partition_cut`` computed before it partitioned
+    twice."""
+    n = magnitude.shape[0]
+    kth = n - k if reach is None or reach == k else (n - reach, n - k)
+    part = np.partition(magnitude, kth)
+    if np.isnan(part[n - k:]).any():
+        magnitude = np.where(np.isnan(magnitude), -np.inf, magnitude)
+        part = np.partition(magnitude, kth)
+    return magnitude, part[n - k], part[n - (reach or k)]
 
 
 def naive_merge_add(a_indices: np.ndarray, a_values: np.ndarray,

@@ -70,12 +70,47 @@ class TestParseSpec:
         ("spardl?k=5&k=6", "duplicate spec key"),
         ("spardl?k=5&density=0.1", "only one of k and density"),
         ("spardl?density=0.1&buckets=size:0", "unknown buckets mode"),
-        ("spardl?density=0.1&buckets=auto:greedy", "unknown fusion planner"),
+        ("spardl?density=0.1&buckets=auto:greedy", "was removed"),
         ("", "empty synchroniser spec"),
     ])
     def test_malformed_specs_raise(self, bad, match):
         with pytest.raises(ValueError, match=match):
             parse_spec(bad)
+
+
+#: Every removed spelling: the spec string, and the same as keywords of
+#: ``make`` on top of a bare method name.
+REMOVED = [
+    ("spardl?density=0.1&buckets=layer&hybrid=dense<64",
+     "spardl", {"density": 0.1, "buckets": "layer", "hybrid": "dense<64"}),
+    ("spardl?density=0.1&schedule=adaptive",
+     "spardl", {"density": 0.1, "schedule": "adaptive"}),
+    ("spardl?density=0.1&schedule=adaptive:0.25",
+     "spardl", {"density": 0.1, "schedule": "adaptive:0.25"}),
+    ("spardl?density=0.1&buckets=auto:asc",
+     "spardl", {"density": 0.1, "buckets": "auto:asc"}),
+    ("spardl?density=0.1&buckets=auto:mgwfbp",
+     "spardl", {"density": 0.1, "buckets": "auto:mgwfbp"}),
+    ("topka?density=0.01&buckets=layer",
+     "topka", {"density": 0.01, "buckets": "layer"}),
+    ("topkdsa?density=0.01&buckets=size:40",
+     "topkdsa", {"density": 0.01, "buckets": "size:40"}),
+    ("gtopk?density=0.01&buckets=auto", "gtopk", {"density": 0.01, "buckets": "auto"}),
+    ("ok-topk?k=5&buckets=layer", "ok-topk", {"k": 5, "buckets": "layer"}),
+    ("dense?buckets=layer", "dense", {"buckets": "layer"}),
+]
+
+
+class TestRemovedSpellings:
+    @pytest.mark.parametrize("spec,_name,_keys", REMOVED, ids=[r[0] for r in REMOVED])
+    def test_parse_names_the_removal(self, spec, _name, _keys):
+        with pytest.raises(ValueError, match="was removed"):
+            parse_spec(spec)
+
+    @pytest.mark.parametrize("_spec,name,keys", REMOVED, ids=[r[0] for r in REMOVED])
+    def test_make_keywords_name_the_removal(self, _spec, name, keys):
+        with pytest.raises(ValueError, match="was removed"):
+            make(name, SimulatedCluster(4), model=build_mlp(8, [8], 2, seed=0), **keys)
 
 
 class TestMake:
@@ -188,8 +223,10 @@ SPELLINGS = ["spardl", "SparDL", "ok-topk", "oktopk", "ok_topk", "topka", "topk-
 def spec_strings(draw):
     """A runnable spec string with a value drawn for every key."""
     name = draw(st.sampled_from(SPELLINGS))
-    sparse = parse_spec(name).method != "Dense"
-    buckets = draw(st.sampled_from(["flat", "layer", "size:40", "auto", "auto:asc"]))
+    method = parse_spec(name).method
+    sparse = method != "Dense"
+    buckets = (draw(st.sampled_from(["flat", "layer", "size:40", "auto"]))
+               if method == "SparDL" else "flat")
     bucketed = buckets != "flat"
     momentum = draw(st.none() | st.floats(0.01, 0.99))
     keys = {
@@ -210,10 +247,7 @@ def spec_strings(draw):
             keys["k"] = draw(st.integers(1, 120))
         else:
             keys["density"] = draw(st.floats(1e-4, 1.0))
-        keys["schedule"] = draw(st.sampled_from(
-            ["constant", "warmup:3", "warmup:2:0.5", "adaptive", "adaptive:0.25"]))
-        if bucketed:
-            keys["hybrid"] = draw(st.sampled_from([None, "dense<20"]))
+        keys["schedule"] = draw(st.sampled_from(["constant", "warmup:3", "warmup:2:0.5"]))
     query = "&".join(f"{key}={value}" for key, value in keys.items() if value is not None)
     return f"{name}?{query}"
 

@@ -10,8 +10,11 @@ from hypothesis import strategies as hyp_st
 from repro.api import make, make_factory
 from repro.comm.cluster import SimulatedCluster
 from repro.core.bucketed import BucketedSynchronizer, fuse_buckets, layer_buckets
+from repro.core.config import SparDLConfig
+from repro.core.spardl import SparDLSynchronizer
 from repro.nn.models import build_mlp
 from repro.training.cases import get_case
+from repro.training.timing import ComputeProfile
 from repro.training.trainer import DistributedTrainer, TrainerConfig
 
 from tests.helpers import case5_trainer
@@ -51,34 +54,34 @@ class TestBucketLayout:
         with pytest.raises(ValueError):
             fuse_buckets([("a", 10)], 0)
         with pytest.raises(ValueError):
-            BucketedSynchronizer(SimulatedCluster(2), [],
-                                 factory=lambda c, n: None)
+            BucketedSynchronizer(SimulatedCluster(2), [], [])
+        with pytest.raises(ValueError, match="configs must match"):
+            BucketedSynchronizer(SimulatedCluster(2), [10, 20],
+                                 [SparDLConfig(density=0.1)])
 
 
 class TestBucketedVersusFlat:
-    def test_dense_path_equivalent_to_flat(self):
-        """Satellite requirement: bucketed == flat for the dense path (the
-        allreduce is exact, so slicing cannot change the result beyond
-        float addition order)."""
+    def test_dense_fallback_path_equivalent_to_flat(self):
+        """Past the density crossover the one exchange group runs the exact
+        dense All-Reduce over the whole gradient: the result, the volume
+        and the rounds are the flat run's."""
         model = _model()
         n = model.num_parameters()
         grads = _gradients(n)
-        flat = make("dense", SimulatedCluster(NUM_WORKERS), num_elements=n)
-        bucketed = make("dense?buckets=layer", SimulatedCluster(NUM_WORKERS), model=model)
+        flat = make("spardl?density=0.6", SimulatedCluster(NUM_WORKERS), num_elements=n)
+        bucketed = make("spardl?density=0.6&buckets=layer",
+                        SimulatedCluster(NUM_WORKERS), model=model)
         flat_result = flat.synchronize({w: g.copy() for w, g in grads.items()})
         bucketed_result = bucketed.synchronize({w: g.copy() for w, g in grads.items()})
+        assert bucketed_result.info["per_bucket_info"][0]["dense_fallback"]
         exact = sum(grads.values())
         for worker in range(NUM_WORKERS):
-            np.testing.assert_allclose(bucketed_result.global_gradients[worker],
-                                       flat_result.global_gradients[worker],
-                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(bucketed_result.global_gradients[worker],
+                                          flat_result.global_gradients[worker])
             np.testing.assert_allclose(bucketed_result.global_gradients[worker],
                                        exact, rtol=1e-9, atol=1e-12)
-        # Same elements move in total (the dense volume is layout-invariant);
-        # bucketing pays extra latency rounds, which the stats expose honestly.
-        assert bucketed_result.stats.total_volume == pytest.approx(
-            flat_result.stats.total_volume)
-        assert bucketed_result.stats.rounds >= flat_result.stats.rounds
+        assert bucketed_result.stats.total_volume == flat_result.stats.total_volume
+        assert bucketed_result.stats.rounds == flat_result.stats.rounds
 
     def test_spardl_path_equivalent_conservation(self):
         """Satellite requirement for the SparDL path: per-bucket top-k picks
@@ -127,7 +130,7 @@ class TestBucketedVersusFlat:
         assert result.stats.total_volume == pytest.approx(
             sum(s.cumulative_stats.total_volume for s in sessions))
         info = result.info
-        assert info["buckets"] == bucketed.num_buckets == len(info["bucket_methods"])
+        assert info["buckets"] == bucketed.num_buckets == len(info["bucket_names"])
         assert len(sessions) == len(info["groups"]) == 1
         assert info["groups"] == [list(range(bucketed.num_buckets))]
         assert info["group_sizes"] == [model.num_parameters()]
@@ -175,6 +178,54 @@ class TestBucketedVersusFlat:
         with pytest.raises(ValueError, match="needs the model"):
             make("spardl?density=0.05&buckets=layer", SimulatedCluster(4),
                  num_elements=100)
+
+
+class _Stack:
+    """The shape of the ledger's ``bucketed_stack`` model at a small size:
+    eight weight tensors of doubling sizes, each followed by a bias."""
+
+    @staticmethod
+    def parameters():
+        return [type("P", (), {"name": f"layer{index}.{kind}", "size": size})()
+                for index in range(8)
+                for kind, size in (("weight", 64 << index), ("bias", 8))]
+
+
+class TestConstruction:
+    """A bucketed synchroniser constructs one ``SparDLSynchronizer`` per
+    exchange group and nothing it throws away."""
+
+    @staticmethod
+    def _constructions(monkeypatch, spec, model, **kwargs):
+        built = []
+        original = SparDLSynchronizer.__init__
+
+        def counting(self, *args, **keys):
+            built.append(self)
+            original(self, *args, **keys)
+
+        monkeypatch.setattr(SparDLSynchronizer, "__init__", counting)
+        sync = make(spec, SimulatedCluster(8), model=model, **kwargs)
+        assert built == [session.synchronizer for session in sync.sessions]
+        return sync, len(built)
+
+    def test_one_synchronizer_for_the_stack(self, monkeypatch):
+        sync, built = self._constructions(
+            monkeypatch, "spardl?density=0.01&buckets=layer&bits=8&momentum=0.9&teams=2",
+            _Stack())
+        assert sync.num_buckets == 16 and sync.groups == [list(range(16))]
+        assert built == 1
+
+    def test_one_synchronizer_per_group(self, monkeypatch):
+        sync, built = self._constructions(
+            monkeypatch, "spardl?density=0.01&buckets=layer&bits=8,bias:32", _Stack())
+        assert built == len(sync.groups) == 16
+
+    def test_one_synchronizer_per_planned_bucket(self, monkeypatch):
+        sync, built = self._constructions(
+            monkeypatch, "spardl?density=0.05&buckets=auto", _model(),
+            compute_profile=ComputeProfile(0.13, 35.2e6))
+        assert built == sync.num_buckets > 1
 
 
 class TestTrainerWiring:

@@ -82,15 +82,26 @@ def test_api_doc_covers_every_spec_key_and_schedule_kind():
         assert f"`{key}`" in doc, f"docs/api.md does not document spec key {key!r}"
     for kind in SCHEDULE_KINDS:
         assert kind in doc, f"docs/api.md does not document schedule kind {kind!r}"
-    for buckets_mode in ("flat", "layer", "size:N", "auto",
-                         "auto:mgwfbp", "auto:asc"):
+    for buckets_mode in ("flat", "layer", "size:N", "auto"):
         assert buckets_mode in doc, (
             f"docs/api.md does not document buckets mode {buckets_mode!r}")
 
 
+def test_api_doc_migrates_every_removed_spelling():
+    doc = (REPO_ROOT / "docs" / "api.md").read_text()
+    migration = doc[doc.index("## Migration"):]
+    rows = [line for line in migration.splitlines() if line.startswith("| ")]
+    for spelling in ("hybrid=dense<SIZE", "schedule=adaptive", "buckets=auto:asc",
+                     "buckets=auto:mgwfbp", "topka?density=0.01&buckets=layer",
+                     "dense?buckets=layer", "AdaptiveSchedule", "plan_asc",
+                     "FUSION_PLANNERS", "BucketedSynchronizer(cluster, sizes, factory"):
+        assert any(spelling in row for row in rows), (
+            f"docs/api.md has no migration row for {spelling!r}")
+
+
 def test_configuration_doc_covers_schedule_grammar():
     doc = (REPO_ROOT / "docs" / "configuration.md").read_text()
-    for token in ("warmup", "adaptive", "KSchedule", "buckets"):
+    for token in ("warmup", "KSchedule", "buckets"):
         assert token in doc, (
             f"docs/configuration.md does not mention {token!r}")
 
@@ -134,7 +145,7 @@ def test_api_doc_covers_fault_layer():
 
 def test_api_doc_covers_overlap_and_fusion():
     doc = (REPO_ROOT / "docs" / "api.md").read_text()
-    for token in ("MGWFBP", "ASC", "fusion_plan", "NetworkProfile",
+    for token in ("MGWFBP", "fusion_plan", "NetworkProfile",
                   "hidden_comm_time", "overlap_comm", "compute_profile",
                   "tests/test_overlap_timing.py"):
         assert token in doc, f"docs/api.md does not mention {token!r}"
@@ -144,7 +155,7 @@ def test_architecture_doc_covers_overlap_and_fusion():
     doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
     for token in ("Overlap & bucket fusion", "overlap_timeline",
                   "ComputeProfile", "NetworkProfile", "simulated_time",
-                  "MGWFBP", "ASC", "FusionPlan", "hidden_comm",
+                  "MGWFBP", "FusionPlan", "hidden_comm",
                   "tests/test_overlap_timing.py"):
         assert token in doc, f"docs/architecture.md does not mention {token!r}"
 
@@ -157,11 +168,10 @@ def test_configuration_doc_covers_overlap_and_fusion():
             f"docs/configuration.md does not mention {token!r}")
 
 
-def test_api_doc_covers_momentum_and_hybrid():
+def test_api_doc_covers_momentum():
     doc = (REPO_ROOT / "docs" / "api.md").read_text()
-    for token in ("`momentum`", "`hybrid`", "dense<SIZE", "CompressorStack",
-                  "momentum_correction", "velocity", "2 * n * (P - 1)",
-                  "tests/test_momentum.py"):
+    for token in ("`momentum`", "CompressorStack", "momentum_correction",
+                  "velocity", "tests/test_momentum.py"):
         assert token in doc, f"docs/api.md does not mention {token!r}"
 
 

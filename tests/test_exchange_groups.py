@@ -12,7 +12,7 @@ except for rounds and messages:
 * the segmented quantiser equals one ``quantize_with_error`` per segment,
   stream positions included;
 * compiled and NumPy kernel legs agree on every bit (child process);
-* which buckets share an exchange is derived, with five exceptions;
+* which buckets share an exchange is derived, with two exceptions;
 * a membership change reaches every group (regression: it reached none).
 
 The segmented top-k kernel has its property test next to ``top_k_indices``
@@ -44,6 +44,7 @@ from repro.core.pipeline import SyncSession
 from repro.core.spardl import SparDLSynchronizer
 from repro.sparse import compiled_kernels_available
 from repro.sparse.vector import SparseGradient
+from repro.training.timing import ComputeProfile
 
 from tests.helpers import ledger
 
@@ -280,7 +281,6 @@ class TestGroupingRule:
         assert type(inner) is SparDLSynchronizer
         assert inner.bucket_sizes == sync.bucket_sizes == [size for _, size in LAYOUT]
         assert sync.bucket_names == [name for name, _ in LAYOUT]
-        assert len(sync.bucket_methods) == 6 and len(set(sync.bucket_methods)) == 1
         result = sync.synchronize(drifting_gradients(4, NUM_ELEMENTS, 0))
         flat = api.make("spardl?density=0.05&teams=2&bits=8&momentum=0.9&backend=sim:4",
                         num_elements=NUM_ELEMENTS)
@@ -290,25 +290,18 @@ class TestGroupingRule:
         assert result.gradient(0) is sync.sessions[0].last_result.gradient(0)
 
     @pytest.mark.parametrize("spec,groups", [
-        # 1. a dense (hybrid) bucket exchanges on its own, and splits what
-        #    it sits between
-        ("spardl?density=0.05&buckets=layer&hybrid=dense<100",
-         [[0], [1], [2], [3], [4], [5]]),
-        ("spardl?density=0.05&buckets=layer&hybrid=dense<5",
-         [[0, 1, 2, 3, 4], [5]]),
-        # 2. a different bits= override is a different configuration
+        # 1. a different bits= override is a different configuration
         ("spardl?density=0.05&buckets=layer&bits=8,out:32", [[0, 1, 2, 3], [4, 5]]),
         ("spardl?density=0.05&buckets=layer&bits=8,b.:4", [[0, 1], [2, 3], [4, 5]]),
-        # 3. a baseline method has no shared exchange to offer
-        ("topka?density=0.05&buckets=layer", [[0], [1], [2], [3], [4], [5]]),
-        ("dense?buckets=layer", [[0], [1], [2], [3], [4], [5]]),
-        # 4. a feedback schedule retunes k from the bucket's own result
-        ("spardl?density=0.05&buckets=layer&schedule=adaptive",
-         [[0], [1], [2], [3], [4], [5]]),
+        # 2. every bucket of a planned layout exchanges on its own
+        ("spardl?density=0.05&buckets=auto", [[0], [1], [2]]),
+        ("spardl?density=0.05&buckets=auto&bits=8,out:32", [[0], [1], [2]]),
+        # a schedule that only reads the iteration shares the exchange
         ("spardl?density=0.05&buckets=layer&schedule=warmup:3", [[0, 1, 2, 3, 4, 5]]),
     ])
     def test_exceptions_stay_groups_of_their_own(self, spec, groups):
-        sync = make_bucketed(spec)
+        # (the profile under which the planner splits LAYOUT into three)
+        sync = make_bucketed(spec, compute_profile=ComputeProfile(0.13, 35.2e6))
         assert sync.groups == groups
         assert len(sync.sessions) == len(sync.slices) == len(groups)
         edges = np.concatenate(([0], np.cumsum(sync.bucket_sizes))).tolist()
@@ -320,14 +313,13 @@ class TestGroupingRule:
         assert info["group_sizes"] == [hi - lo for lo, hi in sync.slices]
         assert len(info["bucket_stats"]) == len(info["per_bucket_info"]) == len(groups)
         assert (len(info["bucket_names"]) == len(info["bucket_sizes"])
-                == len(info["bucket_methods"]) == 6)
+                == sync.num_buckets == sum(map(len, groups)))
         assert result.is_consistent
-        if "adaptive" not in spec:  # (adaptive k moves; conservation is per step)
-            np.testing.assert_allclose(result.gradient(0) + sync.total_residual(),
-                                       sum(gradients.values()), atol=1e-9)
+        np.testing.assert_allclose(result.gradient(0) + sync.total_residual(),
+                                   sum(gradients.values()), atol=1e-9)
 
     def test_a_planned_layout_keeps_its_exchanges(self):
-        """5. ``buckets=auto``: the planner priced every exchange against
+        """2. ``buckets=auto``: the planner priced every exchange against
         the backward pass; its buckets are not regrouped."""
         sync = make_bucketed("spardl?density=0.05&buckets=auto")
         assert sync.fusion_plan is not None
@@ -353,11 +345,12 @@ MATRIX = list(itertools.product([1, 2], [None, 8], [None, 0.9]))
 CRASH_STEP, JOIN_STEP, STEPS = 2, 4, 6
 
 
-def churn_session(teams, num_bits, momentum, hybrid=False, workers=4):
+def churn_session(teams, num_bits, momentum, split=False, workers=4):
     spec = f"spardl?density=0.05&buckets=layer&teams={teams}"
-    spec += f"&bits={num_bits}" if num_bits else ""
+    # split: layer b at 4 bits, so a, b and out are three groups
+    bits = ([str(num_bits)] if num_bits else []) + (["b.:4"] if split else [])
+    spec += f"&bits={','.join(bits)}" if bits else ""
     spec += f"&momentum={momentum}" if momentum else ""
-    spec += "&hybrid=dense<50" if hybrid else ""
     sync = make_bucketed(spec, workers=workers)
     sync.cluster.install_fault_plan(FaultPlan(events=[
         MembershipEvent(iteration=CRASH_STEP, kind="crash", worker=1),
@@ -387,14 +380,12 @@ class TestMembershipReachesEveryGroup:
                                    before + sum(gradients.values()), atol=1e-9)
 
     @pytest.mark.parametrize("teams,num_bits,momentum", MATRIX)
-    @pytest.mark.parametrize("hybrid", [False, True], ids=["one-group", "four-groups"])
+    @pytest.mark.parametrize("split", [False, True], ids=["one-group", "three-groups"])
     def test_crash_and_join_conserve_through_every_group(self, teams, num_bits,
-                                                         momentum, hybrid):
-        session = churn_session(teams, num_bits, momentum, hybrid)
+                                                         momentum, split):
+        session = churn_session(teams, num_bits, momentum, split)
         sync = session.synchronizer
-        # hybrid: three sparse layers sharing an exchange, a dense bias, a
-        # sparse layer on its own, a dense bias
-        assert sync.groups == ([[0, 1, 2], [3], [4], [5]] if hybrid
+        assert sync.groups == ([[0, 1], [2, 3], [4, 5]] if split
                                else [[0, 1, 2, 3, 4, 5]])
         sizes = []
         for step in range(STEPS):
@@ -414,13 +405,12 @@ class TestMembershipReachesEveryGroup:
                                        expected, atol=1e-9 * scale, rtol=0)
         assert sizes == [4, 4, 3, 3, 4, 4]
         for inner in (s.synchronizer for s in sync.sessions):
-            if getattr(inner, "residuals", None) is not None:
-                assert inner.residuals.num_workers == 4
+            assert inner.residuals.num_workers == 4
             if inner.stack is not None:
                 assert inner.stack.num_workers == 4
 
     def test_the_shared_cluster_is_resized_once(self):
-        session = churn_session(1, None, None, hybrid=True)
+        session = churn_session(1, None, None, split=True)
         cluster = session.synchronizer.cluster
         resized = []
         inner = cluster.resize
@@ -428,7 +418,7 @@ class TestMembershipReachesEveryGroup:
         for step in range(STEPS):
             session.poll_membership()
             session.step(drifting_gradients(session.num_workers, NUM_ELEMENTS, step))
-        assert resized == [3, 4]  # four groups, one resize per event
+        assert resized == [3, 4]  # three groups, one resize per event
 
 
 # ---------------------------------------------------------------------------

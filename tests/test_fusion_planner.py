@@ -1,5 +1,5 @@
-"""Property tests for the MGWFBP/ASC bucket-fusion planners, their pricing
-on the network profile, and the spec-grammar wiring."""
+"""Property tests for the MGWFBP bucket-fusion planner, its pricing on the
+network profile, and the spec-grammar wiring."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.comm.transport import Message
 from repro.core.fusion import (
     FusionPlan,
     bucket_comm_model,
-    plan_asc,
     plan_buckets,
     plan_mgwfbp,
 )
@@ -27,9 +26,6 @@ from repro.training.cases import get_case
 from repro.training.timing import ComputeProfile
 
 from tests.helpers import case5_trainer
-
-PLANNERS = {"mgwfbp": plan_mgwfbp, "asc": plan_asc}
-
 
 def _linear_estimator(rounds: float = 1.0):
     """A purely additive comm model: one round, volume == elements."""
@@ -57,14 +53,12 @@ def layout_and_computes(draw):
 
 
 class TestPlanIsValidPartition:
-    @given(data=layout_and_computes(), planner=st.sampled_from(["mgwfbp", "asc"]),
-           alpha=alpha_values, beta=beta_values)
+    @given(data=layout_and_computes(), alpha=alpha_values, beta=beta_values)
     @settings(max_examples=60, deadline=None)
-    def test_sizes_sum_and_order_preserved(self, data, planner, alpha, beta):
+    def test_sizes_sum_and_order_preserved(self, data, alpha, beta):
         sizes, computes = data
         network = NetworkProfile("n", alpha=alpha, beta=beta)
-        plan = PLANNERS[planner](_layers(sizes), computes,
-                                 _linear_estimator(), network)
+        plan = plan_mgwfbp(_layers(sizes), computes, _linear_estimator(), network)
         # Sizes sum to the model's parameter count.
         assert sum(plan.sizes) == sum(sizes)
         # Order preserved: joining the fused names reproduces the layer
@@ -76,16 +70,15 @@ class TestPlanIsValidPartition:
         for (_, stop), (start, _) in zip(plan.groups, plan.groups[1:]):
             assert stop == start
 
-    @given(data=layout_and_computes(), planner=st.sampled_from(["mgwfbp", "asc"]),
+    @given(data=layout_and_computes(),
            method=st.sampled_from(["SparDL", "Dense", "TopkA", "gTopk"]),
            workers=st.sampled_from([2, 4, 8]))
     @settings(max_examples=40, deadline=None)
-    def test_partition_holds_under_table_one_models(self, data, planner,
-                                                   method, workers):
+    def test_partition_holds_under_table_one_models(self, data, method, workers):
         sizes, computes = data
         profile = ComputeProfile(0.1, 1e6,
                                  bucket_backward_times=tuple(computes))
-        plan = plan_buckets(_layers(sizes), planner=planner, method=method,
+        plan = plan_buckets(_layers(sizes), method=method,
                             num_workers=workers, density=0.05,
                             network=ETHERNET, compute_profile=profile)
         assert sum(plan.sizes) == sum(sizes)
@@ -93,50 +86,43 @@ class TestPlanIsValidPartition:
 
 
 class TestPlanNeverExceedsSequential:
-    @given(data=layout_and_computes(), planner=st.sampled_from(["mgwfbp", "asc"]),
-           alpha=alpha_values, beta=beta_values)
+    @given(data=layout_and_computes(), alpha=alpha_values, beta=beta_values)
     @settings(max_examples=60, deadline=None)
-    def test_critical_path_bounded_by_sequential(self, data, planner, alpha, beta):
+    def test_critical_path_bounded_by_sequential(self, data, alpha, beta):
         sizes, computes = data
         network = NetworkProfile("n", alpha=alpha, beta=beta)
-        plan = PLANNERS[planner](_layers(sizes), computes,
-                                 _linear_estimator(), network)
+        plan = plan_mgwfbp(_layers(sizes), computes, _linear_estimator(), network)
         assert (plan.predicted.critical_path
                 <= plan.predicted_sequential * (1 + 1e-9) + 1e-12)
 
-    @given(data=layout_and_computes(), planner=st.sampled_from(["mgwfbp", "asc"]),
-           alpha=alpha_values)
+    @given(data=layout_and_computes(), alpha=alpha_values)
     @settings(max_examples=40, deadline=None)
-    def test_bounded_even_under_superadditive_volumes(self, data, planner, alpha):
+    def test_bounded_even_under_superadditive_volumes(self, data, alpha):
         """Per-bucket k-rounding can make a merged bucket's estimated volume
-        exceed the sum of its parts; the plans must still never predict
-        worse than the sequential per-layer baseline (ASC's fallback guard
-        exists for exactly this)."""
+        exceed the sum of its parts; the plan must still never predict
+        worse than the sequential per-layer baseline."""
         sizes, computes = data
         network = NetworkProfile("n", alpha=alpha, beta=1e-6)
         superadditive = lambda n: (1.0, float(n) ** 1.5)
-        plan = PLANNERS[planner](_layers(sizes), computes, superadditive, network)
+        plan = plan_mgwfbp(_layers(sizes), computes, superadditive, network)
         assert (plan.predicted.critical_path
                 <= plan.predicted_sequential * (1 + 1e-9) + 1e-12)
 
 
 class TestDegenerateRegimes:
-    @given(data=layout_and_computes(), planner=st.sampled_from(["mgwfbp", "asc"]))
+    @given(data=layout_and_computes())
     @settings(max_examples=40, deadline=None)
-    def test_alpha_dominant_fuses_to_a_single_bucket(self, data, planner):
+    def test_alpha_dominant_fuses_to_a_single_bucket(self, data):
         """With a latency-only network every extra bucket costs a full
-        round and saves nothing: both planners must fuse everything."""
+        round and saves nothing: the planner must fuse everything."""
         sizes, computes = data
         network = NetworkProfile("n", alpha=1.0, beta=0.0)
-        plan = PLANNERS[planner](_layers(sizes), computes,
-                                 _linear_estimator(), network)
+        plan = plan_mgwfbp(_layers(sizes), computes, _linear_estimator(), network)
         assert plan.num_buckets == 1
 
-    @given(sizes=layer_sizes, planner=st.sampled_from(["mgwfbp", "asc"]),
-           computes=st.data())
+    @given(sizes=layer_sizes, computes=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_beta_dominant_keeps_per_layer_buckets(self, sizes, planner,
-                                                   computes):
+    def test_beta_dominant_keeps_per_layer_buckets(self, sizes, computes):
         """With zero latency, fusing only delays gradients that could have
         been on the wire (the merged exchange cannot start before the whole
         group's backward finishes), so per-layer buckets are optimal."""
@@ -144,30 +130,14 @@ class TestDegenerateRegimes:
                                        min_size=len(sizes),
                                        max_size=len(sizes)))
         network = NetworkProfile("n", alpha=0.0, beta=1e-3)
-        plan = PLANNERS[planner](_layers(sizes), times,
-                                 _linear_estimator(), network)
+        plan = plan_mgwfbp(_layers(sizes), times, _linear_estimator(), network)
         assert plan.num_buckets == len(sizes)
 
-    def test_asc_bucket_count_tracks_saturation_size(self):
-        """ASC closes a bucket once beta * volume >= alpha * rounds, so a
-        larger alpha/beta ratio yields fewer, larger buckets."""
-        sizes = [1000] * 8
-        computes = [0.01] * 8
-        counts = []
-        for alpha in (0.0, 1e-3, 1.0):
-            network = NetworkProfile("n", alpha=alpha, beta=1e-6)
-            plan = plan_asc(_layers(sizes), computes, _linear_estimator(), network)
-            counts.append(plan.num_buckets)
-        assert counts[0] == 8  # free latency: per-layer
-        assert counts[-1] == 1  # latency-dominated: one flat bucket
-        assert counts[0] >= counts[1] >= counts[2]
-
     def test_single_layer_is_always_one_bucket(self):
-        for planner in PLANNERS.values():
-            plan = planner(_layers([123]), [0.1], _linear_estimator(),
+        plan = plan_mgwfbp(_layers([123]), [0.1], _linear_estimator(),
                            NetworkProfile("n", alpha=0.1, beta=1e-6))
-            assert plan.num_buckets == 1
-            assert plan.sizes == [123]
+        assert plan.num_buckets == 1
+        assert plan.sizes == [123]
 
 
 class TestPlanInputValidation:
@@ -182,11 +152,6 @@ class TestPlanInputValidation:
         with pytest.raises(ValueError):
             plan_mgwfbp([("a", 0)], [0.1], _linear_estimator(), network)
 
-    def test_unknown_planner_rejected(self):
-        with pytest.raises(ValueError, match="planner"):
-            plan_buckets(_layers([10]), planner="bogus", num_workers=4,
-                         density=0.1, network=ETHERNET)
-
     def test_sparse_method_needs_density(self):
         with pytest.raises(ValueError, match="density"):
             plan_buckets(_layers([10]), num_workers=4, network=ETHERNET)
@@ -200,12 +165,12 @@ class TestPlanInputValidation:
         good = plan_mgwfbp(_layers([10, 20]), [0.1, 0.1],
                            _linear_estimator(), network)
         with pytest.raises(ValueError):
-            FusionPlan(planner="mgwfbp", layers=good.layers,
+            FusionPlan(layers=good.layers,
                        groups=((0, 1),), network=network, volume_scale=1.0,
                        predicted=good.predicted,
                        predicted_sequential=good.predicted_sequential)
         with pytest.raises(ValueError):
-            FusionPlan(planner="mgwfbp", layers=good.layers,
+            FusionPlan(layers=good.layers,
                        groups=((0, 1), (0, 2)), network=network, volume_scale=1.0,
                        predicted=good.predicted,
                        predicted_sequential=good.predicted_sequential)
@@ -246,12 +211,11 @@ class TestPlanPricesOnTheProfile:
         copy = NetworkProfile("copy", alpha=ETHERNET.alpha, beta=ETHERNET.beta)
         network = HeterogeneousNetwork(default=ETHERNET, overrides={1: ETHERNET, 3: copy})
         compute = ComputeProfile(0.13, 35.2e6)
-        for planner in PLANNERS:
-            plans = [plan_buckets(layers, planner=planner, num_workers=4, density=0.01,
-                                  network=profile, compute_profile=compute)
-                     for profile in (network, ETHERNET)]
-            assert plans[0] == plans[1]
-            assert plans[0].network is ETHERNET
+        plans = [plan_buckets(layers, num_workers=4, density=0.01,
+                              network=profile, compute_profile=compute)
+                 for profile in (network, ETHERNET)]
+        assert plans[0] == plans[1]
+        assert plans[0].network is ETHERNET
 
     def test_a_heterogeneous_network_plans_on_its_slowest_profile(self):
         """A synchronous round waits for its slowest receiver: the planner
@@ -262,14 +226,12 @@ class TestPlanPricesOnTheProfile:
         network = HeterogeneousNetwork(default=ETHERNET, overrides={0: late, 2: narrow})
         worst = NetworkProfile("worst", alpha=late.alpha, beta=narrow.beta)
         compute = ComputeProfile(0.13, 35.2e6)
-        for planner in PLANNERS:
-            plan, expected = (plan_buckets(layers, planner=planner, num_workers=4,
-                                           density=0.01, network=profile,
-                                           compute_profile=compute)
-                              for profile in (network, worst))
-            assert (plan.network.alpha, plan.network.beta) == (worst.alpha, worst.beta)
-            assert plan.groups == expected.groups
-            assert plan.predicted == expected.predicted
+        plan, expected = (plan_buckets(layers, num_workers=4, density=0.01,
+                                       network=profile, compute_profile=compute)
+                          for profile in (network, worst))
+        assert (plan.network.alpha, plan.network.beta) == (worst.alpha, worst.beta)
+        assert plan.groups == expected.groups
+        assert plan.predicted == expected.predicted
 
     def test_a_trainer_plans_on_a_fault_plans_network(self):
         """``buckets=auto`` under a ``FaultPlan``'s per-worker profiles:
@@ -377,36 +339,29 @@ class TestCommModels:
 
 class TestSpecGrammar:
     def test_auto_specs_round_trip(self):
-        for buckets in ("auto", "auto:mgwfbp", "auto:asc"):
-            spec = parse_spec(f"spardl?density=0.05&buckets={buckets}")
-            assert spec.buckets == buckets
-            assert parse_spec(spec.canonical()).buckets == buckets
+        spec = parse_spec("spardl?density=0.05&buckets=auto")
+        assert spec.buckets == "auto"
+        assert parse_spec(spec.canonical()).buckets == "auto"
 
-    def test_unknown_planner_suffix_rejected_at_parse_time(self):
-        with pytest.raises(ValueError, match="planner"):
+    def test_a_planner_suffix_is_rejected_at_parse_time(self):
+        with pytest.raises(ValueError, match="was removed"):
             parse_spec("spardl?density=0.05&buckets=auto:bogus")
 
-    def test_make_attaches_the_plan_and_honours_the_planner(self):
+    def test_make_attaches_the_plan(self):
         model = build_mlp(20, [32, 16], 4, seed=0)
         profile = ComputeProfile(0.13, 35.2e6)
-        for buckets, planner in (("auto", "mgwfbp"),
-                                 ("auto:mgwfbp", "mgwfbp"),
-                                 ("auto:asc", "asc")):
-            sync = make(f"spardl?density=0.05&buckets={buckets}",
-                        SimulatedCluster(4), model=model,
-                        network=ETHERNET, compute_profile=profile)
-            assert sync.fusion_plan is not None
-            assert sync.fusion_plan.planner == planner
-            assert sync.bucket_sizes == sync.fusion_plan.sizes
-            assert sum(sync.bucket_sizes) == model.num_parameters()
+        sync = make("spardl?density=0.05&buckets=auto",
+                    SimulatedCluster(4), model=model,
+                    network=ETHERNET, compute_profile=profile)
+        assert sync.fusion_plan is not None
+        assert sync.bucket_sizes == sync.fusion_plan.sizes
+        assert sum(sync.bucket_sizes) == model.num_parameters()
 
-    @pytest.mark.parametrize("planner", ["mgwfbp", "asc"])
-    def test_a_trainer_runs_the_planned_partition(self, planner):
+    def test_a_trainer_runs_the_planned_partition(self):
         """Case 5 on four workers: the synchroniser the trainer builds runs
         the layout its planner chose, and the layout partitions the model."""
-        trainer = case5_trainer(f"spardl?density=0.02&buckets=auto:{planner}")
+        trainer = case5_trainer("spardl?density=0.02&buckets=auto")
         sync, plan = trainer.synchronizer, trainer.synchronizer.fusion_plan
-        assert plan.planner == planner
         assert sync.bucket_sizes == plan.sizes and sync.num_buckets == plan.num_buckets
         assert sum(plan.sizes) == plan.total_elements == trainer.num_elements
 

@@ -83,9 +83,6 @@ class _DenseAt(KSchedule):
             return num_elements
         return self.inner.resolve(iteration, num_elements)
 
-    def observe(self, iteration, k_used, result):
-        self.inner.observe(iteration, k_used, result)
-
     def spec(self):
         return self.inner.spec()
 

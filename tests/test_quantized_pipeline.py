@@ -190,7 +190,7 @@ class TestPerMessageAccounting:
             else:
                 sync = BucketedSynchronizer(
                     SimulatedCluster(P), [1_500, 400, 1_600, 500],
-                    factory=lambda cluster, size: make(spec, cluster, num_elements=size))
+                    [SparDLConfig(density=0.02, num_bits=bits)] * 4)
             volume, distances = 0.0, []
             for iteration in range(8):
                 gradients = random_gradients(P, n, seed=7000 + 100 * iteration)
@@ -285,9 +285,7 @@ class TestSessionsAndBuckets:
         cluster = SimulatedCluster(P)
         sizes = [200, 150, 250]
         bucketed = BucketedSynchronizer(
-            cluster, sizes,
-            factory=lambda c, n: make("spardl?density=0.05&bits=8", c,
-                                      num_elements=n))
+            cluster, sizes, [SparDLConfig(density=0.05, num_bits=8)] * len(sizes))
         total_input = np.zeros(NUM_ELEMENTS)
         total_global = np.zeros(NUM_ELEMENTS)
         for iteration in range(ITERATIONS):
@@ -303,11 +301,9 @@ class TestSessionsAndBuckets:
         full-precision bucket on the shared cluster."""
         P = 4
         cluster = SimulatedCluster(P)
-        specs = ["spardl?density=0.2&bits=8", "spardl?density=0.2"]
-        built = iter(specs)
         bucketed = BucketedSynchronizer(
             cluster, [300, 300],
-            factory=lambda c, n: make(next(built), c, num_elements=n))
+            [SparDLConfig(density=0.2, num_bits=8), SparDLConfig(density=0.2)])
         reference = make("spardl?density=0.2", SimulatedCluster(P),
                          num_elements=300)
         gradients = _gradients(P, 0)

@@ -10,7 +10,6 @@ from repro.comm.cluster import SimulatedCluster
 from repro.core.base import resolve_k
 from repro.core.pipeline import SyncSession
 from repro.core.schedules import (
-    AdaptiveSchedule,
     ConstantSchedule,
     WarmupSchedule,
     coerce_schedule,
@@ -64,62 +63,11 @@ class TestWarmupSchedule:
             WarmupSchedule(3, density=0.01, start_density=1.5)
 
 
-class TestAdaptiveSchedule:
-    def test_shrinks_k_when_observed_nnz_exceeds_budget(self):
-        """With (mostly) disjoint per-worker selections, merged nnz ~ P*k,
-        so the controller must shrink k toward budget/P."""
-        num_workers = 8
-        sync = make("topka?k=64&schedule=adaptive",
-                    SimulatedCluster(num_workers), num_elements=NUM_ELEMENTS)
-        session = SyncSession(sync)
-        for iteration in range(12):
-            grads = {w: np.random.default_rng(50 * iteration + w).normal(size=NUM_ELEMENTS)
-                     for w in range(num_workers)}
-            result = session.step(grads)
-        ks = session.k_history
-        assert ks[0] == 64
-        assert ks[-1] < ks[0]
-        # The observed global nnz must have been pulled toward the budget.
-        assert result.info["final_nnz"] <= 3 * 64
-
-    def test_ignores_dense_fallback_steps(self):
-        """A dense-fallback step reports final_nnz of the exact dense sum,
-        not a merged selection; retuning from it would oscillate the budget
-        across the crossover forever."""
-        num_elements = 10_000
-        sync = make("spardl?density=0.6&schedule=adaptive",
-                    SimulatedCluster(4), num_elements=num_elements)
-        session = SyncSession(sync)
-        for iteration in range(4):
-            grads = {w: np.random.default_rng(9 * iteration + w).normal(size=num_elements)
-                     for w in range(4)}
-            result = session.step(grads)
-            assert result.info["dense_fallback"] is True
-        assert session.k_history == [6000] * 4  # never retuned
-
-    def test_clamps_step_change_to_2x(self):
-        schedule = AdaptiveSchedule(k=100)
-
-        class FakeResult:
-            info = {"final_nnz": 100000}
-            global_gradients = {0: np.zeros(NUM_ELEMENTS)}
-
-        assert schedule.resolve(0, NUM_ELEMENTS) == 100
-        schedule.observe(0, 100, FakeResult())
-        assert schedule.resolve(1, NUM_ELEMENTS) == 50  # halved, not collapsed
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveSchedule(k=10, gain=0.0)
-
-
 class TestSpecGrammar:
     @pytest.mark.parametrize("spec,cls", [
         ("constant", ConstantSchedule),
         ("warmup:5", WarmupSchedule),
         ("warmup:5:0.5", WarmupSchedule),
-        ("adaptive", AdaptiveSchedule),
-        ("adaptive:0.25", AdaptiveSchedule),
     ])
     def test_parse_and_roundtrip(self, spec, cls):
         schedule = parse_schedule(spec, density=0.01)
@@ -128,9 +76,10 @@ class TestSpecGrammar:
         again = parse_schedule(schedule.spec(), density=0.01)
         assert type(again) is type(schedule)
 
-    def test_unknown_kind_raises(self):
+    @pytest.mark.parametrize("spec", ["cosine:5", "adaptive"])  # adaptive: removed
+    def test_unknown_kind_raises(self, spec):
         with pytest.raises(ValueError, match="unknown schedule kind"):
-            parse_schedule("cosine:5", k=10)
+            parse_schedule(spec, k=10)
 
     def test_coerce_rejects_double_target(self):
         with pytest.raises(ValueError, match="carries its own sparsity"):

@@ -24,7 +24,7 @@ from repro.sparse.topk import (
 
 from tests.helpers import (
     SEED_LENGTHS, SEEDING_KINDS, seeding_values, selection_legs)
-from tests.references import naive_top_k_indices
+from tests.references import naive_top_k_indices, two_rank_partition_cut
 
 #: NaN, infinities, signed zeros, heavy ties and a denormal-scale value: every
 #: case the partition cut and the tie pass have to rank like a stable argsort.
@@ -117,6 +117,59 @@ def looped_top_k(values, bounds, ks):
     pieces = [top_k_indices(values[lo:hi], int(k)) + lo
               for lo, hi, k in zip(bounds[:-1], bounds[1:], ks)]
     return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+class TestPartitionCut:
+    """Two one-rank partitions find the cut and the looser cut the
+    two-rank ``np.partition`` statement finds, bit for bit, NaN remap
+    included."""
+
+    #: few distinct magnitudes, so both ranks sit in ties
+    tied = hnp.arrays(dtype=np.float64, shape=st.integers(min_value=1, max_value=60),
+                      elements=st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]))
+
+    @staticmethod
+    def _long(seed, n, specials):
+        """Thousands of rounded cubed normals (NumPy sorts short arrays
+        outright, which would hide a missing second partition), ties
+        included, with ``specials`` NaN / inf entries."""
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.standard_normal(n) ** 3, 1)
+        values[rng.integers(0, n, specials)] = rng.choice([np.nan, np.inf, -np.inf],
+                                                          specials)
+        return values
+
+    long = st.builds(_long.__func__, st.integers(0, 2 ** 32 - 1),
+                     st.integers(2_000, 20_000), st.integers(0, 40))
+
+    @given(values=st.one_of(adversarial_vectors, tied, long), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_two_rank_statement(self, values, data):
+        magnitude = np.abs(values)
+        n = magnitude.shape[0]
+        k = data.draw(st.integers(1, n))
+        reach = data.draw(st.sampled_from([None, k, n]) | st.integers(k, n))
+        got = topk_module._partition_cut(magnitude, k, reach)
+        want = two_rank_partition_cut(magnitude, k, reach)
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert _bits(got[1]) == _bits(want[1]) and _bits(got[2]) == _bits(want[2])
+
+    @pytest.mark.parametrize("values,k,reach", [
+        ([np.nan, 1.0, 2.0, np.nan, 3.0], 2, 5),        # NaN, reach == n
+        ([np.inf, np.inf, 1.0, 1.0, 1.0, 0.0], 2, 4),    # ties at both ranks
+        ([np.inf, np.nan, 5.0, 5.0, 5.0], 3, 3),         # reach == k
+        ([np.nan] * 4, 1, 3),                            # nothing but NaN
+    ])
+    def test_edge_cases(self, values, k, reach):
+        magnitude = np.abs(np.array(values))
+        got = topk_module._partition_cut(magnitude, k, reach)
+        want = two_rank_partition_cut(magnitude, k, reach)
+        assert (float(got[1]), float(got[2])) == (float(want[1]), float(want[2]))
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
 
 
 class TestSegmentedTopK:

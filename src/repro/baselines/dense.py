@@ -82,7 +82,7 @@ class DenseAllReduceSynchronizer(GradientSynchronizer):
             self._compress_dense(context)
 
     def stage_exchange(self, context: StepContext) -> None:
-        context.exchanged, (context.scratch["final_nnz"],) = _allreduce_dense(
+        context.exchanged, context.scratch["final_nnz"] = _allreduce_dense(
             self.cluster, context.wire, price=self.wire_size)
 
     def stage_combine(self, context: StepContext) -> None:

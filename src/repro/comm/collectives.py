@@ -23,7 +23,7 @@ The dense All-Reduces compute their result once, apart from their messages:
 one task per owned range on the rank pool (:mod:`repro.core.rank_pool`) sums
 that range, block by block, in the operand order of the schedule's adds —
 one compiled call when the kernels of :mod:`repro.sparse.ckernels` are
-there, which also counts the range's non-zeros for the synchronisers'
+there, which also counts the range's non-zeros for the ``dense`` method's
 ``final_nnz``.
 Their message rounds are the schedule's accounting — every message with the
 source, destination, tag and billed size the schedule gives it, carrying
@@ -213,34 +213,32 @@ def _sum_range(result: np.ndarray, inputs: Sequence[np.ndarray], tree: Any,
 
 
 def _sum_and_count(result: np.ndarray, inputs: Sequence[np.ndarray], tree: Any,
-                   edges: np.ndarray, rows: int, counts: np.ndarray) -> None:
+                   cuts: np.ndarray, rows: int, counts: np.ndarray) -> None:
     """The NumPy leg of one owned range: :func:`_sum_range` over
-    ``[edges[0], edges[-1])``, then the non-zeros of every piece between
-    consecutive ``edges`` into ``counts[:, 0]``."""
-    _sum_range(result, inputs, tree, int(edges[0]), int(edges[-1]), rows)
-    for piece, (lo, hi) in enumerate(zip(edges.tolist(), edges[1:].tolist())):
+    ``[cuts[0], cuts[-1])``, then the non-zeros of every piece between
+    consecutive ``cuts`` into ``counts[:, 0]``."""
+    _sum_range(result, inputs, tree, int(cuts[0]), int(cuts[-1]), rows)
+    for piece, (lo, hi) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
         counts[piece, 0] = np.count_nonzero(result[lo:hi])
 
 
 def _reduce(cluster: Transport, inputs: Sequence[np.ndarray],
-            owned: Sequence[tuple[tuple[int, int], Any]], rows: int,
-            edges: Optional[Sequence[int]]) -> tuple[np.ndarray, List[int]]:
+            owned: Sequence[tuple[tuple[int, int], Any]], rows: int
+            ) -> tuple[np.ndarray, int]:
     """A fresh ``result`` holding every owned range ``((lo, hi), tree)``
     summed as its tree says (``rows``: the scratch rows the NumPy statement
     of the trees needs), one rank-pool task per range, and the non-zero
-    entries of ``result`` between consecutive ``edges`` (``None``: ``[0,
-    n]``).  With the compiled kernels a task is one tree-sum call, which
-    counts as it sums; a range it finds a NaN in is summed again by
-    :func:`_sum_range`, so both legs write the same bytes.  When traced, the
-    gauge ``comm.reduce_workers`` says how many threads ran the tasks."""
+    entries of ``result``.  With the compiled kernels a task is one tree-sum
+    call, which counts as it sums; a range it finds a NaN in is summed again
+    by :func:`_sum_range`, so both legs write the same bytes.  When traced,
+    the gauge ``comm.reduce_workers`` says how many threads ran the tasks."""
     # Imported here: a module-level import would load repro.core, which
     # imports this module.
     from ..core import rank_pool
     n = inputs[0].shape[0]
     result = np.empty(n)
-    edges = np.array([0, n] if edges is None else edges, dtype=np.int64)
-    # Every owned range is cut at the edges inside it; one count per piece.
-    cuts = np.union1d([lo for (lo, _), _ in owned] + [n], edges)
+    # The owned ranges tile [0, n): one piece, and one count, per range.
+    cuts = np.union1d([lo for (lo, _), _ in owned], [0, n]).astype(np.int64)
     counts = np.zeros((cuts.shape[0] - 1, 2), dtype=np.int64)
     spans = np.searchsorted(cuts, [span for span, _ in owned]).tolist()
     kernels = get_kernels()
@@ -258,8 +256,7 @@ def _reduce(cluster: Transport, inputs: Sequence[np.ndarray],
                        if counts[first:last, 1].any()])
     if cluster.tracer is not None:
         cluster.tracer.metrics.gauge("comm.reduce_workers").set(workers)
-    total = np.concatenate(([0], np.cumsum(counts[:, 0])))
-    return result, np.diff(total[np.searchsorted(cuts, edges)]).tolist()
+    return result, int(counts[:, 0].sum())
 
 
 def _shared(result: np.ndarray, group: Sequence[int]) -> Dict[int, np.ndarray]:
@@ -268,13 +265,11 @@ def _shared(result: np.ndarray, group: Sequence[int]) -> Dict[int, np.ndarray]:
     return {rank: result for rank in group}
 
 
-def _alone(vector: np.ndarray, group: Sequence[int],
-           edges: Optional[Sequence[int]]) -> tuple[Dict[int, np.ndarray], List[int]]:
-    """A one-rank group's result (a copy of its input) and its counts."""
+def _alone(vector: np.ndarray, group: Sequence[int]
+           ) -> tuple[Dict[int, np.ndarray], int]:
+    """A one-rank group's result (a copy of its input) and its non-zeros."""
     result = vector.copy()
-    edges = [0, result.shape[0]] if edges is None else list(edges)
-    return _shared(result, group), [int(np.count_nonzero(result[lo:hi]))
-                                    for lo, hi in zip(edges, edges[1:])]
+    return _shared(result, group), int(np.count_nonzero(result))
 
 
 def allreduce_ring(
@@ -290,14 +285,14 @@ def allreduce_ring(
     ``a[c-1] + (… + (a[c+1] + a[c]))``; each chunk is summed once in that
     order, and the rounds carry views of the inputs, then of the result.
     Every rank of ``group`` gets the same read-only result array."""
-    return _ring(cluster, vectors, group, price, None)[0]
+    return _ring(cluster, vectors, group, price)[0]
 
 
 def _ring(cluster: Transport, vectors: Dict[int, np.ndarray],
-          group: Optional[Sequence[int]], price: Callable[[Any], float],
-          edges: Optional[Sequence[int]]) -> tuple[Dict[int, np.ndarray], List[int]]:
-    """:func:`allreduce_ring`, and the result's non-zeros between
-    consecutive ``edges`` (see :func:`_reduce`)."""
+          group: Optional[Sequence[int]], price: Callable[[Any], float]
+          ) -> tuple[Dict[int, np.ndarray], int]:
+    """:func:`allreduce_ring`, and the result's non-zeros (see
+    :func:`_reduce`)."""
     if group is None:
         group = list(cluster.ranks)
     group = list(group)
@@ -305,7 +300,7 @@ def _ring(cluster: Transport, vectors: Dict[int, np.ndarray],
     views, n = _dense_inputs(vectors, group)
     size = len(group)
     if size == 1:
-        return _alone(views[group[0]], group, edges)
+        return _alone(views[group[0]], group)
     bounds = _partition_bounds(n, size)
     inputs = [views[rank] for rank in group]
 
@@ -327,7 +322,7 @@ def _ring(cluster: Transport, vectors: Dict[int, np.ndarray],
         for hop in range(1, size):
             tree = ((chunk_idx + hop) % size, tree)
         owned.append((span, tree))
-    result, counts = _reduce(cluster, inputs, owned, 0, edges)
+    result, count = _reduce(cluster, inputs, owned, 0)
 
     # All-gather phase: at step s position p forwards chunk p + 1 - s.
     for step in range(size - 1):
@@ -341,7 +336,7 @@ def _ring(cluster: Transport, vectors: Dict[int, np.ndarray],
                                     tag=f"ring-ag-{chunk_idx}"))
         cluster.exchange(messages)
 
-    return _shared(result, group), counts
+    return _shared(result, group), count
 
 
 def allreduce_rabenseifner(
@@ -359,15 +354,14 @@ def allreduce_rabenseifner(
     is summed once in that order, and the rounds carry views of the inputs,
     then of the result.  Every rank of ``group`` gets the same read-only
     result array."""
-    return _rabenseifner(cluster, vectors, group, price, None)[0]
+    return _rabenseifner(cluster, vectors, group, price)[0]
 
 
 def _rabenseifner(cluster: Transport, vectors: Dict[int, np.ndarray],
-                  group: Optional[Sequence[int]], price: Callable[[Any], float],
-                  edges: Optional[Sequence[int]]
-                  ) -> tuple[Dict[int, np.ndarray], List[int]]:
-    """:func:`allreduce_rabenseifner`, and the result's non-zeros between
-    consecutive ``edges`` (see :func:`_reduce`)."""
+                  group: Optional[Sequence[int]], price: Callable[[Any], float]
+                  ) -> tuple[Dict[int, np.ndarray], int]:
+    """:func:`allreduce_rabenseifner`, and the result's non-zeros (see
+    :func:`_reduce`)."""
     if group is None:
         group = list(cluster.ranks)
     group = list(group)
@@ -377,7 +371,7 @@ def _rabenseifner(cluster: Transport, vectors: Dict[int, np.ndarray],
         raise ValueError("Rabenseifner's All-Reduce requires a power-of-two group size")
     views, n = _dense_inputs(vectors, group)
     if size == 1:
-        return _alone(views[group[0]], group, edges)
+        return _alone(views[group[0]], group)
     inputs = [views[rank] for rank in group]
     num_steps = int(math.log2(size))
 
@@ -402,8 +396,8 @@ def _rabenseifner(cluster: Transport, vectors: Dict[int, np.ndarray],
         cluster.exchange(messages)
         trees = [(trees[pos], trees[pos ^ distance]) for pos in range(size)]
 
-    result, counts = _reduce(cluster, inputs, list(zip(ranges, trees)),
-                             num_steps - 1, edges)
+    result, count = _reduce(cluster, inputs, list(zip(ranges, trees)),
+                            num_steps - 1)
 
     # Recursive doubling all-gather: every position forwards the range it
     # has gathered so far and adds its partner's.
@@ -420,7 +414,7 @@ def _rabenseifner(cluster: Transport, vectors: Dict[int, np.ndarray],
                    max(ranges[pos][1], ranges[pos ^ distance][1]))
                   for pos in range(size)]
 
-    return _shared(result, group), counts
+    return _shared(result, group), count
 
 
 def allreduce_dense(
@@ -436,19 +430,17 @@ def allreduce_dense(
 
 def _allreduce_dense(cluster: Transport, vectors: Dict[int, np.ndarray],
                      group: Optional[Sequence[int]] = None,
-                     price: Callable[[Any], float] = payload_size,
-                     edges: Optional[Sequence[int]] = None
-                     ) -> tuple[Dict[int, np.ndarray], List[int]]:
-    """:func:`allreduce_dense`, and the non-zero entries of its result
-    between consecutive ``edges`` (``None``: one count of the whole), counted
-    as the result is summed: ``np.count_nonzero`` of every piece, which the
-    synchronisers report as ``final_nnz``."""
+                     price: Callable[[Any], float] = payload_size
+                     ) -> tuple[Dict[int, np.ndarray], int]:
+    """:func:`allreduce_dense`, and the non-zero entries of its result,
+    counted as the result is summed (``np.count_nonzero``), which the
+    ``dense`` method reports as ``final_nnz``."""
     if group is None:
         group = list(cluster.ranks)
     size = len(group)
     if size and not size & (size - 1):
-        return _rabenseifner(cluster, vectors, group, price, edges)
-    return _ring(cluster, vectors, group, price, edges)
+        return _rabenseifner(cluster, vectors, group, price)
+    return _ring(cluster, vectors, group, price)
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ class QuantizedCompressor:
       of a :class:`~repro.comm.packed.PackedBags` bills
       :func:`quantized_sparse_cost` (one scale element per non-empty bag);
       dense float arrays bill ``num_bits/32`` per value (the
-      dense-fallback convention); routing integers (block ids, group
+      ``dense`` method's convention); routing integers (block ids, group
       positions) and ``None`` stay zero-cost metadata; bare scalars remain
       one element of control traffic, unquantized.
     """
@@ -276,8 +276,8 @@ class QuantizedCompressor:
 
     def dense_cost(self, num_values: float) -> float:
         """Quantized cost of ``num_values`` dense values (no indices travel,
-        so the only cost is ``num_bits`` bits per value; the dense-fallback
-        convention bills no scale element)."""
+        so the only cost is ``num_bits`` bits per value; the ``dense``
+        method's convention bills no scale element)."""
         return float(num_values) * self.num_bits / _ELEMENT_BITS
 
     def price(self, payload: Any) -> float:

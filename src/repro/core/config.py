@@ -2,11 +2,10 @@
 
 :class:`SparDLConfig` collects every knob the paper exposes: the sparsity
 (``k`` or a density ratio), the team count ``d``, the Spar-All-Gather variant
-and the residual collection policy — plus one implementation knob, the
-dense-fallback crossover.  The configuration validates
-itself against a cluster size so misconfigurations (``d`` not dividing
-``P``, R-SAG with a non-power-of-two ``d``, ...) fail loudly before any
-communication happens.
+and the residual collection policy.  The configuration validates itself
+against a cluster size so misconfigurations (``d`` not dividing ``P``, R-SAG
+with a non-power-of-two ``d``, ...) fail loudly before any communication
+happens.
 """
 
 from __future__ import annotations
@@ -18,17 +17,7 @@ from typing import Optional
 from .residuals import ResidualPolicy
 from .schedules import KSchedule, coerce_schedule
 
-__all__ = ["SAGMode", "SparDLConfig", "DEFAULT_DENSE_CROSSOVER", "is_power_of_two"]
-
-#: Density ratio ``k/n`` at which the sparse pipeline stops beating a dense
-#: All-Reduce.  Measured in simulated alpha-beta time (gated by
-#: ``tests/test_core_config.py``): for power-of-two worker counts — where
-#: the dense algorithm is bandwidth-optimal — the crossover sits at
-#: ``k/n = 0.5``, exactly where the COO volume ``4k(P-1)/P`` meets the
-#: dense ``2n(P-1)/P``.  For other worker counts the latency-heavy ring
-#: keeps the sparse pipeline ahead even at ``k/n = 1``, so 0.5 is the
-#: conservative bound.
-DEFAULT_DENSE_CROSSOVER = 0.5
+__all__ = ["SAGMode", "SparDLConfig", "is_power_of_two"]
 
 
 def is_power_of_two(value: int) -> bool:
@@ -75,15 +64,6 @@ class SparDLConfig:
         Disable the paper's "Optimization for SRS": re-sparsify every held
         block after each summation instead of only the blocks about to be
         sent.  Only used by the ablation benchmark.
-    dense_fallback_ratio:
-        Synchronisations whose density ``k/n`` reaches this crossover
-        bypass the sparse pipeline and run a dense All-Reduce instead — at
-        high density the COO representation moves *more* than the dense
-        lower bound (2 elements per non-zero) and pays the sparse
-        bookkeeping on top.  ``None`` uses the measured default
-        :data:`DEFAULT_DENSE_CROSSOVER`; any positive float overrides it.
-        Because ``k/n`` never exceeds 1, a value above 1 (e.g.
-        ``float("inf")``) disables the fallback.
     schedule:
         Sparsity schedule (see :mod:`repro.core.schedules`): ``None`` keeps
         the constant ``k``/``density`` (the pre-schedule behaviour, bit for
@@ -100,7 +80,7 @@ class SparDLConfig:
         QSGD-style (per-worker independent random streams), the exact
         per-message quantization error joins the residual error-feedback
         path, and every message is billed at the ``(1 + num_bits/32)/2``
-        COO accounting (dense-fallback values at ``num_bits/32`` apiece).
+        COO accounting.
     momentum:
         DGC momentum-correction factor (Lin et al., ICLR'18): ``None``
         (default) keeps plain error feedback — the pre-momentum pipeline bit
@@ -119,7 +99,6 @@ class SparDLConfig:
     sag_mode: SAGMode | str = SAGMode.AUTO
     residual_policy: ResidualPolicy | str = ResidualPolicy.GLOBAL
     sparsify_all_blocks: bool = False
-    dense_fallback_ratio: Optional[float] = None
     schedule: Optional[KSchedule | str] = None
     num_bits: Optional[int] = None
     momentum: Optional[float] = None
@@ -141,8 +120,6 @@ class SparDLConfig:
             raise ValueError("density must be in (0, 1]")
         if self.num_teams <= 0:
             raise ValueError("num_teams must be positive")
-        if self.dense_fallback_ratio is not None and self.dense_fallback_ratio <= 0:
-            raise ValueError("dense_fallback_ratio must be positive")
         if self.num_bits is not None and not 1 <= int(self.num_bits) <= 32:
             raise ValueError("num_bits must be between 1 and 32 (or None)")
         if self.momentum is not None and not 0 < float(self.momentum) < 1:
@@ -189,12 +166,6 @@ class SparDLConfig:
         if (self.num_teams > 1 and self.sag_mode is SAGMode.RSAG
                 and not is_power_of_two(self.num_teams)):
             raise ValueError("R-SAG requires a power-of-two number of teams")
-
-    def resolve_dense_crossover(self) -> float:
-        """The density ``k/n`` at (or above) which the dense fallback kicks in."""
-        if self.dense_fallback_ratio is not None:
-            return float(self.dense_fallback_ratio)
-        return DEFAULT_DENSE_CROSSOVER
 
     def effective_sag_mode(self) -> SAGMode:
         """The variant actually executed for this ``num_teams``."""

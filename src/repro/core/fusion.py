@@ -15,10 +15,10 @@ INFOCOM 2019) does for real clusters:
    synchronous round waits for its slowest receiver, and the closed forms
    predict only the busiest receiver's volume.
    Planning sends no message: it is a pure function of the layout, the
-   profiles and the method.
+   profiles and the SparDL configuration.
 2. **Model** per-bucket cost.  Each candidate bucket's exchange is priced
    with the paper's Table I closed forms (:mod:`repro.analysis.complexity`)
-   for the method that will run it — :meth:`NetworkProfile.time
+   for SparDL, the one method that buckets — :meth:`NetworkProfile.time
    <repro.comm.network.NetworkProfile.time>` of its rounds and volume —
    and each bucket's backward slice comes from the
    :class:`~repro.training.timing.ComputeProfile` per-bucket model.
@@ -43,15 +43,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.complexity import (
-    dense_allreduce_complexity,
-    gtopk_complexity,
-    ok_topk_complexity,
     quantized_bandwidth,
     spardl_bsag_complexity,
     spardl_complexity,
     spardl_rsag_complexity,
-    topk_a_complexity,
-    topk_dsa_complexity,
 )
 from ..comm.network import HeterogeneousNetwork, NetworkProfile
 from ..training.timing import ComputeProfile, OverlapTimeline, overlap_timeline
@@ -70,57 +65,41 @@ CommModel = Callable[[int], Tuple[float, float]]
 # ---------------------------------------------------------------------------
 # per-bucket communication models (Table I closed forms)
 # ---------------------------------------------------------------------------
-def bucket_comm_model(method: str, num_workers: int,
-                      density: Optional[float] = None,
+def bucket_comm_model(num_workers: int, density: Optional[float] = None,
                       teams: int = 1,
                       num_bits: Optional[int] = None) -> CommModel:
-    """``estimator(bucket_elements) -> (rounds, volume)`` for one method.
+    """``estimator(bucket_elements) -> (rounds, volume)`` for a SparDL bucket.
 
     Prices a bucket's exchange with the paper's Table I closed forms
-    (:mod:`repro.analysis.complexity`), using the bucket's own ``k``
-    (``max(1, round(density * elements))`` — per-bucket top-k keeps at
-    least one entry, mirroring the selection semantics of the bucketed
-    pipeline).  ``num_bits`` applies the quantized COO accounting to the
-    bandwidth term.  These are *planning* estimates: the simulator still
-    measures the real rounds and volumes when the plan runs.
+    (:mod:`repro.analysis.complexity`) for SparDL over ``teams`` teams,
+    using the bucket's own ``k`` (``max(1, round(density * elements))`` —
+    per-bucket top-k keeps at least one entry, mirroring the selection
+    semantics of the bucketed pipeline).  ``num_bits`` applies the quantized
+    COO accounting to the bandwidth term.  These are *planning* estimates:
+    the simulator still measures the real rounds and volumes when the plan
+    runs.
     """
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
-    sparse_methods = {"SparDL", "Ok-Topk", "TopkA", "TopkDSA", "gTopk"}
-    if method in sparse_methods and density is None:
-        raise ValueError(f"{method} bucket planning needs a density target")
-    if density is not None and not 0 < density <= 1:
+    if density is None:
+        raise ValueError("bucket planning needs a density target")
+    if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
 
-    def bound_for(elements: int):
+    def estimator(elements: int) -> Tuple[float, float]:
+        elements = int(elements)
         if elements <= 0:
             raise ValueError("bucket elements must be positive")
-        if method == "Dense":
-            return dense_allreduce_complexity(num_workers, elements)
         k = max(1, min(elements, int(round(density * elements))))
-        if method == "SparDL":
-            if teams <= 1:
-                return spardl_complexity(num_workers, elements, k)
-            if (teams & (teams - 1)) == 0 and num_workers % teams == 0:
-                return spardl_rsag_complexity(num_workers, elements, k, teams)
-            return spardl_bsag_complexity(num_workers, elements, k, teams)
-        if method == "Ok-Topk":
-            return ok_topk_complexity(num_workers, elements, k)
-        if method == "TopkA":
-            return topk_a_complexity(num_workers, elements, k)
-        if method == "TopkDSA":
-            return topk_dsa_complexity(num_workers, elements, k)
-        if method == "gTopk":
-            return gtopk_complexity(num_workers, elements, k)
-        raise ValueError(f"no communication model for method {method!r}")
-
-    def estimator(elements: int) -> Tuple[float, float]:
-        bound = bound_for(int(elements))
+        if teams <= 1:
+            bound = spardl_complexity(num_workers, elements, k)
+        elif (teams & (teams - 1)) == 0 and num_workers % teams == 0:
+            bound = spardl_rsag_complexity(num_workers, elements, k, teams)
+        else:
+            bound = spardl_bsag_complexity(num_workers, elements, k, teams)
         volume = bound.bandwidth_high
-        if num_bits is not None and method != "Dense":
+        if num_bits is not None:
             volume = quantized_bandwidth(volume, num_bits)
-        elif num_bits is not None:
-            volume = volume * num_bits / 32.0
         return float(bound.latency_rounds), float(volume)
 
     return estimator
@@ -300,7 +279,6 @@ def plan_mgwfbp(layers: Sequence[Tuple[str, int]],
 
 def plan_buckets(layers: Sequence[Tuple[str, int]],
                  *,
-                 method: str = "SparDL",
                  num_workers: int,
                  network: NetworkProfile | HeterogeneousNetwork,
                  density: Optional[float] = None,
@@ -341,7 +319,7 @@ def plan_buckets(layers: Sequence[Tuple[str, int]],
         volume_scale = 1.0
     if isinstance(network, HeterogeneousNetwork):
         network = network.slowest()
-    estimator = bucket_comm_model(method, num_workers, density=density,
-                                  teams=teams, num_bits=num_bits)
+    estimator = bucket_comm_model(num_workers, density=density, teams=teams,
+                                  num_bits=num_bits)
     return plan_mgwfbp(layout, compute_times, estimator, network,
                        volume_scale=volume_scale)

@@ -402,10 +402,9 @@ class ResidualManager:
         With momentum correction active, also applies DGC's *momentum factor
         masking*: every worker's velocity is zeroed at the final global
         indices, because those coordinates were just applied to the model and
-        their momentum history must restart.  Dense paths (pure dense
-        allreduce, SparDL dense-fallback steps) do not call :meth:`finalize`
-        and so keep their velocity — which is exactly what makes the dense
-        path equal to naive momentum SGD.
+        their momentum history must restart.  The ``dense`` method does not
+        call :meth:`finalize` and so keeps its velocity — which is exactly
+        what makes it equal to naive momentum SGD.
         """
         final: Optional[np.ndarray] = None
         needs_final = (self.policy is ResidualPolicy.PARTIAL

@@ -25,14 +25,6 @@ every bucket (:class:`~repro.sparse.blocks.BlockLayout`), and everything
 per-bucket is an array over segments.  A step over ``B`` buckets costs the
 rounds of one, and its result equals ``B`` synchronisers run on the slices.
 
-When the configured density ``k/n`` reaches the dense-fallback crossover
-(:meth:`SparDLConfig.resolve_dense_crossover`), the sparse pipeline is
-skipped entirely in favour of a dense All-Reduce: past the crossover the COO
-encoding moves more elements than the dense bandwidth lower bound and pays
-the sparse bookkeeping on top, so falling back is strictly faster and exact.
-The decision is about the wire, so it is taken once for the whole exchange,
-from the buckets' aggregate ``k/n``.
-
 The synchroniser implements :class:`repro.core.base.GradientSynchronizer`, so
 the distributed trainer, the examples and the benchmarks can swap it with any
 baseline method.
@@ -45,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..comm.transport import Transport
-from ..comm.collectives import _allreduce_dense, allgather_bruck_grouped
+from ..comm.collectives import allgather_bruck_grouped
 from ..comm.packed import PackedBags
 from ..sparse.blocks import BlockLayout
 from ..sparse.topk import WarmTopK
@@ -113,8 +105,6 @@ class SparDLSynchronizer(GradientSynchronizer):
         #: Per-(rank, segment) cuts of the last step's block top-k, reused by
         #: SRS phase 1 to select exactly from a few candidates.
         self.selector = WarmTopK()
-        #: Crossover density at which the dense fallback engages.
-        self.dense_crossover = config.resolve_dense_crossover()
         #: Per-iteration history of the merged non-zero count observed by the
         #: SAG step (the series plotted in Fig. 7).
         self.merged_nnz_history: List[float] = []
@@ -158,8 +148,8 @@ class SparDLSynchronizer(GradientSynchronizer):
 
     def set_sparsity(self, k: Union[int, Sequence[int]]) -> None:
         """Adopt a per-step ``k`` (schedule resolution) — one per bucket, a
-        single number for a single bucket: recompute the per-segment budgets
-        and the dense-fallback decision."""
+        single number for a single bucket: recompute the per-segment
+        budgets."""
         ks = [int(k)] if np.ndim(k) == 0 else [int(value) for value in k]
         if len(ks) != len(self.bucket_sizes):
             raise ValueError(
@@ -179,8 +169,6 @@ class SparDLSynchronizer(GradientSynchronizer):
                                    self.team_size)
         #: Non-zeros kept per block, over all of its segments.
         self.k_block = sum(per_bucket)
-        #: True when the current ``k`` bypasses the sparse pipeline.
-        self.uses_dense_fallback = self.k / self.num_elements >= self.dense_crossover
 
     # ------------------------------------------------------------------
     # elastic membership
@@ -209,49 +197,22 @@ class SparDLSynchronizer(GradientSynchronizer):
     # ------------------------------------------------------------------
     # the staged pipeline
     # ------------------------------------------------------------------
-    def stage_compress(self, context: StepContext) -> None:
-        """Wire encoding of the step, driven by the quantizer.
-
-        On the sparse path this is the identity.  The dense-fallback path
-        sends everything, so every store releases its corrected buffer to
-        the collective here — quantized first when ``config.num_bits`` is
-        set (one draw per worker, the exact error stays in that worker's
-        residual store); on the sparse path the selection is interleaved
-        with the SRS transmissions, so the quantizer is applied inside
-        :meth:`stage_exchange` instead — right after each block-wise top-k,
-        i.e. the moment a value first reaches the wire.  Momentum correction
-        acts through the residual manager and leaves the wire untouched.
-        """
-        if self.uses_dense_fallback:
-            self._compress_dense(context)
-        else:
-            context.wire = context.selected
-
     def stage_select(self, context: StepContext) -> None:
         """Residual add (SRS phase 1), in place: ``context.selected`` holds
         the residual stores' own buffers, which stage hooks may read but
         must not write.  SparDL's block-wise top-k selection is interleaved
         with the SRS transmissions, so the selection proper lives inside
-        :meth:`stage_exchange`; on a sparse step the add goes through
-        :attr:`selector`, which (compiled kernels) collects every segment's
-        candidates in the same sweep and seeds the cuts it lacks."""
-        if self.uses_dense_fallback:
-            context.selected = self.residuals.apply(context.gradients)
-        else:
-            context.selected = self.residuals.apply(
-                context.gradients, self.selector, self.layout.edges,
-                self.segment_k)
+        :meth:`stage_exchange`, and the add goes through :attr:`selector`,
+        which (compiled kernels) collects every segment's candidates in the
+        same sweep and seeds the cuts it lacks."""
+        context.selected = self.residuals.apply(
+            context.gradients, self.selector, self.layout.edges, self.segment_k)
 
     def stage_exchange(self, context: StepContext) -> None:
-        """SRS inside every team, then Spar-All-Gather across teams — or the
-        exact dense All-Reduce past the density crossover."""
-        if self.uses_dense_fallback:
-            context.exchanged, context.scratch["bucket_nnz"] = _allreduce_dense(
-                self.cluster, context.wire, price=self.wire_size,
-                edges=self.layout.edges[::self.team_size])
-            context.scratch["dense_fallback"] = True
-            return
-        # SRS selects from the residual stores: ``context.wire`` is them.
+        """SRS inside every team, then Spar-All-Gather across teams.  SRS
+        selects from the residual stores (``context.wire`` is them), and the
+        quantizer, when ``config.num_bits`` is set, acts right after each
+        block-wise top-k — the moment a value first reaches the wire."""
         srs_out = spar_reduce_scatter(
             cluster=self.cluster,
             teams=self.teams,
@@ -275,24 +236,6 @@ class SparDLSynchronizer(GradientSynchronizer):
     def stage_combine(self, context: StepContext) -> None:
         """Bruck All-Gather inside every team and merge into the per-worker
         global gradients."""
-        if context.scratch.get("dense_fallback"):
-            # The dense collective already hands every worker one
-            # read-only array, and counted its non-zeros per bucket.
-            context.global_gradients = context.exchanged
-            bucket_nnz = context.scratch["bucket_nnz"]
-            context.info = {
-                "k": self.k,
-                "k_block": self.k_block,
-                "num_teams": self.num_teams,
-                "final_nnz": sum(bucket_nnz),
-                "bucket_k": list(self.bucket_k),
-                "bucket_final_nnz": bucket_nnz,
-                "srs_steps": 0,
-                "max_bag_nnz_per_step": [],
-                "dense_fallback": True,
-                "dense_crossover": self.dense_crossover,
-            }
-            return
         final = self._intra_team_allgather(context.exchanged)
         reference = final[next(iter(final))]
         context.global_sparse = final
@@ -311,7 +254,6 @@ class SparDLSynchronizer(GradientSynchronizer):
                 reference.indices, self.layout.edges[::self.team_size])).tolist(),
             "srs_steps": srs_out.num_steps,
             "max_bag_nnz_per_step": srs_out.max_bag_nnz_per_step,
-            "dense_fallback": False,
         }
         if sag_out is not None:
             info.update({
@@ -324,10 +266,7 @@ class SparDLSynchronizer(GradientSynchronizer):
 
     def stage_residual_update(self, context: StepContext) -> None:
         """Resolve held-back (PRES) discards against the final index set,
-        which is identical on every worker.  A dense-fallback step drops
-        nothing, so there is nothing to resolve."""
-        if context.scratch.get("dense_fallback"):
-            return
+        which is identical on every worker."""
         self.residuals.finalize(context.reference.indices)
 
     def _run_sag(self, blocks: Dict[int, SparseGradient]) -> Optional[SAGOutput]:

@@ -190,7 +190,7 @@ def srs_round(sent: int, held: Held, inbox: Inbox, in_bounds: np.ndarray,
     1. is merge-added with bag ``b`` of what worker ``r`` received for it,
        ``inbox[r]`` between ``in_bounds[r, j, b, 0]`` and ``[..., 1]`` —
        held first, ``0.0 + a + b`` where both hold an index and ``0.0 + x``
-       elsewhere (:meth:`SparseGradient.add`); when either block is empty
+       elsewhere (:meth:`SparseGradient.merge_many`); when either block is empty
        in every bucket, the other is taken as it is;
     2. where ``targets[r, j]``, keeps its ``ks[r, j, b]`` (positive)
        largest magnitudes in every segment — ties to the lower index, NaN

@@ -94,17 +94,16 @@ def _top_k_of_magnitude(magnitude: np.ndarray, k: int, reach: int = 0
     return reached.astype(np.int64, copy=False), remembered, reach
 
 
-#: Longest segment :func:`segmented_top_k` hands to the compiled kernel when
-#: one rank is sought.  One kernel call for many short segments saves a NumPy
-#: partition (~12 us of call overhead) apiece, but the kernel is a scalar
-#: quickselect and NumPy 2's one-point partition a vectorised one, which
-#: overtakes it on long segments (measured, keeping half: 64 x 40 entries 90
-#: vs 780 us, 16 x 1,024 entries 200 vs 350 us, 8 x 2,048 entries 140 vs 144
-#: us, 8 x 4,096 entries 380 vs 210 us).  A segment that also wants the
-#: magnitude at a second rank (``reach > k``) stays with the kernel at any
-#: length, a choice measured against a two-point ``np.partition`` (8 x 4,096
-#: entries 340 vs 770 us); :func:`_partition_cut`'s two one-point partitions
-#: now beat the kernel there (8 x 4,096 entries 434 vs 197 us).
+#: Longest segment :func:`segmented_top_k` hands to the compiled kernel.
+#: One kernel call for many short segments saves a NumPy partition (~12 us
+#: of call overhead) apiece, but the kernel is a scalar quickselect and NumPy
+#: 2's one-point partition a vectorised one, which overtakes it on long
+#: segments (measured, keeping half: 64 x 40 entries 90 vs 780 us, 16 x 1,024
+#: entries 200 vs 350 us, 8 x 2,048 entries 140 vs 144 us, 8 x 4,096 entries
+#: 380 vs 210 us).  The same holds when a segment also wants the magnitude at
+#: a second rank (``reach > k``): :func:`_partition_cut`'s two one-point
+#: partitions beat the kernel on long segments (8 x 4,096 entries, k = 1 %,
+#: reach = 2k: 434 us on the kernel, 197 us in NumPy).
 _BATCHED_SEGMENT = 2048
 
 
@@ -122,10 +121,10 @@ def segmented_top_k(magnitude: np.ndarray, offsets: np.ndarray, ks: np.ndarray,
     ``reaches[s]`` as its ``reach``) — ``cuts[s]`` is NaN and ``reached[s]``
     0 for a segment that kept nothing or everything.
 
-    Segments that are short or want two ranks go to the compiled kernel
-    together (see :data:`_BATCHED_SEGMENT`), the others (and all of them
-    without the kernels) to :func:`_top_k_of_magnitude` one by one; the
-    result is the same.
+    Short segments go to the compiled kernel together (see
+    :data:`_BATCHED_SEGMENT`), the others (and all of them without the
+    kernels) to :func:`_top_k_of_magnitude` one by one; the result is the
+    same.
     """
     ks = np.asarray(ks, dtype=np.int64)
     segments = ks.shape[0]
@@ -135,10 +134,7 @@ def segmented_top_k(magnitude: np.ndarray, offsets: np.ndarray, ks: np.ndarray,
     wanted = ks > 0
     kernels = get_kernels()
     if kernels is not None:
-        batched = np.diff(offsets) <= _BATCHED_SEGMENT
-        if reaches is not None:
-            batched |= np.asarray(reaches) > ks
-        batched &= wanted
+        batched = (np.diff(offsets) <= _BATCHED_SEGMENT) & wanted
         if batched.any():
             kernels.segmented_top_k(
                 np.ascontiguousarray(magnitude, dtype=np.float64),

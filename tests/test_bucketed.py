@@ -61,28 +61,6 @@ class TestBucketLayout:
 
 
 class TestBucketedVersusFlat:
-    def test_dense_fallback_path_equivalent_to_flat(self):
-        """Past the density crossover the one exchange group runs the exact
-        dense All-Reduce over the whole gradient: the result, the volume
-        and the rounds are the flat run's."""
-        model = _model()
-        n = model.num_parameters()
-        grads = _gradients(n)
-        flat = make("spardl?density=0.6", SimulatedCluster(NUM_WORKERS), num_elements=n)
-        bucketed = make("spardl?density=0.6&buckets=layer",
-                        SimulatedCluster(NUM_WORKERS), model=model)
-        flat_result = flat.synchronize({w: g.copy() for w, g in grads.items()})
-        bucketed_result = bucketed.synchronize({w: g.copy() for w, g in grads.items()})
-        assert bucketed_result.info["per_bucket_info"][0]["dense_fallback"]
-        exact = sum(grads.values())
-        for worker in range(NUM_WORKERS):
-            np.testing.assert_array_equal(bucketed_result.global_gradients[worker],
-                                          flat_result.global_gradients[worker])
-            np.testing.assert_allclose(bucketed_result.global_gradients[worker],
-                                       exact, rtol=1e-9, atol=1e-12)
-        assert bucketed_result.stats.total_volume == flat_result.stats.total_volume
-        assert bucketed_result.stats.rounds == flat_result.stats.rounds
-
     def test_spardl_path_equivalent_conservation(self):
         """Satellite requirement for the SparDL path: per-bucket top-k picks
         *different* indices than flat top-k (small layers are guaranteed

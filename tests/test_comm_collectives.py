@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import types
 from unittest import mock
 
 import numpy as np
@@ -493,20 +492,17 @@ class TestCompiledTreeSum:
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         vectors = {rank: _laid_out(_salted(rng, n, share), layout)
                    for rank in range(num_workers)}
-        edges = [0, *sorted(data.draw(st.lists(st.integers(0, n), max_size=5),
-                                      label="cuts")), n]
         algorithms = [collectives._ring]
         if not num_workers & (num_workers - 1):
             algorithms.append(collectives._rabenseifner)
         for algorithm in algorithms:
-            result, counts = algorithm(SimulatedCluster(num_workers), vectors, None,
-                                       payload_size, edges)
+            result, count = algorithm(SimulatedCluster(num_workers), vectors, None,
+                                      payload_size)
             with numpy_leg():
-                statement, statement_counts = algorithm(
-                    SimulatedCluster(num_workers), vectors, None, payload_size, edges)
+                statement, statement_count = algorithm(
+                    SimulatedCluster(num_workers), vectors, None, payload_size)
             assert result[0].tobytes() == statement[0].tobytes()
-            assert counts == statement_counts == [
-                np.count_nonzero(result[0][lo:hi]) for lo, hi in _pieces(edges)]
+            assert count == statement_count == np.count_nonzero(result[0])
 
     @pytest.mark.parametrize("tree", [
         _chain(2), _chain(5), _chain(9), _xor_tree(4), _xor_tree(16),
@@ -575,19 +571,13 @@ class TestCompiledTreeSum:
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("leg", ["compiled", "numpy"])
 @pytest.mark.parametrize("num_workers", [1, 3, 4, 8])
-@pytest.mark.parametrize("spec", ["dense", "spardl?density=0.6", "spardl-bucketed"])
-def test_a_dense_step_reports_numpys_counts(leg, num_workers, spec):
-    """``final_nnz`` and SparDL's per-bucket ``bucket_final_nnz`` of a dense
-    step come out of the sum itself and equal ``np.count_nonzero`` over the
-    result on both legs — exact zeros, ``-0.0`` (zero) and NaN (non-zero)
-    entries included."""
+def test_a_dense_step_reports_numpys_counts(leg, num_workers):
+    """``final_nnz`` of a ``dense`` step comes out of the sum itself and
+    equals ``np.count_nonzero`` over the result on both legs — exact zeros,
+    ``-0.0`` (zero) and NaN (non-zero) entries included."""
     if leg == "compiled" and get_kernels() is None:
         pytest.skip("compiled kernels unavailable")
-    sizes = [3000, 17, 1, 9000, 250]
-    n = sum(sizes)
-    model = types.SimpleNamespace(parameters=lambda: [
-        types.SimpleNamespace(name=f"p{index}", size=size)
-        for index, size in enumerate(sizes)])
+    n = 12268
     rng = np.random.default_rng(num_workers)
     gradients = {}
     for rank in range(num_workers):
@@ -596,20 +586,10 @@ def test_a_dense_step_reports_numpys_counts(leg, num_workers, spec):
         gradient[1500:1600] = -0.0
         gradient[rng.random(n) < 0.001] = np.nan
         gradients[rank] = gradient
-    shape = {"model": model} if spec == "spardl-bucketed" else {"num_elements": n}
-    spec = {"spardl-bucketed": "spardl?density=0.6&buckets=layer"}.get(spec, spec)
-    sync = api.make(f"{spec}{'&' if '?' in spec else '?'}backend=sim:{num_workers}",
-                    **shape)
+    sync = api.make(f"dense?backend=sim:{num_workers}", num_elements=n)
     with numpy_leg() if leg == "numpy" else contextlib.nullcontext():
         result = sync.synchronize(gradients)
-    reference = result.gradient(0)
-    assert 0 < result.info["final_nnz"] == np.count_nonzero(reference) < n
-    if spec.startswith("spardl"):
-        info = result.info.get("per_bucket_info", [result.info])[0]
-        assert info["dense_fallback"]
-        edges = np.cumsum([0, *sizes]).tolist() if "buckets" in spec else [0, n]
-        assert info["bucket_final_nnz"] == [
-            np.count_nonzero(reference[lo:hi]) for lo, hi in _pieces(edges)]
+    assert 0 < result.info["final_nnz"] == np.count_nonzero(result.gradient(0)) < n
 
 
 class TestDenseAllReduceInputs:

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.dense import DenseAllReduceSynchronizer
-from repro.comm.cluster import SimulatedCluster
-from repro.comm.network import ETHERNET
-from repro.core.config import DEFAULT_DENSE_CROSSOVER, SAGMode, SparDLConfig
+from repro.core.config import SAGMode, SparDLConfig
 from repro.core.residuals import ResidualPolicy
-from repro.core.spardl import SparDLSynchronizer
-
-from tests.helpers import random_gradients
 
 
 class TestSparDLConfig:
@@ -87,37 +81,9 @@ class TestSparDLConfig:
         assert "SparDL" in SparDLConfig(k=5).describe()
 
 
-class TestFallbackKnobs:
-    def test_dense_crossover_defaults_to_measured_constant(self):
-        assert SparDLConfig(k=10).resolve_dense_crossover() == DEFAULT_DENSE_CROSSOVER
-        assert SparDLConfig(k=10, dense_fallback_ratio=0.3).resolve_dense_crossover() == 0.3
-
-    def test_dense_fallback_ratio_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SparDLConfig(k=10, dense_fallback_ratio=0.0)
-        with pytest.raises(ValueError):
-            SparDLConfig(k=10, dense_fallback_ratio=-0.5)
-
-    def test_default_crossover_is_where_simulated_sparse_meets_dense(self):
-        """At P = 8 (a power of two: the dense All-Reduce is bandwidth
-        optimal) the COO volume 4k(P-1)/P meets the dense 2n(P-1)/P at
-        k/n = 1/2.  SparDL's simulated time over dense's, interpolated
-        across a density sweep, must cross 1 there, and the shipped default
-        must be that measurement."""
-        P, n = 8, 50_000
-        gradients = random_gradients(P, n, seed=7)
-        dense = DenseAllReduceSynchronizer(SimulatedCluster(P), n).synchronize(gradients)
-        densities = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0)
-        ratios = []
-        for density in densities:
-            sparse = SparDLSynchronizer(SimulatedCluster(P), n, SparDLConfig(
-                density=density, dense_fallback_ratio=float("inf"))).synchronize(gradients)
-            ratios.append(sparse.stats.simulated_time(ETHERNET)
-                          / dense.stats.simulated_time(ETHERNET))
-        crossing = next(i for i in range(1, len(ratios))
-                        if ratios[i - 1] < 1.0 <= ratios[i])
-        lo, hi = densities[crossing - 1], densities[crossing]
-        below, above = ratios[crossing - 1], ratios[crossing]
-        measured = lo + (1.0 - below) / (above - below) * (hi - lo)
-        assert measured == pytest.approx(0.5, abs=0.1)
-        assert DEFAULT_DENSE_CROSSOVER == pytest.approx(measured, abs=0.1)
+class TestNoDenseFallback:
+    def test_there_is_no_crossover_knob(self):
+        """SparDL is one pipeline at every density; a dense All-Reduce is
+        the ``dense`` method."""
+        with pytest.raises(TypeError, match="dense_fallback_ratio"):
+            SparDLConfig(k=1, dense_fallback_ratio=0.5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -17,12 +18,11 @@ from tests.helpers import random_gradients
 
 def build(num_workers, num_elements, *, k=None, density=0.05, num_teams=1,
           sag_mode=SAGMode.AUTO, residual_policy=ResidualPolicy.GLOBAL,
-          sparsify_all=False, dense_fallback_ratio=None):
+          sparsify_all=False):
     cluster = SimulatedCluster(num_workers)
     config = SparDLConfig(k=k, density=None if k else density, num_teams=num_teams,
                           sag_mode=sag_mode, residual_policy=residual_policy,
-                          sparsify_all_blocks=sparsify_all,
-                          dense_fallback_ratio=dense_fallback_ratio)
+                          sparsify_all_blocks=sparsify_all)
     return cluster, SparDLSynchronizer(cluster, num_elements, config)
 
 
@@ -62,13 +62,13 @@ class TestSparDLBasics:
         assert result.info["final_nnz"] >= 80 // 2
 
     def test_dense_k_equals_exact_allreduce(self):
-        """With k = n the *sparse pipeline* degenerates to an exact dense
-        All-Reduce (fallback disabled so the sparse path itself is tested)."""
+        """With k = n the sparse pipeline degenerates to an exact dense
+        All-Reduce."""
         num_workers, num_elements = 6, 120
-        _, sync = build(num_workers, num_elements, k=num_elements, dense_fallback_ratio=math.inf)
+        _, sync = build(num_workers, num_elements, k=num_elements)
         gradients = random_gradients(num_workers, num_elements)
         result = sync.synchronize(gradients)
-        assert not sync.uses_dense_fallback
+        assert result.info["srs_steps"] > 0
         np.testing.assert_allclose(result.gradient(0), sum(gradients.values()), atol=1e-9)
 
     def test_latency_matches_equation_4(self):
@@ -201,58 +201,45 @@ class TestSparDLWithSAG:
         assert result.stats.rounds == expected
 
 
-class TestDenseFallback:
-    def test_engages_at_default_crossover(self):
-        _, sync = build(8, 400, density=0.5)
-        assert sync.uses_dense_fallback
-        _, sync = build(8, 400, density=0.1)
-        assert not sync.uses_dense_fallback
+class TestHighDensity:
+    """SparDL is one pipeline at every density: up to k = n every step runs
+    SRS (and SAG, with teams), stays consistent and holds the ledger
+    ``global + residual_after == residual_before + m * velocity_before +
+    sum_w gradient_w`` to 1e-9."""
 
-    def test_fallback_result_is_exact_and_consistent(self):
+    @pytest.mark.parametrize("density", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("num_workers", [4, 6, 8])
+    def test_every_step_runs_the_sparse_pipeline(self, num_workers, density):
+        num_elements = 240
+        for num_teams, bits, momentum, sizes in itertools.product(
+                (1, 2), (None, 8), (None, 0.9), ([num_elements], [120, 72, 48])):
+            sync = SparDLSynchronizer(
+                SimulatedCluster(num_workers), sizes,
+                SparDLConfig(density=density, num_teams=num_teams,
+                             num_bits=bits, momentum=momentum))
+            factor = momentum or 0.0
+            for step in range(3):
+                gradients = random_gradients(num_workers, num_elements, seed=7 * step)
+                residual_before = sync.residuals.total_residual()
+                velocity_before = sync.residuals.total_velocity()
+                result = sync.synchronize(gradients)
+                assert result.info["srs_steps"] > 0
+                assert "dense_fallback" not in result.info
+                assert result.is_consistent
+                np.testing.assert_allclose(
+                    result.gradient(0) + sync.residuals.total_residual(),
+                    residual_before + factor * velocity_before + sum(gradients.values()),
+                    rtol=0, atol=1e-9)
+
+    def test_k_equal_to_n_leaves_no_residual(self):
         num_workers, num_elements = 8, 400
-        _, sync = build(num_workers, num_elements, density=0.8)
-        gradients = random_gradients(num_workers, num_elements)
-        result = sync.synchronize(gradients)
-        assert result.info["dense_fallback"] is True
-        assert result.is_consistent
-        np.testing.assert_allclose(result.gradient(0), sum(gradients.values()), atol=1e-9)
-        # Exact reduction leaves no residual behind.
-        assert sync.residuals.total_residual() == pytest.approx(0.0)
-
-    def test_fallback_consumes_stored_residuals(self):
-        """Residuals accumulated by earlier sparse iterations are applied,
-        not dropped, when the fallback engages (single synchroniser configs
-        never mix, so simulate by injecting residual mass directly)."""
-        num_workers, num_elements = 4, 100
-        _, sync = build(num_workers, num_elements, density=0.9)
+        _, sync = build(num_workers, num_elements, density=1.0)
         sync.residuals.store(2).add_dense(np.full(num_elements, 0.5))
         gradients = random_gradients(num_workers, num_elements)
         result = sync.synchronize(gradients)
-        expected = sum(gradients.values()) + 0.5
-        np.testing.assert_allclose(result.gradient(0), expected, atol=1e-9)
-
-    def test_ratio_override_moves_the_crossover(self):
-        _, sync = build(8, 400, density=0.2, dense_fallback_ratio=0.15)
-        assert sync.uses_dense_fallback
-        _, sync = build(8, 400, density=0.6, dense_fallback_ratio=2.0)
-        assert not sync.uses_dense_fallback
-
-    def test_disable_keeps_sparse_pipeline(self):
-        _, sync = build(8, 400, density=0.8, dense_fallback_ratio=math.inf)
-        assert not sync.uses_dense_fallback
-        result = sync.synchronize(random_gradients(8, 400))
-        assert result.info["dense_fallback"] is False
-
-    def test_fallback_cheaper_than_sparse_at_high_density(self):
-        from repro.comm.network import ETHERNET
-
-        num_workers, num_elements = 8, 800
-        gradients = random_gradients(num_workers, num_elements)
-        _, fallback = build(num_workers, num_elements, density=0.9)
-        _, sparse = build(num_workers, num_elements, density=0.9, dense_fallback_ratio=math.inf)
-        t_fallback = fallback.synchronize(gradients).stats.simulated_time(ETHERNET)
-        t_sparse = sparse.synchronize(gradients).stats.simulated_time(ETHERNET)
-        assert t_fallback < t_sparse
+        np.testing.assert_allclose(result.gradient(0), sum(gradients.values()) + 0.5,
+                                   atol=1e-9)
+        assert sync.residuals.total_residual() == pytest.approx(0.0)
 
 
 class TestSparDLResidualPolicies:

@@ -94,7 +94,9 @@ def test_api_doc_migrates_every_removed_spelling():
     for spelling in ("hybrid=dense<SIZE", "schedule=adaptive", "buckets=auto:asc",
                      "buckets=auto:mgwfbp", "topka?density=0.01&buckets=layer",
                      "dense?buckets=layer", "AdaptiveSchedule", "plan_asc",
-                     "FUSION_PLANNERS", "BucketedSynchronizer(cluster, sizes, factory"):
+                     "FUSION_PLANNERS", "BucketedSynchronizer(cluster, sizes, factory",
+                     "dense_fallback_ratio", "DEFAULT_DENSE_CROSSOVER",
+                     "resolve_dense_crossover", "uses_dense_fallback"):
         assert any(spelling in row for row in rows), (
             f"docs/api.md has no migration row for {spelling!r}")
 

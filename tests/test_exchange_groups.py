@@ -102,9 +102,7 @@ class TestGroupedEqualsIndependent:
     @given(sizes=bucket_sizes, config=configs, seed=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_except_for_rounds(self, sizes, config, seed):
-        # one tensor alone would fall back dense at k/n >= 0.5: the property
-        # is about the sparse exchange (the fallback has its own test below)
-        config = SparDLConfig(dense_fallback_ratio=float("inf"), **config)
+        config = SparDLConfig(**config)
         workers, total = self.NUM_WORKERS, sum(sizes)
         grouped = SparDLSynchronizer(SimulatedCluster(workers), sizes, config)
         singles = [SparDLSynchronizer(SimulatedCluster(workers), size, config)
@@ -181,27 +179,6 @@ class TestGroupedEqualsIndependent:
         assert len(sync.layout.bounds) == 12 and sync.layout.num_blocks == 4
         with pytest.raises(ValueError, match="one k each"):
             sync.set_sparsity(50)
-
-    def test_dense_fallback_is_decided_for_the_whole_exchange(self):
-        """A one-element tensor has ``k/n = 1`` on its own; inside a group
-        the aggregate density decides, for every bucket at once."""
-        alone = SparDLSynchronizer(SimulatedCluster(4), 1, SparDLConfig(density=0.05))
-        assert alone.uses_dense_fallback
-        sizes = [400, 1, 99]
-        sparse = SparDLSynchronizer(SimulatedCluster(4), sizes, SparDLConfig(density=0.05))
-        assert not sparse.uses_dense_fallback
-        info = sparse.synchronize(drifting_gradients(4, 500, 0)).info
-        assert not info["dense_fallback"] and info["bucket_k"] == [20, 1, 5]
-        assert min(info["bucket_final_nnz"]) >= 1
-
-        dense = SparDLSynchronizer(SimulatedCluster(4), sizes, SparDLConfig(density=0.6))
-        assert dense.uses_dense_fallback
-        gradients = drifting_gradients(4, 500, 0)
-        result = dense.synchronize(gradients)
-        assert result.info["dense_fallback"] and result.info["srs_steps"] == 0
-        assert result.info["bucket_final_nnz"] == sizes
-        np.testing.assert_allclose(result.gradient(0), sum(gradients.values()),
-                                   atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

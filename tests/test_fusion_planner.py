@@ -70,15 +70,13 @@ class TestPlanIsValidPartition:
         for (_, stop), (start, _) in zip(plan.groups, plan.groups[1:]):
             assert stop == start
 
-    @given(data=layout_and_computes(),
-           method=st.sampled_from(["SparDL", "Dense", "TopkA", "gTopk"]),
-           workers=st.sampled_from([2, 4, 8]))
+    @given(data=layout_and_computes(), workers=st.sampled_from([2, 4, 8]))
     @settings(max_examples=40, deadline=None)
-    def test_partition_holds_under_table_one_models(self, data, method, workers):
+    def test_partition_holds_under_table_one_models(self, data, workers):
         sizes, computes = data
         profile = ComputeProfile(0.1, 1e6,
                                  bucket_backward_times=tuple(computes))
-        plan = plan_buckets(_layers(sizes), method=method,
+        plan = plan_buckets(_layers(sizes),
                             num_workers=workers, density=0.05,
                             network=ETHERNET, compute_profile=profile)
         assert sum(plan.sizes) == sum(sizes)
@@ -307,34 +305,29 @@ class TestPlanPricesOnTheProfile:
 
 
 class TestCommModels:
-    def test_dense_needs_no_density_and_sparse_does(self):
-        dense = bucket_comm_model("Dense", num_workers=4)
-        rounds, volume = dense(1000)
-        assert rounds > 0 and volume > 0
+    def test_needs_a_density(self):
         with pytest.raises(ValueError, match="density"):
-            bucket_comm_model("SparDL", num_workers=4)
+            bucket_comm_model(num_workers=4)
 
     def test_sparse_bucket_keeps_at_least_one_entry(self):
-        model = bucket_comm_model("SparDL", num_workers=4, density=0.001)
+        model = bucket_comm_model(num_workers=4, density=0.001)
         _, tiny_volume = model(10)  # k would round to 0 without the clamp
         assert tiny_volume > 0
 
     def test_quantization_shrinks_the_volume(self):
-        full = bucket_comm_model("SparDL", num_workers=4, density=0.05)
-        quant = bucket_comm_model("SparDL", num_workers=4, density=0.05,
+        full = bucket_comm_model(num_workers=4, density=0.05)
+        quant = bucket_comm_model(num_workers=4, density=0.05,
                                   num_bits=4)
         assert quant(10_000)[1] < full(10_000)[1]
         assert quant(10_000)[0] == full(10_000)[0]  # rounds unchanged
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            bucket_comm_model("SparDL", num_workers=0, density=0.1)
+            bucket_comm_model(num_workers=0, density=0.1)
         with pytest.raises(ValueError):
-            bucket_comm_model("SparDL", num_workers=4, density=1.5)
+            bucket_comm_model(num_workers=4, density=1.5)
         with pytest.raises(ValueError):
-            bucket_comm_model("NoSuchMethod", num_workers=4, density=0.1)(100)
-        with pytest.raises(ValueError):
-            bucket_comm_model("Dense", num_workers=4)(0)
+            bucket_comm_model(num_workers=4, density=0.1)(0)
 
 
 class TestSpecGrammar:

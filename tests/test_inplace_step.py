@@ -72,8 +72,8 @@ def assert_same_state(warm, cold, warm_result, cold_result):
 # one scenario that visits every way a step can treat the selector's state
 # ---------------------------------------------------------------------------
 class _DenseAt(KSchedule):
-    """The wrapped schedule, except ``k = n`` (a dense-fallback step: the
-    gradient is added, nothing is selected) at one iteration."""
+    """The wrapped schedule, except ``k = n`` (every entry is selected, and
+    no segment keeps a cut) at one iteration."""
 
     def __init__(self, inner, iteration):
         self.inner, self.iteration = inner, iteration
@@ -95,7 +95,7 @@ DENSE_STEP, CRASH_STEP, JOIN_STEP, SCENARIO_STEPS = 3, 2, 5, 8
 
 def scenario_session(num_teams, num_bits, momentum, schedule):
     """P=6; a crash before step 2 (teams of 3 become one team of 5), a
-    dense-fallback step at 3, a join before step 5."""
+    ``k = n`` step at 3, a join before step 5."""
     cluster = SimulatedCluster(6)
     cluster.install_fault_plan(FaultPlan(events=[
         MembershipEvent(iteration=CRASH_STEP, kind="crash", worker=1),
@@ -122,8 +122,7 @@ def scenario_digest(num_teams, num_bits, momentum, schedule):
                 digest.update(bits(sync.residuals.velocity(rank)).tobytes())
         stats = result.stats
         digest.update(repr((stats.rounds, stats.total_volume, stats.total_messages,
-                            stats.max_received, result.info.get("final_nnz"),
-                            result.info.get("dense_fallback"))).encode())
+                            stats.max_received, result.info.get("final_nnz"))).encode())
     return digest.hexdigest()
 
 
@@ -165,7 +164,7 @@ class TestWarmSelectionIsExact:
             self, num_teams, num_bits, momentum, schedule):
         warm, cold = (scenario_session(num_teams, num_bits, momentum, schedule)
                       for _ in range(2))
-        sizes, dense = [], []
+        sizes, kept = [], []
         for step in range(SCENARIO_STEPS):
             for session in (warm, cold):
                 session.poll_membership()
@@ -178,9 +177,9 @@ class TestWarmSelectionIsExact:
             warm_result = warm.step(gradients)
             assert_same_state(warm.synchronizer, cold.synchronizer,
                               warm_result, cold.step(gradients))
-            dense.append(bool(warm_result.info["dense_fallback"]))
+            kept.append(warm_result.info["final_nnz"])
         assert sizes == [6, 6, 5, 5, 5, 6, 6, 6]
-        assert dense[DENSE_STEP] and not any(dense[DENSE_STEP + 1:])
+        assert kept[DENSE_STEP] == NUM_ELEMENTS > max(kept[DENSE_STEP + 1:])
         # kept cuts are remembered from step to step and seeded only when
         # the partitioning changed; wiped ones are seeded afresh every step
         selector, wiped = warm.synchronizer.selector, cold.synchronizer.selector

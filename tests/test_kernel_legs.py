@@ -95,7 +95,7 @@ def srs_digest() -> str:
 def dense_digest() -> str:
     """Dense All-Reduces (Rabenseifner at P = 4 and 8, the ring at 5) of
     vectors salted with signed zeros, subnormals, infinities and NaNs of
-    both signs: result bytes, per-piece non-zeros and a ``dense`` step's
+    both signs: result bytes, their non-zeros and a ``dense`` step's
     ``final_nnz``."""
     specials = np.array([0.0, -0.0, 5e-324, -2.5e-320, np.inf, -np.inf,
                          np.nan, -np.nan, 1e308])
@@ -109,13 +109,12 @@ def dense_digest() -> str:
             salted = rng.random(n) < (0.2 if rank else 0.0002)
             vector[salted] = rng.choice(specials, size=int(salted.sum()))
             vectors[rank] = vector
-        result, counts = _allreduce_dense(SimulatedCluster(workers), vectors,
-                                          edges=[0, 7, n // 3, n // 3, n])
+        result, count = _allreduce_dense(SimulatedCluster(workers), vectors)
         step = api.make(f"dense?backend=sim:{workers}", num_elements=n
                         ).synchronize({rank: vector[::-1] for rank, vector
                                        in vectors.items()})
         digest.update(result[0].tobytes() + step.gradient(0).tobytes())
-        digest.update(repr((counts, step.info["final_nnz"])).encode())
+        digest.update(repr((count, step.info["final_nnz"])).encode())
     return digest.hexdigest()
 
 

@@ -34,7 +34,7 @@ def _divisors(value):
 class TestSparDLProperties:
     @given(num_workers=st.integers(min_value=1, max_value=16),
            num_elements=st.integers(min_value=20, max_value=400),
-           density=st.sampled_from([0.005, 0.02, 0.1, 0.5]),
+           density=st.sampled_from([0.005, 0.02, 0.1, 0.5, 1.0]),
            seed=st.integers(min_value=0, max_value=1000),
            team_choice=st.integers(min_value=0, max_value=10))
     @settings(max_examples=40, deadline=None)

@@ -147,23 +147,6 @@ class TestPerMessageAccounting:
         expected = P * unit + P * 2 * unit  # rounds: 1 then 2 selections each
         assert result.stats.total_volume == pytest.approx(expected)
 
-    def test_dense_fallback_prices_bits_per_value(self):
-        """Past the crossover SparDL runs the dense All-Reduce; message
-        sizes depend only on chunk lengths, so the quantized volume is
-        exactly bits/32 of the full-precision volume."""
-        P, bits = 8, 8
-        plain = make("spardl?density=0.8", SimulatedCluster(P),
-                     num_elements=NUM_ELEMENTS)
-        quantized = make(f"spardl?density=0.8&bits={bits}", SimulatedCluster(P),
-                         num_elements=NUM_ELEMENTS)
-        result_plain = plain.synchronize(_gradients(P, 0))
-        result_quant = quantized.synchronize(_gradients(P, 0))
-        assert result_plain.info["dense_fallback"]
-        assert result_quant.info["dense_fallback"]
-        assert result_quant.stats.total_volume == pytest.approx(
-            result_plain.stats.total_volume * bits / 32)
-        assert result_quant.stats.rounds == result_plain.stats.rounds
-
     def test_quantized_volume_is_reduced_for_every_method(self):
         P = 8
         for method in SYNCHRONIZER_NAMES:
@@ -243,7 +226,6 @@ class TestResidualConservation:
         "spardl?density=0.05&bits=2",
         "spardl?density=0.05&teams=2&bits=4",          # R-SAG
         "spardl?density=0.05&teams=3&bits=8",          # B-SAG (P=6)
-        "spardl?density=0.8&bits=8",                   # dense fallback
         "dense?bits=8",                                # QSGD with error feedback
     ])
     def test_sent_plus_error_plus_discards_equals_input(self, spec):

@@ -133,18 +133,3 @@ class TestSchedulesAcrossMethods:
         reconstructed = result.gradient(0) + sync.residuals.total_residual()
         np.testing.assert_allclose(reconstructed, sum(grads.values()),
                                    rtol=1e-9, atol=1e-12)
-
-    def test_spardl_warmup_first_step_may_use_dense_fallback(self):
-        """A DGC warm-up that starts above the crossover density rides the
-        dense fallback for its first steps, then drops to the sparse path."""
-        sync = make("spardl?density=0.01&schedule=warmup:4:0.9",
-                    SimulatedCluster(4), num_elements=NUM_ELEMENTS)
-        session = SyncSession(sync)
-        fallbacks = []
-        for iteration in range(5):
-            grads = {w: np.random.default_rng(iteration * 7 + w).normal(size=NUM_ELEMENTS)
-                     for w in range(4)}
-            result = session.step(grads)
-            fallbacks.append(result.info["dense_fallback"])
-        assert fallbacks[0] is True
-        assert fallbacks[-1] is False

@@ -95,11 +95,11 @@ class TestDenseAllReduce:
         assert result.is_consistent
         np.testing.assert_allclose(result.gradient(0), sum(gradients.values()), atol=1e-10)
 
-    @pytest.mark.parametrize("spec", ["dense", "dense?bits=8"])
+    @pytest.mark.parametrize("spec", ["dense", "dense?bits=8", "spardl?density=0.6"])
     @pytest.mark.parametrize("num_workers", [1, 3, 4])
     def test_every_worker_shares_one_read_only_result(self, spec, num_workers):
-        """Dense steps hand every worker the same read-only global
-        gradient."""
+        """Dense steps, and SparDL's sparse pipeline at a high density, hand
+        every worker the same read-only global gradient."""
         sync = make(spec, SimulatedCluster(num_workers), num_elements=50)
         for step in range(2):
             result = sync.synchronize(random_gradients(num_workers, 50, seed=step))

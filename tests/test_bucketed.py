@@ -61,6 +61,28 @@ class TestBucketLayout:
 
 
 class TestBucketedVersusFlat:
+    def test_k_equal_to_n_is_the_exact_sum_like_flat(self):
+        """At ``density=1`` every bucket keeps every entry: the per-layer
+        run and the flat run both hand back the exact sum through the
+        sparse pipeline, with nothing left in the residuals."""
+        model = _model()
+        n = model.num_parameters()
+        grads = _gradients(n)
+        flat = make("spardl?density=1.0", SimulatedCluster(NUM_WORKERS), num_elements=n)
+        bucketed = make("spardl?density=1.0&buckets=layer",
+                        SimulatedCluster(NUM_WORKERS), model=model)
+        flat_result = flat.synchronize({w: g.copy() for w, g in grads.items()})
+        bucketed_result = bucketed.synchronize({w: g.copy() for w, g in grads.items()})
+        assert bucketed_result.info["per_bucket_info"][0]["srs_steps"] > 0
+        assert bucketed_result.info["final_nnz"] == n
+        exact = sum(grads.values())
+        for worker in range(NUM_WORKERS):
+            for result in (flat_result, bucketed_result):
+                np.testing.assert_allclose(result.global_gradients[worker],
+                                           exact, rtol=1e-9, atol=1e-12)
+        assert not bucketed.total_residual().any()
+        assert not flat.residuals.total_residual().any()
+
     def test_spardl_path_equivalent_conservation(self):
         """Satellite requirement for the SparDL path: per-bucket top-k picks
         *different* indices than flat top-k (small layers are guaranteed

@@ -180,6 +180,27 @@ class TestGroupedEqualsIndependent:
         with pytest.raises(ValueError, match="one k each"):
             sync.set_sparsity(50)
 
+    @pytest.mark.parametrize("density, bucket_k", [
+        (0.05, [20, 1, 5]), (0.6, [240, 1, 59]), (1.0, [400, 1, 99])])
+    def test_a_one_element_tensor_rides_the_groups_sparse_exchange(self, density,
+                                                                   bucket_k):
+        """A one-element tensor (``k/n = 1`` on its own) keeps one entry of
+        the group's budget and runs SRS with its group at every density;
+        the step holds the ledger, and at ``k = n`` it is the exact sum."""
+        sizes = [400, 1, 99]
+        sync = SparDLSynchronizer(SimulatedCluster(4), sizes, SparDLConfig(density=density))
+        gradients = drifting_gradients(4, 500, 0)
+        result = sync.synchronize(gradients)
+        info = result.info
+        assert info["bucket_k"] == bucket_k and info["srs_steps"] > 0
+        assert min(info["bucket_final_nnz"]) >= 1
+        np.testing.assert_allclose(result.gradient(0) + sync.residuals.total_residual(),
+                                   sum(gradients.values()), rtol=0, atol=1e-9)
+        if density == 1.0:
+            assert info["bucket_final_nnz"] == sizes
+            np.testing.assert_allclose(result.gradient(0), sum(gradients.values()),
+                                       rtol=0, atol=1e-9)
+
 
 # ---------------------------------------------------------------------------
 # the segmented quantiser == one quantize_with_error per segment

@@ -18,7 +18,7 @@ Three contracts, straight from the issue's acceptance criteria:
 * **residual mass is conserved.**  ``sum_t global_t + residuals ==
   sum_t inputs`` (sent + quantization error + discards == input, telescoped
   over iterations) for every GRES-collecting configuration, including teams
-  and the dense fallback.
+  and a high density.
 """
 
 from __future__ import annotations
@@ -147,6 +147,24 @@ class TestPerMessageAccounting:
         expected = P * unit + P * 2 * unit  # rounds: 1 then 2 selections each
         assert result.stats.total_volume == pytest.approx(expected)
 
+    @pytest.mark.parametrize("density", [0.5, 0.8, 1.0])
+    def test_high_density_sparse_steps_price_bits_per_value(self, density):
+        """At a high density SparDL still runs the sparse pipeline, whose
+        quantized messages bill ``b`` bits per value but a full element per
+        index: the volume falls below full precision, yet stays above
+        ``b/32`` of it, in the same number of rounds."""
+        P, bits = 8, 8
+        plain = make(f"spardl?density={density}", SimulatedCluster(P),
+                     num_elements=NUM_ELEMENTS)
+        quantized = make(f"spardl?density={density}&bits={bits}", SimulatedCluster(P),
+                         num_elements=NUM_ELEMENTS)
+        result_plain = plain.synchronize(_gradients(P, 0))
+        result_quant = quantized.synchronize(_gradients(P, 0))
+        assert result_plain.info["srs_steps"] == result_quant.info["srs_steps"] > 0
+        assert (result_plain.stats.total_volume * bits / 32
+                < result_quant.stats.total_volume < result_plain.stats.total_volume)
+        assert result_quant.stats.rounds == result_plain.stats.rounds
+
     def test_quantized_volume_is_reduced_for_every_method(self):
         P = 8
         for method in SYNCHRONIZER_NAMES:
@@ -226,6 +244,7 @@ class TestResidualConservation:
         "spardl?density=0.05&bits=2",
         "spardl?density=0.05&teams=2&bits=4",          # R-SAG
         "spardl?density=0.05&teams=3&bits=8",          # B-SAG (P=6)
+        "spardl?density=0.8&bits=8",                   # high density, still sparse
         "dense?bits=8",                                # QSGD with error feedback
     ])
     def test_sent_plus_error_plus_discards_equals_input(self, spec):

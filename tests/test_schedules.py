@@ -133,3 +133,25 @@ class TestSchedulesAcrossMethods:
         reconstructed = result.gradient(0) + sync.residuals.total_residual()
         np.testing.assert_allclose(reconstructed, sum(grads.values()),
                                    rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("teams", ["", "&teams=2"], ids=["one-team", "two-teams"])
+    def test_spardl_warmup_from_high_density_stays_on_the_sparse_pipeline(self, teams):
+        """A DGC warm-up that starts at density 0.9 runs SRS on every step,
+        with one team and with two (SAG across them), and conserves GRES
+        mass while k falls to the target."""
+        sync = make(f"spardl?density=0.01&schedule=warmup:4:0.9{teams}",
+                    SimulatedCluster(4), num_elements=NUM_ELEMENTS)
+        session = SyncSession(sync)
+        total = np.zeros(NUM_ELEMENTS)
+        delivered = np.zeros(NUM_ELEMENTS)
+        for iteration in range(5):
+            grads = {w: np.random.default_rng(iteration * 7 + w).normal(size=NUM_ELEMENTS)
+                     for w in range(4)}
+            result = session.step(grads)
+            assert result.info["srs_steps"] > 0 and result.is_consistent
+            total += sum(grads.values())
+            delivered += result.gradient(0)
+            np.testing.assert_allclose(delivered + sync.residuals.total_residual(),
+                                       total, rtol=1e-9, atol=1e-9)
+        ks = session.k_history
+        assert ks[0] >= 0.9 * NUM_ELEMENTS > ks[-1] == resolve_k(NUM_ELEMENTS, None, 0.01)

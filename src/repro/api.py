@@ -49,10 +49,10 @@ alias (case-insensitive, as in the paper's figures) and the keys are:
             ``(0, 1)`` makes the residual manager accumulate velocity
             ``u = m*u + g`` with momentum-factor masking at the final
             global indices, so delayed coordinates keep their momentum
-            history.  Run the trainer with
-            ``TrainerConfig.momentum_correction=True`` (momentum-free
-            optimizer) so velocity is not applied twice.  Absent = plain
-            error feedback, bit for bit
+            history.  The factor is fixed when the synchroniser is
+            built; train it with ``TrainerConfig(momentum=0.0)``
+            (momentum-free optimizers) so velocity is not applied twice.
+            Absent = plain error feedback, bit for bit
 ``backend`` execution backend: ``sim:P`` (deterministic in-process
             simulator) or ``mp:P`` (``P`` real worker processes, see
             :class:`~repro.comm.mp_backend.MultiprocessCluster`); with a
@@ -76,11 +76,13 @@ and keyword arguments alike) and how it is printed — and that table drives
 :class:`SyncSpec`, :func:`parse_spec`, :meth:`SyncSpec.canonical` and the
 keyword overrides of :func:`make`.
 
-:func:`make` builds a ready synchroniser (a
-:class:`~repro.core.bucketed.BucketedSynchronizer` when bucketing is
-requested), :func:`make_factory` defers construction until the model is
-known (the :class:`~repro.training.trainer.DistributedTrainer` calls the
-factory with its cluster and model replica), and :func:`describe` maps any
+:func:`make` builds a ready synchroniser (for bucketing, one
+:class:`~repro.core.spardl.SparDLSynchronizer` over the buckets when they
+share one configuration, else a
+:class:`~repro.core.bucketed.BucketedSynchronizer` of exchange groups),
+:func:`make_factory` defers construction until the model is known (the
+:class:`~repro.training.trainer.DistributedTrainer` calls the factory with
+its cluster and model replica), and :func:`describe` maps any
 facade-built synchroniser back to its canonical spec string —
 ``parse_spec(describe(x))`` round-trips.
 """
@@ -439,8 +441,11 @@ def _resolve_backend(parsed: SyncSpec,
 
 
 def _build_bucketed(parsed: SyncSpec, cluster: Transport, model, network,
-                    compute_profile) -> BucketedSynchronizer:
-    """Build the bucketed synchroniser of a non-flat ``buckets`` spec."""
+                    compute_profile) -> GradientSynchronizer:
+    """Build the synchroniser of a non-flat ``buckets`` spec: one
+    :class:`SparDLSynchronizer` over the bucket sizes when every bucket has
+    the same configuration and no fusion plan splits them, otherwise a
+    :class:`BucketedSynchronizer` of exchange groups."""
     default_bits, bits_overrides = _split_bits(parsed.bits)
     layout = _bucket_layout(parsed, model)
     density = parsed.density
@@ -475,13 +480,15 @@ def _build_bucketed(parsed: SyncSpec, cluster: Transport, model, network,
                 bits = width
         return bits
 
-    return BucketedSynchronizer(
-        cluster, [size for _, size in layout],
-        [_spardl_config(parsed, k=None, density=density, num_bits=bucket_bits(name))
-         for name, _ in layout],
-        bucket_names=[name for name, _ in layout],
-        plan=plan,
-    )
+    sizes = [size for _, size in layout]
+    configs = [_spardl_config(parsed, k=None, density=density, num_bits=bucket_bits(name))
+               for name, _ in layout]
+    if plan is None and all(config == configs[0] for config in configs):
+        # One exchange group: its buckets are segments of one SparDL's
+        # block layout, so that SparDL is the synchroniser.
+        return SparDLSynchronizer(cluster, sizes, configs[0])
+    return BucketedSynchronizer(cluster, sizes, configs,
+                                bucket_names=[name for name, _ in layout], plan=plan)
 
 
 def make(spec: "str | SyncSpec", cluster: Optional[Transport] = None, *,

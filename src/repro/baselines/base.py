@@ -67,8 +67,9 @@ class SparseBaseline(GradientSynchronizer):
         Optional DGC momentum-correction factor in ``(0, 1)``: the residual
         manager accumulates velocity instead of raw gradient, with momentum
         factor masking at the final global indices (``None`` keeps plain
-        error feedback, bit for bit).  Coordinate with the trainer so
-        momentum is not applied twice (``TrainerConfig.momentum_correction``).
+        error feedback, bit for bit).  It is fixed here, at construction;
+        train such a synchroniser with ``TrainerConfig(momentum=0.0)`` so
+        momentum is not applied twice.
     """
 
     def __init__(self, cluster: Transport, num_elements: int, *,
@@ -80,12 +81,14 @@ class SparseBaseline(GradientSynchronizer):
         super().__init__(cluster, num_elements,
                          schedule=coerce_schedule(schedule, k=k, density=density))
         self.k = self.schedule.resolve(0, num_elements)
-        self.residuals = ResidualManager(cluster.num_workers, num_elements, residual_policy)
+        self.residuals = ResidualManager(cluster.num_workers, num_elements,
+                                         residual_policy,
+                                         momentum=self._momentum_factor(momentum))
         #: Per-rank cut of the last step's local top-k (the whole vector is
         #: one segment): the selector SparDL's phase 1 uses, so that the
         #: methods' wall-clock compares at the same selection cost.
         self.selector = WarmTopK()
-        self._configure_compression(num_bits, momentum)
+        self._configure_compression(num_bits)
 
     def set_sparsity(self, k: int) -> None:
         """Adopt a per-step ``k`` (schedule resolution)."""

@@ -56,18 +56,9 @@ class DenseAllReduceSynchronizer(GradientSynchronizer):
         get_kernels()
         if num_bits is not None or momentum is not None:
             self.residuals = ResidualManager(cluster.num_workers, num_elements,
-                                             ResidualPolicy.GLOBAL)
-        self._configure_compression(num_bits, momentum)
-
-    def enable_momentum_correction(self, factor: float) -> None:
-        """Trainer handoff: dense needs an error-feedback path only for the
-        velocity state, so one is created on demand (plain dense All-Reduce
-        keeps ``residuals=None`` and its stateless pre-momentum path)."""
-        if self.residuals is None:
-            self.residuals = ResidualManager(self.num_workers,
-                                             self.num_elements,
-                                             ResidualPolicy.GLOBAL)
-        self.residuals.set_momentum(factor)
+                                             ResidualPolicy.GLOBAL,
+                                             momentum=self._momentum_factor(momentum))
+        self._configure_compression(num_bits)
 
     def stage_select(self, context: StepContext) -> None:
         if self.residuals is None:

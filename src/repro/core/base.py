@@ -138,36 +138,27 @@ class GradientSynchronizer(ABC):
         return self.cluster.num_workers
 
     # ------------------------------------------------------------------
-    # compression and momentum correction
+    # momentum correction and compression
     # ------------------------------------------------------------------
+    @staticmethod
+    def _momentum_factor(momentum: Optional[float]) -> float:
+        """The residual manager's factor for a constructor's ``momentum=``:
+        DGC momentum correction at a factor in (0, 1), or ``None`` for
+        none (0.0)."""
+        if momentum is None:
+            return 0.0
+        if not 0.0 < float(momentum) < 1.0:
+            raise ValueError("momentum factor must be in (0, 1)")
+        return float(momentum)
+
     def _configure_compression(self, num_bits: Optional[int],
-                               momentum: Optional[float],
                                streams: int = 1) -> None:
-        """Constructor ``momentum=`` / ``num_bits=``: DGC momentum
-        correction on the residual manager at a factor in (0, 1), and a
-        value quantizer with ``streams`` random streams per worker (one per
-        separately selected tensor).  ``None`` leaves each off, bit for
-        bit."""
-        if momentum is not None:
-            if not 0.0 < float(momentum) < 1.0:
-                raise ValueError("momentum factor must be in (0, 1)")
-            self.residuals.set_momentum(momentum)
+        """Constructor ``num_bits=``: a value quantizer with ``streams``
+        random streams per worker (one per separately selected tensor).
+        ``None`` leaves it off, bit for bit."""
         if num_bits is not None:
             self.stack = QuantizedCompressor(num_bits, self.num_workers,
                                              streams=streams)
-
-    def enable_momentum_correction(self, factor: float) -> None:
-        """Turn on DGC momentum correction at ``factor`` (trainer handoff).
-
-        Idempotent at the same factor; raises if a different factor is
-        already active (e.g. spec ``momentum=`` disagreeing with
-        ``TrainerConfig.momentum``) or the method has no residual manager.
-        """
-        if self.residuals is None:
-            raise ValueError(
-                f"{type(self).__name__} has no residual manager; momentum "
-                "correction requires an error-feedback path")
-        self.residuals.set_momentum(factor)
 
     # ------------------------------------------------------------------
     # the staged pipeline

@@ -29,6 +29,11 @@ backward pass.  :attr:`BucketedSynchronizer.sessions` /
 after the other, so the aggregated :class:`~repro.comm.stats.CommStats`
 adds the groups' rounds as well as their volumes.
 
+``api.make`` builds this class only for those two cases.  A bucketed spec
+whose buckets all share one configuration and no fusion plan is one
+exchange group, and ``api.make`` returns that group's
+:class:`~repro.core.spardl.SparDLSynchronizer` itself.
+
 Note that bucketing changes *what is selected*: top-k runs per bucket, so
 small layers are guaranteed representation in the global gradient (the
 motivation DGC gives for per-layer selection), whereas the flat pipeline
@@ -163,12 +168,6 @@ class BucketedSynchronizer(GradientSynchronizer):
         self.name = f"Bucketed[{len(sizes)}]({self.sessions[0].synchronizer.name})"
 
     # ------------------------------------------------------------------
-    def enable_momentum_correction(self, factor: float) -> None:
-        """Trainer handoff: momentum correction is enabled on every group's
-        synchroniser (each owns its own residual manager and velocity)."""
-        for session in self.sessions:
-            session.synchronizer.enable_momentum_correction(factor)
-
     def apply_membership(self, num_workers: int, mapping: Dict[int, int]) -> None:
         """Every group remaps its own per-rank state (residual and velocity
         hand-off, teams, segments, warm cuts, compressor streams) for the

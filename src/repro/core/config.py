@@ -87,10 +87,10 @@ class SparDLConfig:
         for bit — while a factor in ``(0, 1)`` makes the residual manager
         accumulate *velocity* (``u = m*u + g``) with momentum factor masking
         at the final global indices, so delayed coordinates keep their
-        momentum history.  Coordinate with the trainer: when the
-        synchroniser corrects momentum, the optimizer must run momentum-free
-        (see ``TrainerConfig.momentum_correction``), otherwise velocity is
-        applied twice.
+        momentum history.  The synchroniser builds its residual manager
+        with this factor, and it is fixed from then on.  Train such a
+        synchroniser with ``TrainerConfig(momentum=0.0)`` (momentum-free
+        optimizers), otherwise velocity is applied twice.
     """
 
     k: Optional[int] = None

@@ -182,8 +182,9 @@ class ResidualManager:
         applied, so their momentum restarts).  Dense synchronisation paths
         never call :meth:`finalize`, leave the velocity unmasked, and are
         therefore mathematically equivalent to naive momentum SGD.  The
-        default 0.0 disables the mode and keeps every code path bit-identical
-        to a manager built without the argument.
+        factor is fixed here, at construction.  The default 0.0 disables
+        the mode and keeps every code path bit-identical to a manager built
+        without the argument.
     """
 
     def __init__(self, num_workers: int, num_elements: int,
@@ -198,36 +199,18 @@ class ResidualManager:
         #: Threads the last :meth:`apply` swept its ranks on (1: the caller's).
         self.sweep_workers = 1
         self._pending: List[_PendingDiscard] = []
-        self.momentum = 0.0
+        momentum = float(momentum)
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        self.momentum = momentum
         #: Per-worker velocity ``u`` (allocated only when momentum > 0, so
         #: the momentum-off paths stay exactly the pre-momentum code).
-        self._velocity: Optional[Dict[int, np.ndarray]] = None
-        if momentum:
-            self.set_momentum(momentum)
+        self._velocity: Optional[Dict[int, np.ndarray]] = (
+            dict(enumerate(_slab(num_workers, num_elements))) if momentum else None)
 
     # ------------------------------------------------------------------
     # DGC momentum correction
     # ------------------------------------------------------------------
-    def set_momentum(self, momentum: float) -> None:
-        """Enable (or re-confirm) momentum correction at factor ``momentum``.
-
-        Idempotent when called again with the same factor; raises
-        ``ValueError`` if a *different* non-zero factor is already active —
-        two owners disagreeing on the momentum factor is always a
-        configuration bug (e.g. spec ``momentum=`` vs trainer handoff).
-        """
-        momentum = float(momentum)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self._velocity is not None and momentum != self.momentum:
-            raise ValueError(
-                f"momentum correction already active at factor "
-                f"{self.momentum}; cannot change it to {momentum}")
-        self.momentum = momentum
-        if momentum and self._velocity is None:
-            self._velocity = dict(enumerate(
-                _slab(self.num_workers, self.num_elements)))
-
     def velocity(self, worker: int) -> Optional[np.ndarray]:
         """The worker's momentum velocity ``u`` (copy), or ``None`` when
         momentum correction is off."""

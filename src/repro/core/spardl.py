@@ -101,7 +101,8 @@ class SparDLSynchronizer(GradientSynchronizer):
         #: Sizes of the separately selected buckets the gradient concatenates.
         self.bucket_sizes = sizes
         self.residuals = ResidualManager(cluster.num_workers, self.num_elements,
-                                         config.residual_policy)
+                                         config.residual_policy,
+                                         momentum=self._momentum_factor(config.momentum))
         #: Per-(rank, segment) cuts of the last step's block top-k, reused by
         #: SRS phase 1 to select exactly from a few candidates.
         self.selector = WarmTopK()
@@ -109,8 +110,7 @@ class SparDLSynchronizer(GradientSynchronizer):
         #: SAG step (the series plotted in Fig. 7).
         self.merged_nnz_history: List[float] = []
         self.name = config.describe()
-        self._configure_compression(config.num_bits, config.momentum,
-                                    streams=len(sizes))
+        self._configure_compression(config.num_bits, streams=len(sizes))
         self._partition(config.num_teams,
                         [self.schedule.resolve(0, size) for size in sizes])
 

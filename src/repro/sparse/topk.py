@@ -245,11 +245,11 @@ class WarmTopK:
     everything would reach it.
 
     **Where candidates come from.**  :meth:`select_segments` finds them with
-    one compare per segment — unless :meth:`fused_accumulate` already found
-    them, and their magnitudes, while it added the step's gradient into that
-    vector (the compiled ``accumulate_scan`` kernel: one sweep instead of an
-    add, an ``abs``, a compare, a ``flatnonzero`` and a gather, and the
-    sweep seeds the cuts it lacks on its way).  The selector owns those
+    one compare per segment — unless the sweep of :meth:`plan_accumulate`
+    already found them, and their magnitudes, while it added the step's
+    gradient into that vector (the compiled ``accumulate_scan`` kernel: one
+    sweep instead of an add, an ``abs``, a compare, a ``flatnonzero`` and a
+    gather, and the sweep seeds the cuts it lacks on its way).  The selector owns those
     candidates from the add until the group's next selection consumes them,
     and that selection ranks all of the group's segments they serve in one
     :func:`segmented_top_k` call.
@@ -304,11 +304,21 @@ class WarmTopK:
             store: np.ndarray, addend: np.ndarray,
             velocity: Optional[np.ndarray] = None, momentum: float = 0.0,
     ) -> Optional[Tuple[Callable[[], Scan], Callable[[Scan], None]]]:
-        """:meth:`fused_accumulate` in three parts: read the segments' cuts,
-        caps and seed ranks off the selector and prepare the sweep.  Returns
-        ``(sweep, adopt)`` — ``sweep()`` is the kernel call alone and may run
-        on another thread; ``adopt(sweep())``, on the caller's, makes every
-        write to the selector — or ``None`` without compiled kernels."""
+        """Prepare the compiled sweep that adds ``addend`` into ``store``
+        (through ``velocity`` under momentum correction: ``velocity =
+        momentum * velocity + addend; store += velocity``) — one sweep where
+        NumPy makes up to three — and, on its way, collects the candidates
+        of every segment ``(group, s)`` of ``bounds`` for the top-``ks[s]``
+        selection that follows: against the segment's cut, or one the sweep
+        seeds where there is none.
+
+        Reads the segments' cuts, caps and seed ranks off the selector and
+        returns ``(sweep, adopt)``: ``sweep()`` is the kernel call alone and
+        may run on another thread; ``adopt(sweep())``, on the caller's,
+        makes every write to the selector.  Returns ``None``, having done
+        nothing, when the kernels are not compiled: the caller then adds
+        with NumPy and :meth:`select_segments` seeds and compares for
+        itself, bit-identical either way."""
         kernels = get_kernels()
         if kernels is None:
             return None
@@ -338,27 +348,6 @@ class WarmTopK:
         counts[~scanned] = -1
         # (replaces what a step that added but never selected left behind)
         self._scanned[group] = (counts, indices, magnitudes)
-
-    def fused_accumulate(self, group: Hashable, bounds: np.ndarray,
-                         ks: np.ndarray, store: np.ndarray, addend: np.ndarray,
-                         velocity: Optional[np.ndarray] = None,
-                         momentum: float = 0.0) -> bool:
-        """Add ``addend`` into ``store`` (through ``velocity`` under momentum
-        correction: ``velocity = momentum * velocity + addend; store +=
-        velocity``) with the compiled kernel — one sweep where NumPy makes
-        up to three — and, in the same sweep, collect the candidates of
-        every segment ``(group, s)`` of ``bounds`` for the top-``ks[s]``
-        selection that follows: against the segment's cut, or one the sweep
-        seeds where there is none.  Returns False, having done nothing, when
-        the kernels are not compiled: the caller then adds with NumPy and
-        :meth:`select_segments` seeds and compares for itself, bit-identical
-        either way."""
-        plan = self.plan_accumulate(group, bounds, ks, store, addend,
-                                    velocity, momentum)
-        if plan is not None:
-            sweep, adopt = plan
-            adopt(sweep())
-        return plan is not None
 
     def select_segments(self, groups: Sequence[Hashable], rows: Sequence[np.ndarray],
                         bounds: np.ndarray, ks: np.ndarray) -> np.ndarray:

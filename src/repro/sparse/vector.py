@@ -30,14 +30,6 @@ import numpy as np
 from .ckernels import get_kernels as _get_c_kernels
 from .topk import segmented_top_k, threshold_indices
 
-try:  # compiled CSR segment-sum kernels; optional, gated at import time
-    from scipy.sparse import _sparsetools as _csr_tools
-
-    _HAVE_CSR_TOOLS = hasattr(_csr_tools, "csr_sum_duplicates")
-except ImportError:  # pragma: no cover - exercised via monkeypatched tests
-    _csr_tools = None
-    _HAVE_CSR_TOOLS = False
-
 
 def compiled_kernels_available() -> bool:
     """Whether the compiled C kernels are active in this process.
@@ -86,24 +78,12 @@ def _stable_merge_sorted(index_streams: Sequence[np.ndarray],
 def _segment_sum_sorted(indices: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Collapse duplicates of an index-sorted COO stream by summation.
 
-    Accumulation is strictly left-to-right within each duplicate run — both
-    in the compiled ``csr_sum_duplicates`` path and the ``np.bincount``
-    fallback — which keeps results bit-identical to sequential pairwise
-    merging.  (``np.add.reduceat`` would *not* be: its reduction order within
-    a segment is unspecified and observably differs from left-to-right.)
-    Both input arrays must be freshly allocated; the compiled path compacts
-    them in place.
+    ``np.bincount`` accumulates strictly left-to-right within each
+    duplicate run, from +0.0, which keeps results bit-identical to
+    sequential pairwise merging.  (``np.add.reduceat`` would *not* be: its
+    reduction order within a segment is unspecified and observably differs
+    from left-to-right.)
     """
-    if _HAVE_CSR_TOOLS:
-        indptr = np.array([0, indices.shape[0]], dtype=np.int64)
-        _csr_tools.csr_sum_duplicates(1, int(indices[-1]) + 1, indptr, indices, values)
-        nnz = int(indptr[1])
-        # csr_sum_duplicates seeds each run with its first value rather than
-        # 0.0, which leaks -0.0 where every other path produces +0.0; the
-        # +0.0 below normalizes the sign bit and changes nothing else.
-        out_values = values[:nnz]
-        out_values += 0.0
-        return indices[:nnz], out_values
     is_start = np.empty(indices.shape[0], dtype=bool)
     is_start[0] = True
     np.not_equal(indices[1:], indices[:-1], out=is_start[1:])

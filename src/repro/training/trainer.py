@@ -98,28 +98,18 @@ class TrainerConfig:
 
     batch_size: int = 32
     learning_rate: float = 0.1
+    #: Momentum of every replica's SGD optimizer.  DGC momentum
+    #: *correction* is the synchroniser's (a spec's ``momentum=`` key);
+    #: train such a synchroniser with ``momentum=0.0`` so the velocity
+    #: recursion runs once.
     momentum: float = 0.0
-    #: Apply :attr:`momentum` as DGC momentum *correction* inside the
-    #: synchroniser instead of locally in each optimizer.  The trainer calls
-    #: ``synchronizer.enable_momentum_correction(momentum)`` and constructs
-    #: the per-replica SGD optimizers with ``momentum=0.0``, so the velocity
-    #: recursion runs exactly once — on the gradients *before* sparsification
-    #: (Lin et al., ICLR'18) — rather than once per side.  Requires a
-    #: synchroniser with an error-feedback residual path.
-    momentum_correction: bool = False
     weight_decay: float = 0.0
     lr_step_epochs: Optional[int] = None
     lr_gamma: float = 0.1
     seed: int = 0
-    #: Verify after every iteration that all replicas hold identical
+    #: Verify after every iteration that all replicas hold bit-identical
     #: parameters (slow; used by the integration tests).
     check_consistency: bool = False
-    #: Use the overlap-aware iteration timing when the synchroniser reports
-    #: per-bucket statistics (bucketed layouts): each bucket's exchange is
-    #: scheduled against the per-bucket backward slices, and the hidden
-    #: communication is subtracted from the iteration time.  ``False``
-    #: restores the sequential ``compute + comm`` sum bit for bit.
-    overlap_comm: bool = True
     #: Trace level of the run: ``"off"`` (default; no tracer is constructed
     #: and every code path is the exact untraced one), ``"steps"``
     #: (epoch/iteration/stage spans, membership markers, the replayed
@@ -288,15 +278,6 @@ class DistributedTrainer:
                 f"model has {self.num_elements} parameters"
             )
         self.synchronizer = synchronizer
-        # DGC momentum-correction handoff: the synchroniser runs the velocity
-        # recursion on pre-sparsification gradients, so the optimizers must
-        # not apply momentum a second time.
-        if self.config.momentum_correction:
-            if not self.config.momentum > 0.0:
-                raise ValueError(
-                    "momentum_correction=True requires momentum > 0 "
-                    f"(got {self.config.momentum})")
-            synchronizer.enable_momentum_correction(self.config.momentum)
         # Tracing: adopt a tracer the synchroniser already carries (from a
         # ``trace=`` facade spec) or build one from the config level; either
         # way it is installed across the synchroniser, its inner bucketed
@@ -319,11 +300,9 @@ class DistributedTrainer:
                 raise RuntimeError("model_factory must produce identical replicas for a fixed seed")
 
         self._schedule = self.config.schedule()
-        optimizer_momentum = (0.0 if self.config.momentum_correction
-                              else self.config.momentum)
         self.optimizers: List[SGD] = [
             SGD(parameters, learning_rate=self.config.learning_rate,
-                momentum=optimizer_momentum, weight_decay=self.config.weight_decay)
+                momentum=self.config.momentum, weight_decay=self.config.weight_decay)
             for parameters in parameter_lists
         ]
         self.shards = [shard_dataset(train_dataset, num_workers, worker)
@@ -432,18 +411,13 @@ class DistributedTrainer:
             losses = self.cluster.run_workers(_worker_compute_gradient)
 
         result = self.session.step(self._gradient_rows)
-        bucket_stats = bucket_sizes = None
-        if self.config.overlap_comm:
-            # Bucketed synchronisers report the statistics of every exchange
-            # group; schedule them against the groups' backward slices so
-            # communication overlaps.
-            bucket_stats = result.info.get("bucket_stats")
-            if bucket_stats is not None:
-                bucket_sizes = result.info.get("group_sizes")
+        # A synchroniser of several exchange groups reports every group's
+        # statistics; they are scheduled against the groups' backward slices
+        # so communication overlaps.
         timing = iteration_time(result.stats, self.network, self.compute_profile,
                                 model_parameters=self.num_elements,
-                                bucket_stats=bucket_stats,
-                                bucket_sizes=bucket_sizes)
+                                bucket_stats=result.info.get("bucket_stats"),
+                                bucket_sizes=result.info.get("group_sizes"))
         if self.tracer is not None and self.tracer.enabled:
             # Mirror the simulated clock onto its own trace track, so the
             # modelled backward/hidden/exposed-comm decomposition renders
@@ -460,7 +434,7 @@ class DistributedTrainer:
             params = self.cluster.run_workers(_worker_fetch_params)
             reference = params[0]
             for values in list(params.values())[1:]:
-                if not np.allclose(values, reference, rtol=1e-9, atol=1e-12):
+                if not np.array_equal(values, reference):
                     raise RuntimeError("model replicas diverged after a synchronised update")
 
         record = IterationRecord(

@@ -15,6 +15,7 @@ from repro.comm import collectives as collectives_module
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET
 from repro.core import rank_pool
+from repro.core.bucketed import BucketedSynchronizer
 from repro.core import residuals as residuals_module
 from repro.core import srs as srs_module
 from repro.nn.module import Module
@@ -140,15 +141,19 @@ def case5_trainer(synchronizer, *, workers: int = 4, samples: int = 160,
 
 
 def ledger(sync) -> Tuple[np.ndarray, np.ndarray]:
-    """``(sum of residuals, momentum * sum of velocities)`` of a bucketed
-    synchroniser, over its exchange groups: with the step's gradients they
-    are what the next global gradient plus residuals must add up to."""
-    velocity = np.zeros(sync.num_elements)
-    for (lo, hi), session in zip(sync.slices, sync.sessions):
-        residuals = getattr(session.synchronizer, "residuals", None)
-        if residuals is not None:  # (a dense bucket without momentum has none)
-            velocity[lo:hi] = residuals.momentum * residuals.total_velocity()
-    return sync.total_residual(), velocity
+    """``(sum of residuals, momentum * sum of velocities)`` of a SparDL
+    synchroniser, or of a bucketed one over its exchange groups: with the
+    step's gradients they are what the next global gradient plus residuals
+    must add up to."""
+    groups = ([(lo, hi, session.synchronizer)
+               for (lo, hi), session in zip(sync.slices, sync.sessions)]
+              if isinstance(sync, BucketedSynchronizer)
+              else [(0, sync.num_elements, sync)])
+    residual, velocity = np.zeros(sync.num_elements), np.zeros(sync.num_elements)
+    for lo, hi, inner in groups:
+        residual[lo:hi] = inner.residuals.total_residual()
+        velocity[lo:hi] = inner.residuals.momentum * inner.residuals.total_velocity()
+    return residual, velocity
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:

@@ -197,8 +197,14 @@ class TestMake:
     def test_bucketed_build(self):
         model = build_mlp(8, [8], 2, seed=0)
         sync = make("spardl?density=0.1&buckets=layer", SimulatedCluster(4), model=model)
-        assert isinstance(sync, BucketedSynchronizer)
+        assert type(sync) is SparDLSynchronizer
+        assert sync.bucket_sizes == [p.size for p in model.parameters()]
         assert sync.num_elements == model.num_parameters()
+        grouped = make("spardl?density=0.1&buckets=layer&bits=8,out:32",
+                       SimulatedCluster(4), model=model)
+        assert isinstance(grouped, BucketedSynchronizer)
+        assert grouped.groups == [[0, 1], [2, 3]]
+        assert grouped.num_elements == model.num_parameters()
 
     def test_available_methods(self):
         assert SYNCHRONIZER_NAMES == ("SparDL", "Ok-Topk", "TopkA", "TopkDSA",

@@ -762,8 +762,7 @@ TRAINER_CASES = {
     "plain": ("spardl?density=0.1", {}),
     "bits8": ("spardl?density=0.1&bits=8", {}),
     "dense": ("dense", {}),
-    "momentum-correction": ("spardl?density=0.1",
-                            {"momentum": 0.9, "momentum_correction": True}),
+    "momentum-correction": ("spardl?density=0.1&momentum=0.9", {}),
 }
 
 

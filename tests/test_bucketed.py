@@ -73,14 +73,14 @@ class TestBucketedVersusFlat:
                         SimulatedCluster(NUM_WORKERS), model=model)
         flat_result = flat.synchronize({w: g.copy() for w, g in grads.items()})
         bucketed_result = bucketed.synchronize({w: g.copy() for w, g in grads.items()})
-        assert bucketed_result.info["per_bucket_info"][0]["srs_steps"] > 0
+        assert bucketed_result.info["srs_steps"] > 0
         assert bucketed_result.info["final_nnz"] == n
         exact = sum(grads.values())
         for worker in range(NUM_WORKERS):
             for result in (flat_result, bucketed_result):
                 np.testing.assert_allclose(result.global_gradients[worker],
                                            exact, rtol=1e-9, atol=1e-12)
-        assert not bucketed.total_residual().any()
+        assert not bucketed.residuals.total_residual().any()
         assert not flat.residuals.total_residual().any()
 
     def test_spardl_path_equivalent_conservation(self):
@@ -102,7 +102,7 @@ class TestBucketedVersusFlat:
             flat_result.gradient(0) + flat.residuals.total_residual(),
             exact, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(
-            bucketed_result.gradient(0) + bucketed.total_residual(),
+            bucketed_result.gradient(0) + bucketed.residuals.total_residual(),
             exact, rtol=1e-9, atol=1e-12)
 
     def test_spardl_buckets_give_small_layers_representation(self):
@@ -112,33 +112,38 @@ class TestBucketedVersusFlat:
         bucketed = make("spardl?density=0.05&buckets=layer",
                         SimulatedCluster(NUM_WORKERS), model=model)
         result = bucketed.synchronize(_gradients(model.num_parameters()))
-        shares = [nnz for info in result.info["per_bucket_info"]
-                  for nnz in info["bucket_final_nnz"]]
-        assert len(shares) == bucketed.num_buckets
+        shares = result.info["bucket_final_nnz"]
+        assert len(shares) == len(bucketed.bucket_sizes) == len(model.parameters())
         assert min(shares) >= 1
 
     def test_stats_aggregate_per_exchange_group(self):
-        """Equally configured SparDL layers share one exchange: the step
-        costs the rounds of a flat step, and the statistics the overlap
-        model prices are those of the group."""
+        """Equally configured SparDL layers share one exchange: one SparDL
+        runs them at the rounds of a flat step.  With several exchange
+        groups the statistics add up over the groups, and the overlap model
+        prices every group's own."""
         model = _model()
-        bucketed = make("spardl?density=0.05&buckets=layer",
+        n = model.num_parameters()
+        uniform = make("spardl?density=0.05&buckets=layer",
+                       SimulatedCluster(NUM_WORKERS), model=model)
+        assert type(uniform) is SparDLSynchronizer
+        assert uniform.bucket_sizes == [size for _, size in layer_buckets(model)]
+        uniform_result = uniform.synchronize(_gradients(n))
+        assert "bucket_stats" not in uniform_result.info
+        flat = make("spardl?density=0.05", SimulatedCluster(NUM_WORKERS), num_elements=n)
+        assert uniform_result.stats.rounds == flat.synchronize(_gradients(n)).stats.rounds
+
+        bucketed = make("spardl?density=0.05&buckets=layer&bits=8,bias:32",
                         SimulatedCluster(NUM_WORKERS), model=model)
-        result = bucketed.synchronize(_gradients(model.num_parameters()))
+        result = bucketed.synchronize(_gradients(n))
         sessions = bucketed.sessions
         assert result.stats.rounds == sum(s.cumulative_stats.rounds for s in sessions)
         assert result.stats.total_volume == pytest.approx(
             sum(s.cumulative_stats.total_volume for s in sessions))
         info = result.info
         assert info["buckets"] == bucketed.num_buckets == len(info["bucket_names"])
-        assert len(sessions) == len(info["groups"]) == 1
-        assert info["groups"] == [list(range(bucketed.num_buckets))]
-        assert info["group_sizes"] == [model.num_parameters()]
-        assert len(info["bucket_stats"]) == len(info["per_bucket_info"]) == 1
-        flat = make("spardl?density=0.05", SimulatedCluster(NUM_WORKERS),
-                    num_elements=model.num_parameters())
-        assert result.stats.rounds == flat.synchronize(
-            _gradients(model.num_parameters())).stats.rounds
+        assert len(sessions) == len(info["groups"]) == bucketed.num_buckets
+        assert info["group_sizes"] == bucketed.bucket_sizes
+        assert len(info["bucket_stats"]) == len(info["per_bucket_info"]) == len(sessions)
 
     def test_training_per_layer_costs_the_flat_rounds_at_comparable_volume(self):
         """One epoch of case 5 on four workers: per-layer selection shares
@@ -160,7 +165,7 @@ class TestBucketedVersusFlat:
                          SimulatedCluster(NUM_WORKERS), model=model)
         fused = make("spardl?density=0.05&buckets=size:100000",
                      SimulatedCluster(NUM_WORKERS), model=model)
-        assert fused.num_buckets < per_layer.num_buckets
+        assert len(fused.bucket_sizes) < len(per_layer.bucket_sizes)
         assert fused.num_elements == per_layer.num_elements
 
     def test_absolute_k_is_a_global_budget_not_per_bucket(self):
@@ -172,7 +177,7 @@ class TestBucketedVersusFlat:
         assert total_k is not None
         # Pro-rata split with a 1-entry floor per bucket: close to 50, never
         # anywhere near 6 * 50.
-        assert 50 <= total_k <= 50 + bucketed.num_buckets
+        assert 50 <= total_k <= 50 + len(bucketed.bucket_sizes)
 
     def test_bucketed_requires_model(self):
         with pytest.raises(ValueError, match="needs the model"):
@@ -192,8 +197,9 @@ class _Stack:
 
 
 class TestConstruction:
-    """A bucketed synchroniser constructs one ``SparDLSynchronizer`` per
-    exchange group and nothing it throws away."""
+    """A bucketed spec constructs one ``SparDLSynchronizer`` per exchange
+    group and nothing it throws away; with one group, that SparDL is what
+    ``make`` returns."""
 
     @staticmethod
     def _constructions(monkeypatch, spec, model, **kwargs):
@@ -206,14 +212,19 @@ class TestConstruction:
 
         monkeypatch.setattr(SparDLSynchronizer, "__init__", counting)
         sync = make(spec, SimulatedCluster(8), model=model, **kwargs)
-        assert built == [session.synchronizer for session in sync.sessions]
+        if isinstance(sync, BucketedSynchronizer):
+            assert built == [session.synchronizer for session in sync.sessions]
+        else:
+            assert built == [sync]
         return sync, len(built)
 
     def test_one_synchronizer_for_the_stack(self, monkeypatch):
         sync, built = self._constructions(
             monkeypatch, "spardl?density=0.01&buckets=layer&bits=8&momentum=0.9&teams=2",
             _Stack())
-        assert sync.num_buckets == 16 and sync.groups == [list(range(16))]
+        assert type(sync) is SparDLSynchronizer
+        assert sync.bucket_sizes == [size for _, size in layer_buckets(_Stack())]
+        assert (sync.stack.num_bits, sync.residuals.momentum, sync.num_teams) == (8, 0.9, 2)
         assert built == 1
 
     def test_one_synchronizer_per_group(self, monkeypatch):
@@ -241,7 +252,9 @@ class TestTrainerWiring:
                                  check_consistency=True),
             compute_profile=case.compute_profile,
         )
-        assert isinstance(trainer.synchronizer, BucketedSynchronizer)
+        assert type(trainer.synchronizer) is SparDLSynchronizer
+        assert trainer.synchronizer.bucket_sizes == [
+            size for _, size in layer_buckets(trainer.replicas[0])]
         assert trainer.synchronizer.num_elements == trainer.num_elements
         history = trainer.train(1)
         assert np.isfinite(history.epochs[0].train_loss)

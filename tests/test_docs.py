@@ -96,7 +96,9 @@ def test_api_doc_migrates_every_removed_spelling():
                      "dense?buckets=layer", "AdaptiveSchedule", "plan_asc",
                      "FUSION_PLANNERS", "BucketedSynchronizer(cluster, sizes, factory",
                      "dense_fallback_ratio", "DEFAULT_DENSE_CROSSOVER",
-                     "resolve_dense_crossover", "uses_dense_fallback"):
+                     "resolve_dense_crossover", "uses_dense_fallback",
+                     "momentum_correction", "enable_momentum_correction",
+                     "set_momentum", "overlap_comm", "fused_accumulate"):
         assert any(spelling in row for row in rows), (
             f"docs/api.md has no migration row for {spelling!r}")
 
@@ -148,7 +150,7 @@ def test_api_doc_covers_fault_layer():
 def test_api_doc_covers_overlap_and_fusion():
     doc = (REPO_ROOT / "docs" / "api.md").read_text()
     for token in ("MGWFBP", "fusion_plan", "NetworkProfile",
-                  "hidden_comm_time", "overlap_comm", "compute_profile",
+                  "hidden_comm_time", "bucket_stats", "compute_profile",
                   "tests/test_overlap_timing.py"):
         assert token in doc, f"docs/api.md does not mention {token!r}"
 
@@ -164,7 +166,7 @@ def test_architecture_doc_covers_overlap_and_fusion():
 
 def test_configuration_doc_covers_overlap_and_fusion():
     doc = (REPO_ROOT / "docs" / "configuration.md").read_text()
-    for token in ("buckets=auto", "overlap_comm", "ComputeProfile",
+    for token in ("buckets=auto", "compute_time + communication_time", "ComputeProfile",
                   "hidden_comm_time", "tests/test_overlap_timing.py"):
         assert token in doc, (
             f"docs/configuration.md does not mention {token!r}")
@@ -172,15 +174,14 @@ def test_configuration_doc_covers_overlap_and_fusion():
 
 def test_api_doc_covers_momentum():
     doc = (REPO_ROOT / "docs" / "api.md").read_text()
-    for token in ("`momentum`", "CompressorStack", "momentum_correction",
+    for token in ("`momentum`", "CompressorStack", "TrainerConfig(momentum=0.0)",
                   "velocity", "tests/test_momentum.py"):
         assert token in doc, f"docs/api.md does not mention {token!r}"
 
 
 def test_configuration_doc_covers_momentum():
     doc = (REPO_ROOT / "docs" / "configuration.md").read_text()
-    for token in ("`momentum`", "momentum_correction",
-                  "enable_momentum_correction", "velocity",
+    for token in ("`momentum`", "TrainerConfig(momentum=0.0)", "velocity",
                   "tests/test_momentum.py"):
         assert token in doc, (
             f"docs/configuration.md does not mention {token!r}")

@@ -39,6 +39,7 @@ from repro import api
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.faults import FaultPlan, MembershipEvent
 from repro.compression.quantization import QuantizedCompressor, StochasticQuantizer
+from repro.core.bucketed import BucketedSynchronizer
 from repro.core.config import SparDLConfig
 from repro.core.pipeline import SyncSession
 from repro.core.spardl import SparDLSynchronizer
@@ -273,19 +274,54 @@ def make_bucketed(spec, workers=4, **kwargs):
 class TestGroupingRule:
     def test_equally_configured_spardl_layers_share_one_exchange(self):
         sync = make_bucketed("spardl?density=0.05&buckets=layer&teams=2&bits=8&momentum=0.9")
-        assert sync.groups == [[0, 1, 2, 3, 4, 5]]
-        assert sync.slices == [(0, NUM_ELEMENTS)]
-        inner = sync.sessions[0].synchronizer
-        assert type(inner) is SparDLSynchronizer
-        assert inner.bucket_sizes == sync.bucket_sizes == [size for _, size in LAYOUT]
-        assert sync.bucket_names == [name for name, _ in LAYOUT]
+        assert type(sync) is SparDLSynchronizer
+        assert sync.bucket_sizes == [size for _, size in LAYOUT]
         result = sync.synchronize(drifting_gradients(4, NUM_ELEMENTS, 0))
         flat = api.make("spardl?density=0.05&teams=2&bits=8&momentum=0.9&backend=sim:4",
                         num_elements=NUM_ELEMENTS)
         assert result.stats.rounds == flat.synchronize(
             drifting_gradients(4, NUM_ELEMENTS, 0)).stats.rounds
-        # one read-only global handed through, not concatenated again
+
+    def test_a_one_group_wrapper_hands_its_spardl_result_through(self):
+        """A :class:`BucketedSynchronizer` of one exchange group returns its
+        SparDL's read-only global, not a concatenation of it."""
+        config = SparDLConfig(density=0.05, num_teams=2)
+        sync = BucketedSynchronizer(SimulatedCluster(4), [size for _, size in LAYOUT],
+                                    [config] * len(LAYOUT))
+        assert sync.groups == [[0, 1, 2, 3, 4, 5]] and sync.slices == [(0, NUM_ELEMENTS)]
+        result = sync.synchronize(drifting_gradients(4, NUM_ELEMENTS, 0))
         assert result.gradient(0) is sync.sessions[0].last_result.gradient(0)
+
+    @pytest.mark.parametrize("spec", [
+        "spardl?density=0.01&buckets=layer&bits=8&momentum=0.9&teams=2",
+        "spardl?density=0.05&buckets=layer",
+        "spardl?k=40&buckets=size:800&teams=4&sag=bsag",
+        "spardl?density=0.05&buckets=layer&residuals=partial",
+        "spardl?density=0.05&buckets=layer&schedule=warmup:3",
+    ])
+    def test_a_uniform_spec_is_the_spardl_its_wrapper_ran(self, spec):
+        """What ``make`` returns for a one-group spec equals a
+        :class:`BucketedSynchronizer` over the same per-bucket configs, bit
+        for bit: globals, per-rank stores and velocities, and statistics."""
+        sync = make_bucketed(spec, workers=8)
+        assert type(sync) is SparDLSynchronizer
+        wrapper = BucketedSynchronizer(SimulatedCluster(8), sync.bucket_sizes,
+                                       [sync.config] * len(sync.bucket_sizes))
+        assert len(wrapper.groups) == 1
+        for step in range(4):
+            gradients = drifting_gradients(8, NUM_ELEMENTS, step)
+            ours, theirs = sync.synchronize(gradients), wrapper.synchronize(gradients)
+            assert ours.stats == theirs.stats
+            assert (ours.info["k"], ours.info["final_nnz"]) == (
+                theirs.info["k"], theirs.info["final_nnz"])
+            inner = wrapper.sessions[0].synchronizer.residuals
+            for rank in range(8):
+                assert np.array_equal(bits(ours.gradient(rank)), bits(theirs.gradient(rank)))
+                assert np.array_equal(bits(sync.residuals.store(rank).peek()),
+                                      bits(inner.store(rank).peek()))
+                if inner.momentum:
+                    assert np.array_equal(bits(sync.residuals.velocity(rank)),
+                                          bits(inner.velocity(rank)))
 
     @pytest.mark.parametrize("spec,groups", [
         # 1. a different bits= override is a different configuration
@@ -294,8 +330,6 @@ class TestGroupingRule:
         # 2. every bucket of a planned layout exchanges on its own
         ("spardl?density=0.05&buckets=auto", [[0], [1], [2]]),
         ("spardl?density=0.05&buckets=auto&bits=8,out:32", [[0], [1], [2]]),
-        # a schedule that only reads the iteration shares the exchange
-        ("spardl?density=0.05&buckets=layer&schedule=warmup:3", [[0, 1, 2, 3, 4, 5]]),
     ])
     def test_exceptions_stay_groups_of_their_own(self, spec, groups):
         # (the profile under which the planner splits LAYOUT into three)
@@ -329,11 +363,11 @@ class TestGroupingRule:
         layer keeps its own k and at least one entry."""
         sync = make_bucketed("spardl?density=0.05&buckets=layer")
         result = sync.synchronize(drifting_gradients(4, NUM_ELEMENTS, 0))
-        (group,) = result.info["per_bucket_info"]
-        assert group["bucket_k"] == [35, 3, 22, 1, 4, 1]
-        assert len(group["bucket_final_nnz"]) == 6 and min(group["bucket_final_nnz"]) >= 1
-        assert sum(group["bucket_final_nnz"]) == group["final_nnz"] == result.info["final_nnz"]
-        assert result.info["k"] == sync.k == 66
+        info = result.info
+        assert info["bucket_k"] == [35, 3, 22, 1, 4, 1]
+        assert len(info["bucket_final_nnz"]) == 6 and min(info["bucket_final_nnz"]) >= 1
+        assert sum(info["bucket_final_nnz"]) == info["final_nnz"]
+        assert info["k"] == sync.k == 66
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +395,16 @@ class TestMembershipReachesEveryGroup:
         """Regression: ``BucketedSynchronizer`` inherited the base
         ``apply_membership``, which only resized the cluster — the next
         step died with ``worker 3 outside cluster of size 3``."""
-        sync = make_bucketed("spardl?density=0.05&buckets=layer")
+        sync = make_bucketed("spardl?density=0.05&buckets=layer&bits=b.:4")
         sync.cluster.install_fault_plan(FaultPlan(events=[
             MembershipEvent(iteration=1, kind="crash", worker=1)]))
         session = SyncSession(sync)
         session.step(drifting_gradients(4, NUM_ELEMENTS, 0))
         before = sync.total_residual()
         assert session.poll_membership() and session.num_workers == 3
-        inner = sync.sessions[0].synchronizer
-        assert inner.residuals.num_workers == 3 and inner.team_size == 3
-        assert inner.selector.cuts == {}
+        for inner in (s.synchronizer for s in sync.sessions):
+            assert inner.residuals.num_workers == 3 and inner.team_size == 3
+            assert inner.selector.cuts == {}
         np.testing.assert_allclose(sync.total_residual(), before, atol=1e-12)
         gradients = drifting_gradients(3, NUM_ELEMENTS, 1)
         result = session.step(gradients)
@@ -383,8 +417,13 @@ class TestMembershipReachesEveryGroup:
                                                          momentum, split):
         session = churn_session(teams, num_bits, momentum, split)
         sync = session.synchronizer
-        assert sync.groups == ([[0, 1], [2, 3], [4, 5]] if split
-                               else [[0, 1, 2, 3, 4, 5]])
+        if split:
+            assert sync.groups == [[0, 1], [2, 3], [4, 5]]
+            inners = [s.synchronizer for s in sync.sessions]
+        else:
+            assert type(sync) is SparDLSynchronizer
+            assert sync.bucket_sizes == [size for _, size in LAYOUT]
+            inners = [sync]
         sizes = []
         for step in range(STEPS):
             residual, velocity = ledger(sync)
@@ -402,7 +441,7 @@ class TestMembershipReachesEveryGroup:
             np.testing.assert_allclose(result.gradient(0) + ledger(sync)[0],
                                        expected, atol=1e-9 * scale, rtol=0)
         assert sizes == [4, 4, 3, 3, 4, 4]
-        for inner in (s.synchronizer for s in sync.sessions):
+        for inner in inners:
             assert inner.residuals.num_workers == 4
             if inner.stack is not None:
                 assert inner.stack.num_workers == 4
@@ -427,8 +466,7 @@ def churn_digest(teams, num_bits, momentum):
     six-bucket group that loses and regains a worker (P = 6: teams of 6 or 3
     become one team of 5)."""
     session = churn_session(teams, num_bits, momentum, workers=6)
-    sync, digest = session.synchronizer, hashlib.sha256()
-    inner = sync.sessions[0].synchronizer
+    inner, digest = session.synchronizer, hashlib.sha256()
     for step in range(STEPS):
         session.poll_membership()
         result = session.step(drifting_gradients(session.num_workers, NUM_ELEMENTS, step))

@@ -20,6 +20,7 @@ from repro.core.fusion import (
     plan_buckets,
     plan_mgwfbp,
 )
+from repro.core.spardl import SparDLSynchronizer
 from repro.nn.models import build_mlp
 from repro.obs import Tracer
 from repro.training.cases import get_case
@@ -360,9 +361,12 @@ class TestSpecGrammar:
 
     def test_non_auto_buckets_have_no_plan(self):
         model = build_mlp(20, [32, 16], 4, seed=0)
-        sync = make("spardl?density=0.05&buckets=layer",
+        sync = make("spardl?density=0.05&buckets=layer&bits=8,out:32",
                     SimulatedCluster(4), model=model)
-        assert sync.fusion_plan is None
+        assert sync.fusion_plan is None and len(sync.groups) == 2
+        uniform = make("spardl?density=0.05&buckets=layer",
+                       SimulatedCluster(4), model=model)
+        assert type(uniform) is SparDLSynchronizer
 
     def test_breakdown_is_json_serialisable(self):
         import json

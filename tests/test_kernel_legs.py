@@ -149,9 +149,13 @@ def test_cold_selection_seeds_every_segment():
     gradient = np.random.default_rng(0).standard_normal(1 << 16) ** 3
     store, selector = np.zeros(1 << 16), WarmTopK()
     bounds, ks = np.arange(0, (1 << 16) + 1, 1 << 13), np.full(8, 82)
-    if not selector.fused_accumulate(0, bounds, ks, store, gradient):
+    plan = selector.plan_accumulate(0, bounds, ks, store, gradient)
+    if plan is None:
         assert get_kernels() is None
         store += gradient
+    else:
+        sweep, adopt = plan
+        adopt(sweep())
     picked = selector.select_segments([0], [store], bounds, ks)[0]
     assert (selector.seeded, selector.hits, selector.misses) == (8, 8, 0), vars(selector)
     assert picked.tolist() == [

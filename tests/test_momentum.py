@@ -9,8 +9,10 @@ facts these tests pin down:
 * dense paths never mask, which makes synchroniser-side momentum on a dense
   All-Reduce *mathematically identical* to naive optimizer momentum — the
   trainer-level equivalence test exploits exactly this;
-* the trainer handoff (``TrainerConfig.momentum_correction``) builds the
-  SGD optimizers momentum-free, so velocity is applied exactly once.
+* the factor is fixed when the synchroniser is built (a spec's
+  ``momentum=`` key), and the trainer hands ``TrainerConfig.momentum`` to
+  its optimizers as given: a ``momentum=`` spec trains with
+  ``TrainerConfig(momentum=0.0)``, so velocity is applied exactly once.
 """
 
 from __future__ import annotations
@@ -69,11 +71,12 @@ class TestVelocitySemantics:
         manager.finalize(None)
         np.testing.assert_array_equal(manager.velocity(0), np.ones(4))
 
-    def test_set_momentum_idempotent_but_conflicting_factor_raises(self):
+    def test_momentum_is_fixed_at_construction(self):
+        assert ResidualManager(1, 4).velocity(0) is None
         manager = ResidualManager(1, 4, momentum=0.9)
-        manager.set_momentum(0.9)  # same factor: fine
-        with pytest.raises(ValueError, match="already active"):
-            manager.set_momentum(0.5)
+        assert manager.momentum == 0.9
+        np.testing.assert_array_equal(manager.velocity(0), np.zeros(4))
+        assert not hasattr(manager, "set_momentum")
 
     def test_momentum_range_validated(self):
         with pytest.raises(ValueError, match="momentum"):
@@ -122,7 +125,7 @@ class TestDenseEquivalence:
                                        rtol=1e-12, atol=1e-12)
             assert result.info.get("momentum") == factor
 
-    def _trainer(self, correction: bool) -> DistributedTrainer:
+    def _trainer(self, spec: str, momentum: float) -> DistributedTrainer:
         rng = np.random.default_rng(11)
         inputs = rng.normal(size=(64, 8))
         targets = (inputs[:, :4].sum(axis=1) > 0).astype(np.int64)
@@ -131,16 +134,16 @@ class TestDenseEquivalence:
         test = Dataset(inputs[48:], targets[48:],
                        TaskType.IMAGE_CLASSIFICATION, name="toy")
         cluster = SimulatedCluster(2)
-        config = TrainerConfig(batch_size=8, learning_rate=0.1, momentum=0.9,
-                               momentum_correction=correction, seed=0)
+        config = TrainerConfig(batch_size=8, learning_rate=0.1, momentum=momentum,
+                               seed=0)
         return DistributedTrainer(
-            cluster, make_factory("dense"),
+            cluster, make_factory(spec),
             lambda seed: build_mlp(8, [8], 2, seed=seed),
             train, test, config=config)
 
     def test_dense_corrected_training_matches_naive_momentum(self):
-        naive = self._trainer(correction=False)
-        corrected = self._trainer(correction=True)
+        naive = self._trainer("dense", momentum=0.9)
+        corrected = self._trainer("dense?momentum=0.9", momentum=0.0)
         naive.train(2)
         corrected.train(2)
         np.testing.assert_allclose(
@@ -150,9 +153,9 @@ class TestDenseEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# trainer handoff
+# momentum from the spec, optimizers as configured
 # ---------------------------------------------------------------------------
-class TestTrainerHandoff:
+class TestSpecMomentum:
     def _datasets(self):
         rng = np.random.default_rng(2)
         inputs = rng.normal(size=(32, 8))
@@ -169,47 +172,48 @@ class TestTrainerHandoff:
             lambda seed: build_mlp(8, [8], 2, seed=seed),
             train, test, config=config)
 
-    def test_handoff_disables_optimizer_momentum(self):
-        trainer = self._trainer("spardl?density=0.1", momentum=0.9,
-                                momentum_correction=True)
+    def test_spec_momentum_with_momentum_free_optimizers(self):
+        trainer = self._trainer("spardl?density=0.1&momentum=0.9")
         assert all(opt.momentum == 0.0 for opt in trainer.optimizers)
         assert trainer.synchronizer.residuals.momentum == 0.9
 
-    def test_without_handoff_optimizers_keep_momentum(self):
+    def test_without_spec_momentum_optimizers_keep_momentum(self):
         trainer = self._trainer("spardl?density=0.1", momentum=0.9)
         assert all(opt.momentum == 0.9 for opt in trainer.optimizers)
         assert trainer.synchronizer.residuals.momentum == 0.0
 
-    def test_handoff_requires_positive_momentum(self):
-        with pytest.raises(ValueError, match="momentum_correction"):
-            self._trainer("spardl?density=0.1", momentum_correction=True)
+    def test_trainer_has_no_momentum_handoff(self):
+        with pytest.raises(TypeError, match="momentum_correction"):
+            TrainerConfig(momentum=0.9, momentum_correction=True)
+        assert not hasattr(DenseAllReduceSynchronizer, "enable_momentum_correction")
 
-    def test_handoff_agrees_with_spec_momentum(self):
-        # Spec already enabled the same factor: the handoff is idempotent.
-        trainer = self._trainer("spardl?density=0.1&momentum=0.9",
-                                momentum=0.9, momentum_correction=True)
-        assert trainer.synchronizer.residuals.momentum == 0.9
+    def test_optimizers_take_the_configured_momentum_as_given(self):
+        trainer = self._trainer("spardl?density=0.1&momentum=0.5", momentum=0.9)
+        assert all(opt.momentum == 0.9 for opt in trainer.optimizers)
+        assert trainer.synchronizer.residuals.momentum == 0.5
 
-    def test_handoff_conflicting_with_spec_momentum_raises(self):
-        with pytest.raises(ValueError, match="already active"):
-            self._trainer("spardl?density=0.1&momentum=0.5",
-                          momentum=0.9, momentum_correction=True)
+    def test_spec_momentum_reaches_every_bucket(self):
+        trainer = self._trainer("spardl?density=0.1&buckets=layer&momentum=0.9")
+        residuals = trainer.synchronizer.residuals
+        assert residuals.momentum == 0.9
+        assert residuals.velocity(0).size == trainer.num_elements
 
-    def test_handoff_reaches_every_bucket(self):
-        trainer = self._trainer("spardl?density=0.1&buckets=layer",
-                                momentum=0.9, momentum_correction=True)
+    def test_spec_momentum_reaches_every_exchange_group(self):
+        trainer = self._trainer(
+            "spardl?density=0.1&buckets=layer&bits=8,bias:32&momentum=0.9")
+        assert len(trainer.synchronizer.sessions) > 1
         for session in trainer.synchronizer.sessions:
             assert session.synchronizer.residuals.momentum == 0.9
 
-    def test_methods_without_error_feedback_refuse_the_handoff(self):
+    def test_dense_builds_its_manager_for_momentum_only(self):
         cluster = SimulatedCluster(2)
-        sync = DenseAllReduceSynchronizer(cluster, 10)
-        sync.enable_momentum_correction(0.9)  # Dense creates the manager
+        assert DenseAllReduceSynchronizer(cluster, 10).residuals is None
+        sync = DenseAllReduceSynchronizer(cluster, 10, momentum=0.9)
         assert sync.residuals.momentum == 0.9
 
     def test_training_with_correction_converges(self):
-        trainer = self._trainer("spardl?density=0.1", momentum=0.9,
-                                momentum_correction=True, learning_rate=0.1)
+        trainer = self._trainer("spardl?density=0.1&momentum=0.9",
+                                learning_rate=0.1)
         history = trainer.train(3)
         assert history.epochs[-1].train_loss < history.epochs[0].train_loss
 
@@ -220,10 +224,11 @@ class TestTrainerHandoff:
         seed where the corrected runs stay on track, so the corrected mean
         final training loss is strictly lower."""
         final = {}
-        for correction in (False, True):
+        for correction, spec, momentum in ((False, "spardl?density=0.01", 0.5),
+                                           (True, "spardl?density=0.01&momentum=0.5", 0.0)):
             final[correction] = np.mean([
-                case5_trainer("spardl?density=0.01", workers=8, samples=192, seed=seed,
-                              learning_rate=2 * get_case(5).learning_rate, momentum=0.5,
-                              momentum_correction=correction).train(6).epochs[-1].train_loss
+                case5_trainer(spec, workers=8, samples=192, seed=seed,
+                              learning_rate=2 * get_case(5).learning_rate,
+                              momentum=momentum).train(6).epochs[-1].train_loss
                 for seed in (0, 1, 2)])
         assert final[True] < final[False]

@@ -228,13 +228,15 @@ class TestPipelineTracing:
         base = {rank: rng.standard_normal(n) ** 3 for rank in range(4)}
         syncs = {}
         for trace in ("steps", "off"):
+            # (8-bit biases: four exchange groups, four selectors)
             sync = syncs[trace] = make(
-                f"spardl?density=0.05&buckets=layer&trace={trace}",
+                f"spardl?density=0.05&buckets=layer&bits=bias:8&trace={trace}",
                 SimulatedCluster(4), model=model)
             for step in range(4):
                 sync.synchronize({rank: (1.0 + 0.1 * step) * grad
                                   for rank, grad in base.items()})
         selectors = [s.synchronizer.selector for s in syncs["steps"].sessions]
+        assert len(selectors) == 4
         hits = sum(s.hits for s in selectors)
         misses = sum(s.misses for s in selectors)
         assert hits and misses
@@ -271,12 +273,12 @@ class TestPipelineTracing:
         # One outer step span plus one labelled span per exchange group.
         assert len(sync.sessions) == sync.num_buckets == 4
         assert labels == {"step"} | {f"step:g{index}" for index in range(4)}
-        # Layers that share an exchange share its spans.
+        # Layers that share an exchange are one SparDL: one step span.
         fused = make("spardl?density=0.05&buckets=layer&trace=steps",
                      SimulatedCluster(4), model=model)
         SyncSession(fused).step(grads_for(fused.cluster, n))
         assert {e.name for e in fused.tracer.events
-                if e.cat == "iteration"} == {"step", "step:g0"}
+                if e.cat == "iteration"} == {"step"}
         # The whole timeline still nests properly.
         validate_chrome_trace(sync.tracer.export_chrome(tmp_path / "t.json"))
 
@@ -476,7 +478,7 @@ class TestTrainerTracing:
         ("spardl?density=0.05&buckets=auto", True),
     ])
     def test_overlap_replay_renders_hidden_and_exposed_comm(self, spec, hides):
-        trainer = _build_trainer("steps", spec=spec, overlap_comm=True)
+        trainer = _build_trainer("steps", spec=spec)
         history = trainer.train(1)
         sim = [e for e in trainer.tracer.events if e.pid == SIM_PID]
         assert sim, "the simulated timeline must be replayed onto SIM_PID"
@@ -513,8 +515,8 @@ class TestTrainerTracing:
     def test_faulty_bucketed_overlapped_training_exports_every_category(self, tmp_path):
         cluster = SimulatedCluster(4)
         cluster.install_fault_plan(FaultPlan(seed=9, drop_rate=0.25))
-        trainer = case5_trainer("spardl?density=0.02&buckets=layer", cluster=cluster,
-                                trace="comm", overlap_comm=True)
+        trainer = case5_trainer("spardl?density=0.02&buckets=auto", cluster=cluster,
+                                trace="comm")
         trainer.train(1)
         info = validate_chrome_trace(trainer.tracer.export_chrome(tmp_path / "t.json"))
         assert {"stage", "message", "retry", "iteration", "overlap"} <= set(info["categories"])

@@ -278,13 +278,13 @@ class TestFusedTraining:
                "mgwfbp": "&buckets=auto"}
 
     @classmethod
-    def _train(cls, layout, overlap_comm=True):
+    def _trainer(cls, layout):
         return case5_trainer("spardl?density=0.02" + cls.LAYOUTS[layout],
-                             check_consistency=True, overlap_comm=overlap_comm).train(1)
+                             check_consistency=True)
 
     @pytest.fixture(scope="class")
     def histories(self):
-        return {layout: self._train(layout) for layout in self.LAYOUTS}
+        return {layout: self._trainer(layout).train(1) for layout in self.LAYOUTS}
 
     def test_fused_beats_flat_and_hides_the_recorded_shares(self, histories):
         """MG-WFBP's fused buckets finish strictly before flat SparDL and
@@ -312,13 +312,22 @@ class TestFusedTraining:
         assert epoch.epoch_time < epoch.compute_time + epoch.communication_time
 
     def test_overlap_off_restores_the_sequential_sum(self, histories):
-        """``overlap_comm=False`` hides nothing and totals compute + comm bit
-        for bit; compute is the overlapped run's exactly, communication up to
-        the order of summation — overlap only re-schedules."""
-        sequential = self._train("mgwfbp", overlap_comm=False)
-        for fast, slow in zip(histories["mgwfbp"].iterations, sequential.iterations):
-            assert slow.hidden_comm_time == 0.0
-            assert slow.total_time == slow.compute_time + slow.communication_time
-            assert slow.compute_time == fast.compute_time
-            assert slow.communication_time == pytest.approx(fast.communication_time,
+        """Every iteration's step statistics priced without ``bucket_stats``
+        hide nothing and total compute + comm bit for bit; compute is the
+        overlapped record's exactly, communication up to the order of
+        summation — overlap only re-schedules."""
+        trainer = self._trainer("mgwfbp")
+        results, step = [], trainer.session.step
+        trainer.session.step = lambda gradients: results.append(step(gradients)) or results[-1]
+        history = trainer.train(1)
+        assert len(results) == len(history.iterations)
+        for fast, record, result in zip(histories["mgwfbp"].iterations,
+                                        history.iterations, results):
+            assert record == fast
+            slow = iteration_time(result.stats, trainer.network, trainer.compute_profile,
+                                  model_parameters=trainer.num_elements)
+            assert slow.hidden_comm_time == 0.0 and slow.timeline is None
+            assert slow.total == slow.compute_time + slow.communication_time
+            assert slow.compute_time == record.compute_time
+            assert slow.communication_time == pytest.approx(record.communication_time,
                                                             abs=1e-9)

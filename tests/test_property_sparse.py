@@ -37,18 +37,14 @@ tie_vectors = hnp.arrays(
 
 
 def force_kernel_path(monkeypatch: pytest.MonkeyPatch, path: str) -> None:
-    """Pin the merge implementation: 'c', 'scipy' or 'numpy'."""
+    """Pin the merge implementation: 'c' or 'numpy'."""
     if path != "c":
         monkeypatch.setattr(ckernels_module, "_KERNELS", None)
     elif vector_module._get_c_kernels() is None:
         pytest.skip("compiled merge kernels unavailable")
-    if path == "numpy":
-        monkeypatch.setattr(vector_module, "_HAVE_CSR_TOOLS", False)
-    elif path == "scipy" and not vector_module._HAVE_CSR_TOOLS:
-        pytest.skip("scipy sparsetools unavailable")
 
 
-KERNEL_PATHS = ["c", "scipy", "numpy"]
+KERNEL_PATHS = ["c", "numpy"]
 
 
 class TestKernelEquivalence:

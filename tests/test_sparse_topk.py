@@ -383,8 +383,12 @@ class TestWarmTopK:
             ks = np.array(data.draw(budgets))
             with np.errstate(invalid="ignore"):  # inf - inf
                 expected = store + addend
-                if not warm.fused_accumulate("g", bounds, ks, store, addend):
+                plan = warm.plan_accumulate("g", bounds, ks, store, addend)
+                if plan is None:
                     store += addend
+                else:
+                    sweep, adopt = plan
+                    adopt(sweep())
             np.testing.assert_array_equal(store, expected)
             if data.draw(st.booleans()):
                 continue  # e.g. a dense-fallback step: added, not selected
@@ -475,13 +479,16 @@ class TestWarmTopK:
 def add_and_select(warm, group, bounds, ks, store, addend, velocity=None, momentum=0.0):
     """One step of a synchroniser's selection: the error-feedback add
     (fused where the leg has kernels) and the segmented selection."""
-    if not warm.fused_accumulate(group, bounds, ks, store, addend, velocity, momentum):
-        if velocity is None:
-            store += addend
-        else:
-            velocity *= momentum
-            velocity += addend
-            store += velocity
+    plan = warm.plan_accumulate(group, bounds, ks, store, addend, velocity, momentum)
+    if plan is not None:
+        sweep, adopt = plan
+        adopt(sweep())
+    elif velocity is None:
+        store += addend
+    else:
+        velocity *= momentum
+        velocity += addend
+        store += velocity
     return warm.select_segments([group], [store], bounds, ks)[0]
 
 

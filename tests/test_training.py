@@ -265,6 +265,41 @@ class TestDistributedTrainer:
         assert slow_hist.total_communication_time > fast_hist.total_communication_time == 0.0
 
 
+class TestExactConsistencyCheck:
+    """``check_consistency`` compares the replicas bit for bit: working
+    training keeps them identical, and one ulp of drift is a divergence."""
+
+    @pytest.mark.parametrize("case_id,spec,config", [
+        (1, "spardl?density=0.01", {}),
+        (3, "topka?density=0.01", {}),
+        (4, "dense", {}),
+        (5, "spardl?density=0.01&momentum=0.9", {"momentum": 0.0, "weight_decay": 1e-4}),
+        (5, "spardl?density=0.05&buckets=layer&bits=8,bias:32", {"weight_decay": 1e-4}),
+    ])
+    def test_replicas_stay_bit_identical(self, case_id, spec, config):
+        case = get_case(case_id)
+        trainer = DistributedTrainer(
+            SimulatedCluster(4), make_factory(spec), case.build_model,
+            *case.build_datasets(num_samples=48, seed=0),
+            config=TrainerConfig(**{"batch_size": 8, "seed": 0,
+                                    "learning_rate": case.learning_rate,
+                                    "momentum": case.momentum,
+                                    "check_consistency": True, **config}),
+            compute_profile=case.compute_profile)
+        trainer.train(2)
+        reference = flatten_values(trainer.replicas[0].parameters())
+        for replica in trainer.replicas[1:]:
+            np.testing.assert_array_equal(flatten_values(replica.parameters()), reference)
+
+    def test_one_ulp_of_drift_is_a_divergence(self):
+        trainer = _build_trainer(check_consistency=True)
+        data = trainer.replicas[1].parameters()[0].data
+        index = np.unravel_index(np.argmax(np.abs(data)), data.shape)
+        data[index] = np.nextafter(data[index], np.inf)
+        with pytest.raises(RuntimeError, match="diverged"):
+            trainer.train(1)
+
+
 def _case_trainer(case_id):
     """Case ``case_id`` on ``sim:4``, 64 samples, batch 8, traced."""
     case = get_case(case_id)

@@ -49,6 +49,7 @@ from .comm import (
     MembershipEvent,
     MultiprocessCluster,
     NetworkProfile,
+    RetryPolicy,
     SimulatedCluster,
     Transport,
     make_transport,
@@ -61,7 +62,6 @@ from .core import (
     KSchedule,
     ResidualManager,
     ResidualPolicy,
-    RetryPolicy,
     SAGMode,
     SparDLConfig,
     SparDLSynchronizer,

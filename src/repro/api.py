@@ -23,28 +23,21 @@ alias (case-insensitive, as in the paper's figures) and the keys are:
 ``teams``   SparDL team count ``d`` (default 1)
 ``sag``     SparDL Spar-All-Gather mode: ``auto`` / ``rsag`` / ``bsag``
 ``residuals`` SparDL residual policy: ``global`` / ``partial`` / ``local`` / ``none``
-``buckets`` ``flat`` (default), ``layer`` (one bucket per parameter tensor),
-            ``size:N`` (SSFusion-style fusion of consecutive tensors up to
-            ``N`` elements), or ``auto`` (plan the fused layout with
-            :mod:`repro.core.fusion`'s MG-WFBP planner, which merges while
-            it keeps the critical path, over the ``network=`` alpha-beta
-            profile); SparDL only.  Non-flat specs need a ``model``, and
-            ``auto`` planning reads the optional ``network=`` /
-            ``compute_profile=`` arguments of :func:`make`
+``buckets`` ``flat`` (default), ``layer`` (one selection per parameter
+            tensor, one exchange for all of them), or ``auto`` (plan the
+            fused layout with :mod:`repro.core.fusion`'s MG-WFBP planner,
+            which merges while it keeps the critical path, over the
+            ``network=`` alpha-beta profile; every planned bucket is an
+            exchange of its own); SparDL only.  Non-flat specs need a
+            ``model``, and ``auto`` planning reads the optional
+            ``network=`` / ``compute_profile=`` arguments of :func:`make`
 ``bits``    wire value quantization (all methods): bits per value in
             ``[1, 32]``; values are quantized QSGD-style with exact error
             feedback, sparse messages bill the ``(1 + bits/32)/2`` COO
             accounting plus one scale element, and dense payloads bill
             ``bits/32`` per value (absent = full precision, the
-            pre-quantization pipeline bit for bit).  On non-flat ``buckets``
-            modes the value may carry per-bucket overrides:
-            ``bits=8,emb:32`` quantizes every bucket at 8 bits except those
-            whose name contains ``emb``, which stay at 32 — keeping
-            sensitive layers high precision.  Each ``pattern:bits`` item
-            matches case-insensitive substrings of the bucket names
-            (fused buckets join their tensor names with ``+``); the
-            optional leading bare integer is the default for unmatched
-            buckets (absent = full precision for them)
+            pre-quantization pipeline bit for bit); one width for every
+            bucket
 ``momentum`` DGC momentum correction (Lin et al., ICLR'18): a factor in
             ``(0, 1)`` makes the residual manager accumulate velocity
             ``u = m*u + g`` with momentum-factor masking at the final
@@ -76,10 +69,10 @@ and keyword arguments alike) and how it is printed — and that table drives
 :class:`SyncSpec`, :func:`parse_spec`, :meth:`SyncSpec.canonical` and the
 keyword overrides of :func:`make`.
 
-:func:`make` builds a ready synchroniser (for bucketing, one
-:class:`~repro.core.spardl.SparDLSynchronizer` over the buckets when they
-share one configuration, else a
-:class:`~repro.core.bucketed.BucketedSynchronizer` of exchange groups),
+:func:`make` builds a ready synchroniser (``buckets=layer``: one
+:class:`~repro.core.spardl.SparDLSynchronizer` over the layer sizes;
+``buckets=auto``: a :class:`~repro.core.bucketed.BucketedSynchronizer`
+of one SparDL per planned bucket),
 :func:`make_factory` defers construction until the model is known (the
 :class:`~repro.training.trainer.DistributedTrainer` calls the factory with
 its cluster and model replica), and :func:`describe` maps any
@@ -98,7 +91,7 @@ from .baselines.topk_a import TopkASynchronizer
 from .baselines.topk_dsa import TopkDSASynchronizer
 from .comm.transport import Transport, make_transport, parse_backend_spec, transport_spec
 from .core.base import GradientSynchronizer
-from .core.bucketed import BucketedSynchronizer, fuse_buckets, layer_buckets
+from .core.bucketed import BucketedSynchronizer, layer_buckets
 from .core.config import SAGMode, SparDLConfig, is_power_of_two
 from .core.fusion import plan_buckets
 from .core.residuals import ResidualPolicy
@@ -177,75 +170,25 @@ def _buckets(value: Any) -> str:
     if kind == "auto":
         raise _removed(f"buckets={text}", "buckets=auto is the MG-WFBP planner")
     if kind == "size" and argument.isdigit() and int(argument) > 0:
-        return f"size:{int(argument)}"
+        raise _removed(f"buckets={text}",
+                       "buckets=layer selects per tensor and exchanges once")
     raise ValueError(
-        f"unknown buckets mode {value!r}; expected flat, layer, size:N or auto")
+        f"unknown buckets mode {value!r}; expected flat, layer or auto")
 
 
-def _validate_bits_value(text: "str | int") -> int:
+def _validate_bits_value(value: "str | int") -> int:
+    if isinstance(value, str) and ("," in value or ":" in value):
+        raise _removed(f"bits={value.strip()}", "bits= is one width for every bucket")
+    message = f"bits must be an integer between 1 and 32, got {value!r}"
+    if not isinstance(value, (int, str)):
+        raise ValueError(message)
     try:
-        value = int(text)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"bits must be an integer between 1 and 32, got {text!r}") from None
-    if not 1 <= value <= 32:
-        raise ValueError("bits must be an integer between 1 and 32")
-    return value
-
-
-def _split_bits(bits: "int | str | None"):
-    """Split a ``bits`` value into ``(default, overrides)``.
-
-    ``default`` is the bit width for unmatched buckets (``None`` = full
-    precision) and ``overrides`` is an ordered ``[(pattern, bits), ...]``
-    list; a pattern applies to every bucket whose (lowercased) name contains
-    it.  Plain integers have no overrides; ``"8,emb:32"`` parses to
-    ``(8, [("emb", 32)])`` and ``"emb:32"`` to ``(None, [("emb", 32)])``.
-    """
-    if bits is None:
-        return None, []
-    if isinstance(bits, int):
-        return _validate_bits_value(bits), []
-    if not isinstance(bits, str):
-        raise ValueError("bits must be an integer between 1 and 32 "
-                         "or a per-bucket override string")
-    default: Optional[int] = None
-    overrides: List[tuple] = []
-    for item in bits.split(","):
-        item = item.strip()
-        if not item:
-            raise ValueError(f"empty item in bits={bits!r}")
-        if ":" in item:
-            pattern, _, width = item.rpartition(":")
-            pattern = pattern.strip().lower()
-            if not pattern:
-                raise ValueError(
-                    f"bits override {item!r} needs a bucket-name pattern "
-                    "before the colon")
-            if pattern in (existing for existing, _ in overrides):
-                raise ValueError(f"duplicate bits pattern {pattern!r}")
-            overrides.append((pattern, _validate_bits_value(width)))
-        else:
-            if default is not None:
-                raise ValueError(
-                    f"bits={bits!r} gives more than one default width")
-            if overrides:
-                raise ValueError(
-                    f"the default width in bits={bits!r} must come before "
-                    "the pattern overrides")
-            default = _validate_bits_value(item)
-    return default, overrides
-
-
-def _canonical_bits(bits: "int | str") -> "int | str | None":
-    """Validate a ``bits`` value and return its canonical form (an ``int``
-    when there are no per-bucket overrides, else the normalised string)."""
-    default, overrides = _split_bits(bits)
-    if not overrides:
-        return default
-    items = ([] if default is None else [str(default)])
-    items += [f"{pattern}:{width}" for pattern, width in overrides]
-    return ",".join(items)
+        bits = int(value)
+    except ValueError:
+        raise ValueError(message) from None
+    if not 1 <= bits <= 32:
+        raise ValueError(message)
+    return bits
 
 
 def _backend(value: Any) -> str:
@@ -272,8 +215,7 @@ _SPEC_KEYS: Dict[str, _Key] = {
     "residuals": _Key("global", _text, lambda value: ResidualPolicy.coerce(value).value),
     "schedule": _Key("constant", _text, _schedule),
     "buckets": _Key("flat", _text, _buckets),
-    # kept as written: a plain integer or a per-bucket override string
-    "bits": _Key(None, str.strip, _canonical_bits),
+    "bits": _Key(None, str.strip, _validate_bits_value),
     "momentum": _Key(None, float, _momentum, _show_float),
     "backend": _Key(None, _text, _backend),
     "trace": _Key("off", _text, lambda value: TraceLevel.coerce(value).name.lower()),
@@ -310,11 +252,6 @@ class SyncSpec:
         if self.is_bucketed and self.method != "SparDL":
             raise _removed(f"buckets={self.buckets} on {self.method}",
                            "only SparDL runs bucketed: drop the key")
-        if not self.is_bucketed and isinstance(self.bits, str):
-            raise ValueError(
-                f"per-bucket bits overrides ({self.bits!r}) need a "
-                "non-flat buckets mode (layer, size:N or auto); the "
-                "patterns match bucket names")
         # A sparse method without k/density is allowed here (keyword
         # overrides of make() may still supply the target); make() fails
         # loudly when it is truly missing.
@@ -401,20 +338,6 @@ def _build_flat(spec: SyncSpec, cluster: Transport,
                num_bits=spec.bits, momentum=spec.momentum)
 
 
-def _bucket_layout(spec: SyncSpec, model) -> List[tuple]:
-    """``(name, size)`` buckets for the requested bucketing mode."""
-    if model is None:
-        raise ValueError(
-            f"buckets={spec.buckets} needs the model: pass model=... (anything with "
-            "parameters()) so the bucket layout can be derived from its tensor shapes")
-    buckets = layer_buckets(model)
-    if spec.buckets.startswith("size:"):
-        return fuse_buckets(buckets, int(spec.buckets.partition(":")[2]))
-    # layer, and the per-layer layout auto planning starts from (the fusion
-    # plan itself is computed in make(), which has the transport in hand)
-    return buckets
-
-
 def _resolve_backend(parsed: SyncSpec,
                      cluster: Optional[Transport]) -> Transport:
     """The transport a spec runs on.
@@ -443,11 +366,14 @@ def _resolve_backend(parsed: SyncSpec,
 def _build_bucketed(parsed: SyncSpec, cluster: Transport, model, network,
                     compute_profile) -> GradientSynchronizer:
     """Build the synchroniser of a non-flat ``buckets`` spec: one
-    :class:`SparDLSynchronizer` over the bucket sizes when every bucket has
-    the same configuration and no fusion plan splits them, otherwise a
-    :class:`BucketedSynchronizer` of exchange groups."""
-    default_bits, bits_overrides = _split_bits(parsed.bits)
-    layout = _bucket_layout(parsed, model)
+    :class:`SparDLSynchronizer` over the layer sizes for ``buckets=layer``,
+    a :class:`BucketedSynchronizer` of one SparDL per planned bucket for
+    ``buckets=auto``."""
+    if model is None:
+        raise ValueError(
+            f"buckets={parsed.buckets} needs the model: pass model=... (anything with "
+            "parameters()) so the bucket layout can be derived from its tensor shapes")
+    layout = layer_buckets(model)
     density = parsed.density
     if parsed.k is not None:
         # An absolute k is a *global* budget: replicating it into every
@@ -455,39 +381,21 @@ def _build_bucketed(parsed: SyncSpec, cluster: Transport, model, network,
         # convert it to the equivalent density, which buckets pro-rata
         # (each bucket still keeps at least one entry).
         density = min(1.0, parsed.k / float(sum(size for _, size in layout)))
-    plan = None
-    if parsed.buckets == "auto":
-        from .comm.network import ETHERNET
-        plan = plan_buckets(
-            layout,
-            num_workers=cluster.num_workers,
-            density=density,
-            teams=parsed.teams,
-            num_bits=default_bits,
-            network=network or ETHERNET,
-            compute_profile=compute_profile,
-        )
-        layout = plan.bucket_layout()
-
-    def bucket_bits(name: str) -> Optional[int]:
-        # Per-bucket bits overrides match case-insensitive substrings of the
-        # bucket name (the last match wins); fused buckets join their tensor
-        # names with "+", so a pattern matches the fused bucket when it
-        # matches any member tensor.
-        bits = default_bits
-        for pattern, width in bits_overrides:
-            if pattern in name.lower():
-                bits = width
-        return bits
-
-    sizes = [size for _, size in layout]
-    configs = [_spardl_config(parsed, k=None, density=density, num_bits=bucket_bits(name))
-               for name, _ in layout]
-    if plan is None and all(config == configs[0] for config in configs):
-        # One exchange group: its buckets are segments of one SparDL's
-        # block layout, so that SparDL is the synchroniser.
-        return SparDLSynchronizer(cluster, sizes, configs[0])
-    return BucketedSynchronizer(cluster, sizes, configs,
+    config = _spardl_config(parsed, k=None, density=density)
+    if parsed.buckets == "layer":
+        return SparDLSynchronizer(cluster, [size for _, size in layout], config)
+    from .comm.network import ETHERNET
+    plan = plan_buckets(
+        layout,
+        num_workers=cluster.num_workers,
+        density=density,
+        teams=parsed.teams,
+        num_bits=parsed.bits,
+        network=network or ETHERNET,
+        compute_profile=compute_profile,
+    )
+    layout = plan.bucket_layout()
+    return BucketedSynchronizer(cluster, [size for _, size in layout], config,
                                 bucket_names=[name for name, _ in layout], plan=plan)
 
 

@@ -20,7 +20,7 @@ from .collectives import (
     allreduce_rabenseifner,
     allreduce_ring,
 )
-from .faults import FaultPlan, MembershipEvent, membership_transition
+from .faults import FaultPlan, MembershipEvent, RetryPolicy, membership_transition
 from .network import ETHERNET, PERFECT, RDMA, HeterogeneousNetwork, NetworkProfile
 from .packed import PackedBags
 from .stats import CommStats
@@ -39,6 +39,7 @@ __all__ = [
     "CommStats",
     "FaultPlan",
     "MembershipEvent",
+    "RetryPolicy",
     "membership_transition",
     "NetworkProfile",
     "HeterogeneousNetwork",

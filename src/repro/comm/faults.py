@@ -45,6 +45,7 @@ from .network import HeterogeneousNetwork, NetworkProfile
 
 __all__ = [
     "MembershipEvent",
+    "RetryPolicy",
     "FaultPlan",
     "membership_transition",
 ]
@@ -113,6 +114,40 @@ def membership_transition(num_workers: int,
 
 
 @dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded retry-with-backoff for faulted message deliveries.
+
+    A message dropped (or timed out) on the wire is re-attempted up to
+    ``max_retries`` times.  Every attempt is billed as an extra recorded
+    round; before the ``a``-th attempt the sender additionally idles
+    ``ceil(backoff^(a-2)) - 1`` empty (latency-only) rounds, so the first
+    retry is immediate and later ones back off geometrically.  Past the
+    budget the step degrades gracefully instead of stalling: ``lossy``
+    messages are declared lost (their gradient mass is folded into the
+    sender's residual path by
+    :func:`~repro.core.pipeline.fold_lost_messages`, preserving the
+    conservation invariant) and reliable messages are force-delivered in
+    one final billed round.
+    """
+
+    max_retries: int = 2
+    backoff: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+        if not (math.isfinite(self.backoff) and self.backoff >= 1.0):
+            raise ValueError("backoff must be a finite factor >= 1")
+
+    def idle_rounds(self, attempt: int) -> int:
+        """Backoff idle rounds billed before delivery attempt ``attempt``
+        (1-based; the first retry is attempt 2 and waits nothing)."""
+        if attempt <= 2:
+            return 0
+        return max(0, int(math.ceil(self.backoff ** (attempt - 2))) - 1)
+
+
+@dataclass(frozen=True)
 class FaultPlan:
     """A seeded, deterministic description of one fault scenario.
 
@@ -123,10 +158,10 @@ class FaultPlan:
     drop_rate:
         Per-delivery-attempt probability in ``[0, 1]`` that a message is
         dropped on the wire.  Dropped messages are retried under the
-        installed :class:`~repro.core.pipeline.RetryPolicy`; messages still
-        undelivered past the retry budget are *lost* if the sender marked
-        them ``lossy`` (their mass is folded into the sender's residual)
-        and force-delivered over the reliable transport otherwise.
+        plan's :class:`RetryPolicy`; messages still undelivered past the
+        retry budget are *lost* if the sender marked them ``lossy`` (their
+        mass is folded into the sender's residual) and force-delivered over
+        the reliable transport otherwise.
     delay_rate:
         Per-attempt probability that a delivered message is late.  The
         lateness is drawn uniformly from ``1..max_delay_rounds`` extra
@@ -153,8 +188,8 @@ class FaultPlan:
     events:
         :class:`MembershipEvent` schedule (crashes and joins).
     retry:
-        The :class:`~repro.core.pipeline.RetryPolicy` governing redelivery;
-        ``None`` uses that policy's defaults.
+        The :class:`RetryPolicy` governing redelivery (default: two
+        retries, 2x backoff).
     """
 
     seed: int = 0
@@ -167,7 +202,7 @@ class FaultPlan:
     worker_profiles: Mapping[int, NetworkProfile] = field(default_factory=dict)
     link_profiles: Mapping[Tuple[int, int], NetworkProfile] = field(default_factory=dict)
     events: Sequence[MembershipEvent] = ()
-    retry: Optional[Any] = None
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         for name in ("drop_rate", "delay_rate", "straggler_rate"):

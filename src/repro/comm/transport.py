@@ -330,9 +330,6 @@ class Transport:
         """
         plan = self._fault_plan
         retry = plan.retry
-        if retry is None:
-            from ..core.pipeline import RetryPolicy
-            retry = RetryPolicy()
         admitted = self._admit(messages)
         if not admitted:
             return {}

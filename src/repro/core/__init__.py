@@ -1,12 +1,11 @@
 """SparDL core: Spar-Reduce-Scatter, Spar-All-Gather and residual collection."""
 
 from .base import GradientSynchronizer, SyncResult, resolve_k
-from .bucketed import BucketedSynchronizer, fuse_buckets, layer_buckets
+from .bucketed import BucketedSynchronizer, layer_buckets
 from .config import SAGMode, SparDLConfig
 from .partition import BagPlan, plan_bags, transmission_distances
 from .pipeline import (
     PIPELINE_STAGES,
-    RetryPolicy,
     StepContext,
     SyncSession,
     SyncStage,
@@ -30,9 +29,7 @@ __all__ = [
     "resolve_k",
     "BucketedSynchronizer",
     "layer_buckets",
-    "fuse_buckets",
     "PIPELINE_STAGES",
-    "RetryPolicy",
     "fold_lost_messages",
     "StepContext",
     "SyncSession",

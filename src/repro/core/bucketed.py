@@ -1,41 +1,22 @@
-"""Per-layer bucketed synchronisation (SSFusion-style).
+"""Planned buckets (``buckets=auto``), each exchanged on its own.
 
-The flat-vector synchronisers treat the model as one opaque gradient.
-Real systems shard it: SSFusion fuses per-layer sparse tensors into
-bucketed exchanges so selection and compression happen at tensor
-granularity while communication does not pay per tensor.
-:class:`BucketedSynchronizer` brings that shape here: the flat gradient is
-sliced into contiguous buckets derived from the model's parameter shapes
-(one per layer, or greedily fused up to a size cap), every bucket keeps its
-own selection — own ``k`` and schedule position, own residual and warm-cut
-state, own quantiser scale — and the aggregate still presents the plain
-:class:`~repro.core.base.GradientSynchronizer` interface, so the trainer and
-the benchmarks are oblivious.
-
-Selection granularity and exchange granularity are separate decisions.
-Every bucket runs SparDL under its own
-:class:`~repro.core.config.SparDLConfig`, and consecutive buckets with
-equal configurations form one **exchange group**: a single
-:class:`~repro.core.spardl.SparDLSynchronizer` spanning their sizes, in
-which every bucket is a set of segments of the block layout, so the group
-pays the rounds of *one* SRS -> SAG -> All-Gather however many buckets it
-holds (results are those of per-bucket synchronisers, bit for bit; only
-rounds and messages differ).  Two things start a new group: a different
-configuration (a per-bucket ``bits=`` override) and a
-:class:`~repro.core.fusion.FusionPlan` (``buckets=auto``), whose every
-bucket the planner already priced as an exchange of its own against the
-backward pass.  :attr:`BucketedSynchronizer.sessions` /
-:attr:`~BucketedSynchronizer.slices` are per group; groups synchronise one
+SparDL selects per tensor and fuses in the message: ``buckets=layer`` is
+one :class:`~repro.core.spardl.SparDLSynchronizer` over the layer sizes,
+every tensor a set of segments of its block layout, so the layers pay the
+rounds of *one* SRS -> SAG -> All-Gather.  A
+:class:`~repro.core.fusion.FusionPlan` (``buckets=auto``) instead cuts the
+layers into buckets that the MG-WFBP planner priced as exchanges of their
+own against the backward pass.  :class:`BucketedSynchronizer` runs that
+plan: one SparDL per planned bucket, all under the spec's one
+:class:`~repro.core.config.SparDLConfig`, each with its own selection,
+residual and warm-cut state and quantiser streams.  Buckets synchronise one
 after the other, so the aggregated :class:`~repro.comm.stats.CommStats`
-adds the groups' rounds as well as their volumes.
+adds their rounds as well as their volumes, and
+:attr:`~BucketedSynchronizer.sessions` / :attr:`~BucketedSynchronizer.slices`
+are per bucket.
 
-``api.make`` builds this class only for those two cases.  A bucketed spec
-whose buckets all share one configuration and no fusion plan is one
-exchange group, and ``api.make`` returns that group's
-:class:`~repro.core.spardl.SparDLSynchronizer` itself.
-
-Note that bucketing changes *what is selected*: top-k runs per bucket, so
-small layers are guaranteed representation in the global gradient (the
+Bucketing changes *what is selected*: top-k runs per tensor, so small
+layers are guaranteed representation in the global gradient (the
 motivation DGC gives for per-layer selection), whereas the flat pipeline
 lets a few large layers monopolise the budget.  Residual conservation is
 preserved bucket by bucket, which the bucketed-vs-flat equivalence tests
@@ -55,7 +36,7 @@ from .config import SparDLConfig
 from .pipeline import SyncSession
 from .spardl import SparDLSynchronizer
 
-__all__ = ["BucketedSynchronizer", "layer_buckets", "fuse_buckets"]
+__all__ = ["BucketedSynchronizer", "layer_buckets"]
 
 
 def layer_buckets(module) -> List[Tuple[str, int]]:
@@ -78,32 +59,8 @@ def layer_buckets(module) -> List[Tuple[str, int]]:
     return buckets
 
 
-def fuse_buckets(buckets: Sequence[Tuple[str, int]],
-                 max_elements: int) -> List[Tuple[str, int]]:
-    """Greedily fuse consecutive buckets up to ``max_elements`` apiece.
-
-    This is SSFusion's fusion step: many small tensors share one exchange.
-    A single bucket larger than the cap keeps its own bucket (it cannot be
-    split without breaking the per-tensor selection semantics).
-    """
-    if max_elements <= 0:
-        raise ValueError("max_elements must be positive")
-    fused: List[Tuple[str, int]] = []
-    group_names: List[str] = []
-    group_size = 0
-    for name, size in buckets:
-        if group_size and group_size + size > max_elements:
-            fused.append(("+".join(group_names), group_size))
-            group_names, group_size = [], 0
-        group_names.append(name)
-        group_size += size
-    if group_size:
-        fused.append(("+".join(group_names), group_size))
-    return fused
-
-
 class BucketedSynchronizer(GradientSynchronizer):
-    """Drives one :class:`SyncSession` per exchange group of buckets.
+    """Drives one :class:`SyncSession` per bucket, each its own SparDL.
 
     Parameters
     ----------
@@ -112,25 +69,21 @@ class BucketedSynchronizer(GradientSynchronizer):
     bucket_sizes:
         Element count of each contiguous bucket; they concatenate to the
         full flat gradient.
-    configs:
-        One :class:`~repro.core.config.SparDLConfig` per bucket: what that
-        bucket would run on its own.  Neighbouring buckets with equal
-        configurations share one :class:`SparDLSynchronizer` (see the
-        module notes).
+    config:
+        The :class:`~repro.core.config.SparDLConfig` every bucket runs.
     bucket_names:
         Optional display names (defaults to ``bucket0..``).
     plan:
         Optional :class:`~repro.core.fusion.FusionPlan` this layout was
         derived from (set by ``api.make`` for ``buckets=auto`` specs).
         Stored as :attr:`fusion_plan` for introspection — the planner's
-        predicted timeline and bucket counts surface in benchmark reports —
-        and it keeps every planned bucket an exchange of its own.
+        predicted timeline and bucket counts surface in benchmark reports.
     """
 
     name = "Bucketed"
 
     def __init__(self, cluster: Transport, bucket_sizes: Sequence[int],
-                 configs: Sequence[SparDLConfig],
+                 config: SparDLConfig,
                  bucket_names: Sequence[str] | None = None,
                  plan=None) -> None:
         sizes = [int(size) for size in bucket_sizes]
@@ -138,8 +91,6 @@ class BucketedSynchronizer(GradientSynchronizer):
             raise ValueError("at least one bucket is required")
         if any(size <= 0 for size in sizes):
             raise ValueError("bucket sizes must be positive")
-        if len(configs) != len(sizes):
-            raise ValueError("configs must match bucket_sizes")
         super().__init__(cluster, sum(sizes))
         self.bucket_sizes = sizes
         if bucket_names is None:
@@ -147,29 +98,19 @@ class BucketedSynchronizer(GradientSynchronizer):
         if len(bucket_names) != len(sizes):
             raise ValueError("bucket_names must match bucket_sizes")
         self.bucket_names = list(bucket_names)
-        #: Exchange groups: ``groups[g]`` lists the buckets of group ``g``.
-        self.groups: List[List[int]] = [[0]]
-        for index in range(1, len(sizes)):
-            if plan is None and configs[index] == configs[index - 1]:
-                self.groups[-1].append(index)
-            else:
-                self.groups.append([index])
-        #: One session per exchange group, each wrapping its own synchroniser.
+        #: One session per bucket, each wrapping its own synchroniser.
         self.sessions: List[SyncSession] = [
-            SyncSession(SparDLSynchronizer(
-                cluster, [sizes[index] for index in group], configs[group[0]]))
-            for group in self.groups]
+            SyncSession(SparDLSynchronizer(cluster, [size], config)) for size in sizes]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-        #: ``(lo, hi)`` slice of every exchange group in the flat gradient.
-        self.slices: List[Tuple[int, int]] = [
-            (offsets[group[0]], offsets[group[-1] + 1]) for group in self.groups]
+        #: ``(lo, hi)`` slice of every bucket in the flat gradient.
+        self.slices: List[Tuple[int, int]] = list(zip(offsets[:-1], offsets[1:]))
         #: The fusion plan behind this layout, when one was used.
         self.fusion_plan = plan
         self.name = f"Bucketed[{len(sizes)}]({self.sessions[0].synchronizer.name})"
 
     # ------------------------------------------------------------------
     def apply_membership(self, num_workers: int, mapping: Dict[int, int]) -> None:
-        """Every group remaps its own per-rank state (residual and velocity
+        """Every bucket remaps its own per-rank state (residual and velocity
         hand-off, teams, segments, warm cuts, compressor streams) for the
         new membership; the shared cluster is resized by the first and the
         others find it at the new size."""
@@ -192,12 +133,12 @@ class BucketedSynchronizer(GradientSynchronizer):
         return int(sum(session.synchronizer.k for session in self.sessions))
 
     def _step(self, gradients: Dict[int, np.ndarray], observer=None) -> SyncResult:
-        """One bucketed step: slice, drive every group's session, and
+        """One bucketed step: slice, drive every bucket's session, and
         re-assemble the flat global gradients with aggregated statistics.
 
-        Stage observers attach at the group level (each inner session runs
+        Stage observers attach at the bucket level (each inner session runs
         the full five-stage pipeline); ``observer`` is therefore ignored
-        here rather than fired with a context the groups share.
+        here rather than fired with a context the buckets share.
         """
         self._validate(gradients)
         arrays = {rank: np.asarray(grad, dtype=np.float64)
@@ -208,11 +149,11 @@ class BucketedSynchronizer(GradientSynchronizer):
             results.append(outcome)
         stats = CommStats.merged(self.num_workers, (outcome.stats for outcome in results))
         if len(results) == 1:
-            # One group spans the whole gradient: its (shared, read-only)
+            # One bucket spans the whole gradient: its (shared, read-only)
             # result is the result.
             global_gradients = results[0].global_gradients
         else:
-            # Groups hand every agreeing rank the same array, so ranks with
+            # Buckets hand every agreeing rank the same array, so ranks with
             # identical parts share one read-only concatenation too.
             assembled: Dict[Tuple[int, ...], np.ndarray] = {}
             global_gradients = {}
@@ -229,16 +170,12 @@ class BucketedSynchronizer(GradientSynchronizer):
             "bucket_sizes": list(self.bucket_sizes),
             "k": int(sum(outcome.info["k"] for outcome in results)),
             "final_nnz": int(sum(outcome.info["final_nnz"] for outcome in results)),
-            # One entry per exchange group (each lists its buckets' shares
-            # under ``bucket_k`` / ``bucket_final_nnz``).
             "per_bucket_info": [outcome.info for outcome in results],
-            # Exchange groups in forward order — which buckets, how many
-            # elements, what traffic: the overlap-aware iteration timing
-            # schedules these against the backward slices (a group's
-            # exchange starts when its last member's slice ends) instead of
-            # pricing the merged aggregate.
-            "groups": [list(group) for group in self.groups],
-            "group_sizes": [hi - lo for lo, hi in self.slices],
+            # Exchanges in forward order — how many elements, what traffic:
+            # the overlap-aware iteration timing schedules these against the
+            # backward slices (a bucket's exchange starts when its last
+            # layer's slice ends) instead of pricing the merged aggregate.
+            "group_sizes": list(self.bucket_sizes),
             "bucket_stats": [outcome.stats for outcome in results],
         }
         result = SyncResult(global_gradients=global_gradients, stats=stats, info=info)
@@ -247,18 +184,18 @@ class BucketedSynchronizer(GradientSynchronizer):
 
     # ------------------------------------------------------------------
     # the abstract stage methods never run: _step overrides the flat driver
-    # (groups each run their own five-stage pipeline).
+    # (buckets each run their own five-stage pipeline).
     def stage_exchange(self, context) -> None:  # pragma: no cover
-        raise RuntimeError("BucketedSynchronizer drives per-group pipelines")
+        raise RuntimeError("BucketedSynchronizer drives per-bucket pipelines")
 
     def stage_combine(self, context) -> None:  # pragma: no cover
-        raise RuntimeError("BucketedSynchronizer drives per-group pipelines")
+        raise RuntimeError("BucketedSynchronizer drives per-bucket pipelines")
 
     # ------------------------------------------------------------------
     def total_residual(self) -> np.ndarray:
-        """Sum of every group's residual stores, assembled to full length,
+        """Sum of every bucket's residual stores, assembled to full length,
         so ``global + total_residual() == exact dense sum`` holds exactly
-        when it holds per group (GRES conservation)."""
+        when it holds per bucket (GRES conservation)."""
         total = np.zeros(self.num_elements, dtype=np.float64)
         for (lo, hi), session in zip(self.slices, self.sessions):
             total[lo:hi] = session.synchronizer.residuals.total_residual()

@@ -39,7 +39,6 @@ same staged driver, so the two paths are bit-identical by construction (asserted
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .residuals import ResidualManager
 
 __all__ = ["SyncStage", "PIPELINE_STAGES", "StepContext", "SyncSession",
-           "RetryPolicy", "fold_lost_messages"]
+           "fold_lost_messages"]
 
 
 class SyncStage(str, Enum):
@@ -115,42 +114,6 @@ class StepContext:
 
 #: Signature of a per-stage observer: ``hook(stage, context)``.
 StageHook = Callable[[SyncStage, StepContext], None]
-
-
-# ---------------------------------------------------------------------------
-# exchange-stage robustness policy
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry-with-backoff for faulted message deliveries.
-
-    A message dropped (or timed out) on the wire is re-attempted up to
-    ``max_retries`` times.  Every attempt is billed as an extra recorded
-    round; before the ``a``-th attempt the sender additionally idles
-    ``ceil(backoff^(a-2)) - 1`` empty (latency-only) rounds, so the first
-    retry is immediate and later ones back off geometrically.  Past the
-    budget the step degrades gracefully instead of stalling: ``lossy``
-    messages are declared lost (their gradient mass is folded into the
-    sender's residual path by :func:`fold_lost_messages`, preserving the
-    conservation invariant) and reliable messages are force-delivered in
-    one final billed round.
-    """
-
-    max_retries: int = 2
-    backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if not (math.isfinite(self.backoff) and self.backoff >= 1.0):
-            raise ValueError("backoff must be a finite factor >= 1")
-
-    def idle_rounds(self, attempt: int) -> int:
-        """Backoff idle rounds billed before delivery attempt ``attempt``
-        (1-based; the first retry is attempt 2 and waits nothing)."""
-        if attempt <= 2:
-            return 0
-        return max(0, int(math.ceil(self.backoff ** (attempt - 2))) - 1)
 
 
 def fold_lost_messages(lost: Sequence["Message"],
@@ -227,7 +190,7 @@ class SyncSession:
         self.tracer = tracer if tracer is not None else getattr(
             synchronizer, "tracer", None)
         #: Label distinguishing this session's spans (set on the inner
-        #: sessions of a bucketed synchroniser, one per exchange group:
+        #: sessions of a bucketed synchroniser, one per planned bucket:
         #: ``g0``, ``g1``, ...).
         self.trace_label: Optional[str] = None
         #: Stage hooks that raised (errors are contained, counted, and

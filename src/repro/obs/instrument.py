@@ -26,7 +26,7 @@ _SIM_TID_COMM = 1
 
 def attach_tracer(synchronizer: Any, tracer: Optional[Tracer]) -> Optional[Tracer]:
     """Attach ``tracer`` to a synchroniser, the inner sessions of its
-    exchange groups (for :class:`~repro.core.bucketed.BucketedSynchronizer`;
+    planned buckets (for :class:`~repro.core.bucketed.BucketedSynchronizer`;
     their spans are labelled ``g0``, ``g1``, ...), and its cluster
     transport.  Passing ``None`` detaches.  Returns the tracer."""
     synchronizer.tracer = tracer

@@ -377,7 +377,7 @@ def iteration_time(stats: CommStats,
     ``total = compute + comm``, bit for bit.  With ``bucket_stats`` (the
     :class:`~repro.comm.stats.CommStats` of every exchange of a bucketed
     synchronisation, in forward/layer order, alongside the matching
-    ``bucket_sizes`` — the elements each exchange covers: an exchange group
+    ``bucket_sizes`` — the elements each exchange covers: a planned bucket
     of several layers is one entry, ``info["group_sizes"]``) the
     communication is scheduled against the matching backward slices via
     :func:`overlap_timeline`: exchanges run in backward-completion order,

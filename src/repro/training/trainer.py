@@ -411,9 +411,9 @@ class DistributedTrainer:
             losses = self.cluster.run_workers(_worker_compute_gradient)
 
         result = self.session.step(self._gradient_rows)
-        # A synchroniser of several exchange groups reports every group's
-        # statistics; they are scheduled against the groups' backward slices
-        # so communication overlaps.
+        # A synchroniser of several planned buckets reports every bucket's
+        # statistics; they are scheduled against the buckets' backward
+        # slices so communication overlaps.
         timing = iteration_time(result.stats, self.network, self.compute_profile,
                                 model_parameters=self.num_elements,
                                 bucket_stats=result.info.get("bucket_stats"),

@@ -142,7 +142,7 @@ def case5_trainer(synchronizer, *, workers: int = 4, samples: int = 160,
 
 def ledger(sync) -> Tuple[np.ndarray, np.ndarray]:
     """``(sum of residuals, momentum * sum of velocities)`` of a SparDL
-    synchroniser, or of a bucketed one over its exchange groups: with the
+    synchroniser, or of a bucketed one over its buckets: with the
     step's gradients they are what the next global gradient plus residuals
     must add up to."""
     groups = ([(lo, hi, session.synchronizer)

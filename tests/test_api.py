@@ -26,6 +26,7 @@ from repro.comm.network import ETHERNET
 from repro.core.bucketed import BucketedSynchronizer
 from repro.core.spardl import SparDLSynchronizer
 from repro.nn.models import build_mlp
+from repro.training.timing import ComputeProfile
 
 
 class TestParseSpec:
@@ -91,6 +92,14 @@ REMOVED = [
      "spardl", {"density": 0.1, "buckets": "auto:asc"}),
     ("spardl?density=0.1&buckets=auto:mgwfbp",
      "spardl", {"density": 0.1, "buckets": "auto:mgwfbp"}),
+    ("spardl?density=0.1&buckets=size:40",
+     "spardl", {"density": 0.1, "buckets": "size:40"}),
+    ("spardl?density=0.1&buckets=layer&bits=8,out:32",
+     "spardl", {"density": 0.1, "buckets": "layer", "bits": "8,out:32"}),
+    ("spardl?density=0.1&buckets=auto&bits=out:32",
+     "spardl", {"density": 0.1, "buckets": "auto", "bits": "out:32"}),
+    ("spardl?density=0.1&bits=8,emb:32",
+     "spardl", {"density": 0.1, "bits": "8,emb:32"}),
     ("topka?density=0.01&buckets=layer",
      "topka", {"density": 0.01, "buckets": "layer"}),
     ("topkdsa?density=0.01&buckets=size:40",
@@ -200,10 +209,10 @@ class TestMake:
         assert type(sync) is SparDLSynchronizer
         assert sync.bucket_sizes == [p.size for p in model.parameters()]
         assert sync.num_elements == model.num_parameters()
-        grouped = make("spardl?density=0.1&buckets=layer&bits=8,out:32",
-                       SimulatedCluster(4), model=model)
+        grouped = make("spardl?density=0.1&buckets=auto", SimulatedCluster(4), model=model,
+                       compute_profile=ComputeProfile(0.13, 35.2e6))
         assert isinstance(grouped, BucketedSynchronizer)
-        assert grouped.groups == [[0, 1], [2, 3]]
+        assert grouped.bucket_sizes == [72, 18] and len(grouped.sessions) == 2
         assert grouped.num_elements == model.num_parameters()
 
     def test_available_methods(self):
@@ -231,9 +240,8 @@ def spec_strings(draw):
     name = draw(st.sampled_from(SPELLINGS))
     method = parse_spec(name).method
     sparse = method != "Dense"
-    buckets = (draw(st.sampled_from(["flat", "layer", "size:40", "auto"]))
+    buckets = (draw(st.sampled_from(["flat", "layer", "auto"]))
                if method == "SparDL" else "flat")
-    bucketed = buckets != "flat"
     momentum = draw(st.none() | st.floats(0.01, 0.99))
     keys = {
         "teams": draw(st.sampled_from([1, 2, 4])),
@@ -242,8 +250,7 @@ def spec_strings(draw):
         "residuals": draw(st.sampled_from(
             ["global", "partial", "local"] + (["none"] if momentum is None else []))),
         "buckets": buckets,
-        "bits": draw(st.none() | st.integers(1, 32)
-                     | (st.sampled_from(["8,out:32", "fc0:4"]) if bucketed else st.nothing())),
+        "bits": draw(st.none() | st.integers(1, 32)),
         "momentum": momentum,
         "backend": draw(st.sampled_from([None, f"sim:{WORKERS}"])),
         "trace": draw(st.sampled_from(["off", "steps", "comm"])),

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hyp_st
 
 from repro.api import make, make_factory
 from repro.comm.cluster import SimulatedCluster
-from repro.core.bucketed import BucketedSynchronizer, fuse_buckets, layer_buckets
+from repro.core.bucketed import BucketedSynchronizer, layer_buckets
 from repro.core.config import SparDLConfig
 from repro.core.spardl import SparDLSynchronizer
 from repro.nn.models import build_mlp
@@ -38,26 +36,13 @@ class TestBucketLayout:
         assert sum(size for _, size in buckets) == model.num_parameters()
         assert len(buckets) == len(model.parameters())
 
-    def test_fuse_respects_cap_except_oversized_tensors(self):
-        buckets = [("a", 100), ("b", 50), ("c", 400), ("d", 30), ("e", 30)]
-        fused = fuse_buckets(buckets, 200)
-        assert sum(size for _, size in fused) == 610
-        # The 400-element tensor keeps its own bucket; the others fuse.
-        assert ("c", 400) in fused
-        assert all(size <= 200 for _, size in fused if size != 400)
-
-    def test_fuse_preserves_order(self):
-        fused = fuse_buckets([("a", 10), ("b", 10), ("c", 10)], 25)
-        assert fused == [("a+b", 20), ("c", 10)]
-
     def test_invalid_inputs(self):
+        config = SparDLConfig(density=0.1)
         with pytest.raises(ValueError):
-            fuse_buckets([("a", 10)], 0)
-        with pytest.raises(ValueError):
-            BucketedSynchronizer(SimulatedCluster(2), [], [])
-        with pytest.raises(ValueError, match="configs must match"):
-            BucketedSynchronizer(SimulatedCluster(2), [10, 20],
-                                 [SparDLConfig(density=0.1)])
+            BucketedSynchronizer(SimulatedCluster(2), [], config)
+        with pytest.raises(ValueError, match="bucket_names must match"):
+            BucketedSynchronizer(SimulatedCluster(2), [10, 20], config,
+                                 bucket_names=["a"])
 
 
 class TestBucketedVersusFlat:
@@ -117,10 +102,10 @@ class TestBucketedVersusFlat:
         assert min(shares) >= 1
 
     def test_stats_aggregate_per_exchange_group(self):
-        """Equally configured SparDL layers share one exchange: one SparDL
-        runs them at the rounds of a flat step.  With several exchange
-        groups the statistics add up over the groups, and the overlap model
-        prices every group's own."""
+        """SparDL layers share one exchange: one SparDL runs them at the
+        rounds of a flat step.  With several planned buckets the statistics
+        add up over the buckets, and the overlap model prices every
+        bucket's own."""
         model = _model()
         n = model.num_parameters()
         uniform = make("spardl?density=0.05&buckets=layer",
@@ -132,8 +117,9 @@ class TestBucketedVersusFlat:
         flat = make("spardl?density=0.05", SimulatedCluster(NUM_WORKERS), num_elements=n)
         assert uniform_result.stats.rounds == flat.synchronize(_gradients(n)).stats.rounds
 
-        bucketed = make("spardl?density=0.05&buckets=layer&bits=8,bias:32",
-                        SimulatedCluster(NUM_WORKERS), model=model)
+        bucketed = make("spardl?density=0.05&buckets=auto",
+                        SimulatedCluster(NUM_WORKERS), model=model,
+                        compute_profile=ComputeProfile(0.13, 35.2e6))
         result = bucketed.synchronize(_gradients(n))
         sessions = bucketed.sessions
         assert result.stats.rounds == sum(s.cumulative_stats.rounds for s in sessions)
@@ -141,7 +127,7 @@ class TestBucketedVersusFlat:
             sum(s.cumulative_stats.total_volume for s in sessions))
         info = result.info
         assert info["buckets"] == bucketed.num_buckets == len(info["bucket_names"])
-        assert len(sessions) == len(info["groups"]) == bucketed.num_buckets
+        assert len(sessions) == bucketed.num_buckets > 1
         assert info["group_sizes"] == bucketed.bucket_sizes
         assert len(info["bucket_stats"]) == len(info["per_bucket_info"]) == len(sessions)
 
@@ -158,15 +144,6 @@ class TestBucketedVersusFlat:
         assert layer_stats.rounds == flat_stats.rounds
         volume = flat_stats.total_volume
         assert volume / 3 <= layer_stats.total_volume <= 3 * volume
-
-    def test_size_fusion_reduces_bucket_count(self):
-        model = _model()
-        per_layer = make("spardl?density=0.05&buckets=layer",
-                         SimulatedCluster(NUM_WORKERS), model=model)
-        fused = make("spardl?density=0.05&buckets=size:100000",
-                     SimulatedCluster(NUM_WORKERS), model=model)
-        assert len(fused.bucket_sizes) < len(per_layer.bucket_sizes)
-        assert fused.num_elements == per_layer.num_elements
 
     def test_absolute_k_is_a_global_budget_not_per_bucket(self):
         """k=50 over 6 buckets must select ~50 entries in total, not 6x50."""
@@ -198,8 +175,8 @@ class _Stack:
 
 class TestConstruction:
     """A bucketed spec constructs one ``SparDLSynchronizer`` per exchange
-    group and nothing it throws away; with one group, that SparDL is what
-    ``make`` returns."""
+    and nothing it throws away: ``buckets=layer`` is that one SparDL, and
+    ``buckets=auto`` wraps one per planned bucket."""
 
     @staticmethod
     def _constructions(monkeypatch, spec, model, **kwargs):
@@ -229,8 +206,13 @@ class TestConstruction:
 
     def test_one_synchronizer_per_group(self, monkeypatch):
         sync, built = self._constructions(
-            monkeypatch, "spardl?density=0.01&buckets=layer&bits=8,bias:32", _Stack())
-        assert built == len(sync.groups) == 16
+            monkeypatch, "spardl?density=0.01&buckets=auto&bits=8&momentum=0.9&teams=2",
+            _Stack(), compute_profile=ComputeProfile(0.13, 35.2e6))
+        assert built == len(sync.sessions) == sync.num_buckets > 1
+        for session in sync.sessions:
+            inner = session.synchronizer
+            assert (inner.stack.num_bits, inner.residuals.momentum, inner.num_teams) == (
+                8, 0.9, 2)
 
     def test_one_synchronizer_per_planned_bucket(self, monkeypatch):
         sync, built = self._constructions(
@@ -284,42 +266,7 @@ class TestTrainerWiring:
 
 
 class TestBucketLayoutProperties:
-    """Property backfill for fuse_buckets / layer_buckets (previously only
-    exercised through hand-picked examples)."""
-
-    buckets_strategy = hyp_st.lists(
-        hyp_st.tuples(hyp_st.text("abcdef", min_size=1, max_size=3),
-                      hyp_st.integers(1, 10_000)),
-        min_size=1, max_size=12)
-
-    @given(buckets=buckets_strategy, cap=hyp_st.integers(1, 20_000))
-    @settings(max_examples=60, deadline=None)
-    def test_fusion_preserves_total_size_and_ordering(self, buckets, cap):
-        fused = fuse_buckets(buckets, cap)
-        assert sum(size for _, size in fused) == sum(size for _, size in buckets)
-        # Ordering: the fused names, joined, reproduce the original order.
-        assert ("+".join(name for name, _ in fused)
-                == "+".join(name for name, _ in buckets))
-        # Never more groups than inputs; a huge cap fuses everything.
-        assert 1 <= len(fused) <= len(buckets)
-
-    @given(buckets=buckets_strategy)
-    @settings(max_examples=30, deadline=None)
-    def test_unbounded_cap_fuses_everything(self, buckets):
-        total = sum(size for _, size in buckets)
-        assert len(fuse_buckets(buckets, total)) == 1
-
-    @given(buckets=buckets_strategy, cap=hyp_st.integers(1, 20_000))
-    @settings(max_examples=60, deadline=None)
-    def test_groups_respect_cap_except_oversized_singletons(self, buckets, cap):
-        for name, size in fuse_buckets(buckets, cap):
-            assert size <= cap or "+" not in name
-
-    @given(cap=hyp_st.integers(-5, 0))
-    @settings(max_examples=10, deadline=None)
-    def test_rejects_non_positive_cap(self, cap):
-        with pytest.raises(ValueError):
-            fuse_buckets([("a", 10)], cap)
+    """Edge cases of layer_buckets."""
 
     def test_single_parameter_model_produces_one_bucket(self):
         class _OneParam:
@@ -330,11 +277,7 @@ class TestBucketLayoutProperties:
             def parameters(self):
                 return [_OneParam()]
 
-        buckets = layer_buckets(_Module())
-        assert buckets == [("w", 7)]
-        # And fusion at any cap keeps the single bucket intact.
-        assert fuse_buckets(buckets, 1) == [("w", 7)]
-        assert fuse_buckets(buckets, 10_000) == [("w", 7)]
+        assert layer_buckets(_Module()) == [("w", 7)]
 
     def test_empty_and_invalid_modules_rejected(self):
         class _Empty:

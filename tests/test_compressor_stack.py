@@ -1,8 +1,7 @@
 """A synchroniser's compression state: one optional quantizer and the
 momentum factor on its residual manager — the (payload, error) contract,
 conservation across every momentum x bits combination, momentum-off
-bit-identity, the constructors' range checks, and per-bucket ``bits=``
-override composition.
+bit-identity and the constructors' range checks.
 
 The invariants:
 
@@ -24,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import describe, make, parse_spec
+from repro.api import make
 from repro.baselines import (
     DenseAllReduceSynchronizer,
     GTopkSynchronizer,
@@ -37,7 +36,6 @@ from repro.compression.quantization import QuantizedCompressor
 from repro.core.config import SparDLConfig
 from repro.core.residuals import ResidualManager
 from repro.core.spardl import SparDLSynchronizer
-from repro.nn.models import build_mlp
 from repro.sparse.topk import top_k_indices
 from repro.sparse.vector import SparseGradient
 
@@ -195,74 +193,3 @@ class TestMomentumOffBitIdentity:
             np.testing.assert_array_equal(corrected_plain[worker],
                                           corrected_zero[worker])
         np.testing.assert_array_equal(zero.total_velocity(), np.zeros(50))
-
-
-class TestPerBucketBits:
-    """Satellite 1: ``bits=8,emb:32`` per-bucket overrides — grammar
-    round-trip and mixed-bucket pricing composition."""
-
-    def test_spec_round_trips(self):
-        spec = "spardl?density=0.2&buckets=layer&bits=8,out:32"
-        parsed = parse_spec(spec)
-        assert parsed.bits == "8,out:32"
-        assert parsed.canonical() == spec
-        assert parse_spec(parsed.canonical()).canonical() == spec
-
-    def test_plain_bits_canonicalizes_to_int(self):
-        assert parse_spec("spardl?density=0.1&bits=8").bits == 8
-
-    @pytest.mark.parametrize("bad,match", [
-        ("spardl?density=0.1&buckets=layer&bits=emb:q,8", "integer between"),
-        ("spardl?density=0.1&buckets=layer&bits=emb:32,8", "must come before"),
-        ("spardl?density=0.1&buckets=layer&bits=8,emb:32,emb:16", "duplicate bits"),
-        ("spardl?density=0.1&buckets=layer&bits=8,:16", "bucket-name pattern"),
-        ("spardl?density=0.1&buckets=layer&bits=8,16", "one default"),
-    ])
-    def test_malformed_overrides_raise(self, bad, match):
-        with pytest.raises(ValueError, match=match):
-            parse_spec(bad)
-
-    def test_overrides_on_flat_layout_raise(self):
-        with pytest.raises(ValueError, match="non-flat buckets"):
-            make("spardl?density=0.1&bits=8,emb:32", SimulatedCluster(4),
-                 num_elements=100)
-
-    def test_mixed_bucket_pricing_composition(self):
-        """Each bucket prices its own wire: ``out``-matching buckets carry a
-        32-bit compressor, the rest the 8-bit default — a different width
-        never shares an exchange group — and the per-group info reports the
-        mix after a live step."""
-        model = build_mlp(8, [8], 2, seed=0)
-        cluster = SimulatedCluster(4)
-        spec = "spardl?density=0.2&buckets=layer&bits=8,out:32"
-        sync = make(spec, cluster, model=model)
-        assert describe(sync) == spec
-        widths = {}
-        for group, session in zip(sync.groups, sync.sessions):
-            for index in group:
-                widths[sync.bucket_names[index]] = session.synchronizer.stack.num_bits
-        assert list(widths) == sync.bucket_names
-        for name, bits in widths.items():
-            assert bits == (32 if "out" in name else 8), name
-        assert sorted(set(widths.values())) == [8, 32]
-
-        grads = random_gradients(4, model.num_parameters(), seed=9)
-        result = sync.synchronize(grads)
-        reported = [info.get("quantized_bits")
-                    for info in result.info["per_bucket_info"]]
-        expected = [widths[sync.bucket_names[group[0]]] for group in sync.groups]
-        assert reported == expected and sorted(set(reported)) == [8, 32]
-        # Conservation survives the mixed-precision composition.
-        recon = result.gradient(0) + sync.total_residual()
-        np.testing.assert_allclose(recon, sum(grads.values()), atol=1e-9)
-
-    def test_override_matches_fused_bucket_by_member_tensor(self):
-        model = build_mlp(8, [8], 2, seed=0)
-        cluster = SimulatedCluster(2)
-        sync = make("spardl?density=0.2&buckets=size:100000&bits=8,out:32",
-                    cluster, model=model)
-        # Everything fuses into one bucket whose name joins all tensors with
-        # "+"; the "out" pattern matches a member, so the override applies
-        # (to the one SparDL that runs that bucket).
-        assert sync.bucket_sizes == [model.num_parameters()]
-        assert sync.stack.num_bits == 32

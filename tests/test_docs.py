@@ -82,7 +82,7 @@ def test_api_doc_covers_every_spec_key_and_schedule_kind():
         assert f"`{key}`" in doc, f"docs/api.md does not document spec key {key!r}"
     for kind in SCHEDULE_KINDS:
         assert kind in doc, f"docs/api.md does not document schedule kind {kind!r}"
-    for buckets_mode in ("flat", "layer", "size:N", "auto"):
+    for buckets_mode in ("flat", "layer", "auto"):
         assert buckets_mode in doc, (
             f"docs/api.md does not document buckets mode {buckets_mode!r}")
 
@@ -98,7 +98,9 @@ def test_api_doc_migrates_every_removed_spelling():
                      "dense_fallback_ratio", "DEFAULT_DENSE_CROSSOVER",
                      "resolve_dense_crossover", "uses_dense_fallback",
                      "momentum_correction", "enable_momentum_correction",
-                     "set_momentum", "overlap_comm", "fused_accumulate"):
+                     "set_momentum", "overlap_comm", "fused_accumulate",
+                     "buckets=size:N", "bits=B,PATTERN:B", "fuse_buckets",
+                     "BucketedSynchronizer(cluster, sizes, configs)"):
         assert any(spelling in row for row in rows), (
             f"docs/api.md has no migration row for {spelling!r}")
 

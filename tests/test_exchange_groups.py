@@ -12,8 +12,9 @@ except for rounds and messages:
 * the segmented quantiser equals one ``quantize_with_error`` per segment,
   stream positions included;
 * compiled and NumPy kernel legs agree on every bit (child process);
-* which buckets share an exchange is derived, with two exceptions;
-* a membership change reaches every group (regression: it reached none).
+* which buckets share an exchange is derived: ``buckets=layer`` is one
+  SparDL, and every bucket of a ``buckets=auto`` plan exchanges on its own;
+* a membership change reaches every bucket (regression: it reached none).
 
 The segmented top-k kernel has its property test next to ``top_k_indices``
 (``tests/test_sparse_topk.py``), the segmented SRS next to the plain one
@@ -267,6 +268,11 @@ LAYOUT = [("a.weight", 700), ("a.bias", 60), ("b.weight", 440), ("b.bias", 9),
 NUM_ELEMENTS = sum(size for _, size in LAYOUT)
 
 
+#: The profile under which the planner splits LAYOUT into three buckets,
+#: ``[700, 500, 100]``.
+PROFILE = ComputeProfile(0.13, 35.2e6)
+
+
 def make_bucketed(spec, workers=4, **kwargs):
     return api.make(f"{spec}&backend=sim:{workers}", model=_Model(LAYOUT), **kwargs)
 
@@ -283,38 +289,37 @@ class TestGroupingRule:
             drifting_gradients(4, NUM_ELEMENTS, 0)).stats.rounds
 
     def test_a_one_group_wrapper_hands_its_spardl_result_through(self):
-        """A :class:`BucketedSynchronizer` of one exchange group returns its
-        SparDL's read-only global, not a concatenation of it."""
+        """A :class:`BucketedSynchronizer` of one bucket (a plan that fused
+        every layer) returns its SparDL's read-only global, not a
+        concatenation of it."""
         config = SparDLConfig(density=0.05, num_teams=2)
-        sync = BucketedSynchronizer(SimulatedCluster(4), [size for _, size in LAYOUT],
-                                    [config] * len(LAYOUT))
-        assert sync.groups == [[0, 1, 2, 3, 4, 5]] and sync.slices == [(0, NUM_ELEMENTS)]
+        sync = BucketedSynchronizer(SimulatedCluster(4), [NUM_ELEMENTS], config)
+        assert len(sync.sessions) == 1 and sync.slices == [(0, NUM_ELEMENTS)]
         result = sync.synchronize(drifting_gradients(4, NUM_ELEMENTS, 0))
         assert result.gradient(0) is sync.sessions[0].last_result.gradient(0)
 
     @pytest.mark.parametrize("spec", [
         "spardl?density=0.01&buckets=layer&bits=8&momentum=0.9&teams=2",
         "spardl?density=0.05&buckets=layer",
-        "spardl?k=40&buckets=size:800&teams=4&sag=bsag",
+        "spardl?k=40&buckets=layer&teams=4&sag=bsag",
         "spardl?density=0.05&buckets=layer&residuals=partial",
         "spardl?density=0.05&buckets=layer&schedule=warmup:3",
     ])
     def test_a_uniform_spec_is_the_spardl_its_wrapper_ran(self, spec):
-        """What ``make`` returns for a one-group spec equals a
-        :class:`BucketedSynchronizer` over the same per-bucket configs, bit
-        for bit: globals, per-rank stores and velocities, and statistics."""
+        """What ``make`` returns for a ``buckets=layer`` spec equals the
+        session a one-group wrapper ran over the same config, bit for bit:
+        globals, per-rank stores and velocities, and statistics."""
         sync = make_bucketed(spec, workers=8)
         assert type(sync) is SparDLSynchronizer
-        wrapper = BucketedSynchronizer(SimulatedCluster(8), sync.bucket_sizes,
-                                       [sync.config] * len(sync.bucket_sizes))
-        assert len(wrapper.groups) == 1
+        wrapper = SyncSession(SparDLSynchronizer(SimulatedCluster(8), sync.bucket_sizes,
+                                                 sync.config))
         for step in range(4):
             gradients = drifting_gradients(8, NUM_ELEMENTS, step)
-            ours, theirs = sync.synchronize(gradients), wrapper.synchronize(gradients)
+            ours, theirs = sync.synchronize(gradients), wrapper.step(gradients)
             assert ours.stats == theirs.stats
             assert (ours.info["k"], ours.info["final_nnz"]) == (
                 theirs.info["k"], theirs.info["final_nnz"])
-            inner = wrapper.sessions[0].synchronizer.residuals
+            inner = wrapper.synchronizer.residuals
             for rank in range(8):
                 assert np.array_equal(bits(ours.gradient(rank)), bits(theirs.gradient(rank)))
                 assert np.array_equal(bits(sync.residuals.store(rank).peek()),
@@ -323,39 +328,34 @@ class TestGroupingRule:
                     assert np.array_equal(bits(sync.residuals.velocity(rank)),
                                           bits(inner.velocity(rank)))
 
-    @pytest.mark.parametrize("spec,groups", [
-        # 1. a different bits= override is a different configuration
-        ("spardl?density=0.05&buckets=layer&bits=8,out:32", [[0, 1, 2, 3], [4, 5]]),
-        ("spardl?density=0.05&buckets=layer&bits=8,b.:4", [[0, 1], [2, 3], [4, 5]]),
-        # 2. every bucket of a planned layout exchanges on its own
-        ("spardl?density=0.05&buckets=auto", [[0], [1], [2]]),
-        ("spardl?density=0.05&buckets=auto&bits=8,out:32", [[0], [1], [2]]),
+    @pytest.mark.parametrize("spec", [
+        "spardl?density=0.05&buckets=auto",
+        "spardl?density=0.05&buckets=auto&bits=8",
     ])
-    def test_exceptions_stay_groups_of_their_own(self, spec, groups):
-        # (the profile under which the planner splits LAYOUT into three)
-        sync = make_bucketed(spec, compute_profile=ComputeProfile(0.13, 35.2e6))
-        assert sync.groups == groups
-        assert len(sync.sessions) == len(sync.slices) == len(groups)
+    def test_exceptions_stay_groups_of_their_own(self, spec):
+        """Every bucket of a planned layout exchanges on its own."""
+        sync = make_bucketed(spec, compute_profile=PROFILE)
+        assert sync.bucket_sizes == [700, 500, 100]
+        assert len(sync.sessions) == len(sync.slices) == 3
         edges = np.concatenate(([0], np.cumsum(sync.bucket_sizes))).tolist()
-        assert sync.slices == [(edges[g[0]], edges[g[-1] + 1]) for g in groups]
+        assert sync.slices == list(zip(edges[:-1], edges[1:]))
         gradients = drifting_gradients(4, NUM_ELEMENTS, 0)
         result = sync.synchronize(gradients)
         info = result.info
-        assert info["groups"] == groups
         assert info["group_sizes"] == [hi - lo for lo, hi in sync.slices]
-        assert len(info["bucket_stats"]) == len(info["per_bucket_info"]) == len(groups)
+        assert len(info["bucket_stats"]) == len(info["per_bucket_info"]) == 3
         assert (len(info["bucket_names"]) == len(info["bucket_sizes"])
-                == sync.num_buckets == sum(map(len, groups)))
+                == sync.num_buckets == 3)
         assert result.is_consistent
         np.testing.assert_allclose(result.gradient(0) + sync.total_residual(),
                                    sum(gradients.values()), atol=1e-9)
 
     def test_a_planned_layout_keeps_its_exchanges(self):
-        """2. ``buckets=auto``: the planner priced every exchange against
-        the backward pass; its buckets are not regrouped."""
+        """``buckets=auto``: the planner priced every exchange against the
+        backward pass; its buckets are not regrouped."""
         sync = make_bucketed("spardl?density=0.05&buckets=auto")
         assert sync.fusion_plan is not None
-        assert sync.groups == [[index] for index in range(sync.num_buckets)]
+        assert len(sync.sessions) == sync.num_buckets
         assert [s.synchronizer.num_elements for s in sync.sessions] == sync.bucket_sizes
 
     def test_group_info_lists_every_bucket(self):
@@ -371,19 +371,18 @@ class TestGroupingRule:
 
 
 # ---------------------------------------------------------------------------
-# membership changes reach every group
+# membership changes reach every bucket
 # ---------------------------------------------------------------------------
 MATRIX = list(itertools.product([1, 2], [None, 8], [None, 0.9]))
 CRASH_STEP, JOIN_STEP, STEPS = 2, 4, 6
 
 
 def churn_session(teams, num_bits, momentum, split=False, workers=4):
-    spec = f"spardl?density=0.05&buckets=layer&teams={teams}"
-    # split: layer b at 4 bits, so a, b and out are three groups
-    bits = ([str(num_bits)] if num_bits else []) + (["b.:4"] if split else [])
-    spec += f"&bits={','.join(bits)}" if bits else ""
+    # split: a planned layout of three buckets, each its own SparDL
+    spec = f"spardl?density=0.05&buckets={'auto' if split else 'layer'}&teams={teams}"
+    spec += f"&bits={num_bits}" if num_bits else ""
     spec += f"&momentum={momentum}" if momentum else ""
-    sync = make_bucketed(spec, workers=workers)
+    sync = make_bucketed(spec, workers=workers, compute_profile=PROFILE)
     sync.cluster.install_fault_plan(FaultPlan(events=[
         MembershipEvent(iteration=CRASH_STEP, kind="crash", worker=1),
         MembershipEvent(iteration=JOIN_STEP, kind="join")]))
@@ -395,7 +394,7 @@ class TestMembershipReachesEveryGroup:
         """Regression: ``BucketedSynchronizer`` inherited the base
         ``apply_membership``, which only resized the cluster — the next
         step died with ``worker 3 outside cluster of size 3``."""
-        sync = make_bucketed("spardl?density=0.05&buckets=layer&bits=b.:4")
+        sync = make_bucketed("spardl?density=0.05&buckets=auto", compute_profile=PROFILE)
         sync.cluster.install_fault_plan(FaultPlan(events=[
             MembershipEvent(iteration=1, kind="crash", worker=1)]))
         session = SyncSession(sync)
@@ -418,7 +417,7 @@ class TestMembershipReachesEveryGroup:
         session = churn_session(teams, num_bits, momentum, split)
         sync = session.synchronizer
         if split:
-            assert sync.groups == [[0, 1], [2, 3], [4, 5]]
+            assert sync.bucket_sizes == [700, 500, 100]
             inners = [s.synchronizer for s in sync.sessions]
         else:
             assert type(sync) is SparDLSynchronizer
@@ -455,7 +454,7 @@ class TestMembershipReachesEveryGroup:
         for step in range(STEPS):
             session.poll_membership()
             session.step(drifting_gradients(session.num_workers, NUM_ELEMENTS, step))
-        assert resized == [3, 4]  # three groups, one resize per event
+        assert resized == [3, 4]  # three buckets, one resize per event
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ from repro.api import SYNCHRONIZER_NAMES, make
 from repro.comm.cluster import Message, SimulatedCluster
 from repro.comm.collectives import (allgather_bruck_grouped, allreduce_rabenseifner,
                                     allreduce_ring)
-from repro.comm.faults import FaultPlan, MembershipEvent, membership_transition
+from repro.comm.faults import FaultPlan, MembershipEvent, RetryPolicy, membership_transition
 from repro.comm.network import ETHERNET, PERFECT, RDMA, HeterogeneousNetwork, NetworkProfile
 from repro.comm.stats import CommStats
 from repro.core.config import SparDLConfig
-from repro.core.pipeline import RetryPolicy, SyncSession
+from repro.core.pipeline import SyncSession
 from repro.core.spardl import SparDLSynchronizer
 from repro.obs import Tracer
 from repro.baselines.dense import DenseAllReduceSynchronizer

@@ -361,12 +361,15 @@ class TestSpecGrammar:
 
     def test_non_auto_buckets_have_no_plan(self):
         model = build_mlp(20, [32, 16], 4, seed=0)
-        sync = make("spardl?density=0.05&buckets=layer&bits=8,out:32",
-                    SimulatedCluster(4), model=model)
-        assert sync.fusion_plan is None and len(sync.groups) == 2
-        uniform = make("spardl?density=0.05&buckets=layer",
-                       SimulatedCluster(4), model=model)
-        assert type(uniform) is SparDLSynchronizer
+        profile = ComputeProfile(0.13, 35.2e6)
+        planned = make("spardl?density=0.05&buckets=auto&bits=8",
+                       SimulatedCluster(4), model=model, compute_profile=profile)
+        assert planned.fusion_plan is not None and len(planned.sessions) == 3
+        for spec in ("spardl?density=0.05&buckets=layer",
+                     "spardl?density=0.05&buckets=layer&bits=8"):
+            uniform = make(spec, SimulatedCluster(4), model=model, compute_profile=profile)
+            assert type(uniform) is SparDLSynchronizer
+            assert not hasattr(uniform, "fusion_plan")
 
     def test_breakdown_is_json_serialisable(self):
         import json

@@ -29,6 +29,7 @@ from repro.data.datasets import Dataset, TaskType
 from repro.nn.models import build_mlp
 from repro.nn.parameter import flatten_values
 from repro.training.cases import get_case
+from repro.training.timing import ComputeProfile
 from repro.training.trainer import DistributedTrainer, TrainerConfig
 
 from tests.helpers import case5_trainer, random_gradients
@@ -199,8 +200,12 @@ class TestSpecMomentum:
         assert residuals.velocity(0).size == trainer.num_elements
 
     def test_spec_momentum_reaches_every_exchange_group(self):
-        trainer = self._trainer(
-            "spardl?density=0.1&buckets=layer&bits=8,bias:32&momentum=0.9")
+        train, test = self._datasets()
+        trainer = DistributedTrainer(
+            SimulatedCluster(2), make_factory("spardl?density=0.1&buckets=auto&momentum=0.9"),
+            lambda seed: build_mlp(8, [8], 2, seed=seed), train, test,
+            config=TrainerConfig(batch_size=8, seed=0),
+            compute_profile=ComputeProfile(0.13, 35.2e6))
         assert len(trainer.synchronizer.sessions) > 1
         for session in trainer.synchronizer.sessions:
             assert session.synchronizer.residuals.momentum == 0.9

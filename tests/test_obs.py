@@ -19,6 +19,7 @@ import pytest
 from repro import FaultPlan, MembershipEvent, SimulatedCluster, SyncSession
 from repro.api import describe, make, make_factory, parse_spec
 from repro.nn.parameter import flatten_values
+from repro.training.timing import ComputeProfile
 from repro.obs import (
     DRIVER_PID,
     SIM_PID,
@@ -228,15 +229,16 @@ class TestPipelineTracing:
         base = {rank: rng.standard_normal(n) ** 3 for rank in range(4)}
         syncs = {}
         for trace in ("steps", "off"):
-            # (8-bit biases: four exchange groups, four selectors)
+            # (two planned buckets, two selectors)
             sync = syncs[trace] = make(
-                f"spardl?density=0.05&buckets=layer&bits=bias:8&trace={trace}",
-                SimulatedCluster(4), model=model)
+                f"spardl?density=0.05&buckets=auto&trace={trace}",
+                SimulatedCluster(4), model=model,
+                compute_profile=ComputeProfile(0.13, 35.2e6))
             for step in range(4):
                 sync.synchronize({rank: (1.0 + 0.1 * step) * grad
                                   for rank, grad in base.items()})
         selectors = [s.synchronizer.selector for s in syncs["steps"].sessions]
-        assert len(selectors) == 4
+        assert len(selectors) == 2
         hits = sum(s.hits for s in selectors)
         misses = sum(s.misses for s in selectors)
         assert hits and misses
@@ -263,16 +265,17 @@ class TestPipelineTracing:
     def test_bucketed_sessions_get_labelled_nested_spans(self, tmp_path):
         from repro.nn.models import build_mlp
         model = build_mlp(20, [16], 4, seed=0)
-        # weight, bias (8 bits), weight, bias (8 bits): four exchange groups
-        sync = make("spardl?density=0.05&buckets=layer&bits=bias:8&trace=steps",
-                    SimulatedCluster(4), model=model)
+        # two planned buckets, two exchanges
+        sync = make("spardl?density=0.05&buckets=auto&trace=steps",
+                    SimulatedCluster(4), model=model,
+                    compute_profile=ComputeProfile(0.13, 35.2e6))
         session = SyncSession(sync)
         n = model.num_parameters()
         session.step(grads_for(sync.cluster, n))
         labels = {e.name for e in sync.tracer.events if e.cat == "iteration"}
-        # One outer step span plus one labelled span per exchange group.
-        assert len(sync.sessions) == sync.num_buckets == 4
-        assert labels == {"step"} | {f"step:g{index}" for index in range(4)}
+        # One outer step span plus one labelled span per planned bucket.
+        assert len(sync.sessions) == sync.num_buckets == 2
+        assert labels == {"step"} | {f"step:g{index}" for index in range(2)}
         # Layers that share an exchange are one SparDL: one step span.
         fused = make("spardl?density=0.05&buckets=layer&trace=steps",
                      SimulatedCluster(4), model=model)

@@ -84,7 +84,7 @@ class TestSessionEqualsLegacySynchronize:
         legacy = make(_spec("SparDL"), SimulatedCluster(num_workers),
                       num_elements=NUM_ELEMENTS)
         bucketed = BucketedSynchronizer(SimulatedCluster(num_workers), [NUM_ELEMENTS],
-                                        [SparDLConfig(density=0.05)])
+                                        SparDLConfig(density=0.05))
         for iteration in range(ITERATIONS):
             grads = _gradients(num_workers, iteration)
             expected = legacy.synchronize({w: g.copy() for w, g in grads.items()})

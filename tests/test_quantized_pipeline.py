@@ -191,7 +191,7 @@ class TestPerMessageAccounting:
             else:
                 sync = BucketedSynchronizer(
                     SimulatedCluster(P), [1_500, 400, 1_600, 500],
-                    [SparDLConfig(density=0.02, num_bits=bits)] * 4)
+                    SparDLConfig(density=0.02, num_bits=bits))
             volume, distances = 0.0, []
             for iteration in range(8):
                 gradients = random_gradients(P, n, seed=7000 + 100 * iteration)
@@ -285,8 +285,7 @@ class TestSessionsAndBuckets:
         P = 4
         cluster = SimulatedCluster(P)
         sizes = [200, 150, 250]
-        bucketed = BucketedSynchronizer(
-            cluster, sizes, [SparDLConfig(density=0.05, num_bits=8)] * len(sizes))
+        bucketed = BucketedSynchronizer(cluster, sizes, SparDLConfig(density=0.05, num_bits=8))
         total_input = np.zeros(NUM_ELEMENTS)
         total_global = np.zeros(NUM_ELEMENTS)
         for iteration in range(ITERATIONS):
@@ -298,28 +297,30 @@ class TestSessionsAndBuckets:
                                    total_input, atol=1e-9)
 
     def test_mixed_precision_buckets_bill_their_own_precision(self):
-        """A quantized bucket must not leak its pricing into a later
-        full-precision bucket on the shared cluster."""
+        """A quantized synchroniser must not leak its pricing into a later
+        full-precision one on the shared cluster."""
         P = 4
         cluster = SimulatedCluster(P)
-        bucketed = BucketedSynchronizer(
-            cluster, [300, 300],
-            [SparDLConfig(density=0.2, num_bits=8), SparDLConfig(density=0.2)])
+        quantized = make("spardl?density=0.2&bits=8", cluster, num_elements=300)
+        full = make("spardl?density=0.2", cluster, num_elements=300)
         reference = make("spardl?density=0.2", SimulatedCluster(P),
                          num_elements=300)
         gradients = _gradients(P, 0)
-        result = bucketed.synchronize(gradients)
+        result = quantized.synchronize({w: g[:300] for w, g in gradients.items()})
+        unleaked = full.synchronize({w: g[300:] for w, g in gradients.items()})
         expected = reference.synchronize({w: g[300:] for w, g in gradients.items()})
-        # the full-precision bucket's volume matches a standalone
+        # the full-precision synchroniser's volume matches a standalone
         # full-precision run exactly: no pricing leaked
-        bucket1_stats = bucketed.sessions[1].cumulative_stats
-        assert bucket1_stats.total_volume == expected.stats.total_volume
+        assert unleaked.stats.total_volume == expected.stats.total_volume
         assert result.is_consistent
-        # nor into a full-precision step after the bucketed one
+        # nor into a full-precision step after both
         _assert_bills_full_precision(cluster, "SparDL")
 
 
 class TestSpecSurface:
+    def test_plain_bits_canonicalizes_to_int(self):
+        assert parse_spec("spardl?density=0.1&bits=8").bits == 8
+
     def test_describe_round_trips_bits(self):
         spec = "spardl?density=0.01&teams=2&schedule=warmup:5&bits=8"
         sync = make(spec, SimulatedCluster(8), num_elements=1000)

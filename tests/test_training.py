@@ -274,7 +274,7 @@ class TestExactConsistencyCheck:
         (3, "topka?density=0.01", {}),
         (4, "dense", {}),
         (5, "spardl?density=0.01&momentum=0.9", {"momentum": 0.0, "weight_decay": 1e-4}),
-        (5, "spardl?density=0.05&buckets=layer&bits=8,bias:32", {"weight_decay": 1e-4}),
+        (5, "spardl?density=0.05&buckets=auto", {"weight_decay": 1e-4}),
     ])
     def test_replicas_stay_bit_identical(self, case_id, spec, config):
         case = get_case(case_id)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp_st
 
 from repro.api import make, make_factory
 from repro.comm.cluster import SimulatedCluster
@@ -145,6 +147,16 @@ class TestBucketedVersusFlat:
         volume = flat_stats.total_volume
         assert volume / 3 <= layer_stats.total_volume <= 3 * volume
 
+    def test_a_plan_fuses_layers_into_fewer_buckets(self):
+        model = _model()
+        per_layer = make("spardl?density=0.05&buckets=layer",
+                         SimulatedCluster(NUM_WORKERS), model=model)
+        planned = make("spardl?density=0.05&buckets=auto",
+                       SimulatedCluster(NUM_WORKERS), model=model,
+                       compute_profile=ComputeProfile(0.13, 35.2e6))
+        assert 1 < len(planned.bucket_sizes) < len(per_layer.bucket_sizes)
+        assert planned.num_elements == per_layer.num_elements
+
     def test_absolute_k_is_a_global_budget_not_per_bucket(self):
         """k=50 over 6 buckets must select ~50 entries in total, not 6x50."""
         model = _model()
@@ -266,7 +278,26 @@ class TestTrainerWiring:
 
 
 class TestBucketLayoutProperties:
-    """Edge cases of layer_buckets."""
+    """Properties of a bucketed layout, and edge cases of layer_buckets."""
+
+    sizes_strategy = hyp_st.lists(hyp_st.integers(1, 400), min_size=1, max_size=8)
+
+    @given(sizes=sizes_strategy)
+    @settings(max_examples=30, deadline=None)
+    def test_slices_partition_the_gradient_in_order(self, sizes):
+        sync = BucketedSynchronizer(SimulatedCluster(2), sizes, SparDLConfig(density=0.1))
+        assert sync.num_elements == sum(sizes)
+        assert [hi - lo for lo, hi in sync.slices] == sizes
+        assert sync.slices[0][0] == 0 and sync.slices[-1][1] == sum(sizes)
+        assert all(a[1] == b[0] for a, b in zip(sync.slices, sync.slices[1:]))
+        assert [s.synchronizer.num_elements for s in sync.sessions] == sizes
+
+    @given(sizes=sizes_strategy, bad=hyp_st.integers(-5, 0), at=hyp_st.integers(0, 7))
+    @settings(max_examples=10, deadline=None)
+    def test_rejects_non_positive_sizes(self, sizes, bad, at):
+        sizes.insert(at % (len(sizes) + 1), bad)
+        with pytest.raises(ValueError, match="must be positive"):
+            BucketedSynchronizer(SimulatedCluster(2), sizes, SparDLConfig(density=0.1))
 
     def test_single_parameter_model_produces_one_bucket(self):
         class _OneParam:

@@ -1,7 +1,8 @@
 """A synchroniser's compression state: one optional quantizer and the
 momentum factor on its residual manager — the (payload, error) contract,
 conservation across every momentum x bits combination, momentum-off
-bit-identity and the constructors' range checks.
+bit-identity, the constructors' range checks, and one ``bits=`` width
+across every bucket of a bucketed spec.
 
 The invariants:
 
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import make
+from repro.api import describe, make
 from repro.baselines import (
     DenseAllReduceSynchronizer,
     GTopkSynchronizer,
@@ -36,8 +37,10 @@ from repro.compression.quantization import QuantizedCompressor
 from repro.core.config import SparDLConfig
 from repro.core.residuals import ResidualManager
 from repro.core.spardl import SparDLSynchronizer
+from repro.nn.models import build_mlp
 from repro.sparse.topk import top_k_indices
 from repro.sparse.vector import SparseGradient
+from repro.training.timing import ComputeProfile
 
 from tests.helpers import random_gradients
 
@@ -193,3 +196,36 @@ class TestMomentumOffBitIdentity:
             np.testing.assert_array_equal(corrected_plain[worker],
                                           corrected_zero[worker])
         np.testing.assert_array_equal(zero.total_velocity(), np.zeros(50))
+
+
+class TestBucketedBits:
+    """``bits=`` is one width for every bucket: ``buckets=layer`` is one
+    quantized SparDL, and every planned bucket of ``buckets=auto`` prices
+    its own wire at that width."""
+
+    def test_every_planned_bucket_prices_the_spec_width(self):
+        model = build_mlp(8, [8], 2, seed=0)
+        spec = "spardl?density=0.2&buckets=auto&bits=8"
+        sync = make(spec, SimulatedCluster(4), model=model,
+                    compute_profile=ComputeProfile(0.13, 35.2e6))
+        assert describe(sync) == spec
+        assert len(sync.sessions) > 1
+        assert [s.synchronizer.stack.num_bits for s in sync.sessions] == [8] * len(sync.sessions)
+
+        grads = random_gradients(4, model.num_parameters(), seed=9)
+        result = sync.synchronize(grads)
+        reported = [info.get("quantized_bits") for info in result.info["per_bucket_info"]]
+        assert reported == [8] * len(sync.sessions)
+        # Conservation survives the per-bucket quantisers.
+        recon = result.gradient(0) + sync.total_residual()
+        np.testing.assert_allclose(recon, sum(grads.values()), atol=1e-9)
+
+    def test_layer_bits_is_one_quantized_spardl(self):
+        model = build_mlp(8, [8], 2, seed=0)
+        sync = make("spardl?density=0.2&buckets=layer&bits=32", SimulatedCluster(2),
+                    model=model)
+        assert type(sync) is SparDLSynchronizer
+        assert sync.bucket_sizes == [p.size for p in model.parameters()]
+        assert sync.stack.num_bits == 32
+        grads = random_gradients(2, model.num_parameters(), seed=3)
+        assert sync.synchronize(grads).info["quantized_bits"] == 32

@@ -331,6 +331,7 @@ class TestGroupingRule:
     @pytest.mark.parametrize("spec", [
         "spardl?density=0.05&buckets=auto",
         "spardl?density=0.05&buckets=auto&bits=8",
+        "spardl?density=0.05&buckets=auto&momentum=0.9&teams=2",
     ])
     def test_exceptions_stay_groups_of_their_own(self, spec):
         """Every bucket of a planned layout exchanges on its own."""

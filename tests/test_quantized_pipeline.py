@@ -31,6 +31,8 @@ from repro.comm.cluster import SimulatedCluster
 from repro.core.bucketed import BucketedSynchronizer
 from repro.core.config import SparDLConfig
 from repro.core.pipeline import SyncSession
+from repro.nn.models import build_mlp
+from repro.training.timing import ComputeProfile
 
 from tests.helpers import random_gradients
 from tests.references import expected_price, spy_exchange
@@ -334,6 +336,23 @@ class TestSpecSurface:
             parse_spec("spardl?density=0.01&bits=33")
         with pytest.raises(ValueError):
             SparDLConfig(density=0.01, num_bits=40)
+
+    @pytest.mark.parametrize("value", ["q", "8.5", "1e1", "-4", "64"])
+    def test_malformed_bits_name_the_range(self, value):
+        with pytest.raises(ValueError, match="integer between 1 and 32"):
+            parse_spec(f"spardl?density=0.1&bits={value}")
+
+    @pytest.mark.parametrize("spec", [
+        "spardl?density=0.2&buckets=layer&bits=8",
+        "spardl?density=0.2&buckets=auto&bits=8",
+    ])
+    def test_bucketed_bits_round_trips(self, spec):
+        parsed = parse_spec(spec)
+        assert parsed.bits == 8
+        assert parsed.canonical() == spec
+        sync = make(spec, SimulatedCluster(4), model=build_mlp(8, [8], 2, seed=0),
+                    compute_profile=ComputeProfile(0.13, 35.2e6))
+        assert describe(sync) == spec
 
     def test_config_describe_mentions_bits(self):
         assert "8bit" in SparDLConfig(density=0.01, num_bits=8).describe()

@@ -15,8 +15,8 @@ this benchmark reproduces the figure in two parts:
 * the *training runs* (qualitative): the three policies are trained for a few
   epochs under SparDL with and without SAG, the accuracy-per-epoch table of
   Fig. 17 is printed, and all runs are checked to remain stable.  The
-  long-horizon accuracy separation itself is documented as out of scope in
-  EXPERIMENTS.md.
+  long-horizon accuracy separation itself is not reproduced; ROADMAP item
+  20 tracks it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Plain-text reporting helpers used by the benchmarks and EXPERIMENTS.md.
+"""Plain-text reporting helpers that format the benchmarks' output.
 
 Every benchmark regenerates a table or figure of the paper; these helpers
 format the measured rows/series consistently so the benchmark output can be
-pasted into EXPERIMENTS.md or compared against the paper by eye.
+compared against the paper by eye.
 """
 
 from __future__ import annotations

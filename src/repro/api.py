@@ -7,8 +7,8 @@ ride along.  The facade folds all of it into one URL-style spec string::
 
     spardl?density=0.01&schedule=warmup:5&buckets=layer
     ok-topk?k=500
-    gtopk?density=0.01&bits=8
-    dense
+    gtopk?density=0.01&schedule=warmup:5
+    dense?bits=8&momentum=0.9
 
 Grammar
 -------
@@ -16,10 +16,12 @@ Grammar
 alias (case-insensitive, as in the paper's figures) and the keys are:
 
 ========== ===================================================================
-``k``       entries selected per worker (mutually exclusive with ``density``)
-``density`` selected fraction ``k/n`` (mutually exclusive with ``k``)
+``k``       entries selected per worker (mutually exclusive with
+            ``density``); sparse methods
+``density`` selected fraction ``k/n`` (mutually exclusive with ``k``);
+            sparse methods
 ``schedule`` sparsity schedule: ``constant`` (default), ``warmup:STEPS`` /
-            ``warmup:STEPS:START_DENSITY`` (DGC-style ramp)
+            ``warmup:STEPS:START_DENSITY`` (DGC-style ramp); sparse methods
 ``teams``   SparDL team count ``d`` (default 1)
 ``sag``     SparDL Spar-All-Gather mode: ``auto`` / ``rsag`` / ``bsag``
 ``residuals`` SparDL residual policy: ``global`` / ``partial`` / ``local`` / ``none``
@@ -31,21 +33,22 @@ alias (case-insensitive, as in the paper's figures) and the keys are:
             exchange of its own); SparDL only.  Non-flat specs need a
             ``model``, and ``auto`` planning reads the optional
             ``network=`` / ``compute_profile=`` arguments of :func:`make`
-``bits``    wire value quantization (all methods): bits per value in
+``bits``    wire value quantization (SparDL and dense): bits per value in
             ``[1, 32]``; values are quantized QSGD-style with exact error
             feedback, sparse messages bill the ``(1 + bits/32)/2`` COO
             accounting plus one scale element, and dense payloads bill
             ``bits/32`` per value (absent = full precision, the
             pre-quantization pipeline bit for bit); one width for every
             bucket
-``momentum`` DGC momentum correction (Lin et al., ICLR'18): a factor in
-            ``(0, 1)`` makes the residual manager accumulate velocity
-            ``u = m*u + g`` with momentum-factor masking at the final
-            global indices, so delayed coordinates keep their momentum
-            history.  The factor is fixed when the synchroniser is
-            built; train it with ``TrainerConfig(momentum=0.0)``
-            (momentum-free optimizers) so velocity is not applied twice.
-            Absent = plain error feedback, bit for bit
+``momentum`` DGC momentum correction (Lin et al., ICLR'18; SparDL and
+            dense): a factor in ``(0, 1)`` makes the residual manager
+            accumulate velocity ``u = m*u + g`` with momentum-factor
+            masking at the final global indices, so delayed coordinates
+            keep their momentum history.  The factor is fixed when the
+            synchroniser is built; train it with
+            ``TrainerConfig(momentum=0.0)`` (momentum-free optimizers) so
+            velocity is not applied twice.  Absent = plain error feedback,
+            bit for bit
 ``backend`` execution backend: ``sim:P`` (deterministic in-process
             simulator) or ``mp:P`` (``P`` real worker processes, see
             :class:`~repro.comm.mp_backend.MultiprocessCluster`); with a
@@ -67,7 +70,10 @@ Each key is one row of :data:`_SPEC_KEYS` — its default, how it is read
 from a spec string, how it is validated and normalised (for spec strings
 and keyword arguments alike) and how it is printed — and that table drives
 :class:`SyncSpec`, :func:`parse_spec`, :meth:`SyncSpec.canonical` and the
-keyword overrides of :func:`make`.
+keyword overrides of :func:`make`.  Each method reads only the keys its
+row of :data:`_METHODS` names (``backend`` and ``trace`` on every method);
+any other key set to a value other than its default raises, so a spec
+never names a key its synchroniser ignores.
 
 :func:`make` builds a ready synchroniser (``buckets=layer``: one
 :class:`~repro.core.spardl.SparDLSynchronizer` over the layer sizes;
@@ -108,25 +114,6 @@ __all__ = [
     "describe",
     "available_methods",
 ]
-
-#: Every method by its canonical name (as in the paper's figures): the
-#: spellings a spec may use for it (case-insensitive; the first is the one
-#: :meth:`SyncSpec.canonical` prints) and the class that runs it.
-_METHODS: Dict[str, Tuple[Tuple[str, ...], type]] = {
-    "SparDL": (("spardl",), SparDLSynchronizer),
-    "Ok-Topk": (("ok-topk", "oktopk", "ok_topk"), OkTopkSynchronizer),
-    "TopkA": (("topka", "topk-a", "topk_a"), TopkASynchronizer),
-    "TopkDSA": (("topkdsa", "topk-dsa", "topk_dsa"), TopkDSASynchronizer),
-    "gTopk": (("gtopk", "gtop-k"), GTopkSynchronizer),
-    "Dense": (("dense", "allreduce"), DenseAllReduceSynchronizer),
-}
-
-#: Canonical method names (as used in the paper's figures).
-SYNCHRONIZER_NAMES = tuple(_METHODS)
-
-_SPELLINGS = {spelling: name for name, (spellings, _) in _METHODS.items()
-              for spelling in spellings}
-
 
 # ---------------------------------------------------------------------------
 # the spec keys
@@ -222,6 +209,38 @@ _SPEC_KEYS: Dict[str, _Key] = {
 }
 
 
+class _Method(NamedTuple):
+    """One method: the spellings a spec may use for it (case-insensitive;
+    the first is the one :meth:`SyncSpec.canonical` prints), the class that
+    runs it and the spec keys it reads."""
+
+    spellings: Tuple[str, ...]
+    cls: type
+    keys: Tuple[str, ...]
+
+
+#: The keys the sparse baselines read: the paper's competitors as published.
+_SPARSE_KEYS = ("k", "density", "schedule", "backend", "trace")
+
+#: Every method by its canonical name (as in the paper's figures).
+_METHODS: Dict[str, _Method] = {
+    "SparDL": _Method(("spardl",), SparDLSynchronizer, tuple(_SPEC_KEYS)),
+    "Ok-Topk": _Method(("ok-topk", "oktopk", "ok_topk"), OkTopkSynchronizer, _SPARSE_KEYS),
+    "TopkA": _Method(("topka", "topk-a", "topk_a"), TopkASynchronizer, _SPARSE_KEYS),
+    "TopkDSA": _Method(("topkdsa", "topk-dsa", "topk_dsa"), TopkDSASynchronizer,
+                       _SPARSE_KEYS),
+    "gTopk": _Method(("gtopk", "gtop-k"), GTopkSynchronizer, _SPARSE_KEYS),
+    "Dense": _Method(("dense", "allreduce"), DenseAllReduceSynchronizer,
+                     ("bits", "momentum", "backend", "trace")),
+}
+
+#: Canonical method names (as used in the paper's figures).
+SYNCHRONIZER_NAMES = tuple(_METHODS)
+
+_SPELLINGS = {spelling: name for name, method in _METHODS.items()
+              for spelling in method.spellings}
+
+
 def _unknown_key(key: str) -> ValueError:
     if key == "hybrid":
         return _removed("hybrid=dense<SIZE",
@@ -244,14 +263,16 @@ class SyncSpec:
         for key in keys:
             if key not in _SPEC_KEYS:
                 raise _unknown_key(key)
+        reads = _METHODS[self.method].keys
         for key, entry in _SPEC_KEYS.items():
             value = keys.get(key, entry.default)
-            setattr(self, key, None if value is None else entry.normalise(value))
+            value = None if value is None else entry.normalise(value)
+            if value != entry.default and key not in reads:
+                raise _removed(f"{key}={entry.show(value)} on {self.method}",
+                               f"{self.method} reads only {', '.join(reads)}: drop the key")
+            setattr(self, key, value)
         if self.k is not None and self.density is not None:
             raise ValueError("give only one of k and density")
-        if self.is_bucketed and self.method != "SparDL":
-            raise _removed(f"buckets={self.buckets} on {self.method}",
-                           "only SparDL runs bucketed: drop the key")
         # A sparse method without k/density is allowed here (keyword
         # overrides of make() may still supply the target); make() fails
         # loudly when it is truly missing.
@@ -264,7 +285,7 @@ class SyncSpec:
         """The canonical spec string (non-default keys only, fixed order)."""
         params = "&".join(f"{key}={entry.show(value)}" for key, entry in _SPEC_KEYS.items()
                           if (value := getattr(self, key)) != entry.default)
-        name = _METHODS[self.method][0][0]
+        name = _METHODS[self.method].spellings[0]
         return f"{name}?{params}" if params else name
 
     @property
@@ -309,11 +330,8 @@ def parse_spec(spec: "str | SyncSpec") -> SyncSpec:
 # ---------------------------------------------------------------------------
 def _validate_schedule_spec(spec: SyncSpec) -> None:
     """Fail on malformed schedule specs before any construction happens."""
-    if spec.method == "Dense":
-        if spec.schedule != "constant":
-            raise ValueError("Dense has no sparsity knob; schedule= does not apply")
-        return
-    parse_schedule(spec.schedule, k=spec.k, density=spec.density)
+    if "schedule" in _METHODS[spec.method].keys:
+        parse_schedule(spec.schedule, k=spec.k, density=spec.density)
 
 
 def _spardl_config(spec: SyncSpec, **fields: Any) -> SparDLConfig:
@@ -328,14 +346,13 @@ def _spardl_config(spec: SyncSpec, **fields: Any) -> SparDLConfig:
 def _build_flat(spec: SyncSpec, cluster: Transport,
                 num_elements: int) -> GradientSynchronizer:
     """Build one flat-vector synchroniser for ``num_elements`` gradients."""
-    cls = _METHODS[spec.method][1]
+    cls = _METHODS[spec.method].cls
     if spec.method == "Dense":
         return cls(cluster, num_elements, num_bits=spec.bits, momentum=spec.momentum)
     if spec.method == "SparDL":
         return cls(cluster, num_elements, _spardl_config(spec))
     return cls(cluster, num_elements, k=spec.k, density=spec.density,
-               schedule=None if spec.schedule == "constant" else spec.schedule,
-               num_bits=spec.bits, momentum=spec.momentum)
+               schedule=None if spec.schedule == "constant" else spec.schedule)
 
 
 def _resolve_backend(parsed: SyncSpec,

@@ -55,73 +55,33 @@ class SparseBaseline(GradientSynchronizer):
     residual_policy:
         Error-feedback policy used by the method (the paper's competitors use
         local or partial residual collection).
-    num_bits:
-        Optional value quantization of the wire: ``None`` (default) keeps
-        full-precision values — the pre-quantization behaviour bit for bit —
-        while an integer in ``[1, 32]`` installs a
-        :class:`~repro.compression.quantization.QuantizedCompressor` as
-        :attr:`stack`: the ``compress`` stage quantizes every worker's
-        selection (independent per-worker random streams) and folds the
-        exact quantization error into the method's residual store.
-    momentum:
-        Optional DGC momentum-correction factor in ``(0, 1)``: the residual
-        manager accumulates velocity instead of raw gradient, with momentum
-        factor masking at the final global indices (``None`` keeps plain
-        error feedback, bit for bit).  It is fixed here, at construction;
-        train such a synchroniser with ``TrainerConfig(momentum=0.0)`` so
-        momentum is not applied twice.
     """
 
     def __init__(self, cluster: Transport, num_elements: int, *,
                  k: Optional[int] = None, density: Optional[float] = None,
                  schedule: Optional[KSchedule | str] = None,
-                 residual_policy: ResidualPolicy | str = ResidualPolicy.LOCAL,
-                 num_bits: Optional[int] = None,
-                 momentum: Optional[float] = None) -> None:
+                 residual_policy: ResidualPolicy | str = ResidualPolicy.LOCAL) -> None:
         super().__init__(cluster, num_elements,
                          schedule=coerce_schedule(schedule, k=k, density=density))
         self.k = self.schedule.resolve(0, num_elements)
         self.residuals = ResidualManager(cluster.num_workers, num_elements,
-                                         residual_policy,
-                                         momentum=self._momentum_factor(momentum))
+                                         residual_policy)
         #: Per-rank cut of the last step's local top-k (the whole vector is
         #: one segment): the selector SparDL's phase 1 uses, so that the
         #: methods' wall-clock compares at the same selection cost.
         self.selector = WarmTopK()
-        self._configure_compression(num_bits)
 
     def set_sparsity(self, k: int) -> None:
         """Adopt a per-step ``k`` (schedule resolution)."""
         self.k = max(1, min(self.num_elements, int(k)))
 
     # ------------------------------------------------------------------
-    def stage_compress(self, context: StepContext) -> None:
-        """Wire encoding of the per-worker selections.
-
-        Identity without a quantizer.  With one, every worker's sparse
-        selection is quantized with that worker's independent random stream
-        — so results do not depend on iteration order — and the exact error
-        of the draw is collected as that worker's local residual (error
-        feedback over the message actually sent).  Momentum correction acts
-        through the residual manager and leaves the wire untouched.
-        """
-        if self.stack is None:
-            context.wire = context.selected
-            return
-        wire: Dict[int, SparseGradient] = {}
-        for rank, sparse in context.selected.items():
-            quantized, compression_error = self.stack.compress_sparse(rank, sparse)
-            self.residuals.collect_local_sparse(rank, compression_error)
-            wire[rank] = quantized
-        context.wire = wire
-
-    # ------------------------------------------------------------------
     def stage_select(self, context: StepContext) -> None:
         context.selected = self.local_select(context.gradients)
 
     def stage_residual_update(self, context: StepContext) -> None:
-        """Resolve deferred (PRES) procedure discards, and mask momentum,
-        at the final global index set."""
+        """Resolve deferred (PRES) procedure discards at the final global
+        index set."""
         self.residuals.finalize(context.reference.indices)
 
     def local_select(self, gradients: Dict[int, np.ndarray]) -> Dict[int, SparseGradient]:

@@ -48,13 +48,10 @@ class GTopkSynchronizer(SparseBaseline):
 
     def __init__(self, cluster: Transport, num_elements: int, *,
                  k: Optional[int] = None, density: Optional[float] = None,
-                 schedule: Optional[KSchedule | str] = None,
-                 num_bits: Optional[int] = None,
-                 momentum: Optional[float] = None) -> None:
+                 schedule: Optional[KSchedule | str] = None) -> None:
         _require_power_of_two(cluster.num_workers)
         super().__init__(cluster, num_elements, k=k, density=density,
-                         schedule=schedule, residual_policy=ResidualPolicy.PARTIAL,
-                         num_bits=num_bits, momentum=momentum)
+                         schedule=schedule, residual_policy=ResidualPolicy.PARTIAL)
 
     def apply_membership(self, num_workers: int, mapping: Dict[int, int]) -> None:
         """Refuse, before anything changes, a membership that is not a

@@ -56,12 +56,9 @@ class OkTopkSynchronizer(SparseBaseline):
     def __init__(self, cluster: Transport, num_elements: int, *,
                  k: Optional[int] = None, density: Optional[float] = None,
                  schedule: Optional[KSchedule | str] = None,
-                 rebalance_period: Optional[int] = None,
-                 num_bits: Optional[int] = None,
-                 momentum: Optional[float] = None) -> None:
+                 rebalance_period: Optional[int] = None) -> None:
         super().__init__(cluster, num_elements, k=k, density=density,
-                         schedule=schedule, residual_policy=ResidualPolicy.PARTIAL,
-                         num_bits=num_bits, momentum=momentum)
+                         schedule=schedule, residual_policy=ResidualPolicy.PARTIAL)
         self.rebalance_period = rebalance_period or self.REBALANCE_PERIOD
         #: Current owner-region boundaries (P + 1 cut points over [0, n]).
         self.boundaries = self._even_boundaries()
@@ -162,8 +159,7 @@ class OkTopkSynchronizer(SparseBaseline):
             for rank in range(P):
                 partner = rank ^ step
                 if partner < P:
-                    # Index-count statistics, not gradient values: billed at
-                    # full precision even under value quantization.
+                    # Index-count statistics, not gradient values.
                     messages.append(Message(src=rank, dst=partner, payload=bucket_payload,
                                             size=payload_size(bucket_payload),
                                             tag="oktopk-rebalance"))

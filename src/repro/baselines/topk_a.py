@@ -31,12 +31,9 @@ class TopkASynchronizer(SparseBaseline):
 
     def __init__(self, cluster: Transport, num_elements: int, *,
                  k: Optional[int] = None, density: Optional[float] = None,
-                 schedule: Optional[KSchedule | str] = None,
-                 num_bits: Optional[int] = None,
-                 momentum: Optional[float] = None) -> None:
+                 schedule: Optional[KSchedule | str] = None) -> None:
         super().__init__(cluster, num_elements, k=k, density=density,
-                         schedule=schedule, residual_policy=ResidualPolicy.LOCAL,
-                         num_bits=num_bits, momentum=momentum)
+                         schedule=schedule, residual_policy=ResidualPolicy.LOCAL)
 
     # ------------------------------------------------------------------
     def stage_exchange(self, context: StepContext) -> None:

@@ -40,12 +40,9 @@ class TopkDSASynchronizer(SparseBaseline):
 
     def __init__(self, cluster: Transport, num_elements: int, *,
                  k: Optional[int] = None, density: Optional[float] = None,
-                 schedule: Optional[KSchedule | str] = None,
-                 num_bits: Optional[int] = None,
-                 momentum: Optional[float] = None) -> None:
+                 schedule: Optional[KSchedule | str] = None) -> None:
         super().__init__(cluster, num_elements, k=k, density=density,
-                         schedule=schedule, residual_policy=ResidualPolicy.LOCAL,
-                         num_bits=num_bits, momentum=momentum)
+                         schedule=schedule, residual_policy=ResidualPolicy.LOCAL)
         self.layout = BlockLayout(num_elements, cluster.num_workers)
 
     def apply_membership(self, num_workers: int, mapping: Dict[int, int]) -> None:
@@ -85,18 +82,8 @@ class TopkDSASynchronizer(SparseBaseline):
 
     def _payload_size(self, payload: PackedBags) -> float:
         """COO size per block, capped at the dense block size (TopkDSA's
-        switch to dense transmission).
-
-        Under quantization both representations carry ``num_bits``-bit
-        values, so the switch compares the quantized COO cost (scale element
-        included) against the quantized dense block.
-        """
+        switch to dense transmission)."""
         total = 0.0
         for block, nnz in zip(payload.ids, np.diff(payload.offsets).tolist()):
-            dense_size = float(self.layout.block_size(block))
-            if self.stack is None:
-                total += min(2.0 * nnz, dense_size)
-            else:
-                total += min(self.stack.sparse_cost(nnz),
-                             self.stack.dense_cost(dense_size))
+            total += min(2.0 * nnz, float(self.layout.block_size(block)))
         return total

@@ -270,10 +270,6 @@ class QuantizedCompressor:
     # ------------------------------------------------------------------
     # wire pricing
     # ------------------------------------------------------------------
-    def sparse_cost(self, nnz: int) -> float:
-        """:func:`quantized_sparse_cost` at this compressor's bit width."""
-        return quantized_sparse_cost(nnz, self.num_bits)
-
     def dense_cost(self, num_values: float) -> float:
         """Quantized cost of ``num_values`` dense values (no indices travel,
         so the only cost is ``num_bits`` bits per value; the ``dense``

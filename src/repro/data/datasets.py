@@ -123,6 +123,3 @@ class DataLoader:
             if self.drop_last and batch_indices.shape[0] < self.batch_size:
                 break
             yield self.dataset.inputs[batch_indices], self.dataset.targets[batch_indices]
-
-    def batches_per_epoch(self) -> int:
-        return len(self)

@@ -12,7 +12,7 @@ without coordination.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -177,10 +177,3 @@ class MetricsRegistry:
                 rendered = f"{value:.6g}"
             lines.append(f"{series:<50} {rendered}")
         return "\n".join(lines)
-
-    def merge_counts(self, counts: Iterable[Tuple[str, Dict[str, str], float]]) -> None:
-        """Fold ``(name, labels, amount)`` counter increments into the
-        registry (used when worker-side tallies are drained into the
-        driver's registry)."""
-        for name, labels, amount in counts:
-            self.counter(name, **labels).inc(amount)

@@ -107,11 +107,6 @@ class TrainingHistory:
             raise ValueError("no iterations recorded")
         return self.total_communication_time / len(self.iterations)
 
-    def mean_compute_time(self) -> float:
-        if not self.iterations:
-            raise ValueError("no iterations recorded")
-        return self.total_compute_time / len(self.iterations)
-
     def time_to_metric(self, threshold: float, higher_is_better: bool = True) -> Optional[float]:
         """Cumulative time of the first epoch whose evaluation metric reaches
         ``threshold`` (``None`` if never reached)."""

@@ -119,22 +119,6 @@ class ComputeProfile:
             return float(sum(self.bucket_backward_times))
         return self.compute_time_per_update * self.backward_fraction
 
-    @property
-    def non_overlap_time(self) -> float:
-        """Seconds per iteration that can never hide communication (forward
-        pass, optimiser step).  Clamped at zero when user-supplied bucket
-        measurements exceed the aggregate compute time."""
-        return max(0.0, self.compute_time_per_update - self.backward_time)
-
-    def with_bucket_times(self, times: Sequence[float]) -> "ComputeProfile":
-        """A copy of this profile with measured per-bucket backward times."""
-        return ComputeProfile(
-            compute_time_per_update=self.compute_time_per_update,
-            paper_parameters=self.paper_parameters,
-            backward_fraction=self.backward_fraction,
-            bucket_backward_times=tuple(float(t) for t in times),
-        )
-
     def bucket_backward_times_for(self, bucket_sizes: Sequence[int]) -> List[float]:
         """Backward time of every bucket, in the order of ``bucket_sizes``
         (forward / layer order, matching the bucket layout).

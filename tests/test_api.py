@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
+    _METHODS,
     SYNCHRONIZER_NAMES,
     SyncSpec,
     available_methods,
@@ -24,6 +25,7 @@ from repro.baselines.topk_dsa import TopkDSASynchronizer
 from repro.comm.cluster import SimulatedCluster
 from repro.comm.network import ETHERNET
 from repro.core.bucketed import BucketedSynchronizer
+from repro.core.schedules import WarmupSchedule
 from repro.core.spardl import SparDLSynchronizer
 from repro.nn.models import build_mlp
 from repro.training.timing import ComputeProfile
@@ -107,6 +109,15 @@ REMOVED = [
     ("gtopk?density=0.01&buckets=auto", "gtopk", {"density": 0.01, "buckets": "auto"}),
     ("ok-topk?k=5&buckets=layer", "ok-topk", {"k": 5, "buckets": "layer"}),
     ("dense?buckets=layer", "dense", {"buckets": "layer"}),
+    ("topka?density=0.01&bits=8", "topka", {"density": 0.01, "bits": 8}),
+    ("gtopk?density=0.01&momentum=0.9", "gtopk", {"density": 0.01, "momentum": 0.9}),
+    ("topka?density=0.01&teams=2", "topka", {"density": 0.01, "teams": 2}),
+    ("ok-topk?density=0.01&residuals=local",
+     "ok-topk", {"density": 0.01, "residuals": "local"}),
+    ("gtopk?density=0.01&sag=bsag", "gtopk", {"density": 0.01, "sag": "bsag"}),
+    ("dense?density=0.1", "dense", {"density": 0.1}),
+    ("dense?schedule=warmup:5", "dense", {"schedule": "warmup:5"}),
+    ("dense?teams=2", "dense", {"teams": 2}),
 ]
 
 
@@ -200,7 +211,7 @@ class TestMake:
             make("gTopk", SimulatedCluster(6), num_elements=100, k=10)
 
     def test_dense_rejects_schedule(self):
-        with pytest.raises(ValueError, match="no sparsity knob"):
+        with pytest.raises(ValueError, match="schedule=warmup:5 on Dense was removed"):
             make("dense?schedule=warmup:5", SimulatedCluster(4), num_elements=100)
 
     def test_bucketed_build(self):
@@ -236,31 +247,30 @@ SPELLINGS = ["spardl", "SparDL", "ok-topk", "oktopk", "ok_topk", "topka", "topk-
 
 @st.composite
 def spec_strings(draw):
-    """A runnable spec string with a value drawn for every key."""
+    """A runnable spec string with a value drawn for every key its method
+    reads (its row of ``repro.api._METHODS``)."""
     name = draw(st.sampled_from(SPELLINGS))
-    method = parse_spec(name).method
-    sparse = method != "Dense"
-    buckets = (draw(st.sampled_from(["flat", "layer", "auto"]))
-               if method == "SparDL" else "flat")
-    momentum = draw(st.none() | st.floats(0.01, 0.99))
-    keys = {
-        "teams": draw(st.sampled_from([1, 2, 4])),
-        "sag": draw(st.sampled_from(["auto", "rsag", "bsag"])),
+    reads = _METHODS[parse_spec(name).method].keys
+    momentum = draw(st.none() | st.floats(0.01, 0.99)) if "momentum" in reads else None
+    values = {
+        "teams": st.sampled_from([1, 2, 4]),
+        "sag": st.sampled_from(["auto", "rsag", "bsag"]),
         # momentum correction keeps its velocity in the residual stores
-        "residuals": draw(st.sampled_from(
-            ["global", "partial", "local"] + (["none"] if momentum is None else []))),
-        "buckets": buckets,
-        "bits": draw(st.none() | st.integers(1, 32)),
-        "momentum": momentum,
-        "backend": draw(st.sampled_from([None, f"sim:{WORKERS}"])),
-        "trace": draw(st.sampled_from(["off", "steps", "comm"])),
+        "residuals": st.sampled_from(
+            ["global", "partial", "local"] + (["none"] if momentum is None else [])),
+        "schedule": st.sampled_from(["constant", "warmup:3", "warmup:2:0.5"]),
+        "buckets": st.sampled_from(["flat", "layer", "auto"]),
+        "bits": st.none() | st.integers(1, 32),
+        "momentum": st.just(momentum),
+        "backend": st.sampled_from([None, f"sim:{WORKERS}"]),
+        "trace": st.sampled_from(["off", "steps", "comm"]),
     }
-    if sparse:
+    keys = {key: draw(value) for key, value in values.items() if key in reads}
+    if "k" in reads:
         if draw(st.booleans()):
             keys["k"] = draw(st.integers(1, 120))
         else:
             keys["density"] = draw(st.floats(1e-4, 1.0))
-        keys["schedule"] = draw(st.sampled_from(["constant", "warmup:3", "warmup:2:0.5"]))
     query = "&".join(f"{key}={value}" for key, value in keys.items() if value is not None)
     return f"{name}?{query}"
 
@@ -284,6 +294,61 @@ class TestDescribeRoundTrip:
     def test_describe_rejects_foreign_objects(self):
         with pytest.raises(ValueError, match="cannot describe"):
             describe(object())
+
+
+#: A value other than its default for every spec key, and how a synchroniser
+#: built with it shows that it runs it.
+NON_DEFAULT = {
+    "k": (7, lambda sync: sync.k == 7),
+    "density": (0.1, lambda sync: sync.k == 9),  # of MODEL's 90 parameters
+    "teams": (2, lambda sync: sync.num_teams == 2),
+    "sag": ("bsag", lambda sync: sync.config.sag_mode.value == "bsag"),
+    "residuals": ("local", lambda sync: sync.residuals.policy.value == "local"),
+    "schedule": ("warmup:3", lambda sync: isinstance(sync.schedule, WarmupSchedule)),
+    "buckets": ("layer", lambda sync: sync.bucket_sizes == [p.size for p in MODEL.parameters()]),
+    "bits": (8, lambda sync: sync.stack.num_bits == 8),
+    "momentum": (0.9, lambda sync: sync.residuals.momentum == 0.9),
+    "backend": (f"sim:{WORKERS}", lambda sync: sync.cluster.num_workers == WORKERS),
+    "trace": ("steps", lambda sync: sync.tracer is not None),
+}
+_SPARSE = {"k", "density", "schedule", "backend", "trace"}
+#: The keys each method runs.
+READS = {"SparDL": set(NON_DEFAULT), "Ok-Topk": _SPARSE, "TopkA": _SPARSE,
+         "TopkDSA": _SPARSE, "gTopk": _SPARSE,
+         "Dense": {"bits", "momentum", "backend", "trace"}}
+
+
+class TestEveryKeyIsRunOrRefused:
+    """A spec names only what its method runs: every key a method reads is
+    built into the synchroniser and printed by ``describe``; every other key
+    at a value other than its default raises, through ``parse_spec``,
+    ``make(**keys)`` and ``make_factory(**keys)`` alike, naming the method
+    and the key."""
+
+    @pytest.mark.parametrize("key", list(NON_DEFAULT))
+    @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
+    def test_key(self, method, key):
+        value, runs = NON_DEFAULT[key]
+        name = parse_spec(method).canonical()
+        if key not in READS[method]:
+            pattern = f"{key}=.* on {method} was removed"
+            with pytest.raises(ValueError, match=pattern):
+                parse_spec(f"{name}?{key}={value}")
+            with pytest.raises(ValueError, match=pattern):
+                make(name, SimulatedCluster(WORKERS), num_elements=200, **{key: value})
+            with pytest.raises(ValueError, match=pattern):
+                make_factory(name, **{key: value})
+            return
+        keys = {key: value}
+        if "density" in READS[method] and key not in ("k", "density"):
+            keys["density"] = 0.1
+        cluster = None if key == "backend" else SimulatedCluster(WORKERS)
+        sync = make(name, cluster, model=MODEL, **keys)
+        assert runs(sync)
+        assert f"{key}={value}" in describe(sync).partition("?")[2].split("&")
+
+    def test_the_facade_reads_this_table(self):
+        assert {method: set(entry.keys) for method, entry in _METHODS.items()} == READS
 
 
 class TestSyncSpec:

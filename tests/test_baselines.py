@@ -319,9 +319,7 @@ class TestLocalSelectionGoesThroughTheWarmSelector:
 
     @pytest.mark.parametrize("method", [TopkASynchronizer, TopkDSASynchronizer,
                                         GTopkSynchronizer])
-    @pytest.mark.parametrize("options", [{}, {"num_bits": 8}, {"momentum": 0.9}],
-                             ids=["plain", "bits=8", "momentum=0.9"])
-    def test_six_steps_equal_the_cold_top_k(self, method, options, monkeypatch):
+    def test_six_steps_equal_the_cold_top_k(self, method, monkeypatch):
         from repro.baselines.base import SparseBaseline
         from repro.sparse.topk import top_k_indices
 
@@ -331,8 +329,8 @@ class TestLocalSelectionGoesThroughTheWarmSelector:
                     for rank, dense in corrected.items()}
 
         num_workers, n = 4, 6000
-        warm = method(SimulatedCluster(num_workers), n, density=0.02, **options)
-        cold = method(SimulatedCluster(num_workers), n, density=0.02, **options)
+        warm = method(SimulatedCluster(num_workers), n, density=0.02)
+        cold = method(SimulatedCluster(num_workers), n, density=0.02)
         monkeypatch.setattr(cold, "local_select", cold_select.__get__(cold, SparseBaseline))
         for step in range(6):
             gradients = {rank: (1.0 + 0.05 * step) * grad ** 3 for rank, grad in

@@ -13,8 +13,8 @@ The invariants:
   quantization;
 * with momentum and bits both unset, ``sync.stack`` is ``None`` and every
   synchroniser keeps its uncompressed code path bit for bit;
-* every constructor rejects a momentum factor outside (0, 1) and a bit
-  width outside [1, 32].
+* every constructor that takes them (SparDL's and Dense's) rejects a
+  momentum factor outside (0, 1) and a bit width outside [1, 32].
 """
 
 from __future__ import annotations
@@ -64,13 +64,10 @@ class TestPayloadErrorContract:
         np.testing.assert_allclose(payload + error, dense, rtol=0, atol=1e-14)
 
 
+#: The constructors that take ``momentum=`` and ``num_bits=``.
 CONSTRUCTORS = {
     "SparDL": lambda cluster, **kw: SparDLSynchronizer(
         cluster, 64, SparDLConfig(density=0.1, **kw)),
-    "TopkA": lambda cluster, **kw: TopkASynchronizer(cluster, 64, density=0.1, **kw),
-    "TopkDSA": lambda cluster, **kw: TopkDSASynchronizer(cluster, 64, density=0.1, **kw),
-    "gTopk": lambda cluster, **kw: GTopkSynchronizer(cluster, 64, density=0.1, **kw),
-    "Ok-Topk": lambda cluster, **kw: OkTopkSynchronizer(cluster, 64, density=0.1, **kw),
     "Dense": lambda cluster, **kw: DenseAllReduceSynchronizer(cluster, 64, **kw),
 }
 
@@ -97,6 +94,20 @@ class TestConstructorRanges:
         assert sync.residuals.velocity(0) is not None
         assert isinstance(sync.stack, QuantizedCompressor)
         assert (sync.stack.num_bits, sync.stack.num_workers) == (6, 4)
+
+
+    @pytest.mark.parametrize("argument", [{"num_bits": 8}, {"momentum": 0.9}],
+                             ids=["num_bits", "momentum"])
+    @pytest.mark.parametrize("cls", [TopkASynchronizer, TopkDSASynchronizer,
+                                     GTopkSynchronizer, OkTopkSynchronizer],
+                             ids=lambda cls: cls.name)
+    def test_sparse_baselines_take_neither(self, cls, argument):
+        """The baselines run the paper's competitors unquantized and
+        without momentum correction: neither argument exists."""
+        with pytest.raises(TypeError, match=next(iter(argument))):
+            cls(SimulatedCluster(4), 64, density=0.1, **argument)
+        sync = cls(SimulatedCluster(4), 64, density=0.1)
+        assert sync.stack is None and sync.residuals.momentum == 0.0
 
 
 class TestConservationProperty:
@@ -126,17 +137,15 @@ class TestConservationProperty:
             rhs = residual_before + factor * velocity_before + sum(grads.values())
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
-    @given(method=st.sampled_from(["TopkA", "Dense"]),
-           momentum=st.sampled_from([0.5, 0.9]),
+    @given(momentum=st.sampled_from([0.5, 0.9]),
            bits=st.sampled_from([None, 8]),
            seed=st.integers(min_value=0, max_value=200))
     @settings(max_examples=25, deadline=None)
-    def test_baseline_ledger_with_momentum(self, method, momentum, bits, seed):
+    def test_baseline_ledger_with_momentum(self, momentum, bits, seed):
         num_workers, num_elements = 4, 90
         cluster = SimulatedCluster(num_workers)
-        kwargs = {} if method == "Dense" else {"density": 0.1}
-        sync = make(method, cluster, num_elements=num_elements,
-                    momentum=momentum, bits=bits, **kwargs)
+        sync = make("dense", cluster, num_elements=num_elements,
+                    momentum=momentum, bits=bits)
         for i in range(3):
             grads = random_gradients(num_workers, num_elements, seed=seed + 11 * i)
             residual_before = sync.residuals.total_residual()

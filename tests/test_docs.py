@@ -1,14 +1,15 @@
 """The documented code examples must keep running.
 
-Runs every ``>>>`` doctest embedded in the top-level README and the docs
-pages, so the commands and snippets the documentation shows a new
-contributor cannot silently rot.  CI additionally executes every script
+Runs every ``>>>`` doctest embedded in the top-level README, the docs
+pages and the docstrings of ``src/repro``, so the commands and snippets
+the documentation shows a new contributor cannot silently rot.  CI additionally executes every script
 in ``examples/`` in a dedicated docs job.
 """
 
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 from pathlib import Path
 
@@ -36,6 +37,19 @@ def test_doc_examples_run(relpath):
                                module_relative=False, verbose=False)
     assert results.failed == 0, (
         f"{results.failed} doctest example(s) in {relpath} failed")
+
+
+#: Every ``repro`` module whose docstrings hold ``>>>`` examples.
+DOCTEST_MODULES = sorted(
+    ".".join(path.relative_to(REPO_ROOT / "src").with_suffix("").parts).removesuffix(".__init__")
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py") if ">>>" in path.read_text())
+
+
+@pytest.mark.parametrize("module", DOCTEST_MODULES)
+def test_module_examples_run(module):
+    results = doctest.testmod(importlib.import_module(module), verbose=False)
+    assert results.attempted and results.failed == 0, (
+        f"{results.failed} doctest example(s) in {module} failed")
 
 
 #: A repository path the docs point at (``src/repro/core/base.py:name`` and
@@ -100,7 +114,12 @@ def test_api_doc_migrates_every_removed_spelling():
                      "momentum_correction", "enable_momentum_correction",
                      "set_momentum", "overlap_comm", "fused_accumulate",
                      "buckets=size:N", "bits=B,PATTERN:B", "fuse_buckets",
-                     "BucketedSynchronizer(cluster, sizes, configs)"):
+                     "BucketedSynchronizer(cluster, sizes, configs)",
+                     "topka?density=0.01&bits=8", "gtopk?density=0.01&momentum=0.9",
+                     "SparseBaseline(num_bits=, momentum=)",
+                     "QuantizedCompressor.sparse_cost", "topka?teams=2",
+                     "ok-topk?residuals=local", "dense?density=0.1",
+                     "dense?schedule=warmup:5"):
         assert any(spelling in row for row in rows), (
             f"docs/api.md has no migration row for {spelling!r}")
 

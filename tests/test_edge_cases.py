@@ -113,7 +113,8 @@ class TestMethodAvailabilityAndLabels:
         for num_workers in (3, 4, 14):
             for method in available_methods(num_workers, include_dense=True):
                 cluster = SimulatedCluster(num_workers)
-                sync = make(method, cluster, num_elements=120, density=0.1)
+                density = {} if method == "Dense" else {"density": 0.1}
+                sync = make(method, cluster, num_elements=120, **density)
                 result = sync.synchronize(random_gradients(num_workers, 120))
                 assert result.is_consistent, f"{method} on P={num_workers}"
 

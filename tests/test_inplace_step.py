@@ -257,8 +257,8 @@ class TestWarmSelectionIsExact:
 # ---------------------------------------------------------------------------
 SPECS = ["spardl?density=0.02", "spardl?density=0.02&teams=2&bits=8&momentum=0.9",
          "spardl?density=0.7", "spardl?density=0.7&bits=4",
-         "topka?density=0.02", "topkdsa?density=0.02&bits=8",
-         "gtopk?density=0.02&momentum=0.9", "oktopk?density=0.02",
+         "topka?density=0.02", "topkdsa?density=0.02",
+         "gtopk?density=0.02", "oktopk?density=0.02",
          "dense?bits=8", "dense?momentum=0.9", "dense"]
 
 

@@ -92,11 +92,10 @@ class TestVelocitySemantics:
     def test_config_describe_mentions_momentum(self):
         assert "m=0.9" in SparDLConfig(density=0.05, momentum=0.9).describe()
 
-    @pytest.mark.parametrize("method", ["spardl", "ok-topk", "topka", "topkdsa", "gtopk"])
-    def test_one_worker_masks_velocity_at_the_final_indices(self, method):
+    def test_one_worker_masks_velocity_at_the_final_indices(self):
         """Momentum factor masking does not depend on the worker count: a
         single worker's velocity restarts at every index it applied."""
-        sync = make(f"{method}?density=0.1&momentum=0.5", SimulatedCluster(1),
+        sync = make("spardl?density=0.1&momentum=0.5", SimulatedCluster(1),
                     num_elements=200)
         for step in range(2):
             result = sync.synchronize(random_gradients(1, 200, seed=step))

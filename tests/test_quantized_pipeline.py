@@ -13,7 +13,7 @@ Three contracts, straight from the issue's acceptance criteria:
   full element per index, ``b`` bits per value, one scale element per
   non-empty sparse unit, ``b/32`` per dense value — verified message by
   message against an independent re-derivation, plus in closed form for a
-  controlled TopkA run.  Fewer bits move strictly less and land strictly
+  dense All-Reduce.  Fewer bits move strictly less and land strictly
   farther from the exact sum.
 * **residual mass is conserved.**  ``sum_t global_t + residuals ==
   sum_t inputs`` (sent + quantization error + discards == input, telescoped
@@ -39,6 +39,8 @@ from tests.references import expected_price, spy_exchange
 
 NUM_ELEMENTS = 600
 ITERATIONS = 3
+#: The methods that take ``bits=``.
+QUANTIZED = ("SparDL", "Dense")
 
 
 def _spec(method: str, bits=None) -> str:
@@ -58,11 +60,6 @@ def _gradients(num_workers: int, iteration: int, reverse: bool = False):
                   .normal(size=NUM_ELEMENTS)
         for worker in workers
     }
-
-
-def _methods_for(num_workers: int):
-    return [name for name in SYNCHRONIZER_NAMES
-            if name != "gTopk" or (num_workers & (num_workers - 1)) == 0]
 
 
 def _assert_bills_full_precision(cluster, method: str) -> None:
@@ -90,11 +87,11 @@ class TestBitsAbsentIsIdentity:
         # a quantized step first leaves nothing on the cluster that prices
         # a later full-precision one
         cluster = SimulatedCluster(8)
-        make(_spec(method, bits=8), cluster,
+        make(_spec(method if method in QUANTIZED else "SparDL", bits=8), cluster,
              num_elements=NUM_ELEMENTS).synchronize(_gradients(8, 0))
         _assert_bills_full_precision(cluster, method)
 
-    @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
+    @pytest.mark.parametrize("method", QUANTIZED)
     def test_compressor_with_bits(self, method):
         sync = make(_spec(method, bits=8), SimulatedCluster(8),
                     num_elements=NUM_ELEMENTS)
@@ -109,12 +106,10 @@ class TestBitsAbsentIsIdentity:
 
 class TestPerMessageAccounting:
     @pytest.mark.parametrize("num_workers", [5, 8])
-    @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
+    @pytest.mark.parametrize("method", QUANTIZED)
     @pytest.mark.parametrize("bits", [2, 8])
     def test_every_message_bills_the_quantized_accounting(self, method,
                                                           num_workers, bits):
-        if method not in _methods_for(num_workers):
-            pytest.skip("gTopk needs a power-of-two worker count")
         cluster = SimulatedCluster(num_workers)
         sync = make(_spec(method, bits=bits), cluster, num_elements=NUM_ELEMENTS)
         records = spy_exchange(cluster)
@@ -122,32 +117,23 @@ class TestPerMessageAccounting:
             sync.synchronize(_gradients(num_workers, iteration))
         assert records, "no traffic recorded"
         for tag, size, payload in records:
-            if tag == "oktopk-rebalance":
-                # control statistics travel at full precision
-                assert size == float(num_workers)
-            elif tag == "topka-fold-out":
-                # gathered set minus the receiver's own contribution
-                assert size <= expected_price(payload, bits)
-            elif tag.startswith(("dsa-fold", "dsa-ag")):
-                # per-block min(quantized COO, quantized dense block)
-                assert 0.0 <= size <= expected_price(payload, bits)
-            else:
-                assert size == expected_price(payload, bits), (
-                    f"{method}/{tag}: billed {size}, expected "
-                    f"{expected_price(payload, bits)}")
+            assert size == expected_price(payload, bits), (
+                f"{method}/{tag}: billed {size}, expected "
+                f"{expected_price(payload, bits)}")
 
-    def test_topka_closed_form_volume(self):
-        """TopkA at a power-of-two P has a known message structure (no
-        merging during the exchange), so the quantized volume has a closed
-        form: each round r moves P messages of 2^r selections apiece, each
-        selection billing k(1 + b/32) + 1."""
-        P, k, bits = 4, 30, 8
-        cluster = SimulatedCluster(P)
-        sync = make(f"topka?k={k}&bits={bits}", cluster, num_elements=NUM_ELEMENTS)
+    @pytest.mark.parametrize("num_workers", [4, 8])
+    @pytest.mark.parametrize("bits", [2, 8])
+    def test_dense_closed_form_volume(self, num_workers, bits):
+        """Dense All-Reduce at a power-of-two P is Rabenseifner's algorithm:
+        every rank sends ``n (P - 1) / P`` values while halving and as many
+        while doubling, each value billing ``b/32`` of an element, so the
+        quantized volume over the cluster is ``2 n (P - 1) b/32`` in
+        ``2 log2 P`` rounds."""
+        P = num_workers
+        sync = make(f"dense?bits={bits}", SimulatedCluster(P), num_elements=NUM_ELEMENTS)
         result = sync.synchronize(_gradients(P, 0))
-        unit = k * (1 + bits / 32) + 1
-        expected = P * unit + P * 2 * unit  # rounds: 1 then 2 selections each
-        assert result.stats.total_volume == pytest.approx(expected)
+        assert result.stats.total_volume == 2 * NUM_ELEMENTS * (P - 1) * bits / 32
+        assert result.stats.rounds == 2 * (P.bit_length() - 1)
 
     @pytest.mark.parametrize("density", [0.5, 0.8, 1.0])
     def test_high_density_sparse_steps_price_bits_per_value(self, density):
@@ -169,7 +155,7 @@ class TestPerMessageAccounting:
 
     def test_quantized_volume_is_reduced_for_every_method(self):
         P = 8
-        for method in SYNCHRONIZER_NAMES:
+        for method in QUANTIZED:
             plain = make(_spec(method), SimulatedCluster(P),
                          num_elements=NUM_ELEMENTS)
             quantized = make(_spec(method, bits=4), SimulatedCluster(P),
@@ -209,7 +195,7 @@ class TestPerMessageAccounting:
 
 
 class TestOrderIndependence:
-    @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
+    @pytest.mark.parametrize("method", QUANTIZED)
     def test_worker_iteration_order_does_not_change_results(self, method):
         """Per-worker spawned random streams: feeding the gradients dict in
         reversed insertion order must produce bit-identical results."""
@@ -266,7 +252,7 @@ class TestResidualConservation:
 
 
 class TestSessionsAndBuckets:
-    @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
+    @pytest.mark.parametrize("method", QUANTIZED)
     def test_session_equals_legacy_with_bits(self, method):
         P = 8
         legacy = make(_spec(method, bits=8), SimulatedCluster(P),

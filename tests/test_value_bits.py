@@ -3,9 +3,8 @@
 Per case, one SHA-256 over ``STEPS`` steps of every rank's global gradient,
 residual store and momentum velocity (the raw float64 bits), and every
 step's ``(rounds, total_volume)``.  Cases are the baselines that merge-sum
-what they receive (TopkDSA, Ok-Topk with and without momentum, TopkA,
-gTopk) and SparDL over R-SAG teams, at P ∈ {2, 3, 4, 5, 8} where the method
-runs, each with and without a seeded drop/delay plan.  Where
+what they receive (TopkDSA, Ok-Topk, TopkA, gTopk) and SparDL over R-SAG
+teams, at P ∈ {2, 3, 4, 5, 8} where the method runs, each with and without a seeded drop/delay plan.  Where
 :mod:`tests.test_wire_bill` pins what a run sends, this module pins what it
 computes.  The recorded digests are the values as they stood when the
 baselines and R-SAG still summed through a pairwise merge: moving every sum
@@ -33,7 +32,6 @@ def _cases():
     specs = {
         "topkdsa": (2, 3, 4, 5, 8),
         "ok-topk": (2, 3, 4, 5, 8),
-        "ok-topk?momentum=0.5": (2, 3, 4, 5, 8),
         "topka": (2, 3, 4, 5, 8),
         "gtopk": (2, 4, 8),
         "spardl?teams=2": (2, 4, 8),
@@ -95,16 +93,6 @@ DIGESTS = {
     'ok-topk|P=5|faults': '304fb4bd281c414e6a07ad70990caa920a6d31e2987902bc5e0582fd4cf61b7b',
     'ok-topk|P=8': '15517cdff3e3653cdc51b3e09a175d160684cc628ce3a5f5edfdd16438b6720d',
     'ok-topk|P=8|faults': '86fe48c78b977118a0a8a22eb52b23a888b74bd1c95336f5b9c79e8b0fc9c9f3',
-    'ok-topk?momentum=0.5|P=2': 'a1acc14961c2873ed4f38ef0f4e94d74fcf6806f6d2452cc76587e2cea238c26',
-    'ok-topk?momentum=0.5|P=2|faults': '04f7ec79d7ef6f10ab3e9338b32ca8279e3bfe76ca7880a62f849eccda627d9c',
-    'ok-topk?momentum=0.5|P=3': 'f8e4c6b6a52d62914132707e0ccda89078dca38baef26a93dd04778e3c811e33',
-    'ok-topk?momentum=0.5|P=3|faults': '232d72d9e88a6d48c6da7d5d5a46323b6498c12eb1d75d2151c5f673d62e2ffc',
-    'ok-topk?momentum=0.5|P=4': '1f458c91c20d3e0f2c183e0f30cb58b9b7b6e5bd0fb6e11b5307581c914de66b',
-    'ok-topk?momentum=0.5|P=4|faults': 'cf1269bd6c704c312499c4eeceed69f319c19897b5ba8ea5cd3922bd6aa4d530',
-    'ok-topk?momentum=0.5|P=5': 'a43e81fb0d87ff9296f7443d302dfbe025fef4e4cabe23ac3be09fbc35db3618',
-    'ok-topk?momentum=0.5|P=5|faults': '2aec8626caffa86a1282c14e7c9b233dfe15ec9a84123e2126f80ca619585fad',
-    'ok-topk?momentum=0.5|P=8': '121bb2e12df87863d7f2385fb114e72bdecf202e198f3ddf4983de0203411a15',
-    'ok-topk?momentum=0.5|P=8|faults': '1992030a851fbb5bb6bdcd8f5dd18b1c9ab0d082f19819d8ce4edd164d9c6c9c',
     'topka|P=2': '2bac5a435408928e58021aa28a0abb4ef4054118f80fb86506c0031b6517b9a9',
     'topka|P=2|faults': 'bd3bcd01aaf1530d96e0106d76a6e52f1450684952d2f6a31aff8b4478cb0300',
     'topka|P=3': 'cc867f8eddab24f1f9d37db9fb4ba6b7b9c48f758a30aee0e0bfc9ea621de501',
